@@ -23,7 +23,7 @@ def hnf_rows(rows, ncols, track_u=True):
     """
     m = len(rows)
     h = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_u else None
+    u = [[0] * i + [1] + [0] * (m - i - 1) for i in range(m)] if track_u else None
     pivots = []
     r = 0
     for c in range(ncols):

@@ -23,7 +23,6 @@ from .quivercat import (
     EndpointError,
     LinMorphism,
     QuiverCategory,
-    compose_lin,
     dual_lin,
     format_lin,
 )
@@ -157,17 +156,12 @@ def compose_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
         raise EndpointError("inner tuple objects do not match")
     cat = f.cat
     rows = []
-    for i, a in enumerate(f.source.summands):
+    for a, frow in zip(f.source.summands, f.entries):
+        nonzero = [(j, fe) for j, fe in enumerate(frow) if not fe.is_zero()]
         row = []
-        for k, b in enumerate(g.target.summands):
-            acc = cat.zero_lin(a, b)
-            for j in range(len(f.target)):
-                fe = f.entries[i][j]
-                ge = g.entries[j][k]
-                if fe.is_zero() or ge.is_zero():
-                    continue
-                acc = acc + compose_lin(fe, ge)
-            row.append(acc)
+        for k, c in enumerate(g.target.summands):
+            terms = [(fe.target, fe.coeffs, g.entries[j][k].coeffs) for j, fe in nonzero]
+            row.append(LinMorphism(cat, a, c, cat.compose_coeffs(a, c, terms)))
         rows.append(tuple(row))
     return MatMorphism(f.source, g.target, tuple(rows))
 
@@ -272,14 +266,6 @@ class HomBasis:
             rows.append(tuple(row))
         return MatMorphism(self.source, self.target, tuple(rows))
 
-    def unit(self, i: int, j: int, k: int) -> LinMorphism:
-        """The k-th basis path of entry (i, j) as a morphism."""
-        a = self.source.summands[i]
-        b = self.target.summands[j]
-        coeffs = [0] * self.block_dim[(i, j)]
-        coeffs[k] = 1
-        return self.cat.lin(a, b, coeffs)
-
     def units(self):
         for i in range(len(self.source)):
             for j in range(len(self.target)):
@@ -302,32 +288,38 @@ class HomBasis:
 def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[list[int]]:
     """Coefficient rows of the linear map ``sigma -> f * sigma`` in the
     flattened coordinates; one row per unknown unit."""
+    cat = f.cat
     rows = []
     for (l, j, k) in unknown.units():
-        q = unknown.unit(l, j, k)
+        b = unknown.source.summands[l]
+        c = unknown.target.summands[j]
+        unit = cat.unit_coeffs(b, c)[k]
         row = [0] * out.dim
-        for i in range(len(out.source)):
-            e = compose_lin(f.entries[i][l], q)
-            off = out.offset[(i, j)]
-            for t, c in enumerate(e.coeffs):
-                if c:
-                    row[off + t] += c
+        for i, a in enumerate(out.source.summands):
+            fe = f.entries[i][l]
+            if not fe.is_zero():
+                off = out.offset[(i, j)]
+                row[off : off + out.block_dim[(i, j)]] = cat.compose_coeffs(
+                    a, c, ((b, fe.coeffs, unit),))
         rows.append(row)
     return rows
 
 
 def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list[list[int]]:
     """Coefficient rows of ``sigma -> sigma * g`` in flattened coordinates."""
+    cat = g.cat
     rows = []
     for (i, l, k) in unknown.units():
-        p = unknown.unit(i, l, k)
+        a = unknown.source.summands[i]
+        b = unknown.target.summands[l]
+        unit = cat.unit_coeffs(a, b)[k]
         row = [0] * out.dim
-        for j in range(len(out.target)):
-            e = compose_lin(p, g.entries[l][j])
-            off = out.offset[(i, j)]
-            for t, c in enumerate(e.coeffs):
-                if c:
-                    row[off + t] += c
+        for j, c in enumerate(out.target.summands):
+            ge = g.entries[l][j]
+            if not ge.is_zero():
+                off = out.offset[(i, j)]
+                row[off : off + out.block_dim[(i, j)]] = cat.compose_coeffs(
+                    a, c, ((b, unit, ge.coeffs),))
         rows.append(row)
     return rows
 

@@ -203,17 +203,6 @@ def direct_sum_object(x: AdelObject, y: AdelObject) -> AdelObject:
     return AdelObject(direct_sum_mat(x.rel, y.rel), direct_sum_mat(x.corel, y.corel))
 
 
-def direct_sum_morphism(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
-    from .addclosure import direct_sum_mat
-    return AdelMorphism(
-        direct_sum_object(f.source, g.source),
-        direct_sum_object(f.target, g.target),
-        direct_sum_mat(f.datum, g.datum),
-        direct_sum_mat(f.rel_witness, g.rel_witness),
-        direct_sum_mat(f.corel_witness, g.corel_witness),
-    )
-
-
 def morphism_from_sum(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
     """The morphism out of a direct sum with the given components into a
     common target."""
@@ -649,16 +638,6 @@ def connecting_homomorphism(alpha: MatMorphism, beta: MatMorphism,
 
 
 # -- functoriality of kernels, cokernels, homology ----------------------------
-
-def kernel_map(k1: KernelResult, g2: AdelMorphism, vy: AdelMorphism) -> AdelMorphism:
-    """Induced map on kernel objects for a square commuting over ``vy``:
-    from the kernel ``k1`` of some ``g1`` with ``g1 * vz == vy * g2``."""
-    composite = compose(k1.emb, vy)
-    wp = is_zero_morphism(compose(composite, g2))
-    if wp is None:
-        raise SideConditionError("square does not induce a kernel map")
-    return kernel_lift(g2, composite, wp)
-
 
 def cokernel_map(f1: AdelMorphism, c2: CokernelResult,
                  vy: AdelMorphism) -> AdelMorphism:

@@ -733,8 +733,7 @@ def _cmd_prove(args) -> CommandResult:
 def _cmd_sweep(args) -> CommandResult:
     lo, hi = args.range
     values = list(range(lo, hi + 1))
-    report = provers.sweep_report(values)
-    results = provers.exactness_sweep(values)
+    report, results = provers.sweep(values)
     lines = [f"s = {s}: {'exact' if results[s] else 'not exact'}" for s in values]
     return CommandResult(
         "sweep", {"range": [lo, hi]}, report.overall,

@@ -7,6 +7,10 @@ lattices are computed exactly: the numerator as the projection of the joint
 solution lattice of the witness systems, the denominator as a generating set
 of image rows.  Generators are reported in HNF-reduced coordinates, so the
 presentation is deterministic.
+
+Every generator keeps the relation and corelation witnesses that the joint
+solution found for it, so generators and their integer combinations are
+built directly as morphisms, without solving for witnesses again.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .addclosure import HomBasis, MatMorphism, left_compose_rows, right_compose_rows
-from .adelman import AdelMorphism, AdelObject, make_morphism
+from .adelman import AdelMorphism, AdelObject
 from .intlinalg import (
     FpAbGroup,
     IntMatrix,
@@ -32,7 +36,8 @@ class HomGroupPresentation:
 
     ``group`` presents the quotient on the listed generators; ``basis`` holds
     the generator data as rows over the flattened path coordinates of the
-    middle-level Hom space.
+    middle-level Hom space, and the same row of ``witnesses`` the generator's
+    relation and corelation witnesses, flattened and concatenated.
     """
 
     source: AdelObject
@@ -40,7 +45,8 @@ class HomGroupPresentation:
     group: FpAbGroup
     generators: tuple[AdelMorphism, ...]
     basis: IntMatrix
-    _hom: HomBasis
+    witnesses: IntMatrix
+    _spaces: tuple[HomBasis, HomBasis, HomBasis]  # datum, relation and corelation witness
 
     def coordinates(self, f: Union[AdelMorphism, MatMorphism]) -> tuple[int, ...]:
         """Coordinate vector of a morphism datum on the generators.
@@ -49,7 +55,7 @@ class HomGroupPresentation:
         outside the solution lattice of the witness systems).
         """
         datum = f.datum if isinstance(f, AdelMorphism) else f
-        flat = IntMatrix.row_vector(self._hom.flatten(datum))
+        flat = IntMatrix.row_vector(self._spaces[0].flatten(datum))
         sol = solve_left(self.basis, flat)
         if sol is None:
             raise ValueError("datum is not a well-defined morphism between these objects")
@@ -57,20 +63,11 @@ class HomGroupPresentation:
 
     def element(self, coords: Sequence[int]) -> AdelMorphism:
         """The morphism with the given generator coordinates."""
-        coords = tuple(coords)
-        if len(coords) != self.group.ngens:
+        coords = IntMatrix.row_vector(coords)
+        if coords.cols != self.group.ngens:
             raise ValueError(f"expected {self.group.ngens} coordinates")
-        vec = [0] * self.basis.cols
-        for i, c in enumerate(coords):
-            if c:
-                row = self.basis.row(i)
-                for j in range(self.basis.cols):
-                    vec[j] += c * row[j]
-        datum = self._hom.unflatten(vec)
-        made = make_morphism(self.source, self.target, datum)
-        if made is None:  # pragma: no cover - lattice rows are well-defined
-            raise RuntimeError("generator combination failed well-definedness")
-        return made
+        vec = (coords * self.basis).row(0) + (coords * self.witnesses).row(0)
+        return _morphism(self.source, self.target, self._spaces, vec)
 
     def is_zero_class(self, f: Union[AdelMorphism, MatMorphism]) -> bool:
         return self.group.is_zero_element(self.coordinates(f))
@@ -91,7 +88,6 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     Denominator: the null-homotopy image ``sigma1 * rel_y + corel_x * sigma2``
     together with the relation lattice of the ambient Hom space.
     """
-    cat = x.cat
     hom = HomBasis(x.middle, y.middle)
     n = hom.dim
 
@@ -120,11 +116,20 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
         rows.append([0] * eq1.dim + r)
     system = IntMatrix.from_rows(rows, cols=eq1.dim + eq2.dim)
 
+    # A solution lists datum | omega | rel1 multipliers | psi | rel2 multipliers.
+    # Its HNF with the datum block first has the HNF basis of the datum
+    # projection in the datum block of its leading rows (and zeros there in
+    # the others), each row carrying witnesses that solve both systems.
     solutions = left_kernel(system)
-    datum_block = IntMatrix.from_rows(
-        [list(solutions.row(i))[:n] for i in range(solutions.rows)], cols=n)
-    basis = lattice_basis(datum_block)
-    k = basis.rows
+    psi_at = n + h_omega.dim + len(rel1)
+    triples = lattice_basis(IntMatrix.from_rows(
+        [solutions.row(i)[: n + h_omega.dim] + solutions.row(i)[psi_at : psi_at + h_psi.dim]
+         for i in range(solutions.rows)],
+        cols=n + h_omega.dim + h_psi.dim))
+    rows = [triples.row(i) for i in range(triples.rows) if any(triples.row(i)[:n])]
+    k = len(rows)
+    basis = IntMatrix.from_rows([r[:n] for r in rows], cols=n)
+    witnesses = IntMatrix.from_rows([r[n:] for r in rows], cols=h_omega.dim + h_psi.dim)
 
     h_s1 = HomBasis(x.middle, y.rel_source)
     h_s2 = HomBasis(x.corel_target, y.middle)
@@ -139,12 +144,19 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
         [list(kern.row(i))[:k] for i in range(kern.rows)], cols=k)
     group = FpAbGroup(k, lattice_basis(relation_rows))
 
-    generators = []
-    for i in range(k):
-        datum = hom.unflatten(basis.row(i))
-        gen = make_morphism(x, y, datum)
-        if gen is None:  # pragma: no cover - rows come from the solution lattice
-            raise RuntimeError("solution-lattice row is not a well-defined morphism")
-        generators.append(gen)
+    spaces = (hom, h_omega, h_psi)
+    generators = tuple(_morphism(x, y, spaces, r) for r in rows)
+    return HomGroupPresentation(x, y, group, generators, basis, witnesses, spaces)
 
-    return HomGroupPresentation(x, y, group, tuple(generators), basis, hom)
+
+def _morphism(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis],
+              vec: Sequence[int]) -> AdelMorphism:
+    """The morphism whose datum, relation witness and corelation witness are
+    the consecutive blocks of ``vec`` over the three ``spaces``; the
+    witness squares are re-checked on construction."""
+    parts = []
+    at = 0
+    for space in spaces:
+        parts.append(space.unflatten(vec[at : at + space.dim]))
+        at += space.dim
+    return AdelMorphism(x, y, *parts)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from typing import Optional, Sequence
 
@@ -63,7 +64,7 @@ class IntMatrix:
             ncols = 0 if cols is None else cols
         if cols is not None and rows and ncols != cols:
             raise DimensionError("explicit column count does not match rows")
-        flat = tuple(x for r in rows for x in r)
+        flat = tuple(chain.from_iterable(rows))
         return IntMatrix(len(rows), ncols, flat)
 
     @staticmethod
@@ -169,13 +170,6 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return h, u
 
 
-def hnf_with_pivots(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, tuple[tuple[int, int], ...]]:
-    h_rows, u_rows, pivots = _kernel.hnf_rows(m.to_rows(), m.cols, True)
-    h = IntMatrix(m.rows, m.cols, tuple(x for r in h_rows for x in r))
-    u = IntMatrix(m.rows, m.rows, tuple(x for r in u_rows for x in r))
-    return h, u, tuple(pivots)
-
-
 def lattice_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis of the row lattice: the nonzero rows of the HNF."""
     h_rows, _, pivots = _kernel.hnf_rows(m.to_rows(), m.cols, False)
@@ -265,27 +259,29 @@ def solve_left(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """
     if a.cols != b.cols:
         raise DimensionError(f"solve_left: {a.shape} vs {b.shape}")
-    h, u, pivots = hnf_with_pivots(a)
-    xs: list[list[int]] = []
+    h, u, pivots = _kernel.hnf_rows(a.to_rows(), a.cols, True)
+    out: list[int] = []
     for i in range(b.rows):
         res = list(b.row(i))
-        y = [0] * a.rows
+        x = [0] * a.rows
+        # Reduce against the HNF rows and add q times the matching transform
+        # row, so X = y * u is formed only from the rows that y uses.
         for (r, c) in pivots:
-            piv = h[r, c]
-            q, rem = divmod(res[c], piv)
+            hr = h[r]
+            q, rem = divmod(res[c], hr[c])
             if rem:
                 return None
             if q:
-                y[r] = q
-                hr = h.row(r)
                 for j in range(c, a.cols):
                     if hr[j]:
                         res[j] -= q * hr[j]
+                for j, v in enumerate(u[r]):
+                    if v:
+                        x[j] += q * v
         if any(res):
             return None
-        xs.append(y)
-    y_mat = IntMatrix.from_rows(xs, cols=a.rows)
-    return y_mat * u
+        out.extend(x)
+    return IntMatrix(b.rows, a.rows, tuple(out))
 
 
 def det(m: IntMatrix) -> int:
@@ -376,11 +372,3 @@ class FpAbGroup:
     def is_trivial(self) -> bool:
         return self.invariants().is_trivial()
 
-
-def lattice_contains(basis: IntMatrix, rows: IntMatrix) -> bool:
-    """Whether every row of ``rows`` lies in the row lattice of ``basis``."""
-    return solve_left(basis, rows) is not None
-
-
-def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    return lattice_basis(a) == lattice_basis(b)

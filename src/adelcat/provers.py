@@ -11,7 +11,7 @@ arithmetic without redoing any search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import adelman as ad
 from . import homgroups
@@ -377,16 +377,21 @@ def _check_zero(checks: _Checks, description: str, f: AdelMorphism):
 
 
 def _check_exact(checks: _Checks, description: str, f: AdelMorphism,
-                 g: AdelMorphism, expect: bool = True):
+                 g: AdelMorphism, expect: bool = True) -> Optional[bool]:
+    """Adds the check; returns the exactness found, None if the check raised."""
+    found = []
+
     def thunk():
         composite_wp, via, via_wp = ad.exactness_certificates(f, g)
         exact = via_wp is not None
+        found.append(exact)
         if exact != expect:
             return False, f"exactness = {exact}, expected {expect}", None
         if exact:
             return True, "exact", _cert_exact(f, g, composite_wp, via, via_wp)
         return True, "not exact (as expected)", None
     checks.run(description, thunk)
+    return found[0] if found else None
 
 
 def _check_mono(checks: _Checks, description: str, f: AdelMorphism,
@@ -415,15 +420,19 @@ def _check_epi(checks: _Checks, description: str, f: AdelMorphism,
     checks.run(description, thunk)
 
 
-def _check_iso(checks: _Checks, description: str, f: Optional[AdelMorphism]):
+def _check_iso(checks: _Checks, description: str,
+               comparison: Callable[[], Optional[AdelMorphism]], summary: str):
+    """The morphism built by ``comparison`` (inside the check, so that its
+    failures are report entries; None when it does not exist) is an iso."""
     def thunk():
+        f = comparison()
         if f is None:
-            return False, "comparison morphism does not exist", None
+            return False, "comparison does not exist", None
         kwp = zero_object_witness(kernel(f).obj)
         cwp = zero_object_witness(cokernel(f).obj)
         if kwp is None or cwp is None:
             return False, "comparison is not an isomorphism", None
-        return True, "kernel and cokernel are zero", _cert_iso(f, kwp, cwp)
+        return True, summary, _cert_iso(f, kwp, cwp)
     checks.run(description, thunk)
 
 
@@ -669,14 +678,21 @@ def exactness_sweep(s_values: Sequence[int]) -> dict[int, bool]:
 def sweep_report(s_values: Sequence[int]) -> ProofReport:
     """Exactness sweep as a report, re-verifying the closed-form witness pair
     at s = -1 and s = +1."""
+    return sweep(s_values)[0]
+
+
+def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool]]]:
+    """The sweep report together with the exactness found for each s (None
+    where the check raised)."""
     fig = build_snake_figure(1)
     checks = _Checks()
+    results: dict[int, Optional[bool]] = {}
     for s in s_values:
         s = int(s)
         conn_s = fig.connecting.scale(s)
         expect = s in (-1, 1)
-        _check_exact(checks, f"blue sequence exact at K for s = {s}",
-                     fig.blue2, conn_s, expect=expect)
+        results[s] = _check_exact(checks, f"blue sequence exact at K for s = {s}",
+                                  fig.blue2, conn_s, expect=expect)
         if expect:
             def thunk(s=s):
                 via, wp = explicit_sweep_witness(fig, s)
@@ -684,7 +700,8 @@ def sweep_report(s_values: Sequence[int]) -> ProofReport:
                 cert = _cert_zero(via.source, via.target, via.datum, wp) if ok else None
                 return ok, "closed-form witness pair re-verified", cert
             checks.run(f"closed-form witness pair valid for s = {s}", thunk)
-    return ProofReport("exactness parameter sweep", fig.cat.name, tuple(checks.items))
+    report = ProofReport("exactness parameter sweep", fig.cat.name, tuple(checks.items))
+    return report, results
 
 
 def prove_connecting_uniqueness() -> ProofReport:
@@ -930,18 +947,14 @@ def prove_refined_five() -> ProofReport:
     _check_zero(checks, "bottom composite iota * kappa is zero",
                 compose(data.bot2, data.bot3))
 
+    def comparison(first, second, w):
+        h = homology(first, second)
+        return homology_comparison(h, w, identity_mat(h.cok.obj.middle))
+
     # step 1
-    def step1():
-        h1 = homology(data.top2, data.top3)
-        comp = homology_comparison(h1, data.w1, identity_mat(h1.cok.obj.middle))
-        if comp is None:
-            return False, "comparison does not exist", None
-        kwp = zero_object_witness(kernel(comp).obj)
-        cwp = zero_object_witness(cokernel(comp).obj)
-        if kwp is None or cwp is None:
-            return False, "comparison is not an isomorphism", None
-        return True, "H(beta, zeta*kappa) = (b -> c -> h)", _cert_iso(comp, kwp, cwp)
-    checks.run("step 1: homology of the top right pair has the composable-pair form", step1)
+    _check_iso(checks, "step 1: homology of the top right pair has the composable-pair form",
+               lambda: comparison(data.top2, data.top3, data.w1),
+               "H(beta, zeta*kappa) = (b -> c -> h)")
 
     # step 2
     _check_structural(checks,
@@ -953,29 +966,10 @@ def prove_refined_five() -> ProofReport:
                       "step 3: cokernel of the middle homology map equals the explicit object",
                       data.cok_m3.obj, data.w3)
 
-    def step3_top():
-        h = homology(data.top1, data.top2)
-        comp = homology_comparison(h, data.wa, identity_mat(h.cok.obj.middle))
-        if comp is None:
-            return False, "comparison does not exist", None
-        kwp = zero_object_witness(kernel(comp).obj)
-        cwp = zero_object_witness(cokernel(comp).obj)
-        if kwp is None or cwp is None:
-            return False, "comparison is not an isomorphism", None
-        return True, "H at emb(b) = (a -> b -> c)", _cert_iso(comp, kwp, cwp)
-    checks.run("step 3: top homology identification", step3_top)
-
-    def step3_bottom():
-        h = homology(data.bot1, data.bot2)
-        comp = homology_comparison(h, data.wb, identity_mat(h.cok.obj.middle))
-        if comp is None:
-            return False, "comparison does not exist", None
-        kwp = zero_object_witness(kernel(comp).obj)
-        cwp = zero_object_witness(cokernel(comp).obj)
-        if kwp is None or cwp is None:
-            return False, "comparison is not an isomorphism", None
-        return True, "H at emb(f) = (a -> f -> g)", _cert_iso(comp, kwp, cwp)
-    checks.run("step 3: bottom homology identification", step3_bottom)
+    _check_iso(checks, "step 3: top homology identification",
+               lambda: comparison(data.top1, data.top2, data.wa), "H at emb(b) = (a -> b -> c)")
+    _check_iso(checks, "step 3: bottom homology identification",
+               lambda: comparison(data.bot1, data.bot2, data.wb), "H at emb(f) = (a -> f -> g)")
 
     def step3_square():
         h_top = homology(data.top1, data.top2)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .intlinalg import FpAbGroup, IntMatrix, lattice_basis
 
@@ -154,11 +154,6 @@ class Relation:
     terms: tuple[tuple[int, Path], ...]
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    relations: tuple[Relation, ...]
-
-
 def make_relation(quiver: Quiver, terms: Sequence[tuple[int, Path]]) -> Relation:
     if not terms:
         raise RelationError("empty relation")
@@ -173,16 +168,20 @@ def make_relation(quiver: Quiver, terms: Sequence[tuple[int, Path]]) -> Relation
 
 
 class QuiverCategory:
-    """A quiver with relations, with all Hom data precomputed.
+    """A quiver with relations, its Hom data and composition tables.
 
     Path bases and the relation subgroup of every Hom pair are built eagerly
-    at construction and never change, so instances are safe to share.
+    at construction and never change.  Two kinds of composition data are
+    filled lazily, on first use: for a vertex triple ``(a, b, c)`` the table
+    sending a pair of basis paths of Hom(a, b) and Hom(b, c) to the index of
+    their concatenation in Hom(a, c), and for a Hom pair the canonical forms
+    of its unit vectors.  Each entry is a pure function of the immutable
+    data above and is stored by a single dict assignment, so a fill raced by
+    two threads stores equal values and instances stay safe to share.
     """
 
-    def __init__(self, quiver: Quiver, relations: RelationSet | Sequence[Relation] = (),
+    def __init__(self, quiver: Quiver, relations: Sequence[Relation] = (),
                  name: str = "", _opposite: Optional["QuiverCategory"] = None):
-        if isinstance(relations, RelationSet):
-            relations = relations.relations
         self.quiver = quiver
         self.relations = tuple(relations)
         self.name = name
@@ -202,6 +201,8 @@ class QuiverCategory:
                 rows = self._close_relations(a, b)
                 self._rel_rows[(a, b)] = rows
                 self._hom[(a, b)] = FpAbGroup(len(self._paths[(a, b)]), lattice_basis(rows))
+        self._concat: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
+        self._units: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
         self._opposite = _opposite
         self._opposite_lock = threading.Lock()
 
@@ -243,6 +244,55 @@ class QuiverCategory:
 
     def hom_group_lin(self, a: str, b: str) -> FpAbGroup:
         return self._hom[(a, b)]
+
+    # -- composition tables -------------------------------------------------
+
+    def concat_table(self, a: str, b: str, c: str) -> tuple[tuple[int, ...], ...]:
+        """``table[i][j]`` is the index in the basis of Hom(a, c) of the i-th
+        basis path of Hom(a, b) followed by the j-th basis path of Hom(b, c)."""
+        table = self._concat.get((a, b, c))
+        if table is None:
+            index = self._path_index[(a, c)]
+            right = self.paths(b, c)
+            table = tuple(tuple(index[p.arrows + q.arrows] for q in right)
+                          for p in self.paths(a, b))
+            self._concat[(a, b, c)] = table
+        return table
+
+    def unit_coeffs(self, a: str, b: str) -> tuple[tuple[int, ...], ...]:
+        """Canonical coefficients of every basis path of Hom(a, b)."""
+        units = self._units.get((a, b))
+        if units is None:
+            group = self.hom_group_lin(a, b)
+            n = group.ngens
+            units = tuple(group.canonical_rep([int(k == t) for t in range(n)])
+                          for k in range(n))
+            self._units[(a, b)] = units
+        return units
+
+    def compose_coeffs(self, a: str, c: str,
+                       terms: Iterable[tuple[str, Sequence[int], Sequence[int]]]) -> tuple[int, ...]:
+        """Canonical coefficients in Hom(a, c) of the sum of the composites
+        ``f then g`` over ``(b, f, g)`` in ``terms``, where ``f`` and ``g`` are
+        coefficient vectors over the bases of Hom(a, b) and Hom(b, c).
+
+        Products are accumulated raw and reduced once at the end; since
+        ``canonical_rep`` picks the unique representative of a coset, this
+        equals reducing every partial sum.
+        """
+        group = self.hom_group_lin(a, c)
+        acc = [0] * group.ngens
+        for b, f, g in terms:
+            table = self.concat_table(a, b, c)
+            for i, x in enumerate(f):
+                if x:
+                    row = table[i]
+                    for j, y in enumerate(g):
+                        if y:
+                            acc[row[j]] += x * y
+        if not any(acc):
+            return tuple(acc)
+        return group.canonical_rep(acc)
 
     # -- morphisms --------------------------------------------------------
 
@@ -303,7 +353,7 @@ class LinMorphism:
     coeffs: tuple[int, ...]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other: "LinMorphism") -> "LinMorphism":
         self._require_parallel(other)
@@ -336,20 +386,8 @@ def compose_lin(f: LinMorphism, g: LinMorphism) -> LinMorphism:
         raise EndpointError("morphisms from different categories")
     if f.target != g.source:
         raise EndpointError(f"cannot compose {f.source}->{f.target} with {g.source}->{g.target}")
-    cat = f.cat
-    fpaths = cat.paths(f.source, f.target)
-    gpaths = cat.paths(g.source, g.target)
-    acc = [0] * len(cat.paths(f.source, g.target))
-    for i, ci in enumerate(f.coeffs):
-        if not ci:
-            continue
-        p = fpaths[i]
-        for j, cj in enumerate(g.coeffs):
-            if not cj:
-                continue
-            q = gpaths[j]
-            acc[cat.path_index(f.source, g.target, p.arrows + q.arrows)] += ci * cj
-    return cat.lin(f.source, g.target, acc)
+    coeffs = f.cat.compose_coeffs(f.source, g.target, ((f.target, f.coeffs, g.coeffs),))
+    return LinMorphism(f.cat, f.source, g.target, coeffs)
 
 
 def lin_equal(f: LinMorphism, g: LinMorphism) -> bool:

@@ -42,3 +42,26 @@ def kronecker_cat():
     """Two parallel arrows a -> b, no relations; Hom(a, b) is Z^2."""
     q = Quiver(("a", "b"), (Arrow("u", "a", "b"), Arrow("v", "a", "b")))
     return QuiverCategory(q, (), name="kronecker")
+
+
+def ladder_category(n: int = 6) -> QuiverCategory:
+    """The commuting ladder with n rungs: rows t_i -> t_{i+1} and
+    b_i -> b_{i+1}, rungs t_i -> b_i, every square commuting."""
+    tops = [f"t{i}" for i in range(n)]
+    bots = [f"b{i}" for i in range(n)]
+    arrows = ([Arrow(f"h{i}", tops[i], tops[i + 1]) for i in range(n - 1)]
+              + [Arrow(f"g{i}", bots[i], bots[i + 1]) for i in range(n - 1)]
+              + [Arrow(f"v{i}", tops[i], bots[i]) for i in range(n)])
+    h, g, v = 0, n - 1, 2 * (n - 1)
+    rels = tuple(
+        Relation(tops[i], bots[i + 1], (
+            (1, Path(tops[i], bots[i + 1], (h + i, v + i + 1))),
+            (-1, Path(tops[i], bots[i + 1], (v + i, g + i))),
+        ))
+        for i in range(n - 1))
+    return QuiverCategory(Quiver(tuple(tops + bots), tuple(arrows)), rels, name=f"ladder{n}")
+
+
+@pytest.fixture(scope="session")
+def ladder_cat():
+    return ladder_category()

@@ -171,7 +171,12 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert "timings" in payload and "seconds" in payload["timings"]
 
-    def test_sweep_results_map(self, capsys):
+    def test_sweep_results_map(self, capsys, monkeypatch):
+        from adelcat import provers
+
+        def second_sweep(values):
+            raise AssertionError("the sweep was computed twice")
+        monkeypatch.setattr(provers, "exactness_sweep", second_sweep)
         code = run_command(["sweep", "--range", "-3..3", "--json", "--seed", "0"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from adelcat import addclosure, adelman
+from adelcat.addclosure import HomBasis, left_compose_rows, right_compose_rows
 from adelcat.adelman import (
     emb_vertex,
     is_equal,
     is_zero_morphism,
     make_morphism,
     zero_adel_object,
+    zero_morphism,
 )
 from adelcat.homgroups import hom_group
-from adelcat.intlinalg import SmithInvariants
+from adelcat.intlinalg import IntMatrix, SmithInvariants, lattice_basis, left_kernel
 
 from test_addclosure import rand_mat, rand_tuple
 from adelcat.adelman import AdelObject
@@ -125,3 +128,56 @@ class TestPresentationContracts:
         assert snake_cat.hom_group_lin("d", "c").is_trivial()
         assert len(snake_cat.paths("b", "a")) == 0
         assert len(snake_cat.paths("d", "c")) == 0
+
+
+def datum_projection_basis(x, y):
+    """HNF basis of the data admitting both witnesses: the projection onto
+    the datum block of the joint solution lattice of the witness systems."""
+    hom = HomBasis(x.middle, y.middle)
+    eq1 = HomBasis(x.rel_source, y.middle)
+    eq2 = HomBasis(x.middle, y.corel_target)
+    omega = right_compose_rows(HomBasis(x.rel_source, y.rel_source), y.rel, eq1)
+    psi = left_compose_rows(x.corel, HomBasis(x.corel_target, y.corel_target), eq2)
+    rows = [r1 + r2 for r1, r2 in zip(left_compose_rows(x.rel, hom, eq1),
+                                      right_compose_rows(hom, y.corel, eq2))]
+    rows += [r + [0] * eq2.dim for r in omega + eq1.rel_rows()]
+    rows += [[0] * eq1.dim + r for r in psi + eq2.rel_rows()]
+    solutions = left_kernel(IntMatrix.from_rows(rows, cols=eq1.dim + eq2.dim))
+    return lattice_basis(IntMatrix.from_rows(
+        [solutions.row(i)[: hom.dim] for i in range(solutions.rows)], cols=hom.dim))
+
+
+class TestJointSolutionWitnesses:
+    def _pairs(self, cats, seed, count):
+        rng = random.Random(seed)
+        return [(rand_object(cat, rng), rand_object(cat, rng))
+                for cat in cats for _ in range(count)]
+
+    def test_no_homotopy_solve_on_the_hom_group_path(self, five_cat, ladder_cat, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("witnesses were solved for again")
+        monkeypatch.setattr(addclosure, "decide_homotopy", refuse)
+        monkeypatch.setattr(adelman, "decide_homotopy", refuse)
+        monkeypatch.setattr(adelman, "make_morphism", refuse)
+        rng = random.Random(31)
+        for x, y in self._pairs((five_cat, ladder_cat), 29, 4):
+            hg = hom_group(x, y)
+            coords = tuple(rng.randint(-3, 3) for _ in range(hg.group.ngens))
+            f = hg.element(coords)
+            assert hg.group.elements_equal(hg.coordinates(f), coords)
+
+    def test_generator_data_are_the_hnf_of_the_datum_projection(self, five_cat, ladder_cat):
+        for x, y in self._pairs((five_cat, ladder_cat), 37, 8):
+            hg = hom_group(x, y)
+            assert hg.basis == datum_projection_basis(x, y)
+            hom = HomBasis(x.middle, y.middle)
+            assert [g.datum for g in hg.generators] == [
+                hom.unflatten(hg.basis.row(i)) for i in range(hg.basis.rows)]
+
+    def test_element_of_an_empty_presentation_is_zero(self, snake_fig, snake_cat):
+        k = snake_fig.ker_eps.obj
+        for x, y in ((k, zero_adel_object(snake_cat)),
+                     (emb_vertex(snake_cat, "b"), emb_vertex(snake_cat, "a"))):
+            hg = hom_group(x, y)
+            assert hg.group.ngens == 0
+            assert hg.element(()) == zero_morphism(x, y)

@@ -11,7 +11,6 @@ from adelcat.intlinalg import (
     SmithInvariants,
     det,
     hnf,
-    hnf_with_pivots,
     lattice_basis,
     left_kernel,
     snf,
@@ -31,6 +30,12 @@ def matrices(draw, max_dim=5, max_entry=9):
     entries = draw(st.lists(st.integers(-max_entry, max_entry),
                             min_size=rows * cols, max_size=rows * cols))
     return IntMatrix(rows, cols, tuple(entries))
+
+
+def _pivots(h):
+    """(row, column) of the leading entry of every nonzero row of ``h``."""
+    return [(r, next(c for c, x in enumerate(h.row(r)) if x))
+            for r in range(h.rows) if any(h.row(r))]
 
 
 class TestHnf:
@@ -70,7 +75,10 @@ class TestHnf:
     @settings(max_examples=60)
     @given(matrices(max_dim=4))
     def test_pivot_normalization(self, m):
-        h, _, pivots = hnf_with_pivots(m)
+        h, _ = hnf(m)
+        pivots = _pivots(h)
+        assert [c for _, c in pivots] == sorted({c for _, c in pivots})
+        assert all(not any(h.row(r)) for r in range(len(pivots), h.rows))
         for r, c in pivots:
             piv = h[r, c]
             assert piv > 0
@@ -143,6 +151,31 @@ class TestSolveLeft:
         found = solve_left(a, b)
         if found is not None:
             assert found * a == b
+
+    @settings(max_examples=100)
+    @given(matrices(max_dim=5), matrices(max_dim=5), st.booleans())
+    def test_matches_transform_formula(self, a, x, consistent):
+        """The same X as reducing against ``hnf(a)`` and multiplying the
+        reduction coefficients y by the full transform: X = y * u."""
+        x = IntMatrix(x.rows, a.rows, tuple(
+            (x.entries[i] if i < len(x.entries) else 0) for i in range(x.rows * a.rows)))
+        b = x * a
+        if not consistent and b.entries:
+            b = IntMatrix(b.rows, b.cols, (b.entries[0] + 1,) + b.entries[1:])
+        h, u = hnf(a)
+        ys = []
+        for i in range(b.rows):
+            res, y = list(b.row(i)), [0] * a.rows
+            for r, c in _pivots(h):
+                y[r], rem = divmod(res[c], h[r, c])
+                if rem:
+                    break
+                res = [v - y[r] * w for v, w in zip(res, h.row(r))]
+            if any(res):
+                assert solve_left(a, b) is None
+                return
+            ys.append(y)
+        assert solve_left(a, b) == IntMatrix.from_rows(ys, cols=a.rows) * u
 
 
 class TestKernelLattice:
