@@ -10,7 +10,7 @@ kernels, cokernels, homology), ``homgroups`` (Hom-group presentations),
 ``provers`` (machine-checked lemmata), and ``cli``.
 """
 
-from .intlinalg import BACKEND, FpAbGroup, IntMatrix, SmithInvariants, hnf, snf, solve_left
+from .intlinalg import FpAbGroup, IntMatrix, SmithInvariants, hnf, snf, solve_left
 from .quivercat import Arrow, LinMorphism, Path, Quiver, QuiverCategory, Relation
 from .addclosure import MatMorphism, TupleObject, decide_homotopy
 from .adelman import (

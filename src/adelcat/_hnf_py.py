@@ -3,13 +3,10 @@
 These are the inner loops behind every decision procedure in the package:
 Hermite normal form with a tracked left transform, and dense integer matrix
 multiplication.  Coefficients are plain Python ints, so arithmetic never
-overflows.  A compiled twin of this module (``_hnf_cy``) provides the same
-two functions with identical output; ``intlinalg`` picks one at import time.
+overflows.  ``intlinalg`` calls both through its ``_kernel`` attribute.
 """
 
 from __future__ import annotations
-
-BACKEND_NAME = "pure"
 
 
 def hnf_rows(rows, ncols, track_u=True):

@@ -560,14 +560,6 @@ class HomologyResult:
     cok: CokernelResult         # of the first morphism
     img: ImageResult            # of ``via``; img.obj == obj
 
-    @property
-    def emb_to_cokernel(self) -> AdelMorphism:
-        return self.img.emb
-
-    @property
-    def from_kernel(self) -> AdelMorphism:
-        return self.img.corestriction
-
 
 def homology(f: AdelMorphism, g: AdelMorphism) -> HomologyResult:
     """Homology of the composable pair ``(f, g)`` at the middle object; the

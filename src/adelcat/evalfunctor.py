@@ -71,13 +71,18 @@ class Representation:
 
 def check_representation(rep: Representation) -> bool:
     """True exactly when every relation evaluates to the zero matrix."""
+    return _first_violated(rep) is None
+
+
+def _first_violated(rep: Representation):
+    """The first relation that does not evaluate to zero, or None."""
     for rel in rep.cat.relations:
         total = IntMatrix.zeros(rep.ranks[rel.source], rep.ranks[rel.target])
         for coef, path in rel.terms:
             total = total + _path_matrix(rep, path).scale(coef)
         if not total.is_zero():
-            return False
-    return True
+            return rel
+    return None
 
 
 def _path_matrix(rep: Representation, path) -> IntMatrix:
@@ -392,16 +397,6 @@ def random_representation(cat: QuiverCategory, seed: int,
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(rng.randint(-2, 2) for _ in range(rows * cols)))
-
-
-def _first_violated(rep: Representation):
-    for rel in rep.cat.relations:
-        total = IntMatrix.zeros(rep.ranks[rel.source], rep.ranks[rel.target])
-        for coef, path in rel.terms:
-            total = total + _path_matrix(rep, path).scale(coef)
-        if not total.is_zero():
-            return rel
-    return None
 
 
 def _repair_relation(rep: Representation, rel, mats: dict, rng: random.Random) -> bool:

@@ -72,9 +72,6 @@ class HomGroupPresentation:
     def is_zero_class(self, f: Union[AdelMorphism, MatMorphism]) -> bool:
         return self.group.is_zero_element(self.coordinates(f))
 
-    def classes_equal(self, f, g) -> bool:
-        return self.group.elements_equal(self.coordinates(f), self.coordinates(g))
-
 
 def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     """Present Hom(X, Y) with generators and relations.

@@ -4,7 +4,8 @@ Dense matrices of unbounded integers, row-style Hermite normal form with a
 tracked unimodular left transform, Smith invariants, left-sided linear system
 solving, and finitely presented abelian groups with canonical coset
 representatives.  Every equality decision made elsewhere in the package
-eventually lands here.
+eventually lands here, in the one row-reduction kernel ``_hnf_py`` (bound
+as ``_kernel``), whose Python-int arithmetic never wraps.
 
 The convention throughout is row-vector-times-matrix: ``solve_left(A, B)``
 finds ``X`` with ``X * A == B``, and the row span of a matrix is the lattice
@@ -14,23 +15,15 @@ everything is safe to share between threads.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
 from typing import Optional, Sequence
 
-# Backend selection: the compiled kernel is preferred when it was built,
-# ADELCAT_BACKEND=pure forces the fallback.
-if os.environ.get("ADELCAT_BACKEND", "").lower() == "pure":
-    from . import _hnf_py as _kernel
-else:
-    try:
-        from . import _hnf_cy as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _hnf_py as _kernel
+from . import _hnf_py as _kernel
 
-BACKEND = _kernel.BACKEND_NAME
+# Read by the benchmark's environment stamp and its ``comparable_key``.
+BACKEND = "pure"
 
 
 class DimensionError(ValueError):

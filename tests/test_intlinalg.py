@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelcat import intlinalg
 from adelcat.intlinalg import (
     DimensionError,
     FpAbGroup,
@@ -85,6 +86,15 @@ class TestHnf:
             for i in range(r):
                 assert 0 <= h[i, c] < piv
 
+    def test_big_integer_growth_preserved(self):
+        # coefficients must stay exact far beyond machine width
+        m = mat([[10**40 + 1, 3], [7, 10**41 - 9]])
+        h, u = hnf(m)
+        assert u * m == h
+        assert abs(det(u)) == 1
+        n = 10**50
+        assert mat([[n]]) * mat([[n]]) == mat([[n * n]])
+
 
 class TestSnf:
     def test_identity(self):
@@ -114,6 +124,21 @@ class TestSnf:
         permuted = IntMatrix.from_rows(
             [[row[j] for j in cols] for row in rows], cols=m.cols)
         assert snf(m) == snf(permuted)
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(20260809)
+        for _ in range(300):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            factors = invariant_factors(sympy.Matrix(rows, cols, sum(entries, [])),
+                                        domain=sympy.ZZ)
+            nonzero = tuple(abs(int(d)) for d in factors if d != 0)
+            inv = snf(IntMatrix.from_rows(entries, cols=cols))
+            assert inv.factors == nonzero, entries
+            assert inv.free_rank == cols - len(nonzero), entries
 
 
 class TestSolveLeft:
@@ -247,3 +272,7 @@ def test_lattice_basis_is_canonical():
     b = lattice_basis(m)
     assert b == mat([[2, 4]])
     assert lattice_basis(vstack(b, b)) == b
+
+
+def test_backend_is_pure():
+    assert intlinalg.BACKEND == "pure"
