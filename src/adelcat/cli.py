@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ast as pyast
+import functools
 import json
 import sys
 import time
@@ -773,7 +774,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("range must look like -3..3") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args``
+    keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--category", help="category/session file")
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -883,6 +887,9 @@ def run_command(argv: Sequence[str]) -> int:
             RepresentationError, CompositeNotZeroError, SideConditionError,
             NotMonoError, NotEpiError, CyclicQuiverError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
         return 2
     result.extra["_elapsed"] = time.perf_counter() - start
     return _emit(result, args)

@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .intlinalg import FpAbGroup, IntMatrix, lattice_basis
+
+# Largest number of paths allowed between two vertices.  Path counts can grow
+# exponentially in the size of an acyclic quiver; the cap turns such input
+# into a clean error instead of unbounded time and memory.
+MAX_PATH_BASIS = 10_000
 
 
 class QuiverError(ValueError):
@@ -30,6 +35,10 @@ class CyclicQuiverError(QuiverError):
 
 class UnknownVertexError(QuiverError):
     pass
+
+
+class PathBasisTooLargeError(QuiverError):
+    """Two vertices are joined by more than ``MAX_PATH_BASIS`` paths."""
 
 
 class RelationError(ValueError):
@@ -64,25 +73,33 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise UnknownVertexError(f"arrow {a.label}: unknown endpoint")
-        self._check_acyclic()
+        order = self._check_acyclic()
+        incoming: dict[str, list[int]] = {v: [] for v in self.vertices}
+        for i, a in enumerate(self.arrows):
+            incoming[a.target].append(i)
+        # derived lookups for path enumeration, not dataclass fields
+        object.__setattr__(self, "_position", {v: k for k, v in enumerate(order)})
+        object.__setattr__(self, "_incoming", {v: tuple(ix) for v, ix in incoming.items()})
 
-    def _check_acyclic(self):
+    def _check_acyclic(self) -> list[str]:
+        """A topological order of the vertices (Kahn's algorithm)."""
         outgoing: dict[str, list[str]] = {v: [] for v in self.vertices}
         indeg = {v: 0 for v in self.vertices}
         for a in self.arrows:
             outgoing[a.source].append(a.target)
             indeg[a.target] += 1
         queue = [v for v in self.vertices if indeg[v] == 0]
-        seen = 0
+        order: list[str] = []
         while queue:
             v = queue.pop()
-            seen += 1
+            order.append(v)
             for w in outgoing[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     queue.append(w)
-        if seen != len(self.vertices):
+        if len(order) != len(self.vertices):
             raise CyclicQuiverError("the arrow digraph is cyclic")
+        return order
 
     def arrow_index(self, label: str) -> int:
         for i, a in enumerate(self.arrows):
@@ -121,28 +138,61 @@ def _validate_path(quiver: Quiver, path: Path):
         raise QuiverError("path endpoints do not match the arrow sequence")
 
 
+def _path_words(quiver: Quiver, a: str, b: str,
+                known: Callable[[str], Optional[Iterable[tuple[int, ...]]]] = lambda v: None,
+                ) -> dict[str, Iterable[tuple[int, ...]]]:
+    """Arrow words of the paths from ``a`` to ``b`` and to every vertex ``v``
+    met on the way, in length-lexicographic order.
+
+    Dynamic programming over the topological order, without recursion: the
+    paths from ``a`` to ``v`` are those to the source ``u`` of each arrow
+    ``x: u -> v``, followed by ``x``.  Only the vertices that reach ``b`` and
+    do not come before ``a`` are visited; ``known(v)``, when not ``None``,
+    gives the words for ``v`` and stops the search there.
+    """
+    position, incoming, arrows = quiver._position, quiver._incoming, quiver.arrows
+    if a not in position or b not in position:
+        raise UnknownVertexError(f"unknown vertex in ({a!r}, {b!r})")
+    start = position[a]
+    need = {b}
+    todo = [b]
+    while todo:
+        v = todo.pop()
+        if v == a or known(v) is not None:
+            continue
+        for i in incoming[v]:
+            u = arrows[i].source
+            if u not in need and position[u] >= start:
+                need.add(u)
+                todo.append(u)
+    words: dict[str, Iterable[tuple[int, ...]]] = {}
+    for v in sorted(need, key=position.__getitem__):
+        found = known(v)
+        if found is None:
+            if v == a:
+                found = [()]
+            else:
+                found = [w + (i,) for i in incoming[v] for w in words.get(arrows[i].source, ())]
+                if len(found) > MAX_PATH_BASIS:
+                    raise PathBasisTooLargeError(
+                        f"more than {MAX_PATH_BASIS} paths from {a!r} to {v!r}")
+                found.sort(key=lambda w: (len(w), w))
+        words[v] = found
+    return words
+
+
 def enumerate_paths(quiver: Quiver, a: str, b: str) -> tuple[Path, ...]:
     """All paths from ``a`` to ``b``, length-lexicographic by arrow index.
 
     Includes the identity path exactly when ``a == b``; finite because the
-    quiver is acyclic.
+    quiver is acyclic.  Raises ``PathBasisTooLargeError`` past
+    ``MAX_PATH_BASIS`` paths.
     """
-    if a not in quiver.vertices or b not in quiver.vertices:
-        raise UnknownVertexError(f"unknown vertex in ({a!r}, {b!r})")
-    outgoing: dict[str, list[int]] = {v: [] for v in quiver.vertices}
-    for i, arrow in enumerate(quiver.arrows):
-        outgoing[arrow.source].append(i)
-    found: list[tuple[int, ...]] = []
+    return tuple(Path(a, b, w) for w in _path_words(quiver, a, b)[b])
 
-    def walk(at: str, trail: tuple[int, ...]):
-        if at == b:
-            found.append(trail)
-        for i in outgoing[at]:
-            walk(quiver.arrows[i].target, trail + (i,))
 
-    walk(a, ())
-    found.sort(key=lambda t: (len(t), t))
-    return tuple(Path(a, b, t) for t in found)
+# A pair's path basis and the index of each basis path's arrow word.
+_PathData = tuple[tuple[Path, ...], dict[tuple[int, ...], int]]
 
 
 @dataclass(frozen=True)
@@ -170,14 +220,22 @@ def make_relation(quiver: Quiver, terms: Sequence[tuple[int, Path]]) -> Relation
 class QuiverCategory:
     """A quiver with relations, its Hom data and composition tables.
 
-    Path bases and the relation subgroup of every Hom pair are built eagerly
-    at construction and never change.  Two kinds of composition data are
-    filled lazily, on first use: for a vertex triple ``(a, b, c)`` the table
-    sending a pair of basis paths of Hom(a, b) and Hom(b, c) to the index of
-    their concatenation in Hom(a, c), and for a Hom pair the canonical forms
-    of its unit vectors.  Each entry is a pure function of the immutable
-    data above and is stored by a single dict assignment, so a fill raced by
-    two threads stores equal values and instances stay safe to share.
+    Nothing is computed per vertex pair at construction.  Each piece of Hom
+    data is filled on first use and never changes afterwards:
+
+    * for a pair ``(a, b)``, its path basis and the index of each basis path,
+      by dynamic programming that also fills the pairs ``(a, v)`` on the way;
+    * for a pair ``(a, b)``, the f.p. group presented by the two-sided
+      closure of the relations, which needs the path bases of
+      ``(a, source(r))`` and ``(target(r), b)`` for each relation ``r``;
+    * for a vertex triple ``(a, b, c)``, the table sending a pair of basis
+      paths of Hom(a, b) and Hom(b, c) to the index of their concatenation
+      in Hom(a, c);
+    * for a pair, the canonical forms of its unit vectors.
+
+    Each entry is a pure function of the quiver and the relations and is
+    stored by a single dict assignment of one value, so a fill raced by two
+    threads stores equal values and instances stay safe to share.
     """
 
     def __init__(self, quiver: Quiver, relations: Sequence[Relation] = (),
@@ -187,42 +245,57 @@ class QuiverCategory:
         self.name = name
         for rel in self.relations:
             make_relation(quiver, rel.terms)  # revalidate homogeneity
-        self._paths: dict[tuple[str, str], tuple[Path, ...]] = {}
-        self._path_index: dict[tuple[str, str], dict[tuple[int, ...], int]] = {}
-        for a in quiver.vertices:
-            for b in quiver.vertices:
-                ps = enumerate_paths(quiver, a, b)
-                self._paths[(a, b)] = ps
-                self._path_index[(a, b)] = {p.arrows: i for i, p in enumerate(ps)}
-        self._rel_rows: dict[tuple[str, str], IntMatrix] = {}
+        self._paths: dict[tuple[str, str], _PathData] = {}
         self._hom: dict[tuple[str, str], FpAbGroup] = {}
-        for a in quiver.vertices:
-            for b in quiver.vertices:
-                rows = self._close_relations(a, b)
-                self._rel_rows[(a, b)] = rows
-                self._hom[(a, b)] = FpAbGroup(len(self._paths[(a, b)]), lattice_basis(rows))
         self._concat: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
         self._units: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
         self._opposite = _opposite
         self._opposite_lock = threading.Lock()
 
-    def _close_relations(self, a: str, b: str) -> IntMatrix:
-        """Rows spanning the two-sided closure of the relations inside
-        Hom(a, b): every product p * r * q with p: a -> source(r) and
-        q: target(r) -> b."""
-        basis = self._paths[(a, b)]
-        index = self._path_index[(a, b)]
+    def _path_data(self, a: str, b: str) -> _PathData:
+        try:
+            return self._paths[(a, b)]
+        except KeyError:
+            return self._fill_paths(a, b)
+
+    def _fill_paths(self, a: str, b: str) -> _PathData:
+        cache = self._paths
+
+        def known(v):
+            # an index dict iterates over its words in basis order
+            entry = cache.get((a, v))
+            return None if entry is None else entry[1]
+
+        for v, words in _path_words(self.quiver, a, b, known).items():
+            if (a, v) not in cache:
+                cache[(a, v)] = (tuple(Path(a, v, w) for w in words),
+                                 {w: k for k, w in enumerate(words)})
+        return cache[(a, b)]
+
+    def _fill_hom(self, a: str, b: str) -> FpAbGroup:
+        """Hom(a, b) presented by the two-sided closure of the relations:
+        every product p * r * q with p: a -> source(r) and q: target(r) -> b."""
+        basis, index = self._path_data(a, b)
+        position = self.quiver._position
         rows: list[list[int]] = []
         for rel in self.relations:
-            for p in self._paths.get((a, rel.source), ()):
-                for q in self._paths.get((rel.target, b), ()):
+            if position[rel.source] < position[a] or position[b] < position[rel.target]:
+                continue  # no path a -> source(r) or target(r) -> b
+            left = self.paths(a, rel.source)
+            if not left:
+                continue
+            right = self.paths(rel.target, b)
+            for p in left:
+                for q in right:
                     row = [0] * len(basis)
                     for coef, mid in rel.terms:
                         full = p.arrows + mid.arrows + q.arrows
                         row[index[full]] += coef
                     if any(row):
                         rows.append(row)
-        return IntMatrix.from_rows(rows, cols=len(basis))
+        group = FpAbGroup(len(basis), lattice_basis(IntMatrix.from_rows(rows, cols=len(basis))))
+        self._hom[(a, b)] = group
+        return group
 
     # -- Hom data ---------------------------------------------------------
 
@@ -231,19 +304,23 @@ class QuiverCategory:
 
     def paths(self, a: str, b: str) -> tuple[Path, ...]:
         try:
-            return self._paths[(a, b)]
+            return self._paths[(a, b)][0]
         except KeyError:
-            raise UnknownVertexError(f"unknown vertex in ({a!r}, {b!r})") from None
+            return self._fill_paths(a, b)[0]
 
     def path_index(self, a: str, b: str, arrows: tuple[int, ...]) -> int:
-        return self._path_index[(a, b)][arrows]
+        return self._path_data(a, b)[1][arrows]
 
     def relation_subgroup(self, a: str, b: str) -> IntMatrix:
-        """Generating rows of the relation subgroup of Hom(a, b)."""
-        return self._rel_rows[(a, b)]
+        """Canonical basis (the nonzero HNF rows) of the relation subgroup
+        of Hom(a, b)."""
+        return self.hom_group_lin(a, b).relations
 
     def hom_group_lin(self, a: str, b: str) -> FpAbGroup:
-        return self._hom[(a, b)]
+        try:
+            return self._hom[(a, b)]
+        except KeyError:
+            return self._fill_hom(a, b)
 
     # -- composition tables -------------------------------------------------
 
@@ -252,7 +329,7 @@ class QuiverCategory:
         basis path of Hom(a, b) followed by the j-th basis path of Hom(b, c)."""
         table = self._concat.get((a, b, c))
         if table is None:
-            index = self._path_index[(a, c)]
+            index = self._path_data(a, c)[1]
             right = self.paths(b, c)
             table = tuple(tuple(index[p.arrows + q.arrows] for q in right)
                           for p in self.paths(a, b))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from adelcat import cli
 from adelcat.cli import (
     ParseError,
     Session,
@@ -288,3 +289,54 @@ class TestCommands:
 
     def test_prove_d4(self, capsys):
         assert run_command(["prove", "d4"]) == 0
+
+    def test_consecutive_commands_match_fresh_runs(self, snake_file, capsys):
+        first = ["hom-group", "K", "C", "--category", snake_file, "--json", "--seed", "0"]
+        second = ["kernel", "beta", "--source", "b", "--target", "c",
+                  "--category", snake_file, "--json", "--seed", "3"]
+        together = []
+        for argv in (first, second):
+            code = run_command(argv)
+            together.append((code, capsys.readouterr().out))
+        alone = []
+        for argv in (first, second):
+            cli.build_parser.cache_clear()
+            code = run_command(argv)
+            alone.append((code, capsys.readouterr().out))
+        assert together == alone
+        assert [code for code, _ in together] == [0, 0]
+
+
+def _chain_text(n: int, parallel: str = "a") -> str:
+    """An n-vertex chain with one arrow per letter of ``parallel`` per step."""
+    objects = " ".join(f"v{i}" for i in range(n))
+    arrows = " ".join(f"{x}{i}: v{i} -> v{i + 1};"
+                      for i in range(n - 1) for x in parallel)
+    return f"category chain {{\n  objects {objects};\n  arrows {arrows}\n}}\n"
+
+
+class TestLargeInputs:
+    def test_long_chain_kernel(self, tmp_path, capsys):
+        path = tmp_path / "deep.cat"
+        path.write_text(_chain_text(1100))
+        code = run_command(["kernel", "a0", "--source", "v0", "--target", "v1",
+                            "--category", str(path)])
+        assert code == 0
+        assert "verdict: pass" in capsys.readouterr().out
+
+    def test_doubled_chain_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "doubled.cat"
+        path.write_text(_chain_text(40, parallel="xy"))
+        code = run_command(["hom-group", "v0", "v39", "--category", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: more than") and "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    def test_resource_errors_exit_two(self, exc, snake_file, capsys, monkeypatch):
+        def exhausted(args):
+            raise exc()
+        monkeypatch.setitem(cli._DISPATCH, "hom-group", exhausted)
+        code = run_command(["hom-group", "K", "C", "--category", snake_file])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,16 +1,25 @@
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from adelcat.intlinalg import SmithInvariants
+from adelcat.addclosure import TupleObject, single
+from adelcat.adelman import emb_object, kernel, make_morphism
+from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, lattice_basis
+from adelcat.provers import d4_category, five_category, snake_category
 from adelcat.quivercat import (
+    MAX_PATH_BASIS,
     Arrow,
     CyclicQuiverError,
     EndpointError,
     Path,
+    PathBasisTooLargeError,
     Quiver,
+    QuiverCategory,
     QuiverError,
+    Relation,
     RelationError,
     UnknownVertexError,
     compose_lin,
@@ -20,6 +29,19 @@ from adelcat.quivercat import (
     lin_equal,
     make_relation,
 )
+
+from conftest import ladder_category
+
+
+def _chain(n: int) -> Quiver:
+    return Quiver(tuple(f"v{i}" for i in range(n)),
+                  tuple(Arrow(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)))
+
+
+def _doubled_chain(n: int) -> Quiver:
+    """Two parallel arrows per step: 2^(n-1) paths from v0 to v(n-1)."""
+    return Quiver(tuple(f"v{i}" for i in range(n)), tuple(
+        Arrow(f"{x}{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1) for x in "xy"))
 
 
 class TestQuiverValidation:
@@ -95,6 +117,107 @@ class TestPathEnumeration:
     def test_unknown_vertex(self, snake_cat):
         with pytest.raises(UnknownVertexError):
             enumerate_paths(snake_cat.quiver, "a", "nope")
+
+    def test_long_chain_needs_no_recursion(self):
+        q = _chain(3000)
+        (path,) = enumerate_paths(q, "v0", "v2999")
+        assert path.arrows == tuple(range(2999))
+        assert enumerate_paths(q, "v2999", "v0") == ()
+
+    def test_basis_size_is_capped(self):
+        q = _doubled_chain(40)
+        assert len(enumerate_paths(q, "v0", "v13")) == 2 ** 13 <= MAX_PATH_BASIS
+        with pytest.raises(PathBasisTooLargeError):
+            enumerate_paths(q, "v0", "v39")
+        assert issubclass(PathBasisTooLargeError, QuiverError)
+
+
+def _reference_paths(quiver, a, b):
+    """Brute-force DFS over arrow words, sorted length-lexicographically."""
+    found = []
+
+    def walk(at, word):
+        if at == b:
+            found.append(word)
+        for i, arrow in enumerate(quiver.arrows):
+            if arrow.source == at:
+                walk(arrow.target, word + (i,))
+
+    walk(a, ())
+    return sorted(found, key=lambda w: (len(w), w))
+
+
+def _reference_closure(cat, a, b):
+    q = cat.quiver
+    basis = _reference_paths(q, a, b)
+    rows = []
+    for rel in cat.relations:
+        for p in _reference_paths(q, a, rel.source):
+            for r in _reference_paths(q, rel.target, b):
+                row = [0] * len(basis)
+                for coef, mid in rel.terms:
+                    row[basis.index(p + mid.arrows + r)] += coef
+                rows.append(row)
+    return basis, IntMatrix.from_rows(rows, cols=len(basis))
+
+
+class TestLazyHomData:
+    @pytest.mark.parametrize("build", [
+        snake_category, five_category, d4_category, ladder_category,
+        lambda: QuiverCategory(Quiver(("a", "b"), (Arrow("x", "a", "b"),)),
+                               (Relation("a", "b", ((2, Path("a", "b", (0,))),)),)),
+        lambda: QuiverCategory(Quiver(("a", "b"), (Arrow("u", "a", "b"),
+                                                   Arrow("v", "a", "b")))),
+    ], ids=["snake", "five", "d4", "ladder", "torsion", "kronecker"])
+    @pytest.mark.parametrize("side", ["category", "opposite"])
+    def test_every_pair_matches_reference(self, build, side):
+        cat = build()
+        if side == "opposite":
+            cat = cat.opposite()
+        pairs = [(a, b) for a in cat.quiver.vertices for b in cat.quiver.vertices]
+        random.Random(len(pairs)).shuffle(pairs)  # fill in no particular order
+        for a, b in pairs:
+            basis, rows = _reference_closure(cat, a, b)
+            assert [p.arrows for p in cat.paths(a, b)] == basis
+            assert all((p.source, p.target) == (a, b) for p in cat.paths(a, b))
+            assert lattice_basis(cat.relation_subgroup(a, b)) == lattice_basis(rows)
+            assert cat.hom_group_lin(a, b) == FpAbGroup(len(basis), lattice_basis(rows))
+
+    def test_concurrent_fills_agree(self):
+        reference = ladder_category()
+        pairs = [(a, b) for a in reference.quiver.vertices for b in reference.quiver.vertices]
+        expected = {p: (reference.paths(*p), reference.hom_group_lin(*p)) for p in pairs}
+        shared = ladder_category()
+
+        def fill(seed):
+            order = pairs[:]
+            random.Random(seed).shuffle(order)
+            return {p: (shared.paths(*p), shared.hom_group_lin(*p)) for p in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(fill, seed) for seed in range(6)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == expected for r in results)
+
+    def test_kernel_on_long_chain_fills_few_pairs(self):
+        cat = QuiverCategory(_chain(1000))
+        emb = [emb_object(TupleObject(cat, (v,))) for v in ("v0", "v1")]
+        f = make_morphism(emb[0], emb[1], single(cat.arrow_lin("a0")))
+        assert kernel(f).obj is not None
+        assert len(cat._paths) <= 4
+        assert len(cat._hom) <= 4
+
+    def test_construction_builds_nothing(self):
+        cat = QuiverCategory(_doubled_chain(40))
+        assert not cat._paths and not cat._hom
+        assert len(cat.paths("v0", "v3")) == 8
+        with pytest.raises(PathBasisTooLargeError):
+            cat.hom_group_lin("v0", "v39")
 
 
 class TestRelationClosure:
