@@ -1,9 +1,22 @@
 """The additive closure of a quiver category.
 
 Objects are (possibly empty) tuples of vertices; a morphism from an m-tuple
-to an n-tuple is an m x n grid of quiver-category morphisms, composed by the
-usual row-times-matrix calculus in diagrammatic order.  The empty tuple is
-the zero object and grids with zero rows or columns are legal morphisms.
+to an n-tuple is an m x n matrix of quiver-category morphisms, composed by
+the usual row-times-matrix calculus in diagrammatic order.  The empty tuple
+is the zero object and matrices with zero rows or columns are legal
+morphisms.
+
+A matrix morphism is stored flat: one tuple of the canonical coefficients
+of its entries, block by block in row-major order, each block over the path
+basis of its Hom set (the ``HomBasis`` layout).  Block dimensions are the
+path counts the category keeps per vertex pair; each value carries its own
+and passes them on to the results built from it, and no cache is keyed by
+tuple objects.  All arithmetic works on slices of that tuple:
+composition goes through ``QuiverCategory.compose_coeffs`` block by block,
+sums and multiples reduce only the blocks whose canonical forms are not
+closed under integer combinations, and stacking is concatenation.
+``f[i, j]`` and ``entries`` are ``LinMorphism`` views for printing and
+serialisation.
 
 The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
@@ -15,7 +28,9 @@ returned.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Optional, Sequence
 
 from .intlinalg import IntMatrix, solve_left
@@ -23,7 +38,6 @@ from .quivercat import (
     EndpointError,
     LinMorphism,
     QuiverCategory,
-    dual_lin,
     format_lin,
 )
 
@@ -63,107 +77,201 @@ def sum_obj(x: TupleObject, y: TupleObject) -> TupleObject:
     return TupleObject(x.cat, x.summands + y.summands)
 
 
-@dataclass(frozen=True)
 class MatMorphism:
-    """Grid of quiver-category morphisms between tuple objects; entry (i, j)
-    runs from the i-th source summand to the j-th target summand."""
+    """Matrix of quiver-category morphisms between tuple objects; entry
+    (i, j) runs from the i-th source summand to the j-th target summand.
 
-    source: TupleObject
-    target: TupleObject
-    entries: tuple[tuple[LinMorphism, ...], ...]
+    ``coeffs`` concatenates the canonical coefficient tuples of the entries
+    in row-major order; entry (i, j) takes ``cat.dim(source[i], target[j])``
+    of them.  The constructor takes the grid of entries and checks every
+    endpoint.  The operations of this module build their results from
+    coefficients and carry the block dimensions along from their inputs,
+    checking only the number of coefficients; a value keeps its block
+    dimensions for as long as it lives, and nothing else stores them.
 
-    def __post_init__(self):
-        if len(self.entries) != len(self.source):
+    Values are immutable: nothing assigns to their attributes after
+    construction (a slotted class without an assignment guard, because
+    construction is the hottest path of the library).
+    """
+
+    __slots__ = ("source", "target", "coeffs", "_dims")
+
+    def __new__(cls, source: TupleObject, target: TupleObject,
+                entries: Sequence[Sequence[LinMorphism]]):
+        xs, ys = source.summands, target.summands
+        if len(entries) != len(xs):
             raise EndpointError("entry grid has the wrong number of rows")
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.target):
+        for i, (a, row) in enumerate(zip(xs, entries)):
+            if len(row) != len(ys):
                 raise EndpointError("entry grid has the wrong number of columns")
-            for j, e in enumerate(row):
-                if e.source != self.source.summands[i] or e.target != self.target.summands[j]:
+            for b, e in zip(ys, row):
+                if e.source != a or e.target != b:
+                    j = next(j for j, (y, x) in enumerate(zip(ys, row))
+                             if x.source != a or x.target != y)
                     raise EndpointError(f"entry ({i},{j}) has endpoints {e.source}->{e.target}")
+        return _from_grid(source, target, [[e.coeffs for e in row] for row in entries])
+
+    def __eq__(self, other):
+        if not isinstance(other, MatMorphism):
+            return NotImplemented
+        return (self.coeffs == other.coeffs and self.source == other.source
+                and self.target == other.target)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.coeffs))
 
     @property
     def cat(self) -> QuiverCategory:
         return self.source.cat
 
+    def blocks(self) -> list[list[tuple[int, ...]]]:
+        """``blocks()[i][j]`` is the coefficient tuple of entry (i, j)."""
+        coeffs = self.coeffs
+        flat = []
+        pos = 0
+        for d in self._dims:
+            end = pos + d
+            flat.append(coeffs[pos:end])
+            pos = end
+        n = len(self.target.summands)
+        return [flat[i * n : (i + 1) * n] for i in range(len(self.source.summands))]
+
+    @property
+    def entries(self) -> tuple[tuple[LinMorphism, ...], ...]:
+        """The grid of entries as ``LinMorphism`` values."""
+        cat, ys = self.cat, self.target.summands
+        return tuple(
+            tuple(LinMorphism(cat, a, b, block) for b, block in zip(ys, row))
+            for a, row in zip(self.source.summands, self.blocks()))
+
     def __getitem__(self, pos: tuple[int, int]) -> LinMorphism:
         i, j = pos
-        return self.entries[i][j]
+        return LinMorphism(self.cat, self.source.summands[i], self.target.summands[j],
+                           self.blocks()[i][j])
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.coeffs)
+
+    def _require_parallel(self, other: "MatMorphism"):
+        if self.source != other.source or self.target != other.target:
+            raise EndpointError("cannot add morphisms with different endpoints")
+
+    # Integer combinations of canonical blocks are canonical except where
+    # the block's group lacks ``unit_pivots``; only those are reduced.
 
     def __add__(self, other: "MatMorphism") -> "MatMorphism":
-        if (self.source, self.target) != (other.source, other.target):
-            raise EndpointError("cannot add morphisms with different endpoints")
-        return MatMorphism(
-            self.source,
-            self.target,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        self._require_parallel(other)
+        return _canonical(self.source, self.target, self._dims,
+                          list(map(operator.add, self.coeffs, other.coeffs)), combination=True)
 
     def __sub__(self, other: "MatMorphism") -> "MatMorphism":
-        return self + (-other)
+        self._require_parallel(other)
+        return _canonical(self.source, self.target, self._dims,
+                          list(map(operator.sub, self.coeffs, other.coeffs)), combination=True)
 
     def __neg__(self) -> "MatMorphism":
-        return MatMorphism(
-            self.source, self.target,
-            tuple(tuple(-e for e in row) for row in self.entries),
-        )
+        return _canonical(self.source, self.target, self._dims,
+                          [-x for x in self.coeffs], combination=True)
 
     def scale(self, c: int) -> "MatMorphism":
-        return MatMorphism(
-            self.source, self.target,
-            tuple(tuple(e.scale(c) for e in row) for row in self.entries),
-        )
+        return _canonical(self.source, self.target, self._dims,
+                          [c * x for x in self.coeffs], combination=True)
 
     def __repr__(self) -> str:
         return f"MatMorphism({self.source!r} -> {self.target!r}: {format_mat(self)})"
+
+
+def _mat(source: TupleObject, target: TupleObject, coeffs: tuple[int, ...],
+         dims: tuple[int, ...]) -> MatMorphism:
+    """The morphism with coefficients ``coeffs``, which must already be
+    canonical, in blocks of the dimensions ``dims``; only the length is
+    checked."""
+    if len(coeffs) != sum(dims):
+        raise EndpointError(f"{len(coeffs)} coefficients for a morphism {source!r} -> {target!r}")
+    f = object.__new__(MatMorphism)
+    f.source = source
+    f.target = target
+    f.coeffs = coeffs
+    f._dims = dims
+    return f
+
+
+def _from_grid(source: TupleObject, target: TupleObject,
+               grid: Sequence[Sequence[tuple[int, ...]]]) -> MatMorphism:
+    """The morphism whose entry (i, j) has the canonical coefficients
+    ``grid[i][j]``."""
+    blocks = [block for row in grid for block in row]
+    return _mat(source, target, tuple(chain.from_iterable(blocks)), tuple(map(len, blocks)))
+
+
+def _canonical(x: TupleObject, y: TupleObject, dims: tuple[int, ...], coeffs: list[int],
+               combination: bool = False) -> MatMorphism:
+    """The morphism ``x -> y`` whose blocks, of dimensions ``dims``, are
+    those of ``coeffs`` brought to canonical form.  With ``combination``,
+    ``coeffs`` is an integer combination of canonical blocks, and only the
+    blocks whose group lacks ``unit_pivots`` are reduced."""
+    cat = x.cat
+    if cat.relations:
+        group_of = cat.hom_group_lin
+        pairs = [(a, b) for a in x.summands for b in y.summands]
+        pos = 0
+        for (a, b), n in zip(pairs, dims):
+            if n:
+                group = group_of(a, b)
+                if group.relations.rows and not (combination and group.unit_pivots):
+                    coeffs[pos : pos + n] = group.canonical_rep(coeffs[pos : pos + n])
+            pos += n
+    return _mat(x, y, tuple(coeffs), dims)
 
 
 def single(lin: LinMorphism) -> MatMorphism:
     """1x1 matrix morphism wrapping a quiver-category morphism."""
     src = TupleObject(lin.cat, (lin.source,))
     tgt = TupleObject(lin.cat, (lin.target,))
-    return MatMorphism(src, tgt, ((lin,),))
+    return _mat(src, tgt, lin.coeffs, (lin.cat.dim(lin.source, lin.target),))
 
 
 def zero_mat(x: TupleObject, y: TupleObject) -> MatMorphism:
-    cat = x.cat
-    return MatMorphism(
-        x, y,
-        tuple(tuple(cat.zero_lin(a, b) for b in y.summands) for a in x.summands),
-    )
+    dims = x.cat.block_dims(x.summands, y.summands)
+    return _mat(x, y, (0,) * sum(dims), dims)
 
 
 def identity_mat(x: TupleObject) -> MatMorphism:
     cat = x.cat
-    return MatMorphism(
-        x, x,
-        tuple(
-            tuple(
-                cat.identity_lin(a) if i == j else cat.zero_lin(a, b)
-                for j, b in enumerate(x.summands)
-            )
-            for i, a in enumerate(x.summands)
-        ),
-    )
+    dims = cat.block_dims(x.summands, x.summands)
+    n = len(x.summands)
+    out: list[int] = []
+    for i, a in enumerate(x.summands):
+        for j in range(n):
+            # the identity path is the only path from a vertex to itself
+            out += cat.unit_coeffs(a, a)[0] if i == j else (0,) * dims[i * n + j]
+    return _mat(x, x, tuple(out), dims)
 
 
 def compose_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
     """Matrix product in diagrammatic order (``f`` then ``g``)."""
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise EndpointError("inner tuple objects do not match")
-    cat = f.cat
-    rows = []
-    for a, frow in zip(f.source.summands, f.entries):
-        nonzero = [(j, fe) for j, fe in enumerate(frow) if not fe.is_zero()]
-        row = []
-        for k, c in enumerate(g.target.summands):
-            terms = [(fe.target, fe.coeffs, g.entries[j][k].coeffs) for j, fe in nonzero]
-            row.append(LinMorphism(cat, a, c, cat.compose_coeffs(a, c, terms)))
-        rows.append(tuple(row))
-    return MatMorphism(f.source, g.target, tuple(rows))
+    x, z = f.source, g.target
+    cat = x.cat
+    dims = cat.block_dims(x.summands, z.summands)
+    if not (any(f.coeffs) and any(g.coeffs)):
+        return _mat(x, z, (0,) * sum(dims), dims)
+    ys = f.target.summands
+    p = len(z.summands)
+    # the nonzero blocks of each column of g, with their row and its vertex
+    g_cols: list[list] = [[] for _ in range(p)]
+    for j, row in enumerate(g.blocks()):
+        for k, block in enumerate(row):
+            if any(block):
+                g_cols[k].append((j, ys[j], block))
+    compose = cat.compose_coeffs
+    out: list[int] = []
+    for i, (a, f_row) in enumerate(zip(x.summands, f.blocks())):
+        for c, g_col, n in zip(z.summands, g_cols, dims[i * p : (i + 1) * p]):
+            terms = [(b, f_row[j], ge) for j, b, ge in g_col if any(f_row[j])]
+            out += compose(a, c, terms) if terms else (0,) * n
+    return _mat(x, z, tuple(out), dims)
 
 
 def direct_sum_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
@@ -175,26 +283,26 @@ def direct_sum_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
 
 def hstack_mat(*fs: MatMorphism) -> MatMorphism:
     """[f g ...]: common source, concatenated targets."""
-    fs = tuple(fs)
+    if not fs:
+        raise EndpointError("hstack of nothing")
     src = fs[0].source
     if any(f.source != src for f in fs):
         raise EndpointError("hstack with different sources")
     tgt = TupleObject(src.cat, tuple(v for f in fs for v in f.target.summands))
-    entries = tuple(
-        tuple(e for f in fs for e in f.entries[i]) for i in range(len(src))
-    )
-    return MatMorphism(src, tgt, entries)
+    return _from_grid(src, tgt, [list(chain.from_iterable(row))
+                                 for row in zip(*(f.blocks() for f in fs))])
 
 
 def vstack_mat(*fs: MatMorphism) -> MatMorphism:
     """[f; g; ...]: concatenated sources, common target."""
-    fs = tuple(fs)
+    if not fs:
+        raise EndpointError("vstack of nothing")
     tgt = fs[0].target
     if any(f.target != tgt for f in fs):
         raise EndpointError("vstack with different targets")
     src = TupleObject(tgt.cat, tuple(v for f in fs for v in f.source.summands))
-    entries = tuple(row for f in fs for row in f.entries)
-    return MatMorphism(src, tgt, entries)
+    return _mat(src, tgt, tuple(chain.from_iterable(f.coeffs for f in fs)),
+                tuple(chain.from_iterable(f._dims for f in fs)))
 
 
 def from_blocks(grid: Sequence[Sequence[MatMorphism]]) -> MatMorphism:
@@ -204,20 +312,19 @@ def from_blocks(grid: Sequence[Sequence[MatMorphism]]) -> MatMorphism:
 
 
 def dual_mat(f: MatMorphism) -> MatMorphism:
-    """The morphism read in the opposite category: grid transposed, every
+    """The morphism read in the opposite category: matrix transposed, every
     entry path-reversed."""
-    op = f.cat.opposite()
-    src = TupleObject(op, f.target.summands)
-    tgt = TupleObject(op, f.source.summands)
-    entries = tuple(
-        tuple(dual_lin(f.entries[i][j]) for i in range(len(f.source)))
-        for j in range(len(f.target))
-    )
-    return MatMorphism(src, tgt, entries)
+    cat = f.cat
+    op = cat.opposite()
+    xs, ys = f.source.summands, f.target.summands
+    blocks = f.blocks()
+    return _from_grid(TupleObject(op, ys), TupleObject(op, xs), [
+        [cat.dual_coeffs(a, b, blocks[i][j]) for i, a in enumerate(xs)]
+        for j, b in enumerate(ys)])
 
 
 def format_mat(f: MatMorphism) -> str:
-    if not f.entries or not f.entries[0]:
+    if not f.source.summands or not f.target.summands:
         return "[]"
     return "[" + "; ".join(
         ", ".join(format_lin(e) for e in row) for row in f.entries
@@ -225,10 +332,13 @@ def format_mat(f: MatMorphism) -> str:
 
 
 class HomBasis:
-    """Flattened path-coordinate structure of Hom(X, Y) for tuple objects.
+    """Path coordinates of Hom(X, Y) for tuple objects, in the layout of
+    ``MatMorphism.coeffs``.
 
-    Coordinates of all entry Hom sets are concatenated block by block in
-    row-major entry order; ``rel_rows`` lifts the relation lattice of every
+    Entry (i, j) owns the ``block_dim[(i, j)]`` coordinates from
+    ``offset[(i, j)]`` on, row-major.  ``flatten`` is a morphism's
+    coefficient tuple, ``unflatten`` brings every block of a vector to
+    canonical form, and ``rel_rows`` lifts the relation lattice of every
     entry into the big coordinate space.
     """
 
@@ -236,41 +346,24 @@ class HomBasis:
         self.cat = x.cat
         self.source = x
         self.target = y
-        self.block_dim: dict[tuple[int, int], int] = {}
-        self.offset: dict[tuple[int, int], int] = {}
-        pos = 0
-        for i, a in enumerate(x.summands):
-            for j, b in enumerate(y.summands):
-                n = len(self.cat.paths(a, b))
-                self.block_dim[(i, j)] = n
-                self.offset[(i, j)] = pos
-                pos += n
-        self.dim = pos
+        self._dims = x.cat.block_dims(x.summands, y.summands)
+        pairs = [(i, j) for i in range(len(x)) for j in range(len(y))]
+        self.block_dim = dict(zip(pairs, self._dims))
+        self.offset = dict(zip(pairs, accumulate(self._dims, initial=0)))
+        self.dim = sum(self._dims)
 
     def flatten(self, f: MatMorphism) -> tuple[int, ...]:
         if f.source != self.source or f.target != self.target:
             raise EndpointError("morphism does not live in this Hom space")
-        out: list[int] = []
-        for i in range(len(self.source)):
-            for j in range(len(self.target)):
-                out.extend(f.entries[i][j].coeffs)
-        return tuple(out)
+        return f.coeffs
 
     def unflatten(self, vec: Sequence[int]) -> MatMorphism:
-        rows = []
-        for i, a in enumerate(self.source.summands):
-            row = []
-            for j, b in enumerate(self.target.summands):
-                off = self.offset[(i, j)]
-                row.append(self.cat.lin(a, b, vec[off : off + self.block_dim[(i, j)]]))
-            rows.append(tuple(row))
-        return MatMorphism(self.source, self.target, tuple(rows))
+        return _canonical(self.source, self.target, self._dims, list(vec))
 
     def units(self):
-        for i in range(len(self.source)):
-            for j in range(len(self.target)):
-                for k in range(self.block_dim[(i, j)]):
-                    yield (i, j, k)
+        for (i, j), n in self.block_dim.items():
+            for k in range(n):
+                yield (i, j, k)
 
     def rel_rows(self) -> list[list[int]]:
         rows: list[list[int]] = []
@@ -289,6 +382,7 @@ def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[
     """Coefficient rows of the linear map ``sigma -> f * sigma`` in the
     flattened coordinates; one row per unknown unit."""
     cat = f.cat
+    blocks = f.blocks()
     rows = []
     for (l, j, k) in unknown.units():
         b = unknown.source.summands[l]
@@ -296,11 +390,11 @@ def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[
         unit = cat.unit_coeffs(b, c)[k]
         row = [0] * out.dim
         for i, a in enumerate(out.source.summands):
-            fe = f.entries[i][l]
-            if not fe.is_zero():
+            fe = blocks[i][l]
+            if any(fe):
                 off = out.offset[(i, j)]
                 row[off : off + out.block_dim[(i, j)]] = cat.compose_coeffs(
-                    a, c, ((b, fe.coeffs, unit),))
+                    a, c, ((b, fe, unit),))
         rows.append(row)
     return rows
 
@@ -308,6 +402,7 @@ def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[
 def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list[list[int]]:
     """Coefficient rows of ``sigma -> sigma * g`` in flattened coordinates."""
     cat = g.cat
+    blocks = g.blocks()
     rows = []
     for (i, l, k) in unknown.units():
         a = unknown.source.summands[i]
@@ -315,11 +410,11 @@ def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list
         unit = cat.unit_coeffs(a, b)[k]
         row = [0] * out.dim
         for j, c in enumerate(out.target.summands):
-            ge = g.entries[l][j]
-            if not ge.is_zero():
+            ge = blocks[l][j]
+            if any(ge):
                 off = out.offset[(i, j)]
                 row[off : off + out.block_dim[(i, j)]] = cat.compose_coeffs(
-                    a, c, ((b, unit, ge.coeffs),))
+                    a, c, ((b, unit, ge),))
         rows.append(row)
     return rows
 

@@ -21,6 +21,7 @@ from typing import Optional, Union
 from .addclosure import (
     MatMorphism,
     TupleObject,
+    _from_grid,
     compose_mat,
     decide_homotopy,
     dual_mat,
@@ -495,8 +496,7 @@ def epi_as_cokernel(eps: AdelMorphism) -> EpiAsCokernel:
 
 def _take_cols(f: MatMorphism, start: int, count: int) -> MatMorphism:
     tgt = TupleObject(f.cat, f.target.summands[start : start + count])
-    entries = tuple(tuple(row[start : start + count]) for row in f.entries)
-    return MatMorphism(f.source, tgt, entries)
+    return _from_grid(f.source, tgt, [row[start : start + count] for row in f.blocks()])
 
 
 def colift_along_epi(eps: AdelMorphism, tau: AdelMorphism) -> AdelMorphism:

@@ -30,7 +30,7 @@ from .intlinalg import (
     solve_left,
     vstack,
 )
-from .quivercat import LinMorphism, QuiverCategory
+from .quivercat import QuiverCategory
 
 
 class RepresentationError(ValueError):
@@ -86,20 +86,25 @@ def _first_violated(rep: Representation):
 
 
 def _path_matrix(rep: Representation, path) -> IntMatrix:
-    m = IntMatrix.identity(rep.ranks[path.source])
+    arrows = rep.cat.quiver.arrows
+    m = None
     for idx in path.arrows:
-        arrow = rep.cat.quiver.arrows[idx]
-        m = m * rep.matrices[arrow.label]
-    return m
+        factor = rep.matrices[arrows[idx].label]
+        m = factor if m is None else m * factor
+    return IntMatrix.identity(rep.ranks[path.source]) if m is None else m
 
 
-def eval_lin(rep: Representation, f: LinMorphism) -> IntMatrix:
-    out = IntMatrix.zeros(rep.ranks[f.source], rep.ranks[f.target])
-    paths = rep.cat.paths(f.source, f.target)
-    for i, c in enumerate(f.coeffs):
+def _eval_coeffs(rep: Representation, a: str, b: str, coeffs) -> IntMatrix:
+    """The matrix of the morphism with coefficients ``coeffs`` in Hom(a, b)."""
+    out = None
+    paths = rep.cat.paths(a, b)
+    for i, c in enumerate(coeffs):
         if c:
-            out = out + _path_matrix(rep, paths[i]).scale(c)
-    return out
+            term = _path_matrix(rep, paths[i])
+            if c != 1:
+                term = term.scale(c)
+            out = term if out is None else out + term
+    return IntMatrix.zeros(rep.ranks[a], rep.ranks[b]) if out is None else out
 
 
 def eval_mat(rep: Representation, f: MatMorphism) -> IntMatrix:
@@ -108,14 +113,13 @@ def eval_mat(rep: Representation, f: MatMorphism) -> IntMatrix:
     ncols = rep.rank_of(f.target)
     rows = [[0] * ncols for _ in range(nrows)]
     roff = 0
-    for i, a in enumerate(f.source.summands):
+    for a, blocks in zip(f.source.summands, f.blocks()):
         coff = 0
-        for j, b in enumerate(f.target.summands):
-            block = eval_lin(rep, f.entries[i][j])
-            for bi in range(block.rows):
-                brow = block.row(bi)
-                for bj in range(block.cols):
-                    rows[roff + bi][coff + bj] = brow[bj]
+        for b, coeffs in zip(f.target.summands, blocks):
+            if any(coeffs):
+                block = _eval_coeffs(rep, a, b, coeffs)
+                for bi in range(block.rows):
+                    rows[roff + bi][coff : coff + block.cols] = block.row(bi)
             coff += rep.ranks[b]
         roff += rep.ranks[a]
     return IntMatrix.from_rows(rows, cols=ncols)

@@ -308,12 +308,18 @@ class FpAbGroup:
 
     Elements are integer vectors of length ``ngens``; two vectors represent
     the same element exactly when their canonical representatives coincide.
+
+    ``unit_pivots`` is true when every pivot of the reduced relation basis
+    is 1.  Canonical representatives are then exactly the vectors that
+    vanish at the pivot columns, so integer combinations of canonical
+    representatives are canonical again.
     """
 
     ngens: int
     relations: IntMatrix
     _reduced: IntMatrix = field(init=False, repr=False, compare=False)
     _pivots: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    unit_pivots: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.relations.cols != self.ngens:
@@ -324,6 +330,7 @@ class FpAbGroup:
         reduced = IntMatrix.from_rows(h_rows[: len(pivots)], cols=self.ngens)
         object.__setattr__(self, "_reduced", reduced)
         object.__setattr__(self, "_pivots", tuple((i, c) for i, (_, c) in enumerate(pivots)))
+        object.__setattr__(self, "unit_pivots", all(reduced[i, c] == 1 for i, c in self._pivots))
 
     @staticmethod
     def free(ngens: int) -> "FpAbGroup":

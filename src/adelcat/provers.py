@@ -180,7 +180,7 @@ def _ser_mat(f: MatMorphism) -> dict:
     return {
         "source": list(f.source.summands),
         "target": list(f.target.summands),
-        "entries": [[list(e.coeffs) for e in row] for row in f.entries],
+        "entries": [[list(block) for block in row] for row in f.blocks()],
     }
 
 

@@ -77,9 +77,10 @@ class Quiver:
         incoming: dict[str, list[int]] = {v: [] for v in self.vertices}
         for i, a in enumerate(self.arrows):
             incoming[a.target].append(i)
-        # derived lookups for path enumeration, not dataclass fields
+        # derived lookups for path enumeration and labels, not dataclass fields
         object.__setattr__(self, "_position", {v: k for k, v in enumerate(order)})
         object.__setattr__(self, "_incoming", {v: tuple(ix) for v, ix in incoming.items()})
+        object.__setattr__(self, "_arrow_index", {label: i for i, label in enumerate(labels)})
 
     def _check_acyclic(self) -> list[str]:
         """A topological order of the vertices (Kahn's algorithm)."""
@@ -102,10 +103,10 @@ class Quiver:
         return order
 
     def arrow_index(self, label: str) -> int:
-        for i, a in enumerate(self.arrows):
-            if a.label == label:
-                return i
-        raise QuiverError(f"unknown arrow {label!r}")
+        try:
+            return self._arrow_index[label]
+        except KeyError:
+            raise QuiverError(f"unknown arrow {label!r}") from None
 
     def opposite(self) -> "Quiver":
         return Quiver(
@@ -224,7 +225,9 @@ class QuiverCategory:
     data is filled on first use and never changes afterwards:
 
     * for a pair ``(a, b)``, its path basis and the index of each basis path,
-      by dynamic programming that also fills the pairs ``(a, v)`` on the way;
+      by dynamic programming that also fills the pairs ``(a, v)`` on the way,
+      and the number of basis paths (``dim``), which lays out the blocks of
+      every matrix morphism;
     * for a pair ``(a, b)``, the f.p. group presented by the two-sided
       closure of the relations, which needs the path bases of
       ``(a, source(r))`` and ``(target(r), b)`` for each relation ``r``;
@@ -246,6 +249,7 @@ class QuiverCategory:
         for rel in self.relations:
             make_relation(quiver, rel.terms)  # revalidate homogeneity
         self._paths: dict[tuple[str, str], _PathData] = {}
+        self._dims: dict[tuple[str, str], int] = {}
         self._hom: dict[tuple[str, str], FpAbGroup] = {}
         self._concat: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
         self._units: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
@@ -308,6 +312,23 @@ class QuiverCategory:
         except KeyError:
             return self._fill_paths(a, b)[0]
 
+    def dim(self, a: str, b: str) -> int:
+        """Number of basis paths of Hom(a, b)."""
+        try:
+            return self._dims[(a, b)]
+        except KeyError:
+            n = self._dims[(a, b)] = len(self.paths(a, b))
+            return n
+
+    def block_dims(self, sources: Sequence[str], targets: Sequence[str]) -> tuple[int, ...]:
+        """``dim(a, b)`` for every ``a`` in ``sources`` and ``b`` in
+        ``targets``, row-major."""
+        known = self._dims
+        try:
+            return tuple([known[a, b] for a in sources for b in targets])
+        except KeyError:
+            return tuple([self.dim(a, b) for a in sources for b in targets])
+
     def path_index(self, a: str, b: str, arrows: tuple[int, ...]) -> int:
         return self._path_data(a, b)[1][arrows]
 
@@ -357,8 +378,7 @@ class QuiverCategory:
         ``canonical_rep`` picks the unique representative of a coset, this
         equals reducing every partial sum.
         """
-        group = self.hom_group_lin(a, c)
-        acc = [0] * group.ngens
+        acc = [0] * self.dim(a, c)
         for b, f, g in terms:
             table = self.concat_table(a, b, c)
             for i, x in enumerate(f):
@@ -369,7 +389,22 @@ class QuiverCategory:
                             acc[row[j]] += x * y
         if not any(acc):
             return tuple(acc)
-        return group.canonical_rep(acc)
+        group = self.hom_group_lin(a, c)
+        return group.canonical_rep(acc) if group.relations.rows else tuple(acc)
+
+    def dual_coeffs(self, a: str, b: str, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """Canonical coefficients in Hom(b, a) of the opposite category of
+        the morphism with coefficients ``coeffs`` in Hom(a, b): every path
+        reversed."""
+        op = self.opposite()
+        paths = self.paths(a, b)
+        acc = [0] * op.dim(b, a)
+        for i, c in enumerate(coeffs):
+            if c:
+                acc[op.path_index(b, a, paths[i].arrows[::-1])] += c
+        if not any(acc):
+            return tuple(acc)
+        return op.hom_group_lin(b, a).canonical_rep(acc)
 
     # -- morphisms --------------------------------------------------------
 
@@ -378,7 +413,7 @@ class QuiverCategory:
         return LinMorphism(self, a, b, group.canonical_rep(coeffs))
 
     def zero_lin(self, a: str, b: str) -> "LinMorphism":
-        return LinMorphism(self, a, b, (0,) * len(self.paths(a, b)))
+        return LinMorphism(self, a, b, (0,) * self.dim(a, b))
 
     def identity_lin(self, a: str) -> "LinMorphism":
         return self.lin_from_path(Path(a, a, ()))
@@ -477,14 +512,8 @@ def lin_equal(f: LinMorphism, g: LinMorphism) -> bool:
 def dual_lin(f: LinMorphism) -> LinMorphism:
     """The same morphism read in the opposite category (paths reversed)."""
     cat = f.cat
-    op = cat.opposite()
-    paths = cat.paths(f.source, f.target)
-    acc = [0] * len(op.paths(f.target, f.source))
-    for i, c in enumerate(f.coeffs):
-        if c:
-            rev = tuple(reversed(paths[i].arrows))
-            acc[op.path_index(f.target, f.source, rev)] += c
-    return op.lin(f.target, f.source, acc)
+    return LinMorphism(cat.opposite(), f.target, f.source,
+                       cat.dual_coeffs(f.source, f.target, f.coeffs))
 
 
 def format_lin(f: LinMorphism) -> str:

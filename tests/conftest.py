@@ -29,12 +29,16 @@ def five_data():
     return build_five_data()
 
 
-@pytest.fixture(scope="session")
-def torsion_cat():
+def torsion_category() -> QuiverCategory:
     """Single arrow x: a -> b with 2x = 0; Hom(a, b) is Z/2."""
     q = Quiver(("a", "b"), (Arrow("x", "a", "b"),))
     rel = Relation("a", "b", ((2, Path("a", "b", (0,))),))
     return QuiverCategory(q, (rel,), name="torsion")
+
+
+@pytest.fixture(scope="session")
+def torsion_cat():
+    return torsion_category()
 
 
 @pytest.fixture(scope="session")

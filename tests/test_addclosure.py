@@ -132,6 +132,29 @@ class TestBlocks:
         v = vstack_mat(f, rand_mat(snake_cat, tuple_obj(snake_cat, "a"), y1, rng))
         assert v.source.summands == ("a", "a")
 
+    def test_stacking_nothing_is_an_endpoint_error(self):
+        with pytest.raises(EndpointError, match="hstack of nothing"):
+            hstack_mat()
+        with pytest.raises(EndpointError, match="vstack of nothing"):
+            vstack_mat()
+        with pytest.raises(EndpointError):
+            from_blocks([])
+
+    def test_constructor_checks_endpoints(self, snake_cat):
+        a, b = tuple_obj(snake_cat, "a"), tuple_obj(snake_cat, "b")
+        alpha = snake_cat.arrow_lin("alpha")
+        assert MatMorphism(a, b, ((alpha,),)) == single(alpha)
+        with pytest.raises(EndpointError, match="wrong number of rows"):
+            MatMorphism(a, b, ())
+        with pytest.raises(EndpointError, match="wrong number of columns"):
+            MatMorphism(a, b, ((),))
+        with pytest.raises(EndpointError, match=r"entry \(0,0\) has endpoints a->b"):
+            MatMorphism(b, a, ((alpha,),))
+        ab = tuple_obj(snake_cat, "a", "b")
+        with pytest.raises(EndpointError, match=r"entry \(1,1\) has endpoints a->b"):
+            MatMorphism(ab, ab, ((snake_cat.identity_lin("a"), alpha),
+                                 (snake_cat.zero_lin("b", "a"), alpha)))
+
 
 class TestDecideHomotopy:
     def test_zero_datum_gives_zero_witnesses(self, snake_cat):

@@ -1,0 +1,31 @@
+"""The benchmark harness in ``adelbench/`` still runs against this library.
+
+The harness is changed only together with the benchmark itself, so a change
+to the library that breaks what it calls would otherwise show only when the
+benchmark runs.  For every workload this runs the first operation of the
+``--seed 0`` input and applies the harness's own result check, and it checks
+that every method the tracer wraps still exists where the tracer looks.
+"""
+
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from adelbench import tracer, workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_first_operation_passes_its_check(name, tmp_path):
+    wl = workloads.WORKLOADS[name](0, str(tmp_path))
+    op = wl.ops[0]
+    op.check(op.run())
+
+
+def test_traced_methods_exist():
+    for cls, attr, span in tracer._methods():
+        assert callable(vars(cls).get(attr)), f"{span}: {cls.__name__}.{attr} is gone"

@@ -59,6 +59,17 @@ class TestParser:
             parse_category("category x {\n  objects a b\n}")
         assert "3:" in str(err.value)
 
+    def test_non_decimal_digit_reported_with_position(self, tmp_path, capsys):
+        # "²".isdigit() is true, but int("²") fails: it must be a plain
+        # unexpected character, located like any other syntax error
+        path = tmp_path / "sq.cat"
+        path.write_text("category sq {\n  objects a b;\n  arrows f: a -> b;\n"
+                        "  relations \u00b2*f = 0;\n}\n")
+        code = run_command(["kernel", "f", "--source", "a", "--target", "b",
+                            "--category", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: 4:13: unexpected character '\u00b2'\n"
+
     def test_cyclic_quiver_rejected(self):
         src = """
         category loop {

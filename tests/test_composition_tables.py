@@ -1,5 +1,10 @@
-"""Composition through the cached path-concatenation tables agrees with
-composing path by path and reducing every product."""
+"""The flat matrix morphism agrees with entry-by-entry arithmetic.
+
+Composition through the cached path-concatenation tables agrees with
+composing path by path and reducing every product; every other operation on
+the flat coefficient tuple agrees with the same operation done entry by
+entry with ``LinMorphism`` arithmetic, and leaves every block canonical.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +14,33 @@ from adelcat.addclosure import (
     MatMorphism,
     TupleObject,
     compose_mat,
+    dual_mat,
+    from_blocks,
+    hstack_mat,
+    identity_mat,
     left_compose_rows,
     right_compose_rows,
+    vstack_mat,
+    zero_mat,
 )
 from adelcat.provers import five_category, snake_category
+from adelcat.quivercat import Arrow, Path, Quiver, QuiverCategory, Relation, dual_lin
 
-from conftest import ladder_category
+from conftest import ladder_category, torsion_category
 
-_BASE = {"snake": snake_category(), "five": five_category(), "ladder": ladder_category()}
+
+def skew_category() -> QuiverCategory:
+    """Arrows u, v: a -> b and w: b -> c with 2u + v = 0.  Hom(a, b) is free
+    of rank 1, but its relation basis has pivot 2, so a sum of canonical
+    coefficient vectors need not be canonical."""
+    q = Quiver(("a", "b", "c"), (Arrow("u", "a", "b"), Arrow("v", "a", "b"),
+                                 Arrow("w", "b", "c")))
+    rel = Relation("a", "b", ((2, Path("a", "b", (0,))), (1, Path("a", "b", (1,)))))
+    return QuiverCategory(q, (rel,), name="skew")
+
+
+_BASE = {"snake": snake_category(), "five": five_category(), "ladder": ladder_category(),
+         "torsion": torsion_category(), "skew": skew_category()}
 CATEGORIES = {**_BASE, **{f"{k}^op": c.opposite() for k, c in _BASE.items()}}
 
 
@@ -43,11 +67,32 @@ def rand_tuple(cat, rng):
                                   for _ in range(rng.randint(0, 3))))
 
 
-def rand_mat(cat, src, tgt, rng):
-    return MatMorphism(src, tgt, tuple(
-        tuple(cat.lin(a, b, [rng.choice((0, 0, 1, -1, 2)) for _ in cat.paths(a, b)])
+def rand_grid(cat, src, tgt, rng):
+    return tuple(
+        tuple(cat.lin(a, b, [rng.choice((0, 0, 1, -1, 2, 3)) for _ in cat.paths(a, b)])
               for b in tgt.summands)
-        for a in src.summands))
+        for a in src.summands)
+
+
+def rand_mat(cat, src, tgt, rng):
+    return MatMorphism(src, tgt, rand_grid(cat, src, tgt, rng))
+
+
+def grid(f):
+    """The entries of ``f`` read one by one through ``f[i, j]``."""
+    return tuple(tuple(f[i, j] for j in range(len(f.target))) for i in range(len(f.source)))
+
+
+def check_flat(f, entries):
+    """``f`` has exactly the given entries, through every view, and its
+    coefficient tuple is their canonical coefficients in row-major order."""
+    entries = tuple(tuple(row) for row in entries)
+    assert f.entries == entries
+    assert grid(f) == entries
+    assert f.coeffs == tuple(c for row in entries for e in row for c in e.coeffs)
+    for row in entries:
+        for e in row:
+            assert e.coeffs == f.cat.hom_group_lin(e.source, e.target).canonical_rep(e.coeffs)
 
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -126,3 +171,106 @@ def test_unit_coeffs_are_canonical(snake_cat):
                 assert unit == group.canonical_rep(unit_vector(snake_cat, a, b, k))
     # alpha*beta*gamma = 0 makes the only path a -> d vanish
     assert snake_cat.unit_coeffs("a", "d") == ((0,),)
+
+
+@SETTINGS
+@given(cats, rngs)
+def test_sum_difference_negation_scale_match_entries(name, rng):
+    cat = CATEGORIES[name]
+    x, y = rand_tuple(cat, rng), rand_tuple(cat, rng)
+    fg, gg = rand_grid(cat, x, y, rng), rand_grid(cat, x, y, rng)
+    f, g = MatMorphism(x, y, fg), MatMorphism(x, y, gg)
+    c = rng.randint(-3, 3)
+    check_flat(f, fg)
+    check_flat(f + g, [[a + b for a, b in zip(r, s)] for r, s in zip(fg, gg)])
+    check_flat(f - g, [[a - b for a, b in zip(r, s)] for r, s in zip(fg, gg)])
+    check_flat(-f, [[-a for a in r] for r in fg])
+    check_flat(f.scale(c), [[a.scale(c) for a in r] for r in fg])
+    assert (f - f).is_zero() and f + (-f) == zero_mat(x, y)
+
+
+@SETTINGS
+@given(cats, rngs)
+def test_stacks_and_blocks_match_entries(name, rng):
+    cat = CATEGORIES[name]
+    x1, x2, y1, y2 = (rand_tuple(cat, rng) for _ in range(4))
+    g11, g12 = rand_grid(cat, x1, y1, rng), rand_grid(cat, x1, y2, rng)
+    g21, g22 = rand_grid(cat, x2, y1, rng), rand_grid(cat, x2, y2, rng)
+    f11, f12 = MatMorphism(x1, y1, g11), MatMorphism(x1, y2, g12)
+    f21, f22 = MatMorphism(x2, y1, g21), MatMorphism(x2, y2, g22)
+    check_flat(hstack_mat(f11, f12), [r + s for r, s in zip(g11, g12)])
+    check_flat(hstack_mat(f11), g11)
+    check_flat(vstack_mat(f11, f21), g11 + g21)
+    check_flat(vstack_mat(f21), g21)
+    check_flat(from_blocks([[f11, f12], [f21, f22]]),
+               [r + s for r, s in zip(g11 + g21, g12 + g22)])
+    block = from_blocks([[f11, f12], [f21, f22]])
+    assert block.source.summands == x1.summands + x2.summands
+    assert block.target.summands == y1.summands + y2.summands
+
+
+@SETTINGS
+@given(cats, rngs)
+def test_zero_and_identity_match_entries(name, rng):
+    cat = CATEGORIES[name]
+    x, y = rand_tuple(cat, rng), rand_tuple(cat, rng)
+    check_flat(zero_mat(x, y), [[cat.zero_lin(a, b) for b in y.summands] for a in x.summands])
+    check_flat(identity_mat(x), [
+        [cat.identity_lin(a) if i == j else cat.zero_lin(a, b)
+         for j, b in enumerate(x.summands)]
+        for i, a in enumerate(x.summands)])
+
+
+@SETTINGS
+@given(cats, rngs)
+def test_dual_matches_entries(name, rng):
+    cat = CATEGORIES[name]
+    x, y = rand_tuple(cat, rng), rand_tuple(cat, rng)
+    fg = rand_grid(cat, x, y, rng)
+    f = MatMorphism(x, y, fg)
+    d = dual_mat(f)
+    assert d.cat is cat.opposite()
+    assert (d.source.summands, d.target.summands) == (y.summands, x.summands)
+    check_flat(d, [[dual_lin(fg[i][j]) for i in range(len(x))] for j in range(len(y))])
+    assert dual_mat(d) == f
+
+
+@SETTINGS
+@given(cats, rngs)
+def test_unflatten_canonicalises_once_and_flatten_inverts(name, rng):
+    cat = CATEGORIES[name]
+    x, y = rand_tuple(cat, rng), rand_tuple(cat, rng)
+    hb = HomBasis(x, y)
+    vec = [rng.randint(-5, 5) for _ in range(hb.dim)]
+    m = hb.unflatten(vec)
+    check_flat(m, [[cat.lin(a, b, vec[hb.offset[(i, j)]:hb.offset[(i, j)] + hb.block_dim[(i, j)]])
+                    for j, b in enumerate(y.summands)]
+                   for i, a in enumerate(x.summands)])
+    assert hb.flatten(m) == m.coeffs
+    assert hb.unflatten(hb.flatten(m)) == m
+    f = rand_mat(cat, x, y, rng)
+    assert hb.unflatten(hb.flatten(f)) == f
+
+
+@SETTINGS
+@given(cats, rngs)
+def test_compose_results_are_canonical(name, rng):
+    cat = CATEGORIES[name]
+    x, y, z = (rand_tuple(cat, rng) for _ in range(3))
+    fg = compose_mat(rand_mat(cat, x, y, rng), rand_mat(cat, y, z, rng))
+    check_flat(fg, grid(fg))
+
+
+def test_unit_pivots_mark_the_groups_sums_can_leave_canonical():
+    skew, torsion = _BASE["skew"], _BASE["torsion"]
+    assert not skew.hom_group_lin("a", "b").unit_pivots
+    assert not skew.hom_group_lin("a", "c").unit_pivots
+    assert not torsion.hom_group_lin("a", "b").unit_pivots
+    five = _BASE["five"]
+    assert all(five.hom_group_lin(a, b).unit_pivots
+               for a in five.quiver.vertices for b in five.quiver.vertices)
+    # canonical u is (1, 0); u + u = (2, 0) reduces to -v, i.e. (0, -1)
+    a, b = TupleObject(skew, ("a",)), TupleObject(skew, ("b",))
+    u = MatMorphism(a, b, ((skew.arrow_lin("u"),),))
+    assert u.coeffs == (1, 0)
+    assert (u + u).coeffs == (0, -1) == (-skew.arrow_lin("v")).coeffs

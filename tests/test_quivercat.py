@@ -65,6 +65,14 @@ class TestQuiverValidation:
         with pytest.raises(UnknownVertexError):
             Quiver(("a",), (Arrow("x", "a", "zz"),))
 
+    def test_arrow_index(self):
+        q = ladder_category().quiver
+        for i, arrow in enumerate(q.arrows):
+            assert q.arrow_index(arrow.label) == i
+        assert q.opposite().arrow_index("v3") == q.arrow_index("v3")
+        with pytest.raises(QuiverError, match="unknown arrow 'zz'"):
+            q.arrow_index("zz")
+
 
 class TestPathEnumeration:
     def test_disconnected_pair_is_empty(self, snake_cat):
