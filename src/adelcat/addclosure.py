@@ -22,8 +22,12 @@ The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
 the path bases of all Hom entries, one auxiliary unknown per relation-lattice
 generator of each target Hom set, and decided by an exact integer solve.
-Every positive answer is re-verified by matrix arithmetic before it is
-returned.
+The system is assembled as sparse rows.  Above ``SPARSE_PRECHECK_CELLS``
+cells it first goes through the sparse membership test
+``intlinalg.in_lattice``, which rejects an unsolvable system without the
+dense solve; a solvable one is densified and solved by ``solve_left``, so
+the witnesses are the same whichever path ran.  Every positive answer is
+re-verified by matrix arithmetic before it is returned.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Optional, Sequence
 
-from .intlinalg import IntMatrix, solve_left
+from .intlinalg import IntMatrix, in_lattice, solve_left
 from .quivercat import (
     EndpointError,
     LinMorphism,
@@ -50,7 +54,7 @@ class TupleObject:
     summands: tuple[str, ...]
 
     def __post_init__(self):
-        known = set(self.cat.quiver.vertices)
+        known = self.cat.quiver._position  # keyed by vertex
         for v in self.summands:
             if v not in known:
                 raise EndpointError(f"unknown vertex {v!r} in tuple object")
@@ -339,7 +343,7 @@ class HomBasis:
     ``offset[(i, j)]`` on, row-major.  ``flatten`` is a morphism's
     coefficient tuple, ``unflatten`` brings every block of a vector to
     canonical form, and ``rel_rows`` lifts the relation lattice of every
-    entry into the big coordinate space.
+    entry into the big coordinate space, as sparse ``{col: value}`` rows.
     """
 
     def __init__(self, x: TupleObject, y: TupleObject):
@@ -365,22 +369,28 @@ class HomBasis:
             for k in range(n):
                 yield (i, j, k)
 
-    def rel_rows(self) -> list[list[int]]:
-        rows: list[list[int]] = []
+    def rel_rows(self) -> list[dict[int, int]]:
+        rows: list[dict[int, int]] = []
         for i, a in enumerate(self.source.summands):
             for j, b in enumerate(self.target.summands):
                 group = self.cat.hom_group_lin(a, b)
                 off = self.offset[(i, j)]
                 for r in range(group.relations.rows):
-                    row = [0] * self.dim
-                    row[off : off + group.ngens] = group.relations.row(r)
-                    rows.append(row)
+                    rows.append({off + k: v for k, v in enumerate(group.relations.row(r)) if v})
         return rows
 
 
-def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[list[int]]:
-    """Coefficient rows of the linear map ``sigma -> f * sigma`` in the
-    flattened coordinates; one row per unknown unit."""
+def _place(row: dict[int, int], off: int, coeffs: Sequence[int]):
+    """Write the nonzero ``coeffs`` into the sparse ``row`` from column ``off`` on."""
+    for k, v in enumerate(coeffs):
+        if v:
+            row[off + k] = v
+
+
+def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[dict[int, int]]:
+    """Sparse coefficient rows, ``{col: value}``, of the linear map
+    ``sigma -> f * sigma`` in the flattened coordinates; one row per
+    unknown unit."""
     cat = f.cat
     blocks = f.blocks()
     rows = []
@@ -388,19 +398,18 @@ def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[
         b = unknown.source.summands[l]
         c = unknown.target.summands[j]
         unit = cat.unit_coeffs(b, c)[k]
-        row = [0] * out.dim
+        row: dict[int, int] = {}
         for i, a in enumerate(out.source.summands):
             fe = blocks[i][l]
             if any(fe):
-                off = out.offset[(i, j)]
-                row[off : off + out.block_dim[(i, j)]] = cat.compose_coeffs(
-                    a, c, ((b, fe, unit),))
+                _place(row, out.offset[(i, j)], cat.compose_coeffs(a, c, ((b, fe, unit),)))
         rows.append(row)
     return rows
 
 
-def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list[list[int]]:
-    """Coefficient rows of ``sigma -> sigma * g`` in flattened coordinates."""
+def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list[dict[int, int]]:
+    """Sparse coefficient rows of ``sigma -> sigma * g`` in flattened
+    coordinates."""
     cat = g.cat
     blocks = g.blocks()
     rows = []
@@ -408,15 +417,22 @@ def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list
         a = unknown.source.summands[i]
         b = unknown.target.summands[l]
         unit = cat.unit_coeffs(a, b)[k]
-        row = [0] * out.dim
+        row: dict[int, int] = {}
         for j, c in enumerate(out.target.summands):
             ge = blocks[l][j]
             if any(ge):
-                off = out.offset[(i, j)]
-                row[off : off + out.block_dim[(i, j)]] = cat.compose_coeffs(
-                    a, c, ((b, unit, ge),))
+                _place(row, out.offset[(i, j)], cat.compose_coeffs(a, c, ((b, unit, ge),)))
         rows.append(row)
     return rows
+
+
+# Systems of more cells (rows times columns) than this get the sparse
+# membership test before the dense solve.  On solvable systems the test costs
+# about half a dense solve below 512 cells and under 0.3 of one from 1,024
+# cells on, while on unsolvable ones it replaces a dense solve that costs 9
+# to 80 times more; the small systems, where the test does not pay, are
+# mostly solvable.
+SPARSE_PRECHECK_CELLS = 1000
 
 
 def decide_homotopy(
@@ -437,11 +453,12 @@ def decide_homotopy(
     h2 = HomBasis(gamma.target, alpha.target)
     rows = right_compose_rows(h1, beta, out)
     rows += left_compose_rows(gamma, h2, out)
-    aux = out.rel_rows()
-    rows += aux
-    system = IntMatrix.from_rows(rows, cols=out.dim)
-    rhs = IntMatrix.row_vector(out.flatten(alpha))
-    sol = solve_left(system, rhs)
+    rows += out.rel_rows()
+    rhs = out.flatten(alpha)
+    if (len(rows) * out.dim > SPARSE_PRECHECK_CELLS
+            and not in_lattice(rows, [{j: v for j, v in enumerate(rhs) if v}])):
+        return None
+    sol = solve_left(IntMatrix.from_sparse(rows, out.dim), IntMatrix.row_vector(rhs))
     if sol is None:
         return None
     vec = sol.row(0)

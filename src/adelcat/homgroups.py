@@ -100,18 +100,10 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     rel1 = eq1.rel_rows()
     rel2 = eq2.rel_rows()
 
-    rows: list[list[int]] = []
-    for r1, r2 in zip(alpha_eq1, alpha_eq2):
-        rows.append(r1 + r2)
-    for r in omega_eq1:
-        rows.append([-c for c in r] + [0] * eq2.dim)
-    for r in rel1:
-        rows.append(r + [0] * eq2.dim)
-    for r in psi_eq2:
-        rows.append([0] * eq1.dim + [-c for c in r])
-    for r in rel2:
-        rows.append([0] * eq1.dim + r)
-    system = IntMatrix.from_rows(rows, cols=eq1.dim + eq2.dim)
+    rows = [r1 | r2 for r1, r2 in zip(alpha_eq1, _placed(alpha_eq2, eq1.dim))]
+    rows += _placed(omega_eq1, 0, -1) + rel1
+    rows += _placed(psi_eq2, eq1.dim, -1) + _placed(rel2, eq1.dim)
+    system = IntMatrix.from_sparse(rows, eq1.dim + eq2.dim)
 
     # A solution lists datum | omega | rel1 multipliers | psi | rel2 multipliers.
     # Its HNF with the datum block first has the HNF basis of the datum
@@ -133,7 +125,7 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     null_rows = right_compose_rows(h_s1, y.rel, hom)
     null_rows += left_compose_rows(x.corel, h_s2, hom)
     null_rows += hom.rel_rows()
-    denominator = IntMatrix.from_rows(null_rows, cols=n)
+    denominator = IntMatrix.from_sparse(null_rows, n)
 
     stacked = vstack(basis, denominator)
     kern = left_kernel(stacked)
@@ -144,6 +136,11 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     spaces = (hom, h_omega, h_psi)
     generators = tuple(_morphism(x, y, spaces, r) for r in rows)
     return HomGroupPresentation(x, y, group, generators, basis, witnesses, spaces)
+
+
+def _placed(rows: Sequence[dict[int, int]], at: int, sign: int = 1) -> list[dict[int, int]]:
+    """Sparse ``rows`` times ``sign``, moved ``at`` columns to the right."""
+    return [{at + j: sign * v for j, v in row.items()} for row in rows]
 
 
 def _morphism(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis],

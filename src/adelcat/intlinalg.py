@@ -7,6 +7,12 @@ representatives.  Every equality decision made elsewhere in the package
 eventually lands here, in the one row-reduction kernel ``_hnf_py`` (bound
 as ``_kernel``), whose Python-int arithmetic never wraps.
 
+Large sparse systems have a cheaper first test: ``in_lattice`` decides
+membership in a row lattice by sparse elimination on ``{col: value}`` rows,
+without the transform that ``solve_left`` carries.  It answers only yes or
+no; a caller that needs the solution itself falls back to the dense
+``solve_left``, so solutions do not depend on which test ran first.
+
 The convention throughout is row-vector-times-matrix: ``solve_left(A, B)``
 finds ``X`` with ``X * A == B``, and the row span of a matrix is the lattice
 it generates.  All values are immutable and all functions are pure, so
@@ -18,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import _hnf_py as _kernel
+from ._hnf_py import in_lattice  # noqa: F401  (the sparse membership test)
 
 # Read by the benchmark's environment stamp and its ``comparable_key``.
 BACKEND = "pure"
@@ -59,6 +66,16 @@ class IntMatrix:
             raise DimensionError("explicit column count does not match rows")
         flat = tuple(chain.from_iterable(rows))
         return IntMatrix(len(rows), ncols, flat)
+
+    @staticmethod
+    def from_sparse(rows: Sequence[Mapping[int, int]], cols: int) -> "IntMatrix":
+        """The dense matrix whose rows are the ``{col: value}`` maps ``rows``."""
+        entries = [0] * (len(rows) * cols)
+        for i, row in enumerate(rows):
+            base = i * cols
+            for j, v in row.items():
+                entries[base + j] = v
+        return IntMatrix(len(rows), cols, tuple(entries))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -208,40 +225,62 @@ class SmithInvariants:
 def snf(m: IntMatrix) -> SmithInvariants:
     """Smith invariants of the cokernel ``Z^cols / rowspan(m)``.
 
-    Computed by alternating row and column HNF passes until the matrix is
-    diagonal, then repairing the divisibility chain ``d1 | d2 | ...``.
-    Only the invariant factors and the free rank are returned.
+    Direct elimination in stages.  A stage moves a nonzero entry of least
+    magnitude of the remaining block to its corner and reduces the rest of
+    its row and column by division with remainder; the stage is done when
+    nothing is left beside the pivot.  Otherwise a nonzero remainder,
+    smaller than the pivot, becomes the next pivot, so the pivot magnitude
+    falls strictly and every stage ends.  The diagonal that results is
+    then brought into the divisibility chain ``d1 | d2 | ...`` by gcd/lcm
+    exchanges.  Only the invariant factors and the free rank are returned.
     """
-    work = m
-    for _ in range(4 * (m.rows + m.cols) + 8):
-        h_rows, _, _ = _kernel.hnf_rows(work.to_rows(), work.cols, False)
-        work = IntMatrix.from_rows(h_rows, cols=work.cols).transpose()
-        if _is_diagonal(work):
+    a = m.to_rows()
+    rows, cols = m.rows, m.cols
+    diag: list[int] = []
+    t = 0
+    while t < rows and t < cols:
+        best = 0
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+        if not best:
             break
-    else:  # pragma: no cover - alternating HNF passes terminate
-        raise RuntimeError("Smith reduction did not converge")
-    diag = [abs(work[i, i]) for i in range(min(work.rows, work.cols))]
-    diag = [d for d in diag if d != 0]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    diag.sort()
-    return SmithInvariants(tuple(diag), m.cols - len(diag))
-
-
-def _is_diagonal(m: IntMatrix) -> bool:
-    return all(
-        m.entries[i * m.cols + j] == 0
-        for i in range(m.rows)
-        for j in range(m.cols)
-        if i != j
-    )
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        top = a[t]
+        p = top[t]
+        done = True
+        for i in range(t + 1, rows):
+            row = a[i]
+            q = row[t] // p
+            if q:
+                for j in range(t, cols):
+                    if top[j]:
+                        row[j] -= q * top[j]
+            if row[t]:
+                done = False
+        for j in range(t + 1, cols):
+            q = top[j] // p
+            if q:
+                for row in a[t:]:
+                    row[j] -= q * row[t]
+            if top[j]:
+                done = False
+        if done:
+            diag.append(abs(p))
+            t += 1
+    # After pass i, diag[i] is the gcd of diag[i:] and divides every later
+    # entry; later passes only exchange multiples of it.
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return SmithInvariants(tuple(diag), cols - len(diag))
 
 
 def solve_left(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from adelcat import addclosure, intlinalg
 from adelcat.addclosure import (
     HomBasis,
     MatMorphism,
@@ -12,6 +13,8 @@ from adelcat.addclosure import (
     from_blocks,
     hstack_mat,
     identity_mat,
+    left_compose_rows,
+    right_compose_rows,
     single,
     sum_obj,
     tuple_obj,
@@ -19,6 +22,7 @@ from adelcat.addclosure import (
     zero_mat,
     zero_obj,
 )
+from adelcat.intlinalg import IntMatrix, solve_left
 from adelcat.quivercat import EndpointError
 
 
@@ -132,6 +136,10 @@ class TestBlocks:
         v = vstack_mat(f, rand_mat(snake_cat, tuple_obj(snake_cat, "a"), y1, rng))
         assert v.source.summands == ("a", "a")
 
+    def test_tuple_object_rejects_unknown_vertex(self, snake_cat):
+        with pytest.raises(EndpointError, match="unknown vertex 'zz' in tuple object"):
+            tuple_obj(snake_cat, "a", "zz")
+
     def test_stacking_nothing_is_an_endpoint_error(self):
         with pytest.raises(EndpointError, match="hstack of nothing"):
             hstack_mat()
@@ -219,6 +227,45 @@ class TestDecideHomotopy:
                 assert found is not None
                 t1, t2 = found
                 assert compose_mat(t1, beta) + compose_mat(gamma, t2) == alpha
+
+    def test_unsolvable_ladder_system_needs_no_dense_solve(self, ladder_cat, monkeypatch):
+        rng = random.Random(7)
+        mid = tuple_obj(ladder_cat, "t0", "t0", "t1", "t2", "b3", "b4")
+        rel = rand_mat(ladder_cat, tuple_obj(ladder_cat, "t0", "t1", "t1", "t2", "b2"), mid, rng)
+        corel = rand_mat(ladder_cat, mid, tuple_obj(ladder_cat, "b4", "b5", "b5", "b3"), rng)
+        out = HomBasis(mid, mid)
+        unknowns = (HomBasis(mid, rel.source).dim + HomBasis(corel.target, mid).dim
+                    + len(out.rel_rows()))
+        assert unknowns * out.dim > addclosure.SPARSE_PRECHECK_CELLS
+
+        # the Hom groups of the category are reduced once, on first use
+        for u in ladder_cat.quiver.vertices:
+            for v in ladder_cat.quiver.vertices:
+                ladder_cat.hom_group_lin(u, v)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense row reduction on an unsolvable system")
+        monkeypatch.setattr(intlinalg._kernel, "hnf_rows", refuse)
+        # the zero-object test of the object (rel | corel): its identity is
+        # not null-homotopic
+        assert decide_homotopy(identity_mat(mid), rel, corel) is None
+
+    def test_solvable_ladder_system_keeps_the_dense_solution(self, ladder_cat):
+        rng = random.Random(7)
+        a, b, c, d = (tuple_obj(ladder_cat, *vs) for vs in (
+            ("t0", "t1", "t1"), ("b3", "b4", "b5"), ("b2", "t4", "b4"), ("t2", "t3", "b2")))
+        beta, gamma = rand_mat(ladder_cat, d, b, rng), rand_mat(ladder_cat, a, c, rng)
+        alpha = (compose_mat(rand_mat(ladder_cat, a, d, rng), beta)
+                 + compose_mat(gamma, rand_mat(ladder_cat, c, b, rng)))
+        out, h1, h2 = HomBasis(a, b), HomBasis(a, d), HomBasis(c, b)
+        rows = right_compose_rows(h1, beta, out) + left_compose_rows(gamma, h2, out)
+        rows += out.rel_rows()
+        assert len(rows) * out.dim > addclosure.SPARSE_PRECHECK_CELLS
+        # the dense formula: X * system == alpha, split into the two unknowns
+        x = solve_left(IntMatrix.from_sparse(rows, out.dim),
+                       IntMatrix.row_vector(alpha.coeffs)).row(0)
+        expected = (h1.unflatten(x[: h1.dim]), h2.unflatten(x[h1.dim : h1.dim + h2.dim]))
+        assert decide_homotopy(alpha, beta, gamma) == expected
 
     def test_negation_solvability_matches(self, torsion_cat, five_cat):
         rng = random.Random(29)

@@ -132,7 +132,7 @@ def test_left_compose_rows_match_naive(name, rng):
             off = out.offset[(i, j)]
             block = naive_compose(cat, a, b, c, f[i, l].coeffs, unit_vector(cat, b, c, k))
             expected[off : off + len(block)] = block
-        assert row == expected
+        assert row == {col: v for col, v in enumerate(expected) if v}
 
 
 @SETTINGS
@@ -151,7 +151,7 @@ def test_right_compose_rows_match_naive(name, rng):
             off = out.offset[(i, j)]
             block = naive_compose(cat, a, b, c, unit_vector(cat, a, b, k), g[l, j].coeffs)
             expected[off : off + len(block)] = block
-        assert row == expected
+        assert row == {col: v for col, v in enumerate(expected) if v}
 
 
 def test_concat_table_indexes_concatenations(ladder_cat):

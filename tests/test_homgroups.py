@@ -138,10 +138,14 @@ def datum_projection_basis(x, y):
     eq2 = HomBasis(x.middle, y.corel_target)
     omega = right_compose_rows(HomBasis(x.rel_source, y.rel_source), y.rel, eq1)
     psi = left_compose_rows(x.corel, HomBasis(x.corel_target, y.corel_target), eq2)
-    rows = [r1 + r2 for r1, r2 in zip(left_compose_rows(x.rel, hom, eq1),
-                                      right_compose_rows(hom, y.corel, eq2))]
-    rows += [r + [0] * eq2.dim for r in omega + eq1.rel_rows()]
-    rows += [[0] * eq1.dim + r for r in psi + eq2.rel_rows()]
+
+    def dense(rows, space):
+        return IntMatrix.from_sparse(rows, space.dim).to_rows()
+
+    rows = [r1 + r2 for r1, r2 in zip(dense(left_compose_rows(x.rel, hom, eq1), eq1),
+                                      dense(right_compose_rows(hom, y.corel, eq2), eq2))]
+    rows += [r + [0] * eq2.dim for r in dense(omega + eq1.rel_rows(), eq1)]
+    rows += [[0] * eq1.dim + r for r in dense(psi + eq2.rel_rows(), eq2)]
     solutions = left_kernel(IntMatrix.from_rows(rows, cols=eq1.dim + eq2.dim))
     return lattice_basis(IntMatrix.from_rows(
         [solutions.row(i)[: hom.dim] for i in range(solutions.rows)], cols=hom.dim))

@@ -12,6 +12,7 @@ from adelcat.intlinalg import (
     SmithInvariants,
     det,
     hnf,
+    in_lattice,
     lattice_basis,
     left_kernel,
     snf,
@@ -130,9 +131,18 @@ class TestSnf:
         from sympy.matrices.normalforms import invariant_factors
 
         rng = random.Random(20260809)
+        cases = []
         for _ in range(300):
             rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-            entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            cases.append((rows, cols, [[rng.randint(-9, 9) for _ in range(cols)]
+                                       for _ in range(rows)]))
+        # sparse and larger, with entries whose gcd steps take several rounds
+        for _ in range(150):
+            rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+            density = rng.choice((0.1, 0.2, 0.35))
+            cases.append((rows, cols, [[rng.randint(-99, 99) if rng.random() < density else 0
+                                        for _ in range(cols)] for _ in range(rows)]))
+        for rows, cols, entries in cases:
             factors = invariant_factors(sympy.Matrix(rows, cols, sum(entries, [])),
                                         domain=sympy.ZZ)
             nonzero = tuple(abs(int(d)) for d in factors if d != 0)
@@ -201,6 +211,56 @@ class TestSolveLeft:
                 return
             ys.append(y)
         assert solve_left(a, b) == IntMatrix.from_rows(ys, cols=a.rows) * u
+
+
+def sparse_rows(m):
+    return [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)]
+
+
+class TestInLattice:
+    @settings(max_examples=250)
+    @given(matrices(max_dim=6), matrices(max_dim=4), matrices(max_dim=4),
+           st.sampled_from((1, 2, 6, 10**40 + 1)), st.integers(-1, 2), st.booleans())
+    def test_matches_solve_left(self, a, x, other, scale, shift, zero_row):
+        """Scaled systems have no unit pivots; ``shift`` moves a consistent
+        right-hand side off the lattice, and ``other`` is an unrelated one."""
+        rows = [[scale * v for v in a.row(i)] for i in range(a.rows)]
+        if zero_row and rows:
+            rows[0] = [0] * a.cols
+        a = IntMatrix.from_rows(rows, cols=a.cols)
+        x = IntMatrix(x.rows, a.rows, tuple(
+            (x.entries[i] if i < len(x.entries) else 0) for i in range(x.rows * a.rows)))
+        b = x * a
+        if b.entries and shift:
+            b = IntMatrix(b.rows, b.cols, (b.entries[0] + shift,) + b.entries[1:])
+        other = IntMatrix(other.rows, a.cols, tuple(
+            (other.entries[i] if i < len(other.entries) else 0)
+            for i in range(other.rows * a.cols)))
+        for rhs in (b, other, vstack(b, other)):
+            assert in_lattice(sparse_rows(a), sparse_rows(rhs)) == (solve_left(a, rhs) is not None)
+
+    def test_shapes_without_rows_or_columns(self):
+        assert in_lattice([], [])
+        assert in_lattice([], [{}])
+        assert not in_lattice([], [{0: 1}])
+        assert in_lattice([{}, {}], [{}])
+
+    def test_entries_near_10_pow_40(self):
+        n = 10**40
+        a = mat([[n + 1, 3, 0], [7, n - 9, 0], [0, 2 * n, 4]])
+        rows = sparse_rows(a)
+        member = (mat([[n, -1, 5], [2, 0, -n]]) * a)
+        assert in_lattice(rows, sparse_rows(member))
+        off = IntMatrix(2, 3, member.entries[:5] + (member.entries[5] + 2,))
+        assert solve_left(a, off) is None
+        assert not in_lattice(rows, sparse_rows(off))
+
+    def test_inputs_are_not_modified(self):
+        rows = [{0: 2, 1: 1}, {0: 3, 2: 1}]
+        targets = [{0: 1, 1: 2, 2: 1}]
+        in_lattice(rows, targets)
+        assert rows == [{0: 2, 1: 1}, {0: 3, 2: 1}]
+        assert targets == [{0: 1, 1: 2, 2: 1}]
 
 
 class TestKernelLattice:
