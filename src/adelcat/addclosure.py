@@ -426,6 +426,19 @@ def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list
     return rows
 
 
+def homotopy_rows(beta: MatMorphism, gamma: MatMorphism, out: HomBasis
+                  ) -> tuple[HomBasis, HomBasis, list[dict[int, int]]]:
+    """The spaces of ``sigma1: a -> d`` and ``sigma2: c -> b`` and the sparse
+    rows spanning the null-homotopies ``sigma1 * beta + gamma * sigma2`` in
+    ``out`` = Hom(a, b), followed by the relation rows of ``out``."""
+    h1 = HomBasis(out.source, beta.source)
+    h2 = HomBasis(gamma.target, out.target)
+    rows = right_compose_rows(h1, beta, out)
+    rows += left_compose_rows(gamma, h2, out)
+    rows += out.rel_rows()
+    return h1, h2, rows
+
+
 # Systems of more cells (rows times columns) than this get the sparse
 # membership test before the dense solve.  On solvable systems the test costs
 # about half a dense solve below 512 cells and under 0.3 of one from 1,024
@@ -449,11 +462,7 @@ def decide_homotopy(
     if gamma.source != alpha.source:
         raise EndpointError("gamma must share its source with alpha")
     out = HomBasis(alpha.source, alpha.target)
-    h1 = HomBasis(alpha.source, beta.source)
-    h2 = HomBasis(gamma.target, alpha.target)
-    rows = right_compose_rows(h1, beta, out)
-    rows += left_compose_rows(gamma, h2, out)
-    rows += out.rel_rows()
+    h1, h2, rows = homotopy_rows(beta, gamma, out)
     rhs = out.flatten(alpha)
     if (len(rows) * out.dim > SPARSE_PRECHECK_CELLS
             and not in_lattice(rows, [{j: v for j, v in enumerate(rhs) if v}])):

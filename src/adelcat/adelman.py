@@ -97,7 +97,11 @@ class WitnessPair:
     sigma2: MatMorphism
 
     def verifies(self, source: AdelObject, target: AdelObject, datum: MatMorphism) -> bool:
-        lhs = compose_mat(self.sigma1, target.rel) + compose_mat(source.corel, self.sigma2)
+        """False also for a pair that does not run between these objects."""
+        try:
+            lhs = compose_mat(self.sigma1, target.rel) + compose_mat(source.corel, self.sigma2)
+        except EndpointError:
+            return False
         return lhs == datum
 
 

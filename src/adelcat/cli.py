@@ -45,11 +45,9 @@ from .adelman import (
     cokernel,
     connecting_homomorphism,
     emb_object,
+    exactness_certificates,
     homology,
     is_equal,
-    is_iso,
-    is_mono,
-    is_epi,
     kernel,
     make_morphism,
 )
@@ -69,6 +67,7 @@ from .quivercat import (
     RelationError,
     compose_lin,
     format_lin,
+    format_signed_sum,
 )
 
 
@@ -322,24 +321,9 @@ def print_spec(spec: CategorySpec) -> str:
 
 
 def _print_terms(terms: tuple[Term, ...]) -> str:
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for coef, factors in terms:
-        word = "*".join(f"id({f[1]})" if isinstance(f, tuple) else f for f in factors)
-        if coef == 1:
-            piece = word
-        elif coef == -1:
-            piece = f"-{word}"
-        else:
-            piece = f"{coef}*{word}"
-        if parts and not piece.startswith("-"):
-            parts.append("+ " + piece)
-        elif parts:
-            parts.append("- " + piece[1:])
-        else:
-            parts.append(piece)
-    return " ".join(parts)
+    return format_signed_sum(
+        (coef, "*".join(f"id({f[1]})" if isinstance(f, tuple) else f for f in factors))
+        for coef, factors in terms)
 
 
 class Session:
@@ -474,7 +458,11 @@ class Session:
 
 def parse_representation(session: Session, text: str) -> Representation:
     """Text format: ``rank v = n`` and ``matrix arrow = [[..],[..]]`` lines;
-    blank lines and ``#`` comments are ignored."""
+    blank lines and ``#`` comments are ignored.  A vertex or arrow outside
+    the quiver and a second line for the same one are parse errors."""
+    quiver = session.cat.quiver
+    known = {"rank": ("vertex", set(quiver.vertices)),
+             "matrix": ("arrow", {a.label for a in quiver.arrows})}
     ranks: dict[str, int] = {}
     raw_matrices: dict[str, list[list[int]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -486,23 +474,28 @@ def parse_representation(session: Session, text: str) -> Representation:
             raise ParseError("expected 'rank v = n' or 'matrix a = [[..]]'", lineno, 1)
         head = parts[0].split()
         value = parts[1].strip()
-        if len(head) == 2 and head[0] == "rank":
+        if len(head) != 2 or head[0] not in ("rank", "matrix"):
+            raise ParseError(f"unrecognized line {line!r}", lineno, 1)
+        kind, name = head
+        noun, names = known[kind]
+        if name not in names:
+            raise ParseError(f"unknown {noun} {name!r}", lineno, 1)
+        if name in (ranks if kind == "rank" else raw_matrices):
+            raise ParseError(f"repeated {kind} line for {name!r}", lineno, 1)
+        if kind == "rank":
             try:
-                ranks[head[1]] = int(value)
+                ranks[name] = int(value)
             except ValueError:
                 raise ParseError(f"bad rank value {value!r}", lineno, 1) from None
-        elif len(head) == 2 and head[0] == "matrix":
+        else:
             try:
                 rows = pyast.literal_eval(value)
-                raw_matrices[head[1]] = [[int(x) for x in row] for row in rows]
+                raw_matrices[name] = [[int(x) for x in row] for row in rows]
             except (ValueError, SyntaxError, TypeError):
-                raise ParseError(f"bad matrix literal for {head[1]!r}", lineno, 1) from None
-        else:
-            raise ParseError(f"unrecognized line {line!r}", lineno, 1)
+                raise ParseError(f"bad matrix literal for {name!r}", lineno, 1) from None
     matrices: dict[str, IntMatrix] = {}
     for label, entries in raw_matrices.items():
-        idx = session.cat.quiver.arrow_index(label)
-        arrow = session.cat.quiver.arrows[idx]
+        arrow = quiver.arrows[quiver.arrow_index(label)]
         cols = ranks.get(arrow.target, 0)
         matrices[label] = IntMatrix.from_rows(entries, cols=cols if not entries else None)
     return Representation(session.cat, ranks, matrices)
@@ -599,70 +592,62 @@ def _cmd_check_equal(args) -> CommandResult:
                f"in the free abelian category"])
 
 
-def _cmd_kernel(args, which: str) -> CommandResult:
+def _morphism_command(args) -> tuple[AdelMorphism, dict]:
+    """The morphism of a command on ``morphism --source X --target Y``, and
+    the command's report inputs."""
     session = _need_session(args)
     src = session.parse_object_text(args.source)
     tgt = session.parse_object_text(args.target)
     f = _morphism_between(session, args.morphism, src, tgt)
-    result = kernel(f) if which == "kernel" else cokernel(f)
-    obj = result.obj
-    return CommandResult(
-        which,
-        {"morphism": args.morphism, "source": args.source, "target": args.target,
-         "category": session.spec.name},
-        True,
-        [],
-        extra={"object": provers._ser_obj(obj)},
-        lines=[f"{which} object: {_format_object(obj)}"])
+    return f, {"morphism": args.morphism, "source": args.source, "target": args.target,
+               "category": session.spec.name}
+
+
+def _cmd_kernel(args, which: str) -> CommandResult:
+    f, inputs = _morphism_command(args)
+    obj = (kernel(f) if which == "kernel" else cokernel(f)).obj
+    return CommandResult(which, inputs, True, [], extra={"object": provers._ser_obj(obj)},
+                         lines=[f"{which} object: {_format_object(obj)}"])
+
+
+def _composable_pair_command(args) -> tuple[AdelMorphism, AdelMorphism, dict]:
+    """The morphisms of a command on ``first second --objects X Y Z``, and
+    the command's report inputs."""
+    session = _need_session(args)
+    o1, o2, o3 = (session.parse_object_text(t) for t in args.objects)
+    f = _morphism_between(session, args.first, o1, o2)
+    g = _morphism_between(session, args.second, o2, o3)
+    return f, g, {"first": args.first, "second": args.second,
+                  "objects": list(args.objects), "category": session.spec.name}
 
 
 def _cmd_homology(args) -> CommandResult:
-    session = _need_session(args)
-    o1, o2, o3 = (session.parse_object_text(t) for t in args.objects)
-    f = _morphism_between(session, args.first, o1, o2)
-    g = _morphism_between(session, args.second, o2, o3)
+    f, g, inputs = _composable_pair_command(args)
     h = homology(f, g)
-    return CommandResult(
-        "homology",
-        {"first": args.first, "second": args.second,
-         "objects": list(args.objects), "category": session.spec.name},
-        True,
-        [],
-        extra={"object": provers._ser_obj(h.obj)},
-        lines=[f"homology object: {_format_object(h.obj)}"])
+    return CommandResult("homology", inputs, True, [], extra={"object": provers._ser_obj(h.obj)},
+                         lines=[f"homology object: {_format_object(h.obj)}"])
 
 
 def _cmd_is_exact(args) -> CommandResult:
-    session = _need_session(args)
-    o1, o2, o3 = (session.parse_object_text(t) for t in args.objects)
-    f = _morphism_between(session, args.first, o1, o2)
-    g = _morphism_between(session, args.second, o2, o3)
-    from .adelman import exactness_certificates
+    f, g, inputs = _composable_pair_command(args)
     composite_wp, via, via_wp = exactness_certificates(f, g)
     certs = []
     if via_wp is not None:
         certs.append(provers._cert_exact(f, g, composite_wp, via, via_wp))
     return CommandResult(
-        "is-exact",
-        {"first": args.first, "second": args.second,
-         "objects": list(args.objects), "category": session.spec.name},
-        via_wp is not None, certs,
+        "is-exact", inputs, via_wp is not None, certs,
         lines=[f"sequence is {'exact' if via_wp is not None else 'NOT exact'} "
                "at the middle object"])
 
 
-def _cmd_predicate(args, which: str) -> CommandResult:
-    session = _need_session(args)
-    src = session.parse_object_text(args.source)
-    tgt = session.parse_object_text(args.target)
-    f = _morphism_between(session, args.morphism, src, tgt)
-    verdict = {"is-mono": is_mono, "is-epi": is_epi, "is-iso": is_iso}[which](f)
-    return CommandResult(
-        which,
-        {"morphism": args.morphism, "source": args.source, "target": args.target,
-         "category": session.spec.name},
-        verdict, [],
-        lines=[f"{which[3:]}: {verdict}"])
+def _cmd_predicate(args, kind: str) -> CommandResult:
+    """``is-mono``, ``is-epi`` and ``is-iso``: a positive verdict carries its
+    zero-test certificate."""
+    f, inputs = _morphism_command(args)
+    cert = provers.zero_test_certificate(kind, f)
+    verdict = cert is not None
+    return CommandResult(f"is-{kind}", inputs, verdict, [cert] if verdict else [],
+                         lines=[f"{kind}: {verdict}"])
 
 
 def _cmd_hom_group(args) -> CommandResult:
@@ -803,18 +788,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--source", required=True)
         p.add_argument("--target", required=True)
 
-    p = sub.add_parser("homology", parents=[common])
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--objects", nargs=3, required=True)
-
-    p = sub.add_parser("is-exact", parents=[common])
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--objects", nargs=3, required=True)
-
-    for which in ("is-mono", "is-epi", "is-iso"):
+    for which in ("homology", "is-exact"):
         p = sub.add_parser(which, parents=[common])
+        p.add_argument("first")
+        p.add_argument("second")
+        p.add_argument("--objects", nargs=3, required=True)
+
+    for kind in provers.ZERO_TESTS:
+        p = sub.add_parser(f"is-{kind}", parents=[common])
         p.add_argument("morphism")
         p.add_argument("--source", required=True)
         p.add_argument("--target", required=True)
@@ -849,9 +830,7 @@ _DISPATCH = {
     "cokernel": lambda a: _cmd_kernel(a, "cokernel"),
     "homology": _cmd_homology,
     "is-exact": _cmd_is_exact,
-    "is-mono": lambda a: _cmd_predicate(a, "is-mono"),
-    "is-epi": lambda a: _cmd_predicate(a, "is-epi"),
-    "is-iso": lambda a: _cmd_predicate(a, "is-iso"),
+    **{f"is-{kind}": functools.partial(_cmd_predicate, kind=kind) for kind in provers.ZERO_TESTS},
     "hom-group": _cmd_hom_group,
     "connecting": _cmd_connecting,
     "prove": _cmd_prove,

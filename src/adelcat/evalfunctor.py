@@ -10,7 +10,9 @@ matrices on those generators.
 Everything on the group side (kernels, cokernels, homology, the classical
 connecting-map chase) is computed directly from presentations, independently
 of the categorical constructions, so this module doubles as the oracle the
-test suite compares those constructions against.
+test suite compares those constructions against.  Oracle items are kernel,
+cokernel, homology and exactness claims; a mono or epi claim is a kernel or
+cokernel item whose object is the zero object.
 """
 
 from __future__ import annotations
@@ -162,12 +164,15 @@ def _preimage_relations(basis: IntMatrix, lattice_rows: IntMatrix) -> IntMatrix:
 def eval_object(rep: Representation, x: AdelObject) -> GroupWithMap:
     """Homology of the evaluated composable pair: kernel of the evaluated
     corelation modulo the image of the evaluated relation morphism."""
+    rank = rep.rank_of(x.middle)
+    if not rank:  # the zero group, as the general path finds it
+        empty = IntMatrix.zeros(0, 0)
+        return GroupWithMap(FpAbGroup(0, empty), empty, 0)
     f_rel = eval_mat(rep, x.rel)
     f_corel = eval_mat(rep, x.corel)
     kernel_basis = left_kernel(f_corel)
     relations = _preimage_relations(kernel_basis, f_rel)
-    return GroupWithMap(FpAbGroup(kernel_basis.rows, relations), kernel_basis,
-                        rep.rank_of(x.middle))
+    return GroupWithMap(FpAbGroup(kernel_basis.rows, relations), kernel_basis, rank)
 
 
 def eval_morphism(rep: Representation, f: AdelMorphism,
@@ -270,39 +275,33 @@ class OracleCheck:
     detail: str = ""
 
 
-def _same_invariants(a: SmithInvariants, b: SmithInvariants) -> bool:
-    return a.reduced() == b.reduced()
+def _transports(name: str, symbol: str, rep: Representation, obj: AdelObject,
+                group: FpAbGroup) -> OracleCheck:
+    """Compare the evaluated object with the group-side construction."""
+    got = eval_object(rep, obj).invariants()
+    want = group.invariants()
+    return OracleCheck(
+        f"{name} transports", got.reduced() == want.reduced(),
+        f"eval({symbol}) = {got.describe()}, {symbol}(eval) = {want.describe()}")
 
 
 def transport_kernel(rep: Representation, f: AdelMorphism,
                      kernel_obj: AdelObject) -> OracleCheck:
-    got = eval_object(rep, kernel_obj).invariants()
-    want_group, _ = group_kernel(eval_morphism(rep, f))
-    want = want_group.invariants()
-    return OracleCheck(
-        "kernel transports", _same_invariants(got, want),
-        f"eval(ker) = {got.describe()}, ker(eval) = {want.describe()}")
+    return _transports("kernel", "ker", rep, kernel_obj,
+                       group_kernel(eval_morphism(rep, f))[0])
 
 
 def transport_cokernel(rep: Representation, f: AdelMorphism,
                        cokernel_obj: AdelObject) -> OracleCheck:
-    got = eval_object(rep, cokernel_obj).invariants()
-    want = group_cokernel(eval_morphism(rep, f)).invariants()
-    return OracleCheck(
-        "cokernel transports", _same_invariants(got, want),
-        f"eval(coker) = {got.describe()}, coker(eval) = {want.describe()}")
+    return _transports("cokernel", "coker", rep, cokernel_obj,
+                       group_cokernel(eval_morphism(rep, f)))
 
 
 def transport_homology(rep: Representation, f: AdelMorphism, g: AdelMorphism,
                        homology_obj: AdelObject) -> OracleCheck:
-    got = eval_object(rep, homology_obj).invariants()
     mid = eval_object(rep, f.target)
-    m1 = eval_morphism(rep, f, tgt=mid)
-    m2 = eval_morphism(rep, g, src=mid)
-    want = group_homology(m1, m2).invariants()
-    return OracleCheck(
-        "homology transports", _same_invariants(got, want),
-        f"eval(H) = {got.describe()}, H(eval) = {want.describe()}")
+    return _transports("homology", "H", rep, homology_obj, group_homology(
+        eval_morphism(rep, f, tgt=mid), eval_morphism(rep, g, src=mid)))
 
 
 def transport_exactness(rep: Representation, f: AdelMorphism, g: AdelMorphism,
@@ -318,40 +317,21 @@ def transport_exactness(rep: Representation, f: AdelMorphism, g: AdelMorphism,
         f"evaluated homology = {h.describe()}")
 
 
-def transport_mono(rep: Representation, f: AdelMorphism, adel_mono: bool) -> OracleCheck:
-    if not adel_mono:
-        return OracleCheck("mono transports", True, "no claim (not mono upstairs)")
-    ker_group, _ = group_kernel(eval_morphism(rep, f))
-    inv = ker_group.invariants()
-    return OracleCheck("mono transports", inv.is_trivial(),
-                       f"evaluated kernel = {inv.describe()}")
-
-
-def transport_epi(rep: Representation, f: AdelMorphism, adel_epi: bool) -> OracleCheck:
-    if not adel_epi:
-        return OracleCheck("epi transports", True, "no claim (not epi upstairs)")
-    inv = group_cokernel(eval_morphism(rep, f)).invariants()
-    return OracleCheck("epi transports", inv.is_trivial(),
-                       f"evaluated cokernel = {inv.describe()}")
+_TRANSPORTS = {
+    "kernel": transport_kernel,
+    "cokernel": transport_cokernel,
+    "homology": transport_homology,
+    "exact": transport_exactness,
+}
 
 
 def oracle_compare(rep: Representation, item: tuple) -> OracleCheck:
-    """Dispatch one transport check; ``item`` is a tagged tuple such as
+    """One transport check; ``item`` is a tagged tuple such as
     ('kernel', f, kernel_obj) or ('exact', f, g, verdict)."""
-    kind = item[0]
-    if kind == "kernel":
-        return transport_kernel(rep, item[1], item[2])
-    if kind == "cokernel":
-        return transport_cokernel(rep, item[1], item[2])
-    if kind == "homology":
-        return transport_homology(rep, item[1], item[2], item[3])
-    if kind == "exact":
-        return transport_exactness(rep, item[1], item[2], item[3])
-    if kind == "mono":
-        return transport_mono(rep, item[1], item[2])
-    if kind == "epi":
-        return transport_epi(rep, item[1], item[2])
-    raise ValueError(f"unknown oracle item kind {kind!r}")
+    transport = _TRANSPORTS.get(item[0])
+    if transport is None:
+        raise ValueError(f"unknown oracle item kind {item[0]!r}")
+    return transport(rep, *item[1:])
 
 
 def oracle_suite(rep: Representation, items: Sequence[tuple]) -> list[OracleCheck]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .addclosure import HomBasis, MatMorphism, left_compose_rows, right_compose_rows
+from .addclosure import HomBasis, MatMorphism, homotopy_rows, left_compose_rows, right_compose_rows
 from .adelman import AdelMorphism, AdelObject
 from .intlinalg import (
     FpAbGroup,
@@ -120,11 +120,7 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     basis = IntMatrix.from_rows([r[:n] for r in rows], cols=n)
     witnesses = IntMatrix.from_rows([r[n:] for r in rows], cols=h_omega.dim + h_psi.dim)
 
-    h_s1 = HomBasis(x.middle, y.rel_source)
-    h_s2 = HomBasis(x.corel_target, y.middle)
-    null_rows = right_compose_rows(h_s1, y.rel, hom)
-    null_rows += left_compose_rows(x.corel, h_s2, hom)
-    null_rows += hom.rel_rows()
+    _, _, null_rows = homotopy_rows(y.rel, x.corel, hom)
     denominator = IntMatrix.from_sparse(null_rows, n)
 
     stacked = vstack(basis, denominator)

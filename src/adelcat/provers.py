@@ -6,6 +6,11 @@ and emits a structured report.  Failures never raise; they become report
 entries.  Every passing check embeds a certificate (witness pairs, explicit
 objects, invariant data) that ``replay_report`` re-verifies by plain matrix
 arithmetic without redoing any search.
+
+Mono, epi and iso are zero tests: a morphism is one when its kernel, its
+cokernel or both are zero objects.  ``ZERO_TESTS`` maps each claim to its
+constructions and the keys of their zero witnesses; the checks, the
+certificates, their replay and the CLI predicates all read that table.
 """
 
 from __future__ import annotations
@@ -248,21 +253,32 @@ def _cert_structural(left: AdelObject, right: AdelObject) -> dict:
     return {"kind": "structural", "left": _ser_obj(left), "right": _ser_obj(right)}
 
 
-def _cert_mono(f: AdelMorphism, wp: WitnessPair) -> dict:
-    return {"kind": "mono", "morphism": _ser_mor(f), "kernel_zero_wp": _ser_wp(wp)}
+# Claim -> (certificate key, adelman construction) per object declared zero.
+ZERO_TESTS = {
+    "mono": (("kernel_zero_wp", "kernel"),),
+    "epi": (("cokernel_zero_wp", "cokernel"),),
+    "iso": (("kernel_zero_wp", "kernel"), ("cokernel_zero_wp", "cokernel")),
+}
 
 
-def _cert_epi(f: AdelMorphism, wp: WitnessPair) -> dict:
-    return {"kind": "epi", "morphism": _ser_mor(f), "cokernel_zero_wp": _ser_wp(wp)}
+def _zero_test_objects(kind: str, f: AdelMorphism):
+    """Yield (certificate key, object) for each object the claim ``kind``
+    declares zero.  The constructions are looked up in ``adelman`` on use, so
+    that wrappers installed there (such as the benchmark's tracer) see them."""
+    for key, construction in ZERO_TESTS[kind]:
+        yield key, getattr(ad, construction)(f).obj
 
 
-def _cert_iso(f: AdelMorphism, kwp: WitnessPair, cwp: WitnessPair) -> dict:
-    return {
-        "kind": "iso",
-        "morphism": _ser_mor(f),
-        "kernel_zero_wp": _ser_wp(kwp),
-        "cokernel_zero_wp": _ser_wp(cwp),
-    }
+def zero_test_certificate(kind: str, f: AdelMorphism) -> Optional[dict]:
+    """The certificate that ``f`` is a ``kind`` (a key of ``ZERO_TESTS``),
+    or None when one of the objects it declares zero is not zero."""
+    witnesses = {}
+    for key, obj in _zero_test_objects(kind, f):
+        wp = zero_object_witness(obj)
+        if wp is None:
+            return None
+        witnesses[key] = _ser_wp(wp)
+    return {"kind": kind, "morphism": _ser_mor(f), **witnesses}
 
 
 def _cert_exact(f: AdelMorphism, g: AdelMorphism, composite_wp: WitnessPair,
@@ -296,24 +312,9 @@ def verify_certificate(cat: QuiverCategory, cert: dict) -> bool:
         return _de_wp(cat, cert["wp"]).verifies(src, tgt, datum)
     if kind == "structural":
         return _de_obj(cat, cert["left"]) == _de_obj(cat, cert["right"])
-    if kind == "mono":
-        f = _de_mor(cat, cert["morphism"])
-        kr = kernel(f)
-        wp = _de_wp(cat, cert["kernel_zero_wp"])
-        return wp.verifies(kr.obj, kr.obj, identity_mat(kr.obj.middle))
-    if kind == "epi":
-        f = _de_mor(cat, cert["morphism"])
-        ck = cokernel(f)
-        wp = _de_wp(cat, cert["cokernel_zero_wp"])
-        return wp.verifies(ck.obj, ck.obj, identity_mat(ck.obj.middle))
-    if kind == "iso":
-        f = _de_mor(cat, cert["morphism"])
-        kr = kernel(f)
-        ck = cokernel(f)
-        return (
-            _de_wp(cat, cert["kernel_zero_wp"]).verifies(kr.obj, kr.obj, identity_mat(kr.obj.middle))
-            and _de_wp(cat, cert["cokernel_zero_wp"]).verifies(ck.obj, ck.obj, identity_mat(ck.obj.middle))
-        )
+    if kind in ZERO_TESTS:
+        return all(_de_wp(cat, cert[key]).verifies(obj, obj, identity_mat(obj.middle))
+                   for key, obj in _zero_test_objects(kind, _de_mor(cat, cert["morphism"])))
     if kind == "exact":
         f = _de_mor(cat, cert["first"])
         g = _de_mor(cat, cert["second"])
@@ -394,45 +395,18 @@ def _check_exact(checks: _Checks, description: str, f: AdelMorphism,
     return found[0] if found else None
 
 
-def _check_mono(checks: _Checks, description: str, f: AdelMorphism,
-                expect: bool = True):
+def _check_zero_test(checks: _Checks, description: str, kind: str,
+                     build: Callable[[], Optional[AdelMorphism]], summary: str):
+    """The morphism built by ``build`` (inside the check, so that its
+    failures are report entries; None when it does not exist) is a ``kind``."""
     def thunk():
-        wp = zero_object_witness(kernel(f).obj)
-        verdict = wp is not None
-        if verdict != expect:
-            return False, f"mono = {verdict}, expected {expect}", None
-        if verdict:
-            return True, "kernel is zero", _cert_mono(f, wp)
-        return True, "not mono (as expected)", None
-    checks.run(description, thunk)
-
-
-def _check_epi(checks: _Checks, description: str, f: AdelMorphism,
-               expect: bool = True):
-    def thunk():
-        wp = zero_object_witness(cokernel(f).obj)
-        verdict = wp is not None
-        if verdict != expect:
-            return False, f"epi = {verdict}, expected {expect}", None
-        if verdict:
-            return True, "cokernel is zero", _cert_epi(f, wp)
-        return True, "not epi (as expected)", None
-    checks.run(description, thunk)
-
-
-def _check_iso(checks: _Checks, description: str,
-               comparison: Callable[[], Optional[AdelMorphism]], summary: str):
-    """The morphism built by ``comparison`` (inside the check, so that its
-    failures are report entries; None when it does not exist) is an iso."""
-    def thunk():
-        f = comparison()
+        f = build()
         if f is None:
-            return False, "comparison does not exist", None
-        kwp = zero_object_witness(kernel(f).obj)
-        cwp = zero_object_witness(cokernel(f).obj)
-        if kwp is None or cwp is None:
-            return False, "comparison is not an isomorphism", None
-        return True, summary, _cert_iso(f, kwp, cwp)
+            return False, "morphism does not exist", None
+        cert = zero_test_certificate(kind, f)
+        if cert is None:
+            return False, f"not {kind}", None
+        return True, summary, cert
     checks.run(description, thunk)
 
 
@@ -924,9 +898,10 @@ def prove_refined_five() -> ProofReport:
                       AdelObject(zero_mat(TupleObject(cat, ()), TupleObject(cat, ("h",))),
                                  single(cat.arrow_lin("mu"))))
 
-    _check_epi(checks, "delta (cokernel projection of lambda) is an epi",
-               data.cok_lambda.proj)
-    _check_mono(checks, "eta (kernel embedding of mu) is a mono", data.ker_mu.emb)
+    _check_zero_test(checks, "delta (cokernel projection of lambda) is an epi", "epi",
+                     lambda: data.cok_lambda.proj, "cokernel is zero")
+    _check_zero_test(checks, "eta (kernel embedding of mu) is a mono", "mono",
+                     lambda: data.ker_mu.emb, "kernel is zero")
 
     _check_commutes(checks, "left square commutes",
                     compose(data.top1, data.eps),
@@ -952,9 +927,9 @@ def prove_refined_five() -> ProofReport:
         return homology_comparison(h, w, identity_mat(h.cok.obj.middle))
 
     # step 1
-    _check_iso(checks, "step 1: homology of the top right pair has the composable-pair form",
-               lambda: comparison(data.top2, data.top3, data.w1),
-               "H(beta, zeta*kappa) = (b -> c -> h)")
+    _check_zero_test(checks, "step 1: homology of the top right pair has the composable-pair form",
+                     "iso", lambda: comparison(data.top2, data.top3, data.w1),
+                     "H(beta, zeta*kappa) = (b -> c -> h)")
 
     # step 2
     _check_structural(checks,
@@ -966,10 +941,12 @@ def prove_refined_five() -> ProofReport:
                       "step 3: cokernel of the middle homology map equals the explicit object",
                       data.cok_m3.obj, data.w3)
 
-    _check_iso(checks, "step 3: top homology identification",
-               lambda: comparison(data.top1, data.top2, data.wa), "H at emb(b) = (a -> b -> c)")
-    _check_iso(checks, "step 3: bottom homology identification",
-               lambda: comparison(data.bot1, data.bot2, data.wb), "H at emb(f) = (a -> f -> g)")
+    _check_zero_test(checks, "step 3: top homology identification", "iso",
+                     lambda: comparison(data.top1, data.top2, data.wa),
+                     "H at emb(b) = (a -> b -> c)")
+    _check_zero_test(checks, "step 3: bottom homology identification", "iso",
+                     lambda: comparison(data.bot1, data.bot2, data.wb),
+                     "H at emb(f) = (a -> f -> g)")
 
     def step3_square():
         h_top = homology(data.top1, data.top2)
@@ -989,7 +966,8 @@ def prove_refined_five() -> ProofReport:
     checks.run("step 3: induced homology map is the explicit comparison morphism", step3_square)
 
     # step 4
-    _check_mono(checks, "step 4: the explicit chain map is a monomorphism", data.m4)
+    _check_zero_test(checks, "step 4: the explicit chain map is a monomorphism", "mono",
+                     lambda: data.m4, "kernel is zero")
 
     def step4_witness():
         k4 = kernel(data.m4)
@@ -1062,7 +1040,8 @@ def explore_d4() -> ProofReport:
 
 def snake_oracle_items(fig: SnakeFigure) -> list[tuple]:
     """Transport checks for the snake diagram: kernels, cokernels,
-    homologies, exactness verdicts, and mono/epi claims."""
+    homologies, exactness verdicts, and mono/epi claims as zero kernels and
+    cokernels."""
     items: list[tuple] = []
     named = [fig.alpha, fig.beta, fig.gamma, fig.delta, fig.eps, fig.connecting]
     for f in named:
@@ -1080,9 +1059,10 @@ def snake_oracle_items(fig: SnakeFigure) -> list[tuple]:
     items.append(("exact", fig.alpha, fig.coka.proj, is_exact(fig.alpha, fig.coka.proj)))
     items.append(("exact", fig.ker_gamma.emb, fig.gamma,
                   is_exact(fig.ker_gamma.emb, fig.gamma)))
-    items.append(("mono", fig.ker_eps.emb, is_mono(fig.ker_eps.emb)))
-    items.append(("epi", fig.coka.proj, True))
-    items.append(("epi", fig.cok_delta.proj, True))
+    zero = zero_adel_object(fig.cat)  # mono and epi: a zero kernel or cokernel
+    items.append(("kernel", fig.ker_eps.emb, zero))
+    items.append(("cokernel", fig.coka.proj, zero))
+    items.append(("cokernel", fig.cok_delta.proj, zero))
     return items
 
 
@@ -1099,7 +1079,8 @@ def five_oracle_items(data: FiveData) -> list[tuple]:
     items.append(("homology", data.top1, data.top2, data.wa))
     items.append(("homology", data.bot1, data.bot2, data.wb))
     items.append(("cokernel", data.m3, data.w3))
-    items.append(("mono", data.m4, True))
-    items.append(("mono", data.ker_mu.emb, True))
-    items.append(("epi", data.cok_lambda.proj, True))
+    zero = zero_adel_object(data.cat)  # mono and epi: a zero kernel or cokernel
+    items.append(("kernel", data.m4, zero))
+    items.append(("kernel", data.ker_mu.emb, zero))
+    items.append(("cokernel", data.cok_lambda.proj, zero))
     return items

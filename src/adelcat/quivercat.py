@@ -520,22 +520,19 @@ def format_lin(f: LinMorphism) -> str:
     """Human-readable form: ``2*alpha*beta - gamma``, ``id(a)``, ``0``."""
     labels = [a.label for a in f.cat.quiver.arrows]
     paths = f.cat.paths(f.source, f.target)
+    return format_signed_sum(
+        (c, "*".join(labels[k] for k in p.arrows) if p.arrows else f"id({p.source})")
+        for c, p in zip(f.coeffs, paths) if c)
+
+
+def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (coefficient, word) terms as ``2*x - y + z``: a leading ``-``,
+    then ``+ term`` or ``- term``; ``0`` when there are no terms."""
     parts: list[str] = []
-    for i, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        p = paths[i]
-        word = "*".join(labels[k] for k in p.arrows) if p.arrows else f"id({p.source})"
-        if c == 1:
-            term = word
-        elif c == -1:
-            term = f"-{word}"
+    for c, word in terms:
+        piece = word if abs(c) == 1 else f"{abs(c)}*{word}"
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + piece)
         else:
-            term = f"{c}*{word}"
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
+            parts.append(("-" if c < 0 else "") + piece)
     return " ".join(parts) if parts else "0"

@@ -12,6 +12,7 @@ from adelcat.cli import (
     print_spec,
     run_command,
 )
+from adelcat.provers import verify_certificate
 
 SNAKE_SRC = """
 category snake {
@@ -149,6 +150,32 @@ class TestRepresentationFiles:
         with pytest.raises(ParseError):
             parse_representation(session, "ranks a = 1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("rank a = 1\n# comment\nrank zz = 5\n", r"^3:1: unknown vertex 'zz'$"),
+        ("rank a = 1\nmatrix zeta = [[1]]\n", r"^2:1: unknown arrow 'zeta'$"),
+    ], ids=["vertex", "arrow"])
+    def test_unknown_name_rejected_at_its_line(self, session, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_representation(session, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("rank a = 1\nrank b = 1\nrank a = 2\n", r"^3:1: repeated rank line for 'a'$"),
+        ("rank a = 1\nrank b = 1\nmatrix alpha = [[1]]\n\nmatrix alpha = [[2]]\n",
+         r"^5:1: repeated matrix line for 'alpha'$"),
+    ], ids=["rank", "matrix"])
+    def test_repeated_line_rejected_at_its_line(self, session, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_representation(session, text)
+
+    @pytest.mark.parametrize("text", ["rank zz = 5\n", "rank a = 1\nrank a = 1\n",
+                                      "matrix alpha = [[1]]\nmatrix alpha = [[1]]\n"],
+                             ids=["unknown-vertex", "repeated-rank", "repeated-matrix"])
+    def test_rejected_representation_exits_two(self, snake_file, tmp_path, capsys, text):
+        rep = tmp_path / "rep.txt"
+        rep.write_text(text)
+        assert run_command(["eval", "--rep", str(rep), "--category", snake_file]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCommands:
     def test_prove_snake_passes(self, capsys):
@@ -248,6 +275,32 @@ class TestCommands:
                             "--category", snake_file]) == 1
         assert run_command(["is-iso", "id(b)", "--source", "b", "--target", "b",
                             "--category", snake_file]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["is-mono", "id(c)", "--source", "(| gamma)", "--target", "c"],
+        ["is-epi", "id(c)", "--source", "c", "--target", "(alpha*beta |)"],
+        ["is-iso", "id(b)", "--source", "b", "--target", "b"],
+    ], ids=["mono", "epi", "iso"])
+    def test_positive_predicate_ships_its_certificate(self, snake_file, session, capsys, argv):
+        code = run_command(argv + ["--category", snake_file, "--json", "--seed", "0"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["verdict"] is True
+        [cert] = payload["certificates"]
+        assert cert["kind"] == argv[0][3:]
+        assert verify_certificate(session.cat, cert)
+
+    @pytest.mark.parametrize("argv", [
+        ["is-mono", "beta", "--source", "b", "--target", "c"],
+        ["is-epi", "beta", "--source", "b", "--target", "c"],
+        ["is-iso", "beta", "--source", "K", "--target", "C"],
+    ], ids=["mono", "epi", "iso"])
+    def test_negative_predicate_carries_no_certificate(self, snake_file, capsys, argv):
+        code = run_command(argv + ["--category", snake_file, "--json", "--seed", "0"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1 and payload["verdict"] is False
+        assert payload["certificates"] == []
+        assert run_command(argv + ["--category", snake_file]) == 1
+        assert capsys.readouterr().out == f"{argv[0][3:]}: False\nverdict: FAIL\n"
 
     def test_connecting(self, snake_file, capsys):
         code = run_command(["connecting", "alpha", "beta", "gamma",

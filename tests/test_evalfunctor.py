@@ -30,6 +30,7 @@ from adelcat.evalfunctor import (
     group_kernel,
     identity_map,
     map_equal,
+    oracle_compare,
     oracle_suite,
     random_representation,
     transport_exactness,
@@ -214,6 +215,21 @@ class TestTransport:
         rep = random_representation(five_data.cat, 5)
         for chk in oracle_suite(rep, five_oracle_items(five_data)):
             assert chk.ok, f"{chk.description}: {chk.detail}"
+
+    def test_mono_claim_is_a_zero_kernel_item(self, snake_fig):
+        zero = zero_adel_object(snake_fig.cat)
+        item = ("kernel", snake_fig.beta, zero)
+        assert oracle_compare(snake_rep(snake_fig.cat, beta=1), item).ok
+        chk = oracle_compare(snake_rep(snake_fig.cat, beta=0), item)
+        assert not chk.ok
+        assert chk.detail == "eval(ker) = 0, ker(eval) = Z"
+        assert not oracle_compare(snake_rep(snake_fig.cat, beta=0),
+                                  ("cokernel", snake_fig.beta, zero)).ok
+
+    def test_unknown_item_kind(self, snake_fig):
+        rep = snake_rep(snake_fig.cat)
+        with pytest.raises(ValueError, match="unknown oracle item kind 'mono'"):
+            oracle_compare(rep, ("mono", snake_fig.beta, True))
 
     def test_exactness_claim_only_when_exact(self, snake_fig):
         rep = random_representation(snake_fig.cat, 9)

@@ -16,6 +16,8 @@ from adelcat.provers import (
     replay_report,
     sweep_report,
     verify_certificate,
+    zero_test_certificate,
+    ZERO_TESTS,
 )
 
 
@@ -169,6 +171,82 @@ class TestReplay:
     def test_verify_certificate_unknown_kind(self, snake_cat):
         with pytest.raises(ValueError):
             verify_certificate(snake_cat, {"kind": "mystery"})
+
+
+@pytest.fixture(scope="module")
+def five_report():
+    return prove_refined_five().to_dict()
+
+
+def _certs_of_kind(report, kind):
+    return [c["certificate"] for c in report["checks"]
+            if c["certificate"] and c["certificate"]["kind"] == kind]
+
+
+class TestZeroTestReplay:
+    """Mono, epi and iso certificates replay through one table."""
+
+    def test_certificate_only_for_zero_objects(self, five_data):
+        assert zero_test_certificate("mono", five_data.zeta) is None
+        cert = zero_test_certificate("epi", five_data.cok_lambda.proj)
+        assert set(cert) == {"kind", "morphism", "cokernel_zero_wp"}
+        assert verify_certificate(five_data.cat, cert)
+
+    @pytest.mark.parametrize("kind, other", [("mono", "epi"), ("epi", "mono")])
+    def test_relabelled_certificate_rejected(self, five_report, five_cat, kind, other):
+        [(key, _)] = ZERO_TESTS[kind]
+        [(other_key, _)] = ZERO_TESTS[other]
+        certs = _certs_of_kind(five_report, kind)
+        assert certs
+        for cert in certs:
+            assert verify_certificate(five_cat, cert)
+            forged = copy.deepcopy(cert)
+            forged["kind"] = other
+            forged[other_key] = forged.pop(key)
+            assert not verify_certificate(five_cat, forged)
+
+    @pytest.mark.parametrize("forge", [
+        lambda c: (c["cokernel_zero_wp"], c["kernel_zero_wp"]),  # swapped
+        lambda c: (c["kernel_zero_wp"], c["kernel_zero_wp"]),    # one pair valid
+    ], ids=["swapped", "kernel-pair-twice"])
+    def test_iso_with_misplaced_witnesses_rejected(self, five_report, five_cat, forge):
+        certs = _certs_of_kind(five_report, "iso")
+        assert len(certs) == 3
+        for cert in certs:
+            assert verify_certificate(five_cat, cert)
+            forged = copy.deepcopy(cert)
+            forged["kernel_zero_wp"], forged["cokernel_zero_wp"] = forge(forged)
+            assert not verify_certificate(five_cat, forged)
+
+    def test_every_emitted_kind_replays(self, five_report, tmp_path, capsys):
+        from adelcat.cli import Session, parse_session, run_command
+        emitted = []
+        for report in (prove_snake().to_dict(), prove_connecting_uniqueness().to_dict(),
+                       sweep_report(range(-1, 2)).to_dict(), explore_d4().to_dict()):
+            cat = category_by_name(report["category"])
+            emitted += [(cat, c["certificate"]) for c in report["checks"] if c["certificate"]]
+        emitted += [(category_by_name("five"), c["certificate"])
+                    for c in five_report["checks"] if c["certificate"]]
+        path = tmp_path / "snake.cat"
+        text = ("category snake { objects a b c d; arrows alpha: a -> b; "
+                "beta: b -> c; gamma: c -> d; relations alpha*beta*gamma = 0; }")
+        path.write_text(text)
+        session_cat = Session(parse_session(text)).cat
+        k, c = "(alpha | beta*gamma)", "(alpha*beta | gamma)"
+        for argv in (["check-equal", "beta", "beta", "--source", k, "--target", c],
+                     ["is-exact", "id(b)", "beta", "--objects", "(| beta)", "b", "c"],
+                     ["is-mono", "id(c)", "--source", "(| gamma)", "--target", "c"],
+                     ["is-epi", "id(c)", "--source", "c", "--target", "(alpha*beta |)"],
+                     ["is-iso", "id(b)", "--source", "b", "--target", "b"],
+                     ["hom-group", k, c]):
+            assert run_command(argv + ["--category", str(path), "--json", "--seed", "0"]) == 0
+            emitted += [(session_cat, cert)
+                        for cert in json.loads(capsys.readouterr().out)["certificates"]]
+        kinds = {cert["kind"] for _, cert in emitted}
+        assert kinds == {"null_homotopy", "structural", "exact", "invariants",
+                         "mono", "epi", "iso"}
+        for cat, cert in emitted:
+            assert verify_certificate(cat, cert), cert["kind"]
 
 
 def test_concurrent_prover_runs_share_values():
