@@ -459,12 +459,13 @@ class Session:
 def parse_representation(session: Session, text: str) -> Representation:
     """Text format: ``rank v = n`` and ``matrix arrow = [[..],[..]]`` lines;
     blank lines and ``#`` comments are ignored.  A vertex or arrow outside
-    the quiver and a second line for the same one are parse errors."""
+    the quiver, a second line for the same one, a negative rank and a matrix
+    whose shape does not match the ranks are parse errors."""
     quiver = session.cat.quiver
     known = {"rank": ("vertex", set(quiver.vertices)),
              "matrix": ("arrow", {a.label for a in quiver.arrows})}
     ranks: dict[str, int] = {}
-    raw_matrices: dict[str, list[list[int]]] = {}
+    raw_matrices: dict[str, tuple[int, list[list[int]]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -487,17 +488,24 @@ def parse_representation(session: Session, text: str) -> Representation:
                 ranks[name] = int(value)
             except ValueError:
                 raise ParseError(f"bad rank value {value!r}", lineno, 1) from None
+            if ranks[name] < 0:
+                raise ParseError(f"negative rank for vertex {name!r}", lineno, 1)
         else:
             try:
                 rows = pyast.literal_eval(value)
-                raw_matrices[name] = [[int(x) for x in row] for row in rows]
+                raw_matrices[name] = (lineno, [[int(x) for x in row] for row in rows])
             except (ValueError, SyntaxError, TypeError):
                 raise ParseError(f"bad matrix literal for {name!r}", lineno, 1) from None
     matrices: dict[str, IntMatrix] = {}
-    for label, entries in raw_matrices.items():
+    for label, (lineno, entries) in raw_matrices.items():
         arrow = quiver.arrows[quiver.arrow_index(label)]
-        cols = ranks.get(arrow.target, 0)
-        matrices[label] = IntMatrix.from_rows(entries, cols=cols if not entries else None)
+        shape = (ranks.get(arrow.source), ranks.get(arrow.target))
+        m = IntMatrix.from_rows(entries, cols=None if entries else shape[1] or 0)
+        # a missing rank has no line; Representation reports it
+        if None not in shape and m.shape != shape:
+            raise ParseError(f"matrix for arrow {label!r} has shape {m.shape}, "
+                             f"expected {shape}", lineno, 1)
+        matrices[label] = m
     return Representation(session.cat, ranks, matrices)
 
 

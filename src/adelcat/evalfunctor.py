@@ -13,6 +13,11 @@ of the categorical constructions, so this module doubles as the oracle the
 test suite compares those constructions against.  Oracle items are kernel,
 cokernel, homology and exactness claims; a mono or epi claim is a kernel or
 cokernel item whose object is the zero object.
+
+``oracle_suite`` evaluates each object, morphism and path once: its items
+share one ``Evaluation``, which memoises by value and is dropped when the
+call returns.  Nothing is cached on the representation or in the module;
+given a representation, the public functions compute fresh values.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .intlinalg import (
     solve_left,
     vstack,
 )
-from .quivercat import QuiverCategory
+from .quivercat import Path, QuiverCategory
 
 
 class RepresentationError(ValueError):
@@ -71,62 +76,6 @@ class Representation:
         return sum(self.ranks[v] for v in obj.summands)
 
 
-def check_representation(rep: Representation) -> bool:
-    """True exactly when every relation evaluates to the zero matrix."""
-    return _first_violated(rep) is None
-
-
-def _first_violated(rep: Representation):
-    """The first relation that does not evaluate to zero, or None."""
-    for rel in rep.cat.relations:
-        total = IntMatrix.zeros(rep.ranks[rel.source], rep.ranks[rel.target])
-        for coef, path in rel.terms:
-            total = total + _path_matrix(rep, path).scale(coef)
-        if not total.is_zero():
-            return rel
-    return None
-
-
-def _path_matrix(rep: Representation, path) -> IntMatrix:
-    arrows = rep.cat.quiver.arrows
-    m = None
-    for idx in path.arrows:
-        factor = rep.matrices[arrows[idx].label]
-        m = factor if m is None else m * factor
-    return IntMatrix.identity(rep.ranks[path.source]) if m is None else m
-
-
-def _eval_coeffs(rep: Representation, a: str, b: str, coeffs) -> IntMatrix:
-    """The matrix of the morphism with coefficients ``coeffs`` in Hom(a, b)."""
-    out = None
-    paths = rep.cat.paths(a, b)
-    for i, c in enumerate(coeffs):
-        if c:
-            term = _path_matrix(rep, paths[i])
-            if c != 1:
-                term = term.scale(c)
-            out = term if out is None else out + term
-    return IntMatrix.zeros(rep.ranks[a], rep.ranks[b]) if out is None else out
-
-
-def eval_mat(rep: Representation, f: MatMorphism) -> IntMatrix:
-    """Evaluate a matrix morphism to one integer matrix on the direct sums."""
-    nrows = rep.rank_of(f.source)
-    ncols = rep.rank_of(f.target)
-    rows = [[0] * ncols for _ in range(nrows)]
-    roff = 0
-    for a, blocks in zip(f.source.summands, f.blocks()):
-        coff = 0
-        for b, coeffs in zip(f.target.summands, blocks):
-            if any(coeffs):
-                block = _eval_coeffs(rep, a, b, coeffs)
-                for bi in range(block.rows):
-                    rows[roff + bi][coff : coff + block.cols] = block.row(bi)
-            coff += rep.ranks[b]
-        roff += rep.ranks[a]
-    return IntMatrix.from_rows(rows, cols=ncols)
-
-
 @dataclass(frozen=True)
 class GroupWithMap:
     """Evaluated object: homology group presented on a lattice basis of the
@@ -161,38 +110,146 @@ def _preimage_relations(basis: IntMatrix, lattice_rows: IntMatrix) -> IntMatrix:
     return lattice_basis(_first_cols(kern, basis.rows))
 
 
-def eval_object(rep: Representation, x: AdelObject) -> GroupWithMap:
+class Evaluation:
+    """The exact functor of one representation, memoised by value.
+
+    The functor is a pure function of the representation and the value, so
+    each object, morphism and path is evaluated at most once per
+    ``Evaluation`` and a memo hit is what a fresh evaluation would compute.
+    A morphism evaluated on explicit ``src``/``tgt`` groups is neither served
+    from nor stored in the memo.  ``oracle_suite`` makes one per call and
+    drops it when it returns; every public evaluation function of this
+    module accepts one in place of a representation.
+    """
+
+    def __init__(self, rep: Representation):
+        self.rep = rep
+        self._objects: dict[AdelObject, GroupWithMap] = {}
+        self._morphisms: dict[AdelMorphism, InducedMap] = {}
+        self._paths: dict[Path, IntMatrix] = {}
+
+    def path(self, path: Path) -> IntMatrix:
+        m = self._paths.get(path)
+        if m is None:
+            rep = self.rep
+            arrows = rep.cat.quiver.arrows
+            for idx in path.arrows:
+                factor = rep.matrices[arrows[idx].label]
+                m = factor if m is None else m * factor
+            if m is None:
+                m = IntMatrix.identity(rep.ranks[path.source])
+            self._paths[path] = m
+        return m
+
+    def _coeffs(self, a: str, b: str, coeffs) -> IntMatrix:
+        """The matrix of the morphism with coefficients ``coeffs`` in Hom(a, b)."""
+        out = None
+        paths = self.rep.cat.paths(a, b)
+        for i, c in enumerate(coeffs):
+            if c:
+                term = self.path(paths[i])
+                if c != 1:
+                    term = term.scale(c)
+                out = term if out is None else out + term
+        return IntMatrix.zeros(self.rep.ranks[a], self.rep.ranks[b]) if out is None else out
+
+    def mat(self, f: MatMorphism) -> IntMatrix:
+        """One integer matrix on the direct sums."""
+        ranks = self.rep.ranks
+        nrows = self.rep.rank_of(f.source)
+        ncols = self.rep.rank_of(f.target)
+        rows = [[0] * ncols for _ in range(nrows)]
+        roff = 0
+        for a, blocks in zip(f.source.summands, f.blocks()):
+            coff = 0
+            for b, coeffs in zip(f.target.summands, blocks):
+                if any(coeffs):
+                    block = self._coeffs(a, b, coeffs)
+                    for bi in range(block.rows):
+                        rows[roff + bi][coff : coff + block.cols] = block.row(bi)
+                coff += ranks[b]
+            roff += ranks[a]
+        return IntMatrix.from_rows(rows, cols=ncols)
+
+    def object(self, x: AdelObject) -> GroupWithMap:
+        g = self._objects.get(x)
+        if g is None:
+            g = self._objects[x] = self._object(x)
+        return g
+
+    def _object(self, x: AdelObject) -> GroupWithMap:
+        """Homology of the evaluated composable pair: kernel of the evaluated
+        corelation modulo the image of the evaluated relation morphism."""
+        rank = self.rep.rank_of(x.middle)
+        if not rank:  # the zero group, as the general path finds it
+            empty = IntMatrix.zeros(0, 0)
+            return GroupWithMap(FpAbGroup(0, empty), empty, 0)
+        kernel_basis = left_kernel(self.mat(x.corel))
+        relations = _preimage_relations(kernel_basis, self.mat(x.rel))
+        return GroupWithMap(FpAbGroup(kernel_basis.rows, relations), kernel_basis, rank)
+
+    def morphism(self, f: AdelMorphism, src: Optional[GroupWithMap] = None,
+                 tgt: Optional[GroupWithMap] = None) -> InducedMap:
+        """Induced map on the evaluated homology groups."""
+        if src is None and tgt is None:
+            m = self._morphisms.get(f)
+            if m is None:
+                m = self._morphisms[f] = self._induced(
+                    f, self.object(f.source), self.object(f.target))
+            return m
+        return self._induced(f, self.object(f.source) if src is None else src,
+                             self.object(f.target) if tgt is None else tgt)
+
+    def _induced(self, f: AdelMorphism, src: GroupWithMap, tgt: GroupWithMap) -> InducedMap:
+        image_rows = src.basis * self.mat(f.datum)
+        coords = solve_left(tgt.basis, image_rows)
+        if coords is None:  # pragma: no cover - guaranteed by the witness squares
+            raise RepresentationError("evaluated datum does not preserve corelation kernels")
+        rel_image = src.group.relations * coords
+        for i in range(rel_image.rows):
+            if not tgt.group.is_zero_element(rel_image.row(i)):  # pragma: no cover
+                raise RepresentationError("evaluated map does not send relations into relations")
+        return InducedMap(src, tgt, coords)
+
+
+def _evaluation(rep: Representation | Evaluation) -> Evaluation:
+    """``rep`` itself when it is an ``Evaluation``, else a fresh one."""
+    return rep if isinstance(rep, Evaluation) else Evaluation(rep)
+
+
+def check_representation(rep: Representation | Evaluation) -> bool:
+    """True exactly when every relation evaluates to the zero matrix."""
+    return _first_violated(rep) is None
+
+
+def _first_violated(rep: Representation | Evaluation):
+    """The first relation that does not evaluate to zero, or None."""
+    ev = _evaluation(rep)
+    for rel in ev.rep.cat.relations:
+        total = IntMatrix.zeros(ev.rep.ranks[rel.source], ev.rep.ranks[rel.target])
+        for coef, path in rel.terms:
+            total = total + ev.path(path).scale(coef)
+        if not total.is_zero():
+            return rel
+    return None
+
+
+def eval_mat(rep: Representation | Evaluation, f: MatMorphism) -> IntMatrix:
+    """Evaluate a matrix morphism to one integer matrix on the direct sums."""
+    return _evaluation(rep).mat(f)
+
+
+def eval_object(rep: Representation | Evaluation, x: AdelObject) -> GroupWithMap:
     """Homology of the evaluated composable pair: kernel of the evaluated
     corelation modulo the image of the evaluated relation morphism."""
-    rank = rep.rank_of(x.middle)
-    if not rank:  # the zero group, as the general path finds it
-        empty = IntMatrix.zeros(0, 0)
-        return GroupWithMap(FpAbGroup(0, empty), empty, 0)
-    f_rel = eval_mat(rep, x.rel)
-    f_corel = eval_mat(rep, x.corel)
-    kernel_basis = left_kernel(f_corel)
-    relations = _preimage_relations(kernel_basis, f_rel)
-    return GroupWithMap(FpAbGroup(kernel_basis.rows, relations), kernel_basis, rank)
+    return _evaluation(rep).object(x)
 
 
-def eval_morphism(rep: Representation, f: AdelMorphism,
+def eval_morphism(rep: Representation | Evaluation, f: AdelMorphism,
                   src: Optional[GroupWithMap] = None,
                   tgt: Optional[GroupWithMap] = None) -> InducedMap:
     """Induced map on the evaluated homology groups."""
-    if src is None:
-        src = eval_object(rep, f.source)
-    if tgt is None:
-        tgt = eval_object(rep, f.target)
-    f_datum = eval_mat(rep, f.datum)
-    image_rows = src.basis * f_datum
-    coords = solve_left(tgt.basis, image_rows)
-    if coords is None:  # pragma: no cover - guaranteed by the witness squares
-        raise RepresentationError("evaluated datum does not preserve corelation kernels")
-    rel_image = src.group.relations * coords
-    for i in range(rel_image.rows):
-        if not tgt.group.is_zero_element(rel_image.row(i)):  # pragma: no cover
-            raise RepresentationError("evaluated map does not send relations into relations")
-    return InducedMap(src, tgt, coords)
+    return _evaluation(rep).morphism(f, src, tgt)
 
 
 def identity_map(g: GroupWithMap) -> InducedMap:
@@ -275,43 +332,41 @@ class OracleCheck:
     detail: str = ""
 
 
-def _transports(name: str, symbol: str, rep: Representation, obj: AdelObject,
+def _transports(name: str, symbol: str, ev: Evaluation, obj: AdelObject,
                 group: FpAbGroup) -> OracleCheck:
     """Compare the evaluated object with the group-side construction."""
-    got = eval_object(rep, obj).invariants()
+    got = ev.object(obj).invariants()
     want = group.invariants()
     return OracleCheck(
         f"{name} transports", got.reduced() == want.reduced(),
         f"eval({symbol}) = {got.describe()}, {symbol}(eval) = {want.describe()}")
 
 
-def transport_kernel(rep: Representation, f: AdelMorphism,
+def transport_kernel(rep: Representation | Evaluation, f: AdelMorphism,
                      kernel_obj: AdelObject) -> OracleCheck:
-    return _transports("kernel", "ker", rep, kernel_obj,
-                       group_kernel(eval_morphism(rep, f))[0])
+    ev = _evaluation(rep)
+    return _transports("kernel", "ker", ev, kernel_obj, group_kernel(ev.morphism(f))[0])
 
 
-def transport_cokernel(rep: Representation, f: AdelMorphism,
+def transport_cokernel(rep: Representation | Evaluation, f: AdelMorphism,
                        cokernel_obj: AdelObject) -> OracleCheck:
-    return _transports("cokernel", "coker", rep, cokernel_obj,
-                       group_cokernel(eval_morphism(rep, f)))
+    ev = _evaluation(rep)
+    return _transports("cokernel", "coker", ev, cokernel_obj, group_cokernel(ev.morphism(f)))
 
 
-def transport_homology(rep: Representation, f: AdelMorphism, g: AdelMorphism,
+def transport_homology(rep: Representation | Evaluation, f: AdelMorphism, g: AdelMorphism,
                        homology_obj: AdelObject) -> OracleCheck:
-    mid = eval_object(rep, f.target)
-    return _transports("homology", "H", rep, homology_obj, group_homology(
-        eval_morphism(rep, f, tgt=mid), eval_morphism(rep, g, src=mid)))
+    ev = _evaluation(rep)
+    return _transports("homology", "H", ev, homology_obj,
+                       group_homology(ev.morphism(f), ev.morphism(g)))
 
 
-def transport_exactness(rep: Representation, f: AdelMorphism, g: AdelMorphism,
+def transport_exactness(rep: Representation | Evaluation, f: AdelMorphism, g: AdelMorphism,
                         adel_exact: bool) -> OracleCheck:
     if not adel_exact:
         return OracleCheck("exactness transports", True, "no claim (not exact upstairs)")
-    mid = eval_object(rep, f.target)
-    m1 = eval_morphism(rep, f, tgt=mid)
-    m2 = eval_morphism(rep, g, src=mid)
-    h = group_homology(m1, m2).invariants()
+    ev = _evaluation(rep)
+    h = group_homology(ev.morphism(f), ev.morphism(g)).invariants()
     return OracleCheck(
         "exactness transports", h.is_trivial(),
         f"evaluated homology = {h.describe()}")
@@ -325,7 +380,7 @@ _TRANSPORTS = {
 }
 
 
-def oracle_compare(rep: Representation, item: tuple) -> OracleCheck:
+def oracle_compare(rep: Representation | Evaluation, item: tuple) -> OracleCheck:
     """One transport check; ``item`` is a tagged tuple such as
     ('kernel', f, kernel_obj) or ('exact', f, g, verdict)."""
     transport = _TRANSPORTS.get(item[0])
@@ -335,7 +390,10 @@ def oracle_compare(rep: Representation, item: tuple) -> OracleCheck:
 
 
 def oracle_suite(rep: Representation, items: Sequence[tuple]) -> list[OracleCheck]:
-    return [oracle_compare(rep, item) for item in items]
+    """``oracle_compare`` on each item, sharing one ``Evaluation`` that is
+    dropped on return."""
+    ev = Evaluation(rep)
+    return [oracle_compare(ev, item) for item in items]
 
 
 # -- random representations ----------------------------------------------------

@@ -167,9 +167,21 @@ class TestRepresentationFiles:
         with pytest.raises(ParseError, match=message):
             parse_representation(session, text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("rank a = -1\n", r"^1:1: negative rank for vertex 'a'$"),
+        ("matrix alpha = [[1, 2]]\n# after the matrix\nrank a = 1\nrank b = 1\n",
+         r"^1:1: matrix for arrow 'alpha' has shape \(1, 2\), expected \(1, 1\)$"),
+    ], ids=["negative-rank", "wrong-shape"])
+    def test_bad_value_rejected_at_its_line(self, session, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_representation(session, text)
+
     @pytest.mark.parametrize("text", ["rank zz = 5\n", "rank a = 1\nrank a = 1\n",
-                                      "matrix alpha = [[1]]\nmatrix alpha = [[1]]\n"],
-                             ids=["unknown-vertex", "repeated-rank", "repeated-matrix"])
+                                      "matrix alpha = [[1]]\nmatrix alpha = [[1]]\n",
+                                      "rank a = -1\n",
+                                      "rank a = 1\nrank b = 1\nmatrix alpha = [[1, 2]]\n"],
+                             ids=["unknown-vertex", "repeated-rank", "repeated-matrix",
+                                  "negative-rank", "wrong-shape"])
     def test_rejected_representation_exits_two(self, snake_file, tmp_path, capsys, text):
         rep = tmp_path / "rep.txt"
         rep.write_text(text)

@@ -1,6 +1,9 @@
+import collections
 import random
 
 import pytest
+
+from adelcat import evalfunctor
 
 from adelcat.addclosure import single
 from adelcat.adelman import (
@@ -16,6 +19,8 @@ from adelcat.adelman import (
     zero_adel_object,
 )
 from adelcat.evalfunctor import (
+    Evaluation,
+    GroupWithMap,
     InducedMap,
     Representation,
     RepresentationError,
@@ -238,3 +243,84 @@ class TestTransport:
         chk2 = transport_exactness(rep, snake_fig.blue2,
                                    snake_fig.connecting.scale(2), False)
         assert chk2.ok  # no claim transported for non-exact verdicts
+
+
+def _suites(snake_fig, five_data):
+    return ((snake_fig.cat, snake_oracle_items(snake_fig)),
+            (five_data.cat, five_oracle_items(five_data)))
+
+
+class TestSuiteEvaluation:
+    """``oracle_suite`` shares one ``Evaluation`` across its items."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_suite_equals_items_one_by_one(self, snake_fig, five_data, seed):
+        for cat, items in _suites(snake_fig, five_data):
+            rep = random_representation(cat, seed)
+            suite = oracle_suite(rep, items)
+            alone = [oracle_compare(rep, item) for item in items]
+            assert ([(c.description, c.ok, c.detail) for c in suite]
+                    == [(c.description, c.ok, c.detail) for c in alone])
+
+    def test_suite_evaluates_each_value_once(self, monkeypatch, snake_fig, five_data):
+        objects, morphisms = collections.Counter(), collections.Counter()
+        evaluate_object, induce = Evaluation._object, Evaluation._induced
+
+        def count_object(ev, x):
+            objects[x] += 1
+            return evaluate_object(ev, x)
+
+        def count_induced(ev, f, src, tgt):
+            morphisms[f] += 1
+            return induce(ev, f, src, tgt)
+
+        monkeypatch.setattr(Evaluation, "_object", count_object)
+        monkeypatch.setattr(Evaluation, "_induced", count_induced)
+        for cat, items in _suites(snake_fig, five_data):
+            for seed in (0, 1):
+                rep = random_representation(cat, seed)
+                objects.clear()
+                morphisms.clear()
+                oracle_suite(rep, items)
+                assert objects and max(objects.values()) == 1
+                assert morphisms and max(morphisms.values()) == 1
+        # used alone, the public functions evaluate afresh on every call
+        rep, x = random_representation(snake_fig.cat, 0), snake_fig.ker_eps.obj
+        objects.clear()
+        eval_object(rep, x)
+        eval_object(rep, x)
+        assert objects[x] == 2
+
+    def test_suite_leaves_no_state_on_the_representation(self, snake_fig):
+        rep = random_representation(snake_fig.cat, 3)
+        before = dict(vars(rep))
+        oracle_suite(rep, snake_oracle_items(snake_fig))
+        assert vars(rep) == before
+
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    def test_explicit_endpoints_bypass_the_memo(self, snake_cat, side):
+        rep = snake_rep(snake_cat)
+        f = identity_morphism(emb_vertex(snake_cat, "b"))
+        ev = Evaluation(rep)
+        memo = eval_morphism(ev, f)
+        g = memo.target
+        flipped = {side: GroupWithMap(g.group, g.basis.scale(-1), g.middle_rank)}
+        inside = eval_morphism(ev, f, **flipped)
+        assert inside == eval_morphism(rep, f, **flipped)
+        assert inside.matrix == IntMatrix.from_rows([[-1]]) != memo.matrix
+        assert eval_morphism(ev, f) is memo
+
+    def test_suite_calls_oracle_compare_once_per_item(self, monkeypatch, snake_fig):
+        # adelbench counts oracle checks by wrapping this module attribute
+        calls = []
+        compare = evalfunctor.oracle_compare
+
+        def counting(rep, item):
+            calls.append(item)
+            return compare(rep, item)
+
+        monkeypatch.setattr(evalfunctor, "oracle_compare", counting)
+        items = snake_oracle_items(snake_fig)
+        oracle_suite(random_representation(snake_fig.cat, 0), items)
+        assert len(calls) == len(items)
+        assert all(c is i for c, i in zip(calls, items))

@@ -31,7 +31,7 @@ EXPECTED = {
     "prove uniqueness":
         "e134d0feec0a2247cdacebbc71031eccbfdbc4bf7c7f5011ea443d27107d9ddf",
     "prove d4":
-        "175f8791869111287521a87fc8695c770179da9baaa9a1c2fb8b74591f2b8478",
+        "b625337fa2998dee3b647da3e61da322beb5cd9fe9a5b51f53ad161c0e13dac7",
     "sweep":
         "7859cd50de36a14d79cbfe145a49fa64906211ed9cda2d375569ddbf849e7051",
     "hom-group K C":

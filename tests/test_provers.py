@@ -119,6 +119,14 @@ class TestD4:
         pairwise = [c for c in report.checks if "pairwise" in c.description][0]
         assert "!<=" in pairwise.summary
 
+    def test_image_embeddings_carry_mono_certificates(self):
+        checks = explore_d4().to_dict()["checks"]
+        monos = [c for c in checks if c["description"].startswith("embedding of im(")]
+        assert len(monos) == 3
+        for check in monos:
+            assert check["verdict"] and check["certificate"]["kind"] == "mono"
+            assert verify_certificate(category_by_name("d4"), check["certificate"])
+
 
 class TestReplay:
     @pytest.mark.parametrize("builder", [
