@@ -310,18 +310,12 @@ def cokernel(f: AdelMorphism) -> CokernelResult:
     return CokernelResult(obj, proj, wp)
 
 
-def cokernel_colift(f: AdelMorphism, tau: AdelMorphism,
-                    wp: Optional[WitnessPair] = None) -> AdelMorphism:
+def cokernel_colift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> AdelMorphism:
     """Morphism induced on the cokernel by a test morphism ``tau`` with
-    ``f * tau == 0``; the certifying pair is re-verified (or computed)."""
+    ``f * tau == 0``, certified by ``wp``; the pair is re-verified."""
     if tau.source != f.target:
         raise EndpointError("test morphism must start at the cokernel base")
-    composite_datum = compose_mat(f.datum, tau.datum)
-    if wp is None:
-        wp = zero_witness(f.source, tau.target, composite_datum)
-        if wp is None:
-            raise SideConditionError("composite with the test morphism is not zero")
-    elif not wp.verifies(f.source, tau.target, composite_datum):
+    if not wp.verifies(f.source, tau.target, compose_mat(f.datum, tau.datum)):
         raise WitnessError("invalid witness pair for the colift side condition")
     ck = cokernel(f)
     t = tau.target
@@ -358,18 +352,12 @@ def kernel(f: AdelMorphism) -> KernelResult:
     return KernelResult(obj, emb, wp)
 
 
-def kernel_lift(f: AdelMorphism, tau: AdelMorphism,
-                wp: Optional[WitnessPair] = None) -> AdelMorphism:
+def kernel_lift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> AdelMorphism:
     """Morphism induced into the kernel by a test morphism ``tau`` with
-    ``tau * f == 0``."""
+    ``tau * f == 0``, certified by ``wp``; the pair is re-verified."""
     if tau.target != f.source:
         raise EndpointError("test morphism must end at the kernel base")
-    composite_datum = compose_mat(tau.datum, f.datum)
-    if wp is None:
-        wp = zero_witness(tau.source, f.target, composite_datum)
-        if wp is None:
-            raise SideConditionError("composite with the test morphism is not zero")
-    elif not wp.verifies(tau.source, f.target, composite_datum):
+    if not wp.verifies(tau.source, f.target, compose_mat(tau.datum, f.datum)):
         raise WitnessError("invalid witness pair for the lift side condition")
     kr = kernel(f)
     t = tau.source

@@ -12,8 +12,17 @@ Categories are described in a small text format::
 
 Morphism expressions are Z-linear combinations of ``*``-chained arrow labels
 (``2*alpha*beta - gamma``), with ``id(v)`` for identities and ``let`` names
-from the session file.  Objects are ``emb(v)``, a bare vertex, ``zero``, a
-session name, or a ``(rho | gamma)`` triple of expressions.
+from the session file.  One grammar covers the file and the command-line
+arguments::
+
+    expr   := ['-'] term (('+'|'-') term)*
+    term   := INT ['*' factor ('*' factor)*] | factor ('*' factor)*
+    factor := NAME | 'id' '(' NAME ')'
+    object := NAME | 'emb' '(' NAME ')' | '(' [expr] '|' [expr] ')'
+
+An object ``NAME`` is ``zero``, an ``object`` name of the session file or a
+vertex; a triple may leave one side empty.  Syntax errors and unknown
+object names carry ``line:col``.
 
 Exit codes: 0 when every verdict is positive, 1 for a negative verdict, 2
 for usage, parse, or precondition errors.  ``--json`` output is byte-stable
@@ -27,10 +36,11 @@ import argparse
 import ast as pyast
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import provers
 from .addclosure import TupleObject, single, zero_mat
@@ -63,11 +73,11 @@ from .quivercat import (
     Quiver,
     QuiverCategory,
     QuiverError,
-    Relation,
     RelationError,
     compose_lin,
     format_lin,
     format_signed_sum,
+    make_relation,
 )
 
 
@@ -78,71 +88,46 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-_SYMBOLS = ("->", "{", "}", ";", ":", "*", "+", "-", "=", "(", ")", "|", ",")
+# One alternative per token kind, tried in order; ``\d`` and ``\w`` match
+# what ``str.isdecimal`` and ``str.isalnum`` accept.  A name may not start
+# with a non-decimal digit such as "²", which ``[^\W\d]`` lets through and
+# ``tokenize`` rejects.
+_SCANNER = re.compile(r"(?P<newline>\n)|(?P<skip>[ \t\r]+|#[^\n]*)"
+                      r"|(?P<symbol>->|[{};:*+\-=()|,])|(?P<int>\d+)"
+                      r"|(?P<name>[^\W\d]\w*)|(?P<bad>.)")
 
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            out.append(Token("symbol", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{};:*+-=()|,":
-            out.append(Token("symbol", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            out.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind != "skip":
+            tok = Token(kind, m.group(), line, m.start() - line_start + 1)
+            first = tok.text[0]
+            if kind == "bad" or (kind == "name" and not (first.isalpha() or first == "_")):
+                raise ParseError(f"unexpected character {first!r}", tok.line, tok.col)
+            out.append(tok)
+    out.append(Token("eof", "", line, len(text) - line_start + 1))
     return out
 
 
 # Expression AST: tuple of (coefficient, factors); a factor is either an
 # arrow/let name or ("id", vertex).  The empty term tuple encodes zero.
 Term = tuple[int, tuple]
+# Object AST: ("name", tok), ("emb", tok) or ("triple", tok, rel, corel),
+# where an empty side of the triple is None.
+ObjectNode = tuple
 
 
 class _Parser:
@@ -158,12 +143,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def fail(self, want: str):
+        tok = self.peek()
+        raise ParseError(f"expected {want}, found {tok.text or tok.kind!r}", tok.line, tok.col)
+
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}",
-                             tok.line, tok.col)
+            self.fail(repr(text or kind))
         return self.advance()
 
     def at_symbol(self, text: str) -> bool:
@@ -174,10 +161,7 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "name" and (text is None or tok.text == text)
 
-    # expr := ['-'] term (('+'|'-') term)*
-    # term := INT ['*' factors] | factors
-    # factors := factor ('*' factor)*
-    # factor := NAME | 'id' '(' NAME ')'
+    # The rules of the grammar in the module docstring.
     def parse_expr(self) -> tuple[Term, ...]:
         terms: list[Term] = []
         sign = 1
@@ -217,6 +201,33 @@ class _Parser:
             return ("id", v)
         return tok.text
 
+    def parse_object(self) -> ObjectNode:
+        tok = self.peek()
+        if self.at_symbol("("):
+            self.advance()
+            rel = None if self.at_symbol("|") else self.parse_expr()
+            self.expect("symbol", "|")
+            corel = None if self.at_symbol(")") else self.parse_expr()
+            self.expect("symbol", ")")
+            if rel is None and corel is None:
+                raise ParseError("a triple needs at least one side", tok.line, tok.col)
+            return ("triple", tok, rel, corel)
+        tok = self.expect("name")
+        if tok.text == "emb" and self.at_symbol("("):
+            self.advance()
+            v = self.expect("name")
+            self.expect("symbol", ")")
+            return ("emb", v)
+        return ("name", tok)
+
+
+def _parse_whole(text: str, rule):
+    """Parse all of ``text`` with one rule of ``_Parser``."""
+    p = _Parser(tokenize(text))
+    out = rule(p)
+    p.expect("eof")
+    return out
+
 
 @dataclass(frozen=True)
 class CategorySpec:
@@ -232,7 +243,7 @@ class CategorySpec:
 class SessionSpec:
     category: CategorySpec
     lets: tuple[tuple[str, tuple[Term, ...]], ...] = ()
-    objects: tuple[tuple[str, tuple[Term, ...], tuple[Term, ...]], ...] = ()
+    objects: tuple[tuple[str, ObjectNode], ...] = ()
 
 
 def parse_category(text: str) -> CategorySpec:
@@ -249,7 +260,6 @@ def parse_session(text: str) -> SessionSpec:
     relations: list[tuple[Term, ...]] = []
     keywords = ("objects", "arrows", "relations")
     while not p.at_symbol("}"):
-        tok = p.peek()
         if p.at_name("objects"):
             p.advance()
             while p.at_name() and p.peek().text not in keywords:
@@ -267,22 +277,19 @@ def parse_session(text: str) -> SessionSpec:
                 p.expect("symbol", ";")
         elif p.at_name("relations"):
             p.advance()
-            while not p.at_symbol("}") and not (
-                    p.at_name("objects") or p.at_name("arrows") or p.at_name("relations")):
+            while not p.at_symbol("}") and not (p.at_name() and p.peek().text in keywords):
                 lhs = p.parse_expr()
                 rhs: tuple[Term, ...] = ()
                 if p.at_symbol("="):
                     p.advance()
                     rhs = p.parse_expr()
-                moved = lhs + tuple((-c, f) for c, f in rhs)
-                relations.append(moved)
+                relations.append(lhs + tuple((-c, f) for c, f in rhs))
                 p.expect("symbol", ";")
         else:
-            raise ParseError(
-                f"expected objects/arrows/relations, found {tok.text!r}", tok.line, tok.col)
+            p.fail("objects/arrows/relations")
     p.expect("symbol", "}")
     lets: list[tuple[str, tuple[Term, ...]]] = []
-    objs: list[tuple[str, tuple[Term, ...], tuple[Term, ...]]] = []
+    objs: list[tuple[str, ObjectNode]] = []
     while not p.peek().kind == "eof":
         if p.at_name("let"):
             p.advance()
@@ -294,16 +301,10 @@ def parse_session(text: str) -> SessionSpec:
             p.advance()
             oname = p.expect("name").text
             p.expect("symbol", "=")
-            p.expect("symbol", "(")
-            rel = p.parse_expr()
-            p.expect("symbol", "|")
-            corel = p.parse_expr()
-            p.expect("symbol", ")")
+            objs.append((oname, p.parse_object()))
             p.expect("symbol", ";")
-            objs.append((oname, rel, corel))
         else:
-            tok = p.peek()
-            raise ParseError(f"expected let/object, found {tok.text!r}", tok.line, tok.col)
+            p.fail("let/object")
     return SessionSpec(
         CategorySpec(name, tuple(objects), tuple(arrows), tuple(relations)),
         tuple(lets), tuple(objs))
@@ -333,36 +334,16 @@ class Session:
         self.spec = spec.category
         quiver = Quiver(spec.category.objects,
                         tuple(Arrow(l, s, t) for l, s, t in spec.category.arrows))
-        relations = []
-        for terms in spec.category.relations:
-            relations.append(self._relation(quiver, terms))
-        self.cat = QuiverCategory(quiver, tuple(relations), name=spec.category.name)
+        relations = tuple(
+            make_relation(quiver, [(coef, self._path(quiver, factors)) for coef, factors in terms])
+            for terms in spec.category.relations)
+        self.cat = QuiverCategory(quiver, relations, name=spec.category.name)
         self.lets: dict[str, LinMorphism] = {}
         for lname, terms in spec.lets:
             self.lets[lname] = self.eval_expr(terms)
         self.objects: dict[str, AdelObject] = {}
-        for oname, rel_terms, corel_terms in spec.objects:
-            rel = self.eval_expr(rel_terms)
-            corel = self.eval_expr(corel_terms)
-            if rel.target != corel.source:
-                raise RelationError(
-                    f"object {oname!r}: relation target {rel.target!r} does not "
-                    f"match corelation source {corel.source!r}")
-            self.objects[oname] = AdelObject(single(rel), single(corel))
-
-    def _relation(self, quiver: Quiver, terms: tuple[Term, ...]) -> Relation:
-        built: list[tuple[int, Path]] = []
-        for coef, factors in terms:
-            path = self._path(quiver, factors)
-            built.append((coef, path))
-        if not built:
-            raise RelationError("empty relation")
-        src, tgt = built[0][1].source, built[0][1].target
-        for _, pth in built:
-            if (pth.source, pth.target) != (src, tgt):
-                raise RelationError(
-                    f"relation mixes paths {src}->{tgt} and {pth.source}->{pth.target}")
-        return Relation(src, tgt, tuple(built))
+        for oname, node in spec.objects:
+            self.objects[oname] = self.eval_object(node)
 
     def _path(self, quiver: Quiver, factors: tuple) -> Path:
         arrows: list[int] = []
@@ -408,52 +389,34 @@ class Session:
             return self.lets[f]
         return self.cat.arrow_lin(f)
 
+    def eval_object(self, node: ObjectNode) -> AdelObject:
+        """The object of a ``parse_object`` node; an unknown name is a
+        ``ParseError`` at its token."""
+        form, tok, *sides = node
+        empty = TupleObject(self.cat, ())
+        if form == "triple":
+            rel, corel = (None if terms is None else single(self.eval_expr(terms))
+                          for terms in sides)
+            rel = zero_mat(empty, corel.source) if rel is None else rel
+            corel = zero_mat(rel.target, empty) if corel is None else corel
+            if rel.target != corel.source:
+                raise RelationError(f"relation target {rel.target.summands[0]!r} does not "
+                                    f"match corelation source {corel.source.summands[0]!r}")
+            return AdelObject(rel, corel)
+        if form == "name" and tok.text == "zero":
+            return emb_object(empty)
+        if form == "name" and tok.text in self.objects:
+            return self.objects[tok.text]
+        if tok.text in self.cat.quiver.vertices:
+            return emb_object(TupleObject(self.cat, (tok.text,)))
+        noun = "object" if form == "name" else "vertex"
+        raise ParseError(f"unknown {noun} {tok.text!r}", tok.line, tok.col)
+
     def parse_expr_text(self, text: str) -> LinMorphism:
-        p = _Parser(tokenize(text))
-        terms = p.parse_expr()
-        if p.peek().kind != "eof":
-            tok = p.peek()
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        return self.eval_expr(terms)
+        return self.eval_expr(_parse_whole(text, _Parser.parse_expr))
 
     def parse_object_text(self, text: str) -> AdelObject:
-        text = text.strip()
-        if text == "zero":
-            return emb_object(TupleObject(self.cat, ()))
-        if text in self.objects:
-            return self.objects[text]
-        if text.startswith("emb(") and text.endswith(")"):
-            v = text[4:-1].strip()
-            return self._emb_vertex(v)
-        if text in self.cat.quiver.vertices:
-            return self._emb_vertex(text)
-        if text.startswith("(") and text.endswith(")") and "|" in text:
-            inner = text[1:-1]
-            left, right = inner.split("|", 1)
-            left, right = left.strip(), right.strip()
-            if not left and not right:
-                raise ParseError("a triple needs at least one side", 1, 1)
-            empty = TupleObject(self.cat, ())
-            if not left:
-                corel = self.parse_expr_text(right)
-                rel = zero_mat(empty, TupleObject(self.cat, (corel.source,)))
-                return AdelObject(rel, single(corel))
-            if not right:
-                rel = self.parse_expr_text(left)
-                corel = zero_mat(TupleObject(self.cat, (rel.target,)), empty)
-                return AdelObject(single(rel), corel)
-            rel = self.parse_expr_text(left)
-            corel = self.parse_expr_text(right)
-            if rel.target != corel.source:
-                raise RelationError(
-                    f"triple ({left} | {right}): endpoints do not meet")
-            return AdelObject(single(rel), single(corel))
-        raise ParseError(f"cannot parse object {text!r}", 1, 1)
-
-    def _emb_vertex(self, v: str) -> AdelObject:
-        if v not in self.cat.quiver.vertices:
-            raise QuiverError(f"unknown vertex {v!r}")
-        return emb_object(TupleObject(self.cat, (v,)))
+        return self.eval_object(_parse_whole(text, _Parser.parse_object))
 
 
 def parse_representation(session: Session, text: str) -> Representation:
@@ -493,9 +456,14 @@ def parse_representation(session: Session, text: str) -> Representation:
         else:
             try:
                 rows = pyast.literal_eval(value)
-                raw_matrices[name] = (lineno, [[int(x) for x in row] for row in rows])
             except (ValueError, SyntaxError, TypeError):
-                raise ParseError(f"bad matrix literal for {name!r}", lineno, 1) from None
+                rows = None
+            # only a list of equally long lists of plain ints (no bool, float or str)
+            if not (isinstance(rows, list) and all(
+                    isinstance(row, list) and len(row) == len(rows[0])
+                    and all(type(x) is int for x in row) for row in rows)):
+                raise ParseError(f"bad matrix literal for {name!r}", lineno, 1)
+            raw_matrices[name] = (lineno, rows)
     matrices: dict[str, IntMatrix] = {}
     for label, (lineno, entries) in raw_matrices.items():
         arrow = quiver.arrows[quiver.arrow_index(label)]
@@ -542,8 +510,7 @@ class CommandResult:
         return out
 
 
-def _emit(result: CommandResult, args) -> int:
-    elapsed = result.extra.pop("_elapsed", 0.0)
+def _emit(result: CommandResult, args, elapsed: float) -> int:
     timings = {"seconds": round(elapsed, 6)} if args.timings else None
     if args.json:
         payload = result.to_dict(args.seed, timings)
@@ -701,18 +668,17 @@ def _cmd_connecting(args) -> CommandResult:
         ])
 
 
+_LEMMAS = {
+    "snake": lambda args: provers.prove_snake(args.connecting_scale),
+    "five": lambda args: provers.prove_refined_five(),
+    "uniqueness": lambda args: provers.prove_connecting_uniqueness(),
+    "d4": lambda args: provers.explore_d4(),
+}
+
+
 def _cmd_prove(args) -> CommandResult:
     name = args.lemma
-    if name == "snake":
-        report = provers.prove_snake(args.connecting_scale)
-    elif name == "five":
-        report = provers.prove_refined_five()
-    elif name == "uniqueness":
-        report = provers.prove_connecting_uniqueness()
-    elif name == "d4":
-        report = provers.explore_d4()
-    else:
-        raise ParseError(f"unknown lemma {name!r} (snake|five|uniqueness|d4)", 0, 0)
+    report = _LEMMAS[name](args)
     d = report.to_dict()
     lines = [f"{report.lemma} in category {report.category!r}:"]
     for check in report.checks:
@@ -818,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("third")
 
     p = sub.add_parser("prove", parents=[common])
-    p.add_argument("lemma", choices=["snake", "five", "uniqueness", "d4"])
+    p.add_argument("lemma", choices=list(_LEMMAS))
     p.add_argument("--connecting-scale", type=int, default=1,
                    help="mutation hook for the snake connecting arrow")
 
@@ -850,18 +816,11 @@ _DISPATCH = {
 def run_command(argv: Sequence[str]) -> int:
     argv = list(argv)
     # glue "--range -3..3" together so argparse does not read the value as a flag
-    merged: list[str] = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--range" and i + 1 < len(argv):
-            merged.append(f"--range={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(argv[i])
-            i += 1
-    parser = build_parser()
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--range":
+            argv[i:i + 2] = [f"--range={argv[i + 1]}"]
     try:
-        args = parser.parse_args(merged)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.json and args.seed is None:
@@ -878,8 +837,7 @@ def run_command(argv: Sequence[str]) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
         return 2
-    result.extra["_elapsed"] = time.perf_counter() - start
-    return _emit(result, args)
+    return _emit(result, args, time.perf_counter() - start)
 
 
 def main() -> None:

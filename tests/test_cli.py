@@ -127,6 +127,28 @@ class TestParser:
         with pytest.raises(RelationError):
             session.parse_object_text("(alpha | gamma)")
 
+    @pytest.mark.parametrize("form", ["b", "emb(b)", "zero", "K", "(alpha | beta*gamma)",
+                                      "(| beta)", "(beta |)"])
+    def test_object_line_and_argument_agree(self, form):
+        named = Session(parse_session(SNAKE_SRC + f"object X = {form};\n"))
+        assert named.objects["X"] == named.parse_object_text(form)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(alpha | ", r"^1:10: expected 'name', found 'eof'$"),
+        ("(|)", r"^1:1: a triple needs at least one side$"),
+        ("  nope", r"^1:3: unknown object 'nope'$"),
+        ("emb(zz)", r"^1:5: unknown vertex 'zz'$"),
+        ("b c", r"^1:3: expected 'eof', found 'c'$"),
+    ], ids=["open-triple", "empty-triple", "unknown-object", "unknown-vertex", "trailing"])
+    def test_object_argument_error_has_position(self, session, text, message):
+        with pytest.raises(ParseError, match=message):
+            session.parse_object_text(text)
+
+    def test_end_of_input_after_comment_has_position(self):
+        with pytest.raises(ParseError,
+                           match=r"^2:22: expected objects/arrows/relations, found 'eof'$"):
+            parse_category("category x {\n  objects a b; # note")
+
 
 class TestRepresentationFiles:
     def test_parse_and_validate(self, session):
@@ -171,7 +193,11 @@ class TestRepresentationFiles:
         ("rank a = -1\n", r"^1:1: negative rank for vertex 'a'$"),
         ("matrix alpha = [[1, 2]]\n# after the matrix\nrank a = 1\nrank b = 1\n",
          r"^1:1: matrix for arrow 'alpha' has shape \(1, 2\), expected \(1, 1\)$"),
-    ], ids=["negative-rank", "wrong-shape"])
+        ("matrix alpha = [[1.7]]\n", r"^1:1: bad matrix literal for 'alpha'$"),
+        ("matrix alpha = [['3']]\n", r"^1:1: bad matrix literal for 'alpha'$"),
+        ("matrix alpha = [[True]]\n", r"^1:1: bad matrix literal for 'alpha'$"),
+        ("rank a = 1\nmatrix alpha = [[1], [1, 2]]\n", r"^2:1: bad matrix literal for 'alpha'$"),
+    ], ids=["negative-rank", "wrong-shape", "float", "string", "bool", "ragged"])
     def test_bad_value_rejected_at_its_line(self, session, text, message):
         with pytest.raises(ParseError, match=message):
             parse_representation(session, text)
@@ -179,9 +205,15 @@ class TestRepresentationFiles:
     @pytest.mark.parametrize("text", ["rank zz = 5\n", "rank a = 1\nrank a = 1\n",
                                       "matrix alpha = [[1]]\nmatrix alpha = [[1]]\n",
                                       "rank a = -1\n",
-                                      "rank a = 1\nrank b = 1\nmatrix alpha = [[1, 2]]\n"],
+                                      "rank a = 1\nrank b = 1\nmatrix alpha = [[1, 2]]\n",
+                                      # every rank given, so only the matrix is at fault
+                                      *("rank a = 1\nrank b = 1\nrank c = 1\nrank d = 1\n"
+                                        f"matrix alpha = {m}\n"
+                                        for m in ("[[1.7]]", "[['3']]", "[[True]]",
+                                                  "[[1], [1, 2]]"))],
                              ids=["unknown-vertex", "repeated-rank", "repeated-matrix",
-                                  "negative-rank", "wrong-shape"])
+                                  "negative-rank", "wrong-shape", "float", "string", "bool",
+                                  "ragged"])
     def test_rejected_representation_exits_two(self, snake_file, tmp_path, capsys, text):
         rep = tmp_path / "rep.txt"
         rep.write_text(text)
@@ -365,6 +397,14 @@ class TestCommands:
 
     def test_prove_d4(self, capsys):
         assert run_command(["prove", "d4"]) == 0
+
+    def test_parser_tables_agree(self):
+        import argparse
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(cli._DISPATCH)
+        [lemma] = [a for a in sub.choices["prove"]._actions if a.dest == "lemma"]
+        assert set(lemma.choices) == set(cli._LEMMAS)
 
     def test_consecutive_commands_match_fresh_runs(self, snake_file, capsys):
         first = ["hom-group", "K", "C", "--category", snake_file, "--json", "--seed", "0"]
