@@ -8,6 +8,11 @@ witness pair that re-verifies by plain matrix arithmetic, and all
 constructions (kernels, cokernels, lifts, colifts, images, homology) are
 carried out on explicit block matrices.
 
+Mono, epi, iso and exactness are decided in one place: ``CLAIMS`` lists, per
+claim, the data its parts declare null-homotopic, rebuilt from the morphisms
+without search, and ``claim_witnesses`` decides them.  The predicates, the
+provers' certificates and their replay all read that table.
+
 Sign conventions follow the matrices with the fewest minus signs; witnesses
 are computed once at construction time and cached inside each value, so all
 values are immutable and safe to share.
@@ -400,16 +405,75 @@ def is_zero_object(x: AdelObject) -> bool:
     return zero_object_witness(x) is not None
 
 
+# The rebuilds of the claims' parts: each returns, without search, the
+# (source, target, datum) that the part declares null-homotopic.  They call
+# the constructions through this module's globals at call time.
+
+def _kernel_zero(f: AdelMorphism):
+    k = kernel(f).obj
+    return k, k, identity_mat(k.middle)
+
+
+def _cokernel_zero(f: AdelMorphism):
+    c = cokernel(f).obj
+    return c, c, identity_mat(c.middle)
+
+
+def _composite_zero(f: AdelMorphism, g: AdelMorphism):
+    if f.target != g.source:
+        raise EndpointError("not a composable pair")
+    return f.source, g.target, compose_mat(f.datum, g.datum)
+
+
+def _via_zero(f: AdelMorphism, g: AdelMorphism):
+    via = compose(kernel(g).emb, cokernel(f).proj)
+    return via.source, via.target, via.datum
+
+
+# Claim kind -> (names of the morphisms it is about, its parts in order as
+# (witness key, rebuild)).  Mono, epi and iso declare the kernel, the
+# cokernel or both zero objects; exactness of a complex ``(f, g)`` declares
+# ``f * g`` and then the kernel-to-cokernel composite null-homotopic.
+CLAIMS = {
+    "mono": (("morphism",), (("kernel_zero_wp", _kernel_zero),)),
+    "epi": (("morphism",), (("cokernel_zero_wp", _cokernel_zero),)),
+    "iso": (("morphism",), (("kernel_zero_wp", _kernel_zero),
+                            ("cokernel_zero_wp", _cokernel_zero))),
+    "exact": (("first", "second"), (("composite_wp", _composite_zero),
+                                    ("via_wp", _via_zero))),
+}
+
+
+def claim_witnesses(kind: str, *fs: AdelMorphism) -> Optional[dict[str, WitnessPair]]:
+    """The witness pair of each part of the claim ``kind`` about ``fs``, by
+    key, or None from the first part that has none.  Exactness of a pair
+    whose composite does not vanish is undefined and raises."""
+    found = {}
+    for key, rebuild in CLAIMS[kind][1]:
+        wp = zero_witness(*rebuild(*fs))
+        if wp is None:
+            if key == "composite_wp":
+                raise CompositeNotZeroError("composite is not zero, exactness is undefined")
+            return None
+        found[key] = wp
+    return found
+
+
 def is_mono(f: AdelMorphism) -> bool:
-    return is_zero_object(kernel(f).obj)
+    return claim_witnesses("mono", f) is not None
 
 
 def is_epi(f: AdelMorphism) -> bool:
-    return is_zero_object(cokernel(f).obj)
+    return claim_witnesses("epi", f) is not None
 
 
 def is_iso(f: AdelMorphism) -> bool:
-    return is_mono(f) and is_epi(f)
+    return claim_witnesses("iso", f) is not None
+
+
+def is_exact(f: AdelMorphism, g: AdelMorphism) -> bool:
+    """Exactness at the middle object of a certified complex."""
+    return claim_witnesses("exact", f, g) is not None
 
 
 def subobject_leq(i1: AdelMorphism, i2: AdelMorphism) -> bool:
@@ -520,7 +584,7 @@ def lift_along_mono(iota: AdelMorphism, tau: AdelMorphism) -> AdelMorphism:
     return dualize_morphism(colift)
 
 
-# -- images, homology, exactness ----------------------------------------------
+# -- images, homology, connecting morphisms -----------------------------------
 
 @dataclass(frozen=True)
 class ImageResult:
@@ -580,30 +644,6 @@ def homology_comparison(h: HomologyResult, w: AdelObject,
     if wp is None:
         return None
     return kernel_lift(h.img.cok_of.proj, theta, wp)
-
-
-def exactness_certificates(f: AdelMorphism, g: AdelMorphism):
-    """Certificates behind the exactness test: the witness for ``f * g == 0``
-    (required) and, when exact, the witness that the kernel-to-cokernel
-    composite vanishes."""
-    if f.target != g.source:
-        raise EndpointError("not a composable pair")
-    composite_wp = is_zero_morphism(compose(f, g))
-    if composite_wp is None:
-        raise CompositeNotZeroError("composite is not zero, exactness is undefined")
-    kr = kernel(g)
-    cr = cokernel(f)
-    via = compose(kr.emb, cr.proj)
-    via_wp = is_zero_morphism(via)
-    return composite_wp, via, via_wp
-
-
-def is_exact(f: AdelMorphism, g: AdelMorphism) -> bool:
-    """Exactness at the middle object of a certified complex: the composite
-    of the kernel embedding of ``g`` with the cokernel projection of ``f``
-    must vanish."""
-    _, _, via_wp = exactness_certificates(f, g)
-    return via_wp is not None
 
 
 def connecting_homomorphism(alpha: MatMorphism, beta: MatMorphism,

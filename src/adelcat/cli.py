@@ -45,34 +45,28 @@ from typing import NamedTuple, Optional, Sequence
 from . import provers
 from .addclosure import TupleObject, single, zero_mat
 from .adelman import (
+    CLAIMS,
     AdelMorphism,
     AdelObject,
-    CompositeNotZeroError,
-    NotEpiError,
-    NotMonoError,
-    SideConditionError,
     WitnessError,
     cokernel,
     connecting_homomorphism,
     emb_object,
-    exactness_certificates,
     homology,
     is_equal,
     kernel,
     make_morphism,
 )
-from .evalfunctor import Representation, RepresentationError, check_representation, eval_object
+from .evalfunctor import Representation, check_representation, eval_object
 from .homgroups import hom_group
 from .intlinalg import IntMatrix
 from .quivercat import (
     Arrow,
-    CyclicQuiverError,
     EndpointError,
     LinMorphism,
     Path,
     Quiver,
     QuiverCategory,
-    QuiverError,
     RelationError,
     compose_lin,
     format_lin,
@@ -603,26 +597,17 @@ def _cmd_homology(args) -> CommandResult:
                          lines=[f"homology object: {_format_object(h.obj)}"])
 
 
-def _cmd_is_exact(args) -> CommandResult:
-    f, g, inputs = _composable_pair_command(args)
-    composite_wp, via, via_wp = exactness_certificates(f, g)
-    certs = []
-    if via_wp is not None:
-        certs.append(provers._cert_exact(f, g, composite_wp, via, via_wp))
-    return CommandResult(
-        "is-exact", inputs, via_wp is not None, certs,
-        lines=[f"sequence is {'exact' if via_wp is not None else 'NOT exact'} "
-               "at the middle object"])
-
-
-def _cmd_predicate(args, kind: str) -> CommandResult:
-    """``is-mono``, ``is-epi`` and ``is-iso``: a positive verdict carries its
-    zero-test certificate."""
-    f, inputs = _morphism_command(args)
-    cert = provers.zero_test_certificate(kind, f)
+def _cmd_claim(args, kind: str) -> CommandResult:
+    """``is-mono``, ``is-epi``, ``is-iso`` and ``is-exact``: a positive
+    verdict carries the claim's certificate."""
+    pair = len(CLAIMS[kind][0]) == 2
+    *fs, inputs = (_composable_pair_command if pair else _morphism_command)(args)
+    cert = provers.claim_certificate(kind, *fs)
     verdict = cert is not None
+    line = (f"sequence is {'exact' if verdict else 'NOT exact'} at the middle object"
+            if pair else f"{kind}: {verdict}")
     return CommandResult(f"is-{kind}", inputs, verdict, [cert] if verdict else [],
-                         lines=[f"{kind}: {verdict}"])
+                         lines=[line])
 
 
 def _cmd_hom_group(args) -> CommandResult:
@@ -762,17 +747,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--source", required=True)
         p.add_argument("--target", required=True)
 
-    for which in ("homology", "is-exact"):
+    pair_claims = [f"is-{kind}" for kind, (names, _) in CLAIMS.items() if len(names) == 2]
+    for which in ("homology", *pair_claims):
         p = sub.add_parser(which, parents=[common])
         p.add_argument("first")
         p.add_argument("second")
         p.add_argument("--objects", nargs=3, required=True)
 
-    for kind in provers.ZERO_TESTS:
-        p = sub.add_parser(f"is-{kind}", parents=[common])
-        p.add_argument("morphism")
-        p.add_argument("--source", required=True)
-        p.add_argument("--target", required=True)
+    for kind, (names, _) in CLAIMS.items():
+        if len(names) == 1:
+            p = sub.add_parser(f"is-{kind}", parents=[common])
+            p.add_argument("morphism")
+            p.add_argument("--source", required=True)
+            p.add_argument("--target", required=True)
 
     p = sub.add_parser("hom-group", parents=[common])
     p.add_argument("source")
@@ -803,8 +790,7 @@ _DISPATCH = {
     "kernel": lambda a: _cmd_kernel(a, "kernel"),
     "cokernel": lambda a: _cmd_kernel(a, "cokernel"),
     "homology": _cmd_homology,
-    "is-exact": _cmd_is_exact,
-    **{f"is-{kind}": functools.partial(_cmd_predicate, kind=kind) for kind in provers.ZERO_TESTS},
+    **{f"is-{kind}": functools.partial(_cmd_claim, kind=kind) for kind in CLAIMS},
     "hom-group": _cmd_hom_group,
     "connecting": _cmd_connecting,
     "prove": _cmd_prove,
@@ -829,9 +815,7 @@ def run_command(argv: Sequence[str]) -> int:
     start = time.perf_counter()
     try:
         result = _DISPATCH[args.command](args)
-    except (ParseError, QuiverError, RelationError, EndpointError, WitnessError,
-            RepresentationError, CompositeNotZeroError, SideConditionError,
-            NotMonoError, NotEpiError, CyclicQuiverError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every adelcat error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:

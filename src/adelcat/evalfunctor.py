@@ -83,7 +83,6 @@ class GroupWithMap:
 
     group: FpAbGroup
     basis: IntMatrix
-    middle_rank: int
 
     def invariants(self) -> SmithInvariants:
         return self.group.invariants().reduced()
@@ -116,10 +115,9 @@ class Evaluation:
     The functor is a pure function of the representation and the value, so
     each object, morphism and path is evaluated at most once per
     ``Evaluation`` and a memo hit is what a fresh evaluation would compute.
-    A morphism evaluated on explicit ``src``/``tgt`` groups is neither served
-    from nor stored in the memo.  ``oracle_suite`` makes one per call and
-    drops it when it returns; every public evaluation function of this
-    module accepts one in place of a representation.
+    ``oracle_suite`` makes one per call and drops it when it returns; every
+    public evaluation function of this module accepts one in place of a
+    representation.
     """
 
     def __init__(self, rep: Representation):
@@ -180,25 +178,20 @@ class Evaluation:
     def _object(self, x: AdelObject) -> GroupWithMap:
         """Homology of the evaluated composable pair: kernel of the evaluated
         corelation modulo the image of the evaluated relation morphism."""
-        rank = self.rep.rank_of(x.middle)
-        if not rank:  # the zero group, as the general path finds it
+        if not self.rep.rank_of(x.middle):  # the zero group, as the general path finds it
             empty = IntMatrix.zeros(0, 0)
-            return GroupWithMap(FpAbGroup(0, empty), empty, 0)
+            return GroupWithMap(FpAbGroup(0, empty), empty)
         kernel_basis = left_kernel(self.mat(x.corel))
         relations = _preimage_relations(kernel_basis, self.mat(x.rel))
-        return GroupWithMap(FpAbGroup(kernel_basis.rows, relations), kernel_basis, rank)
+        return GroupWithMap(FpAbGroup(kernel_basis.rows, relations), kernel_basis)
 
-    def morphism(self, f: AdelMorphism, src: Optional[GroupWithMap] = None,
-                 tgt: Optional[GroupWithMap] = None) -> InducedMap:
+    def morphism(self, f: AdelMorphism) -> InducedMap:
         """Induced map on the evaluated homology groups."""
-        if src is None and tgt is None:
-            m = self._morphisms.get(f)
-            if m is None:
-                m = self._morphisms[f] = self._induced(
-                    f, self.object(f.source), self.object(f.target))
-            return m
-        return self._induced(f, self.object(f.source) if src is None else src,
-                             self.object(f.target) if tgt is None else tgt)
+        m = self._morphisms.get(f)
+        if m is None:
+            m = self._morphisms[f] = self._induced(
+                f, self.object(f.source), self.object(f.target))
+        return m
 
     def _induced(self, f: AdelMorphism, src: GroupWithMap, tgt: GroupWithMap) -> InducedMap:
         image_rows = src.basis * self.mat(f.datum)
@@ -245,11 +238,9 @@ def eval_object(rep: Representation | Evaluation, x: AdelObject) -> GroupWithMap
     return _evaluation(rep).object(x)
 
 
-def eval_morphism(rep: Representation | Evaluation, f: AdelMorphism,
-                  src: Optional[GroupWithMap] = None,
-                  tgt: Optional[GroupWithMap] = None) -> InducedMap:
+def eval_morphism(rep: Representation | Evaluation, f: AdelMorphism) -> InducedMap:
     """Induced map on the evaluated homology groups."""
-    return _evaluation(rep).morphism(f, src, tgt)
+    return _evaluation(rep).morphism(f)
 
 
 def identity_map(g: GroupWithMap) -> InducedMap:
@@ -310,12 +301,10 @@ def chase_connecting(rep: Representation, alpha: IntMatrix, beta: IntMatrix,
         raise RepresentationError("triple composite does not vanish")
     src_basis = left_kernel(beta * gamma)
     src = GroupWithMap(
-        FpAbGroup(src_basis.rows, _preimage_relations(src_basis, alpha)),
-        src_basis, beta.rows)
+        FpAbGroup(src_basis.rows, _preimage_relations(src_basis, alpha)), src_basis)
     tgt_basis = left_kernel(gamma)
     tgt = GroupWithMap(
-        FpAbGroup(tgt_basis.rows, _preimage_relations(tgt_basis, alpha * beta)),
-        tgt_basis, gamma.rows)
+        FpAbGroup(tgt_basis.rows, _preimage_relations(tgt_basis, alpha * beta)), tgt_basis)
     pushed = src_basis * beta
     coords = solve_left(tgt_basis, pushed)
     if coords is None:  # pragma: no cover - pushed rows lie in ker(gamma)

@@ -7,10 +7,10 @@ entries.  Every passing check embeds a certificate (witness pairs, explicit
 objects, invariant data) that ``replay_report`` re-verifies by plain matrix
 arithmetic without redoing any search.
 
-Mono, epi and iso are zero tests: a morphism is one when its kernel, its
-cokernel or both are zero objects.  ``ZERO_TESTS`` maps each claim to its
-constructions and the keys of their zero witnesses; the checks, the
-certificates, their replay and the CLI predicates all read that table.
+Mono, epi, iso and exactness are decided by ``adelman.CLAIMS``; this
+module only formats them.  A claim's certificate carries its morphisms and
+one witness pair per part, and replay rebuilds from the morphisms what each
+part declares null-homotopic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from . import homgroups
 from .addclosure import (
     MatMorphism,
     TupleObject,
-    compose_mat,
     identity_mat,
     single,
     zero_mat,
@@ -49,10 +48,9 @@ from .adelman import (
     make_morphism,
     zero_adel_object,
     zero_morphism,
-    zero_object_witness,
 )
 from .intlinalg import IntMatrix
-from .quivercat import Arrow, Path, Quiver, QuiverCategory, Relation
+from .quivercat import Arrow, EndpointError, Path, Quiver, QuiverCategory, Relation
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -252,43 +250,15 @@ def _cert_structural(left: AdelObject, right: AdelObject) -> dict:
     return {"kind": "structural", "left": _ser_obj(left), "right": _ser_obj(right)}
 
 
-# Claim -> (certificate key, adelman construction) per object declared zero.
-ZERO_TESTS = {
-    "mono": (("kernel_zero_wp", "kernel"),),
-    "epi": (("cokernel_zero_wp", "cokernel"),),
-    "iso": (("kernel_zero_wp", "kernel"), ("cokernel_zero_wp", "cokernel")),
-}
-
-
-def _zero_test_objects(kind: str, f: AdelMorphism):
-    """Yield (certificate key, object) for each object the claim ``kind``
-    declares zero.  The constructions are looked up in ``adelman`` on use, so
-    that wrappers installed there (such as the benchmark's tracer) see them."""
-    for key, construction in ZERO_TESTS[kind]:
-        yield key, getattr(ad, construction)(f).obj
-
-
-def zero_test_certificate(kind: str, f: AdelMorphism) -> Optional[dict]:
-    """The certificate that ``f`` is a ``kind`` (a key of ``ZERO_TESTS``),
-    or None when one of the objects it declares zero is not zero."""
-    witnesses = {}
-    for key, obj in _zero_test_objects(kind, f):
-        wp = zero_object_witness(obj)
-        if wp is None:
-            return None
-        witnesses[key] = _ser_wp(wp)
-    return {"kind": kind, "morphism": _ser_mor(f), **witnesses}
-
-
-def _cert_exact(f: AdelMorphism, g: AdelMorphism, composite_wp: WitnessPair,
-                via: AdelMorphism, via_wp: WitnessPair) -> dict:
-    return {
-        "kind": "exact",
-        "first": _ser_mor(f),
-        "second": _ser_mor(g),
-        "composite_wp": _ser_wp(composite_wp),
-        "via_wp": _ser_wp(via_wp),
-    }
+def claim_certificate(kind: str, *fs: AdelMorphism) -> Optional[dict]:
+    """The certificate of the claim ``kind`` (a key of ``adelman.CLAIMS``)
+    about the morphisms ``fs``, or None when the claim does not hold."""
+    witnesses = ad.claim_witnesses(kind, *fs)
+    if witnesses is None:
+        return None
+    names = ad.CLAIMS[kind][0]
+    return {"kind": kind, **{name: _ser_mor(f) for name, f in zip(names, fs)},
+            **{key: _ser_wp(wp) for key, wp in witnesses.items()}}
 
 
 def _cert_invariants(group, factors, free_rank) -> dict:
@@ -311,19 +281,13 @@ def verify_certificate(cat: QuiverCategory, cert: dict) -> bool:
         return _de_wp(cat, cert["wp"]).verifies(src, tgt, datum)
     if kind == "structural":
         return _de_obj(cat, cert["left"]) == _de_obj(cat, cert["right"])
-    if kind in ZERO_TESTS:
-        return all(_de_wp(cat, cert[key]).verifies(obj, obj, identity_mat(obj.middle))
-                   for key, obj in _zero_test_objects(kind, _de_mor(cat, cert["morphism"])))
-    if kind == "exact":
-        f = _de_mor(cat, cert["first"])
-        g = _de_mor(cat, cert["second"])
-        if not _de_wp(cat, cert["composite_wp"]).verifies(
-                f.source, g.target, compose_mat(f.datum, g.datum)):
+    if kind in ad.CLAIMS:
+        names, parts = ad.CLAIMS[kind]
+        fs = [_de_mor(cat, cert[name]) for name in names]
+        try:
+            return all(_de_wp(cat, cert[key]).verifies(*rebuild(*fs)) for key, rebuild in parts)
+        except EndpointError:  # morphisms that do not compose
             return False
-        kr = kernel(g)
-        ck = cokernel(f)
-        via = compose(kr.emb, ck.proj)
-        return _de_wp(cat, cert["via_wp"]).verifies(via.source, via.target, via.datum)
     if kind == "invariants":
         from .intlinalg import FpAbGroup
         group = FpAbGroup(cert["ngens"], IntMatrix.from_rows(cert["relations"], cols=cert["ngens"]))
@@ -376,36 +340,20 @@ def _check_zero(checks: _Checks, description: str, f: AdelMorphism):
     checks.run(description, thunk)
 
 
-def _check_exact(checks: _Checks, description: str, f: AdelMorphism,
-                 g: AdelMorphism, expect: bool = True) -> Optional[bool]:
-    """Adds the check; returns the exactness found, None if the check raised."""
-    found = []
-
+def _check_claim(checks: _Checks, description: str, kind: str,
+                 build: Callable[[], tuple], summary: Optional[str] = None):
+    """The morphisms returned by ``build`` (called inside the check, so that
+    its failures are report entries; None for one that does not exist)
+    satisfy the claim ``kind``; ``summary`` describes a pass, ``kind`` by
+    default."""
     def thunk():
-        composite_wp, via, via_wp = ad.exactness_certificates(f, g)
-        exact = via_wp is not None
-        found.append(exact)
-        if exact != expect:
-            return False, f"exactness = {exact}, expected {expect}", None
-        if exact:
-            return True, "exact", _cert_exact(f, g, composite_wp, via, via_wp)
-        return True, "not exact (as expected)", None
-    checks.run(description, thunk)
-    return found[0] if found else None
-
-
-def _check_zero_test(checks: _Checks, description: str, kind: str,
-                     build: Callable[[], Optional[AdelMorphism]], summary: str):
-    """The morphism built by ``build`` (inside the check, so that its
-    failures are report entries; None when it does not exist) is a ``kind``."""
-    def thunk():
-        f = build()
-        if f is None:
+        fs = build()
+        if None in fs:
             return False, "morphism does not exist", None
-        cert = zero_test_certificate(kind, f)
+        cert = claim_certificate(kind, *fs)
         if cert is None:
             return False, f"not {kind}", None
-        return True, summary, cert
+        return True, summary or kind, cert
     checks.run(description, thunk)
 
 
@@ -558,31 +506,35 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
                     compose(fig.cok_beta.proj, fig.blue5))
 
     zero = zero_adel_object(cat)
-    _check_exact(checks, "top row exact at emb(b)", fig.alpha, fig.coka.proj)
-    _check_exact(checks, "top row exact at coker(alpha)",
-                 fig.coka.proj, zero_morphism(fig.coka.obj, zero))
-    _check_exact(checks, "bottom row exact at ker(gamma)",
-                 zero_morphism(zero, fig.ker_gamma.obj), fig.ker_gamma.emb)
-    _check_exact(checks, "bottom row exact at emb(c)", fig.ker_gamma.emb, fig.gamma)
 
-    _check_exact(checks, "first column exact at ker(delta)",
-                 zero_morphism(zero, fig.ker_delta.obj), fig.ker_delta.emb)
-    _check_exact(checks, "first column exact at emb(a)", fig.ker_delta.emb, fig.delta)
-    _check_exact(checks, "first column exact at ker(gamma)", fig.delta, fig.cok_delta.proj)
-    _check_exact(checks, "first column exact at C",
-                 fig.cok_delta.proj, zero_morphism(fig.cok_delta.obj, zero))
-    _check_exact(checks, "middle column exact at ker(beta)",
-                 zero_morphism(zero, fig.ker_beta.obj), fig.ker_beta.emb)
-    _check_exact(checks, "middle column exact at emb(b)", fig.ker_beta.emb, fig.beta)
-    _check_exact(checks, "middle column exact at emb(c)", fig.beta, fig.cok_beta.proj)
-    _check_exact(checks, "middle column exact at coker(beta)",
-                 fig.cok_beta.proj, zero_morphism(fig.cok_beta.obj, zero))
-    _check_exact(checks, "last column exact at K",
-                 zero_morphism(zero, fig.ker_eps.obj), fig.ker_eps.emb)
-    _check_exact(checks, "last column exact at coker(alpha)", fig.ker_eps.emb, fig.eps)
-    _check_exact(checks, "last column exact at emb(d)", fig.eps, fig.cok_eps.proj)
-    _check_exact(checks, "last column exact at coker(eps)",
-                 fig.cok_eps.proj, zero_morphism(fig.cok_eps.obj, zero))
+    def exact(description, f, g):
+        _check_claim(checks, description, "exact", lambda: (f, g))
+
+    exact("top row exact at emb(b)", fig.alpha, fig.coka.proj)
+    exact("top row exact at coker(alpha)",
+          fig.coka.proj, zero_morphism(fig.coka.obj, zero))
+    exact("bottom row exact at ker(gamma)",
+          zero_morphism(zero, fig.ker_gamma.obj), fig.ker_gamma.emb)
+    exact("bottom row exact at emb(c)", fig.ker_gamma.emb, fig.gamma)
+
+    exact("first column exact at ker(delta)",
+          zero_morphism(zero, fig.ker_delta.obj), fig.ker_delta.emb)
+    exact("first column exact at emb(a)", fig.ker_delta.emb, fig.delta)
+    exact("first column exact at ker(gamma)", fig.delta, fig.cok_delta.proj)
+    exact("first column exact at C",
+          fig.cok_delta.proj, zero_morphism(fig.cok_delta.obj, zero))
+    exact("middle column exact at ker(beta)",
+          zero_morphism(zero, fig.ker_beta.obj), fig.ker_beta.emb)
+    exact("middle column exact at emb(b)", fig.ker_beta.emb, fig.beta)
+    exact("middle column exact at emb(c)", fig.beta, fig.cok_beta.proj)
+    exact("middle column exact at coker(beta)",
+          fig.cok_beta.proj, zero_morphism(fig.cok_beta.obj, zero))
+    exact("last column exact at K",
+          zero_morphism(zero, fig.ker_eps.obj), fig.ker_eps.emb)
+    exact("last column exact at coker(alpha)", fig.ker_eps.emb, fig.eps)
+    exact("last column exact at emb(d)", fig.eps, fig.cok_eps.proj)
+    exact("last column exact at coker(eps)",
+          fig.cok_eps.proj, zero_morphism(fig.cok_eps.obj, zero))
 
     _check_zero(checks, "blue composite ker(delta) -> ker(beta) -> K is zero",
                 compose(fig.blue1, fig.blue2))
@@ -593,12 +545,10 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
     _check_zero(checks, "blue composite C -> coker(beta) -> coker(eps) is zero",
                 compose(fig.blue4, fig.blue5))
 
-    _check_exact(checks, "blue sequence exact at ker(beta)", fig.blue1, fig.blue2)
-    _check_exact(checks, "blue sequence exact at K (connecting source)",
-                 fig.blue2, fig.connecting)
-    _check_exact(checks, "blue sequence exact at C (connecting target)",
-                 fig.connecting, fig.blue4)
-    _check_exact(checks, "blue sequence exact at coker(beta)", fig.blue4, fig.blue5)
+    exact("blue sequence exact at ker(beta)", fig.blue1, fig.blue2)
+    exact("blue sequence exact at K (connecting source)", fig.blue2, fig.connecting)
+    exact("blue sequence exact at C (connecting target)", fig.connecting, fig.blue4)
+    exact("blue sequence exact at coker(beta)", fig.blue4, fig.blue5)
 
     lemma = "universal snake diagram"
     if connecting_scale != 1:
@@ -637,17 +587,6 @@ def explicit_sweep_witness(fig: SnakeFigure, s: int) -> tuple[AdelMorphism, Witn
     return via, WitnessPair(sigma1, sigma2)
 
 
-def exactness_sweep(s_values: Sequence[int]) -> dict[int, bool]:
-    """Exactness of the sequence ker(beta) -> K -> C with the connecting
-    datum scaled by s, for each s; true exactly at s in {-1, +1}."""
-    fig = build_snake_figure(1)
-    out: dict[int, bool] = {}
-    for s in s_values:
-        conn_s = fig.connecting.scale(s)
-        out[int(s)] = is_exact(fig.blue2, conn_s)
-    return out
-
-
 def sweep_report(s_values: Sequence[int]) -> ProofReport:
     """Exactness sweep as a report, re-verifying the closed-form witness pair
     at s = -1 and s = +1."""
@@ -662,10 +601,16 @@ def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool
     results: dict[int, Optional[bool]] = {}
     for s in s_values:
         s = int(s)
-        conn_s = fig.connecting.scale(s)
         expect = s in (-1, 1)
-        results[s] = _check_exact(checks, f"blue sequence exact at K for s = {s}",
-                                  fig.blue2, conn_s, expect=expect)
+        results[s] = None
+
+        def exact_thunk(s=s, expect=expect):
+            cert = claim_certificate("exact", fig.blue2, fig.connecting.scale(s))
+            results[s] = exact = cert is not None
+            if exact != expect:
+                return False, f"exactness = {exact}, expected {expect}", None
+            return True, "exact" if exact else "not exact (as expected)", cert
+        checks.run(f"blue sequence exact at K for s = {s}", exact_thunk)
         if expect:
             def thunk(s=s):
                 via, wp = explicit_sweep_witness(fig, s)
@@ -717,10 +662,10 @@ def prove_connecting_uniqueness() -> ProofReport:
             return ok, f"Hom({a},{b}) has no paths", _cert_invariants(group, (), 0)
         checks.run(f"auxiliary Hom({a},{b}) is trivial", hom_thunk)
 
-    sweep = exactness_sweep(range(-3, 4))
-    ok_sweep = all(v == (s in (-1, 1)) for s, v in sweep.items())
+    exactness = {s: is_exact(fig.blue2, fig.connecting.scale(s)) for s in range(-3, 4)}
+    ok_sweep = all(v == (s in (-1, 1)) for s, v in exactness.items())
     checks.add("exactness over s in -3..3 holds exactly at -1 and +1", ok_sweep,
-               ", ".join(f"{s}:{'exact' if v else 'not'}" for s, v in sorted(sweep.items())))
+               ", ".join(f"{s}:{'exact' if v else 'not'}" for s, v in sorted(exactness.items())))
 
     return ProofReport("connecting morphism uniqueness", cat.name, tuple(checks.items))
 
@@ -897,10 +842,10 @@ def prove_refined_five() -> ProofReport:
                       AdelObject(zero_mat(TupleObject(cat, ()), TupleObject(cat, ("h",))),
                                  single(cat.arrow_lin("mu"))))
 
-    _check_zero_test(checks, "delta (cokernel projection of lambda) is an epi", "epi",
-                     lambda: data.cok_lambda.proj, "cokernel is zero")
-    _check_zero_test(checks, "eta (kernel embedding of mu) is a mono", "mono",
-                     lambda: data.ker_mu.emb, "kernel is zero")
+    _check_claim(checks, "delta (cokernel projection of lambda) is an epi", "epi",
+                 lambda: (data.cok_lambda.proj,), "cokernel is zero")
+    _check_claim(checks, "eta (kernel embedding of mu) is a mono", "mono",
+                 lambda: (data.ker_mu.emb,), "kernel is zero")
 
     _check_commutes(checks, "left square commutes",
                     compose(data.top1, data.eps),
@@ -926,9 +871,9 @@ def prove_refined_five() -> ProofReport:
         return homology_comparison(h, w, identity_mat(h.cok.obj.middle))
 
     # step 1
-    _check_zero_test(checks, "step 1: homology of the top right pair has the composable-pair form",
-                     "iso", lambda: comparison(data.top2, data.top3, data.w1),
-                     "H(beta, zeta*kappa) = (b -> c -> h)")
+    _check_claim(checks, "step 1: homology of the top right pair has the composable-pair form",
+                 "iso", lambda: (comparison(data.top2, data.top3, data.w1),),
+                 "H(beta, zeta*kappa) = (b -> c -> h)")
 
     # step 2
     _check_structural(checks,
@@ -940,12 +885,12 @@ def prove_refined_five() -> ProofReport:
                       "step 3: cokernel of the middle homology map equals the explicit object",
                       data.cok_m3.obj, data.w3)
 
-    _check_zero_test(checks, "step 3: top homology identification", "iso",
-                     lambda: comparison(data.top1, data.top2, data.wa),
-                     "H at emb(b) = (a -> b -> c)")
-    _check_zero_test(checks, "step 3: bottom homology identification", "iso",
-                     lambda: comparison(data.bot1, data.bot2, data.wb),
-                     "H at emb(f) = (a -> f -> g)")
+    _check_claim(checks, "step 3: top homology identification", "iso",
+                 lambda: (comparison(data.top1, data.top2, data.wa),),
+                 "H at emb(b) = (a -> b -> c)")
+    _check_claim(checks, "step 3: bottom homology identification", "iso",
+                 lambda: (comparison(data.bot1, data.bot2, data.wb),),
+                 "H at emb(f) = (a -> f -> g)")
 
     def step3_square():
         h_top = homology(data.top1, data.top2)
@@ -965,8 +910,8 @@ def prove_refined_five() -> ProofReport:
     checks.run("step 3: induced homology map is the explicit comparison morphism", step3_square)
 
     # step 4
-    _check_zero_test(checks, "step 4: the explicit chain map is a monomorphism", "mono",
-                     lambda: data.m4, "kernel is zero")
+    _check_claim(checks, "step 4: the explicit chain map is a monomorphism", "mono",
+                 lambda: (data.m4,), "kernel is zero")
 
     def step4_witness():
         k4 = kernel(data.m4)
@@ -1005,8 +950,8 @@ def explore_d4() -> ProofReport:
     for lbl in ("p", "q", "r"):
         img = image(emb_lin(cat.arrow_lin(lbl)))
         images[lbl] = img
-        _check_zero_test(checks, f"embedding of im({lbl}) is a mono", "mono",
-                         lambda img=img: img.emb, "kernel is zero")
+        _check_claim(checks, f"embedding of im({lbl}) is a mono", "mono",
+                     lambda img=img: (img.emb,), "kernel is zero")
 
     pattern = {}
 

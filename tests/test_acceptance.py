@@ -29,7 +29,6 @@ from adelcat.intlinalg import IntMatrix, det, hnf, snf, solve_left
 from adelcat.provers import (
     build_five_data,
     build_snake_figure,
-    exactness_sweep,
     explore_d4,
     five_oracle_items,
     explicit_sweep_witness,
@@ -37,6 +36,7 @@ from adelcat.provers import (
     prove_refined_five,
     prove_snake,
     snake_oracle_items,
+    sweep,
 )
 
 from test_addclosure import rand_mat, rand_tuple
@@ -64,7 +64,7 @@ def test_criterion_1_snake_universal_instance():
 
 
 def test_criterion_2_exactness_sweep_boundary():
-    results = exactness_sweep(range(-3, 4))
+    results = sweep(range(-3, 4))[1]
     assert results == {s: (s in (-1, 1)) for s in range(-3, 4)}
     fig = build_snake_figure()
     for s in (-1, 1):

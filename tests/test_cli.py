@@ -257,11 +257,16 @@ class TestCommands:
     def test_sweep_results_map(self, capsys, monkeypatch):
         from adelcat import provers
 
-        def second_sweep(values):
-            raise AssertionError("the sweep was computed twice")
-        monkeypatch.setattr(provers, "exactness_sweep", second_sweep)
+        calls = []
+        sweep = provers.sweep
+
+        def counted_sweep(values):
+            calls.append(values)
+            return sweep(values)
+        monkeypatch.setattr(provers, "sweep", counted_sweep)
         code = run_command(["sweep", "--range", "-3..3", "--json", "--seed", "0"])
         assert code == 0
+        assert len(calls) == 1, "the sweep was computed more than once"
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"] == {
             "-3": False, "-2": False, "-1": True, "0": False,
@@ -405,6 +410,29 @@ class TestCommands:
         assert set(sub.choices) == set(cli._DISPATCH)
         [lemma] = [a for a in sub.choices["prove"]._actions if a.dest == "lemma"]
         assert set(lemma.choices) == set(cli._LEMMAS)
+
+    def test_claim_commands_are_the_claim_table(self):
+        import argparse
+        from adelcat.adelman import CLAIMS
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert {c for c in sub.choices if c.startswith("is-")} == {f"is-{k}" for k in CLAIMS}
+
+    def test_every_adelcat_error_is_a_value_error(self):
+        # run_command turns ValueError into exit 2; any other error class
+        # would escape as a traceback
+        import importlib
+        import pkgutil
+        import adelcat
+        errors = []
+        for info in pkgutil.iter_modules(adelcat.__path__):
+            module = importlib.import_module(f"adelcat.{info.name}")
+            errors += [obj for obj in vars(module).values()
+                       if isinstance(obj, type) and issubclass(obj, BaseException)
+                       and obj.__module__ == module.__name__]
+        assert len(errors) >= 10
+        for error in errors:
+            assert issubclass(error, ValueError), error.__qualname__
 
     def test_consecutive_commands_match_fresh_runs(self, snake_file, capsys):
         first = ["hom-group", "K", "C", "--category", snake_file, "--json", "--seed", "0"]

@@ -20,7 +20,6 @@ from adelcat.adelman import (
 )
 from adelcat.evalfunctor import (
     Evaluation,
-    GroupWithMap,
     InducedMap,
     Representation,
     RepresentationError,
@@ -121,7 +120,7 @@ class TestEvalMorphism:
         f, g = snake_fig.blue1, snake_fig.blue2
         m_fg = eval_morphism(rep, compose(f, g))
         m_f = eval_morphism(rep, f)
-        m_g = eval_morphism(rep, g, src=m_f.target, tgt=m_fg.target)
+        m_g = eval_morphism(rep, g)
         assert map_equal(m_fg, compose_maps(m_f, m_g))
 
     def test_respects_is_equal(self, snake_fig):
@@ -134,10 +133,7 @@ class TestEvalMorphism:
                           f.datum + compose_mat(sigma1, f.target.rel))
         assert g is not None and is_equal(f, g) is not None
         rep = random_representation(snake_fig.cat, 8)
-        src = eval_object(rep, f.source)
-        tgt = eval_object(rep, f.target)
-        assert map_equal(eval_morphism(rep, f, src, tgt),
-                         eval_morphism(rep, g, src, tgt))
+        assert map_equal(eval_morphism(rep, f), eval_morphism(rep, g))
 
 
 class TestConnectingChase:
@@ -296,19 +292,6 @@ class TestSuiteEvaluation:
         before = dict(vars(rep))
         oracle_suite(rep, snake_oracle_items(snake_fig))
         assert vars(rep) == before
-
-    @pytest.mark.parametrize("side", ["src", "tgt"])
-    def test_explicit_endpoints_bypass_the_memo(self, snake_cat, side):
-        rep = snake_rep(snake_cat)
-        f = identity_morphism(emb_vertex(snake_cat, "b"))
-        ev = Evaluation(rep)
-        memo = eval_morphism(ev, f)
-        g = memo.target
-        flipped = {side: GroupWithMap(g.group, g.basis.scale(-1), g.middle_rank)}
-        inside = eval_morphism(ev, f, **flipped)
-        assert inside == eval_morphism(rep, f, **flipped)
-        assert inside.matrix == IntMatrix.from_rows([[-1]]) != memo.matrix
-        assert eval_morphism(ev, f) is memo
 
     def test_suite_calls_oracle_compare_once_per_item(self, monkeypatch, snake_fig):
         # adelbench counts oracle checks by wrapping this module attribute

@@ -3,10 +3,25 @@ import json
 
 import pytest
 
-from adelcat.adelman import is_equal
+from adelcat.adelman import (
+    CLAIMS,
+    AdelMorphism,
+    CokernelResult,
+    CompositeNotZeroError,
+    KernelResult,
+    compose,
+    is_epi,
+    is_equal,
+    is_exact,
+    is_iso,
+    is_mono,
+    is_zero_morphism,
+    zero_adel_object,
+    zero_morphism,
+)
 from adelcat.provers import (
     category_by_name,
-    exactness_sweep,
+    claim_certificate,
     explore_d4,
     explicit_five_witness,
     explicit_sweep_witness,
@@ -14,10 +29,11 @@ from adelcat.provers import (
     prove_refined_five,
     prove_snake,
     replay_report,
+    sweep,
     sweep_report,
     verify_certificate,
-    zero_test_certificate,
-    ZERO_TESTS,
+    _ser_mor,
+    _ser_wp,
 )
 
 
@@ -53,7 +69,7 @@ class TestSnakeProver:
 
 class TestSweep:
     def test_boundary(self):
-        results = exactness_sweep(range(-3, 4))
+        results = sweep(range(-3, 4))[1]
         assert results == {-3: False, -2: False, -1: True, 0: False,
                            1: True, 2: False, 3: False}
 
@@ -186,24 +202,29 @@ def five_report():
     return prove_refined_five().to_dict()
 
 
+@pytest.fixture(scope="module")
+def snake_report():
+    return prove_snake().to_dict()
+
+
 def _certs_of_kind(report, kind):
     return [c["certificate"] for c in report["checks"]
             if c["certificate"] and c["certificate"]["kind"] == kind]
 
 
 class TestZeroTestReplay:
-    """Mono, epi and iso certificates replay through one table."""
+    """Mono, epi, iso and exact certificates replay through one table."""
 
     def test_certificate_only_for_zero_objects(self, five_data):
-        assert zero_test_certificate("mono", five_data.zeta) is None
-        cert = zero_test_certificate("epi", five_data.cok_lambda.proj)
+        assert claim_certificate("mono", five_data.zeta) is None
+        cert = claim_certificate("epi", five_data.cok_lambda.proj)
         assert set(cert) == {"kind", "morphism", "cokernel_zero_wp"}
         assert verify_certificate(five_data.cat, cert)
 
     @pytest.mark.parametrize("kind, other", [("mono", "epi"), ("epi", "mono")])
     def test_relabelled_certificate_rejected(self, five_report, five_cat, kind, other):
-        [(key, _)] = ZERO_TESTS[kind]
-        [(other_key, _)] = ZERO_TESTS[other]
+        [(key, _)] = CLAIMS[kind][1]
+        [(other_key, _)] = CLAIMS[other][1]
         certs = _certs_of_kind(five_report, kind)
         assert certs
         for cert in certs:
@@ -250,11 +271,89 @@ class TestZeroTestReplay:
             assert run_command(argv + ["--category", str(path), "--json", "--seed", "0"]) == 0
             emitted += [(session_cat, cert)
                         for cert in json.loads(capsys.readouterr().out)["certificates"]]
-        kinds = {cert["kind"] for _, cert in emitted}
-        assert kinds == {"null_homotopy", "structural", "exact", "invariants",
-                         "mono", "epi", "iso"}
+        kinds = [cert["kind"] for _, cert in emitted]
+        assert set(kinds) == {"null_homotopy", "structural", "exact", "invariants",
+                              "mono", "epi", "iso"}
+        assert kinds.count("exact") == 20 + 2 + 1  # prove snake, sweep, is-exact
         for cat, cert in emitted:
             assert verify_certificate(cat, cert), cert["kind"]
+
+    @pytest.mark.parametrize("forge", [
+        lambda c, other: (c["second"], c["first"]),  # swapped
+        lambda c, other: (c["first"], other["second"]),  # another check's second
+    ], ids=["swapped", "foreign-second"])
+    def test_exact_with_noncomposable_morphisms_rejected(self, snake_report, snake_cat, forge):
+        certs = _certs_of_kind(snake_report, "exact")
+        for cert, other in zip(certs, certs[1:] + certs[:1]):
+            forged = copy.deepcopy(cert)
+            forged["first"], forged["second"] = forge(forged, other)
+            assert not verify_certificate(snake_cat, forged)
+        tampered = copy.deepcopy(snake_report)
+        cert = next(c["certificate"] for c in tampered["checks"]
+                    if c["certificate"]["kind"] == "exact")
+        cert["first"], cert["second"] = cert["second"], cert["first"]
+        assert not replay_report(tampered)
+
+    def test_exact_with_exchanged_witnesses_rejected(self, snake_report, snake_cat):
+        for cert in _certs_of_kind(snake_report, "exact"):
+            forged = copy.deepcopy(cert)
+            forged["composite_wp"], forged["via_wp"] = cert["via_wp"], cert["composite_wp"]
+            assert not verify_certificate(snake_cat, forged)
+
+    def test_exact_and_mono_relabelled_rejected(self, snake_fig):
+        cat = snake_fig.cat
+        f, g = snake_fig.ker_gamma.emb, snake_fig.gamma
+        out = zero_morphism(f.target, zero_adel_object(cat))
+        assert is_mono(f) and is_exact(f, g) and not is_mono(g) and not is_exact(f, out)
+        exact, mono = claim_certificate("exact", f, g), claim_certificate("mono", f)
+        assert verify_certificate(cat, exact) and verify_certificate(cat, mono)
+        for key in ("composite_wp", "via_wp"):  # exact relabelled as mono, about g
+            forged = {"kind": "mono", "morphism": exact["second"], "kernel_zero_wp": exact[key]}
+            assert not verify_certificate(cat, forged)
+        composite_wp = _ser_wp(is_zero_morphism(compose(f, out)))
+        for first_wp in (mono["kernel_zero_wp"], composite_wp):  # mono relabelled as exact
+            forged = {"kind": "exact", "first": mono["morphism"], "second": _ser_mor(out),
+                      "composite_wp": first_wp, "via_wp": mono["kernel_zero_wp"]}
+            assert not verify_certificate(cat, forged)
+
+
+def _figure_morphisms(figure) -> list[AdelMorphism]:
+    """The morphisms of a figure: its morphism fields and the embeddings and
+    projections of its kernels and cokernels."""
+    out = []
+    for value in vars(figure).values():
+        if isinstance(value, KernelResult):
+            value = value.emb
+        elif isinstance(value, CokernelResult):
+            value = value.proj
+        if isinstance(value, AdelMorphism):
+            out.append(value)
+    return out
+
+
+def test_predicates_agree_with_certificates(snake_fig, five_data):
+    predicates = {"mono": is_mono, "epi": is_epi, "iso": is_iso, "exact": is_exact}
+    assert set(predicates) == set(CLAIMS)
+    pairs = 0
+    for figure in (snake_fig, five_data):
+        morphisms = _figure_morphisms(figure)
+        assert len(morphisms) >= 15
+        for f in morphisms:
+            for kind in ("mono", "epi", "iso"):
+                assert predicates[kind](f) == (claim_certificate(kind, f) is not None), kind
+        for f in morphisms:
+            for g in morphisms:
+                if f.target != g.source:
+                    continue
+                try:
+                    verdict = is_exact(f, g)
+                except CompositeNotZeroError:
+                    with pytest.raises(CompositeNotZeroError):
+                        claim_certificate("exact", f, g)
+                    continue
+                pairs += 1
+                assert verdict == (claim_certificate("exact", f, g) is not None)
+    assert pairs >= 10
 
 
 def test_concurrent_prover_runs_share_values():
@@ -263,7 +362,7 @@ def test_concurrent_prover_runs_share_values():
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [pool.submit(prove_snake) for _ in range(2)]
         futures.append(pool.submit(prove_connecting_uniqueness))
-        futures.append(pool.submit(lambda: exactness_sweep(range(-2, 3))))
+        futures.append(pool.submit(lambda: sweep(range(-2, 3))[1]))
         results = [f.result() for f in futures]
     assert results[0].overall and results[1].overall and results[2].overall
     assert results[0].to_dict() == results[1].to_dict()
