@@ -13,13 +13,18 @@ claim, the data its parts declare null-homotopic, rebuilt from the morphisms
 without search, and ``claim_witnesses`` decides them.  The predicates, the
 provers' certificates and their replay all read that table.
 
-Sign conventions follow the matrices with the fewest minus signs; witnesses
-are computed once at construction time and cached inside each value, so all
-values are immutable and safe to share.
+Sign conventions follow the matrices with the fewest minus signs.  Values
+are immutable and cache nothing.  Inside one ``construction_memo`` scope
+(one prover call, or one replay, which never shares the prover's memo)
+``kernel`` and ``cokernel`` run once per argument, keyed by identity, and
+``zero_witness`` once per homotopy system, keyed by value.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -226,8 +231,40 @@ def morphism_from_sum(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
     )
 
 
+_MEMO: ContextVar[Optional[dict]] = ContextVar("adelman_memo", default=None)
+
+
+@contextmanager
+def construction_memo():
+    """Scope (a decorator, once called) with an empty memo; restores the enclosing one."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoised(key):
+    """Inside a scope, look a call up by ``key(*args)`` first.  An entry keeps
+    its arguments alive, so no identity key is reused while the scope lasts;
+    a call that raises stores nothing."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def memoised(*args):
+            memo = _MEMO.get()
+            if memo is None:
+                return fn(*args)
+            k = (fn, key(*args))
+            if (entry := memo.get(k)) is None:
+                entry = memo[k] = (args, fn(*args))
+            return entry[1]
+        return memoised
+    return decorate
+
+
 # -- equality and the zero test ---------------------------------------------
 
+@_memoised(lambda source, target, datum: (datum, target.rel, source.corel))
 def zero_witness(source: AdelObject, target: AdelObject,
                  datum: MatMorphism) -> Optional[WitnessPair]:
     """Witness pair for a datum being null-homotopic between two objects, or
@@ -288,6 +325,7 @@ class KernelResult:
     composite_zero_wp: WitnessPair  # certifies emb * morphism == 0
 
 
+@_memoised(id)
 def cokernel(f: AdelMorphism) -> CokernelResult:
     """Cokernel projection, built on explicit block matrices."""
     a, b = f.source, f.target
@@ -330,6 +368,7 @@ def cokernel_colift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> Adel
     return AdelMorphism(ck.obj, t, datum, omega, psi)
 
 
+@_memoised(id)
 def kernel(f: AdelMorphism) -> KernelResult:
     """Kernel embedding; the exact dual of the cokernel construction."""
     a, b = f.source, f.target

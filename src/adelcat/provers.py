@@ -49,8 +49,8 @@ from .adelman import (
     zero_adel_object,
     zero_morphism,
 )
-from .intlinalg import IntMatrix
-from .quivercat import Arrow, EndpointError, Path, Quiver, QuiverCategory, Relation
+from .intlinalg import FpAbGroup, IntMatrix
+from .quivercat import Arrow, Path, Quiver, QuiverCategory, Relation
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -272,30 +272,31 @@ def _cert_invariants(group, factors, free_rank) -> dict:
 
 
 def verify_certificate(cat: QuiverCategory, cert: dict) -> bool:
-    """Re-check one certificate by direct matrix arithmetic (no search)."""
-    kind = cert["kind"]
-    if kind == "null_homotopy":
-        src = _de_obj(cat, cert["source"])
-        tgt = _de_obj(cat, cert["target"])
-        datum = _de_mat(cat, cert["datum"])
-        return _de_wp(cat, cert["wp"]).verifies(src, tgt, datum)
-    if kind == "structural":
-        return _de_obj(cat, cert["left"]) == _de_obj(cat, cert["right"])
-    if kind in ad.CLAIMS:
-        names, parts = ad.CLAIMS[kind]
-        fs = [_de_mor(cat, cert[name]) for name in names]
-        try:
+    """Re-check one certificate by direct matrix arithmetic (no search).  A
+    missing or mistyped field fails the certificate; an unknown kind raises."""
+    try:
+        kind = cert["kind"]
+        if kind == "null_homotopy":
+            src = _de_obj(cat, cert["source"])
+            tgt = _de_obj(cat, cert["target"])
+            datum = _de_mat(cat, cert["datum"])
+            return _de_wp(cat, cert["wp"]).verifies(src, tgt, datum)
+        if kind == "structural":
+            return _de_obj(cat, cert["left"]) == _de_obj(cat, cert["right"])
+        if kind in ad.CLAIMS:
+            names, parts = ad.CLAIMS[kind]
+            fs = [_de_mor(cat, cert[name]) for name in names]
             return all(_de_wp(cat, cert[key]).verifies(*rebuild(*fs)) for key, rebuild in parts)
-        except EndpointError:  # morphisms that do not compose
-            return False
-    if kind == "invariants":
-        from .intlinalg import FpAbGroup
-        group = FpAbGroup(cert["ngens"], IntMatrix.from_rows(cert["relations"], cols=cert["ngens"]))
-        inv = group.invariants().reduced()
-        return list(inv.factors) == list(cert["factors"]) and inv.free_rank == cert["free_rank"]
+        if kind == "invariants":
+            group = FpAbGroup(cert["ngens"], IntMatrix.from_rows(cert["relations"], cols=cert["ngens"]))
+            inv = group.invariants().reduced()
+            return list(inv.factors) == list(cert["factors"]) and inv.free_rank == cert["free_rank"]
+    except (KeyError, TypeError, ValueError):  # every adelcat error is a ValueError
+        return False
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
+@ad.construction_memo()
 def replay_report(report: dict) -> bool:
     """Re-verify every embedded certificate of a serialized report.
 
@@ -458,6 +459,7 @@ def _snake_explicit_objects(fig: SnakeFigure) -> dict[str, AdelObject]:
     }
 
 
+@ad.construction_memo()
 def prove_snake(connecting_scale: int = 1) -> ProofReport:
     """Verify the universal snake diagram: constructed objects match their
     explicit presentations, all squares commute, rows and columns are
@@ -593,6 +595,7 @@ def sweep_report(s_values: Sequence[int]) -> ProofReport:
     return sweep(s_values)[0]
 
 
+@ad.construction_memo()
 def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool]]]:
     """The sweep report together with the exactness found for each s (None
     where the check raised)."""
@@ -622,6 +625,7 @@ def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool
     return report, results
 
 
+@ad.construction_memo()
 def prove_connecting_uniqueness() -> ProofReport:
     """The morphisms K -> C form a free group of rank one generated by the
     connecting morphism; only the generator and its inverse make the blue
@@ -824,6 +828,7 @@ def explicit_five_witness(data: FiveData) -> WitnessPair:
     return WitnessPair(sigma1, sigma2)
 
 
+@ad.construction_memo()
 def prove_refined_five() -> ProofReport:
     """Verify the universal diagram of the refined five-term lemma: the
     premise (outer epi/mono, commuting squares, zero composites) and the
@@ -939,6 +944,7 @@ def prove_refined_five() -> ProofReport:
 
 # -- the D4 exploration (stretch) ------------------------------------------------
 
+@ad.construction_memo()
 def explore_d4() -> ProofReport:
     """Subobject comparisons of the three canonical images inside the
     embedded sink of the three-source star quiver.  Each image embedding is

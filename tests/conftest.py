@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from adelcat import adelman
 from adelcat.provers import (
     build_five_data,
     build_snake_figure,
@@ -27,6 +30,20 @@ def snake_fig():
 @pytest.fixture(scope="session")
 def five_data():
     return build_five_data()
+
+
+@pytest.fixture
+def underlying(monkeypatch):
+    """Counts of the memoised constructions' own runs: a ``kernel`` or
+    ``cokernel`` run builds one result, a ``zero_witness`` run solves one
+    homotopy system (as does each half of ``make_morphism``)."""
+    counts = Counter()
+    for name in ("KernelResult", "CokernelResult", "decide_homotopy"):
+        def counting(*args, real=getattr(adelman, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(adelman, name, counting)
+    return counts
 
 
 def torsion_category() -> QuiverCategory:

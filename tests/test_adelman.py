@@ -20,6 +20,7 @@ from adelcat.adelman import (
     colift_along_epi,
     compose,
     connecting_homomorphism,
+    construction_memo,
     direct_sum_object,
     dualize_morphism,
     dualize_object,
@@ -45,8 +46,10 @@ from adelcat.adelman import (
     subobject_leq,
     zero_adel_object,
     zero_morphism,
+    zero_witness,
 )
-from adelcat.quivercat import compose_lin
+from adelcat import adelman
+from adelcat.quivercat import EndpointError, compose_lin
 
 from test_addclosure import rand_mat, rand_tuple
 
@@ -135,6 +138,65 @@ class TestEqualityDecisions:
 
     def test_identity_on_nonzero_not_zero(self, snake_cat):
         assert is_zero_morphism(identity_morphism(emb_vertex(snake_cat, "a"))) is None
+
+
+class TestConstructionMemo:
+    """Inside a scope ``kernel``, ``cokernel`` and ``zero_witness`` run once
+    per argument; outside one every call runs."""
+
+    def test_hit_is_what_an_unscoped_call_computes(self, snake_fig, underlying):
+        f = snake_fig.ker_gamma.emb  # a mono: its kernel is a zero object
+        k = kernel(f).obj
+        g = snake_fig.gamma          # not a mono: no witness
+        underlying.clear()
+        with construction_memo():
+            first = (kernel(f), cokernel(f), zero_witness(k, k, identity_mat(k.middle)),
+                     zero_witness(*_kernel_identity(g)))
+            # the homotopy decision is keyed by value: a new, equal datum hits
+            again = (kernel(f), cokernel(f), zero_witness(k, k, identity_mat(k.middle)),
+                     zero_witness(*_kernel_identity(g)))
+        assert underlying == {"KernelResult": 2, "CokernelResult": 1, "decide_homotopy": 2}
+        assert all(a is b for a, b in zip(first, again))
+        assert first[2] is not None and first[3] is None
+        unscoped = (kernel(f), cokernel(f), zero_witness(k, k, identity_mat(k.middle)),
+                    zero_witness(*_kernel_identity(g)))
+        assert unscoped == first
+        assert underlying == {"KernelResult": 4, "CokernelResult": 2, "decide_homotopy": 4}
+
+    def test_nothing_outlives_a_scope(self, snake_fig, underlying):
+        with construction_memo():
+            kernel(snake_fig.beta)
+        assert adelman._MEMO.get() is None
+        with pytest.raises(KeyError):
+            with construction_memo():
+                kernel(snake_fig.beta)
+                raise KeyError("inside the scope")
+        assert adelman._MEMO.get() is None
+        kernel(snake_fig.beta)
+        assert underlying["KernelResult"] == 3
+
+    def test_nested_scope_starts_empty_and_restores_the_outer(self, snake_fig, underlying):
+        f = snake_fig.beta
+        with construction_memo():
+            outer = kernel(f)
+            with construction_memo():
+                inner = kernel(f)
+                assert inner is not outer and inner == outer
+            assert kernel(f) is outer
+        assert underlying["KernelResult"] == 2
+
+    def test_exceptions_are_not_memoised(self, snake_fig, underlying):
+        a, b = snake_fig.alpha, snake_fig.beta  # datum a -> b is not from b
+        with construction_memo():
+            for _ in range(2):
+                with pytest.raises(EndpointError):
+                    zero_witness(b.source, b.target, a.datum)
+        assert underlying["decide_homotopy"] == 2
+
+
+def _kernel_identity(f):
+    k = kernel(f).obj
+    return k, k, identity_mat(k.middle)
 
 
 class TestKernelsCokernels:

@@ -29,3 +29,15 @@ def test_first_operation_passes_its_check(name, tmp_path):
 def test_traced_methods_exist():
     for cls, attr, span in tracer._methods():
         assert callable(vars(cls).get(attr)), f"{span}: {cls.__name__}.{attr} is gone"
+
+
+def test_traced_prover_operation_counts_constructions(tmp_path):
+    # the memoised constructions stay plain functions that the tracer wraps
+    op = workloads.setup_provers(0, str(tmp_path)).ops[0]
+    spans = tracer.Tracer()
+    with spans:
+        result = spans.wrap(op.run, tracer.ROOT, root=True)()
+    op.check(result)
+    assert spans.summary()["adelman.constructions"] > 0
+    called = {spans.names[i] for i in spans.span_name}
+    assert {"adelman.kernel", "adelman.cokernel", "adelman.zero_witness"} <= called

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from adelcat import adelman, provers
 from adelcat.adelman import (
     CLAIMS,
     AdelMorphism,
@@ -192,6 +193,19 @@ class TestReplay:
         with pytest.raises(ValueError):
             category_by_name("heptagon")
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("mono", lambda cert: cert.update(kind="epi")),  # no cokernel_zero_wp
+        ("exact", lambda cert: cert.pop("second")),
+        ("null_homotopy", lambda cert: cert.update(wp=["sigma1", "sigma2"])),
+    ], ids=["mono-relabelled-epi", "exact-without-second", "wp-not-a-dict"])
+    def test_malformed_certificate_fails_replay(self, five_report, snake_report, kind, edit):
+        tampered = copy.deepcopy(five_report if kind == "mono" else snake_report)
+        cert = next(c["certificate"] for c in tampered["checks"]
+                    if c["certificate"] and c["certificate"]["kind"] == kind)
+        edit(cert)
+        assert replay_report(tampered) is False
+        assert adelman._MEMO.get() is None
+
     def test_verify_certificate_unknown_kind(self, snake_cat):
         with pytest.raises(ValueError):
             verify_certificate(snake_cat, {"kind": "mystery"})
@@ -367,3 +381,57 @@ def test_concurrent_prover_runs_share_values():
     assert results[0].overall and results[1].overall and results[2].overall
     assert results[0].to_dict() == results[1].to_dict()
     assert results[3] == {-2: False, -1: True, 0: False, 1: True, 2: False}
+
+
+def test_uncertified_passes_are_the_known_nine(snake_report, five_report):
+    """Every positive answer is to carry a certificate (ROADMAP item 1).
+    These nine passing checks predate that and still carry none; a new
+    uncertified pass fails here."""
+    reports = [snake_report, prove_connecting_uniqueness().to_dict(), five_report,
+               explore_d4().to_dict(), sweep_report(range(-3, 4)).to_dict()]
+    uncertified = [c["description"] for r in reports for c in r["checks"]
+                   if c["verdict"] and c["certificate"] is None]
+    assert uncertified == [
+        "exactness over s in -3..3 holds exactly at -1 and +1",
+        "degenerate evaluation: everything-zero representation",
+        "pairwise subobject comparisons computed",
+        "binary joins of the image subobjects computed",
+    ] + [f"blue sequence exact at K for s = {s}" for s in (-3, -2, 0, 2, 3)]
+
+
+class TestConstructionMemoScopes:
+    """Each prover call and each replay has a memo of its own."""
+
+    @pytest.mark.parametrize("run", [
+        prove_snake, prove_connecting_uniqueness, prove_refined_five, explore_d4,
+        lambda: sweep(range(0, 2)), lambda: sweep_report(range(0, 2)),
+    ], ids=["snake", "uniqueness", "five", "d4", "sweep", "sweep_report"])
+    def test_no_memo_after_a_prover_returns(self, run, underlying):
+        assert run() and adelman._MEMO.get() is None
+        assert underlying["KernelResult"] > 0
+
+    def test_prover_scope_memoises(self, underlying):
+        explore_d4()
+        assert underlying == {"KernelResult": 12, "CokernelResult": 12, "decide_homotopy": 18}
+
+    def test_no_memo_after_a_prover_raises(self, monkeypatch):
+        def broken():
+            assert adelman._MEMO.get() == {}
+            raise RuntimeError("category unavailable")
+        monkeypatch.setattr(provers, "d4_category", broken)
+        with pytest.raises(RuntimeError):
+            explore_d4()
+        assert adelman._MEMO.get() is None
+
+    def test_replay_inside_an_open_scope_runs_its_constructions(self, underlying):
+        report = explore_d4().to_dict()
+        with adelman.construction_memo():
+            outer = adelman._MEMO.get()
+            adelman.kernel(adelman.identity_morphism(adelman.emb_vertex(category_by_name("d4"), "w")))
+            entries = dict(outer)
+            underlying.clear()
+            assert replay_report(report)
+            first = underlying["KernelResult"]
+            assert replay_report(report)
+            assert first > 0 and underlying["KernelResult"] == 2 * first
+            assert adelman._MEMO.get() is outer and outer == entries
