@@ -119,8 +119,8 @@ class WitnessPair:
 class AdelMorphism:
     """Morphism datum together with its relation and corelation witnesses.
 
-    Construction validates the two witness squares exactly, so every value
-    of this type is a well-defined morphism.
+    Every value is a well-defined morphism: its witness squares are checked
+    exactly, by this constructor or by the family check of its Hom group.
     """
 
     source: AdelObject
@@ -157,6 +157,16 @@ class AdelMorphism:
     def scale(self, c: int) -> "AdelMorphism":
         return AdelMorphism(self.source, self.target, self.datum.scale(c),
                             self.rel_witness.scale(c), self.corel_witness.scale(c))
+
+
+def _morphism(source: AdelObject, target: AdelObject, datum: MatMorphism,
+              rel_witness: MatMorphism, corel_witness: MatMorphism) -> AdelMorphism:
+    """The morphism with these parts, whose witness squares the caller has
+    checked (``homgroups`` checks those of a whole Hom group at once)."""
+    f = object.__new__(AdelMorphism)
+    vars(f).update(source=source, target=target, datum=datum,
+                   rel_witness=rel_witness, corel_witness=corel_witness)
+    return f
 
 
 def compose(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:

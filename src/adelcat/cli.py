@@ -329,7 +329,7 @@ class Session:
         quiver = Quiver(spec.category.objects,
                         tuple(Arrow(l, s, t) for l, s, t in spec.category.arrows))
         relations = tuple(
-            make_relation(quiver, [(coef, self._path(quiver, factors)) for coef, factors in terms])
+            make_relation(None, [(coef, self._path(quiver, factors)) for coef, factors in terms])
             for terms in spec.category.relations)
         self.cat = QuiverCategory(quiver, relations, name=spec.category.name)
         self.lets: dict[str, LinMorphism] = {}
@@ -340,6 +340,7 @@ class Session:
             self.objects[oname] = self.eval_object(node)
 
     def _path(self, quiver: Quiver, factors: tuple) -> Path:
+        """The path of ``factors``; the category checks that its arrows compose."""
         arrows: list[int] = []
         src: Optional[str] = None
         at: Optional[str] = None
@@ -352,11 +353,8 @@ class Session:
                 at = v
                 continue
             idx = quiver.arrow_index(f)
-            arrow = quiver.arrows[idx]
-            if at is not None and arrow.source != at:
-                raise RelationError(f"arrow {f!r} does not compose at {at!r}")
-            src = src or arrow.source
-            at = arrow.target
+            src = src or quiver.arrows[idx].source
+            at = quiver.arrows[idx].target
             arrows.append(idx)
         if src is None:
             raise RelationError("empty path")

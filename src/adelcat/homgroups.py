@@ -10,24 +10,29 @@ presentation is deterministic.
 
 Every generator keeps the relation and corelation witnesses that the joint
 solution found for it, so generators and their integer combinations are
-built directly as morphisms, without solving for witnesses again.
+built directly as morphisms, without solving for witnesses again.  They are
+still validated, all at once: the witness squares are linear in the stored
+coefficients, so one sparse product gives the residuals of every value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Sequence, Union
 
 from .addclosure import HomBasis, MatMorphism, homotopy_rows, left_compose_rows, right_compose_rows
-from .adelman import AdelMorphism, AdelObject
+from .adelman import AdelMorphism, AdelObject, WitnessError, _morphism
 from .intlinalg import (
     FpAbGroup,
     IntMatrix,
+    in_lattice,
     lattice_basis,
     left_kernel,
     solve_left,
     vstack,
 )
+from .quivercat import EndpointError
 
 
 @dataclass(frozen=True)
@@ -47,13 +52,17 @@ class HomGroupPresentation:
     basis: IntMatrix
     witnesses: IntMatrix
     _spaces: tuple[HomBasis, HomBasis, HomBasis]  # datum, relation and corelation witness
+    _squares: tuple  # the map of the witness squares, see ``hom_group``
 
     def coordinates(self, f: Union[AdelMorphism, MatMorphism]) -> tuple[int, ...]:
         """Coordinate vector of a morphism datum on the generators.
 
         Raises ValueError if the datum does not define a morphism (i.e. lies
-        outside the solution lattice of the witness systems).
+        outside the solution lattice of the witness systems), and
+        ``EndpointError`` for a morphism between other objects.
         """
+        if isinstance(f, AdelMorphism) and (f.source, f.target) != (self.source, self.target):
+            raise EndpointError("morphism does not run between these objects")
         datum = f.datum if isinstance(f, AdelMorphism) else f
         flat = IntMatrix.row_vector(self._spaces[0].flatten(datum))
         sol = solve_left(self.basis, flat)
@@ -67,7 +76,7 @@ class HomGroupPresentation:
         if coords.cols != self.group.ngens:
             raise ValueError(f"expected {self.group.ngens} coordinates")
         vec = (coords * self.basis).row(0) + (coords * self.witnesses).row(0)
-        return _morphism(self.source, self.target, self._spaces, vec)
+        return _morphisms(self.source, self.target, self._spaces, self._squares, [vec])[0]
 
     def is_zero_class(self, f: Union[AdelMorphism, MatMorphism]) -> bool:
         return self.group.is_zero_element(self.coordinates(f))
@@ -98,12 +107,13 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     omega_eq1 = right_compose_rows(h_omega, y.rel, eq1)
     psi_eq2 = left_compose_rows(x.corel, h_psi, eq2)
     rel1 = eq1.rel_rows()
-    rel2 = eq2.rel_rows()
+    rel2 = _placed(eq2.rel_rows(), eq1.dim)
 
-    rows = [r1 | r2 for r1, r2 in zip(alpha_eq1, _placed(alpha_eq2, eq1.dim))]
-    rows += _placed(omega_eq1, 0, -1) + rel1
-    rows += _placed(psi_eq2, eq1.dim, -1) + _placed(rel2, eq1.dim)
-    system = IntMatrix.from_sparse(rows, eq1.dim + eq2.dim)
+    # the residuals of the units of datum | omega | psi in both squares
+    units = [r1 | r2 for r1, r2 in zip(alpha_eq1, _placed(alpha_eq2, eq1.dim))]
+    units += _placed(omega_eq1, 0, -1) + _placed(psi_eq2, eq1.dim, -1)
+    at = n + h_omega.dim
+    system = IntMatrix.from_sparse(units[:at] + rel1 + units[at:] + rel2, eq1.dim + eq2.dim)
 
     # A solution lists datum | omega | rel1 multipliers | psi | rel2 multipliers.
     # Its HNF with the datum block first has the HNF basis of the datum
@@ -120,18 +130,15 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     basis = IntMatrix.from_rows([r[:n] for r in rows], cols=n)
     witnesses = IntMatrix.from_rows([r[n:] for r in rows], cols=h_omega.dim + h_psi.dim)
 
-    _, _, null_rows = homotopy_rows(y.rel, x.corel, hom)
-    denominator = IntMatrix.from_sparse(null_rows, n)
-
-    stacked = vstack(basis, denominator)
-    kern = left_kernel(stacked)
-    relation_rows = IntMatrix.from_rows(
-        [list(kern.row(i))[:k] for i in range(kern.rows)], cols=k)
+    denominator = IntMatrix.from_sparse(homotopy_rows(y.rel, x.corel, hom)[2], n)
+    kern = left_kernel(vstack(basis, denominator))
+    relation_rows = IntMatrix.from_rows([kern.row(i)[:k] for i in range(kern.rows)], cols=k)
     group = FpAbGroup(k, lattice_basis(relation_rows))
 
     spaces = (hom, h_omega, h_psi)
-    generators = tuple(_morphism(x, y, spaces, r) for r in rows)
-    return HomGroupPresentation(x, y, group, generators, basis, witnesses, spaces)
+    squares = (units, eq1.dim, rel1, rel2)  # relation square columns before eq1.dim
+    generators = tuple(_morphisms(x, y, spaces, squares, rows))
+    return HomGroupPresentation(x, y, group, generators, basis, witnesses, spaces, squares)
 
 
 def _placed(rows: Sequence[dict[int, int]], at: int, sign: int = 1) -> list[dict[int, int]]:
@@ -139,14 +146,25 @@ def _placed(rows: Sequence[dict[int, int]], at: int, sign: int = 1) -> list[dict
     return [{at + j: sign * v for j, v in row.items()} for row in rows]
 
 
-def _morphism(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis],
-              vec: Sequence[int]) -> AdelMorphism:
-    """The morphism whose datum, relation witness and corelation witness are
-    the consecutive blocks of ``vec`` over the three ``spaces``; the
-    witness squares are re-checked on construction."""
-    parts = []
-    at = 0
-    for space in spaces:
-        parts.append(space.unflatten(vec[at : at + space.dim]))
-        at += space.dim
-    return AdelMorphism(x, y, *parts)
+def _morphisms(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis], squares: tuple,
+               vecs: Sequence[Sequence[int]]) -> list[AdelMorphism]:
+    """The morphisms whose datum, relation witness and corelation witness are
+    the consecutive blocks of each of ``vecs`` over the three ``spaces``, once
+    one membership test per witness square has checked the residuals of all."""
+    rows, split, rel1, rel2 = squares
+    bounds = list(accumulate((space.dim for space in spaces), initial=0))
+    parts = [[space.unflatten(vec[a:b]) for space, a, b in zip(spaces, bounds, bounds[1:])]
+             for vec in vecs]
+    eq1, eq2 = [], []
+    for triple in parts:
+        residual: dict[int, int] = {}
+        for c, row in zip(chain.from_iterable(p.coeffs for p in triple), rows):
+            if c:
+                for j, v in row.items():
+                    residual[j] = residual.get(j, 0) + c * v
+        eq1.append({j: v for j, v in residual.items() if v and j < split})
+        eq2.append({j: v for j, v in residual.items() if v and j >= split})
+    for rel, eq, name in ((rel1, eq1, "relation"), (rel2, eq2, "corelation")):
+        if not in_lattice(rel, eq):
+            raise WitnessError(f"{name} witness square does not commute")
+    return [_morphism(x, y, *triple) for triple in parts]

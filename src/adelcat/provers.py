@@ -558,15 +558,15 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
     return ProofReport(lemma, cat.name, tuple(checks.items))
 
 
-def explicit_sweep_witness(fig: SnakeFigure, s: int) -> tuple[AdelMorphism, WitnessPair]:
-    """The closed-form witness pair for exactness at the connecting source,
-    valid exactly for s in {-1, +1}: returns the kernel-to-cokernel
-    composite and the explicit pair."""
+def explicit_sweep_witness(fig: SnakeFigure, s: int,
+                           conn_s: Optional[AdelMorphism] = None) -> tuple[AdelMorphism, WitnessPair]:
+    """The kernel-to-cokernel composite at ``conn_s``, the connecting morphism
+    scaled by s (built when not given), and its closed-form witness pair for
+    exactness at the connecting source, valid exactly for s in {-1, +1}."""
     cat = fig.cat
-    conn_s = fig.connecting if fig.scale == s else \
-        connecting_homomorphism(single(cat.arrow_lin("alpha")),
-                                single(cat.arrow_lin("beta")),
-                                single(cat.arrow_lin("gamma"))).scale(s)
+    if conn_s is None:
+        conn_s = connecting_homomorphism(*(single(cat.arrow_lin(a))
+                                           for a in ("alpha", "beta", "gamma"))).scale(s)
     kr = kernel(conn_s)
     ck = cokernel(fig.blue2)
     via = compose(kr.emb, ck.proj)
@@ -606,17 +606,19 @@ def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool
         s = int(s)
         expect = s in (-1, 1)
         results[s] = None
+        # one scaled morphism per s, so the kernel memo serves both checks
+        conn_s = fig.connecting.scale(s)
 
-        def exact_thunk(s=s, expect=expect):
-            cert = claim_certificate("exact", fig.blue2, fig.connecting.scale(s))
+        def exact_thunk(s=s, expect=expect, conn_s=conn_s):
+            cert = claim_certificate("exact", fig.blue2, conn_s)
             results[s] = exact = cert is not None
             if exact != expect:
                 return False, f"exactness = {exact}, expected {expect}", None
             return True, "exact" if exact else "not exact (as expected)", cert
         checks.run(f"blue sequence exact at K for s = {s}", exact_thunk)
         if expect:
-            def thunk(s=s):
-                via, wp = explicit_sweep_witness(fig, s)
+            def thunk(s=s, conn_s=conn_s):
+                via, wp = explicit_sweep_witness(fig, s, conn_s)
                 ok = wp.verifies(via.source, via.target, via.datum)
                 cert = _cert_zero(via.source, via.target, via.datum, wp) if ok else None
                 return ok, "closed-form witness pair re-verified", cert

@@ -128,15 +128,15 @@ class Path:
         return not self.arrows
 
 
-def _validate_path(quiver: Quiver, path: Path):
+def _validate_path(quiver: Quiver, path: Path, error: type = QuiverError):
     at = path.source
     for idx in path.arrows:
         a = quiver.arrows[idx]
         if a.source != at:
-            raise QuiverError(f"path does not compose at {at!r}")
+            raise error(f"arrow {a.label!r} does not compose at {at!r}")
         at = a.target
     if at != path.target:
-        raise QuiverError("path endpoints do not match the arrow sequence")
+        raise error("path endpoints do not match the arrow sequence")
 
 
 def _path_words(quiver: Quiver, a: str, b: str,
@@ -205,12 +205,14 @@ class Relation:
     terms: tuple[tuple[int, Path], ...]
 
 
-def make_relation(quiver: Quiver, terms: Sequence[tuple[int, Path]]) -> Relation:
+def make_relation(quiver: Optional[Quiver], terms: Sequence[tuple[int, Path]]) -> Relation:
+    """The relation with the endpoints of its first path, checked against
+    ``quiver`` unless that is None: a category checks its relations once."""
     if not terms:
         raise RelationError("empty relation")
     src, tgt = terms[0][1].source, terms[0][1].target
-    for _, p in terms:
-        _validate_path(quiver, p)
+    for _, p in terms if quiver is not None else ():
+        _validate_path(quiver, p, RelationError)
         if (p.source, p.target) != (src, tgt):
             raise RelationError(
                 f"relation mixes paths {src!r}->{tgt!r} and {p.source!r}->{p.target!r}"
@@ -247,7 +249,7 @@ class QuiverCategory:
         self.relations = tuple(relations)
         self.name = name
         for rel in self.relations:
-            make_relation(quiver, rel.terms)  # revalidate homogeneity
+            make_relation(quiver, rel.terms)
         self._paths: dict[tuple[str, str], _PathData] = {}
         self._dims: dict[tuple[str, str], int] = {}
         self._hom: dict[tuple[str, str], FpAbGroup] = {}

@@ -1,10 +1,15 @@
+import os
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 
 from adelcat import addclosure, adelman
 from adelcat.addclosure import HomBasis, left_compose_rows, right_compose_rows
 from adelcat.adelman import (
+    AdelMorphism,
+    WitnessError,
     emb_vertex,
     is_equal,
     is_zero_morphism,
@@ -12,8 +17,9 @@ from adelcat.adelman import (
     zero_adel_object,
     zero_morphism,
 )
-from adelcat.homgroups import hom_group
-from adelcat.intlinalg import IntMatrix, SmithInvariants, lattice_basis, left_kernel
+from adelcat.homgroups import _morphisms, hom_group
+from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, lattice_basis, left_kernel
+from adelcat.quivercat import EndpointError
 
 from test_addclosure import rand_mat, rand_tuple
 from adelcat.adelman import AdelObject
@@ -185,3 +191,111 @@ class TestJointSolutionWitnesses:
             hg = hom_group(x, y)
             assert hg.group.ngens == 0
             assert hg.element(()) == zero_morphism(x, y)
+
+
+def _ladder_pairs(seed, count):
+    """Seeded object pairs on the 2x6 commuting ladder, drawn by the
+    benchmark's generators."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from adelbench import gen
+    cat = gen.ladder_spec(6).category()
+    rng = gen.rng_for(seed, "hom-group-agreement")
+    return [tuple(gen.rand_object(rng, cat, gen.rand_shape(rng, cat)) for _ in range(2))
+            for _ in range(count)]
+
+
+def _verdict(build):
+    """None when ``build()`` succeeds, else the message of its ``WitnessError``."""
+    try:
+        build()
+    except WitnessError as e:
+        return str(e)
+    return None
+
+
+def _parts(hg, vec):
+    """Datum, relation witness and corelation witness of a flat vector."""
+    parts, at = [], 0
+    for space in hg._spaces:
+        parts.append(space.unflatten(vec[at : at + space.dim]))
+        at += space.dim
+    return parts
+
+
+class TestFamilyValidation:
+    """Generators and elements are checked by one sparse product per Hom
+    group instead of by the public constructor; the two must agree."""
+
+    @pytest.fixture(scope="class")
+    def ladder_groups(self):
+        return [hom_group(x, y) for x, y in _ladder_pairs(47, 10)]
+
+    def test_generators_and_elements_pass_the_public_constructor(self, ladder_groups):
+        rng = random.Random(3)
+        for hg in ladder_groups:
+            values = list(hg.generators)
+            values.append(hg.element([rng.randint(-5, 5) for _ in range(hg.group.ngens)]))
+            for f in values:
+                assert AdelMorphism(f.source, f.target, f.datum,
+                                    f.rel_witness, f.corel_witness) == f
+        assert sum(hg.group.ngens for hg in ladder_groups) > 20
+
+    def test_corrupted_rows_are_rejected_exactly_when_the_constructor_rejects(
+            self, ladder_groups):
+        """One coefficient of a ``basis`` or ``witnesses`` row plus 1, taken
+        as an element: ``element`` raises ``WitnessError`` with the public
+        constructor's message exactly when that constructor rejects the
+        same parts, and otherwise returns the morphism it builds.  Every
+        third coefficient of each row is corrupted, staggered by row."""
+        checked = rejected = 0
+        for hg in ladder_groups:
+            n = hg.basis.cols
+            for i in range(hg.group.ngens):
+                row = list(hg.basis.row(i) + hg.witnesses.row(i))
+                for p in range(i % 3, len(row), 3):
+                    bad = row[:]
+                    bad[p] += 1
+                    parts = _parts(hg, bad)
+                    expected = _verdict(lambda: AdelMorphism(hg.source, hg.target, *parts))
+                    one = replace(hg, group=FpAbGroup.free(1),
+                                  basis=IntMatrix.from_rows([bad[:n]]),
+                                  witnesses=IntMatrix.from_rows([bad[n:]]))
+                    assert _verdict(lambda: one.element([1])) == expected
+                    if expected is None:
+                        assert one.element([1]) == AdelMorphism(hg.source, hg.target, *parts)
+                    checked += 1
+                    rejected += expected is not None
+        assert checked > 2500
+        assert 0 < rejected < checked
+
+    def test_one_bad_value_fails_the_whole_family(self, ladder_groups):
+        hg = next(h for h in ladder_groups if h.group.ngens >= 3)
+        rows = [list(hg.basis.row(i) + hg.witnesses.row(i)) for i in range(hg.group.ngens)]
+
+        def build(vecs):
+            return lambda: _morphisms(hg.source, hg.target, hg._spaces, hg._squares, vecs)
+        assert _verdict(build(rows)) is None
+        for p in range(hg.basis.cols, len(rows[1])):
+            bad = [r[:] for r in rows]
+            bad[1][p] += 1
+            message = _verdict(build([bad[1]]))
+            if message is not None:
+                assert _verdict(build(bad)) == message
+                return
+        pytest.fail("no corrupted witness coefficient was rejected")
+
+
+class TestCoordinatesEndpoints:
+    def test_morphism_between_other_objects_is_rejected(self, snake_fig):
+        hg = hom_group(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+        with pytest.raises(EndpointError):
+            hg.coordinates(snake_fig.beta)
+        with pytest.raises(EndpointError):
+            hg.is_zero_class(snake_fig.beta)
+
+    def test_bare_datum_is_accepted(self, snake_fig):
+        hg = hom_group(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+        assert hg.coordinates(snake_fig.connecting.datum) in ((1,), (-1,))
+        assert hg.coordinates(snake_fig.connecting) in ((1,), (-1,))

@@ -79,6 +79,12 @@ class TestSweep:
             via, wp = explicit_sweep_witness(snake_fig, s)
             assert wp.verifies(via.source, via.target, via.datum)
 
+    def test_sweep_builds_each_scaled_morphism_once(self, underlying):
+        # the closed-form checks at s = -1, +1 reuse the kernels of the
+        # claims (13 runs when each built its own scaled morphism)
+        sweep(range(-3, 4))
+        assert underlying["KernelResult"] == 11
+
     def test_explicit_witness_fails_elsewhere(self, snake_fig):
         for s in (-2, 0, 2, 3):
             via, wp = explicit_sweep_witness(snake_fig, s)

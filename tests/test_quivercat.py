@@ -367,3 +367,44 @@ def test_format_lin_round_names(snake_cat):
     assert format_lin(idb) == "id(b)"
     assert format_lin(idb.scale(-2)) == "-2*id(b)"
     assert format_lin(snake_cat.zero_lin("a", "b")) == "0"
+
+
+class TestRelationChecks:
+    """Each relation path is walked once, by the category that receives the
+    relation; the command-line session only resolves the arrow labels."""
+
+    CATEGORY = ("category s {{ objects a b c d; arrows alpha: a -> b; beta: b -> c; "
+                "gamma: c -> d; relations {}; }}")
+
+    def test_session_walks_each_relation_path_once(self, monkeypatch):
+        from adelcat import quivercat
+        from adelcat.cli import Session, parse_session
+        walked = []
+        real = quivercat._validate_path
+        monkeypatch.setattr(quivercat, "_validate_path",
+                            lambda quiver, path, *err: walked.append(path) or real(quiver, path, *err))
+        session = Session(parse_session(self.CATEGORY.format(
+            "alpha*beta = 0; beta*gamma = 2*beta*gamma; alpha*beta*gamma = 0")))
+        assert [p.arrows for p in walked] == [(0, 1), (1, 2), (1, 2), (0, 1, 2)]
+        assert len(session.cat.relations) == 3
+
+    @pytest.mark.parametrize("relation, message", [
+        ("alpha*gamma = 0", "arrow 'gamma' does not compose at 'b'"),
+        ("id(c)*alpha = 0", "arrow 'alpha' does not compose at 'c'"),
+        ("alpha*id(c) = 0", "identity at 'c' does not compose at 'b'"),
+        ("alpha = beta", "relation mixes paths 'a'->'b' and 'b'->'c'"),
+        ("alpha*gamma = beta", "arrow 'gamma' does not compose at 'b'"),
+        ("0 = 0", "empty relation"),
+    ])
+    def test_session_messages(self, relation, message):
+        from adelcat.cli import Session, parse_session
+        with pytest.raises(RelationError, match=f"^{message}$"):
+            Session(parse_session(self.CATEGORY.format(relation)))
+
+    def test_category_checks_relations_built_directly(self):
+        q = Quiver(("a", "b", "c"), (Arrow("x", "a", "b"), Arrow("y", "b", "c")))
+        with pytest.raises(RelationError, match="arrow 'x' does not compose at 'b'"):
+            QuiverCategory(q, (Relation("b", "c", ((1, Path("b", "c", (0,))),)),))
+        with pytest.raises(RelationError, match="relation mixes paths"):
+            QuiverCategory(q, (Relation("a", "b", ((1, Path("a", "b", (0,))),
+                                                   (1, Path("b", "c", (1,))))),))
