@@ -72,6 +72,7 @@ from .quivercat import (
     format_lin,
     format_signed_sum,
     make_relation,
+    _validate_path,
 )
 
 
@@ -340,7 +341,7 @@ class Session:
             self.objects[oname] = self.eval_object(node)
 
     def _path(self, quiver: Quiver, factors: tuple) -> Path:
-        """The path of ``factors``; the category checks that its arrows compose."""
+        """The path of ``factors``; the category walks its arrows."""
         arrows: list[int] = []
         src: Optional[str] = None
         at: Optional[str] = None
@@ -348,6 +349,8 @@ class Session:
             if isinstance(f, tuple):  # ("id", v)
                 v = f[1]
                 if at is not None and at != v:
+                    # an earlier arrow that does not compose fails first
+                    _validate_path(quiver, Path(src, at, tuple(arrows)), RelationError)
                     raise RelationError(f"identity at {v!r} does not compose at {at!r}")
                 src = src or v
                 at = v

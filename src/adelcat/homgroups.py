@@ -17,7 +17,7 @@ coefficients, so one sparse product gives the residuals of every value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Sequence, Union
 
@@ -52,7 +52,7 @@ class HomGroupPresentation:
     basis: IntMatrix
     witnesses: IntMatrix
     _spaces: tuple[HomBasis, HomBasis, HomBasis]  # datum, relation and corelation witness
-    _squares: tuple  # the map of the witness squares, see ``hom_group``
+    _squares: tuple = field(compare=False, repr=False)  # witness-square map, see ``hom_group``
 
     def coordinates(self, f: Union[AdelMorphism, MatMorphism]) -> tuple[int, ...]:
         """Coordinate vector of a morphism datum on the generators.

@@ -559,14 +559,11 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
 
 
 def explicit_sweep_witness(fig: SnakeFigure, s: int,
-                           conn_s: Optional[AdelMorphism] = None) -> tuple[AdelMorphism, WitnessPair]:
+                           conn_s: AdelMorphism) -> tuple[AdelMorphism, WitnessPair]:
     """The kernel-to-cokernel composite at ``conn_s``, the connecting morphism
-    scaled by s (built when not given), and its closed-form witness pair for
+    of the unscaled ``fig`` scaled by s, and its closed-form witness pair for
     exactness at the connecting source, valid exactly for s in {-1, +1}."""
     cat = fig.cat
-    if conn_s is None:
-        conn_s = connecting_homomorphism(*(single(cat.arrow_lin(a))
-                                           for a in ("alpha", "beta", "gamma"))).scale(s)
     kr = kernel(conn_s)
     ck = cokernel(fig.blue2)
     via = compose(kr.emb, ck.proj)

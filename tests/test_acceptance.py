@@ -68,7 +68,7 @@ def test_criterion_2_exactness_sweep_boundary():
     assert results == {s: (s in (-1, 1)) for s in range(-3, 4)}
     fig = build_snake_figure()
     for s in (-1, 1):
-        via, wp = explicit_sweep_witness(fig, s)
+        via, wp = explicit_sweep_witness(fig, s, fig.connecting.scale(s))
         assert wp.verifies(via.source, via.target, via.datum)
     _report(2, "exact iff s in {-1, +1} over -3..3; closed-form witness pair re-verified")
 

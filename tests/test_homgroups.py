@@ -242,6 +242,11 @@ class TestFamilyValidation:
                                     f.rel_witness, f.corel_witness) == f
         assert sum(hg.group.ngens for hg in ladder_groups) > 20
 
+    def test_presentation_stays_hashable(self, ladder_groups):
+        # the witness-square map is neither hashed, compared nor printed
+        assert len(set(ladder_groups)) == len(ladder_groups)
+        assert "_squares" not in repr(ladder_groups[0])
+
     def test_corrupted_rows_are_rejected_exactly_when_the_constructor_rejects(
             self, ladder_groups):
         """One coefficient of a ``basis`` or ``witnesses`` row plus 1, taken

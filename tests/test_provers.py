@@ -76,7 +76,7 @@ class TestSweep:
 
     def test_explicit_witness_at_plus_minus_one(self, snake_fig):
         for s in (-1, 1):
-            via, wp = explicit_sweep_witness(snake_fig, s)
+            via, wp = explicit_sweep_witness(snake_fig, s, snake_fig.connecting.scale(s))
             assert wp.verifies(via.source, via.target, via.datum)
 
     def test_sweep_builds_each_scaled_morphism_once(self, underlying):
@@ -87,7 +87,7 @@ class TestSweep:
 
     def test_explicit_witness_fails_elsewhere(self, snake_fig):
         for s in (-2, 0, 2, 3):
-            via, wp = explicit_sweep_witness(snake_fig, s)
+            via, wp = explicit_sweep_witness(snake_fig, s, snake_fig.connecting.scale(s))
             assert not wp.verifies(via.source, via.target, via.datum)
 
     def test_sweep_report_matches_mutation_hook(self):

@@ -392,6 +392,9 @@ class TestRelationChecks:
         ("alpha*gamma = 0", "arrow 'gamma' does not compose at 'b'"),
         ("id(c)*alpha = 0", "arrow 'alpha' does not compose at 'c'"),
         ("alpha*id(c) = 0", "identity at 'c' does not compose at 'b'"),
+        ("alpha*gamma*id(c) = 0", "arrow 'gamma' does not compose at 'b'"),
+        ("alpha*id(b)*gamma = 0", "arrow 'gamma' does not compose at 'b'"),
+        ("alpha*beta*id(b) = 0", "identity at 'b' does not compose at 'c'"),
         ("alpha = beta", "relation mixes paths 'a'->'b' and 'b'->'c'"),
         ("alpha*gamma = beta", "arrow 'gamma' does not compose at 'b'"),
         ("0 = 0", "empty relation"),
