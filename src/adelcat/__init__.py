@@ -7,7 +7,9 @@ f.p. abelian groups), ``quivercat`` (the Z-linear path category),
 solver), ``adelman`` (the free abelian category: certified equality,
 kernels, cokernels, homology), ``homgroups`` (Hom-group presentations),
 ``evalfunctor`` (evaluation into f.p. abelian groups, the oracle),
-``provers`` (machine-checked lemmata), and ``cli``.
+``catfile`` (the ``.cat`` grammar and the category it describes),
+``provers`` (machine-checked lemmata over built-in ``.cat`` categories), and
+``cli``, which nothing below it imports.
 """
 
 from .intlinalg import FpAbGroup, IntMatrix, SmithInvariants, hnf, snf, solve_left

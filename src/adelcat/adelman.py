@@ -34,6 +34,7 @@ from .addclosure import (
     _from_grid,
     compose_mat,
     decide_homotopy,
+    direct_sum_mat,
     dual_mat,
     from_blocks,
     hstack_mat,
@@ -224,7 +225,6 @@ def zero_adel_object(cat: QuiverCategory) -> AdelObject:
 
 def direct_sum_object(x: AdelObject, y: AdelObject) -> AdelObject:
     """Pointwise direct sum of composable pairs."""
-    from .addclosure import direct_sum_mat
     return AdelObject(direct_sum_mat(x.rel, y.rel), direct_sum_mat(x.corel, y.corel))
 
 

@@ -1,7 +1,7 @@
 """Scripted machine-verification of homological lemmata.
 
-Each prover builds a fixed diagram in the free abelian category over a
-hard-coded quiver with relations, runs the categorical decision procedures,
+Each prover builds a fixed diagram in the free abelian category over one
+of the built-in ``.cat`` categories, runs the categorical decision procedures,
 and emits a structured report.  Failures never raise; they become report
 entries.  Every passing check embeds a certificate (witness pairs, explicit
 objects, invariant data) that ``replay_report`` re-verifies by plain matrix
@@ -15,6 +15,7 @@ part declares null-homotopic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -49,8 +50,10 @@ from .adelman import (
     zero_adel_object,
     zero_morphism,
 )
+from .catfile import CategorySpec, build_category, parse_session
+from .evalfunctor import eval_object, zero_representation
 from .intlinalg import FpAbGroup, IntMatrix
-from .quivercat import Arrow, Path, Quiver, QuiverCategory, Relation
+from .quivercat import QuiverCategory, compose_lin
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -110,70 +113,41 @@ class _Checks:
         self.add(description, verdict, summary, certificate)
 
 
-# -- fixed categories ----------------------------------------------------------
+# -- built-in categories ---------------------------------------------------------
 
-def snake_category() -> QuiverCategory:
-    """Path category of a -> b -> c -> d with the full composite killed."""
-    q = Quiver(("a", "b", "c", "d"), (
-        Arrow("alpha", "a", "b"),
-        Arrow("beta", "b", "c"),
-        Arrow("gamma", "c", "d"),
-    ))
-    rel = Relation("a", "d", ((1, Path("a", "d", (0, 1, 2))),))
-    return QuiverCategory(q, (rel,), name="snake")
-
-
-def five_category() -> QuiverCategory:
-    """Eight-vertex grid quiver for the refined five-term situation.
-
-    Besides the three square/complex relations, the two composites
-    ``lambda*alpha*epsilon`` and ``zeta*kappa*mu`` must vanish: both hold in
-    every abelian-category instance of the premise (the outer verticals are
-    a cokernel projection and a kernel embedding), and without them the
-    outer horizontal arrows of the diagram are not well-defined.
-    """
-    q = Quiver(("i", "a", "b", "c", "f", "g", "h", "j"), (
-        Arrow("lambda", "i", "a"),    # 0
-        Arrow("alpha", "a", "b"),     # 1
-        Arrow("beta", "b", "c"),      # 2
-        Arrow("epsilon", "b", "f"),   # 3
-        Arrow("zeta", "c", "g"),      # 4
-        Arrow("iota", "f", "g"),      # 5
-        Arrow("kappa", "g", "h"),     # 6
-        Arrow("mu", "h", "j"),        # 7
-    ))
-    rels = (
-        Relation("a", "c", ((1, Path("a", "c", (1, 2))),)),
-        Relation("f", "h", ((1, Path("f", "h", (5, 6))),)),
-        Relation("b", "g", ((1, Path("b", "g", (2, 4))), (-1, Path("b", "g", (3, 5))))),
-        Relation("i", "f", ((1, Path("i", "f", (0, 1, 3))),)),
-        Relation("c", "j", ((1, Path("c", "j", (4, 6, 7))),)),
-    )
-    return QuiverCategory(q, rels, name="five")
-
-
-def d4_category() -> QuiverCategory:
-    """Three-source star quiver with a common sink and no relations."""
-    q = Quiver(("x", "y", "z", "w"), (
-        Arrow("p", "x", "w"),
-        Arrow("q", "y", "w"),
-        Arrow("r", "z", "w"),
-    ))
-    return QuiverCategory(q, (), name="d4")
-
-
-_CATEGORY_BUILDERS = {
-    "snake": snake_category,
-    "five": five_category,
-    "d4": d4_category,
+CATEGORY_TEXTS = {
+    "snake": """category snake {  # a -> b -> c -> d with the full composite killed
+  objects a b c d;
+  arrows alpha: a -> b; beta: b -> c; gamma: c -> d;
+  relations alpha*beta*gamma = 0;
+}""",
+    "five": """category five {  # the grid of the refined five-term situation
+  objects i a b c f g h j;
+  arrows lambda: i -> a; alpha: a -> b; beta: b -> c; epsilon: b -> f;
+         zeta: c -> g; iota: f -> g; kappa: g -> h; mu: h -> j;
+  relations alpha*beta = 0; iota*kappa = 0; beta*zeta = epsilon*iota;
+    # Both hold in every abelian-category instance of the premise (the outer
+    # verticals are a cokernel projection and a kernel embedding); without
+    # them the outer horizontal arrows of the diagram are not well-defined.
+    lambda*alpha*epsilon = 0; zeta*kappa*mu = 0;
+}""",
+    "d4": """category d4 {  # three sources with a common sink, no relations
+  objects x y z w;
+  arrows p: x -> w; q: y -> w; r: z -> w;
+}""",
 }
 
 
+@functools.cache
+def _category_spec(name: str) -> CategorySpec:
+    return parse_session(CATEGORY_TEXTS[name]).category
+
+
 def category_by_name(name: str) -> QuiverCategory:
-    try:
-        return _CATEGORY_BUILDERS[name]()
-    except KeyError:
-        raise ValueError(f"unknown prover category {name!r}") from None
+    """A new category built from the built-in text ``name``."""
+    if name not in CATEGORY_TEXTS:
+        raise ValueError(f"unknown prover category {name!r}")
+    return build_category(_category_spec(name))
 
 
 # -- serialization of certificates ---------------------------------------------
@@ -301,8 +275,17 @@ def replay_report(report: dict) -> bool:
     """Re-verify every embedded certificate of a serialized report.
 
     Passing checks must carry a valid certificate; failing checks carry none
-    and are left alone.  Returns True when all certificates verify.
+    and are left alone.  Returns True when all certificates verify.  A
+    report without a category name, a list of checks, or a boolean verdict
+    in each check is malformed and raises ``ValueError``.
     """
+    if not isinstance(report, dict) or not isinstance(report.get("category"), str):
+        raise ValueError("malformed report: no category name")
+    if not isinstance(report.get("checks"), list):
+        raise ValueError("malformed report: no list of checks")
+    for i, check in enumerate(report["checks"]):
+        if not isinstance(check, dict) or not isinstance(check.get("verdict"), bool):
+            raise ValueError(f"malformed report: check {i} has no boolean verdict")
     cat = category_by_name(report["category"])
     for check in report["checks"]:
         cert = check.get("certificate")
@@ -388,10 +371,8 @@ class SnakeFigure:
 
 
 def build_snake_figure(connecting_scale: int = 1) -> SnakeFigure:
-    cat = snake_category()
-    al = cat.arrow_lin("alpha")
-    be = cat.arrow_lin("beta")
-    ga = cat.arrow_lin("gamma")
+    cat = category_by_name("snake")
+    al, be, ga = map(cat.arrow_lin, ("alpha", "beta", "gamma"))
     emb = {v: emb_vertex(cat, v) for v in "abcd"}
 
     alpha = emb_lin(al)
@@ -399,11 +380,11 @@ def build_snake_figure(connecting_scale: int = 1) -> SnakeFigure:
     gamma = emb_lin(ga)
 
     coka = cokernel(alpha)
-    eps = make_morphism(coka.obj, emb["d"], single(from_lin(cat, be, ga)))
+    eps = make_morphism(coka.obj, emb["d"], single(compose_lin(be, ga)))
     assert eps is not None
     ker_eps = kernel(eps)
     ker_gamma = kernel(gamma)
-    delta = make_morphism(emb["a"], ker_gamma.obj, single(from_lin(cat, al, be)))
+    delta = make_morphism(emb["a"], ker_gamma.obj, single(compose_lin(al, be)))
     assert delta is not None
     cok_delta = cokernel(delta)
     ker_beta = kernel(beta)
@@ -425,20 +406,9 @@ def build_snake_figure(connecting_scale: int = 1) -> SnakeFigure:
                        blue5, connecting_scale)
 
 
-def from_lin(cat: QuiverCategory, *lins):
-    """Compose quiver-category morphisms left to right."""
-    from .quivercat import compose_lin
-    out = lins[0]
-    for nxt in lins[1:]:
-        out = compose_lin(out, nxt)
-    return out
-
-
 def _snake_explicit_objects(fig: SnakeFigure) -> dict[str, AdelObject]:
     cat = fig.cat
-    al = cat.arrow_lin("alpha")
-    be = cat.arrow_lin("beta")
-    ga = cat.arrow_lin("gamma")
+    al, be, ga = map(cat.arrow_lin, ("alpha", "beta", "gamma"))
 
     def obj(rel_lin, mid, corel_lin):
         rel = single(rel_lin) if rel_lin is not None else zero_mat(
@@ -449,13 +419,13 @@ def _snake_explicit_objects(fig: SnakeFigure) -> dict[str, AdelObject]:
 
     return {
         "coker(alpha)": obj(al, "b", None),
-        "K": obj(al, "b", from_lin(cat, be, ga)),
+        "K": obj(al, "b", compose_lin(be, ga)),
         "ker(gamma)": obj(None, "c", ga),
-        "C": obj(from_lin(cat, al, be), "c", ga),
+        "C": obj(compose_lin(al, be), "c", ga),
         "ker(beta)": obj(None, "b", be),
-        "ker(delta)": obj(None, "a", from_lin(cat, al, be)),
+        "ker(delta)": obj(None, "a", compose_lin(al, be)),
         "coker(beta)": obj(be, "c", None),
-        "coker(eps)": obj(from_lin(cat, be, ga), "d", None),
+        "coker(eps)": obj(compose_lin(be, ga), "d", None),
     }
 
 
@@ -595,12 +565,15 @@ def sweep_report(s_values: Sequence[int]) -> ProofReport:
 @ad.construction_memo()
 def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool]]]:
     """The sweep report together with the exactness found for each s (None
-    where the check raised)."""
+    where the check raised).  An empty ``s_values`` is a ``ValueError``: a
+    sweep that checks nothing proves nothing."""
+    s_values = [int(s) for s in s_values]
+    if not s_values:
+        raise ValueError("the sweep needs at least one value of s")
     fig = build_snake_figure(1)
     checks = _Checks()
     results: dict[int, Optional[bool]] = {}
     for s in s_values:
-        s = int(s)
         expect = s in (-1, 1)
         results[s] = None
         # one scaled morphism per s, so the kernel memo serves both checks
@@ -707,9 +680,8 @@ class FiveData:
 
 
 def build_five_data() -> FiveData:
-    cat = five_category()
-    lin = {lbl: cat.arrow_lin(lbl) for lbl in
-           ("lambda", "alpha", "beta", "epsilon", "zeta", "iota", "kappa", "mu")}
+    cat = category_by_name("five")
+    lin = {a.label: cat.arrow_lin(a.label) for a in cat.quiver.arrows}
     emb = {v: emb_vertex(cat, v) for v in "iabcfghj"}
 
     cok_lambda = cokernel(emb_lin(lin["lambda"]))
@@ -718,9 +690,9 @@ def build_five_data() -> FiveData:
     top1 = emb_lin(lin["alpha"])
     top2 = emb_lin(lin["beta"])
     top3 = make_morphism(emb["c"], ker_mu.obj,
-                         single(from_lin(cat, lin["zeta"], lin["kappa"])))
+                         single(compose_lin(lin["zeta"], lin["kappa"])))
     bot1 = make_morphism(cok_lambda.obj, emb["f"],
-                         single(from_lin(cat, lin["alpha"], lin["epsilon"])))
+                         single(compose_lin(lin["alpha"], lin["epsilon"])))
     bot2 = emb_lin(lin["iota"])
     bot3 = emb_lin(lin["kappa"])
     eps = emb_lin(lin["epsilon"])
@@ -729,7 +701,7 @@ def build_five_data() -> FiveData:
         raise RuntimeError("outer diagram arrows are not well-defined")
 
     w1 = AdelObject(single(lin["beta"]),
-                    single(from_lin(cat, lin["zeta"], lin["kappa"])))
+                    single(compose_lin(lin["zeta"], lin["kappa"])))
 
     ker_eps = kernel(eps)
     ker_zeta = kernel(zeta)
@@ -761,7 +733,7 @@ def build_five_data() -> FiveData:
     )
 
     wa = AdelObject(single(lin["alpha"]), single(lin["beta"]))
-    wb = AdelObject(single(from_lin(cat, lin["alpha"], lin["epsilon"])),
+    wb = AdelObject(single(compose_lin(lin["alpha"], lin["epsilon"])),
                     single(lin["iota"]))
     m3 = make_morphism(wa, wb, single(lin["epsilon"]))
     if m3 is None:
@@ -769,7 +741,7 @@ def build_five_data() -> FiveData:
     cok_m3 = cokernel(m3)
     w3 = AdelObject(
         MatMorphism(t("a", "b"), t("f", "c"), (
-            (from_lin(cat, lin["alpha"], lin["epsilon"]), z("a", "c")),
+            (compose_lin(lin["alpha"], lin["epsilon"]), z("a", "c")),
             (lin["epsilon"], lin["beta"]),
         )),
         MatMorphism(t("f", "c"), t("g", "c"), (
@@ -927,7 +899,6 @@ def prove_refined_five() -> ProofReport:
                step4_witness)
 
     def degenerate():
-        from .evalfunctor import eval_object, zero_representation
         rep = zero_representation(cat, rank=0)
         invs = [
             eval_object(rep, data.w2).invariants(),
@@ -949,7 +920,7 @@ def explore_d4() -> ProofReport:
     embedded sink of the three-source star quiver.  Each image embedding is
     certified a mono; the comparison pattern is recorded without asserting
     any particular value."""
-    cat = d4_category()
+    cat = category_by_name("d4")
     checks = _Checks()
     images = {}
     for lbl in ("p", "q", "r"):

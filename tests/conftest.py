@@ -1,25 +1,29 @@
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from adelcat import adelman
-from adelcat.provers import (
-    build_five_data,
-    build_snake_figure,
-    five_category,
-    snake_category,
-)
-from adelcat.quivercat import Arrow, Path, Quiver, QuiverCategory, Relation
+from adelcat.catfile import build_category, parse_session
+from adelcat.provers import build_five_data, build_snake_figure, category_by_name
+from adelcat.quivercat import QuiverCategory
+
+ROOT = str(Path(__file__).resolve().parent.parent)
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from adelbench.gen import ladder_spec  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def snake_cat():
-    return snake_category()
+    return category_by_name("snake")
 
 
 @pytest.fixture(scope="session")
 def five_cat():
-    return five_category()
+    return category_by_name("five")
 
 
 @pytest.fixture(scope="session")
@@ -46,11 +50,25 @@ def underlying(monkeypatch):
     return counts
 
 
+def category_from_text(text: str) -> QuiverCategory:
+    return build_category(parse_session(text).category)
+
+
 def torsion_category() -> QuiverCategory:
     """Single arrow x: a -> b with 2x = 0; Hom(a, b) is Z/2."""
-    q = Quiver(("a", "b"), (Arrow("x", "a", "b"),))
-    rel = Relation("a", "b", ((2, Path("a", "b", (0,))),))
-    return QuiverCategory(q, (rel,), name="torsion")
+    return category_from_text(
+        "category torsion { objects a b; arrows x: a -> b; relations 2*x = 0; }")
+
+
+def kronecker_category() -> QuiverCategory:
+    """Two parallel arrows a -> b, no relations; Hom(a, b) is Z^2."""
+    return category_from_text("category kronecker { objects a b; arrows u: a -> b; v: a -> b; }")
+
+
+def ladder_category(n: int = 6) -> QuiverCategory:
+    """The commuting ladder with n rungs: rows t_i -> t_{i+1} and
+    b_i -> b_{i+1}, rungs t_i -> b_i, every square commuting."""
+    return category_from_text(ladder_spec(n).cat_text())
 
 
 @pytest.fixture(scope="session")
@@ -60,27 +78,7 @@ def torsion_cat():
 
 @pytest.fixture(scope="session")
 def kronecker_cat():
-    """Two parallel arrows a -> b, no relations; Hom(a, b) is Z^2."""
-    q = Quiver(("a", "b"), (Arrow("u", "a", "b"), Arrow("v", "a", "b")))
-    return QuiverCategory(q, (), name="kronecker")
-
-
-def ladder_category(n: int = 6) -> QuiverCategory:
-    """The commuting ladder with n rungs: rows t_i -> t_{i+1} and
-    b_i -> b_{i+1}, rungs t_i -> b_i, every square commuting."""
-    tops = [f"t{i}" for i in range(n)]
-    bots = [f"b{i}" for i in range(n)]
-    arrows = ([Arrow(f"h{i}", tops[i], tops[i + 1]) for i in range(n - 1)]
-              + [Arrow(f"g{i}", bots[i], bots[i + 1]) for i in range(n - 1)]
-              + [Arrow(f"v{i}", tops[i], bots[i]) for i in range(n)])
-    h, g, v = 0, n - 1, 2 * (n - 1)
-    rels = tuple(
-        Relation(tops[i], bots[i + 1], (
-            (1, Path(tops[i], bots[i + 1], (h + i, v + i + 1))),
-            (-1, Path(tops[i], bots[i + 1], (v + i, g + i))),
-        ))
-        for i in range(n - 1))
-    return QuiverCategory(Quiver(tuple(tops + bots), tuple(arrows)), rels, name=f"ladder{n}")
+    return kronecker_category()
 
 
 @pytest.fixture(scope="session")

@@ -145,15 +145,10 @@ def _random_morphism(cat, rng):
 
 
 def test_criterion_6_computability_suite():
-    from adelcat.provers import five_category, snake_category
-    from adelcat.quivercat import Arrow, Path, Quiver, QuiverCategory, Relation
-    torsion = QuiverCategory(
-        Quiver(("a", "b"), (Arrow("x", "a", "b"),)),
-        (Relation("a", "b", ((2, Path("a", "b", (0,))),)),), name="torsion")
-    kron = QuiverCategory(
-        Quiver(("a", "b"), (Arrow("u", "a", "b"), Arrow("v", "a", "b"))), (),
-        name="kronecker")
-    cats = [snake_category(), five_category(), torsion, kron]
+    from adelcat.provers import category_by_name
+    from conftest import kronecker_category, torsion_category
+    cats = [category_by_name("snake"), category_by_name("five"), torsion_category(),
+            kronecker_category()]
     rng = random.Random(20260809)
     instances = 0
     for i in range(200):

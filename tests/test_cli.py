@@ -3,15 +3,8 @@ import json
 import pytest
 
 from adelcat import cli
-from adelcat.cli import (
-    ParseError,
-    Session,
-    parse_category,
-    parse_representation,
-    parse_session,
-    print_spec,
-    run_command,
-)
+from adelcat.catfile import ParseError, parse_session, print_spec
+from adelcat.cli import Session, parse_representation, run_command
 from adelcat.provers import verify_certificate
 
 SNAKE_SRC = """
@@ -40,8 +33,8 @@ def session():
 
 class TestParser:
     def test_round_trip(self):
-        spec = parse_category(SNAKE_SRC)
-        assert parse_category(print_spec(spec)) == spec
+        spec = parse_session(SNAKE_SRC).category
+        assert parse_session(print_spec(spec)).category == spec
 
     def test_round_trip_with_two_sided_relation(self):
         src = """
@@ -51,13 +44,13 @@ class TestParser:
           relations beta*zeta = epsilon*iota;
         }
         """
-        spec = parse_category(src)
-        assert parse_category(print_spec(spec)) == spec
+        spec = parse_session(src).category
+        assert parse_session(print_spec(spec)).category == spec
         assert len(spec.relations[0]) == 2  # moved to one side
 
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:
-            parse_category("category x {\n  objects a b\n}")
+            parse_session("category x {\n  objects a b\n}")
         assert "3:" in str(err.value)
 
     def test_non_decimal_digit_reported_with_position(self, tmp_path, capsys):
@@ -147,7 +140,7 @@ class TestParser:
     def test_end_of_input_after_comment_has_position(self):
         with pytest.raises(ParseError,
                            match=r"^2:22: expected objects/arrows/relations, found 'eof'$"):
-            parse_category("category x {\n  objects a b; # note")
+            parse_session("category x {\n  objects a b; # note")
 
 
 class TestRepresentationFiles:
@@ -271,6 +264,13 @@ class TestCommands:
         assert payload["results"] == {
             "-3": False, "-2": False, "-1": True, "0": False,
             "1": True, "2": False, "3": False}
+
+    def test_empty_sweep_range_exits_two(self, capsys):
+        code = run_command(["sweep", "--range", "3..-3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one value of s" in captured.err
 
     def test_mutated_snake_fails_with_exit_one(self, capsys):
         code = run_command(["prove", "snake", "--connecting-scale", "2"])

@@ -23,7 +23,7 @@ from adelcat.addclosure import (
     vstack_mat,
     zero_mat,
 )
-from adelcat.provers import five_category, snake_category
+from adelcat.provers import category_by_name
 from adelcat.quivercat import Arrow, Path, Quiver, QuiverCategory, Relation, dual_lin
 
 from conftest import ladder_category, torsion_category
@@ -39,7 +39,8 @@ def skew_category() -> QuiverCategory:
     return QuiverCategory(q, (rel,), name="skew")
 
 
-_BASE = {"snake": snake_category(), "five": five_category(), "ladder": ladder_category(),
+_BASE = {"snake": category_by_name("snake"), "five": category_by_name("five"),
+         "ladder": ladder_category(),
          "torsion": torsion_category(), "skew": skew_category()}
 CATEGORIES = {**_BASE, **{f"{k}^op": c.opposite() for k, c in _BASE.items()}}
 

@@ -90,6 +90,11 @@ class TestSweep:
             via, wp = explicit_sweep_witness(snake_fig, s, snake_fig.connecting.scale(s))
             assert not wp.verifies(via.source, via.target, via.datum)
 
+    @pytest.mark.parametrize("run", [sweep, sweep_report], ids=["sweep", "sweep_report"])
+    def test_empty_sweep_is_an_error(self, run):
+        with pytest.raises(ValueError, match="at least one value of s"):
+            run([])
+
     def test_sweep_report_matches_mutation_hook(self):
         report = sweep_report(range(-3, 4))
         assert report.overall
@@ -199,6 +204,30 @@ class TestReplay:
         with pytest.raises(ValueError):
             category_by_name("heptagon")
 
+    @pytest.mark.parametrize("name", ["snake", "five", "d4"])
+    def test_category_lookup_builds_a_new_category_each_call(self, name):
+        first, second = category_by_name(name), category_by_name(name)
+        assert first is not second
+        assert (first.quiver, first.relations) == (second.quiver, second.relations)
+
+    @pytest.mark.parametrize("report, message", [
+        ({}, "no category name"),
+        ([], "no category name"),
+        ({"category": 3, "checks": []}, "no category name"),
+        ({"category": "snake"}, "no list of checks"),
+        ({"category": "snake", "checks": {}}, "no list of checks"),
+        ({"category": "snake", "checks": [1]}, "check 0 has no boolean verdict"),
+        ({"category": "snake", "checks": [{"verdict": True}, {"certificate": None}]},
+         "check 1 has no boolean verdict"),
+        ({"category": "snake", "checks": [{"verdict": "yes"}]},
+         "check 0 has no boolean verdict"),
+    ], ids=["empty", "not-an-object", "category-not-a-string", "no-checks",
+            "checks-not-a-list", "check-not-an-object", "no-verdict", "verdict-not-a-bool"])
+    def test_malformed_report_is_a_value_error(self, report, message):
+        with pytest.raises(ValueError, match=f"^malformed report: {message}$"):
+            replay_report(report)
+        assert adelman._MEMO.get() is None
+
     @pytest.mark.parametrize("kind, edit", [
         ("mono", lambda cert: cert.update(kind="epi")),  # no cokernel_zero_wp
         ("exact", lambda cert: cert.pop("second")),
@@ -268,7 +297,8 @@ class TestZeroTestReplay:
             assert not verify_certificate(five_cat, forged)
 
     def test_every_emitted_kind_replays(self, five_report, tmp_path, capsys):
-        from adelcat.cli import Session, parse_session, run_command
+        from adelcat.catfile import parse_session
+        from adelcat.cli import Session, run_command
         emitted = []
         for report in (prove_snake().to_dict(), prove_connecting_uniqueness().to_dict(),
                        sweep_report(range(-1, 2)).to_dict(), explore_d4().to_dict()):
@@ -421,10 +451,10 @@ class TestConstructionMemoScopes:
         assert underlying == {"KernelResult": 12, "CokernelResult": 12, "decide_homotopy": 18}
 
     def test_no_memo_after_a_prover_raises(self, monkeypatch):
-        def broken():
+        def broken(name):
             assert adelman._MEMO.get() == {}
             raise RuntimeError("category unavailable")
-        monkeypatch.setattr(provers, "d4_category", broken)
+        monkeypatch.setattr(provers, "category_by_name", broken)
         with pytest.raises(RuntimeError):
             explore_d4()
         assert adelman._MEMO.get() is None

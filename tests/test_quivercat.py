@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -8,7 +9,7 @@ import pytest
 from adelcat.addclosure import TupleObject, single
 from adelcat.adelman import emb_object, kernel, make_morphism
 from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, lattice_basis
-from adelcat.provers import d4_category, five_category, snake_category
+from adelcat.provers import category_by_name
 from adelcat.quivercat import (
     MAX_PATH_BASIS,
     Arrow,
@@ -30,7 +31,7 @@ from adelcat.quivercat import (
     make_relation,
 )
 
-from conftest import ladder_category
+from conftest import kronecker_category, ladder_category, torsion_category
 
 
 def _chain(n: int) -> Quiver:
@@ -171,11 +172,8 @@ def _reference_closure(cat, a, b):
 
 class TestLazyHomData:
     @pytest.mark.parametrize("build", [
-        snake_category, five_category, d4_category, ladder_category,
-        lambda: QuiverCategory(Quiver(("a", "b"), (Arrow("x", "a", "b"),)),
-                               (Relation("a", "b", ((2, Path("a", "b", (0,))),)),)),
-        lambda: QuiverCategory(Quiver(("a", "b"), (Arrow("u", "a", "b"),
-                                                   Arrow("v", "a", "b")))),
+        *(functools.partial(category_by_name, name) for name in ("snake", "five", "d4")),
+        ladder_category, torsion_category, kronecker_category,
     ], ids=["snake", "five", "d4", "ladder", "torsion", "kronecker"])
     @pytest.mark.parametrize("side", ["category", "opposite"])
     def test_every_pair_matches_reference(self, build, side):
@@ -371,22 +369,22 @@ def test_format_lin_round_names(snake_cat):
 
 class TestRelationChecks:
     """Each relation path is walked once, by the category that receives the
-    relation; the command-line session only resolves the arrow labels."""
+    relation; ``catfile.build_category`` only resolves the arrow labels."""
 
     CATEGORY = ("category s {{ objects a b c d; arrows alpha: a -> b; beta: b -> c; "
                 "gamma: c -> d; relations {}; }}")
 
     def test_session_walks_each_relation_path_once(self, monkeypatch):
         from adelcat import quivercat
-        from adelcat.cli import Session, parse_session
+        from adelcat.catfile import build_category, parse_session
         walked = []
         real = quivercat._validate_path
         monkeypatch.setattr(quivercat, "_validate_path",
                             lambda quiver, path, *err: walked.append(path) or real(quiver, path, *err))
-        session = Session(parse_session(self.CATEGORY.format(
-            "alpha*beta = 0; beta*gamma = 2*beta*gamma; alpha*beta*gamma = 0")))
+        cat = build_category(parse_session(self.CATEGORY.format(
+            "alpha*beta = 0; beta*gamma = 2*beta*gamma; alpha*beta*gamma = 0")).category)
         assert [p.arrows for p in walked] == [(0, 1), (1, 2), (1, 2), (0, 1, 2)]
-        assert len(session.cat.relations) == 3
+        assert len(cat.relations) == 3
 
     @pytest.mark.parametrize("relation, message", [
         ("alpha*gamma = 0", "arrow 'gamma' does not compose at 'b'"),
@@ -400,9 +398,9 @@ class TestRelationChecks:
         ("0 = 0", "empty relation"),
     ])
     def test_session_messages(self, relation, message):
-        from adelcat.cli import Session, parse_session
+        from adelcat.catfile import build_category, parse_session
         with pytest.raises(RelationError, match=f"^{message}$"):
-            Session(parse_session(self.CATEGORY.format(relation)))
+            build_category(parse_session(self.CATEGORY.format(relation)).category)
 
     def test_category_checks_relations_built_directly(self):
         q = Quiver(("a", "b", "c"), (Arrow("x", "a", "b"), Arrow("y", "b", "c")))
