@@ -7,9 +7,11 @@ f.p. abelian groups), ``quivercat`` (the Z-linear path category),
 solver), ``adelman`` (the free abelian category: certified equality,
 kernels, cokernels, homology), ``homgroups`` (Hom-group presentations),
 ``evalfunctor`` (evaluation into f.p. abelian groups, the oracle),
-``catfile`` (the ``.cat`` grammar and the category it describes),
-``provers`` (machine-checked lemmata over built-in ``.cat`` categories), and
-``cli``, which nothing below it imports.
+``catfile`` (the ``.cat`` grammar, and ``Session``, which evaluates a text's
+category, named morphisms and objects), ``provers`` (machine-checked
+lemmata whose categories and 1x1 presentations are ``.cat`` text), and
+``cli`` (argparse, the commands, representation files), which nothing below
+it imports.
 """
 
 from .intlinalg import FpAbGroup, IntMatrix, SmithInvariants, hnf, snf, solve_left

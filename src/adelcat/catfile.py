@@ -22,11 +22,16 @@ arguments::
 
 An object ``NAME`` is ``zero``, an ``object`` name of the session file or a
 vertex; a triple may leave one side empty.  ``#`` starts a comment that runs
-to the end of the line.  Syntax errors and unknown object names carry
-``line:col``.
+to the end of the line.  A ``let`` may use the ``let`` names above it, an
+``object`` line every ``let`` name.  A ``let`` or ``object`` name must be
+new: not the name of an earlier line, for a ``let`` not an arrow label, for
+an ``object`` not a vertex or ``zero``.  Syntax errors, taken names and
+unknown names carry ``line:col``.
 
 ``build_category`` turns a parsed category block into a ``QuiverCategory``;
-``cli.Session`` evaluates the ``let`` and ``object`` lines.
+``Session`` builds it, evaluates the ``let`` and ``object`` lines and the
+expressions and objects of command-line arguments, and makes the morphism
+an expression gives between two objects (``Session.morphism``).
 """
 
 from __future__ import annotations
@@ -35,8 +40,11 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .quivercat import (Arrow, Path, Quiver, QuiverCategory, RelationError, _validate_path,
-                        format_signed_sum, make_relation)
+from .addclosure import TupleObject, single, zero_mat
+from .adelman import AdelMorphism, AdelObject, WitnessError, emb_object, make_morphism
+from .quivercat import (Arrow, EndpointError, LinMorphism, Path, Quiver, QuiverCategory,
+                        RelationError, _validate_path, compose_lin, format_signed_sum,
+                        make_relation)
 
 
 class ParseError(ValueError):
@@ -92,6 +100,13 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # ("arrow", token) per name factor and ("vertex", token) per id(v),
+        # for the caller to check against the names in scope
+        self.refs: list[tuple[str, Token]] = []
+
+    def take_refs(self) -> list[tuple[str, Token]]:
+        refs, self.refs = self.refs, []
+        return refs
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -154,9 +169,11 @@ class _Parser:
         tok = self.expect("name")
         if tok.text == "id" and self.at_symbol("("):
             self.advance()
-            v = self.expect("name").text
+            v = self.expect("name")
             self.expect("symbol", ")")
-            return ("id", v)
+            self.refs.append(("vertex", v))
+            return ("id", v.text)
+        self.refs.append(("arrow", tok))
         return tok.text
 
     def parse_object(self) -> ObjectNode:
@@ -179,22 +196,12 @@ class _Parser:
         return ("name", tok)
 
 
-def _parse_whole(text: str, rule):
-    """Parse all of ``text`` with one rule of ``_Parser``."""
-    p = _Parser(tokenize(text))
-    out = rule(p)
-    p.expect("eof")
-    return out
-
-
-def parse_expr(text: str) -> tuple[Term, ...]:
-    """A morphism expression on its own, as on the command line."""
-    return _parse_whole(text, _Parser.parse_expr)
-
-
-def parse_object(text: str) -> ObjectNode:
-    """An object on its own, as on the command line."""
-    return _parse_whole(text, _Parser.parse_object)
+def _check_refs(refs: list[tuple[str, Token]], arrows, vertices):
+    """Each factor of ``refs`` is in ``arrows`` (arrow labels and ``let``
+    names) and each ``id`` vertex in ``vertices``."""
+    for noun, tok in refs:
+        if tok.text not in (arrows if noun == "arrow" else vertices):
+            raise ParseError(f"unknown {noun} {tok.text!r}", tok.line, tok.col)
 
 
 @dataclass(frozen=True)
@@ -252,23 +259,36 @@ def parse_session(text: str) -> SessionSpec:
         else:
             p.fail("objects/arrows/relations")
     p.expect("symbol", "}")
+    vertices = set(objects)
+    usable = {label for label, _, _ in arrows}  # what an expression may name
+    _check_refs(p.take_refs(), usable, vertices)
     lets: list[tuple[str, tuple[Term, ...]]] = []
     objs: list[tuple[str, ObjectNode]] = []
-    while not p.peek().kind == "eof":
-        if p.at_name("let"):
-            p.advance()
-            lname = p.expect("name").text
-            p.expect("symbol", "=")
-            lets.append((lname, p.parse_expr()))
-            p.expect("symbol", ";")
-        elif p.at_name("object"):
-            p.advance()
-            oname = p.expect("name").text
-            p.expect("symbol", "=")
-            objs.append((oname, p.parse_object()))
-            p.expect("symbol", ";")
-        else:
+    object_refs: list[tuple[str, Token]] = []  # checked once every let is in scope
+    defined: set[str] = set()
+    while p.peek().kind != "eof":
+        if not (p.at_name("let") or p.at_name("object")):
             p.fail("let/object")
+        keyword = p.advance().text
+        tok = p.expect("name")
+        owner = ("a let or object" if tok.text in defined
+                 else "an arrow" if keyword == "let" and tok.text in usable
+                 else "a vertex" if keyword == "object" and tok.text in vertices
+                 else "the zero object" if keyword == "object" and tok.text == "zero"
+                 else None)
+        if owner:
+            raise ParseError(f"{tok.text!r} already names {owner}", tok.line, tok.col)
+        defined.add(tok.text)
+        p.expect("symbol", "=")
+        if keyword == "let":
+            lets.append((tok.text, p.parse_expr()))
+            _check_refs(p.take_refs(), usable, vertices)
+            usable.add(tok.text)
+        else:
+            objs.append((tok.text, p.parse_object()))
+            object_refs += p.take_refs()
+        p.expect("symbol", ";")
+    _check_refs(object_refs, usable, vertices)
     return SessionSpec(
         CategorySpec(name, tuple(objects), tuple(arrows), tuple(relations)),
         tuple(lets), tuple(objs))
@@ -322,3 +342,90 @@ def _path(quiver: Quiver, factors: tuple) -> Path:
     if src is None:
         raise RelationError("empty path")
     return Path(src, at if at is not None else src, tuple(arrows))
+
+
+class Session:
+    """A built category together with its named morphisms and objects."""
+
+    def __init__(self, spec: SessionSpec):
+        self.spec = spec.category
+        self.cat = build_category(spec.category)
+        self.lets: dict[str, LinMorphism] = {}
+        for lname, terms in spec.lets:
+            self.lets[lname] = self.eval_expr(terms)
+        self.objects: dict[str, AdelObject] = {}
+        for oname, node in spec.objects:
+            self.objects[oname] = self.eval_object(node)
+        self._usable = {a.label for a in self.cat.quiver.arrows} | self.lets.keys()
+
+    def eval_expr(self, terms: tuple[Term, ...]) -> LinMorphism:
+        total: Optional[LinMorphism] = None
+        for coef, factors in terms:
+            piece: Optional[LinMorphism] = None
+            for f in factors:
+                nxt = self._factor_lin(f)
+                piece = nxt if piece is None else compose_lin(piece, nxt)
+            assert piece is not None
+            piece = piece.scale(coef)
+            total = piece if total is None else total + piece
+        if total is None:
+            raise RelationError("cannot infer the endpoints of a bare zero expression")
+        return total
+
+    def _factor_lin(self, f) -> LinMorphism:
+        if isinstance(f, tuple):
+            return self.cat.identity_lin(f[1])
+        if f in self.lets:
+            return self.lets[f]
+        return self.cat.arrow_lin(f)
+
+    def eval_object(self, node: ObjectNode) -> AdelObject:
+        """The object of a ``parse_object`` node; an unknown name is a
+        ``ParseError`` at its token."""
+        form, tok, *sides = node
+        empty = TupleObject(self.cat, ())
+        if form == "triple":
+            rel, corel = (None if terms is None else single(self.eval_expr(terms))
+                          for terms in sides)
+            rel = zero_mat(empty, corel.source) if rel is None else rel
+            corel = zero_mat(rel.target, empty) if corel is None else corel
+            if rel.target != corel.source:
+                raise RelationError(f"relation target {rel.target.summands[0]!r} does not "
+                                    f"match corelation source {corel.source.summands[0]!r}")
+            return AdelObject(rel, corel)
+        if form == "name" and tok.text == "zero":
+            return emb_object(empty)
+        if form == "name" and tok.text in self.objects:
+            return self.objects[tok.text]
+        if tok.text in self.cat.quiver.vertices:
+            return emb_object(TupleObject(self.cat, (tok.text,)))
+        noun = "object" if form == "name" else "vertex"
+        raise ParseError(f"unknown {noun} {tok.text!r}", tok.line, tok.col)
+
+    def _parse(self, text: str, rule):
+        """All of ``text`` by one rule of ``_Parser``, with its arrow, ``let``
+        and ``id`` vertex names checked."""
+        p = _Parser(tokenize(text))
+        out = rule(p)
+        p.expect("eof")
+        _check_refs(p.refs, self._usable, self.cat.quiver.vertices)
+        return out
+
+    def parse_expr_text(self, text: str) -> LinMorphism:
+        return self.eval_expr(self._parse(text, _Parser.parse_expr))
+
+    def parse_object_text(self, text: str) -> AdelObject:
+        return self.eval_object(self._parse(text, _Parser.parse_object))
+
+    def morphism(self, expr: str, src: AdelObject, tgt: AdelObject) -> AdelMorphism:
+        """The morphism ``src -> tgt`` whose datum is the expression ``expr``."""
+        lin = self.parse_expr_text(expr)
+        datum = single(lin)
+        if datum.source != src.middle or datum.target != tgt.middle:
+            raise EndpointError(
+                f"expression {expr!r} runs {lin.source}->{lin.target}, which does not "
+                "match the given objects")
+        made = make_morphism(src, tgt, datum)
+        if made is None:
+            raise WitnessError(f"{expr!r} is not a well-defined morphism between these objects")
+        return made

@@ -1,9 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: argparse, the commands and representation files.
 
 Category/session files and the object and morphism arguments of the
-commands are written in the ``.cat`` grammar of ``adelcat.catfile``;
-``Session`` builds a parsed file's category and evaluates its ``let`` and
-``object`` lines.
+commands are written in the ``.cat`` grammar; ``adelcat.catfile.Session``
+builds a file's category and evaluates its lines and the arguments.
 
 Exit codes: 0 when every verdict is positive, 1 for a negative verdict, 2
 for usage, parse, or precondition errors.  ``--json`` output is byte-stable
@@ -23,98 +22,22 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import provers
-from .addclosure import TupleObject, format_mat, single, zero_mat
+from .addclosure import format_mat, single
 from .adelman import (
     CLAIMS,
     AdelMorphism,
     AdelObject,
-    WitnessError,
     cokernel,
     connecting_homomorphism,
-    emb_object,
     homology,
     is_equal,
     kernel,
-    make_morphism,
 )
-from .catfile import (
-    ObjectNode,
-    ParseError,
-    SessionSpec,
-    Term,
-    build_category,
-    parse_expr,
-    parse_object,
-    parse_session,
-)
+from .catfile import ParseError, Session, parse_session
 from .evalfunctor import Representation, check_representation, eval_object
 from .homgroups import hom_group
 from .intlinalg import IntMatrix
-from .quivercat import EndpointError, LinMorphism, RelationError, compose_lin, format_lin
-
-
-class Session:
-    """A built category together with its named morphisms and objects."""
-
-    def __init__(self, spec: SessionSpec):
-        self.spec = spec.category
-        self.cat = build_category(spec.category)
-        self.lets: dict[str, LinMorphism] = {}
-        for lname, terms in spec.lets:
-            self.lets[lname] = self.eval_expr(terms)
-        self.objects: dict[str, AdelObject] = {}
-        for oname, node in spec.objects:
-            self.objects[oname] = self.eval_object(node)
-
-    def eval_expr(self, terms: tuple[Term, ...]) -> LinMorphism:
-        total: Optional[LinMorphism] = None
-        for coef, factors in terms:
-            piece: Optional[LinMorphism] = None
-            for f in factors:
-                nxt = self._factor_lin(f)
-                piece = nxt if piece is None else compose_lin(piece, nxt)
-            assert piece is not None
-            piece = piece.scale(coef)
-            total = piece if total is None else total + piece
-        if total is None:
-            raise RelationError("cannot infer the endpoints of a bare zero expression")
-        return total
-
-    def _factor_lin(self, f) -> LinMorphism:
-        if isinstance(f, tuple):
-            return self.cat.identity_lin(f[1])
-        if f in self.lets:
-            return self.lets[f]
-        return self.cat.arrow_lin(f)
-
-    def eval_object(self, node: ObjectNode) -> AdelObject:
-        """The object of a ``parse_object`` node; an unknown name is a
-        ``ParseError`` at its token."""
-        form, tok, *sides = node
-        empty = TupleObject(self.cat, ())
-        if form == "triple":
-            rel, corel = (None if terms is None else single(self.eval_expr(terms))
-                          for terms in sides)
-            rel = zero_mat(empty, corel.source) if rel is None else rel
-            corel = zero_mat(rel.target, empty) if corel is None else corel
-            if rel.target != corel.source:
-                raise RelationError(f"relation target {rel.target.summands[0]!r} does not "
-                                    f"match corelation source {corel.source.summands[0]!r}")
-            return AdelObject(rel, corel)
-        if form == "name" and tok.text == "zero":
-            return emb_object(empty)
-        if form == "name" and tok.text in self.objects:
-            return self.objects[tok.text]
-        if tok.text in self.cat.quiver.vertices:
-            return emb_object(TupleObject(self.cat, (tok.text,)))
-        noun = "object" if form == "name" else "vertex"
-        raise ParseError(f"unknown {noun} {tok.text!r}", tok.line, tok.col)
-
-    def parse_expr_text(self, text: str) -> LinMorphism:
-        return self.eval_expr(parse_expr(text))
-
-    def parse_object_text(self, text: str) -> AdelObject:
-        return self.eval_object(parse_object(text))
+from .quivercat import format_lin
 
 
 def parse_representation(session: Session, text: str) -> Representation:
@@ -228,28 +151,14 @@ def _need_session(args) -> Session:
         return Session(parse_session(fh.read()))
 
 
-def _morphism_between(session: Session, expr: str, src: AdelObject,
-                      tgt: AdelObject) -> AdelMorphism:
-    lin = session.parse_expr_text(expr)
-    datum = single(lin)
-    if datum.source != src.middle or datum.target != tgt.middle:
-        raise EndpointError(
-            f"expression {expr!r} runs {lin.source}->{lin.target}, which does not "
-            "match the given objects")
-    made = make_morphism(src, tgt, datum)
-    if made is None:
-        raise WitnessError(f"{expr!r} is not a well-defined morphism between these objects")
-    return made
-
-
 # -- subcommand implementations ----------------------------------------------------
 
 def _cmd_check_equal(args) -> CommandResult:
     session = _need_session(args)
     src = session.parse_object_text(args.source)
     tgt = session.parse_object_text(args.target)
-    f = _morphism_between(session, args.first, src, tgt)
-    g = _morphism_between(session, args.second, src, tgt)
+    f = session.morphism(args.first, src, tgt)
+    g = session.morphism(args.second, src, tgt)
     wp = is_equal(f, g)
     certs = []
     if wp is not None:
@@ -270,7 +179,7 @@ def _morphism_command(args) -> tuple[AdelMorphism, dict]:
     session = _need_session(args)
     src = session.parse_object_text(args.source)
     tgt = session.parse_object_text(args.target)
-    f = _morphism_between(session, args.morphism, src, tgt)
+    f = session.morphism(args.morphism, src, tgt)
     return f, {"morphism": args.morphism, "source": args.source, "target": args.target,
                "category": session.spec.name}
 
@@ -287,8 +196,8 @@ def _composable_pair_command(args) -> tuple[AdelMorphism, AdelMorphism, dict]:
     the command's report inputs."""
     session = _need_session(args)
     o1, o2, o3 = (session.parse_object_text(t) for t in args.objects)
-    f = _morphism_between(session, args.first, o1, o2)
-    g = _morphism_between(session, args.second, o2, o3)
+    f = session.morphism(args.first, o1, o2)
+    g = session.morphism(args.second, o2, o3)
     return f, g, {"first": args.first, "second": args.second,
                   "objects": list(args.objects), "category": session.spec.name}
 
@@ -339,10 +248,8 @@ def _cmd_hom_group(args) -> CommandResult:
 
 def _cmd_connecting(args) -> CommandResult:
     session = _need_session(args)
-    a = single(session.parse_expr_text(args.first))
-    b = single(session.parse_expr_text(args.second))
-    c = single(session.parse_expr_text(args.third))
-    conn = connecting_homomorphism(a, b, c)
+    conn = connecting_homomorphism(*(single(session.parse_expr_text(e))
+                                     for e in (args.first, args.second, args.third)))
     return CommandResult(
         "connecting",
         {"first": args.first, "second": args.second, "third": args.third,

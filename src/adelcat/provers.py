@@ -1,8 +1,9 @@
 """Scripted machine-verification of homological lemmata.
 
 Each prover builds a fixed diagram in the free abelian category over one
-of the built-in ``.cat`` categories, runs the categorical decision procedures,
-and emits a structured report.  Failures never raise; they become report
+of the built-in ``.cat`` texts, whose ``object`` lines are the presentations
+the diagram's constructions must reproduce, runs the categorical decision
+procedures, and emits a structured report.  Failures never raise; they become report
 entries.  Every passing check embeds a certificate (witness pairs, explicit
 objects, invariant data) that ``replay_report`` re-verifies by plain matrix
 arithmetic without redoing any search.
@@ -21,13 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from . import adelman as ad
 from . import homgroups
-from .addclosure import (
-    MatMorphism,
-    TupleObject,
-    identity_mat,
-    single,
-    zero_mat,
-)
+from .addclosure import MatMorphism, TupleObject, identity_mat, single
 from .adelman import (
     AdelMorphism,
     AdelObject,
@@ -46,11 +41,10 @@ from .adelman import (
     is_exact,
     is_zero_morphism,
     kernel,
-    make_morphism,
     zero_adel_object,
     zero_morphism,
 )
-from .catfile import CategorySpec, build_category, parse_session
+from .catfile import Session, SessionSpec, build_category, parse_session
 from .evalfunctor import eval_object, zero_representation
 from .intlinalg import FpAbGroup, IntMatrix
 from .quivercat import QuiverCategory, compose_lin
@@ -120,7 +114,16 @@ CATEGORY_TEXTS = {
   objects a b c d;
   arrows alpha: a -> b; beta: b -> c; gamma: c -> d;
   relations alpha*beta*gamma = 0;
-}""",
+}
+# the presentations the snake figure's constructions must have
+object coker_alpha = (alpha |);
+object K = (alpha | beta*gamma);
+object ker_gamma = (| gamma);
+object C = (alpha*beta | gamma);
+object ker_beta = (| beta);
+object ker_delta = (| alpha*beta);
+object coker_beta = (beta |);
+object coker_eps = (beta*gamma |);""",
     "five": """category five {  # the grid of the refined five-term situation
   objects i a b c f g h j;
   arrows lambda: i -> a; alpha: a -> b; beta: b -> c; epsilon: b -> f;
@@ -130,7 +133,13 @@ CATEGORY_TEXTS = {
     # verticals are a cokernel projection and a kernel embedding); without
     # them the outer horizontal arrows of the diagram are not well-defined.
     lambda*alpha*epsilon = 0; zeta*kappa*mu = 0;
-}""",
+}
+# the outer objects and the proof steps' 1x1 presentations
+object E = (lambda |);
+object D = (| mu);
+object w1 = (beta | zeta*kappa);  # H(beta, zeta*kappa), step 1
+object wa = (alpha | beta);  # H at emb(b), step 3
+object wb = (alpha*epsilon | iota);  # H at emb(f), step 3""",
     "d4": """category d4 {  # three sources with a common sink, no relations
   objects x y z w;
   arrows p: x -> w; q: y -> w; r: z -> w;
@@ -139,15 +148,15 @@ CATEGORY_TEXTS = {
 
 
 @functools.cache
-def _category_spec(name: str) -> CategorySpec:
-    return parse_session(CATEGORY_TEXTS[name]).category
+def _session_spec(name: str) -> SessionSpec:
+    if name not in CATEGORY_TEXTS:
+        raise ValueError(f"unknown prover category {name!r}")
+    return parse_session(CATEGORY_TEXTS[name])
 
 
 def category_by_name(name: str) -> QuiverCategory:
     """A new category built from the built-in text ``name``."""
-    if name not in CATEGORY_TEXTS:
-        raise ValueError(f"unknown prover category {name!r}")
-    return build_category(_category_spec(name))
+    return build_category(_session_spec(name).category)
 
 
 # -- serialization of certificates ---------------------------------------------
@@ -348,6 +357,7 @@ class SnakeFigure:
     """All objects and arrows of the universal snake diagram."""
 
     cat: QuiverCategory
+    objects: dict                  # the snake text's object lines, over cat
     emb: dict
     alpha: AdelMorphism
     beta: AdelMorphism
@@ -371,62 +381,35 @@ class SnakeFigure:
 
 
 def build_snake_figure(connecting_scale: int = 1) -> SnakeFigure:
-    cat = category_by_name("snake")
+    session = Session(_session_spec("snake"))
+    cat, arrow = session.cat, session.morphism
     al, be, ga = map(cat.arrow_lin, ("alpha", "beta", "gamma"))
     emb = {v: emb_vertex(cat, v) for v in "abcd"}
 
-    alpha = emb_lin(al)
-    beta = emb_lin(be)
-    gamma = emb_lin(ga)
+    alpha, beta, gamma = map(emb_lin, (al, be, ga))
 
     coka = cokernel(alpha)
-    eps = make_morphism(coka.obj, emb["d"], single(compose_lin(be, ga)))
-    assert eps is not None
+    eps = arrow("beta*gamma", coka.obj, emb["d"])
     ker_eps = kernel(eps)
     ker_gamma = kernel(gamma)
-    delta = make_morphism(emb["a"], ker_gamma.obj, single(compose_lin(al, be)))
-    assert delta is not None
+    delta = arrow("alpha*beta", emb["a"], ker_gamma.obj)
     cok_delta = cokernel(delta)
     ker_beta = kernel(beta)
     ker_delta = kernel(delta)
     cok_beta = cokernel(beta)
     cok_eps = cokernel(eps)
 
-    blue1 = make_morphism(ker_delta.obj, ker_beta.obj, single(al))
-    blue2 = make_morphism(ker_beta.obj, ker_eps.obj, single(cat.identity_lin("b")))
+    blue1 = arrow("alpha", ker_delta.obj, ker_beta.obj)
+    blue2 = arrow("id(b)", ker_beta.obj, ker_eps.obj)
     base_connecting = connecting_homomorphism(single(al), single(be), single(ga))
     connecting = base_connecting.scale(connecting_scale)
-    blue4 = make_morphism(cok_delta.obj, cok_beta.obj, single(cat.identity_lin("c")))
-    blue5 = make_morphism(cok_beta.obj, cok_eps.obj, single(ga))
-    assert None not in (blue1, blue2, blue4, blue5)
+    blue4 = arrow("id(c)", cok_delta.obj, cok_beta.obj)
+    blue5 = arrow("gamma", cok_beta.obj, cok_eps.obj)
 
-    return SnakeFigure(cat, emb, alpha, beta, gamma, coka, eps, ker_eps,
+    return SnakeFigure(cat, session.objects, emb, alpha, beta, gamma, coka, eps, ker_eps,
                        ker_gamma, delta, cok_delta, ker_beta, ker_delta,
                        cok_beta, cok_eps, blue1, blue2, connecting, blue4,
                        blue5, connecting_scale)
-
-
-def _snake_explicit_objects(fig: SnakeFigure) -> dict[str, AdelObject]:
-    cat = fig.cat
-    al, be, ga = map(cat.arrow_lin, ("alpha", "beta", "gamma"))
-
-    def obj(rel_lin, mid, corel_lin):
-        rel = single(rel_lin) if rel_lin is not None else zero_mat(
-            TupleObject(cat, ()), TupleObject(cat, (mid,)))
-        corel = single(corel_lin) if corel_lin is not None else zero_mat(
-            TupleObject(cat, (mid,)), TupleObject(cat, ()))
-        return AdelObject(rel, corel)
-
-    return {
-        "coker(alpha)": obj(al, "b", None),
-        "K": obj(al, "b", compose_lin(be, ga)),
-        "ker(gamma)": obj(None, "c", ga),
-        "C": obj(compose_lin(al, be), "c", ga),
-        "ker(beta)": obj(None, "b", be),
-        "ker(delta)": obj(None, "a", compose_lin(al, be)),
-        "coker(beta)": obj(be, "c", None),
-        "coker(eps)": obj(compose_lin(be, ga), "d", None),
-    }
 
 
 @ad.construction_memo()
@@ -443,7 +426,6 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
     cat = fig.cat
     checks = _Checks()
 
-    explicit = _snake_explicit_objects(fig)
     constructed = {
         "coker(alpha)": fig.coka.obj,
         "K": fig.ker_eps.obj,
@@ -455,8 +437,9 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
         "coker(eps)": fig.cok_eps.obj,
     }
     for name, obj in constructed.items():
+        # .cat names are identifiers: coker(alpha) is the text's coker_alpha
         _check_structural(checks, f"object {name} has its explicit presentation",
-                          obj, explicit[name])
+                          obj, fig.objects[name.replace("(", "_").rstrip(")")])
 
     _check_commutes(checks, "square ker(delta) -> ker(beta) -> emb(b) commutes",
                     compose(fig.blue1, fig.ker_beta.emb),
@@ -538,9 +521,7 @@ def explicit_sweep_witness(fig: SnakeFigure, s: int,
     ck = cokernel(fig.blue2)
     via = compose(kr.emb, ck.proj)
     al = cat.arrow_lin("alpha")
-    idb = cat.identity_lin("b")
-    ida = cat.identity_lin("a")
-    idc = cat.identity_lin("c")
+    ida, idb, idc = map(cat.identity_lin, "abc")
     t_ba = TupleObject(cat, ("b", "a"))
     t_ab = TupleObject(cat, ("a", "b"))
     t_dc = TupleObject(cat, ("d", "c"))
@@ -654,6 +635,7 @@ class FiveData:
     auxiliary objects of the four proof steps."""
 
     cat: QuiverCategory
+    objects: dict                     # the five text's object lines (E, D, w1, wa, wb), over cat
     emb: dict
     cok_lambda: "ad.CokernelResult"   # E and delta = its projection
     ker_mu: "ad.KernelResult"         # D and eta = its embedding
@@ -665,11 +647,8 @@ class FiveData:
     bot3: AdelMorphism                # emb(g) -> emb(h), kappa
     eps: AdelMorphism                 # emb(b) -> emb(f)
     zeta: AdelMorphism                # emb(c) -> emb(g)
-    w1: AdelObject                    # (b -> c -> h), step 1 presentation
     w2: AdelObject                    # step 2 explicit object
     w3: AdelObject                    # step 3 explicit object
-    wa: AdelObject                    # (a -> b -> c)
-    wb: AdelObject                    # (a -> f -> g)
     m21: AdelMorphism                 # ker(eps) -> ker(zeta)
     m22: AdelMorphism                 # ker(zeta) -> w1
     nu: AdelMorphism                  # coker(m21) -> w1 colift
@@ -680,7 +659,8 @@ class FiveData:
 
 
 def build_five_data() -> FiveData:
-    cat = category_by_name("five")
+    session = Session(_session_spec("five"))
+    cat, arrow = session.cat, session.morphism
     lin = {a.label: cat.arrow_lin(a.label) for a in cat.quiver.arrows}
     emb = {v: emb_vertex(cat, v) for v in "iabcfghj"}
 
@@ -689,35 +669,24 @@ def build_five_data() -> FiveData:
 
     top1 = emb_lin(lin["alpha"])
     top2 = emb_lin(lin["beta"])
-    top3 = make_morphism(emb["c"], ker_mu.obj,
-                         single(compose_lin(lin["zeta"], lin["kappa"])))
-    bot1 = make_morphism(cok_lambda.obj, emb["f"],
-                         single(compose_lin(lin["alpha"], lin["epsilon"])))
+    top3 = arrow("zeta*kappa", emb["c"], ker_mu.obj)
+    bot1 = arrow("alpha*epsilon", cok_lambda.obj, emb["f"])
     bot2 = emb_lin(lin["iota"])
     bot3 = emb_lin(lin["kappa"])
     eps = emb_lin(lin["epsilon"])
     zeta = emb_lin(lin["zeta"])
-    if top3 is None or bot1 is None:
-        raise RuntimeError("outer diagram arrows are not well-defined")
-
-    w1 = AdelObject(single(lin["beta"]),
-                    single(compose_lin(lin["zeta"], lin["kappa"])))
 
     ker_eps = kernel(eps)
     ker_zeta = kernel(zeta)
-    m21 = make_morphism(ker_eps.obj, ker_zeta.obj, single(lin["beta"]))
-    m22 = make_morphism(ker_zeta.obj, w1, single(cat.identity_lin("c")))
-    if m21 is None or m22 is None:
-        raise RuntimeError("step 2 sequence is not well-defined")
+    m21 = arrow("beta", ker_eps.obj, ker_zeta.obj)
+    m22 = arrow("id(c)", ker_zeta.obj, session.objects["w1"])
     zwp = is_zero_morphism(compose(m21, m22))
     if zwp is None:
         raise RuntimeError("step 2 composite is not zero")
     nu = cokernel_colift(m21, m22, zwp)
     step2_kernel = kernel(nu)
 
-    idb = cat.identity_lin("b")
-    idf = cat.identity_lin("f")
-    idc = cat.identity_lin("c")
+    idb, idc, idf = map(cat.identity_lin, "bcf")
     z = cat.zero_lin
     t = lambda *vs: TupleObject(cat, vs)
     w2 = AdelObject(
@@ -732,12 +701,7 @@ def build_five_data() -> FiveData:
         )),
     )
 
-    wa = AdelObject(single(lin["alpha"]), single(lin["beta"]))
-    wb = AdelObject(single(compose_lin(lin["alpha"], lin["epsilon"])),
-                    single(lin["iota"]))
-    m3 = make_morphism(wa, wb, single(lin["epsilon"]))
-    if m3 is None:
-        raise RuntimeError("step 3 morphism is not well-defined")
+    m3 = arrow("epsilon", session.objects["wa"], session.objects["wb"])
     cok_m3 = cokernel(m3)
     w3 = AdelObject(
         MatMorphism(t("a", "b"), t("f", "c"), (
@@ -766,27 +730,22 @@ def build_five_data() -> FiveData:
     ))
     m4 = AdelMorphism(w2, w3, m4_datum, m4_rel_witness, m4_corel_witness)
 
-    return FiveData(cat, emb, cok_lambda, ker_mu, top1, top2, top3, bot1,
-                    bot2, bot3, eps, zeta, w1, w2, w3, wa, wb, m21, m22, nu,
-                    step2_kernel, m3, cok_m3, m4)
+    return FiveData(cat, session.objects, emb, cok_lambda, ker_mu, top1, top2, top3, bot1,
+                    bot2, bot3, eps, zeta, w2, w3, m21, m22, nu, step2_kernel, m3, cok_m3, m4)
 
 
 def explicit_five_witness(data: FiveData) -> WitnessPair:
     """The explicit big witness pair certifying that the kernel object of
     the step-4 chain map is zero."""
     cat = data.cat
-    lin = {lbl: cat.arrow_lin(lbl) for lbl in ("alpha", "beta", "epsilon", "zeta", "iota")}
     z = cat.zero_lin
-    idb = cat.identity_lin("b")
-    ida = cat.identity_lin("a")
-    idf = cat.identity_lin("f")
-    idc = cat.identity_lin("c")
+    ida, idb, idc, idf = map(cat.identity_lin, "abcf")
     t = lambda *vs: TupleObject(cat, vs)
     sigma1 = MatMorphism(t("c", "f", "b", "a", "b"), t("b", "b", "a", "b"), (
         (z("c", "b"), z("c", "b"), z("c", "a"), z("c", "b")),
         (z("f", "b"), z("f", "b"), z("f", "a"), z("f", "b")),
         (-idb, idb, z("b", "a"), z("b", "b")),
-        (-lin["alpha"], z("a", "b"), ida, z("a", "b")),
+        (-cat.arrow_lin("alpha"), z("a", "b"), ida, z("a", "b")),
         (-idb, z("b", "b"), z("b", "a"), idb),
     ))
     sigma2 = MatMorphism(t("g", "f", "c", "f", "c"), t("c", "f", "b", "a", "b"), (
@@ -810,13 +769,9 @@ def prove_refined_five() -> ProofReport:
     checks = _Checks()
 
     _check_structural(checks, "E is presented as (i -> a -> 0)",
-                      data.cok_lambda.obj,
-                      AdelObject(single(cat.arrow_lin("lambda")),
-                                 zero_mat(TupleObject(cat, ("a",)), TupleObject(cat, ()))))
+                      data.cok_lambda.obj, data.objects["E"])
     _check_structural(checks, "D is presented as (0 -> h -> j)",
-                      data.ker_mu.obj,
-                      AdelObject(zero_mat(TupleObject(cat, ()), TupleObject(cat, ("h",))),
-                                 single(cat.arrow_lin("mu"))))
+                      data.ker_mu.obj, data.objects["D"])
 
     _check_claim(checks, "delta (cokernel projection of lambda) is an epi", "epi",
                  lambda: (data.cok_lambda.proj,), "cokernel is zero")
@@ -848,7 +803,7 @@ def prove_refined_five() -> ProofReport:
 
     # step 1
     _check_claim(checks, "step 1: homology of the top right pair has the composable-pair form",
-                 "iso", lambda: (comparison(data.top2, data.top3, data.w1),),
+                 "iso", lambda: (comparison(data.top2, data.top3, data.objects["w1"]),),
                  "H(beta, zeta*kappa) = (b -> c -> h)")
 
     # step 2
@@ -862,17 +817,17 @@ def prove_refined_five() -> ProofReport:
                       data.cok_m3.obj, data.w3)
 
     _check_claim(checks, "step 3: top homology identification", "iso",
-                 lambda: (comparison(data.top1, data.top2, data.wa),),
+                 lambda: (comparison(data.top1, data.top2, data.objects["wa"]),),
                  "H at emb(b) = (a -> b -> c)")
     _check_claim(checks, "step 3: bottom homology identification", "iso",
-                 lambda: (comparison(data.bot1, data.bot2, data.wb),),
+                 lambda: (comparison(data.bot1, data.bot2, data.objects["wb"]),),
                  "H at emb(f) = (a -> f -> g)")
 
     def step3_square():
         h_top = homology(data.top1, data.top2)
         h_bot = homology(data.bot1, data.bot2)
-        comp_a = homology_comparison(h_top, data.wa, identity_mat(h_top.cok.obj.middle))
-        comp_b = homology_comparison(h_bot, data.wb, identity_mat(h_bot.cok.obj.middle))
+        comp_a = homology_comparison(h_top, data.objects["wa"], identity_mat(h_top.cok.obj.middle))
+        comp_b = homology_comparison(h_bot, data.objects["wb"], identity_mat(h_bot.cok.obj.middle))
         if comp_a is None or comp_b is None:
             return False, "comparisons do not exist", None
         hmap = homology_map(h_top, h_bot, data.eps)
@@ -993,8 +948,8 @@ def five_oracle_items(data: FiveData) -> list[tuple]:
     items.append(("homology", data.top2, data.top3,
                   homology(data.top2, data.top3).obj))
     items.append(("homology", data.m21, data.m22, data.step2_kernel.obj))
-    items.append(("homology", data.top1, data.top2, data.wa))
-    items.append(("homology", data.bot1, data.bot2, data.wb))
+    items.append(("homology", data.top1, data.top2, data.objects["wa"]))
+    items.append(("homology", data.bot1, data.bot2, data.objects["wb"]))
     items.append(("cokernel", data.m3, data.w3))
     zero = zero_adel_object(data.cat)  # mono and epi: a zero kernel or cokernel
     items.append(("kernel", data.m4, zero))

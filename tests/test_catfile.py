@@ -1,5 +1,6 @@
-"""The ``.cat`` grammar module on its own: the built-in category texts, and
-the layering that keeps the grammar and the provers free of the CLI."""
+"""The ``.cat`` grammar module on its own: the built-in category texts,
+``Session``'s names and morphisms, and the layering that keeps the grammar
+and the provers free of the CLI."""
 
 import os
 import subprocess
@@ -9,8 +10,14 @@ from pathlib import Path
 import pytest
 
 import adelcat
-from adelcat.catfile import build_category, parse_session, print_spec
+from adelcat import cli
+from adelcat.adelman import WitnessError
+from adelcat.catfile import ParseError, Session, build_category, parse_session, print_spec
 from adelcat.provers import CATEGORY_TEXTS, category_by_name
+from adelcat.quivercat import EndpointError
+
+SNAKE = ("category s { objects a b c d; arrows alpha: a -> b; beta: b -> c; gamma: c -> d;\n"
+         "  relations alpha*beta*gamma = 0; }\n")
 
 
 @pytest.mark.parametrize("name", sorted(CATEGORY_TEXTS))
@@ -28,7 +35,63 @@ def test_grammar_and_provers_import_without_the_cli():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, adelcat.provers, adelcat.catfile; "
+            "from adelcat.catfile import Session; "
             "assert 'adelcat.cli' not in sys.modules")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_session_is_the_catfile_session():
+    assert cli.Session is Session and cli.parse_session is parse_session
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("let ab = alpha*beta;\nlet ab = beta*gamma;", r"^4:5: 'ab' already names a let or object$"),
+    ("object K = (alpha |);\nobject K = (beta |);", r"^4:8: 'K' already names a let or object$"),
+    ("object K = (alpha |);\nlet K = alpha;", r"^4:5: 'K' already names a let or object$"),
+    ("let alpha = beta;", r"^3:5: 'alpha' already names an arrow$"),
+    ("object b = (alpha |);", r"^3:8: 'b' already names a vertex$"),
+    ("object zero = (alpha |);", r"^3:8: 'zero' already names the zero object$"),
+], ids=["let-twice", "object-twice", "object-then-let", "let-shadows-arrow",
+        "object-shadows-vertex", "object-zero"])
+def test_taken_session_name_is_a_parse_error(lines, message):
+    with pytest.raises(ParseError, match=message):
+        parse_session(SNAKE + lines)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("let g = f*h;", r"^3:9: unknown arrow 'f'$"),
+    ("let x = y;\nlet y = alpha;", r"^3:9: unknown arrow 'y'$"),
+    ("object X = (alpha*foo |);", r"^3:19: unknown arrow 'foo'$"),
+    ("object X = (id(q) |);", r"^3:16: unknown vertex 'q'$"),
+], ids=["let", "let-before-its-let", "object-arrow", "object-identity"])
+def test_unknown_name_in_a_session_line_has_position(lines, message):
+    with pytest.raises(ParseError, match=message):
+        parse_session(SNAKE + lines)
+
+
+@pytest.mark.parametrize("relation, message", [
+    ("alpha*foo = 0", r"^2:19: unknown arrow 'foo'$"),
+    ("id(q)*alpha = alpha", r"^2:16: unknown vertex 'q'$"),
+], ids=["arrow", "identity"])
+def test_unknown_name_in_a_relation_has_position(relation, message):
+    with pytest.raises(ParseError, match=message):
+        parse_session(f"category s {{ objects a b; arrows alpha: a -> b;\n  relations {relation}; }}")
+
+
+def test_object_line_may_use_a_later_let():
+    session = Session(parse_session(SNAKE + "object X = (ab | gamma);\nlet ab = alpha*beta;"))
+    assert session.objects["X"] == session.parse_object_text("(alpha*beta | gamma)")
+
+
+def test_morphism_checks_its_endpoints_and_witnesses():
+    session = Session(parse_session(SNAKE))
+    b, c, ker_beta = map(session.parse_object_text, ("b", "c", "(| beta)"))
+    assert session.morphism("beta", b, c).datum.entries == ((session.cat.arrow_lin("beta"),),)
+    with pytest.raises(EndpointError, match=r"^expression 'alpha' runs a->b, which does not "
+                                            r"match the given objects$"):
+        session.morphism("alpha", b, c)
+    with pytest.raises(WitnessError, match=r"^'id\(b\)' is not a well-defined morphism "
+                                           r"between these objects$"):
+        session.morphism("id(b)", b, ker_beta)

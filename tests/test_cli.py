@@ -137,6 +137,34 @@ class TestParser:
         with pytest.raises(ParseError, match=message):
             session.parse_object_text(text)
 
+    @pytest.mark.parametrize("text, col, message", [
+        ("alpha*foo", 7, "unknown arrow 'foo'"),
+        ("id(q)", 4, "unknown vertex 'q'"),
+        ("2*ab - ba", 8, "unknown arrow 'ba'"),
+    ], ids=["arrow", "identity", "let"])
+    def test_expression_argument_error_has_position(self, session, text, col, message):
+        with pytest.raises(ParseError, match=f"^1:{col}: {message}$"):
+            session.parse_expr_text(text)
+        with pytest.raises(ParseError, match=f"^1:{col + 1}: {message}$"):
+            session.parse_object_text(f"({text} |)")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["kernel", "alpha*foo", "--source", "a", "--target", "b"],
+         "error: 1:7: unknown arrow 'foo'\n"),
+        (["kernel", "id(q)", "--source", "a", "--target", "a"],
+         "error: 1:4: unknown vertex 'q'\n"),
+    ], ids=["arrow", "identity"])
+    def test_unknown_name_in_an_argument_exits_two(self, snake_file, capsys, argv, err):
+        assert run_command(argv + ["--category", snake_file]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_unknown_name_in_a_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.cat"
+        path.write_text(SNAKE_SRC + "let g = f*h;\n")
+        assert run_command(["kernel", "beta", "--source", "b", "--target", "c",
+                            "--category", str(path)]) == 2
+        assert capsys.readouterr().err == "error: 10:9: unknown arrow 'f'\n"
+
     def test_end_of_input_after_comment_has_position(self):
         with pytest.raises(ParseError,
                            match=r"^2:22: expected objects/arrows/relations, found 'eof'$"):
