@@ -8,10 +8,12 @@ witness pair that re-verifies by plain matrix arithmetic, and all
 constructions (kernels, cokernels, lifts, colifts, images, homology) are
 carried out on explicit block matrices.
 
-Mono, epi, iso and exactness are decided in one place: ``CLAIMS`` lists, per
-claim, the data its parts declare null-homotopic, rebuilt from the morphisms
-without search, and ``claim_witnesses`` decides them.  The predicates, the
-provers' certificates and their replay all read that table.
+Zero morphisms, equality, mono, epi, iso and exactness are decided in one
+place: ``CLAIMS`` lists, per claim, the data its parts declare
+null-homotopic, rebuilt from the morphisms without search;
+``claim_witnesses`` decides them and ``claim_verifies`` checks given witness
+pairs.  The predicates, the provers' certificates and their replay all read
+that table.
 
 Sign conventions follow the matrices with the fewest minus signs.  Values
 are immutable and cache nothing.  Inside one ``construction_memo`` scope
@@ -309,14 +311,12 @@ def make_morphism(source: AdelObject, target: AdelObject,
 
 def is_zero_morphism(f: AdelMorphism) -> Optional[WitnessPair]:
     """Certified zero test; a returned pair always re-verifies."""
-    return zero_witness(f.source, f.target, f.datum)
+    return zero_witness(*_datum_zero(f))
 
 
 def is_equal(f: AdelMorphism, g: AdelMorphism) -> Optional[WitnessPair]:
     """Certificate that ``f - g`` is null-homotopic, or None."""
-    if f.source != g.source or f.target != g.target:
-        raise EndpointError("morphisms do not have the same endpoints")
-    return zero_witness(f.source, f.target, f.datum - g.datum)
+    return zero_witness(*_difference_zero(f, g))
 
 
 # -- kernels and cokernels ---------------------------------------------------
@@ -458,6 +458,16 @@ def is_zero_object(x: AdelObject) -> bool:
 # (source, target, datum) that the part declares null-homotopic.  They call
 # the constructions through this module's globals at call time.
 
+def _datum_zero(f: AdelMorphism):
+    return f.source, f.target, f.datum
+
+
+def _difference_zero(f: AdelMorphism, g: AdelMorphism):
+    if f.source != g.source or f.target != g.target:
+        raise EndpointError("morphisms do not have the same endpoints")
+    return f.source, f.target, f.datum - g.datum
+
+
 def _kernel_zero(f: AdelMorphism):
     k = kernel(f).obj
     return k, k, identity_mat(k.middle)
@@ -480,10 +490,14 @@ def _via_zero(f: AdelMorphism, g: AdelMorphism):
 
 
 # Claim kind -> (names of the morphisms it is about, its parts in order as
-# (witness key, rebuild)).  Mono, epi and iso declare the kernel, the
-# cokernel or both zero objects; exactness of a complex ``(f, g)`` declares
-# ``f * g`` and then the kernel-to-cokernel composite null-homotopic.
+# (witness key, rebuild)).  ``zero`` declares a datum and ``equal`` the
+# difference of two parallel data null-homotopic; mono, epi and iso declare
+# the kernel, the cokernel or both zero objects; exactness of a complex
+# ``(f, g)`` declares ``f * g`` and then the kernel-to-cokernel composite
+# null-homotopic.
 CLAIMS = {
+    "zero": (("morphism",), (("wp", _datum_zero),)),
+    "equal": (("first", "second"), (("wp", _difference_zero),)),
     "mono": (("morphism",), (("kernel_zero_wp", _kernel_zero),)),
     "epi": (("morphism",), (("cokernel_zero_wp", _cokernel_zero),)),
     "iso": (("morphism",), (("kernel_zero_wp", _kernel_zero),
@@ -506,6 +520,13 @@ def claim_witnesses(kind: str, *fs: AdelMorphism) -> Optional[dict[str, WitnessP
             return None
         found[key] = wp
     return found
+
+
+def claim_verifies(kind: str, fs, witnesses: dict[str, WitnessPair]) -> bool:
+    """Whether each given witness pair (by key) verifies its part of the
+    claim ``kind`` about ``fs``, rebuilt without search.  Morphisms that do
+    not fit the claim raise ``EndpointError``."""
+    return all(witnesses[key].verifies(*rebuild(*fs)) for key, rebuild in CLAIMS[kind][1])
 
 
 def is_mono(f: AdelMorphism) -> bool:

@@ -30,7 +30,6 @@ from .adelman import (
     cokernel,
     connecting_homomorphism,
     homology,
-    is_equal,
     kernel,
 )
 from .catfile import ParseError, Session, parse_session
@@ -159,17 +158,15 @@ def _cmd_check_equal(args) -> CommandResult:
     tgt = session.parse_object_text(args.target)
     f = session.morphism(args.first, src, tgt)
     g = session.morphism(args.second, src, tgt)
-    wp = is_equal(f, g)
-    certs = []
-    if wp is not None:
-        certs.append(provers._cert_zero(src, tgt, f.datum - g.datum, wp))
+    cert = provers.claim_certificate("equal", f, g)
+    verdict = cert is not None
     return CommandResult(
         "check-equal",
         {"first": args.first, "second": args.second,
          "source": args.source, "target": args.target,
          "category": session.spec.name},
-        wp is not None, certs,
-        lines=[f"morphisms are {'equal' if wp is not None else 'NOT equal'} "
+        verdict, [cert] if verdict else [],
+        lines=[f"morphisms are {'equal' if verdict else 'NOT equal'} "
                f"in the free abelian category"])
 
 
@@ -207,6 +204,11 @@ def _cmd_homology(args) -> CommandResult:
     h = homology(f, g)
     return CommandResult("homology", inputs, True, [], extra={"object": provers._ser_obj(h.obj)},
                          lines=[f"homology object: {_format_object(h.obj)}"])
+
+
+# the claims with an ``is-<kind>`` command; ``zero`` and ``equal`` are
+# stated by ``check-equal``
+_CLAIM_COMMANDS = ("mono", "epi", "iso", "exact")
 
 
 def _cmd_claim(args, kind: str) -> CommandResult:
@@ -357,15 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--source", required=True)
         p.add_argument("--target", required=True)
 
-    pair_claims = [f"is-{kind}" for kind, (names, _) in CLAIMS.items() if len(names) == 2]
+    pair_claims = [f"is-{kind}" for kind in _CLAIM_COMMANDS if len(CLAIMS[kind][0]) == 2]
     for which in ("homology", *pair_claims):
         p = sub.add_parser(which, parents=[common])
         p.add_argument("first")
         p.add_argument("second")
         p.add_argument("--objects", nargs=3, required=True)
 
-    for kind, (names, _) in CLAIMS.items():
-        if len(names) == 1:
+    for kind in _CLAIM_COMMANDS:
+        if len(CLAIMS[kind][0]) == 1:
             p = sub.add_parser(f"is-{kind}", parents=[common])
             p.add_argument("morphism")
             p.add_argument("--source", required=True)
@@ -400,7 +402,7 @@ _DISPATCH = {
     "kernel": lambda a: _cmd_kernel(a, "kernel"),
     "cokernel": lambda a: _cmd_kernel(a, "cokernel"),
     "homology": _cmd_homology,
-    **{f"is-{kind}": functools.partial(_cmd_claim, kind=kind) for kind in CLAIMS},
+    **{f"is-{kind}": functools.partial(_cmd_claim, kind=kind) for kind in _CLAIM_COMMANDS},
     "hom-group": _cmd_hom_group,
     "connecting": _cmd_connecting,
     "prove": _cmd_prove,

@@ -8,10 +8,11 @@ entries.  Every passing check embeds a certificate (witness pairs, explicit
 objects, invariant data) that ``replay_report`` re-verifies by plain matrix
 arithmetic without redoing any search.
 
-Mono, epi, iso and exactness are decided by ``adelman.CLAIMS``; this
-module only formats them.  A claim's certificate carries its morphisms and
-one witness pair per part, and replay rebuilds from the morphisms what each
-part declares null-homotopic.
+Zero morphisms, equality, mono, epi, iso and exactness are decided by
+``adelman.CLAIMS``; this module only formats them.  A claim's certificate
+carries its morphisms and one witness pair per part, found by search or
+written down in closed form, and replay rebuilds from the morphisms what
+each part declares null-homotopic.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ from .adelman import (
     homology_comparison,
     homology_map,
     image,
-    is_equal,
     is_exact,
     is_zero_morphism,
     kernel,
     zero_adel_object,
-    zero_morphism,
 )
 from .catfile import Session, SessionSpec, build_category, parse_session
 from .evalfunctor import eval_object, zero_representation
@@ -170,14 +169,12 @@ def _ser_mat(f: MatMorphism) -> dict:
 
 
 def _de_mat(cat: QuiverCategory, data: dict) -> MatMorphism:
+    """A grid with a row or an entry too many or too few raises ``ValueError``."""
     src = TupleObject(cat, tuple(data["source"]))
     tgt = TupleObject(cat, tuple(data["target"]))
     entries = tuple(
-        tuple(
-            cat.lin(src.summands[i], tgt.summands[j], coeffs)
-            for j, coeffs in enumerate(row)
-        )
-        for i, row in enumerate(data["entries"])
+        tuple(cat.lin(a, b, coeffs) for b, coeffs in zip(tgt.summands, row, strict=True))
+        for a, row in zip(src.summands, data["entries"], strict=True)
     )
     return MatMorphism(src, tgt, entries)
 
@@ -218,17 +215,6 @@ def _de_wp(cat: QuiverCategory, data: dict) -> WitnessPair:
     return WitnessPair(_de_mat(cat, data["sigma1"]), _de_mat(cat, data["sigma2"]))
 
 
-def _cert_zero(source: AdelObject, target: AdelObject, datum: MatMorphism,
-               wp: WitnessPair) -> dict:
-    return {
-        "kind": "null_homotopy",
-        "source": _ser_obj(source),
-        "target": _ser_obj(target),
-        "datum": _ser_mat(datum),
-        "wp": _ser_wp(wp),
-    }
-
-
 def _cert_structural(left: AdelObject, right: AdelObject) -> dict:
     return {"kind": "structural", "left": _ser_obj(left), "right": _ser_obj(right)}
 
@@ -236,8 +222,19 @@ def _cert_structural(left: AdelObject, right: AdelObject) -> dict:
 def claim_certificate(kind: str, *fs: AdelMorphism) -> Optional[dict]:
     """The certificate of the claim ``kind`` (a key of ``adelman.CLAIMS``)
     about the morphisms ``fs``, or None when the claim does not hold."""
-    witnesses = ad.claim_witnesses(kind, *fs)
+    return _claim_cert(kind, fs)
+
+
+def _claim_cert(kind: str, fs: Sequence[AdelMorphism],
+                witnesses: Optional[dict[str, WitnessPair]] = None) -> Optional[dict]:
+    """The certificate of the claim ``kind`` about ``fs`` with the given
+    witness pairs (by key), or with pairs found by search when none are
+    given; None when there are none or a given pair fails its part."""
     if witnesses is None:
+        witnesses = ad.claim_witnesses(kind, *fs)
+        if witnesses is None:
+            return None
+    elif not ad.claim_verifies(kind, fs, witnesses):
         return None
     names = ad.CLAIMS[kind][0]
     return {"kind": kind, **{name: _ser_mor(f) for name, f in zip(names, fs)},
@@ -259,17 +256,12 @@ def verify_certificate(cat: QuiverCategory, cert: dict) -> bool:
     missing or mistyped field fails the certificate; an unknown kind raises."""
     try:
         kind = cert["kind"]
-        if kind == "null_homotopy":
-            src = _de_obj(cat, cert["source"])
-            tgt = _de_obj(cat, cert["target"])
-            datum = _de_mat(cat, cert["datum"])
-            return _de_wp(cat, cert["wp"]).verifies(src, tgt, datum)
         if kind == "structural":
             return _de_obj(cat, cert["left"]) == _de_obj(cat, cert["right"])
         if kind in ad.CLAIMS:
             names, parts = ad.CLAIMS[kind]
             fs = [_de_mor(cat, cert[name]) for name in names]
-            return all(_de_wp(cat, cert[key]).verifies(*rebuild(*fs)) for key, rebuild in parts)
+            return ad.claim_verifies(kind, fs, {key: _de_wp(cat, cert[key]) for key, _ in parts})
         if kind == "invariants":
             group = FpAbGroup(cert["ngens"], IntMatrix.from_rows(cert["relations"], cols=cert["ngens"]))
             inv = group.invariants().reduced()
@@ -313,26 +305,6 @@ def _check_structural(checks: _Checks, description: str, left: AdelObject,
                _cert_structural(left, right))
 
 
-def _check_commutes(checks: _Checks, description: str, f: AdelMorphism,
-                    g: AdelMorphism):
-    def thunk():
-        wp = is_equal(f, g)
-        if wp is None:
-            return False, "paths differ", None
-        dims = f"witness pair over {len(wp.sigma1.target)}+{len(wp.sigma2.source)} summands"
-        return True, dims, _cert_zero(f.source, f.target, f.datum - g.datum, wp)
-    checks.run(description, thunk)
-
-
-def _check_zero(checks: _Checks, description: str, f: AdelMorphism):
-    def thunk():
-        wp = is_zero_morphism(f)
-        if wp is None:
-            return False, "composite is not zero", None
-        return True, "witnessed", _cert_zero(f.source, f.target, f.datum, wp)
-    checks.run(description, thunk)
-
-
 def _check_claim(checks: _Checks, description: str, kind: str,
                  build: Callable[[], tuple], summary: Optional[str] = None):
     """The morphisms returned by ``build`` (called inside the check, so that
@@ -348,6 +320,17 @@ def _check_claim(checks: _Checks, description: str, kind: str,
             return False, f"not {kind}", None
         return True, summary or kind, cert
     checks.run(description, thunk)
+
+
+def _check_square(checks: _Checks, description: str, f1: AdelMorphism, f2: AdelMorphism,
+                  g1: AdelMorphism, g2: AdelMorphism):
+    """The square ``f1 * f2 == g1 * g2`` commutes: the claim ``equal``."""
+    _check_claim(checks, description, "equal", lambda: (compose(f1, f2), compose(g1, g2)))
+
+
+def _check_composite_zero(checks: _Checks, description: str, f: AdelMorphism,
+                          g: AdelMorphism):
+    _check_claim(checks, description, "zero", lambda: (compose(f, g),))
 
 
 # -- the snake figure ------------------------------------------------------------
@@ -374,13 +357,12 @@ class SnakeFigure:
     cok_eps: "ad.CokernelResult"
     blue1: AdelMorphism            # ker(delta) -> ker(beta), datum alpha
     blue2: AdelMorphism            # ker(beta) -> K, datum id_b
-    connecting: AdelMorphism       # K -> C, datum scale * beta
+    connecting: AdelMorphism       # K -> C, datum beta
     blue4: AdelMorphism            # C -> coker(beta), datum id_c
     blue5: AdelMorphism            # coker(beta) -> coker(eps), datum gamma
-    scale: int
 
 
-def build_snake_figure(connecting_scale: int = 1) -> SnakeFigure:
+def build_snake_figure() -> SnakeFigure:
     session = Session(_session_spec("snake"))
     cat, arrow = session.cat, session.morphism
     al, be, ga = map(cat.arrow_lin, ("alpha", "beta", "gamma"))
@@ -401,15 +383,14 @@ def build_snake_figure(connecting_scale: int = 1) -> SnakeFigure:
 
     blue1 = arrow("alpha", ker_delta.obj, ker_beta.obj)
     blue2 = arrow("id(b)", ker_beta.obj, ker_eps.obj)
-    base_connecting = connecting_homomorphism(single(al), single(be), single(ga))
-    connecting = base_connecting.scale(connecting_scale)
+    connecting = connecting_homomorphism(single(al), single(be), single(ga))
     blue4 = arrow("id(c)", cok_delta.obj, cok_beta.obj)
     blue5 = arrow("gamma", cok_beta.obj, cok_eps.obj)
 
     return SnakeFigure(cat, session.objects, emb, alpha, beta, gamma, coka, eps, ker_eps,
                        ker_gamma, delta, cok_delta, ker_beta, ker_delta,
                        cok_beta, cok_eps, blue1, blue2, connecting, blue4,
-                       blue5, connecting_scale)
+                       blue5)
 
 
 @ad.construction_memo()
@@ -422,7 +403,8 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
     ``connecting_scale`` is a mutation hook: scaling the connecting arrow by
     anything other than +-1 must break exactness exactly at its two ends.
     """
-    fig = build_snake_figure(connecting_scale)
+    fig = build_snake_figure()
+    connecting = fig.connecting.scale(connecting_scale)
     cat = fig.cat
     checks = _Checks()
 
@@ -441,68 +423,61 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
         _check_structural(checks, f"object {name} has its explicit presentation",
                           obj, fig.objects[name.replace("(", "_").rstrip(")")])
 
-    _check_commutes(checks, "square ker(delta) -> ker(beta) -> emb(b) commutes",
-                    compose(fig.blue1, fig.ker_beta.emb),
-                    compose(fig.ker_delta.emb, fig.alpha))
-    _check_commutes(checks, "square ker(beta) -> K -> coker(alpha) commutes",
-                    compose(fig.blue2, fig.ker_eps.emb),
-                    compose(fig.ker_beta.emb, fig.coka.proj))
-    _check_commutes(checks, "square emb(a) -> emb(b) -> emb(c) commutes",
-                    compose(fig.alpha, fig.beta),
-                    compose(fig.delta, fig.ker_gamma.emb))
-    _check_commutes(checks, "square emb(b) -> coker(alpha) -> emb(d) commutes",
-                    compose(fig.coka.proj, fig.eps),
-                    compose(fig.beta, fig.gamma))
-    _check_commutes(checks, "square ker(gamma) -> C -> coker(beta) commutes",
-                    compose(fig.cok_delta.proj, fig.blue4),
-                    compose(fig.ker_gamma.emb, fig.cok_beta.proj))
-    _check_commutes(checks, "square emb(c) -> emb(d) -> coker(eps) commutes",
-                    compose(fig.gamma, fig.cok_eps.proj),
-                    compose(fig.cok_beta.proj, fig.blue5))
-
-    zero = zero_adel_object(cat)
+    _check_square(checks, "square ker(delta) -> ker(beta) -> emb(b) commutes",
+                  fig.blue1, fig.ker_beta.emb, fig.ker_delta.emb, fig.alpha)
+    _check_square(checks, "square ker(beta) -> K -> coker(alpha) commutes",
+                  fig.blue2, fig.ker_eps.emb, fig.ker_beta.emb, fig.coka.proj)
+    _check_square(checks, "square emb(a) -> emb(b) -> emb(c) commutes",
+                  fig.alpha, fig.beta, fig.delta, fig.ker_gamma.emb)
+    _check_square(checks, "square emb(b) -> coker(alpha) -> emb(d) commutes",
+                  fig.coka.proj, fig.eps, fig.beta, fig.gamma)
+    _check_square(checks, "square ker(gamma) -> C -> coker(beta) commutes",
+                  fig.cok_delta.proj, fig.blue4, fig.ker_gamma.emb, fig.cok_beta.proj)
+    _check_square(checks, "square emb(c) -> emb(d) -> coker(eps) commutes",
+                  fig.gamma, fig.cok_eps.proj, fig.cok_beta.proj, fig.blue5)
 
     def exact(description, f, g):
         _check_claim(checks, description, "exact", lambda: (f, g))
 
+    # exactness next to a zero object: at the end of a sequence it is the
+    # epi claim of the arrow into that spot, at the start the mono claim of
+    # the arrow out of it
+    def exact_at_end(description, f):
+        _check_claim(checks, description, "epi", lambda: (f,))
+
+    def exact_at_start(description, g):
+        _check_claim(checks, description, "mono", lambda: (g,))
+
     exact("top row exact at emb(b)", fig.alpha, fig.coka.proj)
-    exact("top row exact at coker(alpha)",
-          fig.coka.proj, zero_morphism(fig.coka.obj, zero))
-    exact("bottom row exact at ker(gamma)",
-          zero_morphism(zero, fig.ker_gamma.obj), fig.ker_gamma.emb)
+    exact_at_end("top row exact at coker(alpha)", fig.coka.proj)
+    exact_at_start("bottom row exact at ker(gamma)", fig.ker_gamma.emb)
     exact("bottom row exact at emb(c)", fig.ker_gamma.emb, fig.gamma)
 
-    exact("first column exact at ker(delta)",
-          zero_morphism(zero, fig.ker_delta.obj), fig.ker_delta.emb)
+    exact_at_start("first column exact at ker(delta)", fig.ker_delta.emb)
     exact("first column exact at emb(a)", fig.ker_delta.emb, fig.delta)
     exact("first column exact at ker(gamma)", fig.delta, fig.cok_delta.proj)
-    exact("first column exact at C",
-          fig.cok_delta.proj, zero_morphism(fig.cok_delta.obj, zero))
-    exact("middle column exact at ker(beta)",
-          zero_morphism(zero, fig.ker_beta.obj), fig.ker_beta.emb)
+    exact_at_end("first column exact at C", fig.cok_delta.proj)
+    exact_at_start("middle column exact at ker(beta)", fig.ker_beta.emb)
     exact("middle column exact at emb(b)", fig.ker_beta.emb, fig.beta)
     exact("middle column exact at emb(c)", fig.beta, fig.cok_beta.proj)
-    exact("middle column exact at coker(beta)",
-          fig.cok_beta.proj, zero_morphism(fig.cok_beta.obj, zero))
-    exact("last column exact at K",
-          zero_morphism(zero, fig.ker_eps.obj), fig.ker_eps.emb)
+    exact_at_end("middle column exact at coker(beta)", fig.cok_beta.proj)
+    exact_at_start("last column exact at K", fig.ker_eps.emb)
     exact("last column exact at coker(alpha)", fig.ker_eps.emb, fig.eps)
     exact("last column exact at emb(d)", fig.eps, fig.cok_eps.proj)
-    exact("last column exact at coker(eps)",
-          fig.cok_eps.proj, zero_morphism(fig.cok_eps.obj, zero))
+    exact_at_end("last column exact at coker(eps)", fig.cok_eps.proj)
 
-    _check_zero(checks, "blue composite ker(delta) -> ker(beta) -> K is zero",
-                compose(fig.blue1, fig.blue2))
-    _check_zero(checks, "blue composite ker(beta) -> K -> C is zero",
-                compose(fig.blue2, fig.connecting))
-    _check_zero(checks, "blue composite K -> C -> coker(beta) is zero",
-                compose(fig.connecting, fig.blue4))
-    _check_zero(checks, "blue composite C -> coker(beta) -> coker(eps) is zero",
-                compose(fig.blue4, fig.blue5))
+    _check_composite_zero(checks, "blue composite ker(delta) -> ker(beta) -> K is zero",
+                          fig.blue1, fig.blue2)
+    _check_composite_zero(checks, "blue composite ker(beta) -> K -> C is zero",
+                          fig.blue2, connecting)
+    _check_composite_zero(checks, "blue composite K -> C -> coker(beta) is zero",
+                          connecting, fig.blue4)
+    _check_composite_zero(checks, "blue composite C -> coker(beta) -> coker(eps) is zero",
+                          fig.blue4, fig.blue5)
 
     exact("blue sequence exact at ker(beta)", fig.blue1, fig.blue2)
-    exact("blue sequence exact at K (connecting source)", fig.blue2, fig.connecting)
-    exact("blue sequence exact at C (connecting target)", fig.connecting, fig.blue4)
+    exact("blue sequence exact at K (connecting source)", fig.blue2, connecting)
+    exact("blue sequence exact at C (connecting target)", connecting, fig.blue4)
     exact("blue sequence exact at coker(beta)", fig.blue4, fig.blue5)
 
     lemma = "universal snake diagram"
@@ -551,7 +526,7 @@ def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool
     s_values = [int(s) for s in s_values]
     if not s_values:
         raise ValueError("the sweep needs at least one value of s")
-    fig = build_snake_figure(1)
+    fig = build_snake_figure()
     checks = _Checks()
     results: dict[int, Optional[bool]] = {}
     for s in s_values:
@@ -570,9 +545,8 @@ def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool
         if expect:
             def thunk(s=s, conn_s=conn_s):
                 via, wp = explicit_sweep_witness(fig, s, conn_s)
-                ok = wp.verifies(via.source, via.target, via.datum)
-                cert = _cert_zero(via.source, via.target, via.datum, wp) if ok else None
-                return ok, "closed-form witness pair re-verified", cert
+                cert = _claim_cert("zero", (via,), {"wp": wp})
+                return cert is not None, "closed-form witness pair re-verified", cert
             checks.run(f"closed-form witness pair valid for s = {s}", thunk)
     report = ProofReport("exactness parameter sweep", fig.cat.name, tuple(checks.items))
     return report, results
@@ -583,7 +557,7 @@ def prove_connecting_uniqueness() -> ProofReport:
     """The morphisms K -> C form a free group of rank one generated by the
     connecting morphism; only the generator and its inverse make the blue
     sequence exact."""
-    fig = build_snake_figure(1)
+    fig = build_snake_figure()
     cat = fig.cat
     checks = _Checks()
 
@@ -600,16 +574,11 @@ def prove_connecting_uniqueness() -> ProofReport:
         if len(hg.generators) != 1:
             return False, f"{len(hg.generators)} generators", None
         gen = hg.generators[0]
-        wp = is_equal(gen, fig.connecting)
-        sign = 1
-        if wp is None:
-            wp = is_equal(gen, -fig.connecting)
-            sign = -1
-        if wp is None:
-            return False, "generator is not the connecting datum up to sign", None
-        target = fig.connecting if sign == 1 else -fig.connecting
-        return True, f"generator = {'+' if sign == 1 else '-'}[beta]", _cert_zero(
-            gen.source, gen.target, gen.datum - target.datum, wp)
+        for sign, conn in (("+", fig.connecting), ("-", -fig.connecting)):
+            cert = claim_certificate("equal", gen, conn)
+            if cert is not None:
+                return True, f"generator = {sign}[beta]", cert
+        return False, "generator is not the connecting datum up to sign", None
     checks.run("the generator is the connecting morphism up to sign", gen_thunk)
 
     for a, b in (("b", "a"), ("d", "c")):
@@ -778,24 +747,18 @@ def prove_refined_five() -> ProofReport:
     _check_claim(checks, "eta (kernel embedding of mu) is a mono", "mono",
                  lambda: (data.ker_mu.emb,), "kernel is zero")
 
-    _check_commutes(checks, "left square commutes",
-                    compose(data.top1, data.eps),
-                    compose(data.cok_lambda.proj, data.bot1))
-    _check_commutes(checks, "middle square commutes",
-                    compose(data.top2, data.zeta),
-                    compose(data.eps, data.bot2))
-    _check_commutes(checks, "right square commutes",
-                    compose(data.top3, data.ker_mu.emb),
-                    compose(data.zeta, data.bot3))
+    _check_square(checks, "left square commutes",
+                  data.top1, data.eps, data.cok_lambda.proj, data.bot1)
+    _check_square(checks, "middle square commutes", data.top2, data.zeta, data.eps, data.bot2)
+    _check_square(checks, "right square commutes",
+                  data.top3, data.ker_mu.emb, data.zeta, data.bot3)
 
-    _check_zero(checks, "top composite alpha * beta is zero",
-                compose(data.top1, data.top2))
-    _check_zero(checks, "top composite beta * (zeta*kappa) is zero",
-                compose(data.top2, data.top3))
-    _check_zero(checks, "bottom composite (alpha*epsilon) * iota is zero",
-                compose(data.bot1, data.bot2))
-    _check_zero(checks, "bottom composite iota * kappa is zero",
-                compose(data.bot2, data.bot3))
+    _check_composite_zero(checks, "top composite alpha * beta is zero", data.top1, data.top2)
+    _check_composite_zero(checks, "top composite beta * (zeta*kappa) is zero",
+                          data.top2, data.top3)
+    _check_composite_zero(checks, "bottom composite (alpha*epsilon) * iota is zero",
+                          data.bot1, data.bot2)
+    _check_composite_zero(checks, "bottom composite iota * kappa is zero", data.bot2, data.bot3)
 
     def comparison(first, second, w):
         h = homology(first, second)
@@ -829,27 +792,20 @@ def prove_refined_five() -> ProofReport:
         comp_a = homology_comparison(h_top, data.objects["wa"], identity_mat(h_top.cok.obj.middle))
         comp_b = homology_comparison(h_bot, data.objects["wb"], identity_mat(h_bot.cok.obj.middle))
         if comp_a is None or comp_b is None:
-            return False, "comparisons do not exist", None
+            return (None,)
         hmap = homology_map(h_top, h_bot, data.eps)
-        left = compose(comp_a, hmap)
-        right = compose(data.m3, comp_b)
-        wp = is_equal(left, right)
-        if wp is None:
-            return False, "induced homology map differs from the explicit one", None
-        return True, "H(eps) matches the explicit comparison morphism under the identifications", \
-            _cert_zero(left.source, left.target, left.datum - right.datum, wp)
-    checks.run("step 3: induced homology map is the explicit comparison morphism", step3_square)
+        return compose(comp_a, hmap), compose(data.m3, comp_b)
+    _check_claim(checks, "step 3: induced homology map is the explicit comparison morphism",
+                 "equal", step3_square,
+                 "H(eps) matches the explicit comparison morphism under the identifications")
 
     # step 4
     _check_claim(checks, "step 4: the explicit chain map is a monomorphism", "mono",
                  lambda: (data.m4,), "kernel is zero")
 
     def step4_witness():
-        k4 = kernel(data.m4)
-        wp = explicit_five_witness(data)
-        ok = wp.verifies(k4.obj, k4.obj, identity_mat(k4.obj.middle))
-        cert = _cert_zero(k4.obj, k4.obj, identity_mat(k4.obj.middle), wp) if ok else None
-        return ok, "explicit 5x4 / 5x5 witness matrices re-verified", cert
+        cert = _claim_cert("mono", (data.m4,), {"kernel_zero_wp": explicit_five_witness(data)})
+        return cert is not None, "explicit 5x4 / 5x5 witness matrices re-verified", cert
     checks.run("step 4: the explicit witness matrices certify the kernel is zero",
                step4_witness)
 

@@ -323,6 +323,17 @@ class TestCommands:
                             "--category", snake_file])
         assert code == 1
 
+    def test_check_equal_ships_an_equal_certificate(self, snake_file, session, capsys):
+        code = run_command(["check-equal", "ab", "2*ab", "--source", "a", "--target", "(ab |)",
+                            "--category", snake_file, "--json", "--seed", "0"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["verdict"] is True
+        [cert] = payload["certificates"]
+        assert set(cert) == {"kind", "first", "second", "wp"} and cert["kind"] == "equal"
+        assert verify_certificate(session.cat, cert)
+        cert["second"] = cert["first"]  # ab - ab needs no witness, but this pair is not zero
+        assert not verify_certificate(session.cat, cert)
+
     def test_kernel_cokernel(self, snake_file, capsys):
         code = run_command(["kernel", "beta", "--source", "b", "--target", "c",
                             "--category", snake_file, "--json", "--seed", "0"])
@@ -440,11 +451,15 @@ class TestCommands:
         assert set(lemma.choices) == set(cli._LEMMAS)
 
     def test_claim_commands_are_the_claim_table(self):
+        # every is-<kind> command states a claim of the table; zero and
+        # equal are claims too, stated by check-equal, not by is-zero/is-equal
         import argparse
         from adelcat.adelman import CLAIMS
         [sub] = [a for a in cli.build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)]
-        assert {c for c in sub.choices if c.startswith("is-")} == {f"is-{k}" for k in CLAIMS}
+        commands = {c for c in sub.choices if c.startswith("is-")}
+        assert commands == {"is-mono", "is-epi", "is-iso", "is-exact"}
+        assert {c.removeprefix("is-") for c in commands} | {"zero", "equal"} == set(CLAIMS)
 
     def test_every_adelcat_error_is_a_value_error(self):
         # run_command turns ValueError into exit 2; any other error class

@@ -4,6 +4,14 @@ The CLI prints ``--json`` reports with sorted keys and fixed indentation, so
 equal reports are equal bytes.  The hashes were recorded before the
 morphism-arithmetic and Hom-group fast paths were introduced; any change to
 a verdict, a certificate or a generator shows up here.
+
+The ``prove snake``, ``prove five``, ``prove uniqueness`` and ``sweep``
+hashes were recorded again when commuting squares, zero composites and the
+closed-form witness pairs became ``equal``, ``zero`` and ``mono`` claim
+certificates, which carry the morphisms of the claim instead of a bare
+datum, and the snake's exactness checks next to a zero object became the
+``epi`` or ``mono`` claim of their arrow.  Every check kept its description
+and verdict, and every witness pair reappears byte-identical.
 """
 
 import hashlib
@@ -25,15 +33,15 @@ let ab = alpha*beta;
 
 EXPECTED = {
     "prove snake":
-        "bbe713b08481418c5ee53d9fb5c8d2437268a7a3b689290958213fe798a4d361",
+        "d5a7dfa1c3349259484bbc1c9fe5964fe4bf5b9b01b3acf389313649689c5c76",
     "prove five":
-        "f9e27160611fbf07d4706351e350880d91ce42d070236a192bae31505888bae2",
+        "9318952182356fa529c201fa58f4531b8cf266c444d2ec571d965f493fc45108",
     "prove uniqueness":
-        "e134d0feec0a2247cdacebbc71031eccbfdbc4bf7c7f5011ea443d27107d9ddf",
+        "c48714aad2ecd3702e84f60120e9d867f091c3d1c5d4c0f1875f72663ad8fb5e",
     "prove d4":
         "b625337fa2998dee3b647da3e61da322beb5cd9fe9a5b51f53ad161c0e13dac7",
     "sweep":
-        "7859cd50de36a14d79cbfe145a49fa64906211ed9cda2d375569ddbf849e7051",
+        "ab560696125e91a4eb26ecfe90ce0fcafc51ab3999a58a03c44f4dbb730a4bd2",
     "hom-group K C":
         "f0567f16d1042c09df776c13f3e1234001c77a8c4c22f27e43c9b1e3cb65e591",
 }

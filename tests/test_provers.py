@@ -1,5 +1,7 @@
 import copy
+import functools
 import json
+from collections import Counter
 
 import pytest
 
@@ -36,6 +38,7 @@ from adelcat.provers import (
     _ser_mor,
     _ser_wp,
 )
+from adelcat.quivercat import EndpointError
 
 
 class TestSnakeProver:
@@ -168,20 +171,16 @@ class TestReplay:
         json.dumps(report)  # must be serializable
         assert replay_report(report)
 
-    def test_replay_rejects_tampered_witness(self):
-        report = prove_snake().to_dict()
-        tampered = copy.deepcopy(report)
-        for check in tampered["checks"]:
-            cert = check.get("certificate")
-            if cert and cert["kind"] == "null_homotopy":
-                entries = cert["wp"]["sigma1"]["entries"]
-                for row in entries:
-                    for coeffs in row:
-                        if any(coeffs):
-                            coeffs[0] += 1
-                            assert not replay_report(tampered)
-                            return
-        pytest.skip("no nonzero null-homotopy witness found to tamper with")
+    def test_replay_rejects_tampered_witness(self, snake_report, equal_report):
+        # the witness pairs of the provers' equal certificates have no
+        # entries (their squares commute on the nose), hence equal_report
+        for kind, report in (("zero", snake_report), ("equal", equal_report)):
+            tampered = copy.deepcopy(report)
+            coeffs = next(coeffs for cert in _certs_of_kind(tampered, kind)
+                          for sigma in cert["wp"].values()
+                          for row in sigma["entries"] for coeffs in row if any(coeffs))
+            coeffs[0] += 1
+            assert not replay_report(tampered), kind
 
     def test_replay_rejects_tampered_verdict_on_mono(self):
         report = prove_refined_five().to_dict()
@@ -231,8 +230,9 @@ class TestReplay:
     @pytest.mark.parametrize("kind, edit", [
         ("mono", lambda cert: cert.update(kind="epi")),  # no cokernel_zero_wp
         ("exact", lambda cert: cert.pop("second")),
-        ("null_homotopy", lambda cert: cert.update(wp=["sigma1", "sigma2"])),
-    ], ids=["mono-relabelled-epi", "exact-without-second", "wp-not-a-dict"])
+        ("equal", lambda cert: cert.update(wp=["sigma1", "sigma2"])),
+        ("zero", lambda cert: cert.update(wp=["sigma1", "sigma2"])),
+    ], ids=["mono-relabelled-epi", "exact-without-second", "wp-not-a-dict", "zero-wp-not-a-dict"])
     def test_malformed_certificate_fails_replay(self, five_report, snake_report, kind, edit):
         tampered = copy.deepcopy(five_report if kind == "mono" else snake_report)
         cert = next(c["certificate"] for c in tampered["checks"]
@@ -245,6 +245,15 @@ class TestReplay:
         with pytest.raises(ValueError):
             verify_certificate(snake_cat, {"kind": "mystery"})
 
+    @pytest.mark.parametrize("edit", [
+        lambda entries: entries[0].append([0]),
+        lambda entries: entries.append([[0]]),
+    ], ids=["extra-entry", "extra-row"])
+    def test_malformed_matrix_grid_fails_replay(self, snake_report, edit):
+        tampered = copy.deepcopy(snake_report)
+        edit(_certs_of_kind(tampered, "exact")[0]["first"]["datum"]["entries"])
+        assert replay_report(tampered) is False
+
 
 @pytest.fixture(scope="module")
 def five_report():
@@ -256,13 +265,23 @@ def snake_report():
     return prove_snake().to_dict()
 
 
+@pytest.fixture(scope="module")
+def equal_report(snake_fig):
+    """A one-check report whose equal certificate has a nonzero datum to
+    witness: the zero composite blue2 * connecting against the zero morphism."""
+    composite = compose(snake_fig.blue2, snake_fig.connecting)
+    cert = claim_certificate("equal", composite,
+                             zero_morphism(composite.source, composite.target))
+    return {"category": "snake", "checks": [{"verdict": True, "certificate": cert}]}
+
+
 def _certs_of_kind(report, kind):
     return [c["certificate"] for c in report["checks"]
             if c["certificate"] and c["certificate"]["kind"] == kind]
 
 
 class TestZeroTestReplay:
-    """Mono, epi, iso and exact certificates replay through one table."""
+    """Zero, equal, mono, epi, iso and exact certificates replay through one table."""
 
     def test_certificate_only_for_zero_objects(self, five_data):
         assert claim_certificate("mono", five_data.zeta) is None
@@ -322,9 +341,9 @@ class TestZeroTestReplay:
             emitted += [(session_cat, cert)
                         for cert in json.loads(capsys.readouterr().out)["certificates"]]
         kinds = [cert["kind"] for _, cert in emitted]
-        assert set(kinds) == {"null_homotopy", "structural", "exact", "invariants",
-                              "mono", "epi", "iso"}
-        assert kinds.count("exact") == 20 + 2 + 1  # prove snake, sweep, is-exact
+        assert set(kinds) == {*CLAIMS, "structural", "invariants"}
+        assert kinds.count("exact") == 12 + 2 + 1  # prove snake, sweep, is-exact
+        assert kinds.count("equal") == 6 + 1 + 4 + 1  # snake, uniqueness, five, check-equal
         for cat, cert in emitted:
             assert verify_certificate(cat, cert), cert["kind"]
 
@@ -342,6 +361,72 @@ class TestZeroTestReplay:
         cert = next(c["certificate"] for c in tampered["checks"]
                     if c["certificate"]["kind"] == "exact")
         cert["first"], cert["second"] = cert["second"], cert["first"]
+        assert not replay_report(tampered)
+
+    def test_zeroed_witness_pairs_rejected(self, snake_report, five_report, equal_report):
+        """A zeroed pair verifies only a datum that is zero as a matrix; the
+        datum is rebuilt from the morphisms, not read from the certificate.
+        The provers' squares commute on the nose, so among their certificates
+        only the zero composites of the snake and the sweep have a datum to
+        witness."""
+        reports = {
+            "snake": snake_report, "five": five_report,
+            "uniqueness": prove_connecting_uniqueness().to_dict(),
+            "sweep": sweep_report(range(-1, 2)).to_dict(),
+            "equal": equal_report,
+        }
+        rejected = Counter()
+        for name, report in reports.items():
+            cat = category_by_name(report["category"])
+            tampered = copy.deepcopy(report)
+            certs = _certs_of_kind(tampered, "equal") + _certs_of_kind(tampered, "zero")
+            assert certs, name
+            for cert in certs:
+                fs = [provers._de_mor(cat, cert[n]) for n in CLAIMS[cert["kind"]][0]]
+                [(_, rebuild)] = CLAIMS[cert["kind"]][1]
+                datum_is_zero = rebuild(*fs)[2].is_zero()
+                for sigma in cert["wp"].values():
+                    for row in sigma["entries"]:
+                        row[:] = [[0] * len(coeffs) for coeffs in row]
+                assert verify_certificate(cat, cert) == datum_is_zero
+                rejected[cert["kind"]] += not datum_is_zero
+            assert replay_report(tampered) == (name in ("five", "uniqueness")), name
+        assert rejected == {"equal": 1, "zero": 6}
+
+    def test_equal_with_foreign_second_rejected(self, snake_report, snake_cat):
+        certs = _certs_of_kind(snake_report, "equal")
+        forged = 0
+        for cert in certs:
+            for other in certs:
+                if other["second"]["source"] != cert["first"]["source"]:
+                    bad = copy.deepcopy(cert)
+                    bad["second"] = other["second"]
+                    assert verify_certificate(snake_cat, bad) is False
+                    forged += 1
+        assert forged >= len(certs)
+
+    @pytest.mark.parametrize("report, description, key", [
+        (lambda: sweep_report([1]), "closed-form witness pair valid for s = 1", "wp"),
+        (lambda: sweep_report([-1]), "closed-form witness pair valid for s = -1", "wp"),
+        (prove_refined_five, "step 4: the explicit witness matrices certify the kernel is zero",
+         "kernel_zero_wp"),
+    ], ids=["sweep-plus-one", "sweep-minus-one", "five-step-4"])
+    def test_changed_closed_form_entry_rejected(self, report, description, key):
+        report = report().to_dict()
+        cat = category_by_name(report["category"])
+        [index] = [i for i, c in enumerate(report["checks"]) if c["description"] == description]
+        cert = report["checks"][index]["certificate"]
+        assert verify_certificate(cat, cert)
+        changed = 0
+        for sigma in ("sigma1", "sigma2"):
+            for i, row in enumerate(cert[key][sigma]["entries"]):
+                for j, coeffs in enumerate(row):
+                    if coeffs:
+                        tampered = copy.deepcopy(report)
+                        tampered["checks"][index]["certificate"][key][sigma]["entries"][i][j][0] += 1
+                        assert not verify_certificate(cat, tampered["checks"][index]["certificate"])
+                        changed += 1
+        assert changed >= 4
         assert not replay_report(tampered)
 
     def test_exact_with_exchanged_witnesses_rejected(self, snake_report, snake_cat):
@@ -382,9 +467,12 @@ def _figure_morphisms(figure) -> list[AdelMorphism]:
 
 
 def test_predicates_agree_with_certificates(snake_fig, five_data):
-    predicates = {"mono": is_mono, "epi": is_epi, "iso": is_iso, "exact": is_exact}
+    predicates = {"mono": is_mono, "epi": is_epi, "iso": is_iso, "exact": is_exact,
+                  "zero": lambda f: is_zero_morphism(f) is not None,
+                  "equal": lambda f, g: is_equal(f, g) is not None}
     assert set(predicates) == set(CLAIMS)
     pairs = 0
+    zero_verdicts, equal_verdicts = set(), set()
     for figure in (snake_fig, five_data):
         morphisms = _figure_morphisms(figure)
         assert len(morphisms) >= 15
@@ -403,7 +491,25 @@ def test_predicates_agree_with_certificates(snake_fig, five_data):
                     continue
                 pairs += 1
                 assert verdict == (claim_certificate("exact", f, g) is not None)
+        # the figures hold no two parallel morphisms, so equality is also
+        # decided against negatives and composites
+        candidates = morphisms + [-f for f in morphisms] + [
+            compose(f, g) for f in morphisms for g in morphisms if f.target == g.source]
+        for f in candidates:
+            verdict = predicates["zero"](f)
+            assert verdict == (claim_certificate("zero", f) is not None)
+            zero_verdicts.add(verdict)
+            for g in candidates:
+                if (f.source, f.target) != (g.source, g.target):
+                    for decide in (is_equal, functools.partial(claim_certificate, "equal")):
+                        with pytest.raises(EndpointError):
+                            decide(f, g)
+                    continue
+                verdict = predicates["equal"](f, g)
+                assert verdict == (claim_certificate("equal", f, g) is not None)
+                equal_verdicts.add(verdict)
     assert pairs >= 10
+    assert zero_verdicts == equal_verdicts == {True, False}
 
 
 def test_concurrent_prover_runs_share_values():
