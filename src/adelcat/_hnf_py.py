@@ -1,10 +1,13 @@
 """Pure-Python row-reduction kernels.
 
 These are the inner loops behind every decision procedure in the package:
-Hermite normal form with a tracked left transform, a transform-free sparse
-lattice-membership test, and dense integer matrix multiplication.
-Coefficients are plain Python ints, so arithmetic never overflows.
-``intlinalg`` calls them through its ``_kernel`` attribute.
+Hermite normal form with a tracked left transform (which also yields the
+Smith invariants, by alternating passes), a transform-free sparse
+lattice-membership test, and dense integer matrix multiplication.  Dense
+matrices come in as sequences of rows, the form ``IntMatrix`` stores, and
+are never modified; results are new lists of rows.  Coefficients are plain
+Python ints, so arithmetic never overflows.  ``intlinalg`` calls them
+through its ``_kernel`` attribute.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from heapq import heappop, heappush
 def hnf_rows(rows, ncols, track_u=True):
     """Row-style Hermite normal form.
 
-    Input is a list of equal-length integer rows.  Returns ``(h, u, pivots)``
+    Input is a sequence of equal-length integer rows.  Returns ``(h, u, pivots)``
     where ``u`` is unimodular with ``u * rows == h`` (``u`` is None when
     ``track_u`` is false), ``h`` is in row echelon form with positive pivots
     and entries above each pivot reduced into ``[0, pivot)``, and ``pivots``
@@ -178,8 +181,8 @@ def _sub_multiple(row, q, pivot):
 
 
 def mul_rows(a, b, inner, ncols):
-    """Product of row-major integer matrices: ``len(a) x inner`` times
-    ``inner x ncols``."""
+    """Product of integer matrices given by their rows: ``len(a) x inner``
+    times ``inner x ncols``."""
     out = []
     for arow in a:
         acc = [0] * ncols

@@ -375,8 +375,8 @@ class HomBasis:
             for j, b in enumerate(self.target.summands):
                 group = self.cat.hom_group_lin(a, b)
                 off = self.offset[(i, j)]
-                for r in range(group.relations.rows):
-                    rows.append({off + k: v for k, v in enumerate(group.relations.row(r)) if v})
+                for rel in group.relations.entries:
+                    rows.append({off + k: v for k, v in enumerate(rel) if v})
         return rows
 
 
@@ -470,7 +470,7 @@ def decide_homotopy(
     sol = solve_left(IntMatrix.from_sparse(rows, out.dim), IntMatrix.row_vector(rhs))
     if sol is None:
         return None
-    vec = sol.row(0)
+    vec = sol.entries[0]
     sigma1 = h1.unflatten(vec[: h1.dim])
     sigma2 = h2.unflatten(vec[h1.dim : h1.dim + h2.dim])
     check = compose_mat(sigma1, beta) + compose_mat(gamma, sigma2)

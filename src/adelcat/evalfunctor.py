@@ -99,7 +99,7 @@ class InducedMap:
 
 
 def _first_cols(m: IntMatrix, k: int) -> IntMatrix:
-    return IntMatrix.from_rows([list(m.row(i))[:k] for i in range(m.rows)], cols=k)
+    return IntMatrix.from_rows([r[:k] for r in m.entries], cols=k)
 
 
 def _preimage_relations(basis: IntMatrix, lattice_rows: IntMatrix) -> IntMatrix:
@@ -163,8 +163,8 @@ class Evaluation:
             for b, coeffs in zip(f.target.summands, blocks):
                 if any(coeffs):
                     block = self._coeffs(a, b, coeffs)
-                    for bi in range(block.rows):
-                        rows[roff + bi][coff : coff + block.cols] = block.row(bi)
+                    for row, brow in zip(rows[roff:], block.entries):
+                        row[coff : coff + block.cols] = brow
                 coff += ranks[b]
             roff += ranks[a]
         return IntMatrix.from_rows(rows, cols=ncols)
@@ -198,9 +198,8 @@ class Evaluation:
         coords = solve_left(tgt.basis, image_rows)
         if coords is None:  # pragma: no cover - guaranteed by the witness squares
             raise RepresentationError("evaluated datum does not preserve corelation kernels")
-        rel_image = src.group.relations * coords
-        for i in range(rel_image.rows):
-            if not tgt.group.is_zero_element(rel_image.row(i)):  # pragma: no cover
+        for row in (src.group.relations * coords).entries:
+            if not tgt.group.is_zero_element(row):  # pragma: no cover
                 raise RepresentationError("evaluated map does not send relations into relations")
         return InducedMap(src, tgt, coords)
 
@@ -256,7 +255,7 @@ def map_equal(m1: InducedMap, m2: InducedMap) -> bool:
     if m1.matrix.shape != m2.matrix.shape:
         return False
     diff = m1.matrix - m2.matrix
-    return all(m1.target.group.is_zero_element(diff.row(i)) for i in range(diff.rows))
+    return all(map(m1.target.group.is_zero_element, diff.entries))
 
 
 # -- group-side constructions (the independent oracle) ------------------------
@@ -427,7 +426,7 @@ def random_representation(cat: QuiverCategory, seed: int,
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
-    return IntMatrix(rows, cols, tuple(rng.randint(-2, 2) for _ in range(rows * cols)))
+    return IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols)
 
 
 def _repair_relation(rep: Representation, rel, mats: dict, rng: random.Random) -> bool:
@@ -481,10 +480,9 @@ def _solve_arrow(rep: Representation, rel, label: str, mats: dict,
         extra_cols = []
         for _ in range(solution.cols):
             combo = [0] * null_basis.cols
-            for r in range(null_basis.rows):
+            for row in null_basis.entries:
                 c = rng.randint(-1, 1)
                 if c:
-                    row = null_basis.row(r)
                     for j in range(null_basis.cols):
                         combo[j] += c * row[j]
             extra_cols.append(combo)

@@ -68,14 +68,14 @@ class HomGroupPresentation:
         sol = solve_left(self.basis, flat)
         if sol is None:
             raise ValueError("datum is not a well-defined morphism between these objects")
-        return sol.row(0)
+        return sol.entries[0]
 
     def element(self, coords: Sequence[int]) -> AdelMorphism:
         """The morphism with the given generator coordinates."""
         coords = IntMatrix.row_vector(coords)
         if coords.cols != self.group.ngens:
             raise ValueError(f"expected {self.group.ngens} coordinates")
-        vec = (coords * self.basis).row(0) + (coords * self.witnesses).row(0)
+        vec = (coords * self.basis).entries[0] + (coords * self.witnesses).entries[0]
         return _morphisms(self.source, self.target, self._spaces, self._squares, [vec])[0]
 
     def is_zero_class(self, f: Union[AdelMorphism, MatMorphism]) -> bool:
@@ -122,18 +122,16 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     solutions = left_kernel(system)
     psi_at = n + h_omega.dim + len(rel1)
     triples = lattice_basis(IntMatrix.from_rows(
-        [solutions.row(i)[: n + h_omega.dim] + solutions.row(i)[psi_at : psi_at + h_psi.dim]
-         for i in range(solutions.rows)],
+        [r[: n + h_omega.dim] + r[psi_at : psi_at + h_psi.dim] for r in solutions.entries],
         cols=n + h_omega.dim + h_psi.dim))
-    rows = [triples.row(i) for i in range(triples.rows) if any(triples.row(i)[:n])]
+    rows = [r for r in triples.entries if any(r[:n])]
     k = len(rows)
     basis = IntMatrix.from_rows([r[:n] for r in rows], cols=n)
     witnesses = IntMatrix.from_rows([r[n:] for r in rows], cols=h_omega.dim + h_psi.dim)
 
     denominator = IntMatrix.from_sparse(homotopy_rows(y.rel, x.corel, hom)[2], n)
     kern = left_kernel(vstack(basis, denominator))
-    relation_rows = IntMatrix.from_rows([kern.row(i)[:k] for i in range(kern.rows)], cols=k)
-    group = FpAbGroup(k, lattice_basis(relation_rows))
+    group = FpAbGroup(k, lattice_basis(IntMatrix.from_rows([r[:k] for r in kern.entries], cols=k)))
 
     spaces = (hom, h_omega, h_psi)
     squares = (units, eq1.dim, rel1, rel2)  # relation square columns before eq1.dim

@@ -5,7 +5,9 @@ tracked unimodular left transform, Smith invariants, left-sided linear system
 solving, and finitely presented abelian groups with canonical coset
 representatives.  Every equality decision made elsewhere in the package
 eventually lands here, in the one row-reduction kernel ``_hnf_py`` (bound
-as ``_kernel``), whose Python-int arithmetic never wraps.
+as ``_kernel``), whose Python-int arithmetic never wraps.  A matrix stores
+the tuple of its rows, the form that kernel reduces, and Smith invariants
+come from alternating Hermite forms in the same kernel.
 
 Large sparse systems have a cheaper first test: ``in_lattice`` decides
 membership in a row lattice by sparse elimination on ``{col: value}`` rows,
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
+from operator import add, sub
 from typing import Mapping, Optional, Sequence
 
 from . import _hnf_py as _kernel
@@ -39,102 +42,91 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, entries in row-major order."""
+    """Dense integer matrix, stored as the tuple of its rows.
 
-    rows: int
+    The rows are what the kernel reduces, so they pass to it unchanged.
+    ``rows`` and ``cols`` are the counts; ``cols`` is stored because a
+    matrix without rows still has a width.
+    """
+
+    entries: tuple[tuple[int, ...], ...]
     cols: int
-    entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        if self.cols < 0:
             raise DimensionError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if any(len(r) != self.cols for r in self.entries):
+            raise DimensionError(f"expected rows of length {self.cols}")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [tuple(r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise DimensionError("ragged rows")
-        else:
-            ncols = 0 if cols is None else cols
-        if cols is not None and rows and ncols != cols:
-            raise DimensionError("explicit column count does not match rows")
-        flat = tuple(chain.from_iterable(rows))
-        return IntMatrix(len(rows), ncols, flat)
+        rows = tuple(map(tuple, rows))
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        return IntMatrix(rows, cols)
 
     @staticmethod
     def from_sparse(rows: Sequence[Mapping[int, int]], cols: int) -> "IntMatrix":
         """The dense matrix whose rows are the ``{col: value}`` maps ``rows``."""
-        entries = [0] * (len(rows) * cols)
-        for i, row in enumerate(rows):
-            base = i * cols
+        dense = [[0] * cols for _ in rows]
+        for out, row in zip(dense, rows):
             for j, v in row.items():
-                entries[base + j] = v
-        return IntMatrix(len(rows), cols, tuple(entries))
+                out[j] = v
+        return IntMatrix.from_rows(dense, cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
+        return IntMatrix(((0,) * cols,) * rows, cols)
 
     @staticmethod
     def row_vector(v: Sequence[int]) -> "IntMatrix":
         v = tuple(v)
-        return IntMatrix(1, len(v), v)
+        return IntMatrix((v,), len(v))
 
-    def __getitem__(self, pos: tuple[int, int]) -> int:
-        i, j = pos
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(r) for r in self.entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ((),) * self.cols, self.rows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        prod = _kernel.mul_rows(self.to_rows(), other.to_rows(), self.cols, other.cols)
-        return IntMatrix(self.rows, other.cols, tuple(x for r in prod for x in r))
+        return IntMatrix.from_rows(
+            _kernel.mul_rows(self.entries, other.entries, self.cols, other.cols), other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix(tuple(tuple(map(add, r, s)) for r, s in zip(self.entries, other.entries)),
+                         self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot subtract {self.shape} and {other.shape}")
-        return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix(tuple(tuple(map(sub, r, s)) for r, s in zip(self.entries, other.entries)),
+                         self.cols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return IntMatrix(tuple(tuple(c * a for a in r) for r in self.entries), self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(map(any, self.entries))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
@@ -142,28 +134,12 @@ class IntMatrix:
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
     """Stack matrices with equal column counts on top of each other."""
-    mats = tuple(mats)
     if not mats:
         raise DimensionError("vstack of nothing")
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack with mismatched column counts")
-    return IntMatrix(sum(m.rows for m in mats), cols, tuple(x for m in mats for x in m.entries))
-
-
-def hstack(*mats: IntMatrix) -> IntMatrix:
-    """Concatenate matrices with equal row counts side by side."""
-    mats = tuple(mats)
-    if not mats:
-        raise DimensionError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DimensionError("hstack with mismatched row counts")
-    out: list[int] = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return IntMatrix(rows, sum(m.cols for m in mats), tuple(out))
+    return IntMatrix(tuple(chain.from_iterable(m.entries for m in mats)), cols)
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -174,17 +150,14 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     reduced into ``[0, pivot)``.  The nonzero rows of ``h`` are the unique
     such basis of the row lattice of ``m``.
     """
-    h_rows, u_rows, _ = _kernel.hnf_rows(m.to_rows(), m.cols, True)
-    h = IntMatrix(m.rows, m.cols, tuple(x for r in h_rows for x in r))
-    u = IntMatrix(m.rows, m.rows, tuple(x for r in u_rows for x in r))
-    return h, u
+    h_rows, u_rows, _ = _kernel.hnf_rows(m.entries, m.cols, True)
+    return IntMatrix.from_rows(h_rows, m.cols), IntMatrix.from_rows(u_rows, m.rows)
 
 
 def lattice_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis of the row lattice: the nonzero rows of the HNF."""
-    h_rows, _, pivots = _kernel.hnf_rows(m.to_rows(), m.cols, False)
-    rank = len(pivots)
-    return IntMatrix.from_rows(h_rows[:rank], cols=m.cols)
+    h_rows, _, pivots = _kernel.hnf_rows(m.entries, m.cols, False)
+    return IntMatrix.from_rows(h_rows[: len(pivots)], m.cols)
 
 
 def left_kernel(m: IntMatrix) -> IntMatrix:
@@ -193,9 +166,8 @@ def left_kernel(m: IntMatrix) -> IntMatrix:
     The rows of the transform that correspond to zero rows of the HNF are
     such a basis.
     """
-    h_rows, u_rows, pivots = _kernel.hnf_rows(m.to_rows(), m.cols, True)
-    rank = len(pivots)
-    return IntMatrix.from_rows(u_rows[rank:], cols=m.rows)
+    _, u_rows, pivots = _kernel.hnf_rows(m.entries, m.cols, True)
+    return IntMatrix.from_rows(u_rows[len(pivots) :], m.rows)
 
 
 @dataclass(frozen=True)
@@ -225,62 +197,32 @@ class SmithInvariants:
 def snf(m: IntMatrix) -> SmithInvariants:
     """Smith invariants of the cokernel ``Z^cols / rowspan(m)``.
 
-    Direct elimination in stages.  A stage moves a nonzero entry of least
-    magnitude of the remaining block to its corner and reduces the rest of
-    its row and column by division with remainder; the stage is done when
-    nothing is left beside the pivot.  Otherwise a nonzero remainder,
-    smaller than the pivot, becomes the next pivot, so the pivot magnitude
-    falls strictly and every stage ends.  The diagonal that results is
-    then brought into the divisibility chain ``d1 | d2 | ...`` by gcd/lcm
+    Alternating Hermite forms (Kannan and Bachem, 1979): the nonzero HNF
+    rows of the matrix, then of their transpose, and so on, until every
+    nonzero row holds its pivot alone.  This ends.  A pass's first pivot
+    is the gcd of the first nonzero column; the pivot row is the next
+    pass's first column, so the next pivot divides it and is at most that,
+    and it is smaller unless the pivot divides the rest of its row.  Once
+    it does, that row and column are cleared and stay cleared, and the same
+    holds, in turn, for the block that is left.  The transposes do not
+    change the rank or the nonzero invariant factors.  The pivots are then
+    brought into the divisibility chain ``d1 | d2 | ...`` by gcd/lcm
     exchanges.  Only the invariant factors and the free rank are returned.
     """
-    a = m.to_rows()
-    rows, cols = m.rows, m.cols
-    diag: list[int] = []
-    t = 0
-    while t < rows and t < cols:
-        best = 0
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                v = abs(row[j])
-                if v and (not best or v < best):
-                    best, pi, pj = v, i, j
-        if not best:
+    rows, ncols = m.entries, m.cols
+    while True:
+        h, _, pivots = _kernel.hnf_rows(rows, ncols, False)
+        if not any(any(h[r][c + 1 :]) for r, c in pivots):
             break
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        top = a[t]
-        p = top[t]
-        done = True
-        for i in range(t + 1, rows):
-            row = a[i]
-            q = row[t] // p
-            if q:
-                for j in range(t, cols):
-                    if top[j]:
-                        row[j] -= q * top[j]
-            if row[t]:
-                done = False
-        for j in range(t + 1, cols):
-            q = top[j] // p
-            if q:
-                for row in a[t:]:
-                    row[j] -= q * row[t]
-            if top[j]:
-                done = False
-        if done:
-            diag.append(abs(p))
-            t += 1
+        rows, ncols = list(zip(*h[: len(pivots)])), len(pivots)
+    diag = [h[r][c] for r, c in pivots]
     # After pass i, diag[i] is the gcd of diag[i:] and divides every later
     # entry; later passes only exchange multiples of it.
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return SmithInvariants(tuple(diag), cols - len(diag))
+    return SmithInvariants(tuple(diag), m.cols - len(diag))
 
 
 def solve_left(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -291,10 +233,10 @@ def solve_left(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """
     if a.cols != b.cols:
         raise DimensionError(f"solve_left: {a.shape} vs {b.shape}")
-    h, u, pivots = _kernel.hnf_rows(a.to_rows(), a.cols, True)
-    out: list[int] = []
-    for i in range(b.rows):
-        res = list(b.row(i))
+    h, u, pivots = _kernel.hnf_rows(a.entries, a.cols, True)
+    out = []
+    for res in b.entries:
+        res = list(res)
         x = [0] * a.rows
         # Reduce against the HNF rows and add q times the matching transform
         # row, so X = y * u is formed only from the rows that y uses.
@@ -312,8 +254,8 @@ def solve_left(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
                         x[j] += q * v
         if any(res):
             return None
-        out.extend(x)
-    return IntMatrix(b.rows, a.rows, tuple(out))
+        out.append(x)
+    return IntMatrix.from_rows(out, a.rows)
 
 
 def det(m: IntMatrix) -> int:
@@ -356,8 +298,7 @@ class FpAbGroup:
 
     ngens: int
     relations: IntMatrix
-    _reduced: IntMatrix = field(init=False, repr=False, compare=False)
-    _pivots: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _reduced: tuple = field(init=False, repr=False, compare=False)  # (HNF row, pivot column)
     unit_pivots: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -365,11 +306,10 @@ class FpAbGroup:
             raise DimensionError(
                 f"relations have {self.relations.cols} columns for {self.ngens} generators"
             )
-        h_rows, _, pivots = _kernel.hnf_rows(self.relations.to_rows(), self.ngens, False)
-        reduced = IntMatrix.from_rows(h_rows[: len(pivots)], cols=self.ngens)
+        h_rows, _, pivots = _kernel.hnf_rows(self.relations.entries, self.ngens, False)
+        reduced = tuple((h_rows[r], c) for r, c in pivots)
         object.__setattr__(self, "_reduced", reduced)
-        object.__setattr__(self, "_pivots", tuple((i, c) for i, (_, c) in enumerate(pivots)))
-        object.__setattr__(self, "unit_pivots", all(reduced[i, c] == 1 for i, c in self._pivots))
+        object.__setattr__(self, "unit_pivots", all(row[c] == 1 for row, c in reduced))
 
     @staticmethod
     def free(ngens: int) -> "FpAbGroup":
@@ -384,11 +324,9 @@ class FpAbGroup:
         v = list(v)
         if len(v) != self.ngens:
             raise DimensionError(f"element length {len(v)} for {self.ngens} generators")
-        for (r, c) in self._pivots:
-            piv = self._reduced[r, c]
-            q = v[c] // piv
+        for row, c in self._reduced:
+            q = v[c] // row[c]
             if q:
-                row = self._reduced.row(r)
                 for j in range(c, self.ngens):
                     if row[j]:
                         v[j] -= q * row[j]

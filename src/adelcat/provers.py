@@ -168,10 +168,17 @@ def _ser_mat(f: MatMorphism) -> dict:
     }
 
 
+def _vertex_names(value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError("an endpoint is a list of vertex names")
+    return tuple(value)
+
+
 def _de_mat(cat: QuiverCategory, data: dict) -> MatMorphism:
-    """A grid with a row or an entry too many or too few raises ``ValueError``."""
-    src = TupleObject(cat, tuple(data["source"]))
-    tgt = TupleObject(cat, tuple(data["target"]))
+    """A grid with a row or an entry too many or too few raises ``ValueError``,
+    an endpoint that is not a list of vertex names ``TypeError``."""
+    src = TupleObject(cat, _vertex_names(data["source"]))
+    tgt = TupleObject(cat, _vertex_names(data["target"]))
     entries = tuple(
         tuple(cat.lin(a, b, coeffs) for b, coeffs in zip(tgt.summands, row, strict=True))
         for a, row in zip(src.summands, data["entries"], strict=True)
@@ -277,13 +284,15 @@ def replay_report(report: dict) -> bool:
 
     Passing checks must carry a valid certificate; failing checks carry none
     and are left alone.  Returns True when all certificates verify.  A
-    report without a category name, a list of checks, or a boolean verdict
-    in each check is malformed and raises ``ValueError``.
+    report without a category name, a nonempty list of checks, or a boolean
+    verdict in each check is malformed and raises ``ValueError``.
     """
     if not isinstance(report, dict) or not isinstance(report.get("category"), str):
         raise ValueError("malformed report: no category name")
     if not isinstance(report.get("checks"), list):
         raise ValueError("malformed report: no list of checks")
+    if not report["checks"]:
+        raise ValueError("malformed report: empty list of checks")
     for i, check in enumerate(report["checks"]):
         if not isinstance(check, dict) or not isinstance(check.get("verdict"), bool):
             raise ValueError(f"malformed report: check {i} has no boolean verdict")

@@ -187,8 +187,8 @@ def test_criterion_7_integer_linear_algebra_suite():
     for _ in range(1000):
         rows = rng.randint(0, 5)
         cols = rng.randint(0, 5)
-        m = IntMatrix(rows, cols,
-                      tuple(rng.randint(-9, 9) for _ in range(rows * cols)))
+        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)],
+                                cols=cols)
         h, u = hnf(m)
         assert u * m == h
         assert abs(det(u)) == 1
@@ -199,7 +199,8 @@ def test_criterion_7_integer_linear_algebra_suite():
         inv = snf(m)
         for a, b in zip(inv.factors, inv.factors[1:]):
             assert b % a == 0
-        x = IntMatrix(2, rows, tuple(rng.randint(-4, 4) for _ in range(2 * rows)))
+        x = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(rows)] for _ in range(2)],
+                                cols=rows)
         b = x * m
         found = solve_left(m, b)
         assert found is not None and found * m == b

@@ -263,7 +263,7 @@ class TestDecideHomotopy:
         assert len(rows) * out.dim > addclosure.SPARSE_PRECHECK_CELLS
         # the dense formula: X * system == alpha, split into the two unknowns
         x = solve_left(IntMatrix.from_sparse(rows, out.dim),
-                       IntMatrix.row_vector(alpha.coeffs)).row(0)
+                       IntMatrix.row_vector(alpha.coeffs)).entries[0]
         expected = (h1.unflatten(x[: h1.dim]), h2.unflatten(x[h1.dim : h1.dim + h2.dim]))
         assert decide_homotopy(alpha, beta, gamma) == expected
 

@@ -154,7 +154,7 @@ def datum_projection_basis(x, y):
     rows += [[0] * eq1.dim + r for r in dense(psi + eq2.rel_rows(), eq2)]
     solutions = left_kernel(IntMatrix.from_rows(rows, cols=eq1.dim + eq2.dim))
     return lattice_basis(IntMatrix.from_rows(
-        [solutions.row(i)[: hom.dim] for i in range(solutions.rows)], cols=hom.dim))
+        [r[: hom.dim] for r in solutions.entries], cols=hom.dim))
 
 
 class TestJointSolutionWitnesses:
@@ -182,7 +182,7 @@ class TestJointSolutionWitnesses:
             assert hg.basis == datum_projection_basis(x, y)
             hom = HomBasis(x.middle, y.middle)
             assert [g.datum for g in hg.generators] == [
-                hom.unflatten(hg.basis.row(i)) for i in range(hg.basis.rows)]
+                hom.unflatten(r) for r in hg.basis.entries]
 
     def test_element_of_an_empty_presentation_is_zero(self, snake_fig, snake_cat):
         k = snake_fig.ker_eps.obj
@@ -258,7 +258,7 @@ class TestFamilyValidation:
         for hg in ladder_groups:
             n = hg.basis.cols
             for i in range(hg.group.ngens):
-                row = list(hg.basis.row(i) + hg.witnesses.row(i))
+                row = list(hg.basis.entries[i] + hg.witnesses.entries[i])
                 for p in range(i % 3, len(row), 3):
                     bad = row[:]
                     bad[p] += 1
@@ -277,7 +277,7 @@ class TestFamilyValidation:
 
     def test_one_bad_value_fails_the_whole_family(self, ladder_groups):
         hg = next(h for h in ladder_groups if h.group.ngens >= 3)
-        rows = [list(hg.basis.row(i) + hg.witnesses.row(i)) for i in range(hg.group.ngens)]
+        rows = [list(b + w) for b, w in zip(hg.basis.entries, hg.witnesses.entries)]
 
         def build(vecs):
             return lambda: _morphisms(hg.source, hg.target, hg._spaces, hg._squares, vecs)

@@ -29,15 +29,28 @@ def mat(rows):
 def matrices(draw, max_dim=5, max_entry=9):
     rows = draw(st.integers(0, max_dim))
     cols = draw(st.integers(0, max_dim))
-    entries = draw(st.lists(st.integers(-max_entry, max_entry),
-                            min_size=rows * cols, max_size=rows * cols))
-    return IntMatrix(rows, cols, tuple(entries))
+    row = st.lists(st.integers(-max_entry, max_entry), min_size=cols, max_size=cols)
+    return IntMatrix.from_rows(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+
+def with_cols(m, cols):
+    """``m`` with every row cut or padded with zeros to ``cols`` entries."""
+    return IntMatrix.from_rows([r[:cols] + (0,) * (cols - len(r)) for r in m.entries], cols=cols)
+
+
+def bumped(m, d):
+    """``m`` with ``d`` added to its first entry (``m`` itself if it has none)."""
+    if not (m.rows and m.cols):
+        return m
+    rows = m.to_rows()
+    rows[0][0] += d
+    return IntMatrix.from_rows(rows, cols=m.cols)
 
 
 def _pivots(h):
     """(row, column) of the leading entry of every nonzero row of ``h``."""
-    return [(r, next(c for c, x in enumerate(h.row(r)) if x))
-            for r in range(h.rows) if any(h.row(r))]
+    return [(r, next(c for c, x in enumerate(row) if x))
+            for r, row in enumerate(h.entries) if any(row)]
 
 
 class TestHnf:
@@ -56,8 +69,8 @@ class TestHnf:
         h, u = hnf(m)
         assert u * m == h
         assert abs(det(u)) == 1
-        assert h[0, 0] == 1 and h[1, 1] == 2
-        assert h[1, 0] == 0
+        assert h.entries[0][0] == 1 and h.entries[1][1] == 2
+        assert h.entries[1][0] == 0
 
     @settings(max_examples=120)
     @given(matrices())
@@ -80,12 +93,12 @@ class TestHnf:
         h, _ = hnf(m)
         pivots = _pivots(h)
         assert [c for _, c in pivots] == sorted({c for _, c in pivots})
-        assert all(not any(h.row(r)) for r in range(len(pivots), h.rows))
+        assert all(not any(row) for row in h.entries[len(pivots):])
         for r, c in pivots:
-            piv = h[r, c]
+            piv = h.entries[r][c]
             assert piv > 0
             for i in range(r):
-                assert 0 <= h[i, c] < piv
+                assert 0 <= h.entries[i][c] < piv
 
     def test_big_integer_growth_preserved(self):
         # coefficients must stay exact far beyond machine width
@@ -167,10 +180,7 @@ class TestSolveLeft:
     @settings(max_examples=100)
     @given(matrices(max_dim=4), matrices(max_dim=4))
     def test_round_trip(self, a, x):
-        if x.cols != a.rows:
-            x = IntMatrix(x.rows, a.rows, tuple(
-                (x.entries[i] if i < len(x.entries) else 0)
-                for i in range(x.rows * a.rows)))
+        x = with_cols(x, a.rows)
         b = x * a
         found = solve_left(a, b)
         assert found is not None
@@ -179,10 +189,7 @@ class TestSolveLeft:
     @settings(max_examples=80)
     @given(matrices(max_dim=4), matrices(max_dim=4))
     def test_exactness_of_answers(self, a, b):
-        if b.cols != a.cols:
-            b = IntMatrix(b.rows, a.cols, tuple(
-                (b.entries[i] if i < len(b.entries) else 0)
-                for i in range(b.rows * a.cols)))
+        b = with_cols(b, a.cols)
         found = solve_left(a, b)
         if found is not None:
             assert found * a == b
@@ -192,20 +199,18 @@ class TestSolveLeft:
     def test_matches_transform_formula(self, a, x, consistent):
         """The same X as reducing against ``hnf(a)`` and multiplying the
         reduction coefficients y by the full transform: X = y * u."""
-        x = IntMatrix(x.rows, a.rows, tuple(
-            (x.entries[i] if i < len(x.entries) else 0) for i in range(x.rows * a.rows)))
-        b = x * a
-        if not consistent and b.entries:
-            b = IntMatrix(b.rows, b.cols, (b.entries[0] + 1,) + b.entries[1:])
+        b = with_cols(x, a.rows) * a
+        if not consistent:
+            b = bumped(b, 1)
         h, u = hnf(a)
         ys = []
-        for i in range(b.rows):
-            res, y = list(b.row(i)), [0] * a.rows
+        for row in b.entries:
+            res, y = list(row), [0] * a.rows
             for r, c in _pivots(h):
-                y[r], rem = divmod(res[c], h[r, c])
+                y[r], rem = divmod(res[c], h.entries[r][c])
                 if rem:
                     break
-                res = [v - y[r] * w for v, w in zip(res, h.row(r))]
+                res = [v - y[r] * w for v, w in zip(res, h.entries[r])]
             if any(res):
                 assert solve_left(a, b) is None
                 return
@@ -214,7 +219,7 @@ class TestSolveLeft:
 
 
 def sparse_rows(m):
-    return [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)]
+    return [{j: v for j, v in enumerate(row) if v} for row in m.entries]
 
 
 class TestInLattice:
@@ -224,18 +229,12 @@ class TestInLattice:
     def test_matches_solve_left(self, a, x, other, scale, shift, zero_row):
         """Scaled systems have no unit pivots; ``shift`` moves a consistent
         right-hand side off the lattice, and ``other`` is an unrelated one."""
-        rows = [[scale * v for v in a.row(i)] for i in range(a.rows)]
+        rows = [[scale * v for v in row] for row in a.entries]
         if zero_row and rows:
             rows[0] = [0] * a.cols
         a = IntMatrix.from_rows(rows, cols=a.cols)
-        x = IntMatrix(x.rows, a.rows, tuple(
-            (x.entries[i] if i < len(x.entries) else 0) for i in range(x.rows * a.rows)))
-        b = x * a
-        if b.entries and shift:
-            b = IntMatrix(b.rows, b.cols, (b.entries[0] + shift,) + b.entries[1:])
-        other = IntMatrix(other.rows, a.cols, tuple(
-            (other.entries[i] if i < len(other.entries) else 0)
-            for i in range(other.rows * a.cols)))
+        b = bumped(with_cols(x, a.rows) * a, shift)
+        other = with_cols(other, a.cols)
         for rhs in (b, other, vstack(b, other)):
             assert in_lattice(sparse_rows(a), sparse_rows(rhs)) == (solve_left(a, rhs) is not None)
 
@@ -251,7 +250,7 @@ class TestInLattice:
         rows = sparse_rows(a)
         member = (mat([[n, -1, 5], [2, 0, -n]]) * a)
         assert in_lattice(rows, sparse_rows(member))
-        off = IntMatrix(2, 3, member.entries[:5] + (member.entries[5] + 2,))
+        off = member + mat([[0, 0, 0], [0, 0, 2]])
         assert solve_left(a, off) is None
         assert not in_lattice(rows, sparse_rows(off))
 
@@ -312,8 +311,7 @@ class TestFpAbGroup:
         g = FpAbGroup(3, mat([[2, 0, 1], [0, 3, 3]]))
         for _ in range(30):
             v = tuple(rng.randint(-9, 9) for _ in range(3))
-            for r in range(g.relations.rows):
-                row = g.relations.row(r)
+            for row in g.relations.entries:
                 shifted = tuple(a + b for a, b in zip(v, row))
                 assert g.canonical_rep(v) == g.canonical_rep(shifted)
 
@@ -327,6 +325,50 @@ class TestFpAbGroup:
         assert g.invariants().reduced() == SmithInvariants((6,), 0)
 
 
+class TestAgainstSympyHnf:
+    """An outside check of the Hermite form: sympy's ``hermite_normal_form``
+    of the transpose, whose independent columns span the row lattice."""
+
+    @staticmethod
+    def sympy_basis(m):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        flat = [v for row in m.entries for v in row]
+        return hermite_normal_form(sympy.Matrix(m.rows, m.cols, flat).T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices())
+    def test_lattice_basis_spans_the_sympy_lattice(self, m):
+        rows = self.sympy_basis(m).T.tolist()
+        theirs = IntMatrix.from_rows([[int(v) for v in row] for row in rows], cols=m.cols)
+        ours = lattice_basis(m)
+        assert ours.rows == theirs.rows
+        assert solve_left(ours, theirs) is not None
+        assert solve_left(theirs, ours) is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(), st.data())
+    def test_solvability_agrees_with_sympy(self, m, data):
+        """``b`` is a combination of the rows of ``m`` moved by a small shift,
+        and in the lattice exactly when the sympy basis solves for it in
+        integers (the solution over the rationals is unique)."""
+        sympy = pytest.importorskip("sympy")
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=m.cols, max_size=m.cols))
+        b = [s + sum(c * row[j] for c, row in zip(coeffs, m.entries)) for j, s in enumerate(shift)]
+        basis = self.sympy_basis(m)
+        if basis.cols == 0:
+            member = not any(b)
+        else:
+            try:
+                y, _ = basis.gauss_jordan_solve(sympy.Matrix(b))
+                member = all(v.is_integer for v in y)
+            except ValueError:  # no rational solution
+                member = False
+        assert (solve_left(m, IntMatrix.row_vector(b)) is not None) == member
+
+
 def test_lattice_basis_is_canonical():
     m = mat([[2, 4], [4, 8], [0, 0]])
     b = lattice_basis(m)
@@ -336,3 +378,12 @@ def test_lattice_basis_is_canonical():
 
 def test_backend_is_pure():
     assert intlinalg.BACKEND == "pure"
+
+
+def test_rows_must_have_the_column_count():
+    with pytest.raises(DimensionError):
+        IntMatrix.from_rows([[1], [1, 2]])
+    with pytest.raises(DimensionError):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+    assert IntMatrix.from_rows([], cols=3).shape == (0, 3)
+    assert IntMatrix.zeros(0, 3).transpose() == IntMatrix.zeros(3, 0)

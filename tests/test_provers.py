@@ -158,6 +158,18 @@ class TestD4:
             assert check["verdict"] and check["certificate"]["kind"] == "mono"
             assert verify_certificate(category_by_name("d4"), check["certificate"])
 
+    @pytest.mark.parametrize("key", ["source", "target"])
+    def test_endpoint_written_as_a_string_fails_replay(self, key):
+        """``"wx"`` names the vertices ``w`` and ``x`` only as a list."""
+        report = explore_d4().to_dict()
+        corel = next(c["certificate"] for c in report["checks"]
+                     if c["certificate"] and c["certificate"]["kind"] == "mono"
+                     )["morphism"]["source"]["corel"]
+        assert {"source": ["w", "x"], "target": ["w"]}[key] == corel[key]
+        assert replay_report(report)
+        corel[key] = "".join(corel[key])
+        assert replay_report(report) is False
+
 
 class TestReplay:
     @pytest.mark.parametrize("builder", [
@@ -215,13 +227,15 @@ class TestReplay:
         ({"category": 3, "checks": []}, "no category name"),
         ({"category": "snake"}, "no list of checks"),
         ({"category": "snake", "checks": {}}, "no list of checks"),
+        ({"category": "snake", "checks": []}, "empty list of checks"),
         ({"category": "snake", "checks": [1]}, "check 0 has no boolean verdict"),
         ({"category": "snake", "checks": [{"verdict": True}, {"certificate": None}]},
          "check 1 has no boolean verdict"),
         ({"category": "snake", "checks": [{"verdict": "yes"}]},
          "check 0 has no boolean verdict"),
     ], ids=["empty", "not-an-object", "category-not-a-string", "no-checks",
-            "checks-not-a-list", "check-not-an-object", "no-verdict", "verdict-not-a-bool"])
+            "checks-not-a-list", "checks-empty", "check-not-an-object", "no-verdict",
+            "verdict-not-a-bool"])
     def test_malformed_report_is_a_value_error(self, report, message):
         with pytest.raises(ValueError, match=f"^malformed report: {message}$"):
             replay_report(report)
