@@ -24,7 +24,6 @@ from .adelman import (
     cokernel,
     colift_along_epi,
     connecting_homomorphism,
-    dualize,
     emb_lin,
     emb_morphism,
     emb_object,

@@ -15,6 +15,10 @@ null-homotopic, rebuilt from the morphisms without search;
 pairs.  The predicates, the provers' certificates and their replay all read
 that table.
 
+Witness squares are checked where a morphism enters (the public
+constructor, ``make_morphism``, the replay reader, a Hom group's family
+check); ``_morphism`` builds what is derived from checked morphisms.
+
 Sign conventions follow the matrices with the fewest minus signs.  Values
 are immutable and cache nothing.  Inside one ``construction_memo`` scope
 (one prover call, or one replay, which never shares the prover's memo)
@@ -28,7 +32,7 @@ import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .addclosure import (
     MatMorphism,
@@ -122,8 +126,9 @@ class WitnessPair:
 class AdelMorphism:
     """Morphism datum together with its relation and corelation witnesses.
 
-    Every value is a well-defined morphism: its witness squares are checked
-    exactly, by this constructor or by the family check of its Hom group.
+    Every value is a well-defined morphism: this constructor checks both
+    witness squares exactly, and ``_morphism`` derives values whose squares
+    hold by algebra.
     """
 
     source: AdelObject
@@ -143,7 +148,7 @@ class AdelMorphism:
     def __add__(self, other: "AdelMorphism") -> "AdelMorphism":
         if self.source != other.source or self.target != other.target:
             raise EndpointError("cannot add morphisms with different endpoints")
-        return AdelMorphism(
+        return _morphism(
             self.source, self.target,
             self.datum + other.datum,
             self.rel_witness + other.rel_witness,
@@ -151,21 +156,26 @@ class AdelMorphism:
         )
 
     def __neg__(self) -> "AdelMorphism":
-        return AdelMorphism(self.source, self.target, -self.datum,
-                            -self.rel_witness, -self.corel_witness)
+        return _morphism(self.source, self.target, -self.datum,
+                         -self.rel_witness, -self.corel_witness)
 
     def __sub__(self, other: "AdelMorphism") -> "AdelMorphism":
         return self + (-other)
 
     def scale(self, c: int) -> "AdelMorphism":
-        return AdelMorphism(self.source, self.target, self.datum.scale(c),
-                            self.rel_witness.scale(c), self.corel_witness.scale(c))
+        return _morphism(self.source, self.target, self.datum.scale(c),
+                         self.rel_witness.scale(c), self.corel_witness.scale(c))
 
 
 def _morphism(source: AdelObject, target: AdelObject, datum: MatMorphism,
               rel_witness: MatMorphism, corel_witness: MatMorphism) -> AdelMorphism:
-    """The morphism with these parts, whose witness squares the caller has
-    checked (``homgroups`` checks those of a whole Hom group at once)."""
+    """The morphism with these parts, its witness squares unchecked.  They
+    hold by one rule per caller: associativity (composites), linearity
+    (sums, negatives, multiples), block form (identities, zeros, embedded
+    matrices, maps out of a direct sum, cokernel projections, kernel
+    embeddings), the verified pair (a colift or lift, built after its
+    side-condition pair verifies), duality (duals) or, in ``homgroups``,
+    one check of a whole Hom group."""
     f = object.__new__(AdelMorphism)
     vars(f).update(source=source, target=target, datum=datum,
                    rel_witness=rel_witness, corel_witness=corel_witness)
@@ -176,7 +186,7 @@ def compose(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
     """Diagrammatic composite; data and witnesses compose componentwise."""
     if f.target != g.source:
         raise EndpointError("composable pair objects do not match")
-    return AdelMorphism(
+    return _morphism(
         f.source, g.target,
         compose_mat(f.datum, g.datum),
         compose_mat(f.rel_witness, g.rel_witness),
@@ -185,14 +195,14 @@ def compose(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
 
 
 def identity_morphism(x: AdelObject) -> AdelMorphism:
-    return AdelMorphism(x, x, identity_mat(x.middle),
-                        identity_mat(x.rel_source), identity_mat(x.corel_target))
+    return _morphism(x, x, identity_mat(x.middle),
+                     identity_mat(x.rel_source), identity_mat(x.corel_target))
 
 
 def zero_morphism(x: AdelObject, y: AdelObject) -> AdelMorphism:
-    return AdelMorphism(x, y, zero_mat(x.middle, y.middle),
-                        zero_mat(x.rel_source, y.rel_source),
-                        zero_mat(x.corel_target, y.corel_target))
+    return _morphism(x, y, zero_mat(x.middle, y.middle),
+                     zero_mat(x.rel_source, y.rel_source),
+                     zero_mat(x.corel_target, y.corel_target))
 
 
 # -- the full embedding -----------------------------------------------------
@@ -214,7 +224,7 @@ def emb_morphism(f: MatMorphism) -> AdelMorphism:
     src = emb_object(f.source)
     tgt = emb_object(f.target)
     z = zero_obj(f.cat)
-    return AdelMorphism(src, tgt, f, zero_mat(z, z), zero_mat(z, z))
+    return _morphism(src, tgt, f, zero_mat(z, z), zero_mat(z, z))
 
 
 def emb_lin(f: LinMorphism) -> AdelMorphism:
@@ -235,7 +245,7 @@ def morphism_from_sum(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
     common target."""
     if f.target != g.target:
         raise EndpointError("components do not share a target")
-    return AdelMorphism(
+    return _morphism(
         direct_sum_object(f.source, g.source), f.target,
         vstack_mat(f.datum, g.datum),
         vstack_mat(f.rel_witness, g.rel_witness),
@@ -291,22 +301,20 @@ def make_morphism(source: AdelObject, target: AdelObject,
                   datum: MatMorphism) -> Optional[AdelMorphism]:
     """Morphism with computed witnesses, or None when no witnesses exist.
 
-    Each witness is a one-sided homotopy equation: the relation witness
-    solves ``rel_s * datum = w * rel_t`` and the corelation witness solves
-    ``corel_s * w = datum * corel_t``.
+    Each witness square is a zero claim: ``rel_s * datum`` is null-homotopic
+    into ``target`` from the embedded relation source, with the relation
+    witness as ``sigma1``, and ``datum * corel_t`` from ``source`` into the
+    embedded corelation target, with the corelation witness as ``sigma2``.
     """
     if datum.source != source.middle or datum.target != target.middle:
         raise EndpointError("datum does not run between the middle objects")
-    z = zero_obj(datum.cat)
-    rel_eq = decide_homotopy(
-        compose_mat(source.rel, datum), target.rel, zero_mat(source.rel_source, z))
-    if rel_eq is None:
+    rel = zero_witness(emb_object(source.rel_source), target, compose_mat(source.rel, datum))
+    if rel is None:
         return None
-    corel_eq = decide_homotopy(
-        compose_mat(datum, target.corel), zero_mat(z, target.corel_target), source.corel)
-    if corel_eq is None:
+    corel = zero_witness(source, emb_object(target.corel_target), compose_mat(datum, target.corel))
+    if corel is None:
         return None
-    return AdelMorphism(source, target, datum, rel_eq[0], corel_eq[1])
+    return AdelMorphism(source, target, datum, rel.sigma1, corel.sigma2)
 
 
 def is_zero_morphism(f: AdelMorphism) -> Optional[WitnessPair]:
@@ -348,7 +356,7 @@ def cokernel(f: AdelMorphism) -> CokernelResult:
         [zero_mat(a.corel_target, b.corel_target), identity_mat(a.corel_target)],
     ])
     obj = AdelObject(rel, corel)
-    proj = AdelMorphism(
+    proj = _morphism(
         b, obj,
         hstack_mat(identity_mat(b.middle), zero_mat(b.middle, a.corel_target)),
         hstack_mat(identity_mat(b.rel_source), zero_mat(b.rel_source, a.middle)),
@@ -358,8 +366,6 @@ def cokernel(f: AdelMorphism) -> CokernelResult:
         hstack_mat(zero_mat(a.middle, b.rel_source), identity_mat(a.middle)),
         hstack_mat(zero_mat(a.corel_target, b.middle), -identity_mat(a.corel_target)),
     )
-    if not wp.verifies(a, obj, compose_mat(f.datum, proj.datum)):
-        raise RuntimeError("canonical cokernel witness failed to verify")
     return CokernelResult(obj, proj, wp)
 
 
@@ -375,7 +381,7 @@ def cokernel_colift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> Adel
     datum = vstack_mat(tau.datum, -wp.sigma2)
     omega = vstack_mat(tau.rel_witness, wp.sigma1)
     psi = vstack_mat(tau.corel_witness, -compose_mat(wp.sigma2, t.corel))
-    return AdelMorphism(ck.obj, t, datum, omega, psi)
+    return _morphism(ck.obj, t, datum, omega, psi)
 
 
 @_memoised(id)
@@ -391,7 +397,7 @@ def kernel(f: AdelMorphism) -> KernelResult:
         [zero_mat(b.rel_source, a.corel_target), b.rel],
     ])
     obj = AdelObject(rel, corel)
-    emb = AdelMorphism(
+    emb = _morphism(
         obj, a,
         vstack_mat(identity_mat(a.middle), zero_mat(b.rel_source, a.middle)),
         vstack_mat(identity_mat(a.rel_source), zero_mat(b.rel_source, a.rel_source)),
@@ -401,8 +407,6 @@ def kernel(f: AdelMorphism) -> KernelResult:
         vstack_mat(zero_mat(a.middle, b.rel_source), -identity_mat(b.rel_source)),
         vstack_mat(zero_mat(a.corel_target, b.middle), identity_mat(b.middle)),
     )
-    if not wp.verifies(obj, b, compose_mat(emb.datum, f.datum)):
-        raise RuntimeError("canonical kernel witness failed to verify")
     return KernelResult(obj, emb, wp)
 
 
@@ -418,7 +422,7 @@ def kernel_lift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> AdelMorp
     datum = hstack_mat(tau.datum, -wp.sigma1)
     omega = hstack_mat(tau.rel_witness, -compose_mat(t.rel, wp.sigma1))
     psi = hstack_mat(tau.corel_witness, wp.sigma2)
-    return AdelMorphism(t, kr.obj, datum, omega, psi)
+    return _morphism(t, kr.obj, datum, omega, psi)
 
 
 # -- duality -----------------------------------------------------------------
@@ -430,17 +434,11 @@ def dualize_object(x: AdelObject) -> AdelObject:
 
 
 def dualize_morphism(f: AdelMorphism) -> AdelMorphism:
-    return AdelMorphism(
+    return _morphism(
         dualize_object(f.target), dualize_object(f.source),
         dual_mat(f.datum),
         dual_mat(f.corel_witness), dual_mat(f.rel_witness),
     )
-
-
-def dualize(x: Union[AdelObject, AdelMorphism]):
-    if isinstance(x, AdelObject):
-        return dualize_object(x)
-    return dualize_morphism(x)
 
 
 # -- predicates ---------------------------------------------------------------

@@ -184,7 +184,7 @@ def _morphism_command(args) -> tuple[AdelMorphism, dict]:
 def _cmd_kernel(args, which: str) -> CommandResult:
     f, inputs = _morphism_command(args)
     obj = (kernel(f) if which == "kernel" else cokernel(f)).obj
-    return CommandResult(which, inputs, True, [], extra={"object": provers._ser_obj(obj)},
+    return CommandResult(which, inputs, True, [], extra={"object": provers.to_json(obj)},
                          lines=[f"{which} object: {_format_object(obj)}"])
 
 
@@ -202,7 +202,7 @@ def _composable_pair_command(args) -> tuple[AdelMorphism, AdelMorphism, dict]:
 def _cmd_homology(args) -> CommandResult:
     f, g, inputs = _composable_pair_command(args)
     h = homology(f, g)
-    return CommandResult("homology", inputs, True, [], extra={"object": provers._ser_obj(h.obj)},
+    return CommandResult("homology", inputs, True, [], extra={"object": provers.to_json(h.obj)},
                          lines=[f"homology object: {_format_object(h.obj)}"])
 
 
@@ -230,7 +230,7 @@ def _cmd_hom_group(args) -> CommandResult:
     y = session.parse_object_text(args.target)
     hg = hom_group(x, y)
     inv = hg.group.invariants().reduced()
-    gens = [provers._ser_mat(g.datum) for g in hg.generators]
+    gens = [provers.to_json(g.datum) for g in hg.generators]
     gen_lines = [
         "  generator: " + " | ".join(
             format_lin(e) for row in g.datum.entries for e in row)
@@ -257,7 +257,7 @@ def _cmd_connecting(args) -> CommandResult:
         {"first": args.first, "second": args.second, "third": args.third,
          "category": session.spec.name},
         True, [],
-        extra={"morphism": provers._ser_mor(conn)},
+        extra={"morphism": provers.to_json(conn)},
         lines=[
             f"source: {_format_object(conn.source)}",
             f"target: {_format_object(conn.target)}",

@@ -338,11 +338,6 @@ class FpAbGroup:
     def elements_equal(self, v: Sequence[int], w: Sequence[int]) -> bool:
         return self.canonical_rep(v) == self.canonical_rep(w)
 
-    def membership_certificate(self, v: Sequence[int]) -> Optional[IntMatrix]:
-        """Solution vector writing ``v`` as a combination of relation rows,
-        or None when ``v`` is not in the relation lattice."""
-        return solve_left(self.relations, IntMatrix.row_vector(v))
-
     def invariants(self) -> SmithInvariants:
         return snf(self.relations) if self.relations.rows else SmithInvariants((), self.ngens)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_type_hints
 
 from . import adelman as ad
 from . import homgroups
@@ -158,72 +158,52 @@ def category_by_name(name: str) -> QuiverCategory:
     return build_category(_session_spec(name).category)
 
 
-# -- serialization of certificates ---------------------------------------------
+# -- the certificate codec -------------------------------------------------------
 
-def _ser_mat(f: MatMorphism) -> dict:
-    return {
-        "source": list(f.source.summands),
-        "target": list(f.target.summands),
-        "entries": [[list(block) for block in row] for row in f.blocks()],
-    }
+# The JSON fields of each value type of a certificate: its dataclass fields,
+# each read back as its annotated type.  A matrix morphism is the leaf.
+_FIELDS = {cls: get_type_hints(cls) for cls in (AdelObject, AdelMorphism, WitnessPair)}
 
 
-def _vertex_names(value) -> tuple[str, ...]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise TypeError("an endpoint is a list of vertex names")
+def to_json(value) -> dict:
+    """The JSON form of a matrix morphism, object, morphism or witness pair."""
+    if isinstance(value, MatMorphism):
+        return {"source": list(value.source.summands), "target": list(value.target.summands),
+                "entries": [[list(block) for block in row] for row in value.blocks()]}
+    return {name: to_json(getattr(value, name)) for name in _FIELDS[type(value)]}
+
+
+_ser_obj = to_json  # the benchmark harness serializes objects by this name
+
+
+def _typed(value, kind: type):
+    """``value`` if its type is exactly ``kind``: a bool or a float is no int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _list_of(value, kind: type) -> tuple:
+    if not all(type(v) is kind for v in _typed(value, list)):
+        raise TypeError(f"expected a list of {kind.__name__}")
     return tuple(value)
 
 
-def _de_mat(cat: QuiverCategory, data: dict) -> MatMorphism:
-    """A grid with a row or an entry too many or too few raises ``ValueError``,
-    an endpoint that is not a list of vertex names ``TypeError``."""
-    src = TupleObject(cat, _vertex_names(data["source"]))
-    tgt = TupleObject(cat, _vertex_names(data["target"]))
+def from_json(cat: QuiverCategory, kind: type, data):
+    """The value of type ``kind`` over ``cat`` that ``to_json`` wrote as
+    ``data``, built by its validating constructor.  A missing field raises
+    ``KeyError``, a field of another JSON type (a coefficient must be exactly
+    an int) ``TypeError``, and a grid of the wrong shape ``ValueError``."""
+    if kind is not MatMorphism:
+        return kind(*(from_json(cat, t, data[name]) for name, t in _FIELDS[kind].items()))
+    src = TupleObject(cat, _list_of(data["source"], str))
+    tgt = TupleObject(cat, _list_of(data["target"], str))
     entries = tuple(
-        tuple(cat.lin(a, b, coeffs) for b, coeffs in zip(tgt.summands, row, strict=True))
-        for a, row in zip(src.summands, data["entries"], strict=True)
+        tuple(cat.lin(a, b, _list_of(block, int))
+              for b, block in zip(tgt.summands, _typed(row, list), strict=True))
+        for a, row in zip(src.summands, _typed(data["entries"], list), strict=True)
     )
     return MatMorphism(src, tgt, entries)
-
-
-def _ser_obj(x: AdelObject) -> dict:
-    return {"rel": _ser_mat(x.rel), "corel": _ser_mat(x.corel)}
-
-
-def _de_obj(cat: QuiverCategory, data: dict) -> AdelObject:
-    return AdelObject(_de_mat(cat, data["rel"]), _de_mat(cat, data["corel"]))
-
-
-def _ser_mor(f: AdelMorphism) -> dict:
-    return {
-        "source": _ser_obj(f.source),
-        "target": _ser_obj(f.target),
-        "datum": _ser_mat(f.datum),
-        "rel_witness": _ser_mat(f.rel_witness),
-        "corel_witness": _ser_mat(f.corel_witness),
-    }
-
-
-def _de_mor(cat: QuiverCategory, data: dict) -> AdelMorphism:
-    return AdelMorphism(
-        _de_obj(cat, data["source"]),
-        _de_obj(cat, data["target"]),
-        _de_mat(cat, data["datum"]),
-        _de_mat(cat, data["rel_witness"]),
-        _de_mat(cat, data["corel_witness"]),
-    )
-
-
-def _ser_wp(wp: WitnessPair) -> dict:
-    return {"sigma1": _ser_mat(wp.sigma1), "sigma2": _ser_mat(wp.sigma2)}
-
-
-def _de_wp(cat: QuiverCategory, data: dict) -> WitnessPair:
-    return WitnessPair(_de_mat(cat, data["sigma1"]), _de_mat(cat, data["sigma2"]))
-
-
-def _cert_structural(left: AdelObject, right: AdelObject) -> dict:
-    return {"kind": "structural", "left": _ser_obj(left), "right": _ser_obj(right)}
 
 
 def claim_certificate(kind: str, *fs: AdelMorphism) -> Optional[dict]:
@@ -244,8 +224,8 @@ def _claim_cert(kind: str, fs: Sequence[AdelMorphism],
     elif not ad.claim_verifies(kind, fs, witnesses):
         return None
     names = ad.CLAIMS[kind][0]
-    return {"kind": kind, **{name: _ser_mor(f) for name, f in zip(names, fs)},
-            **{key: _ser_wp(wp) for key, wp in witnesses.items()}}
+    return {"kind": kind, **{name: to_json(f) for name, f in zip(names, fs)},
+            **{key: to_json(wp) for key, wp in witnesses.items()}}
 
 
 def _cert_invariants(group, factors, free_rank) -> dict:
@@ -264,15 +244,18 @@ def verify_certificate(cat: QuiverCategory, cert: dict) -> bool:
     try:
         kind = cert["kind"]
         if kind == "structural":
-            return _de_obj(cat, cert["left"]) == _de_obj(cat, cert["right"])
+            return from_json(cat, AdelObject, cert["left"]) == from_json(cat, AdelObject, cert["right"])
         if kind in ad.CLAIMS:
             names, parts = ad.CLAIMS[kind]
-            fs = [_de_mor(cat, cert[name]) for name in names]
-            return ad.claim_verifies(kind, fs, {key: _de_wp(cat, cert[key]) for key, _ in parts})
+            fs = [from_json(cat, AdelMorphism, cert[name]) for name in names]
+            return ad.claim_verifies(
+                kind, fs, {key: from_json(cat, WitnessPair, cert[key]) for key, _ in parts})
         if kind == "invariants":
-            group = FpAbGroup(cert["ngens"], IntMatrix.from_rows(cert["relations"], cols=cert["ngens"]))
-            inv = group.invariants().reduced()
-            return list(inv.factors) == list(cert["factors"]) and inv.free_rank == cert["free_rank"]
+            ngens = _typed(cert["ngens"], int)
+            relations = [_list_of(row, int) for row in _typed(cert["relations"], list)]
+            inv = FpAbGroup(ngens, IntMatrix.from_rows(relations, cols=ngens)).invariants().reduced()
+            return (inv.factors == _list_of(cert["factors"], int)
+                    and inv.free_rank == _typed(cert["free_rank"], int))
     except (KeyError, TypeError, ValueError):  # every adelcat error is a ValueError
         return False
     raise ValueError(f"unknown certificate kind {kind!r}")
@@ -311,7 +294,7 @@ def _check_structural(checks: _Checks, description: str, left: AdelObject,
                       right: AdelObject):
     checks.add(description, left == right,
                "objects coincide" if left == right else "objects differ",
-               _cert_structural(left, right))
+               {"kind": "structural", "left": to_json(left), "right": to_json(right)})
 
 
 def _check_claim(checks: _Checks, description: str, kind: str,

@@ -14,6 +14,7 @@ from adelcat.adelman import (
     AdelObject,
     CompositeNotZeroError,
     NotMonoError,
+    WitnessError,
     WitnessPair,
     cokernel,
     cokernel_colift,
@@ -227,13 +228,15 @@ class TestKernelsCokernels:
         assert is_iso(comparison)
 
     def test_canonical_witness_pairs_verify(self, snake_fig):
-        f = snake_fig.connecting
-        ck = cokernel(f)
-        assert ck.composite_zero_wp.verifies(
-            f.source, ck.obj, compose_mat(f.datum, ck.proj.datum))
-        kr = kernel(f)
-        assert kr.composite_zero_wp.verifies(
-            kr.obj, f.target, compose_mat(kr.emb.datum, f.datum))
+        # the closed-form pairs are not re-verified when they are built
+        for f in (snake_fig.alpha, snake_fig.beta, snake_fig.delta, snake_fig.eps,
+                  snake_fig.connecting):
+            ck = cokernel(f)
+            assert ck.composite_zero_wp.verifies(
+                f.source, ck.obj, compose_mat(f.datum, ck.proj.datum))
+            kr = kernel(f)
+            assert kr.composite_zero_wp.verifies(
+                kr.obj, f.target, compose_mat(kr.emb.datum, f.datum))
 
     def test_projection_epi_embedding_mono(self, snake_fig):
         f = snake_fig.connecting
@@ -256,13 +259,19 @@ class TestKernelsCokernels:
         assert is_equal(compose(lift, kr.emb), tau) is not None
         assert is_equal(lift, identity_morphism(kr.obj)) is not None
 
-    def test_invalid_witness_rejected(self, snake_fig):
+    @pytest.mark.parametrize("induced, universal", [
+        (cokernel_colift, lambda f: (cokernel(f).proj, cokernel(f).composite_zero_wp)),
+        (kernel_lift, lambda f: (kernel(f).emb, kernel(f).composite_zero_wp)),
+    ], ids=["cokernel_colift", "kernel_lift"])
+    def test_invalid_witness_rejected(self, snake_fig, induced, universal):
+        # the side-condition check is the only guard on the induced morphism,
+        # which is built without checking its witness squares
         f = snake_fig.alpha
-        ck = cokernel(f)
-        bad = WitnessPair(ck.composite_zero_wp.sigma1.scale(2), ck.composite_zero_wp.sigma2)
-        from adelcat.adelman import WitnessError
-        with pytest.raises(WitnessError):
-            cokernel_colift(f, ck.proj, bad)
+        tau, wp = universal(f)
+        assert induced(f, tau, wp)
+        bad = WitnessPair(wp.sigma1.scale(2), wp.sigma2.scale(2))
+        with pytest.raises(WitnessError, match="side condition"):
+            induced(f, tau, bad)
 
     def test_colift_realizes_the_induced_arrow(self, snake_fig):
         # the arrow coker(alpha) -> emb(d) of the snake diagram is the colift

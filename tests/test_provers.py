@@ -5,13 +5,14 @@ from collections import Counter
 
 import pytest
 
-from adelcat import adelman, provers
+from adelcat import adelman, homgroups, provers
 from adelcat.adelman import (
     CLAIMS,
     AdelMorphism,
     CokernelResult,
     CompositeNotZeroError,
     KernelResult,
+    WitnessError,
     compose,
     is_epi,
     is_equal,
@@ -34,11 +35,13 @@ from adelcat.provers import (
     replay_report,
     sweep,
     sweep_report,
+    to_json,
     verify_certificate,
-    _ser_mor,
-    _ser_wp,
 )
+from adelcat.homgroups import hom_group
 from adelcat.quivercat import EndpointError
+
+from test_homgroups import _ladder_pairs
 
 
 class TestSnakeProver:
@@ -246,9 +249,14 @@ class TestReplay:
         ("exact", lambda cert: cert.pop("second")),
         ("equal", lambda cert: cert.update(wp=["sigma1", "sigma2"])),
         ("zero", lambda cert: cert.update(wp=["sigma1", "sigma2"])),
-    ], ids=["mono-relabelled-epi", "exact-without-second", "wp-not-a-dict", "zero-wp-not-a-dict"])
-    def test_malformed_certificate_fails_replay(self, five_report, snake_report, kind, edit):
-        tampered = copy.deepcopy(five_report if kind == "mono" else snake_report)
+        ("invariants", lambda cert: cert.update(ngens=True)),
+        ("invariants", lambda cert: cert.update(free_rank=1.0)),
+    ], ids=["mono-relabelled-epi", "exact-without-second", "wp-not-a-dict", "zero-wp-not-a-dict",
+            "ngens-a-bool", "free-rank-a-float"])
+    def test_malformed_certificate_fails_replay(self, five_report, snake_report,
+                                                uniqueness_report, kind, edit):
+        report = {"mono": five_report, "invariants": uniqueness_report}.get(kind, snake_report)
+        tampered = copy.deepcopy(report)
         cert = next(c["certificate"] for c in tampered["checks"]
                     if c["certificate"] and c["certificate"]["kind"] == kind)
         edit(cert)
@@ -262,7 +270,9 @@ class TestReplay:
     @pytest.mark.parametrize("edit", [
         lambda entries: entries[0].append([0]),
         lambda entries: entries.append([[0]]),
-    ], ids=["extra-entry", "extra-row"])
+        lambda entries: entries[0][0].__setitem__(0, 1.0),
+        lambda entries: entries[0][0].__setitem__(0, True),
+    ], ids=["extra-entry", "extra-row", "coefficient-a-float", "coefficient-a-bool"])
     def test_malformed_matrix_grid_fails_replay(self, snake_report, edit):
         tampered = copy.deepcopy(snake_report)
         edit(_certs_of_kind(tampered, "exact")[0]["first"]["datum"]["entries"])
@@ -277,6 +287,11 @@ def five_report():
 @pytest.fixture(scope="module")
 def snake_report():
     return prove_snake().to_dict()
+
+
+@pytest.fixture(scope="module")
+def uniqueness_report():
+    return prove_connecting_uniqueness().to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -396,7 +411,7 @@ class TestZeroTestReplay:
             certs = _certs_of_kind(tampered, "equal") + _certs_of_kind(tampered, "zero")
             assert certs, name
             for cert in certs:
-                fs = [provers._de_mor(cat, cert[n]) for n in CLAIMS[cert["kind"]][0]]
+                fs = [provers.from_json(cat, AdelMorphism, cert[n]) for n in CLAIMS[cert["kind"]][0]]
                 [(_, rebuild)] = CLAIMS[cert["kind"]][1]
                 datum_is_zero = rebuild(*fs)[2].is_zero()
                 for sigma in cert["wp"].values():
@@ -459,9 +474,9 @@ class TestZeroTestReplay:
         for key in ("composite_wp", "via_wp"):  # exact relabelled as mono, about g
             forged = {"kind": "mono", "morphism": exact["second"], "kernel_zero_wp": exact[key]}
             assert not verify_certificate(cat, forged)
-        composite_wp = _ser_wp(is_zero_morphism(compose(f, out)))
+        composite_wp = to_json(is_zero_morphism(compose(f, out)))
         for first_wp in (mono["kernel_zero_wp"], composite_wp):  # mono relabelled as exact
-            forged = {"kind": "exact", "first": mono["morphism"], "second": _ser_mor(out),
+            forged = {"kind": "exact", "first": mono["morphism"], "second": to_json(out),
                       "composite_wp": first_wp, "via_wp": mono["kernel_zero_wp"]}
             assert not verify_certificate(cat, forged)
 
@@ -570,6 +585,16 @@ class TestConstructionMemoScopes:
         explore_d4()
         assert underlying == {"KernelResult": 12, "CokernelResult": 12, "decide_homotopy": 18}
 
+    @pytest.mark.parametrize("run, systems", [
+        (prove_snake, 47), (prove_refined_five, 37), (prove_connecting_uniqueness, 26),
+        (explore_d4, 18),
+    ], ids=["snake", "five", "uniqueness", "d4"])
+    def test_witness_squares_share_the_zero_memo(self, run, systems, underlying):
+        # make_morphism states its witness squares as zero claims, so the
+        # memo solves each homotopy system of a prover run once
+        run()
+        assert underlying["decide_homotopy"] == systems
+
     def test_no_memo_after_a_prover_raises(self, monkeypatch):
         def broken(name):
             assert adelman._MEMO.get() == {}
@@ -591,3 +616,42 @@ class TestConstructionMemoScopes:
             assert replay_report(report)
             assert first > 0 and underlying["KernelResult"] == 2 * first
             assert adelman._MEMO.get() is outer and outer == entries
+
+
+class TestTrustedDerivations:
+    """``adelman._morphism`` builds derived morphisms without checking their
+    witness squares; with the validating constructor in its place, every
+    prover report and every Hom group comes out the same, and no derived
+    morphism is rejected."""
+
+    RUNS = {
+        "snake": prove_snake,
+        "snake-k2": lambda: prove_snake(connecting_scale=2),
+        "uniqueness": prove_connecting_uniqueness,
+        "five": prove_refined_five,
+        "sweep": lambda: sweep_report(range(-3, 4)),
+        "d4": explore_d4,
+    }
+
+    def _results(self, pairs):
+        reports = {name: run().to_dict() for name, run in self.RUNS.items()}
+        groups = [hom_group(x, y) for x, y in pairs]
+        return reports, [(hg.group, hg.generators, hg.element(range(1, hg.group.ngens + 1)))
+                         for hg in groups]
+
+    def test_validated_rebuild_is_identical(self, monkeypatch):
+        pairs = _ladder_pairs(47, 10)
+        trusted = self._results(pairs)
+        validated, rejected = [], []
+
+        def validating(*parts):
+            try:
+                validated.append(AdelMorphism(*parts))
+            except WitnessError as exc:
+                rejected.append(exc)
+                raise
+            return validated[-1]
+        monkeypatch.setattr(adelman, "_morphism", validating)
+        monkeypatch.setattr(homgroups, "_morphism", validating)
+        assert self._results(pairs) == trusted
+        assert validated and not rejected
