@@ -54,37 +54,56 @@ class ParseError(ValueError):
         self.col = col
 
 
+def _position(text: str, off: int) -> tuple[int, int]:
+    """The line and column of offset ``off`` in ``text``, counted from 1."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+
+
 class Token(NamedTuple):
+    """A located token, for the object nodes whose errors are raised after
+    parsing, when the text is gone."""
+
     kind: str
     text: str
     line: int
     col: int
 
 
-# One alternative per token kind, tried in order; ``\d`` and ``\w`` match
-# what ``str.isdecimal`` and ``str.isalnum`` accept.  A name may not start
-# with a non-decimal digit such as "²", which ``[^\W\d]`` lets through and
-# ``tokenize`` rejects.
-_SCANNER = re.compile(r"(?P<newline>\n)|(?P<skip>[ \t\r]+|#[^\n]*)"
-                      r"|(?P<symbol>->|[{};:*+\-=()|,])|(?P<int>\d+)"
-                      r"|(?P<name>[^\W\d]\w*)|(?P<bad>.)")
+# One match per token: the blanks, newlines and comments in front of it,
+# then one group per token kind, tried in order.  The prefix stops at a
+# character that a group matches, so a match never backtracks into it.
+# ``\d`` and ``\w`` match what ``str.isdecimal`` and ``str.isalnum``
+# accept.  A name that does not start with an ASCII letter is a ``uname``,
+# because ``[^\W\d]`` also lets through non-decimal digits such as "²",
+# which ``tokenize`` rejects.
+_SCANNER = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+                      r"(?:(?P<symbol>->|[{};:*+\-=()|,])|(?P<name>[A-Za-z_]\w*)"
+                      r"|(?P<int>\d+)|(?P<uname>[^\W\d]\w*)|(?P<eof>\Z)|(?P<bad>.))")
+_KINDS = (None, *sorted(_SCANNER.groupindex, key=_SCANNER.groupindex.get))
+_NAME, _INT, _EOF, _BAD = (_SCANNER.groupindex[k] for k in ("name", "int", "eof", "bad"))
 
 
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    line, line_start = 1, 0
+# A scanned token: its kind, its text and the offset of its first character.
+Lexeme = tuple[str, str, int]
+
+
+def tokenize(text: str) -> list[Lexeme]:
+    """The ``(kind, text, offset)`` tokens of ``text``, ending with an
+    ``eof`` token; an unexpected character anywhere is a ``ParseError``."""
+    out = []
+    append = out.append
     for m in _SCANNER.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind != "skip":
-            tok = Token(kind, m.group(), line, m.start() - line_start + 1)
-            first = tok.text[0]
-            if kind == "bad" or (kind == "name" and not (first.isalpha() or first == "_")):
-                raise ParseError(f"unexpected character {first!r}", tok.line, tok.col)
-            out.append(tok)
-    out.append(Token("eof", "", line, len(text) - line_start + 1))
+        group = m.lastindex
+        tok = m[group]
+        off = m.start(group)
+        if group > _INT:  # uname, eof or bad
+            if group == _EOF:
+                break
+            if group == _BAD or not (tok[0].isalpha() or tok[0] == "_"):
+                raise ParseError(f"unexpected character {tok[0]!r}", *_position(text, off))
+            group = _NAME
+        append((_KINDS[group], tok, off))
+    append(("eof", "", len(text)))
     return out
 
 
@@ -92,116 +111,138 @@ def tokenize(text: str) -> list[Token]:
 # arrow/let name or ("id", vertex).  The empty term tuple encodes zero.
 Term = tuple[int, tuple]
 # Object AST: ("name", tok), ("emb", tok) or ("triple", tok, rel, corel),
-# where an empty side of the triple is None.
+# where ``tok`` is a ``Token`` and an empty side of the triple is None.
 ObjectNode = tuple
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        # ("arrow", token) per name factor and ("vertex", token) per id(v),
-        # for the caller to check against the names in scope
-        self.refs: list[tuple[str, Token]] = []
+    """The rules of the grammar over the tokens of one text.  A symbol or a
+    keyword is told by its text alone, which no token of another kind has."""
 
-    def take_refs(self) -> list[tuple[str, Token]]:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.pos = 0
+        # the token of each name factor, and ("vertex", name, offset) per
+        # id(v), for ``check_refs`` against the names in scope
+        self.refs: list[Lexeme] = []
+
+    def error(self, message: str, off: int) -> ParseError:
+        return ParseError(message, *_position(self.text, off))
+
+    def located(self, tok: Lexeme) -> Token:
+        return Token(tok[0], tok[1], *_position(self.text, tok[2]))
+
+    def take_refs(self) -> list[Lexeme]:
         refs, self.refs = self.refs, []
         return refs
 
-    def peek(self) -> Token:
+    def check_refs(self, refs: list[Lexeme], arrows, vertices):
+        """Each factor of ``refs`` is in ``arrows`` (arrow labels and ``let``
+        names) and each ``id`` vertex in ``vertices``."""
+        for kind, name, off in refs:
+            if name not in (vertices if kind == "vertex" else arrows):
+                noun = "vertex" if kind == "vertex" else "arrow"
+                raise self.error(f"unknown {noun} {name!r}", off)
+
+    def peek(self) -> Lexeme:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> Lexeme:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def fail(self, want: str):
-        tok = self.peek()
-        raise ParseError(f"expected {want}, found {tok.text or tok.kind!r}", tok.line, tok.col)
+        _, text, off = self.tokens[self.pos]
+        raise self.error(f"expected {want}, found {text or 'eof'!r}", off)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            self.fail(repr(text or kind))
-        return self.advance()
+    def expect(self, text: str):
+        if self.tokens[self.pos][1] != text:
+            self.fail(repr(text))
+        self.pos += 1
 
-    def at_symbol(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "symbol" and tok.text == text
+    def expect_name(self) -> Lexeme:
+        tok = self.tokens[self.pos]
+        if tok[0] != "name":
+            self.fail("'name'")
+        self.pos += 1
+        return tok
 
-    def at_name(self, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and (text is None or tok.text == text)
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][1] == text
+
+    def at_name(self) -> bool:
+        return self.tokens[self.pos][0] == "name"
 
     # The rules of the grammar in the module docstring.
     def parse_expr(self) -> tuple[Term, ...]:
+        tokens = self.tokens
         terms: list[Term] = []
         sign = 1
-        if self.at_symbol("-"):
-            self.advance()
+        if tokens[self.pos][1] == "-":
+            self.pos += 1
             sign = -1
-        terms.extend(self._term(sign))
-        while self.at_symbol("+") or self.at_symbol("-"):
-            sign = 1 if self.advance().text == "+" else -1
-            terms.extend(self._term(sign))
-        return tuple(terms)
-
-    def _term(self, sign: int) -> list[Term]:
-        coef = sign
-        tok = self.peek()
-        if tok.kind == "int":
-            coef = sign * int(self.advance().text)
-            if self.at_symbol("*"):
-                self.advance()
+        while True:
+            self._term(sign, terms)
+            op = tokens[self.pos][1]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
             else:
-                if coef == 0:
-                    return []
-                raise ParseError("a bare integer other than 0 is not a morphism",
-                                 tok.line, tok.col)
+                return tuple(terms)
+            self.pos += 1
+
+    def _term(self, sign: int, terms: list[Term]):
+        """Appends the term at the cursor to ``terms``, unless it is 0."""
+        tokens = self.tokens
+        kind, text, off = tokens[self.pos]
+        coef = sign
+        if kind == "int":
+            coef = sign * int(text)
+            self.pos += 1
+            if tokens[self.pos][1] == "*":
+                self.pos += 1
+            elif coef == 0:
+                return
+            else:
+                raise self.error("a bare integer other than 0 is not a morphism", off)
         factors = [self._factor()]
-        while self.at_symbol("*"):
-            self.advance()
+        while tokens[self.pos][1] == "*":
+            self.pos += 1
             factors.append(self._factor())
-        return [(coef, tuple(factors))]
+        terms.append((coef, tuple(factors)))
 
     def _factor(self):
-        tok = self.expect("name")
-        if tok.text == "id" and self.at_symbol("("):
-            self.advance()
-            v = self.expect("name")
-            self.expect("symbol", ")")
-            self.refs.append(("vertex", v))
-            return ("id", v.text)
-        self.refs.append(("arrow", tok))
-        return tok.text
+        tok = self.expect_name()
+        if tok[1] == "id" and self.tokens[self.pos][1] == "(":
+            self.pos += 1
+            _, v, off = self.expect_name()
+            self.expect(")")
+            self.refs.append(("vertex", v, off))
+            return ("id", v)
+        self.refs.append(tok)
+        return tok[1]
 
     def parse_object(self) -> ObjectNode:
         tok = self.peek()
-        if self.at_symbol("("):
-            self.advance()
-            rel = None if self.at_symbol("|") else self.parse_expr()
-            self.expect("symbol", "|")
-            corel = None if self.at_symbol(")") else self.parse_expr()
-            self.expect("symbol", ")")
+        if tok[1] == "(":
+            self.pos += 1
+            rel = None if self.at("|") else self.parse_expr()
+            self.expect("|")
+            corel = None if self.at(")") else self.parse_expr()
+            self.expect(")")
             if rel is None and corel is None:
-                raise ParseError("a triple needs at least one side", tok.line, tok.col)
-            return ("triple", tok, rel, corel)
-        tok = self.expect("name")
-        if tok.text == "emb" and self.at_symbol("("):
-            self.advance()
-            v = self.expect("name")
-            self.expect("symbol", ")")
-            return ("emb", v)
-        return ("name", tok)
-
-
-def _check_refs(refs: list[tuple[str, Token]], arrows, vertices):
-    """Each factor of ``refs`` is in ``arrows`` (arrow labels and ``let``
-    names) and each ``id`` vertex in ``vertices``."""
-    for noun, tok in refs:
-        if tok.text not in (arrows if noun == "arrow" else vertices):
-            raise ParseError(f"unknown {noun} {tok.text!r}", tok.line, tok.col)
+                raise self.error("a triple needs at least one side", tok[2])
+            return ("triple", self.located(tok), rel, corel)
+        self.expect_name()
+        if tok[1] == "emb" and self.at("("):
+            self.pos += 1
+            v = self.expect_name()
+            self.expect(")")
+            return ("emb", self.located(v))
+        return ("name", self.located(tok))
 
 
 @dataclass(frozen=True)
@@ -222,73 +263,71 @@ class SessionSpec:
 
 
 def parse_session(text: str) -> SessionSpec:
-    p = _Parser(tokenize(text))
-    p.expect("name", "category")
-    name = p.expect("name").text
-    p.expect("symbol", "{")
+    p = _Parser(text)
+    tokens = p.tokens
+    p.expect("category")
+    name = p.expect_name()[1]
+    p.expect("{")
     objects: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     relations: list[tuple[Term, ...]] = []
     keywords = ("objects", "arrows", "relations")
-    while not p.at_symbol("}"):
-        if p.at_name("objects"):
-            p.advance()
-            while p.at_name() and p.peek().text not in keywords:
-                objects.append(p.advance().text)
-            p.expect("symbol", ";")
-        elif p.at_name("arrows"):
-            p.advance()
-            while p.at_name() and p.peek().text not in keywords:
-                label = p.advance().text
-                p.expect("symbol", ":")
-                src = p.expect("name").text
-                p.expect("symbol", "->")
-                tgt = p.expect("name").text
-                arrows.append((label, src, tgt))
-                p.expect("symbol", ";")
-        elif p.at_name("relations"):
-            p.advance()
-            while not p.at_symbol("}") and not (p.at_name() and p.peek().text in keywords):
-                lhs = p.parse_expr()
-                rhs: tuple[Term, ...] = ()
-                if p.at_symbol("="):
-                    p.advance()
-                    rhs = p.parse_expr()
-                relations.append(lhs + tuple((-c, f) for c, f in rhs))
-                p.expect("symbol", ";")
-        else:
+    while not p.at("}"):
+        section = p.peek()[1]
+        if section not in keywords:
             p.fail("objects/arrows/relations")
-    p.expect("symbol", "}")
+        p.pos += 1
+        if section == "objects":
+            while p.at_name() and tokens[p.pos][1] not in keywords:
+                objects.append(p.advance()[1])
+            p.expect(";")
+        elif section == "arrows":
+            while p.at_name() and tokens[p.pos][1] not in keywords:
+                label = p.advance()[1]
+                p.expect(":")
+                src = p.expect_name()[1]
+                p.expect("->")
+                arrows.append((label, src, p.expect_name()[1]))
+                p.expect(";")
+        else:
+            while not p.at("}") and tokens[p.pos][1] not in keywords:
+                terms = p.parse_expr()
+                if p.at("="):
+                    p.pos += 1
+                    terms += tuple((-c, f) for c, f in p.parse_expr())
+                relations.append(terms)
+                p.expect(";")
+    p.expect("}")
     vertices = set(objects)
     usable = {label for label, _, _ in arrows}  # what an expression may name
-    _check_refs(p.take_refs(), usable, vertices)
+    p.check_refs(p.take_refs(), usable, vertices)
     lets: list[tuple[str, tuple[Term, ...]]] = []
     objs: list[tuple[str, ObjectNode]] = []
-    object_refs: list[tuple[str, Token]] = []  # checked once every let is in scope
+    object_refs: list[Lexeme] = []  # checked once every let is in scope
     defined: set[str] = set()
-    while p.peek().kind != "eof":
-        if not (p.at_name("let") or p.at_name("object")):
+    while p.peek()[0] != "eof":
+        if not (p.at("let") or p.at("object")):
             p.fail("let/object")
-        keyword = p.advance().text
-        tok = p.expect("name")
-        owner = ("a let or object" if tok.text in defined
-                 else "an arrow" if keyword == "let" and tok.text in usable
-                 else "a vertex" if keyword == "object" and tok.text in vertices
-                 else "the zero object" if keyword == "object" and tok.text == "zero"
+        keyword = p.advance()[1]
+        _, new, off = p.expect_name()
+        owner = ("a let or object" if new in defined
+                 else "an arrow" if keyword == "let" and new in usable
+                 else "a vertex" if keyword == "object" and new in vertices
+                 else "the zero object" if keyword == "object" and new == "zero"
                  else None)
         if owner:
-            raise ParseError(f"{tok.text!r} already names {owner}", tok.line, tok.col)
-        defined.add(tok.text)
-        p.expect("symbol", "=")
+            raise p.error(f"{new!r} already names {owner}", off)
+        defined.add(new)
+        p.expect("=")
         if keyword == "let":
-            lets.append((tok.text, p.parse_expr()))
-            _check_refs(p.take_refs(), usable, vertices)
-            usable.add(tok.text)
+            lets.append((new, p.parse_expr()))
+            p.check_refs(p.take_refs(), usable, vertices)
+            usable.add(new)
         else:
-            objs.append((tok.text, p.parse_object()))
+            objs.append((new, p.parse_object()))
             object_refs += p.take_refs()
-        p.expect("symbol", ";")
-    _check_refs(object_refs, usable, vertices)
+        p.expect(";")
+    p.check_refs(object_refs, usable, vertices)
     return SessionSpec(
         CategorySpec(name, tuple(objects), tuple(arrows), tuple(relations)),
         tuple(lets), tuple(objs))
@@ -405,10 +444,11 @@ class Session:
     def _parse(self, text: str, rule):
         """All of ``text`` by one rule of ``_Parser``, with its arrow, ``let``
         and ``id`` vertex names checked."""
-        p = _Parser(tokenize(text))
+        p = _Parser(text)
         out = rule(p)
-        p.expect("eof")
-        _check_refs(p.refs, self._usable, self.cat.quiver.vertices)
+        if p.peek()[0] != "eof":
+            p.fail("'eof'")
+        p.check_refs(p.refs, self._usable, self.cat.quiver.vertices)
         return out
 
     def parse_expr_text(self, text: str) -> LinMorphism:

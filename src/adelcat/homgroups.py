@@ -51,7 +51,8 @@ class HomGroupPresentation:
     generators: tuple[AdelMorphism, ...]
     basis: IntMatrix
     witnesses: IntMatrix
-    _spaces: tuple[HomBasis, HomBasis, HomBasis]  # datum, relation and corelation witness
+    # datum, relation and corelation witness spaces, fixed by source and target
+    _spaces: tuple[HomBasis, HomBasis, HomBasis] = field(compare=False, repr=False)
     _squares: tuple = field(compare=False, repr=False)  # witness-square map, see ``hom_group``
 
     def coordinates(self, f: Union[AdelMorphism, MatMorphism]) -> tuple[int, ...]:

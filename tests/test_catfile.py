@@ -8,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adelcat
 from adelcat import cli
 from adelcat.adelman import WitnessError
-from adelcat.catfile import ParseError, Session, build_category, parse_session, print_spec
+from adelcat.catfile import (ParseError, Session, build_category, parse_session, print_spec,
+                             tokenize)
 from adelcat.provers import CATEGORY_TEXTS, category_by_name
 from adelcat.quivercat import EndpointError
 
@@ -95,3 +98,82 @@ def test_morphism_checks_its_endpoints_and_witnesses():
     with pytest.raises(WitnessError, match=r"^'id\(b\)' is not a well-defined morphism "
                                            r"between these objects$"):
         session.morphism("id(b)", b, ker_beta)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("category s {\n\tobjects a b;\n\tarrows f: a -> b\n}\n", "4:1: expected ';', found '}'"),
+    ("category s {\r\n\tobjects a b;\r\n\tarrows f: a -> b\r\n}\r\n",
+     "4:1: expected ';', found '}'"),
+    ("category s {\n  objects a b\n  arrows f: a -> b;\n$ }\n",
+     "4:1: unexpected character '$'"),
+    ("category s {\n  objects a\x0c b; }\n", "2:12: unexpected character '\\x0c'"),
+    ("category s {\n  objects a;\n   ", "3:4: expected objects/arrows/relations, found 'eof'"),
+], ids=["tab-indented", "crlf", "bad-character-wins", "form-feed", "eof-after-blanks"])
+def test_error_position(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_session(text)
+    assert str(err.value) == message
+
+
+def test_unicode_decimal_coefficient():
+    spec = parse_session("category s { objects a b; arrows f: a -> b; }\nlet g = ٣*f;\n")
+    assert spec.lets == (("g", ((3, ("f",)),)),)
+
+
+def test_superscript_digit_in_an_argument_is_a_bad_character():
+    session = Session(parse_session(SNAKE))
+    with pytest.raises(ParseError) as err:
+        session.parse_expr_text("2*²beta")
+    assert str(err.value) == "1:3: unexpected character '²'"
+
+
+# Scanner properties: texts drawn from the grammar's own pieces, with blanks,
+# CRLF line ends and comments between them and at most one non-ASCII digit.
+DERANDOMIZED = settings(derandomize=True, database=None, max_examples=400, deadline=None)
+_PIECES = st.one_of(
+    st.sampled_from(["category", "objects", "arrows", "relations", "let", "object", "id",
+                     "emb", "zero", "a", "b", "c", "alpha", "beta", "gamma", "_x1", "K"]),
+    st.integers(0, 120).map(str),
+    st.sampled_from(["->", "{", "}", ";", ":", "*", "+", "-", "=", "(", ")", "|", ",", ">"]),
+    st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\r"]),
+    st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+            max_size=6).map(lambda body: f"#{body}\n"),
+)
+
+
+@st.composite
+def _cat_texts(draw):
+    text = draw(st.sampled_from(["", SNAKE, "category s {", "2*alpha", "(beta |"])) + "".join(
+        draw(st.lists(_PIECES, max_size=30)))
+    digit = draw(st.sampled_from(["", "\u0663", "\u00b2", "\u0967", "\u00bd"]))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + digit + text[at:]
+
+
+def _assert_located(err: ParseError, text: str):
+    lines = text.split("\n")
+    assert 1 <= err.line <= text.count("\n") + 1
+    assert 1 <= err.col <= len(lines[err.line - 1]) + 1
+    assert str(err).startswith(f"{err.line}:{err.col}: ")
+
+
+@DERANDOMIZED
+@given(_cat_texts())
+def test_any_text_parses_or_raises_a_located_value_error(text):
+    session = Session(parse_session(SNAKE + "object K = (alpha | beta*gamma);\n"))
+    for read in (lambda t: Session(parse_session(t)), session.parse_expr_text,
+                 session.parse_object_text):
+        try:
+            read(text)
+        except ParseError as err:
+            _assert_located(err, text)
+        except ValueError:
+            pass
+
+
+def test_long_blank_and_comment_runs_scan_to_one_token():
+    blanks = "objects" + " \t\r\n" * 250_000
+    assert tokenize(blanks) == [("name", "objects", 0), ("eof", "", len(blanks))]
+    comment = "#" + "x" * (10**6 - 1)
+    assert tokenize(comment) == [("eof", "", 10**6)]
+    assert tokenize(comment + "\n;") == [("symbol", ";", 10**6 + 1), ("eof", "", 10**6 + 2)]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -502,6 +503,10 @@ def _chain_text(n: int, parallel: str = "a") -> str:
     return f"category chain {{\n  objects {objects};\n  arrows {arrows}\n}}\n"
 
 
+# x0*x1*...*x12: one of the 2**13 paths from v0 to v13 of the doubled chain
+_NEAR_CAP = "*".join(f"x{i}" for i in range(13))
+
+
 class TestLargeInputs:
     def test_long_chain_kernel(self, tmp_path, capsys):
         path = tmp_path / "deep.cat"
@@ -518,6 +523,31 @@ class TestLargeInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: more than") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["check-equal", _NEAR_CAP, _NEAR_CAP], ["kernel", _NEAR_CAP]], ids=["check-equal", "kernel"])
+    def test_path_basis_near_the_cap(self, command, tmp_path, capsys):
+        # 2**13 = 8192 basis paths from v0 to v13, under MAX_PATH_BASIS
+        path = tmp_path / "doubled.cat"
+        path.write_text(_chain_text(40, parallel="xy"))
+        tracemalloc.start()
+        try:
+            code = run_command(command + ["--source", "v0", "--target", "v13",
+                                          "--category", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 64 * 2**20
+
+    def test_path_basis_past_the_cap_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "doubled.cat"
+        path.write_text(_chain_text(40, parallel="xy"))
+        code = run_command(["kernel", _NEAR_CAP + "*x13", "--source", "v0", "--target", "v14",
+                            "--category", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: more than 10000 paths from 'v0' to 'v14'\n"
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_errors_exit_two(self, exc, snake_file, capsys, monkeypatch):

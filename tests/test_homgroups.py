@@ -247,6 +247,14 @@ class TestFamilyValidation:
         assert len(set(ladder_groups)) == len(ladder_groups)
         assert "_squares" not in repr(ladder_groups[0])
 
+    def test_two_calls_give_equal_presentations(self, ladder_groups):
+        # the Hom bases are fixed by the endpoints and are not compared
+        for hg in ladder_groups:
+            again = hom_group(hg.source, hg.target)
+            assert again == hg and hash(again) == hash(hg)
+            assert again._spaces is not hg._spaces
+        assert "_spaces" not in repr(ladder_groups[0])
+
     def test_corrupted_rows_are_rejected_exactly_when_the_constructor_rejects(
             self, ladder_groups):
         """One coefficient of a ``basis`` or ``witnesses`` row plus 1, taken
