@@ -95,10 +95,13 @@ class MatMorphism:
 
     Values are immutable: nothing assigns to their attributes after
     construction (a slotted class without an assignment guard, because
-    construction is the hottest path of the library).
+    construction is the hottest path of the library).  The hash is
+    computed on first use and kept in a slot, so the value-keyed memos
+    (``Evaluation``'s, the ``zero_witness`` key of ``construction_memo``)
+    do not walk the coefficients again on every lookup.
     """
 
-    __slots__ = ("source", "target", "coeffs", "_dims")
+    __slots__ = ("source", "target", "coeffs", "_dims", "_hash")
 
     def __new__(cls, source: TupleObject, target: TupleObject,
                 entries: Sequence[Sequence[LinMorphism]]):
@@ -122,7 +125,11 @@ class MatMorphism:
                 and self.target == other.target)
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.source, self.target, self.coeffs))
+            return h
 
     @property
     def cat(self) -> QuiverCategory:

@@ -25,8 +25,9 @@ vertex; a triple may leave one side empty.  ``#`` starts a comment that runs
 to the end of the line.  A ``let`` may use the ``let`` names above it, an
 ``object`` line every ``let`` name.  A ``let`` or ``object`` name must be
 new: not the name of an earlier line, for a ``let`` not an arrow label, for
-an ``object`` not a vertex or ``zero``.  Syntax errors, taken names and
-unknown names carry ``line:col``.
+an ``object`` not a vertex or ``zero``.  In the category block each vertex
+and arrow label is declared once, and an arrow's endpoints are declared
+vertices.  Syntax errors, taken names and unknown names carry ``line:col``.
 
 ``build_category`` turns a parsed category block into a ``QuiverCategory``;
 ``Session`` builds it, evaluates the ``let`` and ``object`` lines and the
@@ -271,6 +272,8 @@ def parse_session(text: str) -> SessionSpec:
     objects: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     relations: list[tuple[Term, ...]] = []
+    vertices: set[str] = set()
+    usable: set[str] = set()  # what an expression may name: arrows, then lets
     keywords = ("objects", "arrows", "relations")
     while not p.at("}"):
         section = p.peek()[1]
@@ -279,15 +282,24 @@ def parse_session(text: str) -> SessionSpec:
         p.pos += 1
         if section == "objects":
             while p.at_name() and tokens[p.pos][1] not in keywords:
-                objects.append(p.advance()[1])
+                _, v, off = p.advance()
+                if v in vertices:
+                    raise p.error(f"{v!r} already names a vertex", off)
+                vertices.add(v)
+                objects.append(v)
             p.expect(";")
         elif section == "arrows":
             while p.at_name() and tokens[p.pos][1] not in keywords:
-                label = p.advance()[1]
+                _, label, off = p.advance()
+                if label in usable:
+                    raise p.error(f"{label!r} already names an arrow", off)
+                usable.add(label)
                 p.expect(":")
-                src = p.expect_name()[1]
+                src = p.expect_name()
                 p.expect("->")
-                arrows.append((label, src, p.expect_name()[1]))
+                tgt = p.expect_name()
+                p.refs += (("vertex", src[1], src[2]), ("vertex", tgt[1], tgt[2]))
+                arrows.append((label, src[1], tgt[1]))
                 p.expect(";")
         else:
             while not p.at("}") and tokens[p.pos][1] not in keywords:
@@ -298,8 +310,6 @@ def parse_session(text: str) -> SessionSpec:
                 relations.append(terms)
                 p.expect(";")
     p.expect("}")
-    vertices = set(objects)
-    usable = {label for label, _, _ in arrows}  # what an expression may name
     p.check_refs(p.take_refs(), usable, vertices)
     lets: list[tuple[str, tuple[Term, ...]]] = []
     objs: list[tuple[str, ObjectNode]] = []

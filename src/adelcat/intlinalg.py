@@ -7,7 +7,10 @@ representatives.  Every equality decision made elsewhere in the package
 eventually lands here, in the one row-reduction kernel ``_hnf_py`` (bound
 as ``_kernel``), whose Python-int arithmetic never wraps.  A matrix stores
 the tuple of its rows, the form that kernel reduces, and Smith invariants
-come from alternating Hermite forms in the same kernel.
+come from alternating Hermite forms in the same kernel.  A matrix is
+checked where it enters, by the ``IntMatrix`` constructor, ``from_rows``
+and ``row_vector``; every matrix this module derives is built unchecked by
+``_matrix``, whose docstring says why each shape holds.
 
 Large sparse systems have a cheaper first test: ``in_lattice`` decides
 membership in a row lattice by sparse elimination on ``{col: value}`` rows,
@@ -40,23 +43,35 @@ class DimensionError(ValueError):
     """Shapes of the operands do not match."""
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, stored as the tuple of its rows.
 
     The rows are what the kernel reduces, so they pass to it unchanged.
     ``rows`` and ``cols`` are the counts; ``cols`` is stored because a
     matrix without rows still has a width.
+
+    The constructor rejects a negative width and a row of another length.
+    Values are immutable: nothing assigns to their attributes after
+    construction (a slotted class without an assignment guard, because
+    matrices are built on every path of the group-side oracle).
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    cols: int
+    __slots__ = ("entries", "cols")
 
-    def __post_init__(self):
-        if self.cols < 0:
-            raise DimensionError("negative matrix dimensions")
-        if any(len(r) != self.cols for r in self.entries):
-            raise DimensionError(f"expected rows of length {self.cols}")
+    def __init__(self, entries: tuple[tuple[int, ...], ...], cols: int):
+        _check_width(cols)
+        if any(map(cols.__ne__, map(len, entries))):
+            raise DimensionError(f"expected rows of length {cols}")
+        self.entries = entries
+        self.cols = cols
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self.cols == other.cols and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.cols))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -68,19 +83,22 @@ class IntMatrix:
     @staticmethod
     def from_sparse(rows: Sequence[Mapping[int, int]], cols: int) -> "IntMatrix":
         """The dense matrix whose rows are the ``{col: value}`` maps ``rows``."""
+        _check_width(cols)
         dense = [[0] * cols for _ in rows]
         for out, row in zip(dense, rows):
             for j, v in row.items():
                 out[j] = v
-        return IntMatrix.from_rows(dense, cols)
+        return _matrix(tuple(map(tuple, dense)), cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+        _check_width(n)
+        return _matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(((0,) * cols,) * rows, cols)
+        _check_width(cols)
+        return _matrix(((0,) * cols,) * rows, cols)
 
     @staticmethod
     def row_vector(v: Sequence[int]) -> "IntMatrix":
@@ -95,41 +113,75 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ((),) * self.cols, self.rows)
+        return _matrix(tuple(zip(*self.entries)) if self.entries else ((),) * self.cols,
+                       self.rows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        return IntMatrix.from_rows(
-            _kernel.mul_rows(self.entries, other.entries, self.cols, other.cols), other.cols)
+        return _matrix(tuple(map(tuple, _kernel.mul_rows(
+            self.entries, other.entries, self.cols, other.cols))), other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return IntMatrix(tuple(tuple(map(add, r, s)) for r, s in zip(self.entries, other.entries)),
-                         self.cols)
+        return _matrix(tuple(tuple(map(add, r, s)) for r, s in zip(self.entries, other.entries)),
+                       self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot subtract {self.shape} and {other.shape}")
-        return IntMatrix(tuple(tuple(map(sub, r, s)) for r, s in zip(self.entries, other.entries)),
-                         self.cols)
+        return _matrix(tuple(tuple(map(sub, r, s)) for r, s in zip(self.entries, other.entries)),
+                       self.cols)
 
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * a for a in r) for r in self.entries), self.cols)
+        return _matrix(tuple(tuple(c * a for a in r) for r in self.entries), self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return (len(self.entries), self.cols)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
+
+
+def _check_width(cols: int):
+    if cols < 0:
+        raise DimensionError("negative matrix dimensions")
+
+
+def _matrix(entries: tuple[tuple[int, ...], ...], cols: int) -> IntMatrix:
+    """The matrix with rows ``entries`` and width ``cols``, unchecked.
+
+    Only for results whose shape holds by construction, from checked
+    operands or from the kernel, which returns rows of the width it is
+    given:
+
+    * ``identity``, ``zeros`` and ``from_sparse`` check that the width is
+      not negative and make rows of that many entries (a sparse row assigns
+      into a zero row of that length, and a column past its end raises
+      ``IndexError``);
+    * ``transpose`` turns ``cols`` rows of width ``rows`` into ``rows``
+      rows of width ``cols``, and keeps the width of a matrix without rows;
+    * ``*`` checks the inner dimension, and ``mul_rows`` returns rows of the
+      right factor's width; ``+`` and ``-`` check equal shapes, and they and
+      ``scale`` map rows entry by entry;
+    * ``vstack`` checks that every part has the same width;
+    * ``hnf_rows`` returns rows of the input's width and transform rows of
+      its row count, which ``hnf``, ``lattice_basis`` and ``left_kernel``
+      slice by rows only;
+    * ``solve_left`` makes one row of ``a.rows`` entries per row of ``b``.
+    """
+    m = object.__new__(IntMatrix)
+    m.entries = entries
+    m.cols = cols
+    return m
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
@@ -139,7 +191,7 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack with mismatched column counts")
-    return IntMatrix(tuple(chain.from_iterable(m.entries for m in mats)), cols)
+    return _matrix(tuple(chain.from_iterable(m.entries for m in mats)), cols)
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -151,13 +203,13 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     such basis of the row lattice of ``m``.
     """
     h_rows, u_rows, _ = _kernel.hnf_rows(m.entries, m.cols, True)
-    return IntMatrix.from_rows(h_rows, m.cols), IntMatrix.from_rows(u_rows, m.rows)
+    return _matrix(tuple(map(tuple, h_rows)), m.cols), _matrix(tuple(map(tuple, u_rows)), m.rows)
 
 
 def lattice_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis of the row lattice: the nonzero rows of the HNF."""
     h_rows, _, pivots = _kernel.hnf_rows(m.entries, m.cols, False)
-    return IntMatrix.from_rows(h_rows[: len(pivots)], m.cols)
+    return _matrix(tuple(map(tuple, h_rows[: len(pivots)])), m.cols)
 
 
 def left_kernel(m: IntMatrix) -> IntMatrix:
@@ -167,7 +219,7 @@ def left_kernel(m: IntMatrix) -> IntMatrix:
     such a basis.
     """
     _, u_rows, pivots = _kernel.hnf_rows(m.entries, m.cols, True)
-    return IntMatrix.from_rows(u_rows[len(pivots) :], m.rows)
+    return _matrix(tuple(map(tuple, u_rows[len(pivots) :])), m.rows)
 
 
 @dataclass(frozen=True)
@@ -254,8 +306,8 @@ def solve_left(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
                         x[j] += q * v
         if any(res):
             return None
-        out.append(x)
-    return IntMatrix.from_rows(out, a.rows)
+        out.append(tuple(x))
+    return _matrix(tuple(out), a.rows)
 
 
 def det(m: IntMatrix) -> int:

@@ -210,14 +210,31 @@ def make_relation(quiver: Optional[Quiver], terms: Sequence[tuple[int, Path]]) -
     ``quiver`` unless that is None: a category checks its relations once."""
     if not terms:
         raise RelationError("empty relation")
-    src, tgt = terms[0][1].source, terms[0][1].target
-    for _, p in terms if quiver is not None else ():
+    first = terms[0][1]
+    rel = Relation(first.source, first.target, tuple((int(c), p) for c, p in terms))
+    if quiver is not None:
+        _check_relation(quiver, rel)
+    return rel
+
+
+def _check_relation(quiver: Quiver, rel: Relation):
+    """Raise ``RelationError`` unless ``rel`` is a nonempty combination of
+    paths of ``quiver`` that all run between its declared endpoints."""
+    if not rel.terms:
+        raise RelationError("empty relation")
+    first = rel.terms[0][1]
+    src, tgt = first.source, first.target
+    for _, p in rel.terms:
         _validate_path(quiver, p, RelationError)
         if (p.source, p.target) != (src, tgt):
             raise RelationError(
                 f"relation mixes paths {src!r}->{tgt!r} and {p.source!r}->{p.target!r}"
             )
-    return Relation(src, tgt, tuple((int(c), p) for c, p in terms))
+    if (rel.source, rel.target) != (src, tgt):
+        raise RelationError(
+            f"relation declared {rel.source!r}->{rel.target!r} has paths {src!r}->{tgt!r}")
+    if src not in quiver._position or tgt not in quiver._position:
+        raise RelationError(f"relation between unknown vertices {src!r}->{tgt!r}")
 
 
 class QuiverCategory:
@@ -249,7 +266,7 @@ class QuiverCategory:
         self.relations = tuple(relations)
         self.name = name
         for rel in self.relations:
-            make_relation(quiver, rel.terms)
+            _check_relation(quiver, rel)
         self._paths: dict[tuple[str, str], _PathData] = {}
         self._dims: dict[tuple[str, str], int] = {}
         self._hom: dict[tuple[str, str], FpAbGroup] = {}

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -300,3 +301,64 @@ class TestHomBasis:
         expected = sum(
             len(snake_cat.paths(a, b)) for a in x.summands for b in y.summands)
         assert hb.dim == expected
+
+
+class TestStoredHash:
+    """A matrix morphism computes its hash once and keeps it; values that
+    are equal hash equal whichever route built them."""
+
+    def routes(self, cat, f):
+        from adelcat.provers import from_json, to_json
+
+        x, y = f.source, f.target
+        grid = f.entries
+        cols = [MatMorphism(x, TupleObject(cat, (b,)), [[row[j]] for row in grid])
+                for j, b in enumerate(y.summands)]
+        rows = [MatMorphism(TupleObject(cat, (a,)), y, [grid[i]])
+                for i, a in enumerate(x.summands)]
+        cells = [[MatMorphism(TupleObject(cat, (a,)), TupleObject(cat, (b,)), [[e]])
+                  for b, e in zip(y.summands, row)] for a, row in zip(x.summands, grid)]
+        hb = HomBasis(x, y)
+        shifted = list(f.coeffs)
+        for col, v in hb.rel_rows()[0].items():
+            shifted[col] += 3 * v
+        return {
+            "grid": MatMorphism(x, y, grid),
+            "hstack": hstack_mat(*cols),
+            "vstack": vstack_mat(*rows),
+            "from_blocks": from_blocks(cells),
+            "unflatten": hb.unflatten(shifted),
+            "from_json": from_json(cat, MatMorphism, json.loads(json.dumps(to_json(f)))),
+        }
+
+    def test_equal_values_hash_equal_by_every_route(self, snake_cat):
+        x = tuple_obj(snake_cat, "a", "b")
+        y = tuple_obj(snake_cat, "c", "d")
+        f = rand_mat(snake_cat, x, y, random.Random(5))
+        assert HomBasis(x, y).rel_rows(), "unflatten must reduce a relation"
+        first, second = self.routes(snake_cat, f), self.routes(snake_cat, f)
+        value_hash = hash((x, y, f.coeffs))
+        keys = {}
+        for route, g in first.items():
+            assert g == f and g is not f, route
+            keys.setdefault(g, route)
+        assert keys == {f: "grid"}
+        for route, g in [*first.items(), *second.items()]:
+            assert hash(g) == value_hash and keys[g] == "grid", route
+
+    def test_equal_objects_share_one_evaluation(self, snake_cat):
+        from adelcat.adelman import AdelObject
+        from adelcat.evalfunctor import Evaluation, random_representation
+        from adelcat.provers import from_json, to_json
+
+        x = tuple_obj(snake_cat, "a", "b")
+        y = tuple_obj(snake_cat, "c")
+        z = tuple_obj(snake_cat, "d")
+        rng = random.Random(8)
+        obj = AdelObject(rand_mat(snake_cat, x, y, rng), rand_mat(snake_cat, y, z, rng))
+        twin = from_json(snake_cat, AdelObject, json.loads(json.dumps(to_json(obj))))
+        assert twin == obj and twin.rel is not obj.rel and twin.corel is not obj.corel
+        ev = Evaluation(random_representation(snake_cat, 4))
+        group = ev.object(obj)
+        assert ev.object(twin) is group
+        assert ev.object(AdelObject(twin.rel, obj.corel)) is group

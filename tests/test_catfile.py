@@ -83,6 +83,32 @@ def test_unknown_name_in_a_relation_has_position(relation, message):
         parse_session(f"category s {{ objects a b; arrows alpha: a -> b;\n  relations {relation}; }}")
 
 
+@pytest.mark.parametrize("block, message", [
+    ("objects a;\n  arrows f: a -> b;", r"^2:18: unknown vertex 'b'$"),
+    ("objects a b a;", r"^1:26: 'a' already names a vertex$"),
+    ("objects a b;\n  arrows f: a -> b; g: b -> a;\n  arrows f: b -> a;",
+     r"^3:10: 'f' already names an arrow$"),
+], ids=["unknown-endpoint", "vertex-twice", "arrow-twice"])
+def test_malformed_quiver_in_a_category_block_has_position(block, message):
+    with pytest.raises(ParseError, match=message):
+        parse_session(f"category s {{ {block} }}")
+
+
+def test_building_a_category_checks_each_relation_once(monkeypatch):
+    from adelcat import quivercat
+    checked = []
+
+    def counting(quiver, rel, check=quivercat._check_relation):
+        checked.append(rel)
+        check(quiver, rel)
+
+    monkeypatch.setattr(quivercat, "_check_relation", counting)
+    five = parse_session(CATEGORY_TEXTS["five"]).category
+    cat = build_category(five)
+    assert len(five.relations) > 1
+    assert checked == list(cat.relations)
+
+
 def test_object_line_may_use_a_later_let():
     session = Session(parse_session(SNAKE + "object X = (ab | gamma);\nlet ab = alpha*beta;"))
     assert session.objects["X"] == session.parse_object_text("(alpha*beta | gamma)")

@@ -166,6 +166,13 @@ class TestParser:
                             "--category", str(path)]) == 2
         assert capsys.readouterr().err == "error: 10:9: unknown arrow 'f'\n"
 
+    def test_unknown_arrow_endpoint_in_a_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.cat"
+        path.write_text("category s {\n  objects a;\n  arrows f: a -> b;\n}\n")
+        assert run_command(["kernel", "f", "--source", "a", "--target", "b",
+                            "--category", str(path)]) == 2
+        assert capsys.readouterr().err == "error: 3:18: unknown vertex 'b'\n"
+
     def test_end_of_input_after_comment_has_position(self):
         with pytest.raises(ParseError,
                            match=r"^2:22: expected objects/arrows/relations, found 'eof'$"):

@@ -381,9 +381,55 @@ def test_backend_is_pure():
 
 
 def test_rows_must_have_the_column_count():
-    with pytest.raises(DimensionError):
+    ragged = "^expected rows of length 1$"
+    with pytest.raises(DimensionError, match=ragged):
         IntMatrix.from_rows([[1], [1, 2]])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=ragged):
+        IntMatrix(((1,), (1, 2)), 1)
+    with pytest.raises(DimensionError, match="^expected rows of length 3$"):
         IntMatrix.from_rows([[1, 2]], cols=3)
+    for negative in (lambda: IntMatrix((), -1), lambda: IntMatrix.from_rows([], cols=-1),
+                     lambda: IntMatrix.zeros(0, -1), lambda: IntMatrix.identity(-1),
+                     lambda: IntMatrix.from_sparse([], -1)):
+        with pytest.raises(DimensionError, match="^negative matrix dimensions$"):
+            negative()
     assert IntMatrix.from_rows([], cols=3).shape == (0, 3)
     assert IntMatrix.zeros(0, 3).transpose() == IntMatrix.zeros(3, 0)
+
+
+def shaped(rows, cols, max_entry=9):
+    row = st.tuples(*[st.integers(-max_entry, max_entry)] * cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(
+        lambda entries: IntMatrix(tuple(entries), cols))
+
+
+def rechecked(m):
+    """``m`` rebuilt by the checking constructor, once every row is seen to
+    be a tuple of ``m.cols`` ints."""
+    assert type(m.entries) is tuple
+    for row in m.entries:
+        assert type(row) is tuple and len(row) == m.cols
+        assert all(type(v) is int for v in row)
+    return IntMatrix(m.entries, m.cols)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(matrices(max_dim=4), st.data())
+def test_unchecked_results_are_checked_matrices(m, data):
+    """Every result that ``intlinalg`` builds unchecked passes the checks it
+    skipped, on shapes that include 0 rows and 0 columns."""
+    rows, cols = m.shape
+    other = data.draw(shaped(rows, cols))
+    right = data.draw(shaped(cols, data.draw(st.integers(0, 4))))
+    combos = data.draw(shaped(data.draw(st.integers(0, 3)), rows, max_entry=3))
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in m.entries]
+    solution = solve_left(m, combos * m)
+    assert solution is not None
+    results = [*hnf(m), lattice_basis(m), left_kernel(m), solution, m * right, m + other,
+               m - other, m.scale(-3), -m, m.transpose(), vstack(m, other, m),
+               IntMatrix.identity(rows), IntMatrix.zeros(rows, cols),
+               IntMatrix.from_sparse(sparse, cols)]
+    for result in results:
+        assert rechecked(result) == result
+    assert IntMatrix.from_sparse(sparse, cols) == m
+    assert hash(rechecked(m.transpose().transpose())) == hash(m)

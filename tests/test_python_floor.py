@@ -1,5 +1,6 @@
 """The package on the oldest Python that ``requires-python`` admits: every
-module imports there, the built-in ``.cat`` texts parse, and
+module imports there, the built-in ``.cat`` texts parse, the group-side
+oracle checks the snake over a random representation, and
 ``adelcat prove snake`` runs.  Skipped when no interpreter of that version
 is installed, either on ``PATH`` or under pyenv."""
 
@@ -20,8 +21,12 @@ for module in pkgutil.iter_modules(adelcat.__path__):
     importlib.import_module("adelcat." + module.name)
 from adelcat.catfile import parse_session
 from adelcat.cli import run_command
-from adelcat.provers import CATEGORY_TEXTS
+from adelcat.evalfunctor import oracle_suite, random_representation
+from adelcat.provers import CATEGORY_TEXTS, build_snake_figure, snake_oracle_items
 assert sorted(parse_session(text).category.name for text in CATEGORY_TEXTS.values()) == sorted(CATEGORY_TEXTS)
+fig = build_snake_figure()
+checks = oracle_suite(random_representation(fig.cat, 3), snake_oracle_items(fig))
+assert checks and all(check.ok for check in checks), [c for c in checks if not c.ok]
 sys.exit(run_command(["prove", "snake"]))
 """
 

@@ -409,3 +409,10 @@ class TestRelationChecks:
         with pytest.raises(RelationError, match="relation mixes paths"):
             QuiverCategory(q, (Relation("a", "b", ((1, Path("a", "b", (0,))),
                                                    (1, Path("b", "c", (1,))))),))
+        with pytest.raises(RelationError,
+                           match=r"^relation declared 'a'->'b' has paths 'a'->'c'$"):
+            QuiverCategory(q, (Relation("a", "b", ((1, Path("a", "c", (0, 1))),)),))
+        with pytest.raises(RelationError, match=r"^relation between unknown vertices 'z'->'z'$"):
+            QuiverCategory(q, (Relation("z", "z", ((1, Path("z", "z", ())),)),))
+        with pytest.raises(RelationError, match=r"^empty relation$"):
+            QuiverCategory(q, (Relation("a", "b", ()),))
