@@ -6,17 +6,18 @@ the usual row-times-matrix calculus in diagrammatic order.  The empty tuple
 is the zero object and matrices with zero rows or columns are legal
 morphisms.
 
-A matrix morphism is stored flat: one tuple of the canonical coefficients
-of its entries, block by block in row-major order, each block over the path
-basis of its Hom set (the ``HomBasis`` layout).  Block dimensions are the
-path counts the category keeps per vertex pair; each value carries its own
-and passes them on to the results built from it, and no cache is keyed by
-tuple objects.  All arithmetic works on slices of that tuple:
-composition goes through ``QuiverCategory.compose_coeffs`` block by block,
-sums and multiples reduce only the blocks whose canonical forms are not
-closed under integer combinations, and stacking is concatenation.
-``f[i, j]`` and ``entries`` are ``LinMorphism`` views for printing and
-serialisation.
+A matrix morphism stores its grid: the tuple of its rows, each the tuple
+of the canonical coefficient blocks of its entries, block (i, j) over the
+path basis of Hom(source[i], target[j]).  Block dimensions are the path
+counts the category keeps per vertex pair, and no cache is keyed by tuple
+objects.  All arithmetic works block by block: composition goes through
+``QuiverCategory.compose_coeffs``, sums and multiples reduce only the blocks
+whose canonical forms are not closed under integer combinations, and
+stacking concatenates rows or the blocks of each row.  ``f[i, j]`` and
+``entries`` are ``LinMorphism`` views for printing and serialisation.  The
+flat row-major layout of all coefficients, in which homotopy systems are
+posed, belongs to ``HomBasis`` alone: ``flatten`` chains the blocks and
+``unflatten`` cuts a vector back into them.
 
 The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
@@ -34,8 +35,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Optional, Sequence
+from itertools import accumulate, chain, islice
+from typing import Iterable, Optional, Sequence
 
 from .intlinalg import IntMatrix, in_lattice, solve_left
 from .quivercat import (
@@ -85,13 +86,13 @@ class MatMorphism:
     """Matrix of quiver-category morphisms between tuple objects; entry
     (i, j) runs from the i-th source summand to the j-th target summand.
 
-    ``coeffs`` concatenates the canonical coefficient tuples of the entries
-    in row-major order; entry (i, j) takes ``cat.dim(source[i], target[j])``
-    of them.  The constructor takes the grid of entries and checks every
-    endpoint.  The operations of this module build their results from
-    coefficients and carry the block dimensions along from their inputs,
-    checking only the number of coefficients; a value keeps its block
-    dimensions for as long as it lives, and nothing else stores them.
+    ``blocks`` is the grid of the entries' canonical coefficient tuples:
+    ``blocks[i][j]`` holds the ``cat.dim(source[i], target[j])``
+    coefficients of entry (i, j).  The constructor takes the grid of
+    entries and checks every entry's category, endpoints and coefficient
+    count; it is the one place that checks them.  The operations of this
+    module build their results block by block from checked values, so their
+    shapes hold by construction and they are built unchecked.
 
     Values are immutable: nothing assigns to their attributes after
     construction (a slotted class without an assignment guard, because
@@ -101,51 +102,44 @@ class MatMorphism:
     do not walk the coefficients again on every lookup.
     """
 
-    __slots__ = ("source", "target", "coeffs", "_dims", "_hash")
+    __slots__ = ("source", "target", "blocks", "_hash")
 
     def __new__(cls, source: TupleObject, target: TupleObject,
                 entries: Sequence[Sequence[LinMorphism]]):
-        xs, ys = source.summands, target.summands
+        cat, xs, ys = source.cat, source.summands, target.summands
+        if target.cat is not cat:
+            raise EndpointError("source and target lie in different categories")
         if len(entries) != len(xs):
             raise EndpointError("entry grid has the wrong number of rows")
         for i, (a, row) in enumerate(zip(xs, entries)):
             if len(row) != len(ys):
                 raise EndpointError("entry grid has the wrong number of columns")
-            for b, e in zip(ys, row):
+            for j, (b, e) in enumerate(zip(ys, row)):
+                if e.cat is not cat:
+                    raise EndpointError(f"entry ({i},{j}) belongs to another category")
                 if e.source != a or e.target != b:
-                    j = next(j for j, (y, x) in enumerate(zip(ys, row))
-                             if x.source != a or x.target != y)
                     raise EndpointError(f"entry ({i},{j}) has endpoints {e.source}->{e.target}")
-        return _from_grid(source, target, [[e.coeffs for e in row] for row in entries])
+                if len(e.coeffs) != cat.dim(a, b):
+                    raise EndpointError(f"entry ({i},{j}) has {len(e.coeffs)} coefficients "
+                                        f"for {cat.dim(a, b)} paths {a}->{b}")
+        return _mat(source, target, tuple(tuple(tuple(e.coeffs) for e in row) for row in entries))
 
     def __eq__(self, other):
         if not isinstance(other, MatMorphism):
             return NotImplemented
-        return (self.coeffs == other.coeffs and self.source == other.source
+        return (self.blocks == other.blocks and self.source == other.source
                 and self.target == other.target)
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = self._hash = hash((self.source, self.target, self.coeffs))
+            h = self._hash = hash((self.source, self.target, self.blocks))
             return h
 
     @property
     def cat(self) -> QuiverCategory:
         return self.source.cat
-
-    def blocks(self) -> list[list[tuple[int, ...]]]:
-        """``blocks()[i][j]`` is the coefficient tuple of entry (i, j)."""
-        coeffs = self.coeffs
-        flat = []
-        pos = 0
-        for d in self._dims:
-            end = pos + d
-            flat.append(coeffs[pos:end])
-            pos = end
-        n = len(self.target.summands)
-        return [flat[i * n : (i + 1) * n] for i in range(len(self.source.summands))]
 
     @property
     def entries(self) -> tuple[tuple[LinMorphism, ...], ...]:
@@ -153,110 +147,96 @@ class MatMorphism:
         cat, ys = self.cat, self.target.summands
         return tuple(
             tuple(LinMorphism(cat, a, b, block) for b, block in zip(ys, row))
-            for a, row in zip(self.source.summands, self.blocks()))
+            for a, row in zip(self.source.summands, self.blocks))
 
     def __getitem__(self, pos: tuple[int, int]) -> LinMorphism:
         i, j = pos
         return LinMorphism(self.cat, self.source.summands[i], self.target.summands[j],
-                           self.blocks()[i][j])
+                           self.blocks[i][j])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _require_parallel(self, other: "MatMorphism"):
-        if self.source != other.source or self.target != other.target:
-            raise EndpointError("cannot add morphisms with different endpoints")
+        return not any(map(any, chain.from_iterable(self.blocks)))
 
     # Integer combinations of canonical blocks are canonical except where
     # the block's group lacks ``unit_pivots``; only those are reduced.
 
+    def _combine(self, op, other: "MatMorphism") -> "MatMorphism":
+        if self.source != other.source or self.target != other.target:
+            raise EndpointError("cannot add morphisms with different endpoints")
+        return _canonical(self.source, self.target, [
+            [tuple(map(op, p, q)) for p, q in zip(r, s)]
+            for r, s in zip(self.blocks, other.blocks)], combination=True)
+
     def __add__(self, other: "MatMorphism") -> "MatMorphism":
-        self._require_parallel(other)
-        return _canonical(self.source, self.target, self._dims,
-                          list(map(operator.add, self.coeffs, other.coeffs)), combination=True)
+        return self._combine(operator.add, other)
 
     def __sub__(self, other: "MatMorphism") -> "MatMorphism":
-        self._require_parallel(other)
-        return _canonical(self.source, self.target, self._dims,
-                          list(map(operator.sub, self.coeffs, other.coeffs)), combination=True)
+        return self._combine(operator.sub, other)
 
     def __neg__(self) -> "MatMorphism":
-        return _canonical(self.source, self.target, self._dims,
-                          [-x for x in self.coeffs], combination=True)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "MatMorphism":
-        return _canonical(self.source, self.target, self._dims,
-                          [c * x for x in self.coeffs], combination=True)
+        return _canonical(self.source, self.target, [
+            [tuple([c * v for v in block]) for block in row] for row in self.blocks],
+            combination=True)
 
     def __repr__(self) -> str:
         return f"MatMorphism({self.source!r} -> {self.target!r}: {format_mat(self)})"
 
 
-def _mat(source: TupleObject, target: TupleObject, coeffs: tuple[int, ...],
-         dims: tuple[int, ...]) -> MatMorphism:
-    """The morphism with coefficients ``coeffs``, which must already be
-    canonical, in blocks of the dimensions ``dims``; only the length is
-    checked."""
-    if len(coeffs) != sum(dims):
-        raise EndpointError(f"{len(coeffs)} coefficients for a morphism {source!r} -> {target!r}")
+def _mat(source: TupleObject, target: TupleObject,
+         blocks: tuple[tuple[tuple[int, ...], ...], ...]) -> MatMorphism:
+    """The morphism with the grid ``blocks``, unchecked: one row per source
+    summand, one block per target summand, each block already canonical and
+    of its Hom set's dimension."""
     f = object.__new__(MatMorphism)
     f.source = source
     f.target = target
-    f.coeffs = coeffs
-    f._dims = dims
+    f.blocks = blocks
     return f
 
 
-def _from_grid(source: TupleObject, target: TupleObject,
-               grid: Sequence[Sequence[tuple[int, ...]]]) -> MatMorphism:
-    """The morphism whose entry (i, j) has the canonical coefficients
-    ``grid[i][j]``."""
-    blocks = [block for row in grid for block in row]
-    return _mat(source, target, tuple(chain.from_iterable(blocks)), tuple(map(len, blocks)))
-
-
-def _canonical(x: TupleObject, y: TupleObject, dims: tuple[int, ...], coeffs: list[int],
+def _canonical(x: TupleObject, y: TupleObject, grid: Iterable[Sequence[tuple[int, ...]]],
                combination: bool = False) -> MatMorphism:
-    """The morphism ``x -> y`` whose blocks, of dimensions ``dims``, are
-    those of ``coeffs`` brought to canonical form.  With ``combination``,
-    ``coeffs`` is an integer combination of canonical blocks, and only the
-    blocks whose group lacks ``unit_pivots`` are reduced."""
+    """The morphism ``x -> y`` whose blocks are those of the rows ``grid``
+    brought to canonical form.  With ``combination``, each block is an
+    integer combination of canonical blocks, and only the blocks whose group
+    lacks ``unit_pivots`` are reduced."""
     cat = x.cat
-    if cat.relations:
-        group_of = cat.hom_group_lin
-        pairs = [(a, b) for a in x.summands for b in y.summands]
-        pos = 0
-        for (a, b), n in zip(pairs, dims):
-            if n:
+    if not cat.relations:
+        return _mat(x, y, tuple(map(tuple, grid)))
+    group_of, ys = cat.hom_group_lin, y.summands
+    rows = []
+    for a, row in zip(x.summands, grid):
+        out = []
+        for b, block in zip(ys, row):
+            if any(block):
                 group = group_of(a, b)
-                if group.relations.rows and not (combination and group.unit_pivots):
-                    coeffs[pos : pos + n] = group.canonical_rep(coeffs[pos : pos + n])
-            pos += n
-    return _mat(x, y, tuple(coeffs), dims)
+                if group.relations.entries and not (combination and group.unit_pivots):
+                    block = group.canonical_rep(block)
+            out.append(block)
+        rows.append(tuple(out))
+    return _mat(x, y, tuple(rows))
 
 
 def single(lin: LinMorphism) -> MatMorphism:
     """1x1 matrix morphism wrapping a quiver-category morphism."""
-    src = TupleObject(lin.cat, (lin.source,))
-    tgt = TupleObject(lin.cat, (lin.target,))
-    return _mat(src, tgt, lin.coeffs, (lin.cat.dim(lin.source, lin.target),))
+    return MatMorphism(TupleObject(lin.cat, (lin.source,)), TupleObject(lin.cat, (lin.target,)),
+                       ((lin,),))
 
 
 def zero_mat(x: TupleObject, y: TupleObject) -> MatMorphism:
-    dims = x.cat.block_dims(x.summands, y.summands)
-    return _mat(x, y, (0,) * sum(dims), dims)
+    return _mat(x, y, tuple([tuple([(0,) * n for n in row])
+                             for row in x.cat.block_dims(x.summands, y.summands)]))
 
 
 def identity_mat(x: TupleObject) -> MatMorphism:
-    cat = x.cat
-    dims = cat.block_dims(x.summands, x.summands)
-    n = len(x.summands)
-    out: list[int] = []
-    for i, a in enumerate(x.summands):
-        for j in range(n):
-            # the identity path is the only path from a vertex to itself
-            out += cat.unit_coeffs(a, a)[0] if i == j else (0,) * dims[i * n + j]
-    return _mat(x, x, tuple(out), dims)
+    cat, xs = x.cat, x.summands
+    # the identity path is the only path from a vertex to itself
+    return _mat(x, x, tuple([
+        tuple([cat.unit_coeffs(a, a)[0] if i == j else (0,) * n for j, n in enumerate(row)])
+        for i, (a, row) in enumerate(zip(xs, cat.block_dims(xs, xs)))]))
 
 
 def compose_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
@@ -264,25 +244,25 @@ def compose_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
     if f.target is not g.source and f.target != g.source:
         raise EndpointError("inner tuple objects do not match")
     x, z = f.source, g.target
+    if f.is_zero() or g.is_zero():
+        return zero_mat(x, z)
     cat = x.cat
-    dims = cat.block_dims(x.summands, z.summands)
-    if not (any(f.coeffs) and any(g.coeffs)):
-        return _mat(x, z, (0,) * sum(dims), dims)
     ys = f.target.summands
-    p = len(z.summands)
     # the nonzero blocks of each column of g, with their row and its vertex
-    g_cols: list[list] = [[] for _ in range(p)]
-    for j, row in enumerate(g.blocks()):
+    g_cols: list[list] = [[] for _ in z.summands]
+    for j, row in enumerate(g.blocks):
         for k, block in enumerate(row):
             if any(block):
                 g_cols[k].append((j, ys[j], block))
     compose = cat.compose_coeffs
-    out: list[int] = []
-    for i, (a, f_row) in enumerate(zip(x.summands, f.blocks())):
-        for c, g_col, n in zip(z.summands, g_cols, dims[i * p : (i + 1) * p]):
+    out = []
+    for a, f_row, dims in zip(x.summands, f.blocks, cat.block_dims(x.summands, z.summands)):
+        out_row = []
+        for c, g_col, n in zip(z.summands, g_cols, dims):
             terms = [(b, f_row[j], ge) for j, b, ge in g_col if any(f_row[j])]
-            out += compose(a, c, terms) if terms else (0,) * n
-    return _mat(x, z, tuple(out), dims)
+            out_row.append(compose(a, c, terms) if terms else (0,) * n)
+        out.append(tuple(out_row))
+    return _mat(x, z, tuple(out))
 
 
 def direct_sum_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
@@ -300,8 +280,8 @@ def hstack_mat(*fs: MatMorphism) -> MatMorphism:
     if any(f.source != src for f in fs):
         raise EndpointError("hstack with different sources")
     tgt = TupleObject(src.cat, tuple(v for f in fs for v in f.target.summands))
-    return _from_grid(src, tgt, [list(chain.from_iterable(row))
-                                 for row in zip(*(f.blocks() for f in fs))])
+    return _mat(src, tgt, tuple(tuple(chain.from_iterable(row))
+                                for row in zip(*(f.blocks for f in fs))))
 
 
 def vstack_mat(*fs: MatMorphism) -> MatMorphism:
@@ -312,8 +292,7 @@ def vstack_mat(*fs: MatMorphism) -> MatMorphism:
     if any(f.target != tgt for f in fs):
         raise EndpointError("vstack with different targets")
     src = TupleObject(tgt.cat, tuple(v for f in fs for v in f.source.summands))
-    return _mat(src, tgt, tuple(chain.from_iterable(f.coeffs for f in fs)),
-                tuple(chain.from_iterable(f._dims for f in fs)))
+    return _mat(src, tgt, tuple(chain.from_iterable(f.blocks for f in fs)))
 
 
 def from_blocks(grid: Sequence[Sequence[MatMorphism]]) -> MatMorphism:
@@ -328,10 +307,9 @@ def dual_mat(f: MatMorphism) -> MatMorphism:
     cat = f.cat
     op = cat.opposite()
     xs, ys = f.source.summands, f.target.summands
-    blocks = f.blocks()
-    return _from_grid(TupleObject(op, ys), TupleObject(op, xs), [
-        [cat.dual_coeffs(a, b, blocks[i][j]) for i, a in enumerate(xs)]
-        for j, b in enumerate(ys)])
+    return _mat(TupleObject(op, ys), TupleObject(op, xs), tuple(
+        tuple(cat.dual_coeffs(a, b, row[j]) for a, row in zip(xs, f.blocks))
+        for j, b in enumerate(ys)))
 
 
 def format_mat(f: MatMorphism) -> str:
@@ -343,12 +321,13 @@ def format_mat(f: MatMorphism) -> str:
 
 
 class HomBasis:
-    """Path coordinates of Hom(X, Y) for tuple objects, in the layout of
-    ``MatMorphism.coeffs``.
+    """Path coordinates of Hom(X, Y) for tuple objects: the flat row-major
+    layout in which homotopy systems are posed.  No other code flattens or
+    splits a matrix morphism's coefficients.
 
     Entry (i, j) owns the ``block_dim[(i, j)]`` coordinates from
-    ``offset[(i, j)]`` on, row-major.  ``flatten`` is a morphism's
-    coefficient tuple, ``unflatten`` brings every block of a vector to
+    ``offset[(i, j)]`` on, row-major.  ``flatten`` chains a morphism's
+    blocks, ``unflatten`` cuts a vector into blocks and brings each to
     canonical form, and ``rel_rows`` lifts the relation lattice of every
     entry into the big coordinate space, as sparse ``{col: value}`` rows.
     """
@@ -357,19 +336,25 @@ class HomBasis:
         self.cat = x.cat
         self.source = x
         self.target = y
-        self._dims = x.cat.block_dims(x.summands, y.summands)
+        dims = x.cat.block_dims(x.summands, y.summands)
         pairs = [(i, j) for i in range(len(x)) for j in range(len(y))]
-        self.block_dim = dict(zip(pairs, self._dims))
-        self.offset = dict(zip(pairs, accumulate(self._dims, initial=0)))
-        self.dim = sum(self._dims)
+        self.block_dim = dict(zip(pairs, chain.from_iterable(dims)))
+        bounds = list(accumulate(self.block_dim.values(), initial=0))
+        self.offset = dict(zip(pairs, bounds))
+        self.dim = bounds[-1]
+        cuts = iter(map(slice, bounds, bounds[1:]))
+        self._cuts = [list(islice(cuts, len(row))) for row in dims]
 
     def flatten(self, f: MatMorphism) -> tuple[int, ...]:
-        if f.source != self.source or f.target != self.target:
+        if (f.source is not self.source and f.source != self.source
+                or f.target is not self.target and f.target != self.target):
             raise EndpointError("morphism does not live in this Hom space")
-        return f.coeffs
+        return tuple(chain.from_iterable(chain.from_iterable(f.blocks)))
 
     def unflatten(self, vec: Sequence[int]) -> MatMorphism:
-        return _canonical(self.source, self.target, self._dims, list(vec))
+        vec = tuple(vec)
+        return _canonical(self.source, self.target,
+                          [[vec[cut] for cut in row] for row in self._cuts])
 
     def units(self):
         for (i, j), n in self.block_dim.items():
@@ -399,7 +384,7 @@ def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[
     ``sigma -> f * sigma`` in the flattened coordinates; one row per
     unknown unit."""
     cat = f.cat
-    blocks = f.blocks()
+    blocks = f.blocks
     rows = []
     for (l, j, k) in unknown.units():
         b = unknown.source.summands[l]
@@ -418,7 +403,7 @@ def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list
     """Sparse coefficient rows of ``sigma -> sigma * g`` in flattened
     coordinates."""
     cat = g.cat
-    blocks = g.blocks()
+    blocks = g.blocks
     rows = []
     for (i, l, k) in unknown.units():
         a = unknown.source.summands[i]

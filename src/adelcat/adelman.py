@@ -37,7 +37,7 @@ from typing import Optional
 from .addclosure import (
     MatMorphism,
     TupleObject,
-    _from_grid,
+    _mat,
     compose_mat,
     decide_homotopy,
     direct_sum_mat,
@@ -620,7 +620,7 @@ def epi_as_cokernel(eps: AdelMorphism) -> EpiAsCokernel:
 
 def _take_cols(f: MatMorphism, start: int, count: int) -> MatMorphism:
     tgt = TupleObject(f.cat, f.target.summands[start : start + count])
-    return _from_grid(f.source, tgt, [row[start : start + count] for row in f.blocks()])
+    return _mat(f.source, tgt, tuple(row[start : start + count] for row in f.blocks))
 
 
 def colift_along_epi(eps: AdelMorphism, tau: AdelMorphism) -> AdelMorphism:

@@ -364,7 +364,7 @@ def build_category(spec: CategorySpec) -> QuiverCategory:
     """A new category with the quiver and relations of ``spec``."""
     quiver = Quiver(spec.objects, tuple(Arrow(l, s, t) for l, s, t in spec.arrows))
     relations = tuple(
-        make_relation(None, [(coef, _path(quiver, factors)) for coef, factors in terms])
+        make_relation([(coef, _path(quiver, factors)) for coef, factors in terms])
         for terms in spec.relations)
     return QuiverCategory(quiver, relations, name=spec.name)
 

@@ -32,6 +32,7 @@ from .intlinalg import (
     FpAbGroup,
     IntMatrix,
     SmithInvariants,
+    _matrix,
     lattice_basis,
     left_kernel,
     solve_left,
@@ -99,7 +100,7 @@ class InducedMap:
 
 
 def _first_cols(m: IntMatrix, k: int) -> IntMatrix:
-    return IntMatrix.from_rows([r[:k] for r in m.entries], cols=k)
+    return _matrix(tuple(r[:k] for r in m.entries), k)
 
 
 def _preimage_relations(basis: IntMatrix, lattice_rows: IntMatrix) -> IntMatrix:
@@ -158,7 +159,7 @@ class Evaluation:
         ncols = self.rep.rank_of(f.target)
         rows = [[0] * ncols for _ in range(nrows)]
         roff = 0
-        for a, blocks in zip(f.source.summands, f.blocks()):
+        for a, blocks in zip(f.source.summands, f.blocks):
             coff = 0
             for b, coeffs in zip(f.target.summands, blocks):
                 if any(coeffs):
@@ -167,7 +168,7 @@ class Evaluation:
                         row[coff : coff + block.cols] = brow
                 coff += ranks[b]
             roff += ranks[a]
-        return IntMatrix.from_rows(rows, cols=ncols)
+        return _matrix(tuple(map(tuple, rows)), ncols)
 
     def object(self, x: AdelObject) -> GroupWithMap:
         g = self._objects.get(x)

@@ -157,7 +157,7 @@ def _morphisms(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis], squares
     eq1, eq2 = [], []
     for triple in parts:
         residual: dict[int, int] = {}
-        for c, row in zip(chain.from_iterable(p.coeffs for p in triple), rows):
+        for c, row in zip(chain.from_iterable(map(HomBasis.flatten, spaces, triple)), rows):
             if c:
                 for j, v in row.items():
                     residual[j] = residual.get(j, 0) + c * v

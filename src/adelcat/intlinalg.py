@@ -176,7 +176,13 @@ def _matrix(entries: tuple[tuple[int, ...], ...], cols: int) -> IntMatrix:
     * ``hnf_rows`` returns rows of the input's width and transform rows of
       its row count, which ``hnf``, ``lattice_basis`` and ``left_kernel``
       slice by rows only;
-    * ``solve_left`` makes one row of ``a.rows`` entries per row of ``b``.
+    * ``solve_left`` makes one row of ``a.rows`` entries per row of ``b``;
+    * ``evalfunctor._first_cols`` keeps the first ``k`` columns of a left
+      kernel of a stack of at least ``k`` rows, so of at least ``k``
+      columns;
+    * ``evalfunctor.Evaluation.mat`` allocates its rows at the summed ranks
+      of the target's summands and writes each evaluated block, of the ranks
+      of its two vertices, over a slice of that width.
     """
     m = object.__new__(IntMatrix)
     m.entries = entries

@@ -169,7 +169,7 @@ def to_json(value) -> dict:
     """The JSON form of a matrix morphism, object, morphism or witness pair."""
     if isinstance(value, MatMorphism):
         return {"source": list(value.source.summands), "target": list(value.target.summands),
-                "entries": [[list(block) for block in row] for row in value.blocks()]}
+                "entries": [[list(block) for block in row] for row in value.blocks]}
     return {name: to_json(getattr(value, name)) for name in _FIELDS[type(value)]}
 
 

@@ -205,16 +205,13 @@ class Relation:
     terms: tuple[tuple[int, Path], ...]
 
 
-def make_relation(quiver: Optional[Quiver], terms: Sequence[tuple[int, Path]]) -> Relation:
-    """The relation with the endpoints of its first path, checked against
-    ``quiver`` unless that is None: a category checks its relations once."""
+def make_relation(terms: Sequence[tuple[int, Path]]) -> Relation:
+    """The relation with the endpoints of its first path; the category that
+    takes it checks it against its quiver."""
     if not terms:
         raise RelationError("empty relation")
     first = terms[0][1]
-    rel = Relation(first.source, first.target, tuple((int(c), p) for c, p in terms))
-    if quiver is not None:
-        _check_relation(quiver, rel)
-    return rel
+    return Relation(first.source, first.target, tuple((int(c), p) for c, p in terms))
 
 
 def _check_relation(quiver: Quiver, rel: Relation):
@@ -339,14 +336,15 @@ class QuiverCategory:
             n = self._dims[(a, b)] = len(self.paths(a, b))
             return n
 
-    def block_dims(self, sources: Sequence[str], targets: Sequence[str]) -> tuple[int, ...]:
-        """``dim(a, b)`` for every ``a`` in ``sources`` and ``b`` in
-        ``targets``, row-major."""
+    def block_dims(self, sources: Sequence[str],
+                   targets: Sequence[str]) -> tuple[tuple[int, ...], ...]:
+        """The grid of ``dim(a, b)``: one row per ``a`` in ``sources``, one
+        entry per ``b`` in ``targets``."""
         known = self._dims
         try:
-            return tuple([known[a, b] for a in sources for b in targets])
+            return tuple([tuple([known[a, b] for b in targets]) for a in sources])
         except KeyError:
-            return tuple([self.dim(a, b) for a in sources for b in targets])
+            return tuple([tuple([self.dim(a, b) for b in targets]) for a in sources])
 
     def path_index(self, a: str, b: str, arrows: tuple[int, ...]) -> int:
         return self._path_data(a, b)[1][arrows]

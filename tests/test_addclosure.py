@@ -24,7 +24,7 @@ from adelcat.addclosure import (
     zero_obj,
 )
 from adelcat.intlinalg import IntMatrix, solve_left
-from adelcat.quivercat import EndpointError
+from adelcat.quivercat import Arrow, EndpointError, LinMorphism, Quiver, QuiverCategory
 
 
 def rand_mat(cat, src, tgt, rng):
@@ -164,6 +164,20 @@ class TestBlocks:
             MatMorphism(ab, ab, ((snake_cat.identity_lin("a"), alpha),
                                  (snake_cat.zero_lin("b", "a"), alpha)))
 
+    def test_constructor_checks_category_and_coefficient_count(self):
+        def category(*arrows):
+            q = Quiver(("a", "b"), tuple(Arrow(label, "a", "b") for label in arrows))
+            return QuiverCategory(q)
+        c1, c2 = category("f"), category("f", "g")
+        a, b = tuple_obj(c1, "a"), tuple_obj(c1, "b")
+        with pytest.raises(EndpointError, match=r"entry \(0,0\) belongs to another category"):
+            MatMorphism(a, b, [[c2.arrow_lin("g")]])
+        with pytest.raises(EndpointError, match=r"entry \(0,0\) has 2 coefficients for 1 paths"):
+            MatMorphism(a, b, [[LinMorphism(c1, "a", "b", (1, 0))]])
+        with pytest.raises(EndpointError, match="different categories"):
+            MatMorphism(a, tuple_obj(c2, "b"), [[c1.arrow_lin("f")]])
+        assert MatMorphism(a, b, [[c1.arrow_lin("f")]]).blocks == (((1,),),)
+
 
 class TestDecideHomotopy:
     def test_zero_datum_gives_zero_witnesses(self, snake_cat):
@@ -264,7 +278,7 @@ class TestDecideHomotopy:
         assert len(rows) * out.dim > addclosure.SPARSE_PRECHECK_CELLS
         # the dense formula: X * system == alpha, split into the two unknowns
         x = solve_left(IntMatrix.from_sparse(rows, out.dim),
-                       IntMatrix.row_vector(alpha.coeffs)).entries[0]
+                       IntMatrix.row_vector(out.flatten(alpha))).entries[0]
         expected = (h1.unflatten(x[: h1.dim]), h2.unflatten(x[h1.dim : h1.dim + h2.dim]))
         assert decide_homotopy(alpha, beta, gamma) == expected
 
@@ -319,7 +333,7 @@ class TestStoredHash:
         cells = [[MatMorphism(TupleObject(cat, (a,)), TupleObject(cat, (b,)), [[e]])
                   for b, e in zip(y.summands, row)] for a, row in zip(x.summands, grid)]
         hb = HomBasis(x, y)
-        shifted = list(f.coeffs)
+        shifted = list(hb.flatten(f))
         for col, v in hb.rel_rows()[0].items():
             shifted[col] += 3 * v
         return {
@@ -337,7 +351,7 @@ class TestStoredHash:
         f = rand_mat(snake_cat, x, y, random.Random(5))
         assert HomBasis(x, y).rel_rows(), "unflatten must reduce a relation"
         first, second = self.routes(snake_cat, f), self.routes(snake_cat, f)
-        value_hash = hash((x, y, f.coeffs))
+        value_hash = hash((x, y, f.blocks))
         keys = {}
         for route, g in first.items():
             assert g == f and g is not f, route

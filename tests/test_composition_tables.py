@@ -85,12 +85,15 @@ def grid(f):
 
 
 def check_flat(f, entries):
-    """``f`` has exactly the given entries, through every view, and its
-    coefficient tuple is their canonical coefficients in row-major order."""
+    """``f`` has exactly the given entries, through every view, its grid of
+    blocks holds their canonical coefficients, and ``HomBasis.flatten``
+    chains those in row-major order."""
     entries = tuple(tuple(row) for row in entries)
     assert f.entries == entries
     assert grid(f) == entries
-    assert f.coeffs == tuple(c for row in entries for e in row for c in e.coeffs)
+    assert f.blocks == tuple(tuple(e.coeffs for e in row) for row in entries)
+    assert HomBasis(f.source, f.target).flatten(f) == tuple(
+        c for row in entries for e in row for c in e.coeffs)
     for row in entries:
         for e in row:
             assert e.coeffs == f.cat.hom_group_lin(e.source, e.target).canonical_rep(e.coeffs)
@@ -247,7 +250,7 @@ def test_unflatten_canonicalises_once_and_flatten_inverts(name, rng):
     check_flat(m, [[cat.lin(a, b, vec[hb.offset[(i, j)]:hb.offset[(i, j)] + hb.block_dim[(i, j)]])
                     for j, b in enumerate(y.summands)]
                    for i, a in enumerate(x.summands)])
-    assert hb.flatten(m) == m.coeffs
+    assert hb.flatten(m) == tuple(c for row in m.blocks for block in row for c in block)
     assert hb.unflatten(hb.flatten(m)) == m
     f = rand_mat(cat, x, y, rng)
     assert hb.unflatten(hb.flatten(f)) == f
@@ -273,5 +276,6 @@ def test_unit_pivots_mark_the_groups_sums_can_leave_canonical():
     # canonical u is (1, 0); u + u = (2, 0) reduces to -v, i.e. (0, -1)
     a, b = TupleObject(skew, ("a",)), TupleObject(skew, ("b",))
     u = MatMorphism(a, b, ((skew.arrow_lin("u"),),))
-    assert u.coeffs == (1, 0)
-    assert (u + u).coeffs == (0, -1) == (-skew.arrow_lin("v")).coeffs
+    assert u.blocks == (((1, 0),),)
+    assert (u + u).blocks == (((0, -1),),)
+    assert (u + u)[0, 0] == -skew.arrow_lin("v")

@@ -1,11 +1,12 @@
 import copy
 import functools
 import json
+import sys
 from collections import Counter
 
 import pytest
 
-from adelcat import adelman, homgroups, provers
+from adelcat import addclosure, adelman, homgroups, provers
 from adelcat.adelman import (
     CLAIMS,
     AdelMorphism,
@@ -618,29 +619,33 @@ class TestConstructionMemoScopes:
             assert adelman._MEMO.get() is outer and outer == entries
 
 
+_TRUSTED_RUNS = {
+    "snake": prove_snake,
+    "snake-k2": lambda: prove_snake(connecting_scale=2),
+    "uniqueness": prove_connecting_uniqueness,
+    "five": prove_refined_five,
+    "sweep": lambda: sweep_report(range(-3, 4)),
+    "d4": explore_d4,
+}
+
+
+def _trusted_results(pairs):
+    """Every prover report, and the Hom groups of the ladder ``pairs`` with
+    one element of each."""
+    reports = {name: run().to_dict() for name, run in _TRUSTED_RUNS.items()}
+    groups = [hom_group(x, y) for x, y in pairs]
+    return reports, [(hg, hg.element(range(1, hg.group.ngens + 1))) for hg in groups]
+
+
 class TestTrustedDerivations:
     """``adelman._morphism`` builds derived morphisms without checking their
     witness squares; with the validating constructor in its place, every
     prover report and every Hom group comes out the same, and no derived
     morphism is rejected."""
 
-    RUNS = {
-        "snake": prove_snake,
-        "snake-k2": lambda: prove_snake(connecting_scale=2),
-        "uniqueness": prove_connecting_uniqueness,
-        "five": prove_refined_five,
-        "sweep": lambda: sweep_report(range(-3, 4)),
-        "d4": explore_d4,
-    }
-
-    def _results(self, pairs):
-        reports = {name: run().to_dict() for name, run in self.RUNS.items()}
-        groups = [hom_group(x, y) for x, y in pairs]
-        return reports, [(hg, hg.element(range(1, hg.group.ngens + 1))) for hg in groups]
-
     def test_validated_rebuild_is_identical(self, monkeypatch):
         pairs = _ladder_pairs(47, 10)
-        trusted = self._results(pairs)
+        trusted = _trusted_results(pairs)
         validated, rejected = [], []
 
         def validating(*parts):
@@ -652,5 +657,42 @@ class TestTrustedDerivations:
             return validated[-1]
         monkeypatch.setattr(adelman, "_morphism", validating)
         monkeypatch.setattr(homgroups, "_morphism", validating)
-        assert self._results(pairs) == trusted
+        assert _trusted_results(pairs) == trusted
         assert validated and not rejected
+
+
+class TestTrustedBlocks:
+    """``addclosure._mat`` builds derived matrix morphisms without checking
+    their blocks; with a checking ``_mat`` in its place, and in place of
+    every copy imported elsewhere, every block has its Hom set's dimension
+    and is canonical, and every prover report and Hom group comes out the
+    same."""
+
+    def test_checked_rebuild_is_identical(self, monkeypatch):
+        pairs = _ladder_pairs(47, 10)
+        trusted = _trusted_results(pairs)
+        unchecked = addclosure._mat
+        built, bad = [], []
+
+        def checking(source, target, blocks):
+            cat, xs, ys = source.cat, source.summands, target.summands
+            shape = type(blocks) is tuple and len(blocks) == len(xs) and all(
+                type(row) is tuple and len(row) == len(ys) for row in blocks)
+            if not shape:
+                bad.append((source, target, blocks))
+            for a, row in zip(xs, blocks):
+                for b, block in zip(ys, row):
+                    if (type(block) is not tuple or len(block) != cat.dim(a, b)
+                            or block != cat.hom_group_lin(a, b).canonical_rep(block)):
+                        bad.append((a, b, block))
+            if bad:
+                raise AssertionError(f"malformed block: {bad[-1]!r}")
+            built.append(target)
+            return unchecked(source, target, blocks)
+        copies = [name for name, module in list(sys.modules.items())
+                  if name.startswith("adelcat") and getattr(module, "_mat", None) is unchecked]
+        assert {"adelcat.addclosure", "adelcat.adelman"} <= set(copies)
+        for name in copies:
+            monkeypatch.setattr(sys.modules[name], "_mat", checking)
+        assert _trusted_results(pairs) == trusted
+        assert built and not bad

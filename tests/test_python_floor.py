@@ -1,8 +1,9 @@
-"""The package on the oldest Python that ``requires-python`` admits: every
-module imports there, the built-in ``.cat`` texts parse, the group-side
-oracle checks the snake over a random representation, and
-``adelcat prove snake`` runs.  Skipped when no interpreter of that version
-is installed, either on ``PATH`` or under pyenv."""
+"""The package at both ends of the supported range: on the oldest Python
+that ``requires-python`` admits and on the newest CPython installed, every
+module imports, the built-in ``.cat`` texts parse, the group-side oracle
+checks the snake over a random representation, and ``adelcat prove snake``
+runs.  Each run is skipped when no interpreter of its version is installed,
+either on ``PATH`` or under pyenv."""
 
 import os
 import re
@@ -45,16 +46,28 @@ def _runs(python: str, version: str) -> bool:
     return done.returncode == 0 and done.stdout.startswith(f"Python {version}.")
 
 
+def _pyenv() -> Path:
+    return Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+
+
 def _interpreter(version: str):
     """A working ``python<version>`` on ``PATH``, else one under pyenv."""
     candidates = [shutil.which(f"python{version}")]
-    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
-    candidates += sorted(str(p) for p in pyenv.glob(f"versions/{version}.*/bin/python"))
+    candidates += sorted(str(p) for p in _pyenv().glob(f"versions/{version}.*/bin/python"))
     return next((c for c in candidates if c and _runs(c, version)), None)
 
 
-def test_runs_on_the_oldest_supported_python():
-    version = _floor()
+def _newest() -> str:
+    """The newest CPython minor version named by a ``python3.N`` on ``PATH``
+    or a ``3.N.*`` version under pyenv, such as "3.13"; the floor when there
+    is none."""
+    names = [p.name[len("python"):] for d in os.get_exec_path() for p in Path(d).glob("python3.*")]
+    names += [p.name for p in _pyenv().glob("versions/3.*")]
+    minors = [int(m.group(1)) for m in map(re.compile(r"3\.(\d+)").match, names) if m]
+    return f"3.{max(minors)}" if minors else _floor()
+
+
+def _run_at(version: str):
     python = _interpreter(version)
     if python is None:
         pytest.skip(f"no Python {version} interpreter found")
@@ -63,3 +76,11 @@ def test_runs_on_the_oldest_supported_python():
                           timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("verdict: pass\n"), done.stdout
+
+
+def test_runs_on_the_oldest_supported_python():
+    _run_at(_floor())
+
+
+def test_runs_on_the_newest_installed_python():
+    _run_at(_newest())

@@ -243,8 +243,9 @@ class TestRelationClosure:
 
     def test_non_parallel_relation_rejected(self):
         q = Quiver(("a", "b", "c"), (Arrow("x", "a", "b"), Arrow("y", "b", "c")))
+        terms = [(1, Path("a", "b", (0,))), (-1, Path("b", "c", (1,)))]
         with pytest.raises(RelationError):
-            make_relation(q, [(1, Path("a", "b", (0,))), (-1, Path("b", "c", (1,)))])
+            QuiverCategory(q, (make_relation(terms),))
 
     def test_two_sided_closure_reaches_all_hom_pairs(self, five_cat):
         # beta*zeta = epsilon*iota propagated to Hom(a, g) through alpha
