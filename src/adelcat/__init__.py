@@ -3,6 +3,7 @@ acyclic quivers with relations.
 
 The layers, bottom up: ``intlinalg`` (integer matrices, Hermite/Smith forms,
 f.p. abelian groups), ``quivercat`` (the Z-linear path category),
+``representation`` (quiver representations and their matrix evaluation),
 ``addclosure`` (tuple objects, matrix morphisms, the homotopy-equation
 solver), ``adelman`` (the free abelian category: certified equality,
 kernels, cokernels, homology), ``homgroups`` (Hom-group presentations),

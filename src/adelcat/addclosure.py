@@ -23,8 +23,10 @@ The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
 the path bases of all Hom entries, one auxiliary unknown per relation-lattice
 generator of each target Hom set, and decided by an exact integer solve.
-The system is assembled as sparse rows.  Above ``SPARSE_PRECHECK_CELLS``
-cells it first goes through the sparse membership test
+A system above ``SPARSE_PRECHECK_CELLS`` cells is first evaluated on the
+category's two seeded probe representations, before it is assembled: a
+probe that shows it unsolvable returns None.  The assembled sparse rows of
+a system above that size then go through the sparse membership test
 ``intlinalg.in_lattice``, which rejects an unsolvable system without the
 dense solve; a solvable one is densified and solved by ``solve_left``, so
 the witnesses are the same whichever path ran.  Every positive answer is
@@ -37,14 +39,16 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from typing import Iterable, Optional, Sequence
+from weakref import WeakKeyDictionary
 
-from .intlinalg import IntMatrix, in_lattice, solve_left
+from .intlinalg import IntMatrix, in_lattice, left_kernel, solve_left
 from .quivercat import (
     EndpointError,
     LinMorphism,
     QuiverCategory,
     format_lin,
 )
+from .representation import MatrixEvaluation, check_representation, random_representation
 
 
 @dataclass(frozen=True)
@@ -418,26 +422,64 @@ def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list
     return rows
 
 
-def homotopy_rows(beta: MatMorphism, gamma: MatMorphism, out: HomBasis
-                  ) -> tuple[HomBasis, HomBasis, list[dict[int, int]]]:
-    """The spaces of ``sigma1: a -> d`` and ``sigma2: c -> b`` and the sparse
-    rows spanning the null-homotopies ``sigma1 * beta + gamma * sigma2`` in
-    ``out`` = Hom(a, b), followed by the relation rows of ``out``."""
-    h1 = HomBasis(out.source, beta.source)
-    h2 = HomBasis(gamma.target, out.target)
-    rows = right_compose_rows(h1, beta, out)
-    rows += left_compose_rows(gamma, h2, out)
-    rows += out.rel_rows()
-    return h1, h2, rows
+def homotopy_rows(h1: HomBasis, beta: MatMorphism, gamma: MatMorphism, h2: HomBasis,
+                  out: HomBasis) -> list[dict[int, int]]:
+    """The sparse rows spanning the null-homotopies ``sigma1 * beta + gamma *
+    sigma2`` in ``out`` = Hom(a, b), for ``sigma1`` in ``h1`` = Hom(a, d) and
+    ``sigma2`` in ``h2`` = Hom(c, b), followed by the relation rows of
+    ``out``."""
+    return right_compose_rows(h1, beta, out) + left_compose_rows(gamma, h2, out) + out.rel_rows()
 
 
-# Systems of more cells (rows times columns) than this get the sparse
-# membership test before the dense solve.  On solvable systems the test costs
-# about half a dense solve below 512 cells and under 0.3 of one from 1,024
-# cells on, while on unsolvable ones it replaces a dense solve that costs 9
-# to 80 times more; the small systems, where the test does not pay, are
-# mostly solvable.
+# Systems of more cells (rows times columns) than this are first tried on the
+# probe representations (before any row is built, so counting the unknowns'
+# rows only), then get the sparse membership test, and only then the dense
+# solve.  On solvable systems the membership test costs about half a dense
+# solve below 512 cells and under 0.3 of one from 1,024 cells on, while on
+# unsolvable ones it replaces a dense solve that costs 9 to 80 times more;
+# the small systems, where neither test pays, are mostly solvable.
 SPARSE_PRECHECK_CELLS = 1000
+
+# The seeds of the probe representations, and the probes of each category.
+_PROBE_SEEDS = (0, 1)
+_probes: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def probes(cat: QuiverCategory) -> tuple[MatrixEvaluation, ...]:
+    """The evaluations of ``cat``'s probe representations, built on first use
+    from ``_PROBE_SEEDS``.  A build that raises or fails ``check_representation``
+    is left out: a missing probe costs only the work it would have saved."""
+    found = _probes.get(cat)
+    if found is None:
+        found = []
+        for seed in _PROBE_SEEDS:
+            try:
+                ev = MatrixEvaluation(random_representation(cat, seed, max_rank=3))
+                if check_representation(ev):
+                    found.append(ev)
+            except (RuntimeError, ValueError):  # a failed repair; the package's errors
+                continue
+        found = _probes[cat] = tuple(found)
+    return found
+
+
+def _sparse(rows: Iterable[Sequence[int]]) -> list[dict[int, int]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def _probe_refutes(alpha: MatMorphism, beta: MatMorphism, gamma: MatMorphism) -> bool:
+    """Whether a probe shows ``alpha = sigma1 * beta + gamma * sigma2``
+    unsolvable.  A probe F is an additive functor that kills the relations,
+    so a solution gives ``F(alpha) = F(sigma1) F(beta) + F(gamma) F(sigma2)``
+    and puts ``x F(alpha)`` in the row lattice of ``F(beta)`` for every row
+    ``x`` with ``x F(gamma) = 0``; one basis row of that left kernel for
+    which it fails refutes the system."""
+    for ev in probes(alpha.cat):
+        kernel = left_kernel(ev.mat(gamma))
+        if kernel.rows and not in_lattice(_sparse(ev.mat(beta).entries),
+                                          _sparse((kernel * ev.mat(alpha)).entries)):
+            return True
+    return False
 
 
 def decide_homotopy(
@@ -454,10 +496,13 @@ def decide_homotopy(
     if gamma.source != alpha.source:
         raise EndpointError("gamma must share its source with alpha")
     out = HomBasis(alpha.source, alpha.target)
-    h1, h2, rows = homotopy_rows(beta, gamma, out)
+    h1, h2 = HomBasis(out.source, beta.source), HomBasis(gamma.target, out.target)
+    if (h1.dim + h2.dim) * out.dim > SPARSE_PRECHECK_CELLS and _probe_refutes(alpha, beta, gamma):
+        return None
+    rows = homotopy_rows(h1, beta, gamma, h2, out)
     rhs = out.flatten(alpha)
     if (len(rows) * out.dim > SPARSE_PRECHECK_CELLS
-            and not in_lattice(rows, [{j: v for j, v in enumerate(rhs) if v}])):
+            and not in_lattice(rows, _sparse([rhs]))):
         return None
     sol = solve_left(IntMatrix.from_sparse(rows, out.dim), IntMatrix.row_vector(rhs))
     if sol is None:

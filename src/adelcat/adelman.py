@@ -85,6 +85,13 @@ class AdelObject:
         if self.rel.target != self.corel.source:
             raise EndpointError("relation target and corelation source differ")
 
+    def __hash__(self) -> int:  # the fields' hash, computed once, as MatMorphism's
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.rel, self.corel))
+
     @property
     def middle(self) -> TupleObject:
         return self.rel.target
@@ -144,6 +151,13 @@ class AdelMorphism:
             raise WitnessError("relation witness square does not commute")
         if compose_mat(self.source.corel, self.corel_witness) != compose_mat(self.datum, self.target.corel):
             raise WitnessError("corelation witness square does not commute")
+
+    def __hash__(self) -> int:  # the fields' hash, computed once, as MatMorphism's
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.source, self.target, self.datum, self.rel_witness, self.corel_witness))
 
     def __add__(self, other: "AdelMorphism") -> "AdelMorphism":
         if self.source != other.source or self.target != other.target:

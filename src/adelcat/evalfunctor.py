@@ -1,18 +1,18 @@
 """Evaluation of the induced exact functor into f.p. abelian groups.
 
-A representation assigns a free abelian group to every vertex and an integer
-matrix to every arrow (row vectors act on the right), such that all quiver
-relations evaluate to zero.  Objects of the free abelian category then
-evaluate to the homology of the evaluated composable pair, presented on a
-lattice basis of the corelation kernel; morphisms evaluate to integer
-matrices on those generators.
+A representation (``representation``) evaluates matrix morphisms to integer
+matrices.  Objects of the free abelian category then evaluate to the
+homology of the evaluated composable pair, presented on a lattice basis of
+the corelation kernel; morphisms evaluate to integer matrices on those
+generators.
 
-Everything on the group side (kernels, cokernels, homology, the classical
-connecting-map chase) is computed directly from presentations, independently
-of the categorical constructions, so this module doubles as the oracle the
-test suite compares those constructions against.  Oracle items are kernel,
-cokernel, homology and exactness claims; a mono or epi claim is a kernel or
-cokernel item whose object is the zero object.
+That quiver-level evaluation is shared with ``addclosure``, which refutes
+large homotopy systems on seeded representations.  The group side (kernels,
+cokernels, homology, the classical connecting-map chase) is computed from
+presentations, independently of the categorical constructions: it is the
+oracle the test suite compares those constructions against.  Oracle items
+are kernel, cokernel, homology and exactness claims; a mono or epi claim is
+a kernel or cokernel item whose object is the zero object.
 
 ``oracle_suite`` evaluates each object, morphism and path once: its items
 share one ``Evaluation``, which memoises by value and is dropped when the
@@ -22,11 +22,10 @@ given a representation, the public functions compute fresh values.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .addclosure import MatMorphism, TupleObject
+from .addclosure import MatMorphism
 from .adelman import AdelMorphism, AdelObject
 from .intlinalg import (
     FpAbGroup,
@@ -38,43 +37,9 @@ from .intlinalg import (
     solve_left,
     vstack,
 )
-from .quivercat import Path, QuiverCategory
-
-
-class RepresentationError(ValueError):
-    """Malformed or relation-violating representation data."""
-
-
-@dataclass(frozen=True, eq=False)
-class Representation:
-    """Free-module representation of the quiver: ranks on vertices, integer
-    matrices on arrows."""
-
-    cat: QuiverCategory
-    ranks: dict
-    matrices: dict
-
-    def __post_init__(self):
-        q = self.cat.quiver
-        for v in q.vertices:
-            if v not in self.ranks or self.ranks[v] < 0:
-                raise RepresentationError(f"missing or negative rank for vertex {v!r}")
-        for a in q.arrows:
-            m = self.matrices.get(a.label)
-            if m is None:
-                object.__setattr__(
-                    self, "matrices",
-                    {**self.matrices, a.label: IntMatrix.zeros(self.ranks[a.source], self.ranks[a.target])},
-                )
-                continue
-            if m.shape != (self.ranks[a.source], self.ranks[a.target]):
-                raise RepresentationError(
-                    f"matrix for arrow {a.label!r} has shape {m.shape}, "
-                    f"expected {(self.ranks[a.source], self.ranks[a.target])}"
-                )
-
-    def rank_of(self, obj: TupleObject) -> int:
-        return sum(self.ranks[v] for v in obj.summands)
+from .representation import (  # noqa: F401  (the rest re-exported)
+    MatrixEvaluation, Representation, RepresentationError, check_representation,
+    random_representation, zero_representation)
 
 
 @dataclass(frozen=True)
@@ -110,7 +75,7 @@ def _preimage_relations(basis: IntMatrix, lattice_rows: IntMatrix) -> IntMatrix:
     return lattice_basis(_first_cols(kern, basis.rows))
 
 
-class Evaluation:
+class Evaluation(MatrixEvaluation):
     """The exact functor of one representation, memoised by value.
 
     The functor is a pure function of the representation and the value, so
@@ -122,53 +87,9 @@ class Evaluation:
     """
 
     def __init__(self, rep: Representation):
-        self.rep = rep
+        super().__init__(rep)
         self._objects: dict[AdelObject, GroupWithMap] = {}
         self._morphisms: dict[AdelMorphism, InducedMap] = {}
-        self._paths: dict[Path, IntMatrix] = {}
-
-    def path(self, path: Path) -> IntMatrix:
-        m = self._paths.get(path)
-        if m is None:
-            rep = self.rep
-            arrows = rep.cat.quiver.arrows
-            for idx in path.arrows:
-                factor = rep.matrices[arrows[idx].label]
-                m = factor if m is None else m * factor
-            if m is None:
-                m = IntMatrix.identity(rep.ranks[path.source])
-            self._paths[path] = m
-        return m
-
-    def _coeffs(self, a: str, b: str, coeffs) -> IntMatrix:
-        """The matrix of the morphism with coefficients ``coeffs`` in Hom(a, b)."""
-        out = None
-        paths = self.rep.cat.paths(a, b)
-        for i, c in enumerate(coeffs):
-            if c:
-                term = self.path(paths[i])
-                if c != 1:
-                    term = term.scale(c)
-                out = term if out is None else out + term
-        return IntMatrix.zeros(self.rep.ranks[a], self.rep.ranks[b]) if out is None else out
-
-    def mat(self, f: MatMorphism) -> IntMatrix:
-        """One integer matrix on the direct sums."""
-        ranks = self.rep.ranks
-        nrows = self.rep.rank_of(f.source)
-        ncols = self.rep.rank_of(f.target)
-        rows = [[0] * ncols for _ in range(nrows)]
-        roff = 0
-        for a, blocks in zip(f.source.summands, f.blocks):
-            coff = 0
-            for b, coeffs in zip(f.target.summands, blocks):
-                if any(coeffs):
-                    block = self._coeffs(a, b, coeffs)
-                    for row, brow in zip(rows[roff:], block.entries):
-                        row[coff : coff + block.cols] = brow
-                coff += ranks[b]
-            roff += ranks[a]
-        return _matrix(tuple(map(tuple, rows)), ncols)
 
     def object(self, x: AdelObject) -> GroupWithMap:
         g = self._objects.get(x)
@@ -208,23 +129,6 @@ class Evaluation:
 def _evaluation(rep: Representation | Evaluation) -> Evaluation:
     """``rep`` itself when it is an ``Evaluation``, else a fresh one."""
     return rep if isinstance(rep, Evaluation) else Evaluation(rep)
-
-
-def check_representation(rep: Representation | Evaluation) -> bool:
-    """True exactly when every relation evaluates to the zero matrix."""
-    return _first_violated(rep) is None
-
-
-def _first_violated(rep: Representation | Evaluation):
-    """The first relation that does not evaluate to zero, or None."""
-    ev = _evaluation(rep)
-    for rel in ev.rep.cat.relations:
-        total = IntMatrix.zeros(ev.rep.ranks[rel.source], ev.rep.ranks[rel.target])
-        for coef, path in rel.terms:
-            total = total + ev.path(path).scale(coef)
-        if not total.is_zero():
-            return rel
-    return None
 
 
 def eval_mat(rep: Representation | Evaluation, f: MatMorphism) -> IntMatrix:
@@ -383,110 +287,3 @@ def oracle_suite(rep: Representation, items: Sequence[tuple]) -> list[OracleChec
     dropped on return."""
     ev = Evaluation(rep)
     return [oracle_compare(ev, item) for item in items]
-
-
-# -- random representations ----------------------------------------------------
-
-def zero_representation(cat: QuiverCategory, rank: int = 1) -> Representation:
-    ranks = {v: rank for v in cat.quiver.vertices}
-    return Representation(cat, ranks, {})
-
-
-def random_representation(cat: QuiverCategory, seed: int,
-                          max_rank: int = 3) -> Representation:
-    """Seeded random valid representation.
-
-    Ranks are drawn from ``0..max_rank`` and arrow entries from ``-2..2``;
-    relation residuals are then repaired arrow by arrow, solving the last
-    arrow of a violated relation's terms exactly (with a random kernel part)
-    and zeroing it only when no exact solve exists.  The result always
-    satisfies ``check_representation``.
-    """
-    rng = random.Random(seed)
-    q = cat.quiver
-    ranks = {v: rng.randint(0, max_rank) for v in q.vertices}
-    mats = {
-        a.label: _random_matrix(rng, ranks[a.source], ranks[a.target])
-        for a in q.arrows
-    }
-    rep = Representation(cat, ranks, dict(mats))
-    for _ in range(8 * max(1, len(cat.relations))):
-        violated = _first_violated(rep)
-        if violated is None:
-            return rep
-        mats = dict(rep.matrices)
-        if not _repair_relation(rep, violated, mats, rng):
-            for _, path in violated.terms:
-                for idx in path.arrows:
-                    label = q.arrows[idx].label
-                    mats[label] = IntMatrix.zeros(*mats[label].shape)
-        rep = Representation(cat, ranks, mats)
-    if not check_representation(rep):  # pragma: no cover - zeroing terminates
-        raise RuntimeError("representation repair did not converge")
-    return rep
-
-
-def _random_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
-    return IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols)
-
-
-def _repair_relation(rep: Representation, rel, mats: dict, rng: random.Random) -> bool:
-    """Try to solve one arrow of the relation exactly; mutates ``mats`` and
-    returns True on success."""
-    q = rep.cat.quiver
-    candidates: list[str] = []
-    for _, path in rel.terms:
-        for idx in reversed(path.arrows):
-            label = q.arrows[idx].label
-            if label not in candidates:
-                candidates.append(label)
-    for label in candidates:
-        solved = _solve_arrow(rep, rel, label, mats, rng)
-        if solved is not None:
-            mats[label] = solved
-            return True
-    return False
-
-
-def _solve_arrow(rep: Representation, rel, label: str, mats: dict,
-                 rng: random.Random) -> Optional[IntMatrix]:
-    """Solve ``sum_terms == 0`` for one arrow that occurs exactly once, at the
-    end of every term containing it: ``C * M == T`` with a random homogeneous
-    part added."""
-    q = rep.cat.quiver
-    idx = q.arrow_index(label)
-    arrow = q.arrows[idx]
-    coeff = IntMatrix.zeros(rep.ranks[rel.source], rep.ranks[arrow.source])
-    rhs = IntMatrix.zeros(rep.ranks[rel.source], rep.ranks[rel.target])
-    for coef, path in rel.terms:
-        occurrences = [i for i, k in enumerate(path.arrows) if k == idx]
-        if not occurrences:
-            prod = IntMatrix.identity(rep.ranks[path.source])
-            for k in path.arrows:
-                prod = prod * mats[q.arrows[k].label]
-            rhs = rhs - prod.scale(coef)
-            continue
-        if len(occurrences) > 1 or occurrences[0] != len(path.arrows) - 1:
-            return None
-        prefix = IntMatrix.identity(rep.ranks[path.source])
-        for k in path.arrows[:-1]:
-            prefix = prefix * mats[q.arrows[k].label]
-        coeff = coeff + prefix.scale(coef)
-    particular_t = solve_left(coeff.transpose(), rhs.transpose())
-    if particular_t is None:
-        return None
-    solution = particular_t.transpose()
-    null_basis = left_kernel(coeff.transpose())  # right kernel of coeff
-    if null_basis.rows:
-        extra_cols = []
-        for _ in range(solution.cols):
-            combo = [0] * null_basis.cols
-            for row in null_basis.entries:
-                c = rng.randint(-1, 1)
-                if c:
-                    for j in range(null_basis.cols):
-                        combo[j] += c * row[j]
-            extra_cols.append(combo)
-        extra = IntMatrix.from_rows(extra_cols, cols=null_basis.cols).transpose()
-        solution = solution + extra
-    return solution

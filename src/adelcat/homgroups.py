@@ -130,7 +130,8 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     basis = IntMatrix.from_rows([r[:n] for r in rows], cols=n)
     witnesses = IntMatrix.from_rows([r[n:] for r in rows], cols=h_omega.dim + h_psi.dim)
 
-    denominator = IntMatrix.from_sparse(homotopy_rows(y.rel, x.corel, hom)[2], n)
+    denominator = IntMatrix.from_sparse(homotopy_rows(
+        HomBasis(x.middle, y.rel_source), y.rel, x.corel, HomBasis(x.corel_target, y.middle), hom), n)
     kern = left_kernel(vstack(basis, denominator))
     group = FpAbGroup(k, lattice_basis(IntMatrix.from_rows([r[:k] for r in kern.entries], cols=k)))
 

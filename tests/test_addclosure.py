@@ -25,6 +25,8 @@ from adelcat.addclosure import (
 )
 from adelcat.intlinalg import IntMatrix, solve_left
 from adelcat.quivercat import Arrow, EndpointError, LinMorphism, Quiver, QuiverCategory
+from adelcat.representation import MatrixEvaluation, Representation, check_representation
+from conftest import ladder_category
 
 
 def rand_mat(cat, src, tgt, rng):
@@ -179,6 +181,27 @@ class TestBlocks:
         assert MatMorphism(a, b, [[c1.arrow_lin("f")]]).blocks == (((1,),),)
 
 
+def _ladder_systems(ladder_cat):
+    """Two homotopy systems above the size gate: the zero-object test of the
+    ladder object (rel | corel), whose identity is not null-homotopic, and a
+    solvable one with the same ``beta`` and ``gamma``."""
+    rng = random.Random(7)
+    mid = tuple_obj(ladder_cat, "t0", "t0", "t1", "t2", "b3", "b4")
+    rel = rand_mat(ladder_cat, tuple_obj(ladder_cat, "t0", "t1", "t1", "t2", "b2"), mid, rng)
+    corel = rand_mat(ladder_cat, mid, tuple_obj(ladder_cat, "b4", "b5", "b5", "b3"), rng)
+    out = HomBasis(mid, mid)
+    unknowns = HomBasis(mid, rel.source).dim + HomBasis(corel.target, mid).dim
+    assert unknowns * out.dim > addclosure.SPARSE_PRECHECK_CELLS
+    solvable = (compose_mat(rand_mat(ladder_cat, mid, rel.source, rng), rel)
+                + compose_mat(corel, rand_mat(ladder_cat, corel.target, mid, rng)))
+
+    # the Hom groups of the category are reduced once, on first use
+    for u in ladder_cat.quiver.vertices:
+        for v in ladder_cat.quiver.vertices:
+            ladder_cat.hom_group_lin(u, v)
+    return (identity_mat(mid), rel, corel), (solvable, rel, corel)
+
+
 class TestDecideHomotopy:
     def test_zero_datum_gives_zero_witnesses(self, snake_cat):
         a = tuple_obj(snake_cat, "a")
@@ -244,26 +267,31 @@ class TestDecideHomotopy:
                 assert compose_mat(t1, beta) + compose_mat(gamma, t2) == alpha
 
     def test_unsolvable_ladder_system_needs_no_dense_solve(self, ladder_cat, monkeypatch):
-        rng = random.Random(7)
-        mid = tuple_obj(ladder_cat, "t0", "t0", "t1", "t2", "b3", "b4")
-        rel = rand_mat(ladder_cat, tuple_obj(ladder_cat, "t0", "t1", "t1", "t2", "b2"), mid, rng)
-        corel = rand_mat(ladder_cat, mid, tuple_obj(ladder_cat, "b4", "b5", "b5", "b3"), rng)
-        out = HomBasis(mid, mid)
-        unknowns = (HomBasis(mid, rel.source).dim + HomBasis(corel.target, mid).dim
-                    + len(out.rel_rows()))
-        assert unknowns * out.dim > addclosure.SPARSE_PRECHECK_CELLS
-
-        # the Hom groups of the category are reduced once, on first use
-        for u in ladder_cat.quiver.vertices:
-            for v in ladder_cat.quiver.vertices:
-                ladder_cat.hom_group_lin(u, v)
+        system = _ladder_systems(ladder_cat)[0]
+        # the membership test alone, without the probe's small row reduction
+        monkeypatch.setattr(addclosure, "_probe_refutes", lambda *a: False)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense row reduction on an unsolvable system")
         monkeypatch.setattr(intlinalg._kernel, "hnf_rows", refuse)
-        # the zero-object test of the object (rel | corel): its identity is
-        # not null-homotopic
-        assert decide_homotopy(identity_mat(mid), rel, corel) is None
+        assert decide_homotopy(*system) is None
+
+    def test_unsolvable_ladder_system_is_refuted_on_a_probe(self, ladder_cat, monkeypatch):
+        system = _ladder_systems(ladder_cat)[0]
+        assert addclosure.probes(ladder_cat)
+        decided = []
+        probe = addclosure._probe_refutes
+        monkeypatch.setattr(addclosure, "_probe_refutes",
+                            lambda *a: decided.append(probe(*a)) or decided[-1])
+        hnf_rows = intlinalg._kernel.hnf_rows
+
+        def small_only(rows, ncols, *args):
+            if len(rows) * ncols > addclosure.SPARSE_PRECHECK_CELLS:
+                raise AssertionError("row reduction of a system above the size gate")
+            return hnf_rows(rows, ncols, *args)
+        monkeypatch.setattr(intlinalg._kernel, "hnf_rows", small_only)
+        assert decide_homotopy(*system) is None
+        assert decided == [True]
 
     def test_solvable_ladder_system_keeps_the_dense_solution(self, ladder_cat):
         rng = random.Random(7)
@@ -296,6 +324,69 @@ class TestDecideHomotopy:
                 lhs = decide_homotopy(alpha, beta, gamma)
                 rhs = decide_homotopy(-alpha, beta, gamma)
                 assert (lhs is None) == (rhs is None)
+
+
+def _broken_representation(cat):
+    """Rank one and the identity on every arrow of the ladder but ``v1``,
+    which is 2: two squares no longer commute."""
+    ranks = {v: 1 for v in cat.quiver.vertices}
+    return Representation(cat, ranks, {a.label: IntMatrix.from_rows([[2 if a.label == "v1" else 1]])
+                                       for a in cat.quiver.arrows})
+
+
+class TestProbes:
+    """The probe representations behind ``decide_homotopy``'s refutation are
+    built once per category instance, and a builder that raises or returns
+    an invalid representation costs the probe, never a crash or an unsound
+    refutation."""
+
+    @staticmethod
+    def _builder(monkeypatch, make=None):
+        built = []
+        real = addclosure.random_representation
+
+        def builder(cat, seed, max_rank=3):
+            built.append(cat)
+            return real(cat, seed, max_rank) if make is None else make(cat)
+        monkeypatch.setattr(addclosure, "random_representation", builder)
+        return built
+
+    def test_built_once_per_category_instance(self, monkeypatch):
+        built = self._builder(monkeypatch)
+        cat = ladder_category()
+        first = addclosure.probes(cat)
+        assert len(first) == 2 and all(check_representation(ev) for ev in first)
+        assert addclosure.probes(cat) is first and built == [cat, cat]
+        op = cat.opposite()
+        assert {ev.rep.cat for ev in addclosure.probes(op)} == {op}
+        assert addclosure.probes(op) is addclosure.probes(op) and built == [cat, cat, op, op]
+        assert addclosure.probes(ladder_category()) is not first and len(built) == 6
+
+    def test_invalid_probe_is_left_out(self, monkeypatch):
+        cat = ladder_category()
+        _, solvable = _ladder_systems(cat)
+        bad = _broken_representation(cat)
+        assert not check_representation(bad)
+        # admitted, the broken representation would refute a solvable system
+        monkeypatch.setitem(addclosure._probes, cat, (MatrixEvaluation(bad),))
+        assert addclosure._probe_refutes(*solvable)
+
+        cat = ladder_category()
+        built = self._builder(monkeypatch, _broken_representation)
+        unsolvable, solvable = _ladder_systems(cat)
+        assert decide_homotopy(*solvable) is not None
+        assert decide_homotopy(*unsolvable) is None
+        assert addclosure.probes(cat) == () and built == [cat, cat]
+
+    def test_raising_builder_means_no_probe(self, monkeypatch):
+        def fail(cat):
+            raise RuntimeError("representation repair did not converge")
+        built = self._builder(monkeypatch, fail)
+        cat = ladder_category()
+        unsolvable, solvable = _ladder_systems(cat)
+        assert decide_homotopy(*solvable) is not None
+        assert decide_homotopy(*unsolvable) is None
+        assert addclosure.probes(cat) == () and built == [cat, cat]
 
 
 class TestHomBasis:

@@ -443,3 +443,15 @@ def test_image_factorization(snake_fig):
     img = image(f)
     assert is_mono(img.emb)
     assert is_equal(compose(img.corestriction, img.emb), f) is not None
+
+
+def test_objects_and_morphisms_keep_their_field_hash(snake_fig):
+    # the hash dataclass would compute from the fields, computed once and
+    # kept; a value rebuilt from equal parts is equal and hashes equal
+    f = snake_fig.eps
+    fields = {f.source: (f.source.rel, f.source.corel),
+              f: (f.source, f.target, f.datum, f.rel_witness, f.corel_witness)}
+    for value, parts in fields.items():
+        assert hash(value) == hash(parts) and vars(value)["_hash"] == hash(parts)
+        twin = type(value)(*parts)
+        assert twin == value and "_hash" not in vars(twin) and hash(twin) == hash(value)

@@ -42,6 +42,7 @@ from adelcat.provers import (
 from adelcat.homgroups import hom_group
 from adelcat.quivercat import EndpointError
 
+from adelbench import gen
 from test_homgroups import _ladder_pairs
 
 
@@ -630,11 +631,15 @@ _TRUSTED_RUNS = {
 
 
 def _trusted_results(pairs):
-    """Every prover report, and the Hom groups of the ladder ``pairs`` with
-    one element of each."""
+    """Every prover report, the Hom groups of the ladder ``pairs`` with one
+    element of each, and the zero tests of that element's kernel and
+    cokernel objects."""
     reports = {name: run().to_dict() for name, run in _TRUSTED_RUNS.items()}
     groups = [hom_group(x, y) for x, y in pairs]
-    return reports, [(hg, hg.element(range(1, hg.group.ngens + 1))) for hg in groups]
+    elements = [(hg, hg.element(range(1, hg.group.ngens + 1))) for hg in groups]
+    zero_tests = [(adelman.zero_object_witness(adelman.kernel(e).obj),
+                   adelman.zero_object_witness(adelman.cokernel(e).obj)) for _, e in elements]
+    return reports, elements, zero_tests
 
 
 class TestTrustedDerivations:
@@ -659,6 +664,61 @@ class TestTrustedDerivations:
         monkeypatch.setattr(homgroups, "_morphism", validating)
         assert _trusted_results(pairs) == trusted
         assert validated and not rejected
+
+
+class TestProbeRefutation:
+    """``decide_homotopy`` refutes large systems on probe representations
+    before it assembles them.  With the probe switched off every report,
+    Hom group and zero test comes out the same, and every refutation a probe
+    makes is one the full solver makes too."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        refuted = []
+        probe = addclosure._probe_refutes
+
+        def recording(*system):
+            if probe(*system):
+                refuted.append(system)
+                return True
+            return False
+        monkeypatch.setattr(addclosure, "_probe_refutes", recording)
+        return refuted
+
+    def test_results_are_identical_without_the_probe(self, monkeypatch):
+        pairs = _ladder_pairs(47, 10)
+        refuted = self._recording(monkeypatch)
+        probed = _trusted_results(pairs)
+        assert refuted
+        monkeypatch.setattr(addclosure, "_probe_refutes", lambda *a: False)
+        assert _trusted_results(pairs) == probed
+
+    def test_prover_runs_try_no_probe(self, monkeypatch):
+        # every homotopy system of the provers is below the size gate
+        gated = []
+        monkeypatch.setattr(addclosure, "_probe_refutes", lambda *a: gated.append(a) or False)
+        for run in _TRUSTED_RUNS.values():
+            run()
+        assert not gated
+
+    @pytest.mark.parametrize("name", ["ladder", "snake", "five", "ladder^op"])
+    def test_every_refutation_is_confirmed(self, name, monkeypatch):
+        ladder = gen.ladder_spec(6).category()
+        built = {"ladder": ladder, "ladder^op": ladder.opposite()}
+        cat = built[name] if name in built else category_by_name(name)
+        rng = gen.rng_for(5, "probe-soundness")
+        refuted = self._recording(monkeypatch)
+        for _ in range(4):
+            x, y = (gen.rand_object(rng, cat, gen.rand_shape(rng, cat)) for _ in range(2))
+            hg = hom_group(x, y)
+            e = hg.element(gen.rand_coeffs(rng, hg.group.ngens))
+            adelman.zero_object_witness(adelman.kernel(e).obj)
+            adelman.zero_object_witness(adelman.cokernel(e).obj)
+            adelman.is_zero_morphism(e)
+        assert refuted
+        monkeypatch.setattr(addclosure, "_probe_refutes", lambda *a: False)
+        for system in refuted:
+            assert addclosure.decide_homotopy(*system) is None
 
 
 class TestTrustedBlocks:
