@@ -8,16 +8,18 @@ morphisms.
 
 A matrix morphism stores its grid: the tuple of its rows, each the tuple
 of the canonical coefficient blocks of its entries, block (i, j) over the
-path basis of Hom(source[i], target[j]).  Block dimensions are the path
-counts the category keeps per vertex pair, and no cache is keyed by tuple
-objects.  All arithmetic works block by block: composition goes through
-``QuiverCategory.compose_coeffs``, sums and multiples reduce only the blocks
-whose canonical forms are not closed under integer combinations, and
-stacking concatenates rows or the blocks of each row.  ``f[i, j]`` and
-``entries`` are ``LinMorphism`` views for printing and serialisation.  The
-flat row-major layout of all coefficients, in which homotopy systems are
-posed, belongs to ``HomBasis`` alone: ``flatten`` chains the blocks and
-``unflatten`` cuts a vector back into them.
+path basis of Hom(source[i], target[j]).  Zero blocks, and with them the
+block dimensions, are kept by the category per vertex pair; no cache is
+keyed by tuple objects.  All arithmetic works block by block: composition
+goes through ``QuiverCategory.compose_coeffs``, and sums and multiples
+reduce only the blocks whose canonical forms are not closed under integer
+combinations.  ``from_blocks`` is the one block-matrix constructor: it
+writes a grid of parts (matrix morphisms, zeros and multiples of
+identities) in one pass.  ``f[i, j]`` and ``entries`` are ``LinMorphism``
+views for printing and serialisation.  The flat row-major layout of all
+coefficients, in which homotopy systems are posed, belongs to ``HomBasis``
+alone: ``flatten`` chains the blocks and ``unflatten`` cuts a vector back
+into them.
 
 The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
@@ -38,7 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 from weakref import WeakKeyDictionary
 
 from .intlinalg import IntMatrix, in_lattice, left_kernel, solve_left
@@ -82,8 +84,20 @@ def zero_obj(cat: QuiverCategory) -> TupleObject:
     return TupleObject(cat, ())
 
 
-def sum_obj(x: TupleObject, y: TupleObject) -> TupleObject:
-    return TupleObject(x.cat, x.summands + y.summands)
+def sum_obj(*objs: TupleObject) -> TupleObject:
+    """The concatenation of ``objs``.  Its summands come from checked objects
+    of one category, so it skips the constructor's re-validation."""
+    first = objs[0]
+    if len(objs) == 1:
+        return first
+    cat, summands = first.cat, ()
+    for x in objs:
+        if x.cat is not cat:
+            raise EndpointError("summands lie in different categories")
+        summands += x.summands
+    t = object.__new__(TupleObject)
+    t.__dict__.update(cat=cat, summands=summands)
+    return t
 
 
 class MatMorphism:
@@ -231,16 +245,11 @@ def single(lin: LinMorphism) -> MatMorphism:
 
 
 def zero_mat(x: TupleObject, y: TupleObject) -> MatMorphism:
-    return _mat(x, y, tuple([tuple([(0,) * n for n in row])
-                             for row in x.cat.block_dims(x.summands, y.summands)]))
+    return _mat(x, y, x.cat.zero_blocks(x.summands, y.summands))
 
 
 def identity_mat(x: TupleObject) -> MatMorphism:
-    cat, xs = x.cat, x.summands
-    # the identity path is the only path from a vertex to itself
-    return _mat(x, x, tuple([
-        tuple([cat.unit_coeffs(a, a)[0] if i == j else (0,) * n for j, n in enumerate(row)])
-        for i, (a, row) in enumerate(zip(xs, cat.block_dims(xs, xs)))]))
+    return from_blocks([x], [x], [[1]])
 
 
 def compose_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
@@ -260,49 +269,67 @@ def compose_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
                 g_cols[k].append((j, ys[j], block))
     compose = cat.compose_coeffs
     out = []
-    for a, f_row, dims in zip(x.summands, f.blocks, cat.block_dims(x.summands, z.summands)):
+    for a, f_row, zeros in zip(x.summands, f.blocks, cat.zero_blocks(x.summands, z.summands)):
         out_row = []
-        for c, g_col, n in zip(z.summands, g_cols, dims):
+        for c, g_col, zero in zip(z.summands, g_cols, zeros):
             terms = [(b, f_row[j], ge) for j, b, ge in g_col if any(f_row[j])]
-            out_row.append(compose(a, c, terms) if terms else (0,) * n)
+            out_row.append(compose(a, c, terms) if terms else zero)
         out.append(tuple(out_row))
     return _mat(x, z, tuple(out))
 
 
-def direct_sum_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
-    """Block-diagonal sum on concatenated tuples."""
-    return from_blocks(
-        [[f, zero_mat(f.source, g.target)], [zero_mat(g.source, f.target), g]]
-    )
+def _scaled_unit(cat: QuiverCategory, a: str, c: int) -> tuple[int, ...]:
+    """``c`` times the identity block of ``a``, reduced as ``scale`` reduces."""
+    block = cat.unit_coeffs(a, a)[0]  # the identity path is the only path a -> a
+    if c == 1:
+        return block
+    block = tuple([c * v for v in block])
+    group = cat.hom_group_lin(a, a)
+    if any(block) and group.relations.entries and not group.unit_pivots:
+        block = group.canonical_rep(block)
+    return block
 
 
-def hstack_mat(*fs: MatMorphism) -> MatMorphism:
-    """[f g ...]: common source, concatenated targets."""
-    if not fs:
-        raise EndpointError("hstack of nothing")
-    src = fs[0].source
-    if any(f.source != src for f in fs):
-        raise EndpointError("hstack with different sources")
-    tgt = TupleObject(src.cat, tuple(v for f in fs for v in f.target.summands))
-    return _mat(src, tgt, tuple(tuple(chain.from_iterable(row))
-                                for row in zip(*(f.blocks for f in fs))))
+def from_blocks(rows: Sequence[TupleObject], cols: Sequence[TupleObject],
+                grid: Sequence[Sequence[Union[MatMorphism, int]]]) -> MatMorphism:
+    """The block matrix from the sum of ``rows`` to the sum of ``cols``.
 
-
-def vstack_mat(*fs: MatMorphism) -> MatMorphism:
-    """[f; g; ...]: concatenated sources, common target."""
-    if not fs:
-        raise EndpointError("vstack of nothing")
-    tgt = fs[0].target
-    if any(f.target != tgt for f in fs):
-        raise EndpointError("vstack with different targets")
-    src = TupleObject(tgt.cat, tuple(v for f in fs for v in f.source.summands))
-    return _mat(src, tgt, tuple(chain.from_iterable(f.blocks for f in fs)))
-
-
-def from_blocks(grid: Sequence[Sequence[MatMorphism]]) -> MatMorphism:
-    """Assemble a block matrix; block (i, j) maps the i-th source part to the
-    j-th target part."""
-    return vstack_mat(*[hstack_mat(*row) for row in grid])
+    Part (i, j) is a morphism ``rows[i] -> cols[j]`` or an integer ``c``:
+    ``c`` times the identity of ``rows[i]``, which must be ``cols[j]``, and
+    the zero part for 0.  The grid of coefficient blocks is written in one
+    pass: it starts as the category's zero blocks, and the parts' blocks and
+    identity units are written over them; ``c`` times an identity is reduced
+    as ``identity_mat(x).scale(c)`` reduces it."""
+    if not rows or not cols:
+        raise EndpointError("block matrix without row or column objects")
+    source, target = sum_obj(*rows), sum_obj(*cols)
+    cat = source.cat
+    if target.cat is not cat:
+        raise EndpointError("summands lie in different categories")
+    if len(grid) != len(rows):
+        raise EndpointError("block grid does not fit its row objects")
+    lines = list(map(list, cat.zero_blocks(source.summands, target.summands)))
+    at = 0  # the first line of row object i
+    for i, (x, parts) in enumerate(zip(rows, grid)):
+        if len(parts) != len(cols):
+            raise EndpointError("block grid does not fit its column objects")
+        col = 0  # the first block of column object j
+        for j, (y, part) in enumerate(zip(cols, parts)):
+            if part.__class__ is MatMorphism:
+                if (part.source is not x and part.source != x
+                        or part.target is not y and part.target != y):
+                    raise EndpointError(f"block ({i},{j}) runs {part.source!r} -> {part.target!r}")
+                end = col + len(y.summands)
+                for k, row in enumerate(part.blocks, at):
+                    lines[k][col:end] = row
+            elif part:
+                if y is not x and y != x:
+                    raise EndpointError(f"identity block ({i},{j}) between different objects")
+                for k, a in enumerate(x.summands):
+                    lines[at + k][col + k] = _scaled_unit(cat, a, part)
+            col += len(y.summands)
+        at += len(x.summands)
+    return _mat(source, target, tuple(map(tuple, lines)))
 
 
 def dual_mat(f: MatMorphism) -> MatMorphism:
@@ -340,14 +367,14 @@ class HomBasis:
         self.cat = x.cat
         self.source = x
         self.target = y
-        dims = x.cat.block_dims(x.summands, y.summands)
+        zeros = x.cat.zero_blocks(x.summands, y.summands)
         pairs = [(i, j) for i in range(len(x)) for j in range(len(y))]
-        self.block_dim = dict(zip(pairs, chain.from_iterable(dims)))
+        self.block_dim = dict(zip(pairs, map(len, chain.from_iterable(zeros))))
         bounds = list(accumulate(self.block_dim.values(), initial=0))
         self.offset = dict(zip(pairs, bounds))
         self.dim = bounds[-1]
         cuts = iter(map(slice, bounds, bounds[1:]))
-        self._cuts = [list(islice(cuts, len(row))) for row in dims]
+        self._cuts = [list(islice(cuts, len(row))) for row in zeros]
 
     def flatten(self, f: MatMorphism) -> tuple[int, ...]:
         if (f.source is not self.source and f.source != self.source

@@ -22,8 +22,9 @@ check); ``_morphism`` builds what is derived from checked morphisms.
 Sign conventions follow the matrices with the fewest minus signs.  Values
 are immutable and cache nothing.  Inside one ``construction_memo`` scope
 (one prover call, or one replay, which never shares the prover's memo)
-``kernel`` and ``cokernel`` run once per argument, keyed by identity, and
-``zero_witness`` once per homotopy system, keyed by value.
+``kernel`` and ``cokernel`` run once per argument, keyed by identity,
+``zero_witness`` once per homotopy system, keyed by value, and the replay
+reader builds each distinct value once, all through ``scoped_value``.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ from .addclosure import (
     _mat,
     compose_mat,
     decide_homotopy,
-    direct_sum_mat,
     dual_mat,
     from_blocks,
-    hstack_mat,
     identity_mat,
     single,
-    vstack_mat,
     zero_mat,
     zero_obj,
 )
@@ -251,7 +249,10 @@ def zero_adel_object(cat: QuiverCategory) -> AdelObject:
 
 def direct_sum_object(x: AdelObject, y: AdelObject) -> AdelObject:
     """Pointwise direct sum of composable pairs."""
-    return AdelObject(direct_sum_mat(x.rel, y.rel), direct_sum_mat(x.corel, y.corel))
+    return AdelObject(
+        from_blocks([x.rel_source, y.rel_source], [x.middle, y.middle], [[x.rel, 0], [0, y.rel]]),
+        from_blocks([x.middle, y.middle], [x.corel_target, y.corel_target],
+                    [[x.corel, 0], [0, y.corel]]))
 
 
 def morphism_from_sum(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
@@ -259,11 +260,14 @@ def morphism_from_sum(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
     common target."""
     if f.target != g.target:
         raise EndpointError("components do not share a target")
+    x, y, t = f.source, g.source, f.target
     return _morphism(
-        direct_sum_object(f.source, g.source), f.target,
-        vstack_mat(f.datum, g.datum),
-        vstack_mat(f.rel_witness, g.rel_witness),
-        vstack_mat(f.corel_witness, g.corel_witness),
+        direct_sum_object(x, y), t,
+        from_blocks([x.middle, y.middle], [t.middle], [[f.datum], [g.datum]]),
+        from_blocks([x.rel_source, y.rel_source], [t.rel_source],
+                    [[f.rel_witness], [g.rel_witness]]),
+        from_blocks([x.corel_target, y.corel_target], [t.corel_target],
+                    [[f.corel_witness], [g.corel_witness]]),
     )
 
 
@@ -280,20 +284,27 @@ def construction_memo():
         _MEMO.reset(token)
 
 
+def scoped_value(key, build):
+    """Inside a scope, the value stored under ``key``, built by ``build()``
+    on the first lookup; outside one, ``build()``.  A build that raises
+    stores nothing."""
+    memo = _MEMO.get()
+    if memo is None:
+        return build()
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = build()
+        return value
+
+
 def _memoised(key):
     """Inside a scope, look a call up by ``key(*args)`` first.  An entry keeps
-    its arguments alive, so no identity key is reused while the scope lasts;
-    a call that raises stores nothing."""
+    its arguments alive, so no identity key is reused while the scope lasts."""
     def decorate(fn):
         @functools.wraps(fn)
         def memoised(*args):
-            memo = _MEMO.get()
-            if memo is None:
-                return fn(*args)
-            k = (fn, key(*args))
-            if (entry := memo.get(k)) is None:
-                entry = memo[k] = (args, fn(*args))
-            return entry[1]
+            return scoped_value((fn, key(*args)), lambda: (args, fn(*args)))[1]
         return memoised
     return decorate
 
@@ -361,25 +372,16 @@ class KernelResult:
 def cokernel(f: AdelMorphism) -> CokernelResult:
     """Cokernel projection, built on explicit block matrices."""
     a, b = f.source, f.target
-    rel = from_blocks([
-        [b.rel, zero_mat(b.rel_source, a.corel_target)],
-        [f.datum, a.corel],
-    ])
-    corel = from_blocks([
-        [b.corel, zero_mat(b.middle, a.corel_target)],
-        [zero_mat(a.corel_target, b.corel_target), identity_mat(a.corel_target)],
-    ])
-    obj = AdelObject(rel, corel)
-    proj = _morphism(
-        b, obj,
-        hstack_mat(identity_mat(b.middle), zero_mat(b.middle, a.corel_target)),
-        hstack_mat(identity_mat(b.rel_source), zero_mat(b.rel_source, a.middle)),
-        hstack_mat(identity_mat(b.corel_target), zero_mat(b.corel_target, a.corel_target)),
-    )
-    wp = WitnessPair(
-        hstack_mat(zero_mat(a.middle, b.rel_source), identity_mat(a.middle)),
-        hstack_mat(zero_mat(a.corel_target, b.middle), -identity_mat(a.corel_target)),
-    )
+    # the summands of the cokernel's rel_source (rs), middle (mid) and corel_target (ct)
+    rs, mid = [b.rel_source, a.middle], [b.middle, a.corel_target]
+    ct = [b.corel_target, a.corel_target]
+    obj = AdelObject(from_blocks(rs, mid, [[b.rel, 0], [f.datum, a.corel]]),
+                     from_blocks(mid, ct, [[b.corel, 0], [0, 1]]))
+    proj = _morphism(b, obj, from_blocks([b.middle], mid, [[1, 0]]),
+                     from_blocks([b.rel_source], rs, [[1, 0]]),
+                     from_blocks([b.corel_target], ct, [[1, 0]]))
+    wp = WitnessPair(from_blocks([a.middle], rs, [[0, 1]]),
+                     from_blocks([a.corel_target], mid, [[0, -1]]))
     return CokernelResult(obj, proj, wp)
 
 
@@ -390,37 +392,28 @@ def cokernel_colift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> Adel
         raise EndpointError("test morphism must start at the cokernel base")
     if not wp.verifies(f.source, tau.target, compose_mat(f.datum, tau.datum)):
         raise WitnessError("invalid witness pair for the colift side condition")
-    ck = cokernel(f)
-    t = tau.target
-    datum = vstack_mat(tau.datum, -wp.sigma2)
-    omega = vstack_mat(tau.rel_witness, wp.sigma1)
-    psi = vstack_mat(tau.corel_witness, -compose_mat(wp.sigma2, t.corel))
-    return _morphism(ck.obj, t, datum, omega, psi)
+    a, b, t = f.source, f.target, tau.target
+    datum = from_blocks([b.middle, a.corel_target], [t.middle], [[tau.datum], [-wp.sigma2]])
+    omega = from_blocks([b.rel_source, a.middle], [t.rel_source], [[tau.rel_witness], [wp.sigma1]])
+    psi = from_blocks([b.corel_target, a.corel_target], [t.corel_target],
+                      [[tau.corel_witness], [-compose_mat(wp.sigma2, t.corel)]])
+    return _morphism(cokernel(f).obj, t, datum, omega, psi)
 
 
 @_memoised(id)
 def kernel(f: AdelMorphism) -> KernelResult:
     """Kernel embedding; the exact dual of the cokernel construction."""
     a, b = f.source, f.target
-    rel = from_blocks([
-        [a.rel, zero_mat(a.rel_source, b.rel_source)],
-        [zero_mat(b.rel_source, a.middle), identity_mat(b.rel_source)],
-    ])
-    corel = from_blocks([
-        [a.corel, f.datum],
-        [zero_mat(b.rel_source, a.corel_target), b.rel],
-    ])
-    obj = AdelObject(rel, corel)
-    emb = _morphism(
-        obj, a,
-        vstack_mat(identity_mat(a.middle), zero_mat(b.rel_source, a.middle)),
-        vstack_mat(identity_mat(a.rel_source), zero_mat(b.rel_source, a.rel_source)),
-        vstack_mat(identity_mat(a.corel_target), zero_mat(b.middle, a.corel_target)),
-    )
-    wp = WitnessPair(
-        vstack_mat(zero_mat(a.middle, b.rel_source), -identity_mat(b.rel_source)),
-        vstack_mat(zero_mat(a.corel_target, b.middle), identity_mat(b.middle)),
-    )
+    # the summands of the kernel's rel_source (rs), middle (mid) and corel_target (ct)
+    rs, mid = [a.rel_source, b.rel_source], [a.middle, b.rel_source]
+    ct = [a.corel_target, b.middle]
+    obj = AdelObject(from_blocks(rs, mid, [[a.rel, 0], [0, 1]]),
+                     from_blocks(mid, ct, [[a.corel, f.datum], [0, b.rel]]))
+    emb = _morphism(obj, a, from_blocks(mid, [a.middle], [[1], [0]]),
+                    from_blocks(rs, [a.rel_source], [[1], [0]]),
+                    from_blocks(ct, [a.corel_target], [[1], [0]]))
+    wp = WitnessPair(from_blocks(mid, [b.rel_source], [[0], [-1]]),
+                     from_blocks(ct, [b.middle], [[0], [1]]))
     return KernelResult(obj, emb, wp)
 
 
@@ -431,12 +424,13 @@ def kernel_lift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> AdelMorp
         raise EndpointError("test morphism must end at the kernel base")
     if not wp.verifies(tau.source, f.target, compose_mat(tau.datum, f.datum)):
         raise WitnessError("invalid witness pair for the lift side condition")
-    kr = kernel(f)
-    t = tau.source
-    datum = hstack_mat(tau.datum, -wp.sigma1)
-    omega = hstack_mat(tau.rel_witness, -compose_mat(t.rel, wp.sigma1))
-    psi = hstack_mat(tau.corel_witness, wp.sigma2)
-    return _morphism(t, kr.obj, datum, omega, psi)
+    a, b, t = f.source, f.target, tau.source
+    datum = from_blocks([t.middle], [a.middle, b.rel_source], [[tau.datum, -wp.sigma1]])
+    omega = from_blocks([t.rel_source], [a.rel_source, b.rel_source],
+                        [[tau.rel_witness, -compose_mat(t.rel, wp.sigma1)]])
+    psi = from_blocks([t.corel_target], [a.corel_target, b.middle],
+                      [[tau.corel_witness, wp.sigma2]])
+    return _morphism(t, kernel(f).obj, datum, omega, psi)
 
 
 # -- duality -----------------------------------------------------------------
@@ -606,25 +600,20 @@ def epi_as_cokernel(eps: AdelMorphism) -> EpiAsCokernel:
     kr = kernel(eps)
     c2 = cokernel(kr.emb)
     gb = b.corel
-    datum = hstack_mat(sigma8, -compose_mat(gb, sigma6), -compose_mat(gb, sigma5))
-    omega = hstack_mat(
-        zero_mat(b.rel_source, a.rel_source),
-        compose_mat(b.rel, sigma8),
-        compose_mat(b.rel, sigma7) - identity_mat(b.rel_source),
-    )
-    psi = hstack_mat(-sigma6, -sigma6, -sigma5)
+    rs = [a.rel_source, a.middle, b.rel_source]        # c2.obj.rel_source
+    mid = [a.middle, a.corel_target, b.middle]         # c2.obj.middle
+    ct = [a.corel_target, a.corel_target, b.middle]    # c2.obj.corel_target
+    datum = from_blocks([b.middle], mid,
+                        [[sigma8, -compose_mat(gb, sigma6), -compose_mat(gb, sigma5)]])
+    omega = from_blocks([b.rel_source], rs, [[
+        0, compose_mat(b.rel, sigma8), compose_mat(b.rel, sigma7) - identity_mat(b.rel_source)]])
+    psi = from_blocks([b.corel_target], ct, [[-sigma6, -sigma6, -sigma5]])
     comparison = AdelMorphism(b, c2.obj, datum, omega, psi)
     triangle_wp = WitnessPair(
-        hstack_mat(
-            zero_mat(a.middle, a.rel_source),
-            compose_mat(eps.datum, sigma8) - identity_mat(a.middle),
-            compose_mat(eps.datum, sigma7),
-        ),
-        hstack_mat(
-            zero_mat(a.corel_target, a.middle),
-            identity_mat(a.corel_target),
-            zero_mat(a.corel_target, b.middle),
-        ),
+        from_blocks([a.middle], rs, [[
+            0, compose_mat(eps.datum, sigma8) - identity_mat(a.middle),
+            compose_mat(eps.datum, sigma7)]]),
+        from_blocks([a.corel_target], mid, [[0, 1, 0]]),
     )
     diff = compose_mat(eps.datum, comparison.datum) - c2.proj.datum
     if not triangle_wp.verifies(a, c2.obj, diff):

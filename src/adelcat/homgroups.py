@@ -18,7 +18,7 @@ coefficients, so one sparse product gives the residuals of every value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .addclosure import HomBasis, MatMorphism, homotopy_rows, left_compose_rows, right_compose_rows
@@ -150,15 +150,15 @@ def _morphisms(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis], squares
                vecs: Sequence[Sequence[int]]) -> list[AdelMorphism]:
     """The morphisms whose datum, relation witness and corelation witness are
     the consecutive blocks of each of ``vecs`` over the three ``spaces``, once
-    one membership test per witness square has checked the residuals of all."""
+    one membership test per witness square has checked the residuals of all.
+    The residuals are formed from the raw vectors: a block and its canonical
+    form differ by relation-lattice elements, whose residuals lie in the
+    lattices of ``rel1`` and ``rel2``, so the verdict is the same."""
     rows, split, rel1, rel2 = squares
-    bounds = list(accumulate((space.dim for space in spaces), initial=0))
-    parts = [[space.unflatten(vec[a:b]) for space, a, b in zip(spaces, bounds, bounds[1:])]
-             for vec in vecs]
     eq1, eq2 = [], []
-    for triple in parts:
+    for vec in vecs:
         residual: dict[int, int] = {}
-        for c, row in zip(chain.from_iterable(map(HomBasis.flatten, spaces, triple)), rows):
+        for c, row in zip(vec, rows):
             if c:
                 for j, v in row.items():
                     residual[j] = residual.get(j, 0) + c * v
@@ -167,4 +167,7 @@ def _morphisms(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis], squares
     for rel, eq, name in ((rel1, eq1, "relation"), (rel2, eq2, "corelation")):
         if not in_lattice(rel, eq):
             raise WitnessError(f"{name} witness square does not commute")
-    return [_morphism(x, y, *triple) for triple in parts]
+    bounds = list(accumulate((space.dim for space in spaces), initial=0))
+    return [_morphism(x, y, *(space.unflatten(vec[a:b])
+                              for space, a, b in zip(spaces, bounds, bounds[1:])))
+            for vec in vecs]

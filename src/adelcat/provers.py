@@ -12,7 +12,8 @@ Zero morphisms, equality, mono, epi, iso and exactness are decided by
 ``adelman.CLAIMS``; this module only formats them.  A claim's certificate
 carries its morphisms and one witness pair per part, found by search or
 written down in closed form, and replay rebuilds from the morphisms what
-each part declares null-homotopic.
+each part declares null-homotopic.  One replay reads each distinct value
+once: equal copies in its certificates become one instance, validated once.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _typed(value, kind: type):
 
 
 def _list_of(value, kind: type) -> tuple:
-    if not all(type(v) is kind for v in _typed(value, list)):
+    if type(value) is not list or not all([type(v) is kind for v in value]):
         raise TypeError(f"expected a list of {kind.__name__}")
     return tuple(value)
 
@@ -193,17 +194,26 @@ def from_json(cat: QuiverCategory, kind: type, data):
     """The value of type ``kind`` over ``cat`` that ``to_json`` wrote as
     ``data``, built by its validating constructor.  A missing field raises
     ``KeyError``, a field of another JSON type (a coefficient must be exactly
-    an int) ``TypeError``, and a grid of the wrong shape ``ValueError``."""
+    an int) ``TypeError``, and a grid of the wrong shape ``ValueError``.
+
+    Inside a ``construction_memo`` scope (one ``replay_report`` call) each
+    distinct value is built once, so equal copies are one instance: a matrix
+    morphism is keyed by its category and its type-checked fields, any other
+    value by its already-read fields.  A read that raises stores nothing."""
     if kind is not MatMorphism:
-        return kind(*(from_json(cat, t, data[name]) for name, t in _FIELDS[kind].items()))
-    src = TupleObject(cat, _list_of(data["source"], str))
-    tgt = TupleObject(cat, _list_of(data["target"], str))
-    entries = tuple(
-        tuple(cat.lin(a, b, _list_of(block, int))
-              for b, block in zip(tgt.summands, _typed(row, list), strict=True))
-        for a, row in zip(src.summands, _typed(data["entries"], list), strict=True)
-    )
-    return MatMorphism(src, tgt, entries)
+        parts = tuple([from_json(cat, t, data[name]) for name, t in _FIELDS[kind].items()])
+        return ad.scoped_value((kind, parts), lambda: kind(*parts))
+    src, tgt = _list_of(data["source"], str), _list_of(data["target"], str)
+    grid = tuple([tuple([_list_of(block, int) for block in _typed(row, list)])
+                  for row in _typed(data["entries"], list)])
+    return ad.scoped_value((MatMorphism, cat, src, tgt, grid),
+                           lambda: _matrix(cat, src, tgt, grid))
+
+
+def _matrix(cat: QuiverCategory, src: tuple, tgt: tuple, grid: tuple) -> MatMorphism:
+    return MatMorphism(TupleObject(cat, src), TupleObject(cat, tgt), tuple(
+        tuple(cat.lin(a, b, block) for b, block in zip(tgt, row, strict=True))
+        for a, row in zip(src, grid, strict=True)))
 
 
 def claim_certificate(kind: str, *fs: AdelMorphism) -> Optional[dict]:

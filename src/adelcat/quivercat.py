@@ -244,6 +244,8 @@ class QuiverCategory:
       by dynamic programming that also fills the pairs ``(a, v)`` on the way,
       and the number of basis paths (``dim``), which lays out the blocks of
       every matrix morphism;
+    * for a pair ``(a, b)``, the zero block of Hom(a, b), one tuple shared
+      by every zero entry of every matrix morphism;
     * for a pair ``(a, b)``, the f.p. group presented by the two-sided
       closure of the relations, which needs the path bases of
       ``(a, source(r))`` and ``(target(r), b)`` for each relation ``r``;
@@ -266,6 +268,7 @@ class QuiverCategory:
             _check_relation(quiver, rel)
         self._paths: dict[tuple[str, str], _PathData] = {}
         self._dims: dict[tuple[str, str], int] = {}
+        self._zeros: dict[tuple[str, str], tuple[int, ...]] = {}
         self._hom: dict[tuple[str, str], FpAbGroup] = {}
         self._concat: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
         self._units: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
@@ -336,15 +339,17 @@ class QuiverCategory:
             n = self._dims[(a, b)] = len(self.paths(a, b))
             return n
 
-    def block_dims(self, sources: Sequence[str],
-                   targets: Sequence[str]) -> tuple[tuple[int, ...], ...]:
-        """The grid of ``dim(a, b)``: one row per ``a`` in ``sources``, one
-        entry per ``b`` in ``targets``."""
-        known = self._dims
+    def zero_blocks(self, sources: Sequence[str],
+                    targets: Sequence[str]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The grid of zero coefficient blocks of Hom(a, b): one row per ``a``
+        in ``sources``, one block per ``b`` in ``targets``."""
+        known = self._zeros
         try:
             return tuple([tuple([known[a, b] for b in targets]) for a in sources])
         except KeyError:
-            return tuple([tuple([self.dim(a, b) for b in targets]) for a in sources])
+            known.update({(a, b): (0,) * self.dim(a, b) for a in sources for b in targets
+                          if (a, b) not in known})
+            return self.zero_blocks(sources, targets)
 
     def path_index(self, a: str, b: str, arrows: tuple[int, ...]) -> int:
         return self._path_data(a, b)[1][arrows]

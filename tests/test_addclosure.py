@@ -10,16 +10,13 @@ from adelcat.addclosure import (
     TupleObject,
     compose_mat,
     decide_homotopy,
-    direct_sum_mat,
     from_blocks,
-    hstack_mat,
     identity_mat,
     left_compose_rows,
     right_compose_rows,
     single,
     sum_obj,
     tuple_obj,
-    vstack_mat,
     zero_mat,
     zero_obj,
 )
@@ -92,11 +89,16 @@ class TestMatArithmetic:
         assert compose_mat(out, into) == zero_mat(z, z)
 
 
+def direct_sum(f, g):
+    """The block-diagonal sum of ``f`` and ``g``."""
+    return from_blocks([f.source, g.source], [f.target, g.target], [[f, 0], [0, g]])
+
+
 class TestDirectSum:
     def test_block_diagonal(self, snake_cat):
         al = single(snake_cat.arrow_lin("alpha"))
         be = single(snake_cat.arrow_lin("beta"))
-        s = direct_sum_mat(al, be)
+        s = direct_sum(al, be)
         assert s.source.summands == ("a", "b")
         assert s.target.summands == ("b", "c")
         assert s.entries[0][1].is_zero() and s.entries[1][0].is_zero()
@@ -106,13 +108,14 @@ class TestDirectSum:
     def test_sum_with_zero_object(self, snake_cat):
         al = single(snake_cat.arrow_lin("alpha"))
         z = zero_obj(snake_cat)
-        padded = direct_sum_mat(al, zero_mat(z, z))
+        padded = direct_sum(al, zero_mat(z, z))
         assert padded == al
 
     def test_identity_sum(self, snake_cat):
         x = tuple_obj(snake_cat, "a")
         y = tuple_obj(snake_cat, "b")
-        assert direct_sum_mat(identity_mat(x), identity_mat(y)) == identity_mat(sum_obj(x, y))
+        assert direct_sum(identity_mat(x), identity_mat(y)) == identity_mat(sum_obj(x, y))
+        assert from_blocks([x, y], [x, y], [[1, 0], [0, 1]]) == identity_mat(sum_obj(x, y))
 
 
 class TestBlocks:
@@ -120,9 +123,9 @@ class TestBlocks:
         al = single(snake_cat.arrow_lin("alpha"))
         x = al.source
         y = al.target
-        block = from_blocks([
+        block = from_blocks([x, x], [y, y], [
             [al, zero_mat(x, y)],
-            [zero_mat(x, y), al],
+            [0, al],
         ])
         assert block.source.summands == ("a", "a")
         assert block.target.summands == ("b", "b")
@@ -134,22 +137,23 @@ class TestBlocks:
         y2 = tuple_obj(snake_cat, "c")
         f = rand_mat(snake_cat, x, y1, rng)
         g = rand_mat(snake_cat, x, y2, rng)
-        h = hstack_mat(f, g)
+        h = from_blocks([x], [y1, y2], [[f, g]])
         assert h.target.summands == ("b", "c")
-        v = vstack_mat(f, rand_mat(snake_cat, tuple_obj(snake_cat, "a"), y1, rng))
+        assert h.blocks == tuple(r + s for r, s in zip(f.blocks, g.blocks))
+        f2 = rand_mat(snake_cat, tuple_obj(snake_cat, "a"), y1, rng)
+        v = from_blocks([x, f2.source], [y1], [[f], [f2]])
         assert v.source.summands == ("a", "a")
+        assert v.blocks == f.blocks + f2.blocks
 
     def test_tuple_object_rejects_unknown_vertex(self, snake_cat):
         with pytest.raises(EndpointError, match="unknown vertex 'zz' in tuple object"):
             tuple_obj(snake_cat, "a", "zz")
 
-    def test_stacking_nothing_is_an_endpoint_error(self):
-        with pytest.raises(EndpointError, match="hstack of nothing"):
-            hstack_mat()
-        with pytest.raises(EndpointError, match="vstack of nothing"):
-            vstack_mat()
-        with pytest.raises(EndpointError):
-            from_blocks([])
+    def test_stacking_nothing_is_an_endpoint_error(self, snake_cat):
+        x = tuple_obj(snake_cat, "a")
+        for rows, cols, grid in (([], [x], []), ([x], [], [[]]), ([], [], [])):
+            with pytest.raises(EndpointError, match="without row or column objects"):
+                from_blocks(rows, cols, grid)
 
     def test_constructor_checks_endpoints(self, snake_cat):
         a, b = tuple_obj(snake_cat, "a"), tuple_obj(snake_cat, "b")
@@ -429,9 +433,9 @@ class TestStoredHash:
             shifted[col] += 3 * v
         return {
             "grid": MatMorphism(x, y, grid),
-            "hstack": hstack_mat(*cols),
-            "vstack": vstack_mat(*rows),
-            "from_blocks": from_blocks(cells),
+            "one_block_row": from_blocks([x], [c.target for c in cols], [cols]),
+            "one_block_column": from_blocks([r.source for r in rows], [y], [[r] for r in rows]),
+            "from_blocks": from_blocks([r.source for r in rows], [c.target for c in cols], cells),
             "unflatten": hb.unflatten(shifted),
             "from_json": from_json(cat, MatMorphism, json.loads(json.dumps(to_json(f)))),
         }

@@ -16,11 +16,9 @@ from adelcat.addclosure import (
     compose_mat,
     dual_mat,
     from_blocks,
-    hstack_mat,
     identity_mat,
     left_compose_rows,
     right_compose_rows,
-    vstack_mat,
     zero_mat,
 )
 from adelcat.provers import category_by_name
@@ -202,13 +200,13 @@ def test_stacks_and_blocks_match_entries(name, rng):
     g21, g22 = rand_grid(cat, x2, y1, rng), rand_grid(cat, x2, y2, rng)
     f11, f12 = MatMorphism(x1, y1, g11), MatMorphism(x1, y2, g12)
     f21, f22 = MatMorphism(x2, y1, g21), MatMorphism(x2, y2, g22)
-    check_flat(hstack_mat(f11, f12), [r + s for r, s in zip(g11, g12)])
-    check_flat(hstack_mat(f11), g11)
-    check_flat(vstack_mat(f11, f21), g11 + g21)
-    check_flat(vstack_mat(f21), g21)
-    check_flat(from_blocks([[f11, f12], [f21, f22]]),
+    check_flat(from_blocks([x1], [y1, y2], [[f11, f12]]), [r + s for r, s in zip(g11, g12)])
+    check_flat(from_blocks([x1], [y1], [[f11]]), g11)
+    check_flat(from_blocks([x1, x2], [y1], [[f11], [f21]]), g11 + g21)
+    check_flat(from_blocks([x2], [y1], [[f21]]), g21)
+    check_flat(from_blocks([x1, x2], [y1, y2], [[f11, f12], [f21, f22]]),
                [r + s for r, s in zip(g11 + g21, g12 + g22)])
-    block = from_blocks([[f11, f12], [f21, f22]])
+    block = from_blocks([x1, x2], [y1, y2], [[f11, f12], [f21, f22]])
     assert block.source.summands == x1.summands + x2.summands
     assert block.target.summands == y1.summands + y2.summands
 

@@ -299,6 +299,33 @@ class TestFamilyValidation:
                 return
         pytest.fail("no corrupted witness coefficient was rejected")
 
+    def test_raw_vectors_give_the_verdicts_and_morphisms_of_their_canonical_forms(
+            self, ladder_groups):
+        """The residuals are formed from the raw solution vectors.  A row
+        shifted by relation-lattice elements in every block is still accepted
+        and builds the generator itself; the same row with one forged
+        coefficient is rejected."""
+        checked = 0
+        for hg in ladder_groups:
+            row = list(hg.basis.entries[0] + hg.witnesses.entries[0]) if hg.group.ngens else []
+            shifts = [(at, rel) for at, space in zip((0, hg._spaces[0].dim,
+                                                      hg._spaces[0].dim + hg._spaces[1].dim),
+                                                     hg._spaces) for rel in space.rel_rows()]
+            if not row or not shifts:
+                continue
+            for k, (at, rel) in enumerate(shifts):
+                for col, v in rel.items():
+                    row[at + col] += (k % 3 + 1) * v
+            assert row != list(hg.basis.entries[0] + hg.witnesses.entries[0])
+            [built] = _morphisms(hg.source, hg.target, hg._spaces, hg._squares, [row])
+            assert built == hg.generators[0]
+            forged = [row[:p] + [row[p] + 1] + row[p + 1:] for p in range(len(row))]
+            verdicts = [_verdict(lambda v=v: _morphisms(hg.source, hg.target, hg._spaces,
+                                                         hg._squares, [v])) for v in forged]
+            assert any(verdicts)
+            checked += 1
+        assert checked >= 3
+
 
 class TestCoordinatesEndpoints:
     def test_morphism_between_other_objects_is_rejected(self, snake_fig):

@@ -572,6 +572,143 @@ def test_uncertified_passes_are_the_known_nine(snake_report, five_report):
     ] + [f"blue sequence exact at K for s = {s}" for s in (-3, -2, 0, 2, 3)]
 
 
+def _morphism_reads(report):
+    """The JSON of every morphism the claim certificates of ``report`` carry."""
+    return [cert[name] for check in report["checks"]
+            if (cert := check["certificate"]) and cert["kind"] in CLAIMS
+            for name in CLAIMS[cert["kind"]][0]]
+
+
+def _with_copy(report, cert):
+    """``report`` with one more passing check that carries ``cert``."""
+    extended = copy.deepcopy(report)
+    extended["checks"].append({"description": "a copy", "verdict": True, "summary": "",
+                               "certificate": cert})
+    return extended
+
+
+def _broken_copy(cat, report):
+    """An exact certificate of ``report``, the name of one of its morphisms,
+    and a copy of the certificate in which one coefficient of that morphism
+    is raised by 1 so that its witness squares no longer commute."""
+    for cert in _certs_of_kind(report, "exact"):
+        for name in ("first", "second"):
+            for part in ("datum", "rel_witness", "corel_witness"):
+                for i, row in enumerate(cert[name][part]["entries"]):
+                    for j, block in enumerate(row):
+                        for k in range(len(block)):
+                            bad = copy.deepcopy(cert)
+                            bad[name][part]["entries"][i][j][k] += 1
+                            try:
+                                provers.from_json(cat, AdelMorphism, bad[name])
+                            except WitnessError:
+                                return cert, name, bad
+    raise AssertionError("no edit breaks a witness square")
+
+
+def _mistyped_copy(cert, coefficient):
+    """The name of a morphism of ``cert`` and a copy of ``cert`` in which
+    the first datum coefficient of that morphism equal to 1 is written as
+    ``coefficient``, which compares equal to 1."""
+    bad = copy.deepcopy(cert)
+    for name in CLAIMS[cert["kind"]][0]:
+        for row in bad[name]["datum"]["entries"]:
+            for block in row:
+                if 1 in block:
+                    block[block.index(1)] = coefficient
+                    return name, bad
+    raise AssertionError("no datum coefficient is 1")
+
+
+class TestReplayMemo:
+    """Inside one replay, ``from_json`` builds each distinct value once.  The
+    type checks run before the lookup, a read that raises stores nothing,
+    and the memo lives only as long as the replay."""
+
+    @pytest.mark.parametrize("coefficient", [True, 1.0], ids=["true", "float"])
+    def test_a_mistyped_copy_of_a_read_value_fails(self, snake_report, coefficient):
+        cert = _certs_of_kind(snake_report, "exact")[0]
+        assert replay_report(_with_copy(snake_report, copy.deepcopy(cert)))
+        _, bad = _mistyped_copy(cert, coefficient)
+        assert bad == cert  # equal as Python values, not as JSON
+        assert replay_report(_with_copy(snake_report, bad)) is False
+
+    def test_a_copy_with_a_broken_witness_square_fails(self, snake_report, snake_cat):
+        cert, _, bad = _broken_copy(snake_cat, snake_report)
+        assert cert in _certs_of_kind(snake_report, "exact")  # read before the copy
+        assert replay_report(_with_copy(snake_report, bad)) is False
+
+    def test_a_read_that_raises_stores_nothing(self, snake_report, snake_cat):
+        cert, name, bad = _broken_copy(snake_cat, snake_report)
+        mistyped_name, mistyped = _mistyped_copy(cert, True)
+        read = functools.partial(provers.from_json, snake_cat, AdelMorphism)
+        with adelman.construction_memo():
+            memo = adelman._MEMO.get()
+            with pytest.raises(WitnessError):
+                read(bad[name])
+            size = len(memo)
+            assert not any(isinstance(v, AdelMorphism) for v in memo.values())
+            with pytest.raises(WitnessError):
+                read(bad[name])
+            assert len(memo) == size
+            good = read(cert[name])
+            assert read(copy.deepcopy(cert[name])) is good
+            for _ in range(2):
+                with pytest.raises(WitnessError):
+                    read(bad[name])
+            read(cert[mistyped_name])
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    read(mistyped[mistyped_name])
+
+    def test_outside_a_scope_every_read_builds(self, snake_report, snake_cat):
+        assert adelman._MEMO.get() is None
+        data = _morphism_reads(snake_report)[0]
+        first, second = (provers.from_json(snake_cat, AdelMorphism, data) for _ in range(2))
+        assert first == second and first is not second and first.datum is not second.datum
+        assert all(verify_certificate(snake_cat, c["certificate"])
+                   for c in snake_report["checks"] if c["verdict"] and c["certificate"])
+        with adelman.construction_memo():
+            assert (provers.from_json(snake_cat, AdelMorphism, data)
+                    is provers.from_json(snake_cat, AdelMorphism, data))
+        assert adelman._MEMO.get() is None
+
+    def test_each_replay_reads_into_a_memo_of_its_own(self, snake_report, monkeypatch):
+        seen = []
+        real = provers.verify_certificate
+
+        def recording(cat, cert):
+            memo = adelman._MEMO.get()
+            seen.append((memo, len(memo)))
+            return real(cat, cert)
+        monkeypatch.setattr(provers, "verify_certificate", recording)
+        with adelman.construction_memo():
+            outer = adelman._MEMO.get()
+            assert replay_report(snake_report)
+            half = len(seen)
+            assert replay_report(snake_report)
+            assert adelman._MEMO.get() is outer and outer == {}
+        assert adelman._MEMO.get() is None
+        (first, empty1), (second, empty2) = seen[0], seen[half]
+        assert first is not second and first is not outer and empty1 == empty2 == 0
+        assert all(memo is first for memo, _ in seen[:half])
+        assert first and second  # each held its reads while its replay lasted
+
+    def test_one_validation_per_distinct_morphism(self, snake_report, monkeypatch):
+        reads = [json.dumps(d, sort_keys=True) for d in _morphism_reads(snake_report)]
+        distinct = set(reads)
+        assert len(distinct) < len(reads)
+        validated = Counter()
+        real = AdelMorphism.__post_init__
+
+        def counting(self):
+            validated[json.dumps(to_json(self), sort_keys=True)] += 1
+            real(self)
+        monkeypatch.setattr(AdelMorphism, "__post_init__", counting)
+        assert replay_report(json.loads(json.dumps(snake_report)))
+        assert set(validated) == distinct and set(validated.values()) == {1}
+
+
 class TestConstructionMemoScopes:
     """Each prover call and each replay has a memo of its own."""
 
