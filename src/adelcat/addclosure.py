@@ -18,8 +18,9 @@ writes a grid of parts (matrix morphisms, zeros and multiples of
 identities) in one pass.  ``f[i, j]`` and ``entries`` are ``LinMorphism``
 views for printing and serialisation.  The flat row-major layout of all
 coefficients, in which homotopy systems are posed, belongs to ``HomBasis``
-alone: ``flatten`` chains the blocks and ``unflatten`` cuts a vector back
-into them.
+alone and is stated once, as its ``cuts``: ``flatten`` chains the blocks,
+``unflatten`` cuts a vector back into them, and the row builders of the
+homotopy systems place each entry's coefficients from its cut.
 
 The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
@@ -356,11 +357,12 @@ class HomBasis:
     layout in which homotopy systems are posed.  No other code flattens or
     splits a matrix morphism's coefficients.
 
-    Entry (i, j) owns the ``block_dim[(i, j)]`` coordinates from
-    ``offset[(i, j)]`` on, row-major.  ``flatten`` chains a morphism's
-    blocks, ``unflatten`` cuts a vector into blocks and brings each to
-    canonical form, and ``rel_rows`` lifts the relation lattice of every
-    entry into the big coordinate space, as sparse ``{col: value}`` rows.
+    The layout is ``cuts``: entry (i, j) owns the coordinates
+    ``cuts[i][j]``, a slice of length ``cat.dim(X[i], Y[j])``, and the
+    slices tile ``[0, dim)`` in row-major order.  ``flatten`` chains a
+    morphism's blocks, ``unflatten`` cuts a vector into blocks and brings
+    each to canonical form, and ``rel_rows`` lifts the relation lattice of
+    every entry into the big coordinate space, as sparse ``{col: value}`` rows.
     """
 
     def __init__(self, x: TupleObject, y: TupleObject):
@@ -368,13 +370,10 @@ class HomBasis:
         self.source = x
         self.target = y
         zeros = x.cat.zero_blocks(x.summands, y.summands)
-        pairs = [(i, j) for i in range(len(x)) for j in range(len(y))]
-        self.block_dim = dict(zip(pairs, map(len, chain.from_iterable(zeros))))
-        bounds = list(accumulate(self.block_dim.values(), initial=0))
-        self.offset = dict(zip(pairs, bounds))
+        bounds = list(accumulate(map(len, chain.from_iterable(zeros)), initial=0))
         self.dim = bounds[-1]
         cuts = iter(map(slice, bounds, bounds[1:]))
-        self._cuts = [list(islice(cuts, len(row))) for row in zeros]
+        self.cuts = [list(islice(cuts, len(row))) for row in zeros]
 
     def flatten(self, f: MatMorphism) -> tuple[int, ...]:
         if (f.source is not self.source and f.source != self.source
@@ -385,20 +384,15 @@ class HomBasis:
     def unflatten(self, vec: Sequence[int]) -> MatMorphism:
         vec = tuple(vec)
         return _canonical(self.source, self.target,
-                          [[vec[cut] for cut in row] for row in self._cuts])
-
-    def units(self):
-        for (i, j), n in self.block_dim.items():
-            for k in range(n):
-                yield (i, j, k)
+                          [[vec[cut] for cut in row] for row in self.cuts])
 
     def rel_rows(self) -> list[dict[int, int]]:
         rows: list[dict[int, int]] = []
-        for i, a in enumerate(self.source.summands):
-            for j, b in enumerate(self.target.summands):
-                group = self.cat.hom_group_lin(a, b)
-                off = self.offset[(i, j)]
-                for rel in group.relations.entries:
+        group_of = self.cat.hom_group_lin
+        for a, cuts in zip(self.source.summands, self.cuts):
+            for b, cut in zip(self.target.summands, cuts):
+                off = cut.start
+                for rel in group_of(a, b).relations.entries:
                     rows.append({off + k: v for k, v in enumerate(rel) if v})
         return rows
 
@@ -413,39 +407,39 @@ def _place(row: dict[int, int], off: int, coeffs: Sequence[int]):
 def left_compose_rows(f: MatMorphism, unknown: HomBasis, out: HomBasis) -> list[dict[int, int]]:
     """Sparse coefficient rows, ``{col: value}``, of the linear map
     ``sigma -> f * sigma`` in the flattened coordinates; one row per
-    unknown unit."""
+    coordinate of ``unknown``, in its row-major order."""
     cat = f.cat
-    blocks = f.blocks
+    compose = cat.compose_coeffs
+    xs, zs = out.source.summands, unknown.target.summands
     rows = []
-    for (l, j, k) in unknown.units():
-        b = unknown.source.summands[l]
-        c = unknown.target.summands[j]
-        unit = cat.unit_coeffs(b, c)[k]
-        row: dict[int, int] = {}
-        for i, a in enumerate(out.source.summands):
-            fe = blocks[i][l]
-            if any(fe):
-                _place(row, out.offset[(i, j)], cat.compose_coeffs(a, c, ((b, fe, unit),)))
-        rows.append(row)
+    for l, b in enumerate(unknown.source.summands):
+        f_col = [(a, f_row[l], cuts) for a, f_row, cuts in zip(xs, f.blocks, out.cuts)
+                 if any(f_row[l])]
+        for j, c in enumerate(zs):
+            for unit in cat.unit_coeffs(b, c):
+                row: dict[int, int] = {}
+                for a, fe, cuts in f_col:
+                    _place(row, cuts[j].start, compose(a, c, ((b, fe, unit),)))
+                rows.append(row)
     return rows
 
 
 def right_compose_rows(unknown: HomBasis, g: MatMorphism, out: HomBasis) -> list[dict[int, int]]:
     """Sparse coefficient rows of ``sigma -> sigma * g`` in flattened
-    coordinates."""
+    coordinates; one row per coordinate of ``unknown``, in its row-major
+    order."""
     cat = g.cat
-    blocks = g.blocks
+    compose = cat.compose_coeffs
+    ys, zs = unknown.target.summands, out.target.summands
     rows = []
-    for (i, l, k) in unknown.units():
-        a = unknown.source.summands[i]
-        b = unknown.target.summands[l]
-        unit = cat.unit_coeffs(a, b)[k]
-        row: dict[int, int] = {}
-        for j, c in enumerate(out.target.summands):
-            ge = blocks[l][j]
-            if any(ge):
-                _place(row, out.offset[(i, j)], cat.compose_coeffs(a, c, ((b, unit, ge),)))
-        rows.append(row)
+    for a, cuts in zip(unknown.source.summands, out.cuts):
+        for b, g_row in zip(ys, g.blocks):
+            g_parts = [(c, ge, cut.start) for c, ge, cut in zip(zs, g_row, cuts) if any(ge)]
+            for unit in cat.unit_coeffs(a, b):
+                row: dict[int, int] = {}
+                for c, ge, off in g_parts:
+                    _place(row, off, compose(a, c, ((b, unit, ge),)))
+                rows.append(row)
     return rows
 
 

@@ -12,7 +12,10 @@ cokernels, homology, the classical connecting-map chase) is computed from
 presentations, independently of the categorical constructions: it is the
 oracle the test suite compares those constructions against.  Oracle items
 are kernel, cokernel, homology and exactness claims; a mono or epi claim is
-a kernel or cokernel item whose object is the zero object.
+a kernel or cokernel item whose object is the zero object.  One routine,
+``oracle_compare``, checks every kind: a construction item reads its symbol
+and group-side construction from one table, and an exactness item
+checks that the evaluated homology vanishes.
 
 ``oracle_suite`` evaluates each object, morphism and path once: its items
 share one ``Evaluation``, which memoises by value and is dropped when the
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .addclosure import MatMorphism
 from .adelman import AdelMorphism, AdelObject
 from .intlinalg import (
     FpAbGroup,
@@ -131,11 +133,6 @@ def _evaluation(rep: Representation | Evaluation) -> Evaluation:
     return rep if isinstance(rep, Evaluation) else Evaluation(rep)
 
 
-def eval_mat(rep: Representation | Evaluation, f: MatMorphism) -> IntMatrix:
-    """Evaluate a matrix morphism to one integer matrix on the direct sums."""
-    return _evaluation(rep).mat(f)
-
-
 def eval_object(rep: Representation | Evaluation, x: AdelObject) -> GroupWithMap:
     """Homology of the evaluated composable pair: kernel of the evaluated
     corelation modulo the image of the evaluated relation morphism."""
@@ -216,7 +213,7 @@ def chase_connecting(rep: Representation, alpha: IntMatrix, beta: IntMatrix,
     return InducedMap(src, tgt, coords)
 
 
-# -- transport checks ----------------------------------------------------------
+# -- oracle checks ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OracleCheck:
@@ -225,61 +222,39 @@ class OracleCheck:
     detail: str = ""
 
 
-def _transports(name: str, symbol: str, ev: Evaluation, obj: AdelObject,
-                group: FpAbGroup) -> OracleCheck:
-    """Compare the evaluated object with the group-side construction."""
-    got = ev.object(obj).invariants()
-    want = group.invariants()
-    return OracleCheck(
-        f"{name} transports", got.reduced() == want.reduced(),
-        f"eval({symbol}) = {got.describe()}, {symbol}(eval) = {want.describe()}")
-
-
-def transport_kernel(rep: Representation | Evaluation, f: AdelMorphism,
-                     kernel_obj: AdelObject) -> OracleCheck:
-    ev = _evaluation(rep)
-    return _transports("kernel", "ker", ev, kernel_obj, group_kernel(ev.morphism(f))[0])
-
-
-def transport_cokernel(rep: Representation | Evaluation, f: AdelMorphism,
-                       cokernel_obj: AdelObject) -> OracleCheck:
-    ev = _evaluation(rep)
-    return _transports("cokernel", "coker", ev, cokernel_obj, group_cokernel(ev.morphism(f)))
-
-
-def transport_homology(rep: Representation | Evaluation, f: AdelMorphism, g: AdelMorphism,
-                       homology_obj: AdelObject) -> OracleCheck:
-    ev = _evaluation(rep)
-    return _transports("homology", "H", ev, homology_obj,
-                       group_homology(ev.morphism(f), ev.morphism(g)))
-
-
-def transport_exactness(rep: Representation | Evaluation, f: AdelMorphism, g: AdelMorphism,
-                        adel_exact: bool) -> OracleCheck:
-    if not adel_exact:
-        return OracleCheck("exactness transports", True, "no claim (not exact upstairs)")
-    ev = _evaluation(rep)
-    h = group_homology(ev.morphism(f), ev.morphism(g)).invariants()
-    return OracleCheck(
-        "exactness transports", h.is_trivial(),
-        f"evaluated homology = {h.describe()}")
-
-
-_TRANSPORTS = {
-    "kernel": transport_kernel,
-    "cokernel": transport_cokernel,
-    "homology": transport_homology,
-    "exact": transport_exactness,
+# kind -> (its symbol, its group-side construction on the evaluated maps)
+_ORACLE = {
+    "kernel": ("ker", lambda m: group_kernel(m)[0]),
+    "cokernel": ("coker", group_cokernel),
+    "homology": ("H", group_homology),
 }
 
 
 def oracle_compare(rep: Representation | Evaluation, item: tuple) -> OracleCheck:
-    """One transport check; ``item`` is a tagged tuple such as
-    ('kernel', f, kernel_obj) or ('exact', f, g, verdict)."""
-    transport = _TRANSPORTS.get(item[0])
-    if transport is None:
-        raise ValueError(f"unknown oracle item kind {item[0]!r}")
-    return transport(rep, *item[1:])
+    """One transport check; ``item`` is a tagged tuple: ('kernel', f, obj),
+    ('cokernel', f, obj), ('homology', f, g, obj) or ('exact', f, g, verdict).
+    A construction item compares the evaluated ``obj`` with the group-side
+    construction on the evaluated maps; an exactness item with a true
+    verdict requires the evaluated homology to vanish."""
+    kind, *args = item
+    if kind == "exact":
+        f, g, adel_exact = args
+        if not adel_exact:
+            return OracleCheck("exactness transports", True, "no claim (not exact upstairs)")
+        ev = _evaluation(rep)
+        h = group_homology(ev.morphism(f), ev.morphism(g)).invariants()
+        return OracleCheck("exactness transports", h.is_trivial(),
+                           f"evaluated homology = {h.describe()}")
+    if kind not in _ORACLE:
+        raise ValueError(f"unknown oracle item kind {kind!r}")
+    symbol, construct = _ORACLE[kind]
+    *fs, obj = args
+    ev = _evaluation(rep)
+    want = construct(*map(ev.morphism, fs)).invariants()
+    got = ev.object(obj).invariants()
+    return OracleCheck(
+        f"{kind} transports", got.reduced() == want.reduced(),
+        f"eval({symbol}) = {got.describe()}, {symbol}(eval) = {want.describe()}")
 
 
 def oracle_suite(rep: Representation, items: Sequence[tuple]) -> list[OracleCheck]:

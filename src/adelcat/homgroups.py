@@ -79,9 +79,6 @@ class HomGroupPresentation:
         vec = (coords * self.basis).entries[0] + (coords * self.witnesses).entries[0]
         return _morphisms(self.source, self.target, self._spaces, self._squares, [vec])[0]
 
-    def is_zero_class(self, f: Union[AdelMorphism, MatMorphism]) -> bool:
-        return self.group.is_zero_element(self.coordinates(f))
-
 
 def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     """Present Hom(X, Y) with generators and relations.

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, get_type_hints
+from typing import Callable, Optional, Sequence, Union, get_type_hints
 
 from . import adelman as ad
 from . import homgroups
-from .addclosure import MatMorphism, TupleObject, identity_mat, single
+from .addclosure import MatMorphism, TupleObject, compose_mat, from_blocks, identity_mat, single
 from .adelman import (
     AdelMorphism,
     AdelObject,
@@ -34,6 +34,7 @@ from .adelman import (
     compose,
     connecting_homomorphism,
     emb_lin,
+    emb_morphism,
     emb_vertex,
     homology,
     homology_comparison,
@@ -47,7 +48,7 @@ from .adelman import (
 from .catfile import Session, SessionSpec, build_category, parse_session
 from .evalfunctor import eval_object, zero_representation
 from .intlinalg import FpAbGroup, IntMatrix
-from .quivercat import QuiverCategory, compose_lin
+from .quivercat import QuiverCategory
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -298,6 +299,17 @@ def replay_report(report: dict) -> bool:
     return True
 
 
+def _grid(cat: QuiverCategory, rows: str, cols: str,
+          parts: Sequence[Sequence[Union[MatMorphism, int]]]) -> MatMorphism:
+    """The block matrix between sums of the one-vertex objects named in
+    ``rows`` and ``cols``.  A part is a 1x1 morphism or an integer ``c``:
+    ``c`` times the identity, reduced as ``scale`` reduces it, and 0 the zero
+    part (``from_blocks``)."""
+    def objects(names: str) -> list[TupleObject]:
+        return [TupleObject(cat, (v,)) for v in names.split()]
+    return from_blocks(objects(rows), objects(cols), parts)
+
+
 # -- check helpers --------------------------------------------------------------
 
 def _check_structural(checks: _Checks, description: str, left: AdelObject,
@@ -493,25 +505,11 @@ def explicit_sweep_witness(fig: SnakeFigure, s: int,
     """The kernel-to-cokernel composite at ``conn_s``, the connecting morphism
     of the unscaled ``fig`` scaled by s, and its closed-form witness pair for
     exactness at the connecting source, valid exactly for s in {-1, +1}."""
-    cat = fig.cat
-    kr = kernel(conn_s)
-    ck = cokernel(fig.blue2)
-    via = compose(kr.emb, ck.proj)
-    al = cat.arrow_lin("alpha")
-    ida, idb, idc = map(cat.identity_lin, "abc")
-    t_ba = TupleObject(cat, ("b", "a"))
-    t_ab = TupleObject(cat, ("a", "b"))
-    t_dc = TupleObject(cat, ("d", "c"))
-    t_bc = TupleObject(cat, ("b", "c"))
-    sigma1 = MatMorphism(t_ba, t_ab, (
-        (cat.zero_lin("b", "a"), idb),
-        (ida.scale(-s), al.scale(s)),
-    ))
-    sigma2 = MatMorphism(t_dc, t_bc, (
-        (cat.zero_lin("d", "b"), cat.zero_lin("d", "c")),
-        (cat.zero_lin("c", "b"), idc.scale(-s)),
-    ))
-    return via, WitnessPair(sigma1, sigma2)
+    grid = functools.partial(_grid, fig.cat)
+    via = compose(kernel(conn_s).emb, cokernel(fig.blue2).proj)
+    alpha = single(fig.cat.arrow_lin("alpha"))
+    return via, WitnessPair(grid("b a", "a b", [[0, 1], [-s, alpha.scale(s)]]),
+                            grid("d c", "b c", [[0, 0], [0, -s]]))
 
 
 def sweep_report(s_values: Sequence[int]) -> ProofReport:
@@ -632,20 +630,20 @@ class FiveData:
 def build_five_data() -> FiveData:
     session = Session(_session_spec("five"))
     cat, arrow = session.cat, session.morphism
-    lin = {a.label: cat.arrow_lin(a.label) for a in cat.quiver.arrows}
+    m = {a.label: single(cat.arrow_lin(a.label)) for a in cat.quiver.arrows}
     emb = {v: emb_vertex(cat, v) for v in "iabcfghj"}
 
-    cok_lambda = cokernel(emb_lin(lin["lambda"]))
-    ker_mu = kernel(emb_lin(lin["mu"]))
+    cok_lambda = cokernel(emb_morphism(m["lambda"]))
+    ker_mu = kernel(emb_morphism(m["mu"]))
 
-    top1 = emb_lin(lin["alpha"])
-    top2 = emb_lin(lin["beta"])
+    top1 = emb_morphism(m["alpha"])
+    top2 = emb_morphism(m["beta"])
     top3 = arrow("zeta*kappa", emb["c"], ker_mu.obj)
     bot1 = arrow("alpha*epsilon", cok_lambda.obj, emb["f"])
-    bot2 = emb_lin(lin["iota"])
-    bot3 = emb_lin(lin["kappa"])
-    eps = emb_lin(lin["epsilon"])
-    zeta = emb_lin(lin["zeta"])
+    bot2 = emb_morphism(m["iota"])
+    bot3 = emb_morphism(m["kappa"])
+    eps = emb_morphism(m["epsilon"])
+    zeta = emb_morphism(m["zeta"])
 
     ker_eps = kernel(eps)
     ker_zeta = kernel(zeta)
@@ -657,49 +655,24 @@ def build_five_data() -> FiveData:
     nu = cokernel_colift(m21, m22, zwp)
     step2_kernel = kernel(nu)
 
-    idb, idc, idf = map(cat.identity_lin, "bcf")
-    z = cat.zero_lin
-    t = lambda *vs: TupleObject(cat, vs)
-    w2 = AdelObject(
-        MatMorphism(t("b", "b"), t("c", "f", "b"), (
-            (lin["beta"], lin["epsilon"], z("b", "b")),
-            (z("b", "c"), z("b", "f"), idb),
-        )),
-        MatMorphism(t("c", "f", "b"), t("g", "f", "c"), (
-            (lin["zeta"], z("c", "f"), idc),
-            (z("f", "g"), idf, z("f", "c")),
-            (z("b", "g"), z("b", "f"), lin["beta"]),
-        )),
-    )
+    grid = functools.partial(_grid, cat)
+    w2 = AdelObject(grid("b b", "c f b", [[m["beta"], m["epsilon"], 0],
+                                          [0, 0, 1]]),
+                    grid("c f b", "g f c", [[m["zeta"], 0, 1],
+                                            [0, 1, 0],
+                                            [0, 0, m["beta"]]]))
 
     m3 = arrow("epsilon", session.objects["wa"], session.objects["wb"])
     cok_m3 = cokernel(m3)
-    w3 = AdelObject(
-        MatMorphism(t("a", "b"), t("f", "c"), (
-            (compose_lin(lin["alpha"], lin["epsilon"]), z("a", "c")),
-            (lin["epsilon"], lin["beta"]),
-        )),
-        MatMorphism(t("f", "c"), t("g", "c"), (
-            (lin["iota"], z("f", "c")),
-            (z("c", "g"), idc),
-        )),
-    )
+    w3 = AdelObject(grid("a b", "f c", [[compose_mat(m["alpha"], m["epsilon"]), 0],
+                                        [m["epsilon"], m["beta"]]]),
+                    grid("f c", "g c", [[m["iota"], 0],
+                                        [0, 1]]))
 
-    m4_datum = MatMorphism(t("c", "f", "b"), t("f", "c"), (
-        (z("c", "f"), idc),
-        (idf, z("f", "c")),
-        (lin["epsilon"], lin["beta"]),
-    ))
-    m4_rel_witness = MatMorphism(t("b", "b"), t("a", "b"), (
-        (z("b", "a"), idb),
-        (z("b", "a"), idb),
-    ))
-    m4_corel_witness = MatMorphism(t("g", "f", "c"), t("g", "c"), (
-        (-cat.identity_lin("g"), z("g", "c")),
-        (lin["iota"], z("f", "c")),
-        (lin["zeta"], idc),
-    ))
-    m4 = AdelMorphism(w2, w3, m4_datum, m4_rel_witness, m4_corel_witness)
+    m4 = AdelMorphism(w2, w3,
+                      grid("c f b", "f c", [[0, 1], [1, 0], [m["epsilon"], m["beta"]]]),
+                      grid("b b", "a b", [[0, 1], [0, 1]]),
+                      grid("g f c", "g c", [[-1, 0], [m["iota"], 0], [m["zeta"], 1]]))
 
     return FiveData(cat, session.objects, emb, cok_lambda, ker_mu, top1, top2, top3, bot1,
                     bot2, bot3, eps, zeta, w2, w3, m21, m22, nu, step2_kernel, m3, cok_m3, m4)
@@ -708,25 +681,19 @@ def build_five_data() -> FiveData:
 def explicit_five_witness(data: FiveData) -> WitnessPair:
     """The explicit big witness pair certifying that the kernel object of
     the step-4 chain map is zero."""
-    cat = data.cat
-    z = cat.zero_lin
-    ida, idb, idc, idf = map(cat.identity_lin, "abcf")
-    t = lambda *vs: TupleObject(cat, vs)
-    sigma1 = MatMorphism(t("c", "f", "b", "a", "b"), t("b", "b", "a", "b"), (
-        (z("c", "b"), z("c", "b"), z("c", "a"), z("c", "b")),
-        (z("f", "b"), z("f", "b"), z("f", "a"), z("f", "b")),
-        (-idb, idb, z("b", "a"), z("b", "b")),
-        (-cat.arrow_lin("alpha"), z("a", "b"), ida, z("a", "b")),
-        (-idb, z("b", "b"), z("b", "a"), idb),
-    ))
-    sigma2 = MatMorphism(t("g", "f", "c", "f", "c"), t("c", "f", "b", "a", "b"), (
-        (z("g", "c"), z("g", "f"), z("g", "b"), z("g", "a"), z("g", "b")),
-        (z("f", "c"), z("f", "f"), z("f", "b"), z("f", "a"), z("f", "b")),
-        (z("c", "c"), z("c", "f"), z("c", "b"), z("c", "a"), z("c", "b")),
-        (z("f", "c"), idf, z("f", "b"), z("f", "a"), z("f", "b")),
-        (idc, z("c", "f"), z("c", "b"), z("c", "a"), z("c", "b")),
-    ))
-    return WitnessPair(sigma1, sigma2)
+    grid = functools.partial(_grid, data.cat)
+    alpha = single(data.cat.arrow_lin("alpha"))
+    return WitnessPair(
+        grid("c f b a b", "b b a b", [[0, 0, 0, 0],
+                                      [0, 0, 0, 0],
+                                      [-1, 1, 0, 0],
+                                      [-alpha, 0, 1, 0],
+                                      [-1, 0, 0, 1]]),
+        grid("g f c f c", "c f b a b", [[0, 0, 0, 0, 0],
+                                        [0, 0, 0, 0, 0],
+                                        [0, 0, 0, 0, 0],
+                                        [0, 1, 0, 0, 0],
+                                        [1, 0, 0, 0, 0]]))
 
 
 @ad.construction_memo()

@@ -124,9 +124,6 @@ class Path:
     target: str
     arrows: tuple[int, ...]
 
-    def is_identity(self) -> bool:
-        return not self.arrows
-
 
 def _validate_path(quiver: Quiver, path: Path, error: type = QuiverError):
     at = path.source
@@ -354,11 +351,6 @@ class QuiverCategory:
     def path_index(self, a: str, b: str, arrows: tuple[int, ...]) -> int:
         return self._path_data(a, b)[1][arrows]
 
-    def relation_subgroup(self, a: str, b: str) -> IntMatrix:
-        """Canonical basis (the nonzero HNF rows) of the relation subgroup
-        of Hom(a, b)."""
-        return self.hom_group_lin(a, b).relations
-
     def hom_group_lin(self, a: str, b: str) -> FpAbGroup:
         try:
             return self._hom[(a, b)]
@@ -522,13 +514,6 @@ def compose_lin(f: LinMorphism, g: LinMorphism) -> LinMorphism:
         raise EndpointError(f"cannot compose {f.source}->{f.target} with {g.source}->{g.target}")
     coeffs = f.cat.compose_coeffs(f.source, g.target, ((f.target, f.coeffs, g.coeffs),))
     return LinMorphism(f.cat, f.source, g.target, coeffs)
-
-
-def lin_equal(f: LinMorphism, g: LinMorphism) -> bool:
-    """Equality modulo the relation subgroup; canonical forms make this a
-    coefficient comparison."""
-    f._require_parallel(g)
-    return f.coeffs == g.coeffs
 
 
 def dual_lin(f: LinMorphism) -> LinMorphism:

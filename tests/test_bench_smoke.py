@@ -3,8 +3,9 @@
 The harness is changed only together with the benchmark itself, so a change
 to the library that breaks what it calls would otherwise show only when the
 benchmark runs.  For every workload this runs the first operation of the
-``--seed 0`` input and applies the harness's own result check, and it checks
-that every method the tracer wraps still exists where the tracer looks.
+``--seed 0`` input, and the last operation of each kind, and applies the
+harness's own result check to each; it also checks that every method the
+tracer wraps still exists where the tracer looks.
 """
 
 import os
@@ -24,6 +25,15 @@ def test_first_operation_passes_its_check(name, tmp_path):
     wl = workloads.WORKLOADS[name](0, str(tmp_path))
     op = wl.ops[0]
     op.check(op.run())
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_last_operation_of_each_kind_passes_its_check(name, tmp_path):
+    wl = workloads.WORKLOADS[name](0, str(tmp_path))
+    last = {op.kind: op for op in wl.ops}
+    assert len(last) == {"provers": 6, "hom_ladder": 1, "oracle": 2, "cli_big_quiver": 4}[name]
+    for op in last.values():
+        op.check(op.run())
 
 
 def test_traced_methods_exist():

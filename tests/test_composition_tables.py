@@ -6,6 +6,9 @@ the flat coefficient tuple agrees with the same operation done entry by
 entry with ``LinMorphism`` arithmetic, and leaves every block canonical.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +80,13 @@ def rand_mat(cat, src, tgt, rng):
     return MatMorphism(src, tgt, rand_grid(cat, src, tgt, rng))
 
 
+def units(hb):
+    """(i, j, k) for the k-th coordinate of entry (i, j) of ``hb``, in the
+    order of its coordinates."""
+    return [(i, j, k) for i, row in enumerate(hb.cuts) for j, cut in enumerate(row)
+            for k in range(cut.stop - cut.start)]
+
+
 def grid(f):
     """The entries of ``f`` read one by one through ``f[i, j]``."""
     return tuple(tuple(f[i, j] for j in range(len(f.target))) for i in range(len(f.source)))
@@ -127,11 +137,11 @@ def test_left_compose_rows_match_naive(name, rng):
     unknown, out = HomBasis(y, z), HomBasis(x, z)
     rows = left_compose_rows(f, unknown, out)
     assert len(rows) == unknown.dim
-    for row, (l, j, k) in zip(rows, unknown.units()):
+    for row, (l, j, k) in zip(rows, units(unknown)):
         b, c = y.summands[l], z.summands[j]
         expected = [0] * out.dim
         for i, a in enumerate(x.summands):
-            off = out.offset[(i, j)]
+            off = out.cuts[i][j].start
             block = naive_compose(cat, a, b, c, f[i, l].coeffs, unit_vector(cat, b, c, k))
             expected[off : off + len(block)] = block
         assert row == {col: v for col, v in enumerate(expected) if v}
@@ -146,11 +156,11 @@ def test_right_compose_rows_match_naive(name, rng):
     unknown, out = HomBasis(x, y), HomBasis(x, z)
     rows = right_compose_rows(unknown, g, out)
     assert len(rows) == unknown.dim
-    for row, (i, l, k) in zip(rows, unknown.units()):
+    for row, (i, l, k) in zip(rows, units(unknown)):
         a, b = x.summands[i], y.summands[l]
         expected = [0] * out.dim
         for j, c in enumerate(z.summands):
-            off = out.offset[(i, j)]
+            off = out.cuts[i][j].start
             block = naive_compose(cat, a, b, c, unit_vector(cat, a, b, k), g[l, j].coeffs)
             expected[off : off + len(block)] = block
         assert row == {col: v for col, v in enumerate(expected) if v}
@@ -245,13 +255,32 @@ def test_unflatten_canonicalises_once_and_flatten_inverts(name, rng):
     hb = HomBasis(x, y)
     vec = [rng.randint(-5, 5) for _ in range(hb.dim)]
     m = hb.unflatten(vec)
-    check_flat(m, [[cat.lin(a, b, vec[hb.offset[(i, j)]:hb.offset[(i, j)] + hb.block_dim[(i, j)]])
-                    for j, b in enumerate(y.summands)]
+    check_flat(m, [[cat.lin(a, b, vec[hb.cuts[i][j]]) for j, b in enumerate(y.summands)]
                    for i, a in enumerate(x.summands)])
     assert hb.flatten(m) == tuple(c for row in m.blocks for block in row for c in block)
     assert hb.unflatten(hb.flatten(m)) == m
     f = rand_mat(cat, x, y, rng)
     assert hb.unflatten(hb.flatten(f)) == f
+
+
+@pytest.mark.parametrize("name", sorted(CATEGORIES))
+def test_hom_basis_cuts_tile_the_coordinates_row_major(name):
+    cat = CATEGORIES[name]
+    rng = random.Random(name)
+    for _ in range(20):
+        x, y = rand_tuple(cat, rng), rand_tuple(cat, rng)
+        hb = HomBasis(x, y)
+        assert len(hb.cuts) == len(x)
+        at = 0
+        for a, row in zip(x.summands, hb.cuts):
+            assert len(row) == len(y)
+            for b, cut in zip(y.summands, row):
+                assert (cut.start, cut.step) == (at, None)
+                assert cut.stop - cut.start == cat.dim(a, b)
+                at = cut.stop
+        assert at == hb.dim
+        f = rand_mat(cat, x, y, rng)
+        assert hb.unflatten(hb.flatten(f)) == f
 
 
 @SETTINGS

@@ -28,7 +28,6 @@ from adelcat.evalfunctor import (
     chase_connecting,
     check_representation,
     compose_maps,
-    eval_mat,
     eval_morphism,
     eval_object,
     group_cokernel,
@@ -39,13 +38,16 @@ from adelcat.evalfunctor import (
     oracle_compare,
     oracle_suite,
     random_representation,
-    transport_exactness,
     zero_representation,
 )
 from adelcat.intlinalg import IntMatrix, SmithInvariants
 from adelcat.provers import five_oracle_items, snake_oracle_items
 
 SEEDED_REPRESENTATIONS_SHA256 = "dc52c7747ec6b6247a584d9d26b2b46b50bff1d5e468987ca250045aaf5a0bc7"
+
+# (description, ok, detail) of every oracle check of the snake and five items
+# on seeds 0-4, recorded before the transports became one routine
+ORACLE_TEXT_SHA256 = "10a33edbb207ef27195ab62478f636e9dbf9aeb2c5897ab566f87b18c445e577"
 
 
 def snake_rep(cat, alpha=2, beta=1, gamma=0):
@@ -145,9 +147,8 @@ class TestConnectingChase:
         cat = snake_fig.cat
         for seed in range(6):
             rep = random_representation(cat, seed)
-            ma = eval_mat(rep, single(cat.arrow_lin("alpha")))
-            mb = eval_mat(rep, single(cat.arrow_lin("beta")))
-            mg = eval_mat(rep, single(cat.arrow_lin("gamma")))
+            ma, mb, mg = (Evaluation(rep).mat(single(cat.arrow_lin(a)))
+                          for a in ("alpha", "beta", "gamma"))
             chased = chase_connecting(rep, ma, mb, mg)
             evaluated = eval_morphism(rep, snake_fig.connecting)
             assert chased.source.group == evaluated.source.group
@@ -250,16 +251,27 @@ class TestTransport:
 
     def test_exactness_claim_only_when_exact(self, snake_fig):
         rep = random_representation(snake_fig.cat, 9)
-        chk = transport_exactness(rep, snake_fig.blue2, snake_fig.connecting, True)
+        chk = oracle_compare(rep, ("exact", snake_fig.blue2, snake_fig.connecting, True))
         assert chk.ok
-        chk2 = transport_exactness(rep, snake_fig.blue2,
-                                   snake_fig.connecting.scale(2), False)
+        chk2 = oracle_compare(rep, ("exact", snake_fig.blue2,
+                                    snake_fig.connecting.scale(2), False))
         assert chk2.ok  # no claim transported for non-exact verdicts
+        assert chk2.detail == "no claim (not exact upstairs)"
 
 
 def _suites(snake_fig, five_data):
     return ((snake_fig.cat, snake_oracle_items(snake_fig)),
             (five_data.cat, five_oracle_items(five_data)))
+
+
+def test_oracle_text_is_pinned(snake_fig, five_data):
+    texts = []
+    for cat, items in _suites(snake_fig, five_data):
+        for seed in range(5):
+            rep = random_representation(cat, seed)
+            texts += [[c.description, c.ok, c.detail] for c in oracle_suite(rep, items)]
+    assert len(texts) == 265
+    assert hashlib.sha256(json.dumps(texts).encode()).hexdigest() == ORACLE_TEXT_SHA256
 
 
 class TestSuiteEvaluation:
