@@ -10,13 +10,15 @@ A matrix morphism stores its grid: the tuple of its rows, each the tuple
 of the canonical coefficient blocks of its entries, block (i, j) over the
 path basis of Hom(source[i], target[j]).  Zero blocks, and with them the
 block dimensions, are kept by the category per vertex pair; no cache is
-keyed by tuple objects.  All arithmetic works block by block: composition
-goes through ``QuiverCategory.compose_coeffs``, and sums and multiples
-reduce only the blocks whose canonical forms are not closed under integer
-combinations.  ``from_blocks`` is the one block-matrix constructor: it
-writes a grid of parts (matrix morphisms, zeros and multiples of
-identities) in one pass.  ``f[i, j]`` and ``entries`` are ``LinMorphism``
-views for printing and serialisation.  The flat row-major layout of all
+keyed by tuple objects.  All arithmetic works block by block, and every
+block it forms is reduced by the category's one rule,
+``QuiverCategory.canonical``: composition through ``compose_coeffs``, sums,
+multiples, checked entries and cut solution vectors through ``canonical``
+itself, so this module never decides whether a block needs reducing.
+``from_blocks`` is the one block-matrix constructor: it writes a grid of
+parts (matrix morphisms, zeros and multiples of identities) in one pass.
+``f[i, j]`` and ``entries`` are ``LinMorphism`` views for printing and
+serialisation.  The flat row-major layout of all
 coefficients, in which homotopy systems are posed, belongs to ``HomBasis``
 alone and is stated once, as its ``cuts``: ``flatten`` chains the blocks,
 ``unflatten`` cuts a vector back into them, and the row builders of the
@@ -109,9 +111,12 @@ class MatMorphism:
     ``blocks[i][j]`` holds the ``cat.dim(source[i], target[j])``
     coefficients of entry (i, j).  The constructor takes the grid of
     entries and checks every entry's category, endpoints and coefficient
-    count; it is the one place that checks them.  The operations of this
-    module build their results block by block from checked values, so their
-    shapes hold by construction and they are built unchecked.
+    count; it is the one place that checks them.  It then brings each
+    entry's coefficients to canonical form, so an entry need not be reduced
+    already: a ``LinMorphism`` built directly holds whatever vector it was
+    given.  The operations of this module build their results block by
+    block from checked values, so their shapes hold by construction and
+    they are built unchecked.
 
     Values are immutable: nothing assigns to their attributes after
     construction (a slotted class without an assignment guard, because
@@ -141,7 +146,7 @@ class MatMorphism:
                 if len(e.coeffs) != cat.dim(a, b):
                     raise EndpointError(f"entry ({i},{j}) has {len(e.coeffs)} coefficients "
                                         f"for {cat.dim(a, b)} paths {a}->{b}")
-        return _mat(source, target, tuple(tuple(tuple(e.coeffs) for e in row) for row in entries))
+        return _canonical(source, target, [[e.coeffs for e in row] for row in entries])
 
     def __eq__(self, other):
         if not isinstance(other, MatMorphism):
@@ -176,15 +181,12 @@ class MatMorphism:
     def is_zero(self) -> bool:
         return not any(map(any, chain.from_iterable(self.blocks)))
 
-    # Integer combinations of canonical blocks are canonical except where
-    # the block's group lacks ``unit_pivots``; only those are reduced.
-
     def _combine(self, op, other: "MatMorphism") -> "MatMorphism":
         if self.source != other.source or self.target != other.target:
             raise EndpointError("cannot add morphisms with different endpoints")
         return _canonical(self.source, self.target, [
             [tuple(map(op, p, q)) for p, q in zip(r, s)]
-            for r, s in zip(self.blocks, other.blocks)], combination=True)
+            for r, s in zip(self.blocks, other.blocks)])
 
     def __add__(self, other: "MatMorphism") -> "MatMorphism":
         return self._combine(operator.add, other)
@@ -197,8 +199,7 @@ class MatMorphism:
 
     def scale(self, c: int) -> "MatMorphism":
         return _canonical(self.source, self.target, [
-            [tuple([c * v for v in block]) for block in row] for row in self.blocks],
-            combination=True)
+            [[c * v for v in block] for block in row] for row in self.blocks])
 
     def __repr__(self) -> str:
         return f"MatMorphism({self.source!r} -> {self.target!r}: {format_mat(self)})"
@@ -216,27 +217,13 @@ def _mat(source: TupleObject, target: TupleObject,
     return f
 
 
-def _canonical(x: TupleObject, y: TupleObject, grid: Iterable[Sequence[tuple[int, ...]]],
-               combination: bool = False) -> MatMorphism:
-    """The morphism ``x -> y`` whose blocks are those of the rows ``grid``
-    brought to canonical form.  With ``combination``, each block is an
-    integer combination of canonical blocks, and only the blocks whose group
-    lacks ``unit_pivots`` are reduced."""
-    cat = x.cat
-    if not cat.relations:
-        return _mat(x, y, tuple(map(tuple, grid)))
-    group_of, ys = cat.hom_group_lin, y.summands
-    rows = []
-    for a, row in zip(x.summands, grid):
-        out = []
-        for b, block in zip(ys, row):
-            if any(block):
-                group = group_of(a, b)
-                if group.relations.entries and not (combination and group.unit_pivots):
-                    block = group.canonical_rep(block)
-            out.append(block)
-        rows.append(tuple(out))
-    return _mat(x, y, tuple(rows))
+def _canonical(x: TupleObject, y: TupleObject,
+               grid: Iterable[Sequence[Sequence[int]]]) -> MatMorphism:
+    """The morphism ``x -> y`` whose blocks are those of the rows ``grid``,
+    each of its Hom set's dimension, brought to canonical form."""
+    canonical, ys = x.cat.canonical, y.summands
+    return _mat(x, y, tuple([tuple([canonical(a, b, block) for b, block in zip(ys, row)])
+                             for a, row in zip(x.summands, grid)]))
 
 
 def single(lin: LinMorphism) -> MatMorphism:
@@ -279,18 +266,6 @@ def compose_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
     return _mat(x, z, tuple(out))
 
 
-def _scaled_unit(cat: QuiverCategory, a: str, c: int) -> tuple[int, ...]:
-    """``c`` times the identity block of ``a``, reduced as ``scale`` reduces."""
-    block = cat.unit_coeffs(a, a)[0]  # the identity path is the only path a -> a
-    if c == 1:
-        return block
-    block = tuple([c * v for v in block])
-    group = cat.hom_group_lin(a, a)
-    if any(block) and group.relations.entries and not group.unit_pivots:
-        block = group.canonical_rep(block)
-    return block
-
-
 def from_blocks(rows: Sequence[TupleObject], cols: Sequence[TupleObject],
                 grid: Sequence[Sequence[Union[MatMorphism, int]]]) -> MatMorphism:
     """The block matrix from the sum of ``rows`` to the sum of ``cols``.
@@ -299,8 +274,9 @@ def from_blocks(rows: Sequence[TupleObject], cols: Sequence[TupleObject],
     ``c`` times the identity of ``rows[i]``, which must be ``cols[j]``, and
     the zero part for 0.  The grid of coefficient blocks is written in one
     pass: it starts as the category's zero blocks, and the parts' blocks and
-    identity units are written over them; ``c`` times an identity is reduced
-    as ``identity_mat(x).scale(c)`` reduces it."""
+    the canonical blocks of ``c`` times each identity are written over them.
+    The identity path is the only path from a vertex to itself, so the
+    block of ``c`` times the identity of ``a`` is ``canonical(a, a, (c,))``."""
     if not rows or not cols:
         raise EndpointError("block matrix without row or column objects")
     source, target = sum_obj(*rows), sum_obj(*cols)
@@ -327,7 +303,7 @@ def from_blocks(rows: Sequence[TupleObject], cols: Sequence[TupleObject],
                 if y is not x and y != x:
                     raise EndpointError(f"identity block ({i},{j}) between different objects")
                 for k, a in enumerate(x.summands):
-                    lines[at + k][col + k] = _scaled_unit(cat, a, part)
+                    lines[at + k][col + k] = cat.canonical(a, a, (part,))
             col += len(y.summands)
         at += len(x.summands)
     return _mat(source, target, tuple(map(tuple, lines)))
@@ -369,11 +345,11 @@ class HomBasis:
         self.cat = x.cat
         self.source = x
         self.target = y
-        zeros = x.cat.zero_blocks(x.summands, y.summands)
-        bounds = list(accumulate(map(len, chain.from_iterable(zeros)), initial=0))
+        dim, ys = x.cat.dim, y.summands
+        bounds = list(accumulate([dim(a, b) for a in x.summands for b in ys], initial=0))
         self.dim = bounds[-1]
         cuts = iter(map(slice, bounds, bounds[1:]))
-        self.cuts = [list(islice(cuts, len(row))) for row in zeros]
+        self.cuts = [list(islice(cuts, len(ys))) for _ in x.summands]
 
     def flatten(self, f: MatMorphism) -> tuple[int, ...]:
         if (f.source is not self.source and f.source != self.source

@@ -144,22 +144,6 @@ def eval_morphism(rep: Representation | Evaluation, f: AdelMorphism) -> InducedM
     return _evaluation(rep).morphism(f)
 
 
-def identity_map(g: GroupWithMap) -> InducedMap:
-    return InducedMap(g, g, IntMatrix.identity(g.group.ngens))
-
-
-def compose_maps(m1: InducedMap, m2: InducedMap) -> InducedMap:
-    return InducedMap(m1.source, m2.target, m1.matrix * m2.matrix)
-
-
-def map_equal(m1: InducedMap, m2: InducedMap) -> bool:
-    """Equality as maps on cosets (generator images differ by relations)."""
-    if m1.matrix.shape != m2.matrix.shape:
-        return False
-    diff = m1.matrix - m2.matrix
-    return all(map(m1.target.group.is_zero_element, diff.entries))
-
-
 # -- group-side constructions (the independent oracle) ------------------------
 
 def group_kernel(m: InducedMap) -> tuple[FpAbGroup, IntMatrix]:

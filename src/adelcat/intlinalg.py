@@ -347,17 +347,13 @@ class FpAbGroup:
 
     Elements are integer vectors of length ``ngens``; two vectors represent
     the same element exactly when their canonical representatives coincide.
-
-    ``unit_pivots`` is true when every pivot of the reduced relation basis
-    is 1.  Canonical representatives are then exactly the vectors that
-    vanish at the pivot columns, so integer combinations of canonical
-    representatives are canonical again.
+    ``canonical_rep`` reduces every vector it is given; deciding which
+    coefficient blocks need it is ``QuiverCategory.canonical``'s rule.
     """
 
     ngens: int
     relations: IntMatrix
     _reduced: tuple = field(init=False, repr=False, compare=False)  # (HNF row, pivot column)
-    unit_pivots: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.relations.cols != self.ngens:
@@ -365,9 +361,7 @@ class FpAbGroup:
                 f"relations have {self.relations.cols} columns for {self.ngens} generators"
             )
         h_rows, _, pivots = _kernel.hnf_rows(self.relations.entries, self.ngens, False)
-        reduced = tuple((h_rows[r], c) for r, c in pivots)
-        object.__setattr__(self, "_reduced", reduced)
-        object.__setattr__(self, "unit_pivots", all(row[c] == 1 for row, c in reduced))
+        object.__setattr__(self, "_reduced", tuple((h_rows[r], c) for r, c in pivots))
 
     @staticmethod
     def free(ngens: int) -> "FpAbGroup":

@@ -48,7 +48,7 @@ from .adelman import (
 from .catfile import Session, SessionSpec, build_category, parse_session
 from .evalfunctor import eval_object, zero_representation
 from .intlinalg import FpAbGroup, IntMatrix
-from .quivercat import QuiverCategory
+from .quivercat import LinMorphism, QuiverCategory
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -213,7 +213,7 @@ def from_json(cat: QuiverCategory, kind: type, data):
 
 def _matrix(cat: QuiverCategory, src: tuple, tgt: tuple, grid: tuple) -> MatMorphism:
     return MatMorphism(TupleObject(cat, src), TupleObject(cat, tgt), tuple(
-        tuple(cat.lin(a, b, block) for b, block in zip(tgt, row, strict=True))
+        tuple(LinMorphism(cat, a, b, block) for b, block in zip(tgt, row, strict=True))
         for a, row in zip(src, grid, strict=True)))
 
 

@@ -251,6 +251,12 @@ class QuiverCategory:
       in Hom(a, c);
     * for a pair, the canonical forms of its unit vectors.
 
+    ``canonical`` is the one rule that reduces a coefficient block: unit
+    vectors, composites, duals, and the sums, multiples and checked entries
+    of matrix morphisms all go through it, so no other module decides
+    whether a block needs reducing.  ``lin`` reduces its vector through
+    ``canonical_rep`` always, which also checks its length.
+
     Each entry is a pure function of the quiver and the relations and is
     stored by a single dict assignment of one value, so a fill raced by two
     threads stores equal values and instances stay safe to share.
@@ -375,12 +381,22 @@ class QuiverCategory:
         """Canonical coefficients of every basis path of Hom(a, b)."""
         units = self._units.get((a, b))
         if units is None:
-            group = self.hom_group_lin(a, b)
-            n = group.ngens
-            units = tuple(group.canonical_rep([int(k == t) for t in range(n)])
+            n = self.dim(a, b)
+            units = tuple(self.canonical(a, b, [int(k == t) for t in range(n)])
                           for k in range(n))
             self._units[(a, b)] = units
         return units
+
+    def canonical(self, a: str, b: str, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """The canonical form in Hom(a, b) of the coefficients ``coeffs``,
+        which must number ``dim(a, b)``: the one rule by which every block is
+        reduced.  A zero vector, and a vector of a group without relations,
+        is its own canonical form; any other goes through ``canonical_rep``."""
+        coeffs = tuple(coeffs)
+        if not any(coeffs):
+            return coeffs
+        group = self.hom_group_lin(a, b)
+        return group.canonical_rep(coeffs) if group.relations.entries else coeffs
 
     def compose_coeffs(self, a: str, c: str,
                        terms: Iterable[tuple[str, Sequence[int], Sequence[int]]]) -> tuple[int, ...]:
@@ -401,10 +417,7 @@ class QuiverCategory:
                     for j, y in enumerate(g):
                         if y:
                             acc[row[j]] += x * y
-        if not any(acc):
-            return tuple(acc)
-        group = self.hom_group_lin(a, c)
-        return group.canonical_rep(acc) if group.relations.rows else tuple(acc)
+        return self.canonical(a, c, acc)
 
     def dual_coeffs(self, a: str, b: str, coeffs: Sequence[int]) -> tuple[int, ...]:
         """Canonical coefficients in Hom(b, a) of the opposite category of
@@ -416,18 +429,13 @@ class QuiverCategory:
         for i, c in enumerate(coeffs):
             if c:
                 acc[op.path_index(b, a, paths[i].arrows[::-1])] += c
-        if not any(acc):
-            return tuple(acc)
-        return op.hom_group_lin(b, a).canonical_rep(acc)
+        return op.canonical(b, a, acc)
 
     # -- morphisms --------------------------------------------------------
 
     def lin(self, a: str, b: str, coeffs: Sequence[int]) -> "LinMorphism":
         group = self.hom_group_lin(a, b)
         return LinMorphism(self, a, b, group.canonical_rep(coeffs))
-
-    def zero_lin(self, a: str, b: str) -> "LinMorphism":
-        return LinMorphism(self, a, b, (0,) * self.dim(a, b))
 
     def identity_lin(self, a: str) -> "LinMorphism":
         return self.lin_from_path(Path(a, a, ()))

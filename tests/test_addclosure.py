@@ -20,6 +20,7 @@ from adelcat.addclosure import (
     zero_mat,
     zero_obj,
 )
+from adelcat.adelman import emb_morphism, is_zero_morphism
 from adelcat.intlinalg import IntMatrix, solve_left
 from adelcat.quivercat import Arrow, EndpointError, LinMorphism, Quiver, QuiverCategory
 from adelcat.representation import MatrixEvaluation, Representation, check_representation
@@ -168,7 +169,7 @@ class TestBlocks:
         ab = tuple_obj(snake_cat, "a", "b")
         with pytest.raises(EndpointError, match=r"entry \(1,1\) has endpoints a->b"):
             MatMorphism(ab, ab, ((snake_cat.identity_lin("a"), alpha),
-                                 (snake_cat.zero_lin("b", "a"), alpha)))
+                                 (snake_cat.lin("b", "a", ()), alpha)))
 
     def test_constructor_checks_category_and_coefficient_count(self):
         def category(*arrows):
@@ -183,6 +184,14 @@ class TestBlocks:
         with pytest.raises(EndpointError, match="different categories"):
             MatMorphism(a, tuple_obj(c2, "b"), [[c1.arrow_lin("f")]])
         assert MatMorphism(a, b, [[c1.arrow_lin("f")]]).blocks == (((1,),),)
+
+    def test_constructor_brings_entries_to_canonical_form(self, snake_cat):
+        # alpha*beta*gamma = 0, so the only path a -> d is zero in Hom(a, d)
+        a, d = tuple_obj(snake_cat, "a"), tuple_obj(snake_cat, "d")
+        m = MatMorphism(a, d, [[LinMorphism(snake_cat, "a", "d", (1,))]])
+        assert m.blocks == (((0,),),)
+        assert m == zero_mat(a, d) and m.is_zero()
+        assert is_zero_morphism(emb_morphism(m)) is not None
 
 
 def _ladder_systems(ladder_cat):

@@ -20,19 +20,20 @@ from adelcat.adelman import KernelResult, cokernel, kernel
 from adelcat.homgroups import hom_group
 from adelcat.quivercat import EndpointError, Path, Quiver, QuiverCategory, Relation
 
-from test_composition_tables import CATEGORIES, check_flat, grid, rand_grid, rand_tuple
+from test_composition_tables import (
+    CATEGORIES, check_flat, grid, rand_grid, rand_tuple, zero_lin)
 from test_homgroups import _ladder_pairs
 
 
 # -- the old composition, as a test-local oracle -------------------------------
 
 def old_zero(x, y):
-    return MatMorphism(x, y, [[x.cat.zero_lin(a, b) for b in y.summands] for a in x.summands])
+    return MatMorphism(x, y, [[zero_lin(x.cat, a, b) for b in y.summands] for a in x.summands])
 
 
 def old_identity(x):
     cat = x.cat
-    return MatMorphism(x, x, [[cat.identity_lin(a) if i == j else cat.zero_lin(a, b)
+    return MatMorphism(x, x, [[cat.identity_lin(a) if i == j else zero_lin(cat, a, b)
                                for j, b in enumerate(x.summands)]
                               for i, a in enumerate(x.summands)])
 

@@ -6,12 +6,14 @@ the flat coefficient tuple agrees with the same operation done entry by
 entry with ``LinMorphism`` arithmetic, and leaves every block canonical.
 """
 
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adelcat
 from adelcat.addclosure import (
     HomBasis,
     MatMorphism,
@@ -58,6 +60,10 @@ def naive_compose(cat, a, b, c, f, g):
                 unit[cat.path_index(a, c, p.arrows + q.arrows)] = x * y
                 acc = [s + t for s, t in zip(acc, group.canonical_rep(unit))]
     return group.canonical_rep(acc)
+
+
+def zero_lin(cat, a, b):
+    return cat.lin(a, b, (0,) * cat.dim(a, b))
 
 
 def unit_vector(cat, a, b, k):
@@ -226,9 +232,9 @@ def test_stacks_and_blocks_match_entries(name, rng):
 def test_zero_and_identity_match_entries(name, rng):
     cat = CATEGORIES[name]
     x, y = rand_tuple(cat, rng), rand_tuple(cat, rng)
-    check_flat(zero_mat(x, y), [[cat.zero_lin(a, b) for b in y.summands] for a in x.summands])
+    check_flat(zero_mat(x, y), [[zero_lin(cat, a, b) for b in y.summands] for a in x.summands])
     check_flat(identity_mat(x), [
-        [cat.identity_lin(a) if i == j else cat.zero_lin(a, b)
+        [cat.identity_lin(a) if i == j else zero_lin(cat, a, b)
          for j, b in enumerate(x.summands)]
         for i, a in enumerate(x.summands)])
 
@@ -292,17 +298,46 @@ def test_compose_results_are_canonical(name, rng):
     check_flat(fg, grid(fg))
 
 
-def test_unit_pivots_mark_the_groups_sums_can_leave_canonical():
-    skew, torsion = _BASE["skew"], _BASE["torsion"]
-    assert not skew.hom_group_lin("a", "b").unit_pivots
-    assert not skew.hom_group_lin("a", "c").unit_pivots
-    assert not torsion.hom_group_lin("a", "b").unit_pivots
-    five = _BASE["five"]
-    assert all(five.hom_group_lin(a, b).unit_pivots
-               for a in five.quiver.vertices for b in five.quiver.vertices)
+def check_canonical(f):
+    """Every block of ``f`` is its own canonical representative."""
+    for a, row in zip(f.source.summands, f.blocks):
+        for b, block in zip(f.target.summands, row):
+            assert block == f.cat.hom_group_lin(a, b).canonical_rep(block)
+
+
+@pytest.mark.parametrize("name", ["skew", "torsion", "five"])
+def test_sums_multiples_identity_parts_and_unflatten_are_canonical(name):
+    """Skew's Hom(a, b) and Hom(a, c) and torsion's Hom(a, b) have relation
+    pivots other than 1, so integer combinations of canonical blocks can
+    leave canonical form there; every pivot of five's groups is 1."""
+    cat = _BASE[name]
+    rng = random.Random(name)
+    for _ in range(20):
+        x, y = rand_tuple(cat, rng), rand_tuple(cat, rng)
+        f, g = rand_mat(cat, x, y, rng), rand_mat(cat, x, y, rng)
+        for h in (f + g, f - g, *(f.scale(c) for c in (-2, -1, 2, 3))):
+            check_canonical(h)
+        if len(x) and len(y):
+            c = rng.choice((-2, -1, 2, 3))
+            check_canonical(from_blocks([x, y], [x, y], [[c, f], [0, -c]]))
+        hb = HomBasis(x, y)
+        check_canonical(hb.unflatten([rng.randint(-5, 5) for _ in range(hb.dim)]))
+
+
+def test_sum_of_canonical_blocks_is_reduced():
     # canonical u is (1, 0); u + u = (2, 0) reduces to -v, i.e. (0, -1)
+    skew = _BASE["skew"]
     a, b = TupleObject(skew, ("a",)), TupleObject(skew, ("b",))
     u = MatMorphism(a, b, ((skew.arrow_lin("u"),),))
     assert u.blocks == (((1, 0),),)
     assert (u + u).blocks == (((0, -1),),)
     assert (u + u)[0, 0] == -skew.arrow_lin("v")
+    assert u.scale(2) == u + u
+
+
+def test_only_quivercat_and_intlinalg_call_canonical_rep():
+    """``QuiverCategory.canonical`` is the one rule for reducing a block, so
+    no module above ``quivercat`` chooses whether to reduce."""
+    callers = {p.name for p in pathlib.Path(adelcat.__file__).parent.glob("*.py")
+               if "canonical_rep(" in p.read_text(encoding="utf-8")}
+    assert callers == {"intlinalg.py", "quivercat.py"}

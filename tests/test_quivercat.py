@@ -313,7 +313,7 @@ class TestEquality:
 
     def test_free_hom_set_is_faithful(self, snake_cat):
         al = snake_cat.arrow_lin("alpha")
-        assert al != snake_cat.zero_lin("a", "b")
+        assert al != snake_cat.lin("a", "b", (0,))
 
     def test_endpoint_mismatch(self, snake_cat):
         al, be = snake_cat.arrow_lin("alpha"), snake_cat.arrow_lin("beta")
@@ -369,7 +369,7 @@ def test_format_lin_round_names(snake_cat):
     assert format_lin(al) == "alpha"
     assert format_lin(idb) == "id(b)"
     assert format_lin(idb.scale(-2)) == "-2*id(b)"
-    assert format_lin(snake_cat.zero_lin("a", "b")) == "0"
+    assert format_lin(snake_cat.lin("a", "b", (0,))) == "0"
 
 
 class TestRelationChecks:
