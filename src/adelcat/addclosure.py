@@ -27,15 +27,12 @@ homotopy systems place each entry's coefficients from its cut.
 The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
 the path bases of all Hom entries, one auxiliary unknown per relation-lattice
-generator of each target Hom set, and decided by an exact integer solve.
-A system above ``SPARSE_PRECHECK_CELLS`` cells is first evaluated on the
-category's two seeded probe representations, before it is assembled: a
-probe that shows it unsolvable returns None.  The assembled sparse rows of
-a system above that size then go through the sparse membership test
-``intlinalg.in_lattice``, which rejects an unsolvable system without the
-dense solve; a solvable one is densified and solved by ``solve_left``, so
-the witnesses are the same whichever path ran.  Every positive answer is
-re-verified by matrix arithmetic before it is returned.
+generator of each target Hom set, and decided by an exact integer solve,
+``solve_left``.  A system above ``PROBE_CELLS`` cells is first evaluated on
+the category's two seeded probe representations, before it is assembled: a
+probe that shows it unsolvable returns None.  Every positive answer comes
+from the solve and is re-verified by matrix arithmetic before it is
+returned.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from itertools import accumulate, chain, islice
 from typing import Iterable, Optional, Sequence, Union
 from weakref import WeakKeyDictionary
 
-from .intlinalg import IntMatrix, in_lattice, left_kernel, solve_left
+from .intlinalg import FpAbGroup, IntMatrix, left_kernel, solve_left
 from .quivercat import (
     EndpointError,
     LinMorphism,
@@ -429,13 +426,13 @@ def homotopy_rows(h1: HomBasis, beta: MatMorphism, gamma: MatMorphism, h2: HomBa
 
 
 # Systems of more cells (rows times columns) than this are first tried on the
-# probe representations (before any row is built, so counting the unknowns'
-# rows only), then get the sparse membership test, and only then the dense
-# solve.  On solvable systems the membership test costs about half a dense
-# solve below 512 cells and under 0.3 of one from 1,024 cells on, while on
-# unsolvable ones it replaces a dense solve that costs 9 to 80 times more;
-# the small systems, where neither test pays, are mostly solvable.
-SPARSE_PRECHECK_CELLS = 1000
+# probe representations, before any row is built, so only the unknowns' rows
+# are counted.  In the first 336 ``hom_ladder`` operations of seed 5, 672
+# systems were above it, all unsolvable, and the probes refuted 667 of them;
+# with the operations' result checks, 751 were, 17 of them solvable, and the
+# probes refuted 689.  The small systems, where a probe does not pay, are
+# mostly solvable.
+PROBE_CELLS = 1000
 
 # The seeds of the probe representations, and the probes of each category.
 _PROBE_SEEDS = (0, 1)
@@ -460,22 +457,20 @@ def probes(cat: QuiverCategory) -> tuple[MatrixEvaluation, ...]:
     return found
 
 
-def _sparse(rows: Iterable[Sequence[int]]) -> list[dict[int, int]]:
-    return [{j: v for j, v in enumerate(row) if v} for row in rows]
-
-
 def _probe_refutes(alpha: MatMorphism, beta: MatMorphism, gamma: MatMorphism) -> bool:
     """Whether a probe shows ``alpha = sigma1 * beta + gamma * sigma2``
     unsolvable.  A probe F is an additive functor that kills the relations,
     so a solution gives ``F(alpha) = F(sigma1) F(beta) + F(gamma) F(sigma2)``
-    and puts ``x F(alpha)`` in the row lattice of ``F(beta)`` for every row
-    ``x`` with ``x F(gamma) = 0``; one basis row of that left kernel for
-    which it fails refutes the system."""
+    and makes ``x F(alpha)`` zero in the quotient group ``FpAbGroup(n,
+    F(beta))`` for every row ``x`` with ``x F(gamma) = 0``; one basis row of
+    that left kernel for which it is not zero refutes the system."""
     for ev in probes(alpha.cat):
         kernel = left_kernel(ev.mat(gamma))
-        if kernel.rows and not in_lattice(_sparse(ev.mat(beta).entries),
-                                          _sparse((kernel * ev.mat(alpha)).entries)):
-            return True
+        if kernel.rows:
+            b = ev.mat(beta)
+            quotient = FpAbGroup(b.cols, b)
+            if not all(map(quotient.is_zero_element, (kernel * ev.mat(alpha)).entries)):
+                return True
     return False
 
 
@@ -494,14 +489,10 @@ def decide_homotopy(
         raise EndpointError("gamma must share its source with alpha")
     out = HomBasis(alpha.source, alpha.target)
     h1, h2 = HomBasis(out.source, beta.source), HomBasis(gamma.target, out.target)
-    if (h1.dim + h2.dim) * out.dim > SPARSE_PRECHECK_CELLS and _probe_refutes(alpha, beta, gamma):
+    if (h1.dim + h2.dim) * out.dim > PROBE_CELLS and _probe_refutes(alpha, beta, gamma):
         return None
-    rows = homotopy_rows(h1, beta, gamma, h2, out)
-    rhs = out.flatten(alpha)
-    if (len(rows) * out.dim > SPARSE_PRECHECK_CELLS
-            and not in_lattice(rows, _sparse([rhs]))):
-        return None
-    sol = solve_left(IntMatrix.from_sparse(rows, out.dim), IntMatrix.row_vector(rhs))
+    sol = solve_left(IntMatrix.from_sparse(homotopy_rows(h1, beta, gamma, h2, out), out.dim),
+                     IntMatrix.row_vector(out.flatten(alpha)))
     if sol is None:
         return None
     vec = sol.entries[0]

@@ -145,7 +145,7 @@ def _emit(result: CommandResult, args, elapsed: float) -> int:
 
 def _need_session(args) -> Session:
     if not args.category:
-        raise ParseError("this command needs --category FILE", 0, 0)
+        raise ValueError("this command needs --category FILE")
     with open(args.category, "r", encoding="utf-8") as fh:
         return Session(parse_session(fh.read()))
 

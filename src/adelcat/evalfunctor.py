@@ -8,9 +8,9 @@ generators.
 
 That quiver-level evaluation is shared with ``addclosure``, which refutes
 large homotopy systems on seeded representations.  The group side (kernels,
-cokernels, homology, the classical connecting-map chase) is computed from
-presentations, independently of the categorical constructions: it is the
-oracle the test suite compares those constructions against.  Oracle items
+cokernels, homology) is computed from presentations, independently of the
+categorical constructions: it is the oracle the test suite compares those
+constructions against.  Oracle items
 are kernel, cokernel, homology and exactness claims; a mono or epi claim is
 a kernel or cokernel item whose object is the zero object.  One routine,
 ``oracle_compare``, checks every kind: a construction item reads its symbol
@@ -170,31 +170,6 @@ def group_homology(m1: InducedMap, m2: InducedMap) -> FpAbGroup:
     denominator = vstack(m1.matrix, m1.target.group.relations)
     relations = _preimage_relations(emb, denominator)
     return FpAbGroup(emb.rows, relations)
-
-
-def chase_connecting(rep: Representation, alpha: IntMatrix, beta: IntMatrix,
-                     gamma: IntMatrix) -> InducedMap:
-    """Classical element-chase connecting map for a triple with vanishing
-    composite: lift an element killed by ``beta * gamma`` out of the first
-    cokernel, push it through ``beta``, read it in the kernel of ``gamma``
-    modulo the image of ``alpha * beta``.
-
-    Built directly from the raw matrices; used as an oracle against the
-    categorical construction.
-    """
-    if not (alpha * beta * gamma).is_zero():
-        raise RepresentationError("triple composite does not vanish")
-    src_basis = left_kernel(beta * gamma)
-    src = GroupWithMap(
-        FpAbGroup(src_basis.rows, _preimage_relations(src_basis, alpha)), src_basis)
-    tgt_basis = left_kernel(gamma)
-    tgt = GroupWithMap(
-        FpAbGroup(tgt_basis.rows, _preimage_relations(tgt_basis, alpha * beta)), tgt_basis)
-    pushed = src_basis * beta
-    coords = solve_left(tgt_basis, pushed)
-    if coords is None:  # pragma: no cover - pushed rows lie in ker(gamma)
-        raise RepresentationError("chase failed to land in the kernel")
-    return InducedMap(src, tgt, coords)
 
 
 # -- oracle checks ------------------------------------------------------------

@@ -12,7 +12,8 @@ Every generator keeps the relation and corelation witnesses that the joint
 solution found for it, so generators and their integer combinations are
 built directly as morphisms, without solving for witnesses again.  They are
 still validated, all at once: the witness squares are linear in the stored
-coefficients, so one sparse product gives the residuals of every value.
+coefficients, so one sparse product gives the residuals of every value, and
+the category's one reduction rule decides whether each residual vanishes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .adelman import AdelMorphism, AdelObject, WitnessError, _morphism
 from .intlinalg import (
     FpAbGroup,
     IntMatrix,
-    in_lattice,
     lattice_basis,
     left_kernel,
     solve_left,
@@ -133,7 +133,7 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     group = FpAbGroup(k, lattice_basis(IntMatrix.from_rows([r[:k] for r in kern.entries], cols=k)))
 
     spaces = (hom, h_omega, h_psi)
-    squares = (units, eq1.dim, rel1, rel2)  # relation square columns before eq1.dim
+    squares = (units, eq1, eq2)  # relation square columns before eq1.dim
     generators = tuple(_morphisms(x, y, spaces, squares, rows))
     return HomGroupPresentation(x, y, group, generators, basis, witnesses, spaces, squares)
 
@@ -147,23 +147,28 @@ def _morphisms(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis], squares
                vecs: Sequence[Sequence[int]]) -> list[AdelMorphism]:
     """The morphisms whose datum, relation witness and corelation witness are
     the consecutive blocks of each of ``vecs`` over the three ``spaces``, once
-    one membership test per witness square has checked the residuals of all.
-    The residuals are formed from the raw vectors: a block and its canonical
-    form differ by relation-lattice elements, whose residuals lie in the
-    lattices of ``rel1`` and ``rel2``, so the verdict is the same."""
-    rows, split, rel1, rel2 = squares
-    eq1, eq2 = [], []
+    the residuals of every vector in the two witness squares, whose equation
+    spaces are ``eq1`` and ``eq2``, have been checked.  A residual that is
+    all zero passes; any other must cut into blocks that are zero in their
+    Hom groups.  The residuals are formed from the raw vectors: a block and
+    its canonical form differ by relation-lattice elements, whose residuals
+    are zero in those groups, so the verdict is the same."""
+    rows, eq1, eq2 = squares
+    split = eq1.dim
     for vec in vecs:
         residual: dict[int, int] = {}
         for c, row in zip(vec, rows):
             if c:
                 for j, v in row.items():
                     residual[j] = residual.get(j, 0) + c * v
-        eq1.append({j: v for j, v in residual.items() if v and j < split})
-        eq2.append({j: v for j, v in residual.items() if v and j >= split})
-    for rel, eq, name in ((rel1, eq1, "relation"), (rel2, eq2, "corelation")):
-        if not in_lattice(rel, eq):
-            raise WitnessError(f"{name} witness square does not commute")
+        if any(residual.values()):
+            flat = [0] * (split + eq2.dim)
+            for j, v in residual.items():
+                flat[j] = v
+            for space, part, name in ((eq1, flat[:split], "relation"),
+                                      (eq2, flat[split:], "corelation")):
+                if not space.unflatten(part).is_zero():
+                    raise WitnessError(f"{name} witness square does not commute")
     bounds = list(accumulate((space.dim for space in spaces), initial=0))
     return [_morphism(x, y, *(space.unflatten(vec[a:b])
                               for space, a, b in zip(spaces, bounds, bounds[1:])))

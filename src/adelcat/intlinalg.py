@@ -12,12 +12,6 @@ checked where it enters, by the ``IntMatrix`` constructor, ``from_rows``
 and ``row_vector``; every matrix this module derives is built unchecked by
 ``_matrix``, whose docstring says why each shape holds.
 
-Large sparse systems have a cheaper first test: ``in_lattice`` decides
-membership in a row lattice by sparse elimination on ``{col: value}`` rows,
-without the transform that ``solve_left`` carries.  It answers only yes or
-no; a caller that needs the solution itself falls back to the dense
-``solve_left``, so solutions do not depend on which test ran first.
-
 The convention throughout is row-vector-times-matrix: ``solve_left(A, B)``
 finds ``X`` with ``X * A == B``, and the row span of a matrix is the lattice
 it generates.  All values are immutable and all functions are pure, so
@@ -33,7 +27,6 @@ from operator import add, sub
 from typing import Mapping, Optional, Sequence
 
 from . import _hnf_py as _kernel
-from ._hnf_py import in_lattice  # noqa: F401  (the sparse membership test)
 
 # Read by the benchmark's environment stamp and its ``comparable_key``.
 BACKEND = "pure"

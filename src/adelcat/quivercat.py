@@ -524,13 +524,6 @@ def compose_lin(f: LinMorphism, g: LinMorphism) -> LinMorphism:
     return LinMorphism(f.cat, f.source, g.target, coeffs)
 
 
-def dual_lin(f: LinMorphism) -> LinMorphism:
-    """The same morphism read in the opposite category (paths reversed)."""
-    cat = f.cat
-    return LinMorphism(cat.opposite(), f.target, f.source,
-                       cat.dual_coeffs(f.source, f.target, f.coeffs))
-
-
 def format_lin(f: LinMorphism) -> str:
     """Human-readable form: ``2*alpha*beta - gamma``, ``id(a)``, ``0``."""
     labels = [a.label for a in f.cat.quiver.arrows]

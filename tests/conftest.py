@@ -7,7 +7,7 @@ import pytest
 from adelcat import adelman
 from adelcat.catfile import build_category, parse_session
 from adelcat.provers import build_five_data, build_snake_figure, category_by_name
-from adelcat.quivercat import QuiverCategory
+from adelcat.quivercat import LinMorphism, QuiverCategory
 
 ROOT = str(Path(__file__).resolve().parent.parent)
 if ROOT not in sys.path:
@@ -69,6 +69,13 @@ def ladder_category(n: int = 6) -> QuiverCategory:
     """The commuting ladder with n rungs: rows t_i -> t_{i+1} and
     b_i -> b_{i+1}, rungs t_i -> b_i, every square commuting."""
     return category_from_text(ladder_spec(n).cat_text())
+
+
+def dual_lin(f: LinMorphism) -> LinMorphism:
+    """The same morphism read in the opposite category (paths reversed)."""
+    cat = f.cat
+    return LinMorphism(cat.opposite(), f.target, f.source,
+                       cat.dual_coeffs(f.source, f.target, f.coeffs))
 
 
 @pytest.fixture(scope="session")

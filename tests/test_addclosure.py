@@ -204,7 +204,7 @@ def _ladder_systems(ladder_cat):
     corel = rand_mat(ladder_cat, mid, tuple_obj(ladder_cat, "b4", "b5", "b5", "b3"), rng)
     out = HomBasis(mid, mid)
     unknowns = HomBasis(mid, rel.source).dim + HomBasis(corel.target, mid).dim
-    assert unknowns * out.dim > addclosure.SPARSE_PRECHECK_CELLS
+    assert unknowns * out.dim > addclosure.PROBE_CELLS
     solvable = (compose_mat(rand_mat(ladder_cat, mid, rel.source, rng), rel)
                 + compose_mat(corel, rand_mat(ladder_cat, corel.target, mid, rng)))
 
@@ -279,16 +279,6 @@ class TestDecideHomotopy:
                 t1, t2 = found
                 assert compose_mat(t1, beta) + compose_mat(gamma, t2) == alpha
 
-    def test_unsolvable_ladder_system_needs_no_dense_solve(self, ladder_cat, monkeypatch):
-        system = _ladder_systems(ladder_cat)[0]
-        # the membership test alone, without the probe's small row reduction
-        monkeypatch.setattr(addclosure, "_probe_refutes", lambda *a: False)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense row reduction on an unsolvable system")
-        monkeypatch.setattr(intlinalg._kernel, "hnf_rows", refuse)
-        assert decide_homotopy(*system) is None
-
     def test_unsolvable_ladder_system_is_refuted_on_a_probe(self, ladder_cat, monkeypatch):
         system = _ladder_systems(ladder_cat)[0]
         assert addclosure.probes(ladder_cat)
@@ -299,7 +289,7 @@ class TestDecideHomotopy:
         hnf_rows = intlinalg._kernel.hnf_rows
 
         def small_only(rows, ncols, *args):
-            if len(rows) * ncols > addclosure.SPARSE_PRECHECK_CELLS:
+            if len(rows) * ncols > addclosure.PROBE_CELLS:
                 raise AssertionError("row reduction of a system above the size gate")
             return hnf_rows(rows, ncols, *args)
         monkeypatch.setattr(intlinalg._kernel, "hnf_rows", small_only)
@@ -316,7 +306,7 @@ class TestDecideHomotopy:
         out, h1, h2 = HomBasis(a, b), HomBasis(a, d), HomBasis(c, b)
         rows = right_compose_rows(h1, beta, out) + left_compose_rows(gamma, h2, out)
         rows += out.rel_rows()
-        assert len(rows) * out.dim > addclosure.SPARSE_PRECHECK_CELLS
+        assert len(rows) * out.dim > addclosure.PROBE_CELLS
         # the dense formula: X * system == alpha, split into the two unknowns
         x = solve_left(IntMatrix.from_sparse(rows, out.dim),
                        IntMatrix.row_vector(out.flatten(alpha))).entries[0]

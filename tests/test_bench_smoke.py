@@ -8,6 +8,7 @@ harness's own result check to each; it also checks that every method the
 tracer wraps still exists where the tracer looks.
 """
 
+import inspect
 import os
 import sys
 
@@ -18,6 +19,7 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from adelbench import tracer, workloads  # noqa: E402
+from adelcat import _hnf_py  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -34,6 +36,14 @@ def test_last_operation_of_each_kind_passes_its_check(name, tmp_path):
     assert len(last) == {"provers": 6, "hom_ladder": 1, "oracle": 2, "cli_big_quiver": 4}[name]
     for op in last.values():
         op.check(op.run())
+
+
+def test_tracer_wraps_every_kernel_function():
+    # a kernel function the tracer does not wrap counts as its caller's time
+    public = {name for name, f in vars(_hnf_py).items()
+              if inspect.isfunction(f) and f.__module__ == _hnf_py.__name__
+              and not name.startswith("_")}
+    assert public == set(tracer.KERNEL_FUNCTIONS)
 
 
 def test_traced_methods_exist():

@@ -438,6 +438,14 @@ class TestCommands:
         code = run_command(["kernel", "beta", "--source", "b", "--target", "c"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["hom-group", "a", "b"],
+                                      ["kernel", "beta", "--source", "b", "--target", "c"]],
+                             ids=["hom-group", "kernel"])
+    def test_missing_category_error_has_no_position(self, capsys, argv):
+        # a usage error, so its message has no position in any file
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == "error: this command needs --category FILE\n"
+
     def test_unreadable_category_path(self, capsys):
         code = run_command(["kernel", "beta", "--source", "b", "--target", "c",
                             "--category", "/nonexistent/x.cat"])

@@ -27,9 +27,9 @@ from adelcat.addclosure import (
     zero_mat,
 )
 from adelcat.provers import category_by_name
-from adelcat.quivercat import Arrow, Path, Quiver, QuiverCategory, Relation, dual_lin
+from adelcat.quivercat import Arrow, Path, Quiver, QuiverCategory, Relation
 
-from conftest import ladder_category, torsion_category
+from conftest import dual_lin, ladder_category, torsion_category
 
 
 def skew_category() -> QuiverCategory:

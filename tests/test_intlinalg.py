@@ -12,7 +12,6 @@ from adelcat.intlinalg import (
     SmithInvariants,
     det,
     hnf,
-    in_lattice,
     lattice_basis,
     left_kernel,
     snf,
@@ -218,11 +217,19 @@ class TestSolveLeft:
         assert solve_left(a, b) == IntMatrix.from_rows(ys, cols=a.rows) * u
 
 
-def sparse_rows(m):
-    return [{j: v for j, v in enumerate(row) if v} for row in m.entries]
+class TestQuotientMembership:
+    """``FpAbGroup(a.cols, a).is_zero_element(row)``, the membership test of
+    the probe refutation, holds exactly when ``solve_left(a, row)`` finds a
+    solution."""
 
+    @staticmethod
+    def check(a, rhs):
+        group = FpAbGroup(a.cols, a)
+        verdicts = [group.is_zero_element(row) for row in rhs.entries]
+        assert verdicts == [solve_left(a, IntMatrix.row_vector(row)) is not None
+                            for row in rhs.entries]
+        return verdicts
 
-class TestInLattice:
     @settings(max_examples=250)
     @given(matrices(max_dim=6), matrices(max_dim=4), matrices(max_dim=4),
            st.sampled_from((1, 2, 6, 10**40 + 1)), st.integers(-1, 2), st.booleans())
@@ -234,32 +241,19 @@ class TestInLattice:
             rows[0] = [0] * a.cols
         a = IntMatrix.from_rows(rows, cols=a.cols)
         b = bumped(with_cols(x, a.rows) * a, shift)
-        other = with_cols(other, a.cols)
-        for rhs in (b, other, vstack(b, other)):
-            assert in_lattice(sparse_rows(a), sparse_rows(rhs)) == (solve_left(a, rhs) is not None)
+        self.check(a, vstack(b, with_cols(other, a.cols)))
 
     def test_shapes_without_rows_or_columns(self):
-        assert in_lattice([], [])
-        assert in_lattice([], [{}])
-        assert not in_lattice([], [{0: 1}])
-        assert in_lattice([{}, {}], [{}])
+        assert self.check(IntMatrix.zeros(0, 0), IntMatrix.zeros(1, 0)) == [True]
+        assert self.check(IntMatrix.zeros(0, 1), mat([[0], [1]])) == [True, False]
+        assert self.check(IntMatrix.zeros(2, 2), mat([[0, 0], [0, 1]])) == [True, False]
 
     def test_entries_near_10_pow_40(self):
         n = 10**40
         a = mat([[n + 1, 3, 0], [7, n - 9, 0], [0, 2 * n, 4]])
-        rows = sparse_rows(a)
-        member = (mat([[n, -1, 5], [2, 0, -n]]) * a)
-        assert in_lattice(rows, sparse_rows(member))
+        member = mat([[n, -1, 5], [2, 0, -n]]) * a
         off = member + mat([[0, 0, 0], [0, 0, 2]])
-        assert solve_left(a, off) is None
-        assert not in_lattice(rows, sparse_rows(off))
-
-    def test_inputs_are_not_modified(self):
-        rows = [{0: 2, 1: 1}, {0: 3, 2: 1}]
-        targets = [{0: 1, 1: 2, 2: 1}]
-        in_lattice(rows, targets)
-        assert rows == [{0: 2, 1: 1}, {0: 3, 2: 1}]
-        assert targets == [{0: 1, 1: 2, 2: 1}]
+        assert self.check(a, vstack(member, off)) == [True, True, True, False]
 
 
 class TestKernelLattice:

@@ -24,13 +24,12 @@ from adelcat.quivercat import (
     RelationError,
     UnknownVertexError,
     compose_lin,
-    dual_lin,
     enumerate_paths,
     format_lin,
     make_relation,
 )
 
-from conftest import kronecker_category, ladder_category, torsion_category
+from conftest import dual_lin, kronecker_category, ladder_category, torsion_category
 
 
 def _chain(n: int) -> Quiver:
