@@ -8,31 +8,25 @@ morphisms.
 
 A matrix morphism stores its grid: the tuple of its rows, each the tuple
 of the canonical coefficient blocks of its entries, block (i, j) over the
-path basis of Hom(source[i], target[j]).  Zero blocks, and with them the
-block dimensions, are kept by the category per vertex pair; no cache is
-keyed by tuple objects.  All arithmetic works block by block, and every
-block it forms is reduced by the category's one rule,
-``QuiverCategory.canonical``: composition through ``compose_coeffs``, sums,
-multiples, checked entries and cut solution vectors through ``canonical``
-itself, so this module never decides whether a block needs reducing.
-``from_blocks`` is the one block-matrix constructor: it writes a grid of
-parts (matrix morphisms, zeros and multiples of identities) in one pass.
-``f[i, j]`` and ``entries`` are ``LinMorphism`` views for printing and
-serialisation.  The flat row-major layout of all
-coefficients, in which homotopy systems are posed, belongs to ``HomBasis``
-alone and is stated once, as its ``cuts``: ``flatten`` chains the blocks,
-``unflatten`` cuts a vector back into them, and the row builders of the
-homotopy systems place each entry's coefficients from its cut.
+coordinates of Hom(source[i], target[j]) (``QuiverCategory``: the basis
+paths that no unit relation pivot fixes).  Zero blocks, and with them the
+block dimensions, are kept by the category per vertex pair.  Every block
+formed here is reduced by the category's one rule: composites through
+``compose_coeffs``, checked entries through ``coords``, and sums,
+multiples and cut solution vectors through ``canonical_blocks``.
+``from_blocks`` is the one block-matrix constructor.  ``f[i, j]`` and
+``entries`` are ``LinMorphism`` views over paths, for printing and
+serialisation.  The flat row-major layout in which homotopy systems are
+posed belongs to ``HomBasis`` alone, as its ``cuts``.
 
 The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
-the path bases of all Hom entries, one auxiliary unknown per relation-lattice
-generator of each target Hom set, and decided by an exact integer solve,
-``solve_left``.  A system above ``PROBE_CELLS`` cells is first evaluated on
-the category's two seeded probe representations, before it is assembled: a
-probe that shows it unsolvable returns None.  Every positive answer comes
-from the solve and is re-verified by matrix arithmetic before it is
-returned.
+the coordinates of all Hom entries, one auxiliary unknown per torsion row of
+each target Hom set, and decided by an exact integer solve, ``solve_left``.
+A system above ``PROBE_CELLS`` cells is first evaluated on the category's
+two seeded probe representations, before it is assembled: a probe that
+shows it unsolvable returns None.  Every positive answer comes from the
+solve and is re-verified by matrix arithmetic before it is returned.
 """
 
 from __future__ import annotations
@@ -104,16 +98,16 @@ class MatMorphism:
     """Matrix of quiver-category morphisms between tuple objects; entry
     (i, j) runs from the i-th source summand to the j-th target summand.
 
-    ``blocks`` is the grid of the entries' canonical coefficient tuples:
+    ``blocks`` is the grid of the entries' canonical coordinate tuples:
     ``blocks[i][j]`` holds the ``cat.dim(source[i], target[j])``
-    coefficients of entry (i, j).  The constructor takes the grid of
-    entries and checks every entry's category, endpoints and coefficient
-    count; it is the one place that checks them.  It then brings each
-    entry's coefficients to canonical form, so an entry need not be reduced
-    already: a ``LinMorphism`` built directly holds whatever vector it was
-    given.  The operations of this module build their results block by
-    block from checked values, so their shapes hold by construction and
-    they are built unchecked.
+    coordinates of entry (i, j).  The constructor takes the grid of
+    entries, ``LinMorphism`` values over the path bases, and checks every
+    entry's category, endpoints and path count; it is the one place that
+    checks them.  It then reads each entry's path vector as canonical
+    coordinates (``cat.coords``), so an entry need not be reduced already.
+    The operations of this module build their results block by block from
+    checked values, so their shapes hold by construction and they are
+    built unchecked.
 
     Values are immutable: nothing assigns to their attributes after
     construction (a slotted class without an assignment guard, because
@@ -140,10 +134,12 @@ class MatMorphism:
                     raise EndpointError(f"entry ({i},{j}) belongs to another category")
                 if e.source != a or e.target != b:
                     raise EndpointError(f"entry ({i},{j}) has endpoints {e.source}->{e.target}")
-                if len(e.coeffs) != cat.dim(a, b):
+                if len(e.coeffs) != cat.hom_group_lin(a, b).ngens:
                     raise EndpointError(f"entry ({i},{j}) has {len(e.coeffs)} coefficients "
-                                        f"for {cat.dim(a, b)} paths {a}->{b}")
-        return _canonical(source, target, [[e.coeffs for e in row] for row in entries])
+                                        f"for {cat.hom_group_lin(a, b).ngens} paths {a}->{b}")
+        coords = cat.coords
+        return _mat(source, target, tuple([tuple([coords(a, b, e.coeffs) for b, e in zip(ys, row)])
+                                           for a, row in zip(xs, entries)]))
 
     def __eq__(self, other):
         if not isinstance(other, MatMorphism):
@@ -167,13 +163,13 @@ class MatMorphism:
         """The grid of entries as ``LinMorphism`` values."""
         cat, ys = self.cat, self.target.summands
         return tuple(
-            tuple(LinMorphism(cat, a, b, block) for b, block in zip(ys, row))
+            tuple(LinMorphism(cat, a, b, cat.pad(a, b, block)) for b, block in zip(ys, row))
             for a, row in zip(self.source.summands, self.blocks))
 
     def __getitem__(self, pos: tuple[int, int]) -> LinMorphism:
         i, j = pos
-        return LinMorphism(self.cat, self.source.summands[i], self.target.summands[j],
-                           self.blocks[i][j])
+        a, b = self.source.summands[i], self.target.summands[j]
+        return LinMorphism(self.cat, a, b, self.cat.pad(a, b, self.blocks[i][j]))
 
     def is_zero(self) -> bool:
         return not any(map(any, chain.from_iterable(self.blocks)))
@@ -218,9 +214,7 @@ def _canonical(x: TupleObject, y: TupleObject,
                grid: Iterable[Sequence[Sequence[int]]]) -> MatMorphism:
     """The morphism ``x -> y`` whose blocks are those of the rows ``grid``,
     each of its Hom set's dimension, brought to canonical form."""
-    canonical, ys = x.cat.canonical, y.summands
-    return _mat(x, y, tuple([tuple([canonical(a, b, block) for b, block in zip(ys, row)])
-                             for a, row in zip(x.summands, grid)]))
+    return _mat(x, y, x.cat.canonical_blocks(x.summands, y.summands, grid))
 
 
 def single(lin: LinMorphism) -> MatMorphism:
@@ -300,7 +294,7 @@ def from_blocks(rows: Sequence[TupleObject], cols: Sequence[TupleObject],
                 if y is not x and y != x:
                     raise EndpointError(f"identity block ({i},{j}) between different objects")
                 for k, a in enumerate(x.summands):
-                    lines[at + k][col + k] = cat.canonical(a, a, (part,))
+                    lines[at + k][col + k] = cat.coords(a, a, (part,))
             col += len(y.summands)
         at += len(x.summands)
     return _mat(source, target, tuple(map(tuple, lines)))
@@ -326,7 +320,7 @@ def format_mat(f: MatMorphism) -> str:
 
 
 class HomBasis:
-    """Path coordinates of Hom(X, Y) for tuple objects: the flat row-major
+    """Coordinates of Hom(X, Y) for tuple objects: the flat row-major
     layout in which homotopy systems are posed.  No other code flattens or
     splits a matrix morphism's coefficients.
 
@@ -334,8 +328,9 @@ class HomBasis:
     ``cuts[i][j]``, a slice of length ``cat.dim(X[i], Y[j])``, and the
     slices tile ``[0, dim)`` in row-major order.  ``flatten`` chains a
     morphism's blocks, ``unflatten`` cuts a vector into blocks and brings
-    each to canonical form, and ``rel_rows`` lifts the relation lattice of
-    every entry into the big coordinate space, as sparse ``{col: value}`` rows.
+    each to canonical form, and ``rel_rows`` lifts the torsion rows of
+    every entry, the relations left on its coordinates, into the big
+    coordinate space, as sparse ``{col: value}`` rows.
     """
 
     def __init__(self, x: TupleObject, y: TupleObject):
@@ -361,11 +356,11 @@ class HomBasis:
 
     def rel_rows(self) -> list[dict[int, int]]:
         rows: list[dict[int, int]] = []
-        group_of = self.cat.hom_group_lin
+        torsion_rows = self.cat.torsion_rows
         for a, cuts in zip(self.source.summands, self.cuts):
             for b, cut in zip(self.target.summands, cuts):
                 off = cut.start
-                for rel in group_of(a, b).relations.entries:
+                for rel in torsion_rows(a, b):
                     rows.append({off + k: v for k, v in enumerate(rel) if v})
         return rows
 
@@ -427,11 +422,12 @@ def homotopy_rows(h1: HomBasis, beta: MatMorphism, gamma: MatMorphism, h2: HomBa
 
 # Systems of more cells (rows times columns) than this are first tried on the
 # probe representations, before any row is built, so only the unknowns' rows
-# are counted.  In the first 336 ``hom_ladder`` operations of seed 5, 672
-# systems were above it, all unsolvable, and the probes refuted 667 of them;
-# with the operations' result checks, 751 were, 17 of them solvable, and the
-# probes refuted 689.  The small systems, where a probe does not pay, are
-# mostly solvable.
+# are counted.  In the first 336 ``hom_ladder`` operations of seed 5, laid
+# out over coordinates, 672 systems were above it, all unsolvable, and the
+# probes refuted 667 of them, in 0.46 s against 0.90 s to solve them (2-core
+# Xeon); the operations' result checks add none.  Those checks add 33
+# systems of 500 to 1000 cells, 5 of them solvable, where the probes would
+# take 0.02 s to save 0.005 s of solving.
 PROBE_CELLS = 1000
 
 # The seeds of the probe representations, and the probes of each category.

@@ -5,7 +5,10 @@ Hom group cut out by the two witness systems (numerator) and the image of
 the null-homotopy map plus the relation lattice (denominator).  Both
 lattices are computed exactly: the numerator as the projection of the joint
 solution lattice of the witness systems, the denominator as a generating set
-of image rows.  Generators are reported in HNF-reduced coordinates, so the
+of image rows.  Every system is posed over the Hom spaces' coordinates
+(``HomBasis``), so a relation that fixes a path by a unit pivot adds neither
+a column nor a row, and the only relation vectors in the data lattice are
+torsion rows.  Generators are reported in HNF-reduced coordinates, so the
 presentation is deterministic.
 
 Every generator keeps the relation and corelation witnesses that the joint
@@ -40,7 +43,7 @@ class HomGroupPresentation:
     """Hom(X, Y) with explicit generating morphisms.
 
     ``group`` presents the quotient on the listed generators; ``basis`` holds
-    the generator data as rows over the flattened path coordinates of the
+    the generator data as rows over the flattened coordinates of the
     middle-level Hom space, and the same row of ``witnesses`` the generator's
     relation and corelation witnesses, flattened and concatenated.
     """

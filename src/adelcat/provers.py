@@ -168,10 +168,14 @@ _FIELDS = {cls: get_type_hints(cls) for cls in (AdelObject, AdelMorphism, Witnes
 
 
 def to_json(value) -> dict:
-    """The JSON form of a matrix morphism, object, morphism or witness pair."""
+    """The JSON form of a matrix morphism, object, morphism or witness pair.
+    A matrix morphism's entries are path coefficient vectors, its
+    coordinates padded with zeros at the unit pivots."""
     if isinstance(value, MatMorphism):
-        return {"source": list(value.source.summands), "target": list(value.target.summands),
-                "entries": [[list(block) for block in row] for row in value.blocks]}
+        xs, ys, pad = value.source.summands, value.target.summands, value.cat.pad
+        return {"source": list(xs), "target": list(ys),
+                "entries": [[list(pad(a, b, block)) for b, block in zip(ys, row)]
+                            for a, row in zip(xs, value.blocks)]}
     return {name: to_json(getattr(value, name)) for name in _FIELDS[type(value)]}
 
 

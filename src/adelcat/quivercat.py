@@ -5,7 +5,8 @@ combinations of the (finitely many, by acyclicity) paths from ``a`` to ``b``,
 taken modulo the two-sided ideal generated by the given relations.  Each
 Hom set is a finitely presented abelian group and every morphism is stored
 as the canonical representative of its coset, which makes equality a plain
-tuple comparison.
+tuple comparison: over the path basis in a ``LinMorphism``, and over the
+Hom set's coordinates (see ``QuiverCategory``) everywhere else.
 
 Path bases are ordered length-first, then lexicographically by arrow index;
 the same order is used everywhere so certificates are reproducible.
@@ -13,9 +14,11 @@ the same order is used everywhere so certificates are reproducible.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import compress
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .intlinalg import FpAbGroup, IntMatrix, lattice_basis
 
@@ -192,6 +195,26 @@ def enumerate_paths(quiver: Quiver, a: str, b: str) -> tuple[Path, ...]:
 # A pair's path basis and the index of each basis path's arrow word.
 _PathData = tuple[tuple[Path, ...], dict[tuple[int, ...], int]]
 
+# A sparse coordinate vector: its nonzero (coordinate, value) pairs.
+_Sparse = tuple[tuple[int, int], ...]
+
+
+@functools.cache
+def _free_group(n: int) -> FpAbGroup:
+    """``FpAbGroup.free(n)``, shared: most Hom sets have no relations, and
+    ``n`` is at most ``MAX_PATH_BASIS``."""
+    return FpAbGroup.free(n)
+
+
+class _Hom(NamedTuple):
+    """One Hom set's data (see ``QuiverCategory``)."""
+
+    group: FpAbGroup               # presented on the path basis
+    cols: tuple[int, ...]          # the basis index of each coordinate path
+    paths: tuple[Path, ...]        # the coordinate paths
+    reduce: tuple[_Sparse, ...]    # per basis path, the coordinates it is congruent to
+    torsion: Optional[FpAbGroup]   # presented on the coordinates; None without torsion rows
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -234,28 +257,37 @@ def _check_relation(quiver: Quiver, rel: Relation):
 class QuiverCategory:
     """A quiver with relations, its Hom data and composition tables.
 
+    Hom(a, b) is held in *coordinates*: the basis paths that are not a unit
+    pivot of the Hermite normal form (HNF) of its relation lattice.  A unit
+    pivot's path is minus the rest of its row, which lies on coordinates, so
+    a canonical path vector is zero at every unit pivot: ``pad`` inserts
+    those zeros, and ``coords`` reduces a path vector and drops them.  A
+    torsion pivot (above 1) keeps its path, and its row, cut to the
+    coordinates, is a *torsion row*.  Matrix morphisms, homotopy systems and
+    probes read coordinates; ``lin``, ``paths`` and ``LinMorphism`` stay on
+    paths.
+
     Nothing is computed per vertex pair at construction.  Each piece of Hom
     data is filled on first use and never changes afterwards:
 
     * for a pair ``(a, b)``, its path basis and the index of each basis path,
-      by dynamic programming that also fills the pairs ``(a, v)`` on the way,
-      and the number of basis paths (``dim``), which lays out the blocks of
-      every matrix morphism;
-    * for a pair ``(a, b)``, the zero block of Hom(a, b), one tuple shared
-      by every zero entry of every matrix morphism;
-    * for a pair ``(a, b)``, the f.p. group presented by the two-sided
-      closure of the relations, which needs the path bases of
-      ``(a, source(r))`` and ``(target(r), b)`` for each relation ``r``;
-    * for a vertex triple ``(a, b, c)``, the table sending a pair of basis
-      paths of Hom(a, b) and Hom(b, c) to the index of their concatenation
-      in Hom(a, c);
-    * for a pair, the canonical forms of its unit vectors.
+      by dynamic programming that also fills the pairs ``(a, v)`` on the way;
+    * for a pair ``(a, b)``, the f.p. group presented on its paths by the
+      two-sided closure of the relations, which needs the path bases of
+      ``(a, source(r))`` and ``(target(r), b)`` for each relation ``r``, and
+      the coordinates, torsion rows and images of the paths read off its HNF
+      (skipped for a pair that no relation reaches);
+    * for a pair, its zero block, one tuple shared by every zero entry of
+      every matrix morphism, and its coordinate unit vectors;
+    * for a vertex triple ``(a, b, c)``, the table of the products of the
+      coordinate paths of Hom(a, b) and Hom(b, c), in coordinates.
 
-    ``canonical`` is the one rule that reduces a coefficient block: unit
-    vectors, composites, duals, and the sums, multiples and checked entries
-    of matrix morphisms all go through it, so no other module decides
-    whether a block needs reducing.  ``lin`` reduces its vector through
-    ``canonical_rep`` always, which also checks its length.
+    ``canonical`` is the one rule that reduces a block of coordinates, by the
+    torsion rows alone: composites, sums, multiples and cut solution vectors
+    of matrix morphisms all go through it or through ``canonical_blocks``,
+    its form for a whole grid, so no other module decides whether a block
+    needs reducing.  Path vectors, in ``lin`` and ``coords`` (and so in
+    duals and checked entries), are reduced by ``canonical_rep`` on paths.
 
     Each entry is a pure function of the quiver and the relations and is
     stored by a single dict assignment of one value, so a fill raced by two
@@ -270,10 +302,9 @@ class QuiverCategory:
         for rel in self.relations:
             _check_relation(quiver, rel)
         self._paths: dict[tuple[str, str], _PathData] = {}
-        self._dims: dict[tuple[str, str], int] = {}
+        self._hom: dict[tuple[str, str], _Hom] = {}
         self._zeros: dict[tuple[str, str], tuple[int, ...]] = {}
-        self._hom: dict[tuple[str, str], FpAbGroup] = {}
-        self._concat: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
+        self._products: dict[tuple[str, str, str], tuple[tuple[_Sparse, ...], ...]] = {}
         self._units: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
         self._opposite = _opposite
         self._opposite_lock = threading.Lock()
@@ -298,13 +329,14 @@ class QuiverCategory:
                                  {w: k for k, w in enumerate(words)})
         return cache[(a, b)]
 
-    def _fill_hom(self, a: str, b: str) -> FpAbGroup:
+    def _fill_hom(self, a: str, b: str) -> _Hom:
         """Hom(a, b) presented by the two-sided closure of the relations:
-        every product p * r * q with p: a -> source(r) and q: target(r) -> b."""
+        every product p * r * q with p: a -> source(r) and q: target(r) -> b;
+        then its coordinates, read off the HNF rows of that lattice."""
         basis, index = self._path_data(a, b)
         position = self.quiver._position
         rows: list[list[int]] = []
-        for rel in self.relations:
+        for rel in self.relations if basis else ():  # no relation reaches a pair without paths
             if position[rel.source] < position[a] or position[b] < position[rel.target]:
                 continue  # no path a -> source(r) or target(r) -> b
             left = self.paths(a, rel.source)
@@ -319,9 +351,37 @@ class QuiverCategory:
                         row[index[full]] += coef
                     if any(row):
                         rows.append(row)
-        group = FpAbGroup(len(basis), lattice_basis(IntMatrix.from_rows(rows, cols=len(basis))))
-        self._hom[(a, b)] = group
-        return group
+        n = len(basis)
+        if not rows:  # no relation reaches the pair: its paths are its coordinates
+            hom = self._hom[(a, b)] = _Hom(_free_group(n), tuple(range(n)), basis,
+                                           tuple([((k, 1),) for k in range(n)]), None)
+            return hom
+        group = FpAbGroup(n, lattice_basis(IntMatrix.from_rows(rows, cols=n)))
+        # An HNF row is zero at the unit pivot column of every other row, so a
+        # unit pivot's path is minus the rest of its row, in coordinates.
+        unit, torsion = {}, []
+        for row in group.relations.entries:
+            pivot, *rest = compress(range(n), row)
+            if row[pivot] == 1:
+                unit[pivot] = [(j, -row[j]) for j in rest]
+            else:
+                torsion.append(row)
+        cols = tuple(k for k in range(n) if k not in unit)
+        at = {k: i for i, k in enumerate(cols)}
+
+        reduce = tuple(((at[k], 1),) if k in at else tuple((at[j], v) for j, v in unit[k])
+                       for k in range(n))
+        torsion = [[row[k] for k in cols] for row in torsion]
+        hom = self._hom[(a, b)] = _Hom(
+            group, cols, tuple(basis[k] for k in cols), reduce,
+            FpAbGroup(len(cols), IntMatrix.from_rows(torsion, cols=len(cols))) if torsion else None)
+        return hom
+
+    def _hom_data(self, a: str, b: str) -> _Hom:
+        try:
+            return self._hom[(a, b)]
+        except KeyError:
+            return self._fill_hom(a, b)
 
     # -- Hom data ---------------------------------------------------------
 
@@ -335,12 +395,20 @@ class QuiverCategory:
             return self._fill_paths(a, b)[0]
 
     def dim(self, a: str, b: str) -> int:
-        """Number of basis paths of Hom(a, b)."""
+        """Number of coordinates of Hom(a, b)."""
         try:
-            return self._dims[(a, b)]
+            return len(self._hom[(a, b)].cols)
         except KeyError:
-            n = self._dims[(a, b)] = len(self.paths(a, b))
-            return n
+            return len(self._fill_hom(a, b).cols)
+
+    def coordinate_paths(self, a: str, b: str) -> tuple[Path, ...]:
+        """The basis paths of Hom(a, b) that are coordinates, in basis order."""
+        return self._hom_data(a, b).paths
+
+    def torsion_rows(self, a: str, b: str) -> tuple[tuple[int, ...], ...]:
+        """The relations of Hom(a, b) on its coordinates: its torsion rows."""
+        torsion = self._hom_data(a, b).torsion
+        return () if torsion is None else torsion.relations.entries
 
     def zero_blocks(self, sources: Sequence[str],
                     targets: Sequence[str]) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -358,78 +426,121 @@ class QuiverCategory:
         return self._path_data(a, b)[1][arrows]
 
     def hom_group_lin(self, a: str, b: str) -> FpAbGroup:
+        """Hom(a, b) presented on its path basis."""
+        return self._hom_data(a, b).group
+
+    # -- coordinates ------------------------------------------------------
+
+    def coords(self, a: str, b: str, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """The canonical coordinates in Hom(a, b) of the path coefficients
+        ``coeffs``, which must number ``len(paths(a, b))``: the canonical
+        path vector without its zeros at the unit pivots."""
         try:
-            return self._hom[(a, b)]
+            hom = self._hom[(a, b)]
         except KeyError:
-            return self._fill_hom(a, b)
+            hom = self._fill_hom(a, b)
+        if not hom.group.relations.entries:  # the paths are the coordinates
+            return tuple(coeffs)
+        vec = hom.group.canonical_rep(coeffs)
+        return tuple([vec[k] for k in hom.cols])
+
+    def pad(self, a: str, b: str, coords: Sequence[int]) -> tuple[int, ...]:
+        """The canonical path vector of the coordinates ``coords`` of
+        Hom(a, b): zeros inserted at the unit pivots."""
+        try:
+            _, cols, _, reduce, _ = self._hom[(a, b)]
+        except KeyError:
+            _, cols, _, reduce, _ = self._fill_hom(a, b)
+        if len(cols) == len(reduce):
+            return tuple(coords)
+        vec = [0] * len(reduce)
+        for k, c in zip(cols, coords):
+            vec[k] = c
+        return tuple(vec)
+
+    def canonical(self, a: str, b: str, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """The canonical form in Hom(a, b) of the coordinates ``coeffs``,
+        which must number ``dim(a, b)``: the one rule by which every block is
+        reduced.  A zero vector, and a vector of a pair without torsion
+        rows, is its own canonical form; any other goes through
+        ``canonical_rep`` by the torsion rows."""
+        coeffs = tuple(coeffs)
+        try:
+            torsion = self._hom[(a, b)].torsion
+        except KeyError:
+            torsion = self._fill_hom(a, b).torsion
+        return coeffs if torsion is None or not any(coeffs) else torsion.canonical_rep(coeffs)
+
+    def canonical_blocks(self, sources: Sequence[str], targets: Sequence[str],
+                         grid: Sequence[Sequence[Sequence[int]]]
+                         ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``canonical`` applied to every block of the rows ``grid``, block
+        (i, j) in Hom(sources[i], targets[j]): a zero block becomes the
+        pair's shared zero block, a block of a pair without torsion rows is
+        kept, and any other is reduced by the torsion rows."""
+        zeros, homs = self._zeros, self._hom
+        try:
+            return tuple([tuple([
+                zeros[a, b] if not any(block) else
+                tuple(block) if (torsion := homs[a, b].torsion) is None
+                else torsion.canonical_rep(block)
+                for b, block in zip(targets, row)]) for a, row in zip(sources, grid)])
+        except KeyError:
+            self.zero_blocks(sources, targets)  # fills every pair of the grid
+            return self.canonical_blocks(sources, targets, grid)
 
     # -- composition tables -------------------------------------------------
 
-    def concat_table(self, a: str, b: str, c: str) -> tuple[tuple[int, ...], ...]:
-        """``table[i][j]`` is the index in the basis of Hom(a, c) of the i-th
-        basis path of Hom(a, b) followed by the j-th basis path of Hom(b, c)."""
-        table = self._concat.get((a, b, c))
+    def product_table(self, a: str, b: str, c: str) -> tuple[tuple[_Sparse, ...], ...]:
+        """``table[i][j]`` is the image in the coordinates of Hom(a, c) of the
+        i-th coordinate path of Hom(a, b) followed by the j-th of Hom(b, c)."""
+        table = self._products.get((a, b, c))
         if table is None:
-            index = self._path_data(a, c)[1]
-            right = self.paths(b, c)
-            table = tuple(tuple(index[p.arrows + q.arrows] for q in right)
-                          for p in self.paths(a, b))
-            self._concat[(a, b, c)] = table
+            index, reduce = self._path_data(a, c)[1], self._hom_data(a, c).reduce
+            right = self.coordinate_paths(b, c)
+            table = self._products[(a, b, c)] = tuple(
+                tuple([reduce[index[p.arrows + q.arrows]] for q in right])
+                for p in self.coordinate_paths(a, b))
         return table
 
     def unit_coeffs(self, a: str, b: str) -> tuple[tuple[int, ...], ...]:
-        """Canonical coefficients of every basis path of Hom(a, b)."""
+        """The coordinate unit vectors of Hom(a, b), each canonical: a unit
+        vector is below every torsion pivot."""
         units = self._units.get((a, b))
         if units is None:
-            n = self.dim(a, b)
-            units = tuple(self.canonical(a, b, [int(k == t) for t in range(n)])
-                          for k in range(n))
-            self._units[(a, b)] = units
+            units = self._units[(a, b)] = IntMatrix.identity(self.dim(a, b)).entries
         return units
-
-    def canonical(self, a: str, b: str, coeffs: Sequence[int]) -> tuple[int, ...]:
-        """The canonical form in Hom(a, b) of the coefficients ``coeffs``,
-        which must number ``dim(a, b)``: the one rule by which every block is
-        reduced.  A zero vector, and a vector of a group without relations,
-        is its own canonical form; any other goes through ``canonical_rep``."""
-        coeffs = tuple(coeffs)
-        if not any(coeffs):
-            return coeffs
-        group = self.hom_group_lin(a, b)
-        return group.canonical_rep(coeffs) if group.relations.entries else coeffs
 
     def compose_coeffs(self, a: str, c: str,
                        terms: Iterable[tuple[str, Sequence[int], Sequence[int]]]) -> tuple[int, ...]:
-        """Canonical coefficients in Hom(a, c) of the sum of the composites
+        """Canonical coordinates in Hom(a, c) of the sum of the composites
         ``f then g`` over ``(b, f, g)`` in ``terms``, where ``f`` and ``g`` are
-        coefficient vectors over the bases of Hom(a, b) and Hom(b, c).
+        coordinate vectors of Hom(a, b) and Hom(b, c).
 
-        Products are accumulated raw and reduced once at the end; since
-        ``canonical_rep`` picks the unique representative of a coset, this
-        equals reducing every partial sum.
+        Products are accumulated from the product tables and reduced once at
+        the end; since ``canonical_rep`` picks the unique representative of
+        a coset, this equals reducing every partial sum.
         """
         acc = [0] * self.dim(a, c)
         for b, f, g in terms:
-            table = self.concat_table(a, b, c)
-            for i, x in enumerate(f):
+            for x, row in zip(f, self.product_table(a, b, c)):
                 if x:
-                    row = table[i]
-                    for j, y in enumerate(g):
+                    for y, product in zip(g, row):
                         if y:
-                            acc[row[j]] += x * y
+                            for k, v in product:
+                                acc[k] += x * y * v
         return self.canonical(a, c, acc)
 
     def dual_coeffs(self, a: str, b: str, coeffs: Sequence[int]) -> tuple[int, ...]:
-        """Canonical coefficients in Hom(b, a) of the opposite category of
-        the morphism with coefficients ``coeffs`` in Hom(a, b): every path
+        """Canonical coordinates in Hom(b, a) of the opposite category of
+        the morphism with coordinates ``coeffs`` in Hom(a, b): every path
         reversed."""
         op = self.opposite()
-        paths = self.paths(a, b)
-        acc = [0] * op.dim(b, a)
-        for i, c in enumerate(coeffs):
+        acc = [0] * len(op.paths(b, a))
+        for p, c in zip(self.coordinate_paths(a, b), coeffs):
             if c:
-                acc[op.path_index(b, a, paths[i].arrows[::-1])] += c
-        return op.canonical(b, a, acc)
+                acc[op.path_index(b, a, p.arrows[::-1])] += c
+        return op.coords(b, a, acc)
 
     # -- morphisms --------------------------------------------------------
 
@@ -520,8 +631,9 @@ def compose_lin(f: LinMorphism, g: LinMorphism) -> LinMorphism:
         raise EndpointError("morphisms from different categories")
     if f.target != g.source:
         raise EndpointError(f"cannot compose {f.source}->{f.target} with {g.source}->{g.target}")
-    coeffs = f.cat.compose_coeffs(f.source, g.target, ((f.target, f.coeffs, g.coeffs),))
-    return LinMorphism(f.cat, f.source, g.target, coeffs)
+    cat, a, b, c = f.cat, f.source, f.target, g.target
+    coeffs = cat.compose_coeffs(a, c, ((b, cat.coords(a, b, f.coeffs), cat.coords(b, c, g.coeffs)),))
+    return LinMorphism(cat, a, c, cat.pad(a, c, coeffs))
 
 
 def format_lin(f: LinMorphism) -> str:

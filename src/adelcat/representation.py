@@ -1,7 +1,9 @@
 """Representations of a quiver with relations: a free abelian group on every
 vertex and an integer matrix on every arrow (row vectors act on the right),
 such that all relations evaluate to zero.  ``MatrixEvaluation`` is the
-additive functor this gives on paths, Hom elements and matrix morphisms.
+additive functor this gives on paths, Hom elements and matrix morphisms;
+a matrix morphism's block is summed over the coordinate paths of its Hom
+set, since its canonical path vector is zero on every other path.
 ``addclosure`` refutes homotopy systems on seeded representations, and
 ``evalfunctor`` extends the evaluation to the free abelian category.
 """
@@ -68,9 +70,9 @@ class MatrixEvaluation:
         return m
 
     def _coeffs(self, a: str, b: str, coeffs) -> IntMatrix:
-        """The matrix of the morphism with coefficients ``coeffs`` in Hom(a, b)."""
+        """The matrix of the morphism with coordinates ``coeffs`` in Hom(a, b)."""
         out = None
-        for path, c in zip(self.rep.cat.paths(a, b), coeffs):
+        for path, c in zip(self.rep.cat.coordinate_paths(a, b), coeffs):
             if c:
                 term = self.path(path)
                 if c != 1:

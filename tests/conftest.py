@@ -72,10 +72,13 @@ def ladder_category(n: int = 6) -> QuiverCategory:
 
 
 def dual_lin(f: LinMorphism) -> LinMorphism:
-    """The same morphism read in the opposite category (paths reversed)."""
-    cat = f.cat
-    return LinMorphism(cat.opposite(), f.target, f.source,
-                       cat.dual_coeffs(f.source, f.target, f.coeffs))
+    """The same morphism read in the opposite category: every path of its
+    path vector reversed, then reduced there."""
+    op = f.cat.opposite()
+    acc = [0] * len(op.paths(f.target, f.source))
+    for p, c in zip(f.cat.paths(f.source, f.target), f.coeffs):
+        acc[op.path_index(f.target, f.source, p.arrows[::-1])] += c
+    return op.lin(f.target, f.source, acc)
 
 
 @pytest.fixture(scope="session")

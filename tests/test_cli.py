@@ -522,6 +522,30 @@ def _chain_text(n: int, parallel: str = "a") -> str:
 _NEAR_CAP = "*".join(f"x{i}" for i in range(13))
 
 
+def _commuting_doubled_chain_text(k: int) -> str:
+    """The doubled chain on v0..vk whose squares commute: x_i*y_{i+1} = y_i*x_{i+1}."""
+    rels = " ".join(f"x{i}*y{i + 1} = y{i}*x{i + 1};" for i in range(k - 1))
+    return _chain_text(k + 1, parallel="xy").replace("\n}", f"\n  relations {rels}\n}}")
+
+
+class TestCommutingDoubledChain:
+    """2**8 paths run from v0 to v8, and the commuting squares identify any
+    two with as many x arrows: Hom(v0, v8) has 9 coordinates."""
+
+    def test_coordinates_count_the_classes(self):
+        from adelcat.catfile import build_category, parse_session
+        cat = build_category(parse_session(_commuting_doubled_chain_text(8)).category)
+        assert len(cat.paths("v0", "v8")) == 256
+        assert cat.dim("v0", "v8") == 9
+
+    def test_hom_group_is_free_of_rank_nine(self, tmp_path, capsys):
+        path = tmp_path / "commuting.cat"
+        path.write_text(_commuting_doubled_chain_text(8))
+        code = run_command(["hom-group", "v0", "v8", "--category", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("Hom group: Z^9 (")
+
+
 class TestLargeInputs:
     def test_long_chain_kernel(self, tmp_path, capsys):
         path = tmp_path / "deep.cat"

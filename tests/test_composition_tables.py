@@ -1,9 +1,11 @@
-"""The flat matrix morphism agrees with entry-by-entry arithmetic.
+"""The matrix morphism in coordinates agrees with path-level arithmetic.
 
-Composition through the cached path-concatenation tables agrees with
-composing path by path and reducing every product; every other operation on
-the flat coefficient tuple agrees with the same operation done entry by
-entry with ``LinMorphism`` arithmetic, and leaves every block canonical.
+A block holds the coordinates of its entry: the canonical path vector
+without its zeros at the unit pivots of the relation HNF.  Composition
+through the cached product tables agrees with composing path by path and
+reducing every product; every other operation on the blocks agrees with
+the same operation done entry by entry with ``LinMorphism`` arithmetic on
+path vectors, read through ``entries``, and leaves every block canonical.
 """
 
 import pathlib
@@ -43,7 +45,7 @@ def skew_category() -> QuiverCategory:
 
 
 _BASE = {"snake": category_by_name("snake"), "five": category_by_name("five"),
-         "ladder": ladder_category(),
+         "d4": category_by_name("d4"), "ladder": ladder_category(),
          "torsion": torsion_category(), "skew": skew_category()}
 CATEGORIES = {**_BASE, **{f"{k}^op": c.opposite() for k, c in _BASE.items()}}
 
@@ -63,11 +65,20 @@ def naive_compose(cat, a, b, c, f, g):
 
 
 def zero_lin(cat, a, b):
-    return cat.lin(a, b, (0,) * cat.dim(a, b))
+    return cat.lin(a, b, (0,) * len(cat.paths(a, b)))
 
 
 def unit_vector(cat, a, b, k):
-    return [int(t == k) for t in range(len(cat.paths(a, b)))]
+    """The path vector of the k-th coordinate path of Hom(a, b)."""
+    vec = [0] * len(cat.paths(a, b))
+    vec[cat.path_index(a, b, cat.coordinate_paths(a, b)[k].arrows)] = 1
+    return vec
+
+
+def drop(cat, a, b, vec):
+    """The coordinates of a canonical path vector of Hom(a, b): its entries
+    at the coordinate paths."""
+    return tuple(vec[cat.path_index(a, b, p.arrows)] for p in cat.coordinate_paths(a, b))
 
 
 def rand_tuple(cat, rng):
@@ -100,17 +111,19 @@ def grid(f):
 
 def check_flat(f, entries):
     """``f`` has exactly the given entries, through every view, its grid of
-    blocks holds their canonical coefficients, and ``HomBasis.flatten``
-    chains those in row-major order."""
+    blocks holds their coordinates, and ``HomBasis.flatten`` chains those
+    in row-major order."""
+    cat = f.cat
     entries = tuple(tuple(row) for row in entries)
-    assert f.entries == entries
-    assert grid(f) == entries
-    assert f.blocks == tuple(tuple(e.coeffs for e in row) for row in entries)
-    assert HomBasis(f.source, f.target).flatten(f) == tuple(
-        c for row in entries for e in row for c in e.coeffs)
     for row in entries:
         for e in row:
-            assert e.coeffs == f.cat.hom_group_lin(e.source, e.target).canonical_rep(e.coeffs)
+            assert e.coeffs == cat.hom_group_lin(e.source, e.target).canonical_rep(e.coeffs)
+    assert f.entries == entries
+    assert grid(f) == entries
+    blocks = tuple(tuple(drop(cat, e.source, e.target, e.coeffs) for e in row) for row in entries)
+    assert f.blocks == blocks
+    assert HomBasis(f.source, f.target).flatten(f) == tuple(
+        c for row in blocks for block in row for c in block)
 
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -148,7 +161,8 @@ def test_left_compose_rows_match_naive(name, rng):
         expected = [0] * out.dim
         for i, a in enumerate(x.summands):
             off = out.cuts[i][j].start
-            block = naive_compose(cat, a, b, c, f[i, l].coeffs, unit_vector(cat, b, c, k))
+            block = drop(cat, a, c, naive_compose(cat, a, b, c, f[i, l].coeffs,
+                                                  unit_vector(cat, b, c, k)))
             expected[off : off + len(block)] = block
         assert row == {col: v for col, v in enumerate(expected) if v}
 
@@ -167,18 +181,46 @@ def test_right_compose_rows_match_naive(name, rng):
         expected = [0] * out.dim
         for j, c in enumerate(z.summands):
             off = out.cuts[i][j].start
-            block = naive_compose(cat, a, b, c, unit_vector(cat, a, b, k), g[l, j].coeffs)
+            block = drop(cat, a, c, naive_compose(cat, a, b, c, unit_vector(cat, a, b, k),
+                                                  g[l, j].coeffs))
             expected[off : off + len(block)] = block
         assert row == {col: v for col, v in enumerate(expected) if v}
 
 
+@SETTINGS
+@given(cats, rngs)
+def test_padding_and_dropping_are_inverse(name, rng):
+    """Padding coordinates with zeros at the unit pivots and dropping them
+    again gives the coordinates back, and dropping the zeros of a canonical
+    path vector, then padding, gives the vector back; ``coords`` reads any
+    path vector as the coordinates of its canonical form."""
+    cat = CATEGORIES[name]
+    a, b = rng.choice(cat.quiver.vertices), rng.choice(cat.quiver.vertices)
+    raw = [rng.randint(-5, 5) for _ in range(cat.dim(a, b))]
+    assert drop(cat, a, b, cat.pad(a, b, raw)) == tuple(raw)
+    coords = cat.canonical(a, b, raw)
+    assert cat.coords(a, b, cat.pad(a, b, coords)) == coords
+    path_raw = [rng.randint(-5, 5) for _ in cat.paths(a, b)]
+    vec = cat.lin(a, b, path_raw).coeffs
+    assert cat.pad(a, b, drop(cat, a, b, vec)) == vec
+    assert cat.coords(a, b, path_raw) == cat.coords(a, b, vec) == drop(cat, a, b, vec)
+    assert cat.dim(a, b) == len(cat.coordinate_paths(a, b)) <= len(cat.paths(a, b))
+
+
 def test_concat_table_indexes_concatenations(ladder_cat):
+    """The product table, which replaced the table of concatenation indices,
+    holds for each pair of coordinate paths the coordinates of their
+    concatenation, as (coordinate, value) pairs."""
     a, b, c = "t0", "t2", "b4"
-    table = ladder_cat.concat_table(a, b, c)
-    assert table is ladder_cat.concat_table(a, b, c)
-    for i, p in enumerate(ladder_cat.paths(a, b)):
-        for j, q in enumerate(ladder_cat.paths(b, c)):
-            assert ladder_cat.paths(a, c)[table[i][j]].arrows == p.arrows + q.arrows
+    table = ladder_cat.product_table(a, b, c)
+    assert table is ladder_cat.product_table(a, b, c)
+    for i, p in enumerate(ladder_cat.coordinate_paths(a, b)):
+        for j, q in enumerate(ladder_cat.coordinate_paths(b, c)):
+            expected = [0] * ladder_cat.dim(a, c)
+            for k, v in table[i][j]:
+                expected[k] += v
+            path = ladder_cat.lin_from_path(Path(a, c, p.arrows + q.arrows)).coeffs
+            assert tuple(expected) == drop(ladder_cat, a, c, path)
 
 
 def test_unit_coeffs_are_canonical(snake_cat):
@@ -186,9 +228,12 @@ def test_unit_coeffs_are_canonical(snake_cat):
         for b in snake_cat.quiver.vertices:
             group = snake_cat.hom_group_lin(a, b)
             for k, unit in enumerate(snake_cat.unit_coeffs(a, b)):
-                assert unit == group.canonical_rep(unit_vector(snake_cat, a, b, k))
-    # alpha*beta*gamma = 0 makes the only path a -> d vanish
-    assert snake_cat.unit_coeffs("a", "d") == ((0,),)
+                path_vector = unit_vector(snake_cat, a, b, k)
+                assert path_vector == list(group.canonical_rep(path_vector))
+                assert unit == drop(snake_cat, a, b, path_vector)
+    # alpha*beta*gamma = 0 makes the only path a -> d a unit pivot: Hom(a, d)
+    # has no coordinates
+    assert snake_cat.unit_coeffs("a", "d") == ()
 
 
 @SETTINGS
@@ -261,8 +306,8 @@ def test_unflatten_canonicalises_once_and_flatten_inverts(name, rng):
     hb = HomBasis(x, y)
     vec = [rng.randint(-5, 5) for _ in range(hb.dim)]
     m = hb.unflatten(vec)
-    check_flat(m, [[cat.lin(a, b, vec[hb.cuts[i][j]]) for j, b in enumerate(y.summands)]
-                   for i, a in enumerate(x.summands)])
+    check_flat(m, [[cat.lin(a, b, cat.pad(a, b, vec[hb.cuts[i][j]]))
+                    for j, b in enumerate(y.summands)] for i, a in enumerate(x.summands)])
     assert hb.flatten(m) == tuple(c for row in m.blocks for block in row for c in block)
     assert hb.unflatten(hb.flatten(m)) == m
     f = rand_mat(cat, x, y, rng)
@@ -299,10 +344,13 @@ def test_compose_results_are_canonical(name, rng):
 
 
 def check_canonical(f):
-    """Every block of ``f`` is its own canonical representative."""
+    """Every block of ``f``, padded to a path vector, is its own canonical
+    representative."""
+    cat = f.cat
     for a, row in zip(f.source.summands, f.blocks):
         for b, block in zip(f.target.summands, row):
-            assert block == f.cat.hom_group_lin(a, b).canonical_rep(block)
+            vec = cat.pad(a, b, block)
+            assert vec == cat.hom_group_lin(a, b).canonical_rep(vec)
 
 
 @pytest.mark.parametrize("name", ["skew", "torsion", "five"])
@@ -333,6 +381,15 @@ def test_sum_of_canonical_blocks_is_reduced():
     assert (u + u).blocks == (((0, -1),),)
     assert (u + u)[0, 0] == -skew.arrow_lin("v")
     assert u.scale(2) == u + u
+
+
+def test_construction_layers_never_read_path_bases():
+    """Blocks and homotopy systems are laid out over coordinates, so the
+    layers above ``quivercat`` never read a path basis or a path index."""
+    for name in ("addclosure.py", "homgroups.py", "adelman.py"):
+        text = (pathlib.Path(adelcat.__file__).parent / name).read_text(encoding="utf-8")
+        for call in (".paths(", "path_index", "concat_table"):
+            assert call not in text, (name, call)
 
 
 def test_only_quivercat_and_intlinalg_call_canonical_rep():

@@ -861,9 +861,9 @@ class TestProbeRefutation:
 class TestTrustedBlocks:
     """``addclosure._mat`` builds derived matrix morphisms without checking
     their blocks; with a checking ``_mat`` in its place, and in place of
-    every copy imported elsewhere, every block has its Hom set's dimension
-    and is canonical, and every prover report and Hom group comes out the
-    same."""
+    every copy imported elsewhere, every block has its Hom set's number of
+    coordinates and pads to a canonical path vector, and every prover report
+    and Hom group comes out the same."""
 
     def test_checked_rebuild_is_identical(self, monkeypatch):
         pairs = _ladder_pairs(47, 10)
@@ -879,8 +879,9 @@ class TestTrustedBlocks:
                 bad.append((source, target, blocks))
             for a, row in zip(xs, blocks):
                 for b, block in zip(ys, row):
-                    if (type(block) is not tuple or len(block) != cat.dim(a, b)
-                            or block != cat.hom_group_lin(a, b).canonical_rep(block)):
+                    if type(block) is not tuple or len(block) != cat.dim(a, b):
+                        bad.append((a, b, block))
+                    elif (vec := cat.pad(a, b, block)) != cat.hom_group_lin(a, b).canonical_rep(vec):
                         bad.append((a, b, block))
             if bad:
                 raise AssertionError(f"malformed block: {bad[-1]!r}")
