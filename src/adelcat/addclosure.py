@@ -23,10 +23,11 @@ The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
 the coordinates of all Hom entries, one auxiliary unknown per torsion row of
 each target Hom set, and decided by an exact integer solve, ``solve_left``.
-A system above ``PROBE_CELLS`` cells is first evaluated on the category's
-two seeded probe representations, before it is assembled: a probe that
-shows it unsolvable returns None.  Every positive answer comes from the
-solve and is re-verified by matrix arithmetic before it is returned.
+A system above ``PROBE_CELLS`` cells, sized from its entries' dimensions,
+is first evaluated on the category's two seeded probe representations,
+before its layouts are built: a probe that shows it unsolvable returns
+None.  Every positive answer comes from the solve and is re-verified by
+matrix arithmetic before it is returned.
 """
 
 from __future__ import annotations
@@ -319,6 +320,12 @@ def format_mat(f: MatMorphism) -> str:
     ) + "]"
 
 
+def entry_dims(x: TupleObject, y: TupleObject) -> list[int]:
+    """The dimensions of the entries of Hom(x, y), in row-major order."""
+    dim, ys = x.cat.dim, y.summands
+    return [dim(a, b) for a in x.summands for b in ys]
+
+
 class HomBasis:
     """Coordinates of Hom(X, Y) for tuple objects: the flat row-major
     layout in which homotopy systems are posed.  No other code flattens or
@@ -333,15 +340,14 @@ class HomBasis:
     coordinate space, as sparse ``{col: value}`` rows.
     """
 
-    def __init__(self, x: TupleObject, y: TupleObject):
+    def __init__(self, x: TupleObject, y: TupleObject, dims: Optional[list[int]] = None):
         self.cat = x.cat
         self.source = x
         self.target = y
-        dim, ys = x.cat.dim, y.summands
-        bounds = list(accumulate([dim(a, b) for a in x.summands for b in ys], initial=0))
+        bounds = list(accumulate(entry_dims(x, y) if dims is None else dims, initial=0))
         self.dim = bounds[-1]
         cuts = iter(map(slice, bounds, bounds[1:]))
-        self.cuts = [list(islice(cuts, len(ys))) for _ in x.summands]
+        self.cuts = [list(islice(cuts, len(y.summands))) for _ in x.summands]
 
     def flatten(self, f: MatMorphism) -> tuple[int, ...]:
         if (f.source is not self.source and f.source != self.source
@@ -421,13 +427,13 @@ def homotopy_rows(h1: HomBasis, beta: MatMorphism, gamma: MatMorphism, h2: HomBa
 
 
 # Systems of more cells (rows times columns) than this are first tried on the
-# probe representations, before any row is built, so only the unknowns' rows
-# are counted.  In the first 336 ``hom_ladder`` operations of seed 5, laid
-# out over coordinates, 672 systems were above it, all unsolvable, and the
-# probes refuted 667 of them, in 0.46 s against 0.90 s to solve them (2-core
-# Xeon); the operations' result checks add none.  Those checks add 33
-# systems of 500 to 1000 cells, 5 of them solvable, where the probes would
-# take 0.02 s to save 0.005 s of solving.
+# probe representations, before any layout is built, so only the unknowns'
+# rows are counted.  In the first 336 ``hom_ladder`` operations of seed 5,
+# 672 systems were above it, all unsolvable, and the probes refuted 667 of
+# them, in 0.28 to 0.40 s against 1.5 to 1.9 s to solve them (2-core shared
+# Xeon, best of three); the operations' result checks add none.  Those add
+# 33 systems of 500 to 1000 cells, 5 of them solvable, where probing would
+# take 0.009 to 0.015 s to save 0.007 to 0.013 s of solving the 16 refuted.
 PROBE_CELLS = 1000
 
 # The seeds of the probe representations, and the probes of each category.
@@ -483,10 +489,11 @@ def decide_homotopy(
         raise EndpointError("beta must share its target with alpha")
     if gamma.source != alpha.source:
         raise EndpointError("gamma must share its source with alpha")
-    out = HomBasis(alpha.source, alpha.target)
-    h1, h2 = HomBasis(out.source, beta.source), HomBasis(gamma.target, out.target)
-    if (h1.dim + h2.dim) * out.dim > PROBE_CELLS and _probe_refutes(alpha, beta, gamma):
+    x, y, d, c = alpha.source, alpha.target, beta.source, gamma.target
+    dims, dims1, dims2 = entry_dims(x, y), entry_dims(x, d), entry_dims(c, y)
+    if (sum(dims1) + sum(dims2)) * sum(dims) > PROBE_CELLS and _probe_refutes(alpha, beta, gamma):
         return None
+    out, h1, h2 = HomBasis(x, y, dims), HomBasis(x, d, dims1), HomBasis(c, y, dims2)
     sol = solve_left(IntMatrix.from_sparse(homotopy_rows(h1, beta, gamma, h2, out), out.dim),
                      IntMatrix.row_vector(out.flatten(alpha)))
     if sol is None:

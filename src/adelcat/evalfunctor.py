@@ -71,10 +71,8 @@ def _first_cols(m: IntMatrix, k: int) -> IntMatrix:
 
 
 def _preimage_relations(basis: IntMatrix, lattice_rows: IntMatrix) -> IntMatrix:
-    """Rows c with ``c * basis`` in the row lattice of ``lattice_rows``."""
-    stacked = vstack(basis, lattice_rows)
-    kern = left_kernel(stacked)
-    return lattice_basis(_first_cols(kern, basis.rows))
+    """Rows spanning the c with ``c * basis`` in the lattice of ``lattice_rows``."""
+    return _first_cols(left_kernel(vstack(basis, lattice_rows)), basis.rows)
 
 
 class Evaluation(MatrixEvaluation):
@@ -158,10 +156,7 @@ def group_kernel(m: InducedMap) -> tuple[FpAbGroup, IntMatrix]:
 
 
 def group_cokernel(m: InducedMap) -> FpAbGroup:
-    return FpAbGroup(
-        m.target.group.ngens,
-        lattice_basis(vstack(m.target.group.relations, m.matrix)),
-    )
+    return FpAbGroup(m.target.group.ngens, vstack(m.target.group.relations, m.matrix))
 
 
 def group_homology(m1: InducedMap, m2: InducedMap) -> FpAbGroup:

@@ -133,7 +133,7 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     denominator = IntMatrix.from_sparse(homotopy_rows(
         HomBasis(x.middle, y.rel_source), y.rel, x.corel, HomBasis(x.corel_target, y.middle), hom), n)
     kern = left_kernel(vstack(basis, denominator))
-    group = FpAbGroup(k, lattice_basis(IntMatrix.from_rows([r[:k] for r in kern.entries], cols=k)))
+    group = FpAbGroup(k, IntMatrix.from_rows([r[:k] for r in kern.entries], cols=k))
 
     spaces = (hom, h_omega, h_psi)
     squares = (units, eq1, eq2)  # relation square columns before eq1.dim

@@ -167,8 +167,8 @@ def _matrix(entries: tuple[tuple[int, ...], ...], cols: int) -> IntMatrix:
       ``scale`` map rows entry by entry;
     * ``vstack`` checks that every part has the same width;
     * ``hnf_rows`` returns rows of the input's width and transform rows of
-      its row count, which ``hnf``, ``lattice_basis`` and ``left_kernel``
-      slice by rows only;
+      its row count, which ``hnf``, ``lattice_basis``, ``left_kernel`` and
+      ``FpAbGroup`` slice by rows only;
     * ``solve_left`` makes one row of ``a.rows`` entries per row of ``b``;
     * ``evalfunctor._first_cols`` keeps the first ``k`` columns of a left
       kernel of a stack of at least ``k`` rows, so of at least ``k``
@@ -338,6 +338,10 @@ def det(m: IntMatrix) -> int:
 class FpAbGroup:
     """Finitely presented abelian group ``Z^ngens / rowspan(relations)``.
 
+    The constructor takes any rows spanning the relation lattice and keeps
+    its HNF basis as ``relations``, so it reduces the lattice once and two
+    presentations of one lattice are equal.
+
     Elements are integer vectors of length ``ngens``; two vectors represent
     the same element exactly when their canonical representatives coincide.
     ``canonical_rep`` reduces every vector it is given; deciding which
@@ -354,7 +358,9 @@ class FpAbGroup:
                 f"relations have {self.relations.cols} columns for {self.ngens} generators"
             )
         h_rows, _, pivots = _kernel.hnf_rows(self.relations.entries, self.ngens, False)
-        object.__setattr__(self, "_reduced", tuple((h_rows[r], c) for r, c in pivots))
+        rows = tuple(map(tuple, h_rows[: len(pivots)]))
+        object.__setattr__(self, "relations", _matrix(rows, self.ngens))
+        object.__setattr__(self, "_reduced", tuple(zip(rows, (c for _, c in pivots))))
 
     @staticmethod
     def free(ngens: int) -> "FpAbGroup":

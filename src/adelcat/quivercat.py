@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .intlinalg import FpAbGroup, IntMatrix, lattice_basis
+from .intlinalg import FpAbGroup, IntMatrix
 
 # Largest number of paths allowed between two vertices.  Path counts can grow
 # exponentially in the size of an acyclic quiver; the cap turns such input
@@ -356,7 +356,7 @@ class QuiverCategory:
             hom = self._hom[(a, b)] = _Hom(_free_group(n), tuple(range(n)), basis,
                                            tuple([((k, 1),) for k in range(n)]), None)
             return hom
-        group = FpAbGroup(n, lattice_basis(IntMatrix.from_rows(rows, cols=n)))
+        group = FpAbGroup(n, IntMatrix.from_rows(rows, cols=n))
         # An HNF row is zero at the unit pivot column of every other row, so a
         # unit pivot's path is minus the rest of its row, in coordinates.
         unit, torsion = {}, []

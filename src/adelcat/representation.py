@@ -2,10 +2,11 @@
 vertex and an integer matrix on every arrow (row vectors act on the right),
 such that all relations evaluate to zero.  ``MatrixEvaluation`` is the
 additive functor this gives on paths, Hom elements and matrix morphisms;
-a matrix morphism's block is summed over the coordinate paths of its Hom
-set, since its canonical path vector is zero on every other path.
-``addclosure`` refutes homotopy systems on seeded representations, and
-``evalfunctor`` extends the evaluation to the free abelian category.
+a matrix morphism's block is one product of its coordinates with the
+*stacked rows* of its Hom set, the flattened matrices of its coordinate
+paths.  ``addclosure`` refutes homotopy systems on seeded representations
+before their layouts are built, and ``evalfunctor`` extends the
+evaluation to the free abelian category.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .intlinalg import IntMatrix, _matrix, left_kernel, solve_left
@@ -53,12 +54,13 @@ class Representation:
 
 class MatrixEvaluation:
     """The additive functor of one representation on paths, Hom elements and
-    matrix morphisms, memoised by path: each path's matrix is multiplied out
-    at most once per instance."""
+    matrix morphisms, memoised: each path's matrix and each vertex pair's
+    stacked rows are computed at most once per instance, on first use."""
 
     def __init__(self, rep: Representation):
         self.rep = rep
         self._paths: dict[Path, IntMatrix] = {}
+        self._stacked: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
 
     def path(self, path: Path) -> IntMatrix:
         m = self._paths.get(path)
@@ -69,32 +71,36 @@ class MatrixEvaluation:
             self._paths[path] = m
         return m
 
-    def _coeffs(self, a: str, b: str, coeffs) -> IntMatrix:
-        """The matrix of the morphism with coordinates ``coeffs`` in Hom(a, b)."""
-        out = None
-        for path, c in zip(self.rep.cat.coordinate_paths(a, b), coeffs):
-            if c:
-                term = self.path(path)
-                if c != 1:
-                    term = term.scale(c)
-                out = term if out is None else out + term
-        return IntMatrix.zeros(self.rep.ranks[a], self.rep.ranks[b]) if out is None else out
+    def stacked(self, a: str, b: str) -> tuple[tuple[int, ...], ...]:
+        """The stacked rows of Hom(a, b): its coordinate paths' matrices, flattened."""
+        rows = self._stacked.get((a, b))
+        if rows is None:
+            rows = self._stacked[(a, b)] = tuple(
+                sum(self.path(p).entries, ()) for p in self.rep.cat.coordinate_paths(a, b))
+        return rows
 
     def mat(self, f) -> IntMatrix:
-        """One integer matrix on the direct sums, for a matrix morphism."""
-        ranks = self.rep.ranks
+        """One integer matrix on the direct sums, for a matrix morphism: block
+        (a, b) is its coordinates times the stacked rows of Hom(a, b), cut
+        into rows; a block of a rank-0 vertex or of zeros stays zero."""
+        ranks, ys = self.rep.ranks, f.target.summands
         ncols = self.rep.rank_of(f.target)
         rows = [[0] * ncols for _ in range(self.rep.rank_of(f.source))]
         roff = 0
         for a, blocks in zip(f.source.summands, f.blocks):
-            coff = 0
-            for b, coeffs in zip(f.target.summands, blocks):
-                if any(coeffs):
-                    block = self._coeffs(a, b, coeffs)
-                    for row, brow in zip(rows[roff:], block.entries):
-                        row[coff : coff + block.cols] = brow
-                coff += ranks[b]
-            roff += ranks[a]
+            ra, coff = ranks[a], 0
+            for b, coeffs in zip(ys, blocks):
+                rb = ranks[b]
+                if ra and rb and any(coeffs):
+                    flat = None
+                    for c, srow in zip(coeffs, self.stacked(a, b)):
+                        if c:
+                            term = srow if c == 1 else [c * v for v in srow]
+                            flat = term if flat is None else list(map(add, flat, term))
+                    for i, row in enumerate(rows[roff : roff + ra]):
+                        row[coff : coff + rb] = flat[i * rb : (i + 1) * rb]
+                coff += rb
+            roff += ra
         return _matrix(tuple(map(tuple, rows)), ncols)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from adelcat import adelman
 from adelcat.catfile import build_category, parse_session
+from adelcat.intlinalg import IntMatrix
 from adelcat.provers import build_five_data, build_snake_figure, category_by_name
 from adelcat.quivercat import LinMorphism, QuiverCategory
 
@@ -79,6 +80,24 @@ def dual_lin(f: LinMorphism) -> LinMorphism:
     for p, c in zip(f.cat.paths(f.source, f.target), f.coeffs):
         acc[op.path_index(f.target, f.source, p.arrows[::-1])] += c
     return op.lin(f.target, f.source, acc)
+
+
+def path_sum_mat(ev, f) -> IntMatrix:
+    """The matrix of the matrix morphism ``f`` under the evaluation ``ev``:
+    block (a, b) is the sum of the matrices of the coordinate paths of
+    Hom(a, b), each scaled by its coordinate, and the blocks are laid out
+    at the ranks of their vertices."""
+    ranks, cat = ev.rep.ranks, f.cat
+    rows = []
+    for a, line in zip(f.source.summands, f.blocks):
+        blocks = []
+        for b, coeffs in zip(f.target.summands, line):
+            block = IntMatrix.zeros(ranks[a], ranks[b])
+            for path, c in zip(cat.coordinate_paths(a, b), coeffs):
+                block = block + ev.path(path).scale(c)
+            blocks.append(block)
+        rows += [[v for block in blocks for v in block.entries[i]] for i in range(ranks[a])]
+    return IntMatrix.from_rows(rows, cols=ev.rep.rank_of(f.target))
 
 
 @pytest.fixture(scope="session")

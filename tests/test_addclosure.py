@@ -297,6 +297,38 @@ class TestDecideHomotopy:
         assert decide_homotopy(*system) is None
         assert decided == [True]
 
+    def test_refuted_ladder_system_builds_no_layout(self, ladder_cat, monkeypatch):
+        system = _ladder_systems(ladder_cat)[0]
+
+        def no_layout(*args):
+            raise AssertionError("a layout was built for a refuted system")
+        monkeypatch.setattr(HomBasis, "__init__", no_layout)
+        assert decide_homotopy(*system) is None
+
+    def test_size_gate_counts_the_layout_cells(self, ladder_cat, monkeypatch):
+        """The probes are consulted exactly for the systems whose layouts
+        have more than ``PROBE_CELLS`` cells, on tuples with repeated
+        summands on both sides of the gate."""
+        consulted = []
+        monkeypatch.setattr(addclosure, "_probe_refutes",
+                            lambda *a: consulted.append(a) or False)
+        rng = random.Random(41)
+        sides = {True: 0, False: 0}
+        for _ in range(30):
+            # five or more summands from four vertices: every tuple repeats one
+            a, b, c, d = (TupleObject(ladder_cat, tuple(rng.choice(("t0", "t1", "b2", "b4"))
+                                                        for _ in range(rng.randint(5, 9))))
+                          for _ in range(4))
+            beta, gamma = rand_mat(ladder_cat, d, b, rng), rand_mat(ladder_cat, a, c, rng)
+            alpha = (compose_mat(rand_mat(ladder_cat, a, d, rng), beta)
+                     + compose_mat(gamma, rand_mat(ladder_cat, c, b, rng)))
+            cells = (HomBasis(a, d).dim + HomBasis(c, b).dim) * HomBasis(a, b).dim
+            consulted.clear()
+            assert decide_homotopy(alpha, beta, gamma) is not None
+            assert len(consulted) == (cells > addclosure.PROBE_CELLS)
+            sides[cells > addclosure.PROBE_CELLS] += 1
+        assert min(sides.values()) >= 5
+
     def test_solvable_ladder_system_keeps_the_dense_solution(self, ladder_cat):
         rng = random.Random(7)
         a, b, c, d = (tuple_obj(ladder_cat, *vs) for vs in (

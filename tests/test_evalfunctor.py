@@ -4,10 +4,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelcat import evalfunctor
 
-from adelcat.addclosure import single
+from adelcat.addclosure import MatMorphism, TupleObject, single
 from adelcat.adelman import (
     cokernel,
     compose,
@@ -24,6 +26,7 @@ from adelcat.evalfunctor import (
     Evaluation,
     GroupWithMap,
     InducedMap,
+    MatrixEvaluation,
     Representation,
     RepresentationError,
     check_representation,
@@ -38,7 +41,9 @@ from adelcat.evalfunctor import (
     zero_representation,
 )
 from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, left_kernel, solve_left
-from adelcat.provers import five_oracle_items, snake_oracle_items
+from adelcat.provers import category_by_name, five_oracle_items, snake_oracle_items
+
+from conftest import kronecker_category, ladder_category, path_sum_mat, torsion_category
 
 SEEDED_REPRESENTATIONS_SHA256 = "dc52c7747ec6b6247a584d9d26b2b46b50bff1d5e468987ca250045aaf5a0bc7"
 
@@ -360,3 +365,44 @@ class TestSuiteEvaluation:
         oracle_suite(random_representation(snake_fig.cat, 0), items)
         assert len(calls) == len(items)
         assert all(c is i for c, i in zip(calls, items))
+
+
+# -- matrix evaluation against the path sum -----------------------------------
+
+# kronecker's Hom(a, b) has two coordinates; every other Hom set here has at most one
+EVAL_CATEGORIES = {"snake": category_by_name("snake"), "five": category_by_name("five"),
+                   "d4": category_by_name("d4"), "torsion": torsion_category(),
+                   "ladder": ladder_category(), "kronecker": kronecker_category()}
+EVAL_SEEDS = range(12)
+
+
+def _rand_tuple(cat, rng):
+    return TupleObject(cat, tuple(rng.choice(cat.quiver.vertices)
+                                  for _ in range(rng.randint(0, 4))))
+
+
+def _rand_mat(cat, x, y, rng):
+    def entry(a, b):
+        return cat.lin(a, b, [rng.choice((0, 0, 1, -1, 2, 3)) for _ in cat.paths(a, b)])
+    return MatMorphism(x, y, [[entry(a, b) for b in y.summands] for a in x.summands])
+
+
+def test_evaluation_seeds_include_rank_zero_vertices():
+    for cat in EVAL_CATEGORIES.values():
+        assert any(0 in random_representation(cat, seed).ranks.values() for seed in EVAL_SEEDS)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(EVAL_CATEGORIES)), st.sampled_from(EVAL_SEEDS),
+       st.sampled_from([MatrixEvaluation, Evaluation]), st.randoms(use_true_random=False))
+def test_mat_is_the_path_sum(name, seed, kind, rng):
+    """``mat``, one product with the stacked rows per block, equals the sum
+    of scaled path matrices, on a fresh evaluation and again once its
+    stacked rows are filled."""
+    cat = EVAL_CATEGORIES[name]
+    ev = kind(random_representation(cat, seed))
+    for _ in range(3):
+        x, y = _rand_tuple(cat, rng), _rand_tuple(cat, rng)
+        f = _rand_mat(cat, x, y, rng)
+        assert ev.mat(f) == path_sum_mat(kind(ev.rep), f)
+        assert ev.mat(f) == path_sum_mat(ev, f)

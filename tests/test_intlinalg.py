@@ -314,6 +314,33 @@ class TestFpAbGroup:
         with pytest.raises(DimensionError):
             g.canonical_rep((1, 2, 3))
 
+    def test_keeps_the_hnf_basis_of_its_lattice(self):
+        rows = mat([[2, 4], [0, 6]])
+        other = mat([[2, -2], [2, 4], [4, 8], [0, 0]])
+        g, h = FpAbGroup(2, rows), FpAbGroup(2, other)
+        assert g.relations == h.relations == lattice_basis(rows) == mat([[2, 4], [0, 6]])
+        assert g == h and hash(g) == hash(h)
+        assert FpAbGroup(2, mat([[2, 4]])) != g
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))),
+        st.randoms(use_true_random=False))
+    def test_groups_of_one_lattice_are_equal(self, data, rng):
+        n, rows = data
+        m = IntMatrix.from_rows(rows, cols=n)
+        # the same lattice by other rows: shuffled, with multiples of rows added
+        others = [list(r) for r in rows]
+        for _ in range(3):
+            if len(others) > 1:
+                i, j = rng.sample(range(len(others)), 2)
+                c = rng.randint(-3, 3)
+                others[i] = [u + c * v for u, v in zip(others[i], others[j])]
+        rng.shuffle(others)
+        others.append([0] * n)
+        g, h = FpAbGroup(n, m), FpAbGroup(n, IntMatrix.from_rows(others, cols=n))
+        assert g == h and g.relations == lattice_basis(m)
+
     def test_invariants(self):
         g = FpAbGroup(2, mat([[2, 0], [0, 3]]))
         assert g.invariants().reduced() == SmithInvariants((6,), 0)

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from adelcat import intlinalg
 from adelcat.addclosure import TupleObject, single
 from adelcat.adelman import emb_object, kernel, make_morphism
 from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, lattice_basis
@@ -207,6 +208,19 @@ class TestLazyHomData:
         finally:
             sys.setswitchinterval(interval)
         assert all(r == expected for r in results)
+
+    def test_fill_reduces_the_closure_once(self, monkeypatch):
+        """Filling a pair with relations and no torsion row makes one row
+        reduction: ``FpAbGroup`` keeps the HNF basis it computes."""
+        cat = ladder_category()
+        cat.paths("t0", "b5")
+        calls = []
+        hnf_rows = intlinalg._kernel.hnf_rows
+        monkeypatch.setattr(intlinalg._kernel, "hnf_rows",
+                            lambda *args: calls.append(args) or hnf_rows(*args))
+        cat.hom_group_lin("t0", "b5")
+        assert len(calls) == 1
+        assert cat.dim("t0", "b5") == 1 and cat.torsion_rows("t0", "b5") == ()
 
     def test_kernel_on_long_chain_fills_few_pairs(self):
         cat = QuiverCategory(_chain(1000))
