@@ -26,8 +26,8 @@ each target Hom set, and decided by an exact integer solve, ``solve_left``.
 A system above ``PROBE_CELLS`` cells, sized from its entries' dimensions,
 is first evaluated on the category's two seeded probe representations,
 before its layouts are built: a probe that shows it unsolvable returns
-None.  Every positive answer comes from the solve and is re-verified by
-matrix arithmetic before it is returned.
+None.  A zero datum gets the zero pair, every other positive answer comes
+from the solve, and each is re-verified by matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -490,17 +490,20 @@ def decide_homotopy(
     if gamma.source != alpha.source:
         raise EndpointError("gamma must share its source with alpha")
     x, y, d, c = alpha.source, alpha.target, beta.source, gamma.target
-    dims, dims1, dims2 = entry_dims(x, y), entry_dims(x, d), entry_dims(c, y)
-    if (sum(dims1) + sum(dims2)) * sum(dims) > PROBE_CELLS and _probe_refutes(alpha, beta, gamma):
-        return None
-    out, h1, h2 = HomBasis(x, y, dims), HomBasis(x, d, dims1), HomBasis(c, y, dims2)
-    sol = solve_left(IntMatrix.from_sparse(homotopy_rows(h1, beta, gamma, h2, out), out.dim),
-                     IntMatrix.row_vector(out.flatten(alpha)))
-    if sol is None:
-        return None
-    vec = sol.entries[0]
-    sigma1 = h1.unflatten(vec[: h1.dim])
-    sigma2 = h2.unflatten(vec[h1.dim : h1.dim + h2.dim])
+    if alpha.is_zero():  # the zero pair, as the solve would find it
+        sigma1, sigma2 = zero_mat(x, d), zero_mat(c, y)
+    else:
+        dims, dims1, dims2 = entry_dims(x, y), entry_dims(x, d), entry_dims(c, y)
+        if (sum(dims1) + sum(dims2)) * sum(dims) > PROBE_CELLS and _probe_refutes(alpha, beta, gamma):
+            return None
+        out, h1, h2 = HomBasis(x, y, dims), HomBasis(x, d, dims1), HomBasis(c, y, dims2)
+        sol = solve_left(IntMatrix.from_sparse(homotopy_rows(h1, beta, gamma, h2, out), out.dim),
+                         IntMatrix.row_vector(out.flatten(alpha)))
+        if sol is None:
+            return None
+        vec = sol.entries[0]
+        sigma1 = h1.unflatten(vec[: h1.dim])
+        sigma2 = h2.unflatten(vec[h1.dim : h1.dim + h2.dim])
     check = compose_mat(sigma1, beta) + compose_mat(gamma, sigma2)
     if check != alpha:
         raise RuntimeError("homotopy solver produced a bad certificate")

@@ -20,11 +20,13 @@ constructor, ``make_morphism``, the replay reader, a Hom group's family
 check); ``_morphism`` builds what is derived from checked morphisms.
 
 Sign conventions follow the matrices with the fewest minus signs.  Values
-are immutable and cache nothing.  Inside one ``construction_memo`` scope
-(one prover call, or one replay, which never shares the prover's memo)
-``kernel`` and ``cokernel`` run once per argument, keyed by identity,
-``zero_witness`` once per homotopy system, keyed by value, and the replay
-reader builds each distinct value once, all through ``scoped_value``.
+are immutable; objects and morphisms keep their hash, and kernel and cokernel
+results their other parts, once built on first read.  Inside one
+``construction_memo`` scope (one prover call, or one replay, which never
+shares the prover's memo) ``kernel`` and ``cokernel`` run once per argument,
+keyed by identity, ``zero_witness`` once per homotopy system, keyed by
+value, and the replay reader builds each distinct value once, all through
+``scoped_value``.
 """
 
 from __future__ import annotations
@@ -356,33 +358,54 @@ def is_equal(f: AdelMorphism, g: AdelMorphism) -> Optional[WitnessPair]:
 
 @dataclass(frozen=True)
 class CokernelResult:
+    """The cokernel of ``of``; ``proj`` and ``composite_zero_wp`` are built on first read."""
+
+    of: AdelMorphism
     obj: AdelObject
-    proj: AdelMorphism
-    composite_zero_wp: WitnessPair  # certifies morphism * proj == 0
+
+    @functools.cached_property
+    def proj(self) -> AdelMorphism:
+        a, b = self.of.source, self.of.target
+        return _morphism(b, self.obj, from_blocks([b.middle], [b.middle, a.corel_target], [[1, 0]]),
+                         from_blocks([b.rel_source], [b.rel_source, a.middle], [[1, 0]]),
+                         from_blocks([b.corel_target], [b.corel_target, a.corel_target], [[1, 0]]))
+
+    @functools.cached_property
+    def composite_zero_wp(self) -> WitnessPair:  # certifies of * proj == 0
+        a, b = self.of.source, self.of.target
+        return WitnessPair(from_blocks([a.middle], [b.rel_source, a.middle], [[0, 1]]),
+                           from_blocks([a.corel_target], [b.middle, a.corel_target], [[0, -1]]))
 
 
 @dataclass(frozen=True)
 class KernelResult:
+    """The kernel of ``of``; ``emb`` and ``composite_zero_wp`` are built on first read."""
+
+    of: AdelMorphism
     obj: AdelObject
-    emb: AdelMorphism
-    composite_zero_wp: WitnessPair  # certifies emb * morphism == 0
+
+    @functools.cached_property
+    def emb(self) -> AdelMorphism:
+        a, b = self.of.source, self.of.target
+        return _morphism(self.obj, a, from_blocks([a.middle, b.rel_source], [a.middle], [[1], [0]]),
+                         from_blocks([a.rel_source, b.rel_source], [a.rel_source], [[1], [0]]),
+                         from_blocks([a.corel_target, b.middle], [a.corel_target], [[1], [0]]))
+
+    @functools.cached_property
+    def composite_zero_wp(self) -> WitnessPair:  # certifies emb * of == 0
+        a, b = self.of.source, self.of.target
+        return WitnessPair(from_blocks([a.middle, b.rel_source], [b.rel_source], [[0], [-1]]),
+                           from_blocks([a.corel_target, b.middle], [b.middle], [[0], [1]]))
 
 
 @_memoised(id)
 def cokernel(f: AdelMorphism) -> CokernelResult:
-    """Cokernel projection, built on explicit block matrices."""
+    """Cokernel of ``f``, built on explicit block matrices."""
     a, b = f.source, f.target
-    # the summands of the cokernel's rel_source (rs), middle (mid) and corel_target (ct)
-    rs, mid = [b.rel_source, a.middle], [b.middle, a.corel_target]
-    ct = [b.corel_target, a.corel_target]
-    obj = AdelObject(from_blocks(rs, mid, [[b.rel, 0], [f.datum, a.corel]]),
-                     from_blocks(mid, ct, [[b.corel, 0], [0, 1]]))
-    proj = _morphism(b, obj, from_blocks([b.middle], mid, [[1, 0]]),
-                     from_blocks([b.rel_source], rs, [[1, 0]]),
-                     from_blocks([b.corel_target], ct, [[1, 0]]))
-    wp = WitnessPair(from_blocks([a.middle], rs, [[0, 1]]),
-                     from_blocks([a.corel_target], mid, [[0, -1]]))
-    return CokernelResult(obj, proj, wp)
+    mid = [b.middle, a.corel_target]
+    return CokernelResult(f, AdelObject(
+        from_blocks([b.rel_source, a.middle], mid, [[b.rel, 0], [f.datum, a.corel]]),
+        from_blocks(mid, [b.corel_target, a.corel_target], [[b.corel, 0], [0, 1]])))
 
 
 def cokernel_colift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> AdelMorphism:
@@ -402,19 +425,12 @@ def cokernel_colift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> Adel
 
 @_memoised(id)
 def kernel(f: AdelMorphism) -> KernelResult:
-    """Kernel embedding; the exact dual of the cokernel construction."""
+    """Kernel of ``f``; the exact dual of the cokernel construction."""
     a, b = f.source, f.target
-    # the summands of the kernel's rel_source (rs), middle (mid) and corel_target (ct)
-    rs, mid = [a.rel_source, b.rel_source], [a.middle, b.rel_source]
-    ct = [a.corel_target, b.middle]
-    obj = AdelObject(from_blocks(rs, mid, [[a.rel, 0], [0, 1]]),
-                     from_blocks(mid, ct, [[a.corel, f.datum], [0, b.rel]]))
-    emb = _morphism(obj, a, from_blocks(mid, [a.middle], [[1], [0]]),
-                    from_blocks(rs, [a.rel_source], [[1], [0]]),
-                    from_blocks(ct, [a.corel_target], [[1], [0]]))
-    wp = WitnessPair(from_blocks(mid, [b.rel_source], [[0], [-1]]),
-                     from_blocks(ct, [b.middle], [[0], [1]]))
-    return KernelResult(obj, emb, wp)
+    mid = [a.middle, b.rel_source]
+    return KernelResult(f, AdelObject(
+        from_blocks([a.rel_source, b.rel_source], mid, [[a.rel, 0], [0, 1]]),
+        from_blocks(mid, [a.corel_target, b.middle], [[a.corel, f.datum], [0, b.rel]])))
 
 
 def kernel_lift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> AdelMorphism:
@@ -567,11 +583,10 @@ def subobject_leq(i1: AdelMorphism, i2: AdelMorphism) -> bool:
 
 @dataclass(frozen=True)
 class EpiAsCokernel:
-    """Data identifying an epi with the cokernel of its kernel: the kernel,
-    the cokernel of its embedding, the comparison morphism out of the epi's
-    target, and the explicit pair certifying the commuting triangle."""
+    """Data identifying an epi with the cokernel of its kernel: the kernel
+    (of the epi), the cokernel of its embedding, the comparison morphism out
+    of the epi's target, and the explicit pair certifying the triangle."""
 
-    epi: AdelMorphism
     ker: KernelResult
     cok_of_kernel: CokernelResult
     comparison: AdelMorphism
@@ -618,7 +633,7 @@ def epi_as_cokernel(eps: AdelMorphism) -> EpiAsCokernel:
     diff = compose_mat(eps.datum, comparison.datum) - c2.proj.datum
     if not triangle_wp.verifies(a, c2.obj, diff):
         raise RuntimeError("explicit triangle witness failed to verify")
-    return EpiAsCokernel(eps, kr, c2, comparison, triangle_wp)
+    return EpiAsCokernel(kr, c2, comparison, triangle_wp)
 
 
 def _take_cols(f: MatMorphism, start: int, count: int) -> MatMorphism:
@@ -676,16 +691,13 @@ def image(f: AdelMorphism) -> ImageResult:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Homology of a composable pair: the image of the composite
-    ``kernel embedding * cokernel projection``."""
+    """Homology of a composable pair ``(cok.of, ker.of)``: the image of the
+    composite ``via`` of the kernel embedding and the cokernel projection."""
 
     obj: AdelObject
-    first: AdelMorphism
-    second: AdelMorphism
-    via: AdelMorphism           # ker(second) -> coker(first)
     ker: KernelResult           # of the second morphism
     cok: CokernelResult         # of the first morphism
-    img: ImageResult            # of ``via``; img.obj == obj
+    img: ImageResult            # of ``via``: ker(second) -> coker(first); img.obj == obj
 
 
 def homology(f: AdelMorphism, g: AdelMorphism) -> HomologyResult:
@@ -695,9 +707,8 @@ def homology(f: AdelMorphism, g: AdelMorphism) -> HomologyResult:
         raise EndpointError("not a composable pair")
     kr = kernel(g)
     cr = cokernel(f)
-    via = compose(kr.emb, cr.proj)
-    img = image(via)
-    return HomologyResult(img.obj, f, g, via, kr, cr, img)
+    img = image(compose(kr.emb, cr.proj))
+    return HomologyResult(img.obj, kr, cr, img)
 
 
 def homology_comparison(h: HomologyResult, w: AdelObject,
@@ -749,7 +760,7 @@ def homology_map(h1: HomologyResult, h2: HomologyResult,
                  vy: AdelMorphism) -> AdelMorphism:
     """Induced map on homology objects for compatible squares over the
     middle morphism ``vy``."""
-    cmap = cokernel_map(h1.first, h2.cok, vy)
+    cmap = cokernel_map(h1.cok.of, h2.cok, vy)
     m = compose(h1.img.emb, cmap)
     wp = is_zero_morphism(compose(m, h2.img.cok_of.proj))
     if wp is None:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .addclosure import TupleObject, single, zero_mat
@@ -394,17 +395,18 @@ def _path(quiver: Quiver, factors: tuple) -> Path:
 
 
 class Session:
-    """A built category together with its named morphisms and objects."""
+    """A built category with its named morphisms and objects, read-only."""
 
     def __init__(self, spec: SessionSpec):
         self.spec = spec.category
         self.cat = build_category(spec.category)
-        self.lets: dict[str, LinMorphism] = {}
+        lets: dict[str, LinMorphism] = {}
+        objects: dict[str, AdelObject] = {}
+        self.lets, self.objects = MappingProxyType(lets), MappingProxyType(objects)
         for lname, terms in spec.lets:
-            self.lets[lname] = self.eval_expr(terms)
-        self.objects: dict[str, AdelObject] = {}
+            lets[lname] = self.eval_expr(terms)
         for oname, node in spec.objects:
-            self.objects[oname] = self.eval_object(node)
+            objects[oname] = self.eval_object(node)
         self._usable = {a.label for a in self.cat.quiver.arrows} | self.lets.keys()
 
     def eval_expr(self, terms: tuple[Term, ...]) -> LinMorphism:

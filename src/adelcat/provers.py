@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union, get_type_hints
+from typing import Callable, Mapping, Optional, Sequence, Union, get_type_hints
 
 from . import adelman as ad
 from . import homgroups
@@ -45,7 +45,7 @@ from .adelman import (
     kernel,
     zero_adel_object,
 )
-from .catfile import Session, SessionSpec, build_category, parse_session
+from .catfile import Session, parse_session
 from .evalfunctor import eval_object, zero_representation
 from .intlinalg import FpAbGroup, IntMatrix
 from .quivercat import LinMorphism, QuiverCategory
@@ -149,15 +149,17 @@ object wb = (alpha*epsilon | iota);  # H at emb(f), step 3""",
 
 
 @functools.cache
-def _session_spec(name: str) -> SessionSpec:
+def _session(name: str) -> Session:
+    """The session of the built-in text ``name``, built once per process: it
+    holds no proof state, only Hom data and read-only objects."""
     if name not in CATEGORY_TEXTS:
         raise ValueError(f"unknown prover category {name!r}")
-    return parse_session(CATEGORY_TEXTS[name])
+    return Session(parse_session(CATEGORY_TEXTS[name]))
 
 
 def category_by_name(name: str) -> QuiverCategory:
-    """A new category built from the built-in text ``name``."""
-    return build_category(_session_spec(name).category)
+    """The category of the built-in text ``name``, one instance per name."""
+    return _session(name).cat
 
 
 # -- the certificate codec -------------------------------------------------------
@@ -358,7 +360,7 @@ class SnakeFigure:
     """All objects and arrows of the universal snake diagram."""
 
     cat: QuiverCategory
-    objects: dict                  # the snake text's object lines, over cat
+    objects: Mapping               # the snake text's object lines, over cat
     emb: dict
     alpha: AdelMorphism
     beta: AdelMorphism
@@ -381,7 +383,7 @@ class SnakeFigure:
 
 
 def build_snake_figure() -> SnakeFigure:
-    session = Session(_session_spec("snake"))
+    session = _session("snake")
     cat, arrow = session.cat, session.morphism
     al, be, ga = map(cat.arrow_lin, ("alpha", "beta", "gamma"))
     emb = {v: emb_vertex(cat, v) for v in "abcd"}
@@ -608,7 +610,7 @@ class FiveData:
     auxiliary objects of the four proof steps."""
 
     cat: QuiverCategory
-    objects: dict                     # the five text's object lines (E, D, w1, wa, wb), over cat
+    objects: Mapping                  # the five text's object lines (E, D, w1, wa, wb), over cat
     emb: dict
     cok_lambda: "ad.CokernelResult"   # E and delta = its projection
     ker_mu: "ad.KernelResult"         # D and eta = its embedding
@@ -632,7 +634,7 @@ class FiveData:
 
 
 def build_five_data() -> FiveData:
-    session = Session(_session_spec("five"))
+    session = _session("five")
     cat, arrow = session.cat, session.morphism
     m = {a.label: single(cat.arrow_lin(a.label)) for a in cat.quiver.arrows}
     emb = {v: emb_vertex(cat, v) for v in "iabcfghj"}

@@ -37,18 +37,24 @@ def five_data():
     return build_five_data()
 
 
-@pytest.fixture
-def underlying(monkeypatch):
+def count_constructions(patch=setattr) -> Counter:
     """Counts of the memoised constructions' own runs: a ``kernel`` or
     ``cokernel`` run builds one result, a ``zero_witness`` run solves one
-    homotopy system (as does each half of ``make_morphism``)."""
+    homotopy system (as does each half of ``make_morphism``).  ``patch``
+    replaces the three names in ``adelman`` with their counting wrappers."""
     counts = Counter()
     for name in ("KernelResult", "CokernelResult", "decide_homotopy"):
         def counting(*args, real=getattr(adelman, name), name=name):
             counts[name] += 1
             return real(*args)
-        monkeypatch.setattr(adelman, name, counting)
+        patch(adelman, name, counting)
     return counts
+
+
+@pytest.fixture
+def underlying(monkeypatch):
+    """``count_constructions`` for one test."""
+    return count_constructions(monkeypatch.setattr)
 
 
 def category_from_text(text: str) -> QuiverCategory:

@@ -230,6 +230,18 @@ class TestDecideHomotopy:
         s1, s2 = found
         assert (compose_mat(s1, beta) + compose_mat(gamma, s2)) == alpha
 
+    def test_zero_datum_poses_no_system(self, five_cat, monkeypatch):
+        def unused(*args):
+            raise AssertionError("a zero datum posed a homotopy system")
+        monkeypatch.setattr(HomBasis, "__init__", unused)
+        monkeypatch.setattr(addclosure, "solve_left", unused)
+        rng = random.Random(7)
+        for _ in range(20):
+            a, b, c, d = (rand_tuple(five_cat, rng, max_len=3) for _ in range(4))
+            found = decide_homotopy(zero_mat(a, b), rand_mat(five_cat, d, b, rng),
+                                    rand_mat(five_cat, a, c, rng))
+            assert found == (zero_mat(a, d), zero_mat(c, b))
+
     def test_identity_beta_always_solvable(self, five_cat):
         # sigma1 = alpha, sigma2 = 0 solves the equation whatever gamma is
         rng = random.Random(11)

@@ -238,6 +238,22 @@ class TestKernelsCokernels:
             assert kr.composite_zero_wp.verifies(
                 kr.obj, f.target, compose_mat(kr.emb.datum, f.datum))
 
+    @pytest.mark.parametrize("construction, part", [
+        (kernel, "emb"), (cokernel, "proj")], ids=["kernel", "cokernel"])
+    def test_parts_are_built_on_first_read(self, snake_fig, monkeypatch, construction, part):
+        # the object takes two block matrices, the embedding or projection
+        # three more and the witness pair two, each once
+        built = []
+        real = adelman.from_blocks
+        monkeypatch.setattr(adelman, "from_blocks", lambda *a: built.append(a) or real(*a))
+        result = construction(snake_fig.beta)
+        assert len(built) == 2
+        first = getattr(result, part)
+        assert len(built) == 5 and getattr(result, part) is first
+        wp = result.composite_zero_wp
+        assert len(built) == 7 and result.composite_zero_wp is wp
+        assert construction(snake_fig.beta) == result and len(built) == 9
+
     def test_projection_epi_embedding_mono(self, snake_fig):
         f = snake_fig.connecting
         assert is_epi(cokernel(f).proj)

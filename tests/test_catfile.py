@@ -45,6 +45,14 @@ def test_grammar_and_provers_import_without_the_cli():
     assert done.returncode == 0, done.stderr
 
 
+def test_user_sessions_are_not_cached():
+    first, second = (Session(parse_session(SNAKE + "object K = (alpha | beta*gamma);"))
+                     for _ in range(2))
+    assert first.cat is not second.cat and first.objects["K"] is not second.objects["K"]
+    with pytest.raises(TypeError):
+        first.objects["K"] = second.objects["K"]
+
+
 def test_cli_session_is_the_catfile_session():
     assert cli.Session is Session and cli.parse_session is parse_session
 

@@ -1,8 +1,11 @@
 import copy
 import functools
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -221,10 +224,37 @@ class TestReplay:
             category_by_name("heptagon")
 
     @pytest.mark.parametrize("name", ["snake", "five", "d4"])
-    def test_category_lookup_builds_a_new_category_each_call(self, name):
-        first, second = category_by_name(name), category_by_name(name)
-        assert first is not second
-        assert (first.quiver, first.relations) == (second.quiver, second.relations)
+    def test_category_lookup_returns_one_category_per_name(self, name):
+        assert category_by_name(name) is category_by_name(name) is provers._session(name).cat
+
+    def test_unknown_category_caches_nothing(self):
+        cached = provers._session.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown prover category 'heptagon'"):
+                category_by_name("heptagon")
+        assert provers._session.cache_info().currsize == cached
+
+    def test_figure_objects_are_read_only(self, snake_fig, five_data):
+        for objects in (snake_fig.objects, five_data.objects, provers._session("snake").lets):
+            with pytest.raises(TypeError):
+                objects["K"] = snake_fig.ker_eps.obj
+        assert "K" not in five_data.objects
+
+    def test_replay_after_the_prover_runs_what_it_runs_alone(self, underlying):
+        # the built-in category is shared, the proof state is not: replay
+        # right after the prover runs the constructions it runs in a new process
+        report = prove_snake().to_dict()
+        underlying.clear()
+        assert replay_report(report)
+        after_prover = dict(underlying)
+        assert min(after_prover.values()) > 0
+        paths = (Path(provers.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            str(p) for p in (*paths, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", _COUNTED_REPLAY], input=json.dumps(report),
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == after_prover
 
     @pytest.mark.parametrize("report, message", [
         ({}, "no category name"),
@@ -284,6 +314,18 @@ class TestReplay:
 @pytest.fixture(scope="module")
 def five_report():
     return prove_refined_five().to_dict()
+
+
+# A replay of the report on stdin in a new process, printing the counts of
+# the ``underlying`` fixture.
+_COUNTED_REPLAY = """
+import json, sys
+from conftest import count_constructions
+from adelcat import provers
+counts = count_constructions()
+assert provers.replay_report(json.load(sys.stdin))
+print(json.dumps(counts))
+"""
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from adelcat import intlinalg
 from adelcat.addclosure import TupleObject, single
 from adelcat.adelman import emb_object, kernel, make_morphism
 from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, lattice_basis
-from adelcat.provers import category_by_name
+from adelcat.provers import CATEGORY_TEXTS
 from adelcat.quivercat import (
     MAX_PATH_BASIS,
     Arrow,
@@ -30,7 +30,13 @@ from adelcat.quivercat import (
     make_relation,
 )
 
-from conftest import dual_lin, kronecker_category, ladder_category, torsion_category
+from conftest import (
+    category_from_text,
+    dual_lin,
+    kronecker_category,
+    ladder_category,
+    torsion_category,
+)
 
 
 def _chain(n: int) -> Quiver:
@@ -171,7 +177,9 @@ def _reference_closure(cat, a, b):
 
 class TestLazyHomData:
     @pytest.mark.parametrize("build", [
-        *(functools.partial(category_by_name, name) for name in ("snake", "five", "d4")),
+        # new categories, not the shared built-ins other tests have filled
+        *(functools.partial(category_from_text, CATEGORY_TEXTS[name])
+          for name in ("snake", "five", "d4")),
         ladder_category, torsion_category, kronecker_category,
     ], ids=["snake", "five", "d4", "ladder", "torsion", "kronecker"])
     @pytest.mark.parametrize("side", ["category", "opposite"])
