@@ -266,9 +266,11 @@ def from_blocks(rows: Sequence[TupleObject], cols: Sequence[TupleObject],
     ``c`` times the identity of ``rows[i]``, which must be ``cols[j]``, and
     the zero part for 0.  The grid of coefficient blocks is written in one
     pass: it starts as the category's zero blocks, and the parts' blocks and
-    the canonical blocks of ``c`` times each identity are written over them.
+    the coordinate blocks of ``c`` times each identity are written over them.
     The identity path is the only path from a vertex to itself, so the
-    block of ``c`` times the identity of ``a`` is ``canonical(a, a, (c,))``."""
+    block of ``c`` times the identity of ``a`` is ``cat.coords(a, a, (c,))``,
+    the canonical coordinates of that path vector; a relation ``id(a) = 0``
+    leaves Hom(a, a) with no coordinate, so the block is then empty."""
     if not rows or not cols:
         raise EndpointError("block matrix without row or column objects")
     source, target = sum_obj(*rows), sum_obj(*cols)

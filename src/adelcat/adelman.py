@@ -188,8 +188,10 @@ def _morphism(source: AdelObject, target: AdelObject, datum: MatMorphism,
     (sums, negatives, multiples), block form (identities, zeros, embedded
     matrices, maps out of a direct sum, cokernel projections, kernel
     embeddings), the verified pair (a colift or lift, built after its
-    side-condition pair verifies), duality (duals) or, in ``homgroups``,
-    one check of a whole Hom group."""
+    side-condition pair verifies), the verified pairs of ``make_morphism``
+    (``decide_homotopy`` re-checks each witness square as the solution of
+    its zero claim), duality (duals) or, in ``homgroups``, one check of a
+    whole Hom group."""
     f = object.__new__(AdelMorphism)
     vars(f).update(source=source, target=target, datum=datum,
                    rel_witness=rel_witness, corel_witness=corel_witness)
@@ -341,7 +343,7 @@ def make_morphism(source: AdelObject, target: AdelObject,
     corel = zero_witness(source, emb_object(target.corel_target), compose_mat(datum, target.corel))
     if corel is None:
         return None
-    return AdelMorphism(source, target, datum, rel.sigma1, corel.sigma2)
+    return _morphism(source, target, datum, rel.sigma1, corel.sigma2)
 
 
 def is_zero_morphism(f: AdelMorphism) -> Optional[WitnessPair]:

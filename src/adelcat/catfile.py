@@ -398,7 +398,6 @@ class Session:
     """A built category with its named morphisms and objects, read-only."""
 
     def __init__(self, spec: SessionSpec):
-        self.spec = spec.category
         self.cat = build_category(spec.category)
         lets: dict[str, LinMorphism] = {}
         objects: dict[str, AdelObject] = {}

@@ -2,7 +2,9 @@
 
 Category/session files and the object and morphism arguments of the
 commands are written in the ``.cat`` grammar; ``adelcat.catfile.Session``
-builds a file's category and evaluates its lines and the arguments.
+builds a file's category and evaluates its lines and the arguments.  The
+commands on morphisms are declared once, in ``_ON_MORPHISMS``, and every
+subcommand's handler is set where its parser is declared.
 
 Exit codes: 0 when every verdict is positive, 1 for a negative verdict, 2
 for usage, parse, or precondition errors.  ``--json`` output is byte-stable
@@ -23,15 +25,7 @@ from typing import Optional, Sequence
 
 from . import provers
 from .addclosure import format_mat, single
-from .adelman import (
-    CLAIMS,
-    AdelMorphism,
-    AdelObject,
-    cokernel,
-    connecting_homomorphism,
-    homology,
-    kernel,
-)
+from .adelman import AdelObject, cokernel, connecting_homomorphism, homology, kernel
 from .catfile import ParseError, Session, parse_session
 from .evalfunctor import Representation, check_representation, eval_object
 from .homgroups import hom_group
@@ -152,76 +146,56 @@ def _need_session(args) -> Session:
 
 # -- subcommand implementations ----------------------------------------------------
 
-def _cmd_check_equal(args) -> CommandResult:
+# argument shape -> (operands, object arguments, and the objects each operand
+# runs between, as indices into the objects the arguments name)
+_SHAPES = {
+    "morphism": (("morphism",), ("source", "target"), ((0, 1),)),
+    "parallel": (("first", "second"), ("source", "target"), ((0, 1), (0, 1))),
+    "composable": (("first", "second"), ("objects",), ((0, 1), (1, 2))),
+}
+
+# the commands on morphisms: name -> (argument shape, and either a claim of
+# ``adelman.CLAIMS`` with the line that states its verdict, or a construction
+# whose ``obj`` the command prints); ``zero`` is stated by ``check-equal``
+_ON_MORPHISMS = {
+    "check-equal": ("parallel", "equal", lambda ok: (
+        f"morphisms are {'equal' if ok else 'NOT equal'} in the free abelian category")),
+    "kernel": ("morphism", kernel, None),
+    "cokernel": ("morphism", cokernel, None),
+    "homology": ("composable", homology, None),
+    "is-exact": ("composable", "exact", lambda ok: (
+        f"sequence is {'exact' if ok else 'NOT exact'} at the middle object")),
+    **{f"is-{kind}": ("morphism", kind, lambda ok, kind=kind: f"{kind}: {ok}")
+       for kind in ("mono", "epi", "iso")},
+}
+
+
+def _read_operands(args, shape: str) -> tuple[list, dict]:
+    """The morphisms of a command of argument shape ``shape``, and its
+    report inputs.  The objects are read first, then the operands in order."""
+    operands, object_args, ends = _SHAPES[shape]
     session = _need_session(args)
-    src = session.parse_object_text(args.source)
-    tgt = session.parse_object_text(args.target)
-    f = session.morphism(args.first, src, tgt)
-    g = session.morphism(args.second, src, tgt)
-    cert = provers.claim_certificate("equal", f, g)
+    texts = args.objects if object_args == ("objects",) else (args.source, args.target)
+    objs = [session.parse_object_text(t) for t in texts]
+    fs = [session.morphism(getattr(args, name), objs[i], objs[j])
+          for name, (i, j) in zip(operands, ends)]
+    inputs = {name: getattr(args, name) for name in operands + object_args}
+    return fs, {**inputs, "category": session.cat.name}
+
+
+def _cmd_on_morphisms(args) -> CommandResult:
+    """A command of ``_ON_MORPHISMS``: a construction's object, or a claim's
+    verdict, whose positive answer carries the claim's certificate."""
+    shape, action, says = _ON_MORPHISMS[args.command]
+    fs, inputs = _read_operands(args, shape)
+    if callable(action):
+        obj = action(*fs).obj
+        return CommandResult(args.command, inputs, True, extra={"object": provers.to_json(obj)},
+                             lines=[f"{args.command} object: {_format_object(obj)}"])
+    cert = provers.claim_certificate(action, *fs)
     verdict = cert is not None
-    return CommandResult(
-        "check-equal",
-        {"first": args.first, "second": args.second,
-         "source": args.source, "target": args.target,
-         "category": session.spec.name},
-        verdict, [cert] if verdict else [],
-        lines=[f"morphisms are {'equal' if verdict else 'NOT equal'} "
-               f"in the free abelian category"])
-
-
-def _morphism_command(args) -> tuple[AdelMorphism, dict]:
-    """The morphism of a command on ``morphism --source X --target Y``, and
-    the command's report inputs."""
-    session = _need_session(args)
-    src = session.parse_object_text(args.source)
-    tgt = session.parse_object_text(args.target)
-    f = session.morphism(args.morphism, src, tgt)
-    return f, {"morphism": args.morphism, "source": args.source, "target": args.target,
-               "category": session.spec.name}
-
-
-def _cmd_kernel(args, which: str) -> CommandResult:
-    f, inputs = _morphism_command(args)
-    obj = (kernel(f) if which == "kernel" else cokernel(f)).obj
-    return CommandResult(which, inputs, True, [], extra={"object": provers.to_json(obj)},
-                         lines=[f"{which} object: {_format_object(obj)}"])
-
-
-def _composable_pair_command(args) -> tuple[AdelMorphism, AdelMorphism, dict]:
-    """The morphisms of a command on ``first second --objects X Y Z``, and
-    the command's report inputs."""
-    session = _need_session(args)
-    o1, o2, o3 = (session.parse_object_text(t) for t in args.objects)
-    f = session.morphism(args.first, o1, o2)
-    g = session.morphism(args.second, o2, o3)
-    return f, g, {"first": args.first, "second": args.second,
-                  "objects": list(args.objects), "category": session.spec.name}
-
-
-def _cmd_homology(args) -> CommandResult:
-    f, g, inputs = _composable_pair_command(args)
-    h = homology(f, g)
-    return CommandResult("homology", inputs, True, [], extra={"object": provers.to_json(h.obj)},
-                         lines=[f"homology object: {_format_object(h.obj)}"])
-
-
-# the claims with an ``is-<kind>`` command; ``zero`` and ``equal`` are
-# stated by ``check-equal``
-_CLAIM_COMMANDS = ("mono", "epi", "iso", "exact")
-
-
-def _cmd_claim(args, kind: str) -> CommandResult:
-    """``is-mono``, ``is-epi``, ``is-iso`` and ``is-exact``: a positive
-    verdict carries the claim's certificate."""
-    pair = len(CLAIMS[kind][0]) == 2
-    *fs, inputs = (_composable_pair_command if pair else _morphism_command)(args)
-    cert = provers.claim_certificate(kind, *fs)
-    verdict = cert is not None
-    line = (f"sequence is {'exact' if verdict else 'NOT exact'} at the middle object"
-            if pair else f"{kind}: {verdict}")
-    return CommandResult(f"is-{kind}", inputs, verdict, [cert] if verdict else [],
-                         lines=[line])
+    return CommandResult(args.command, inputs, verdict, [cert] if verdict else [],
+                         lines=[says(verdict)])
 
 
 def _cmd_hom_group(args) -> CommandResult:
@@ -238,9 +212,9 @@ def _cmd_hom_group(args) -> CommandResult:
     ]
     return CommandResult(
         "hom-group",
-        {"source": args.source, "target": args.target, "category": session.spec.name},
+        {"source": args.source, "target": args.target, "category": session.cat.name},
         True,
-        [provers._cert_invariants(hg.group, inv.factors, inv.free_rank)],
+        [provers.invariants_certificate(hg.group, inv.factors, inv.free_rank)],
         extra={"invariant_factors": list(inv.factors), "free_rank": inv.free_rank,
                "generators": gens},
         lines=[f"Hom group: {inv.describe()} "
@@ -255,7 +229,7 @@ def _cmd_connecting(args) -> CommandResult:
     return CommandResult(
         "connecting",
         {"first": args.first, "second": args.second, "third": args.third,
-         "category": session.spec.name},
+         "category": session.cat.name},
         True, [],
         extra={"morphism": provers.to_json(conn)},
         lines=[
@@ -316,7 +290,7 @@ def _cmd_eval(args) -> CommandResult:
         lines.append(f"evaluated object: {inv.describe()}")
     return CommandResult(
         "eval",
-        {"rep": args.rep, "object": args.object, "category": session.spec.name},
+        {"rep": args.rep, "object": args.object, "category": session.cat.name},
         verdict, [], extra=extra, lines=lines)
 
 
@@ -347,68 +321,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact homological computations in free abelian categories")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-equal", parents=[common])
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-
-    for which in ("kernel", "cokernel"):
-        p = sub.add_parser(which, parents=[common])
-        p.add_argument("morphism")
-        p.add_argument("--source", required=True)
-        p.add_argument("--target", required=True)
-
-    pair_claims = [f"is-{kind}" for kind in _CLAIM_COMMANDS if len(CLAIMS[kind][0]) == 2]
-    for which in ("homology", *pair_claims):
-        p = sub.add_parser(which, parents=[common])
-        p.add_argument("first")
-        p.add_argument("second")
-        p.add_argument("--objects", nargs=3, required=True)
-
-    for kind in _CLAIM_COMMANDS:
-        if len(CLAIMS[kind][0]) == 1:
-            p = sub.add_parser(f"is-{kind}", parents=[common])
-            p.add_argument("morphism")
-            p.add_argument("--source", required=True)
-            p.add_argument("--target", required=True)
+    for name, (shape, _, _) in _ON_MORPHISMS.items():
+        operands, object_args, _ = _SHAPES[shape]
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(run=_cmd_on_morphisms)
+        for operand in operands:
+            p.add_argument(operand)
+        for arg in object_args:
+            p.add_argument(f"--{arg}", nargs=3 if arg == "objects" else None, required=True)
 
     p = sub.add_parser("hom-group", parents=[common])
+    p.set_defaults(run=_cmd_hom_group)
     p.add_argument("source")
     p.add_argument("target")
 
     p = sub.add_parser("connecting", parents=[common])
+    p.set_defaults(run=_cmd_connecting)
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("third")
 
     p = sub.add_parser("prove", parents=[common])
+    p.set_defaults(run=_cmd_prove)
     p.add_argument("lemma", choices=list(_LEMMAS))
     p.add_argument("--connecting-scale", type=int, default=1,
                    help="mutation hook for the snake connecting arrow")
 
     p = sub.add_parser("sweep", parents=[common])
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--range", type=_parse_range, default=(-3, 3))
 
     p = sub.add_parser("eval", parents=[common])
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--rep", required=True)
     p.add_argument("--object", default=None)
 
     return parser
-
-
-_DISPATCH = {
-    "check-equal": _cmd_check_equal,
-    "kernel": lambda a: _cmd_kernel(a, "kernel"),
-    "cokernel": lambda a: _cmd_kernel(a, "cokernel"),
-    "homology": _cmd_homology,
-    **{f"is-{kind}": functools.partial(_cmd_claim, kind=kind) for kind in _CLAIM_COMMANDS},
-    "hom-group": _cmd_hom_group,
-    "connecting": _cmd_connecting,
-    "prove": _cmd_prove,
-    "sweep": _cmd_sweep,
-    "eval": _cmd_eval,
-}
 
 
 def run_command(argv: Sequence[str]) -> int:
@@ -426,7 +374,7 @@ def run_command(argv: Sequence[str]) -> int:
         return 2
     start = time.perf_counter()
     try:
-        result = _DISPATCH[args.command](args)
+        result = args.run(args)
     except (OSError, ValueError) as exc:  # every adelcat error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

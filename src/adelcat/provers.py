@@ -223,17 +223,12 @@ def _matrix(cat: QuiverCategory, src: tuple, tgt: tuple, grid: tuple) -> MatMorp
         for a, row in zip(src, grid, strict=True)))
 
 
-def claim_certificate(kind: str, *fs: AdelMorphism) -> Optional[dict]:
+def claim_certificate(kind: str, *fs: AdelMorphism,
+                      witnesses: Optional[dict[str, WitnessPair]] = None) -> Optional[dict]:
     """The certificate of the claim ``kind`` (a key of ``adelman.CLAIMS``)
-    about the morphisms ``fs``, or None when the claim does not hold."""
-    return _claim_cert(kind, fs)
-
-
-def _claim_cert(kind: str, fs: Sequence[AdelMorphism],
-                witnesses: Optional[dict[str, WitnessPair]] = None) -> Optional[dict]:
-    """The certificate of the claim ``kind`` about ``fs`` with the given
-    witness pairs (by key), or with pairs found by search when none are
-    given; None when there are none or a given pair fails its part."""
+    about the morphisms ``fs`` with the given witness pairs (by key), or
+    with pairs found by search when none are given; None when the claim
+    does not hold or a given pair fails its part."""
     if witnesses is None:
         witnesses = ad.claim_witnesses(kind, *fs)
         if witnesses is None:
@@ -245,7 +240,9 @@ def _claim_cert(kind: str, fs: Sequence[AdelMorphism],
             **{key: to_json(wp) for key, wp in witnesses.items()}}
 
 
-def _cert_invariants(group, factors, free_rank) -> dict:
+def invariants_certificate(group, factors, free_rank) -> dict:
+    """The ``invariants`` certificate: a presented group with the invariant
+    factors and free rank claimed for it."""
     return {
         "kind": "invariants",
         "ngens": group.ngens,
@@ -551,7 +548,7 @@ def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool
         if expect:
             def thunk(s=s, conn_s=conn_s):
                 via, wp = explicit_sweep_witness(fig, s, conn_s)
-                cert = _claim_cert("zero", (via,), {"wp": wp})
+                cert = claim_certificate("zero", via, witnesses={"wp": wp})
                 return cert is not None, "closed-form witness pair re-verified", cert
             checks.run(f"closed-form witness pair valid for s = {s}", thunk)
     report = ProofReport("exactness parameter sweep", fig.cat.name, tuple(checks.items))
@@ -572,7 +569,7 @@ def prove_connecting_uniqueness() -> ProofReport:
 
     def inv_thunk():
         ok = inv.free_rank == 1 and not inv.factors
-        return ok, f"Hom(K, C) = {inv.describe()}", _cert_invariants(
+        return ok, f"Hom(K, C) = {inv.describe()}", invariants_certificate(
             hg.group, inv.factors, inv.free_rank)
     checks.run("Hom(K, C) is free of rank one", inv_thunk)
 
@@ -591,7 +588,7 @@ def prove_connecting_uniqueness() -> ProofReport:
         def hom_thunk(a=a, b=b):
             group = cat.hom_group_lin(a, b)
             ok = group.ngens == 0 and group.is_trivial()
-            return ok, f"Hom({a},{b}) has no paths", _cert_invariants(group, (), 0)
+            return ok, f"Hom({a},{b}) has no paths", invariants_certificate(group, (), 0)
         checks.run(f"auxiliary Hom({a},{b}) is trivial", hom_thunk)
 
     exactness = {s: is_exact(fig.blue2, fig.connecting.scale(s)) for s in range(-3, 4)}
@@ -611,7 +608,6 @@ class FiveData:
 
     cat: QuiverCategory
     objects: Mapping                  # the five text's object lines (E, D, w1, wa, wb), over cat
-    emb: dict
     cok_lambda: "ad.CokernelResult"   # E and delta = its projection
     ker_mu: "ad.KernelResult"         # D and eta = its embedding
     top1: AdelMorphism                # emb(a) -> emb(b), alpha
@@ -680,7 +676,7 @@ def build_five_data() -> FiveData:
                       grid("b b", "a b", [[0, 1], [0, 1]]),
                       grid("g f c", "g c", [[-1, 0], [m["iota"], 0], [m["zeta"], 1]]))
 
-    return FiveData(cat, session.objects, emb, cok_lambda, ker_mu, top1, top2, top3, bot1,
+    return FiveData(cat, session.objects, cok_lambda, ker_mu, top1, top2, top3, bot1,
                     bot2, bot3, eps, zeta, w2, w3, m21, m22, nu, step2_kernel, m3, cok_m3, m4)
 
 
@@ -779,7 +775,8 @@ def prove_refined_five() -> ProofReport:
                  lambda: (data.m4,), "kernel is zero")
 
     def step4_witness():
-        cert = _claim_cert("mono", (data.m4,), {"kernel_zero_wp": explicit_five_witness(data)})
+        cert = claim_certificate("mono", data.m4,
+                                 witnesses={"kernel_zero_wp": explicit_five_witness(data)})
         return cert is not None, "explicit 5x4 / 5x5 witness matrices re-verified", cert
     checks.run("step 4: the explicit witness matrices certify the kernel is zero",
                step4_witness)

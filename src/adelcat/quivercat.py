@@ -551,11 +551,11 @@ class QuiverCategory:
     def identity_lin(self, a: str) -> "LinMorphism":
         return self.lin_from_path(Path(a, a, ()))
 
-    def lin_from_path(self, path: Path, coef: int = 1) -> "LinMorphism":
+    def lin_from_path(self, path: Path) -> "LinMorphism":
         _validate_path(self.quiver, path)
         n = len(self.paths(path.source, path.target))
         coeffs = [0] * n
-        coeffs[self.path_index(path.source, path.target, path.arrows)] = coef
+        coeffs[self.path_index(path.source, path.target, path.arrows)] = 1
         return self.lin(path.source, path.target, coeffs)
 
     def arrow_lin(self, label: str) -> "LinMorphism":

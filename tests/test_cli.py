@@ -462,7 +462,6 @@ class TestCommands:
         import argparse
         [sub] = [a for a in cli.build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)]
-        assert set(sub.choices) == set(cli._DISPATCH)
         [lemma] = [a for a in sub.choices["prove"]._actions if a.dest == "lemma"]
         assert set(lemma.choices) == set(cli._LEMMAS)
 
@@ -590,9 +589,9 @@ class TestLargeInputs:
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_errors_exit_two(self, exc, snake_file, capsys, monkeypatch):
-        def exhausted(args):
+        def exhausted(*args):
             raise exc()
-        monkeypatch.setitem(cli._DISPATCH, "hom-group", exhausted)
+        monkeypatch.setattr(cli, "hom_group", exhausted)
         code = run_command(["hom-group", "K", "C", "--category", snake_file])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
