@@ -9,15 +9,15 @@ morphisms.
 A matrix morphism stores its grid: the tuple of its rows, each the tuple
 of the canonical coefficient blocks of its entries, block (i, j) over the
 coordinates of Hom(source[i], target[j]) (``QuiverCategory``: the basis
-paths that no unit relation pivot fixes).  Zero blocks, and with them the
-block dimensions, are kept by the category per vertex pair.  Every block
-formed here is reduced by the category's one rule: composites through
-``compose_coeffs``, checked entries through ``coords``, and sums,
-multiples and cut solution vectors through ``canonical_blocks``.
-``from_blocks`` is the one block-matrix constructor.  ``f[i, j]`` and
-``entries`` are ``LinMorphism`` views over paths, for printing and
-serialisation.  The flat row-major layout in which homotopy systems are
-posed belongs to ``HomBasis`` alone, as its ``cuts``.
+paths that no unit relation pivot fixes).  Zero blocks are kept by the
+category per vertex pair.  Every block formed here is reduced by the
+category's one rule: composites through ``compose_coeffs``, checked
+entries through ``coords``, and sums, multiples and cut solution vectors
+through ``canonical_blocks``.  ``from_blocks`` is the one block-matrix
+constructor.  ``f[i, j]`` and ``entries`` are ``LinMorphism`` views over
+paths for printing and serialisation; that record has no arithmetic, so
+all arithmetic on morphisms is here, in coordinates.  The flat row-major
+layout of homotopy systems belongs to ``HomBasis`` alone, as its ``cuts``.
 
 The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
@@ -247,13 +247,13 @@ def compose_mat(f: MatMorphism, g: MatMorphism) -> MatMorphism:
         for k, block in enumerate(row):
             if any(block):
                 g_cols[k].append((j, ys[j], block))
-    compose = cat.compose_coeffs
+    compose, zero = cat.compose_coeffs, cat.zero_block
     out = []
-    for a, f_row, zeros in zip(x.summands, f.blocks, cat.zero_blocks(x.summands, z.summands)):
+    for a, f_row in zip(x.summands, f.blocks):
         out_row = []
-        for c, g_col, zero in zip(z.summands, g_cols, zeros):
+        for c, g_col in zip(z.summands, g_cols):
             terms = [(b, f_row[j], ge) for j, b, ge in g_col if any(f_row[j])]
-            out_row.append(compose(a, c, terms) if terms else zero)
+            out_row.append(compose(a, c, terms) if terms else zero(a, c))
         out.append(tuple(out_row))
     return _mat(x, z, tuple(out))
 

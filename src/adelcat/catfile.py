@@ -32,7 +32,9 @@ vertices.  Syntax errors, taken names and unknown names carry ``line:col``.
 ``build_category`` turns a parsed category block into a ``QuiverCategory``;
 ``Session`` builds it, evaluates the ``let`` and ``object`` lines and the
 expressions and objects of command-line arguments, and makes the morphism
-an expression gives between two objects (``Session.morphism``).
+an expression gives between two objects (``Session.morphism``).  An
+expression is a 1x1 matrix morphism in coordinates; a bare zero has
+endpoints only as an operand of ``Session.morphism``.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .addclosure import TupleObject, single, zero_mat
+from .addclosure import MatMorphism, TupleObject, compose_mat, identity_mat, single, zero_mat
 from .adelman import AdelMorphism, AdelObject, WitnessError, emb_object, make_morphism
 from .quivercat import (Arrow, EndpointError, LinMorphism, Path, Quiver, QuiverCategory,
-                        RelationError, _validate_path, compose_lin, format_signed_sum,
-                        make_relation)
+                        RelationError, _validate_path, format_signed_sum, make_relation)
 
 
 class ParseError(ValueError):
@@ -395,11 +396,12 @@ def _path(quiver: Quiver, factors: tuple) -> Path:
 
 
 class Session:
-    """A built category with its named morphisms and objects, read-only."""
+    """A built category with its named morphisms (``lets``, 1x1 matrix
+    morphisms) and objects, read-only."""
 
     def __init__(self, spec: SessionSpec):
         self.cat = build_category(spec.category)
-        lets: dict[str, LinMorphism] = {}
+        lets: dict[str, MatMorphism] = {}
         objects: dict[str, AdelObject] = {}
         self.lets, self.objects = MappingProxyType(lets), MappingProxyType(objects)
         for lname, terms in spec.lets:
@@ -408,26 +410,29 @@ class Session:
             objects[oname] = self.eval_object(node)
         self._usable = {a.label for a in self.cat.quiver.arrows} | self.lets.keys()
 
-    def eval_expr(self, terms: tuple[Term, ...]) -> LinMorphism:
-        total: Optional[LinMorphism] = None
+    def eval_expr(self, terms: tuple[Term, ...]) -> MatMorphism:
+        total: Optional[MatMorphism] = None
         for coef, factors in terms:
-            piece: Optional[LinMorphism] = None
-            for f in factors:
-                nxt = self._factor_lin(f)
-                piece = nxt if piece is None else compose_lin(piece, nxt)
-            assert piece is not None
+            piece = self._factor(factors[0])
+            for f in factors[1:]:
+                nxt = self._factor(f)
+                if piece.target != nxt.source:
+                    raise EndpointError(f"cannot compose {_ends(piece)} with {_ends(nxt)}")
+                piece = compose_mat(piece, nxt)
             piece = piece.scale(coef)
+            if total is not None and (total.source, total.target) != (piece.source, piece.target):
+                raise EndpointError("morphisms are not parallel")
             total = piece if total is None else total + piece
         if total is None:
             raise RelationError("cannot infer the endpoints of a bare zero expression")
         return total
 
-    def _factor_lin(self, f) -> LinMorphism:
+    def _factor(self, f) -> MatMorphism:
         if isinstance(f, tuple):
-            return self.cat.identity_lin(f[1])
+            return identity_mat(TupleObject(self.cat, (f[1],)))
         if f in self.lets:
             return self.lets[f]
-        return self.cat.arrow_lin(f)
+        return single(self.cat.arrow_lin(f))
 
     def eval_object(self, node: ObjectNode) -> AdelObject:
         """The object of a ``parse_object`` node; an unknown name is a
@@ -435,8 +440,7 @@ class Session:
         form, tok, *sides = node
         empty = TupleObject(self.cat, ())
         if form == "triple":
-            rel, corel = (None if terms is None else single(self.eval_expr(terms))
-                          for terms in sides)
+            rel, corel = (None if terms is None else self.eval_expr(terms) for terms in sides)
             rel = zero_mat(empty, corel.source) if rel is None else rel
             corel = zero_mat(rel.target, empty) if corel is None else corel
             if rel.target != corel.source:
@@ -463,20 +467,25 @@ class Session:
         return out
 
     def parse_expr_text(self, text: str) -> LinMorphism:
-        return self.eval_expr(self._parse(text, _Parser.parse_expr))
+        """The morphism of the expression ``text``, as its path vector."""
+        return self.eval_expr(self._parse(text, _Parser.parse_expr))[0, 0]
 
     def parse_object_text(self, text: str) -> AdelObject:
         return self.eval_object(self._parse(text, _Parser.parse_object))
 
     def morphism(self, expr: str, src: AdelObject, tgt: AdelObject) -> AdelMorphism:
-        """The morphism ``src -> tgt`` whose datum is the expression ``expr``."""
-        lin = self.parse_expr_text(expr)
-        datum = single(lin)
+        """The morphism ``src -> tgt`` whose datum is the expression ``expr``;
+        a bare zero is the zero datum between them."""
+        terms = self._parse(expr, _Parser.parse_expr)
+        datum = self.eval_expr(terms) if terms else zero_mat(src.middle, tgt.middle)
         if datum.source != src.middle or datum.target != tgt.middle:
-            raise EndpointError(
-                f"expression {expr!r} runs {lin.source}->{lin.target}, which does not "
-                "match the given objects")
+            raise EndpointError(f"expression {expr!r} runs {_ends(datum)}, which does not "
+                                "match the given objects")
         made = make_morphism(src, tgt, datum)
         if made is None:
             raise WitnessError(f"{expr!r} is not a well-defined morphism between these objects")
         return made
+
+
+def _ends(f: MatMorphism) -> str:  # a 1x1 matrix morphism's "a->b"
+    return f"{f.source.summands[0]}->{f.target.summands[0]}"

@@ -3,10 +3,10 @@
 Objects are the vertices; the morphisms from ``a`` to ``b`` are Z-linear
 combinations of the (finitely many, by acyclicity) paths from ``a`` to ``b``,
 taken modulo the two-sided ideal generated by the given relations.  Each
-Hom set is a finitely presented abelian group and every morphism is stored
-as the canonical representative of its coset, which makes equality a plain
-tuple comparison: over the path basis in a ``LinMorphism``, and over the
-Hom set's coordinates (see ``QuiverCategory``) everywhere else.
+Hom set is a finitely presented abelian group, held in coordinates (see
+``QuiverCategory``), and every morphism as the canonical coordinates of its
+coset, which makes equality a plain tuple comparison; path vectors
+(``LinMorphism``) exist only at the text and JSON boundary.
 
 Path bases are ordered length-first, then lexicographically by arrow index;
 the same order is used everywhere so certificates are reproducible.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .intlinalg import FpAbGroup, IntMatrix
+from .intlinalg import DimensionError, FpAbGroup, IntMatrix
 
 # Largest number of paths allowed between two vertices.  Path counts can grow
 # exponentially in the size of an acyclic quiver; the cap turns such input
@@ -260,12 +260,11 @@ class QuiverCategory:
     Hom(a, b) is held in *coordinates*: the basis paths that are not a unit
     pivot of the Hermite normal form (HNF) of its relation lattice.  A unit
     pivot's path is minus the rest of its row, which lies on coordinates, so
-    a canonical path vector is zero at every unit pivot: ``pad`` inserts
-    those zeros, and ``coords`` reduces a path vector and drops them.  A
-    torsion pivot (above 1) keeps its path, and its row, cut to the
-    coordinates, is a *torsion row*.  Matrix morphisms, homotopy systems and
-    probes read coordinates; ``lin``, ``paths`` and ``LinMorphism`` stay on
-    paths.
+    a canonical path vector is zero at every unit pivot.  A torsion pivot
+    (above 1) keeps its path, and its row, cut to the coordinates, is a
+    *torsion row*.  All arithmetic is on coordinates; a path vector enters
+    them only through ``coords`` and leaves only through ``pad``, which
+    inserts the zeros at the unit pivots.
 
     Nothing is computed per vertex pair at construction.  Each piece of Hom
     data is filled on first use and never changes afterwards:
@@ -283,11 +282,10 @@ class QuiverCategory:
       coordinate paths of Hom(a, b) and Hom(b, c), in coordinates.
 
     ``canonical`` is the one rule that reduces a block of coordinates, by the
-    torsion rows alone: composites, sums, multiples and cut solution vectors
-    of matrix morphisms all go through it or through ``canonical_blocks``,
-    its form for a whole grid, so no other module decides whether a block
-    needs reducing.  Path vectors, in ``lin`` and ``coords`` (and so in
-    duals and checked entries), are reduced by ``canonical_rep`` on paths.
+    torsion rows alone: composites, sums, multiples, cut solution vectors
+    and the path vectors that ``coords`` reads all go through it or through
+    ``canonical_blocks``, its form for a whole grid, so no other module
+    decides whether a block needs reducing.
 
     Each entry is a pure function of the quiver and the relations and is
     stored by a single dict assignment of one value, so a fill raced by two
@@ -410,6 +408,13 @@ class QuiverCategory:
         torsion = self._hom_data(a, b).torsion
         return () if torsion is None else torsion.relations.entries
 
+    def zero_block(self, a: str, b: str) -> tuple[int, ...]:
+        """The zero coefficient block of Hom(a, b)."""
+        block = self._zeros.get((a, b))
+        if block is None:
+            block = self._zeros[a, b] = (0,) * self.dim(a, b)
+        return block
+
     def zero_blocks(self, sources: Sequence[str],
                     targets: Sequence[str]) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The grid of zero coefficient blocks of Hom(a, b): one row per ``a``
@@ -418,9 +423,7 @@ class QuiverCategory:
         try:
             return tuple([tuple([known[a, b] for b in targets]) for a in sources])
         except KeyError:
-            known.update({(a, b): (0,) * self.dim(a, b) for a in sources for b in targets
-                          if (a, b) not in known})
-            return self.zero_blocks(sources, targets)
+            return tuple([tuple([self.zero_block(a, b) for b in targets]) for a in sources])
 
     def path_index(self, a: str, b: str, arrows: tuple[int, ...]) -> int:
         return self._path_data(a, b)[1][arrows]
@@ -433,16 +436,21 @@ class QuiverCategory:
 
     def coords(self, a: str, b: str, coeffs: Sequence[int]) -> tuple[int, ...]:
         """The canonical coordinates in Hom(a, b) of the path coefficients
-        ``coeffs``, which must number ``len(paths(a, b))``: the canonical
-        path vector without its zeros at the unit pivots."""
+        ``coeffs``, which must number ``len(paths(a, b))``: the ``canonical``
+        form of the sum of each coefficient times its path's image."""
         try:
-            hom = self._hom[(a, b)]
+            _, cols, _, reduce, torsion = self._hom[(a, b)]
         except KeyError:
-            hom = self._fill_hom(a, b)
-        if not hom.group.relations.entries:  # the paths are the coordinates
-            return tuple(coeffs)
-        vec = hom.group.canonical_rep(coeffs)
-        return tuple([vec[k] for k in hom.cols])
+            _, cols, _, reduce, torsion = self._fill_hom(a, b)
+        if len(coeffs) != len(reduce):
+            raise DimensionError(f"element length {len(coeffs)} for {len(reduce)} generators")
+        if len(cols) != len(reduce):  # some paths are unit pivots
+            acc = [0] * len(cols)
+            for c, image in zip(coeffs, reduce):
+                for k, v in image:
+                    acc[k] += c * v
+            coeffs = acc
+        return tuple(coeffs) if torsion is None else self.canonical(a, b, coeffs)
 
     def pad(self, a: str, b: str, coords: Sequence[int]) -> tuple[int, ...]:
         """The canonical path vector of the coordinates ``coords`` of
@@ -545,8 +553,7 @@ class QuiverCategory:
     # -- morphisms --------------------------------------------------------
 
     def lin(self, a: str, b: str, coeffs: Sequence[int]) -> "LinMorphism":
-        group = self.hom_group_lin(a, b)
-        return LinMorphism(self, a, b, group.canonical_rep(coeffs))
+        return LinMorphism(self, a, b, self.pad(a, b, self.coords(a, b, coeffs)))
 
     def identity_lin(self, a: str) -> "LinMorphism":
         return self.lin_from_path(Path(a, a, ()))
@@ -589,8 +596,9 @@ class QuiverCategory:
 
 @dataclass(frozen=True)
 class LinMorphism:
-    """Morphism in the quiver category: a canonical coefficient vector over
-    the ordered path basis of Hom(source, target)."""
+    """Morphism in the quiver category as the canonical coefficient vector
+    over the ordered path basis of Hom(source, target) that text, printing
+    and JSON read and write; it has no arithmetic."""
 
     cat: QuiverCategory
     source: str
@@ -600,40 +608,8 @@ class LinMorphism:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __add__(self, other: "LinMorphism") -> "LinMorphism":
-        self._require_parallel(other)
-        return self.cat.lin(self.source, self.target,
-                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "LinMorphism") -> "LinMorphism":
-        self._require_parallel(other)
-        return self.cat.lin(self.source, self.target,
-                            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "LinMorphism":
-        return self.cat.lin(self.source, self.target, tuple(-a for a in self.coeffs))
-
-    def scale(self, c: int) -> "LinMorphism":
-        return self.cat.lin(self.source, self.target, tuple(c * a for a in self.coeffs))
-
-    def _require_parallel(self, other: "LinMorphism"):
-        if self.cat is not other.cat or (self.source, self.target) != (other.source, other.target):
-            raise EndpointError("morphisms are not parallel")
-
     def __repr__(self) -> str:
         return f"LinMorphism({self.source}->{self.target}: {format_lin(self)})"
-
-
-def compose_lin(f: LinMorphism, g: LinMorphism) -> LinMorphism:
-    """Diagrammatic-order composite ``f then g`` (bilinear extension of path
-    concatenation), returned in canonical form."""
-    if f.cat is not g.cat:
-        raise EndpointError("morphisms from different categories")
-    if f.target != g.source:
-        raise EndpointError(f"cannot compose {f.source}->{f.target} with {g.source}->{g.target}")
-    cat, a, b, c = f.cat, f.source, f.target, g.target
-    coeffs = cat.compose_coeffs(a, c, ((b, cat.coords(a, b, f.coeffs), cat.coords(b, c, g.coeffs)),))
-    return LinMorphism(cat, a, c, cat.pad(a, c, coeffs))
 
 
 def format_lin(f: LinMorphism) -> str:

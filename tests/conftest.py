@@ -3,6 +3,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from adelcat import adelman
 from adelcat.catfile import build_category, parse_session
@@ -15,6 +16,11 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from adelbench.gen import ladder_spec  # noqa: E402
+
+# Every property test draws the same examples on every run and writes no
+# example database; a test's own ``settings`` sets only its example count.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

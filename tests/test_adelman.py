@@ -50,7 +50,7 @@ from adelcat.adelman import (
     zero_witness,
 )
 from adelcat import adelman
-from adelcat.quivercat import EndpointError, compose_lin
+from adelcat.quivercat import EndpointError
 
 from test_addclosure import rand_mat, rand_tuple
 
@@ -105,7 +105,7 @@ class TestMakeMorphism:
         # objects unless the corelation square closes.
         d = AdelObject(
             zero_mat(TupleObject(five_cat, ()), TupleObject(five_cat, ("c",))),
-            single(compose_lin(five_cat.arrow_lin("zeta"), five_cat.arrow_lin("kappa"))))
+            compose_mat(*(single(five_cat.arrow_lin(x)) for x in ("zeta", "kappa"))))
         src = emb_vertex(five_cat, "c")
         made = make_morphism(src, d, single(five_cat.identity_lin("c")))
         assert made is None  # id*zeta*kappa is not zero in Hom(c, h)
@@ -295,7 +295,7 @@ class TestKernelsCokernels:
         cat = snake_fig.cat
         tau = make_morphism(
             snake_fig.emb["b"], snake_fig.emb["d"],
-            single(compose_lin(cat.arrow_lin("beta"), cat.arrow_lin("gamma"))))
+            compose_mat(single(cat.arrow_lin("beta")), single(cat.arrow_lin("gamma"))))
         assert tau is not None
         wp = is_zero_morphism(compose(snake_fig.alpha, tau))
         assert wp is not None
@@ -357,7 +357,7 @@ class TestSubobjects:
         kb = kernel(snake_fig.beta)
         bg = make_morphism(
             snake_fig.emb["b"], snake_fig.emb["d"],
-            single(compose_lin(cat.arrow_lin("beta"), cat.arrow_lin("gamma"))))
+            compose_mat(single(cat.arrow_lin("beta")), single(cat.arrow_lin("gamma"))))
         kbg = kernel(bg)
         assert subobject_leq(kb.emb, kbg.emb)
         assert not subobject_leq(kbg.emb, kb.emb)

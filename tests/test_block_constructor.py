@@ -105,7 +105,7 @@ def identity_torsion_category() -> QuiverCategory:
 
 
 ALL = {**CATEGORIES, "idtorsion": identity_torsion_category()}
-DERANDOMIZED = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+EXAMPLES = settings(max_examples=150)
 
 
 def rand_part(cat, x, y, rng):
@@ -121,7 +121,7 @@ def rand_part(cat, x, y, rng):
     return c, old_identity(x).scale(c)
 
 
-@DERANDOMIZED
+@EXAMPLES
 @given(st.sampled_from(sorted(ALL)), st.randoms(use_true_random=False))
 def test_from_blocks_matches_the_old_composition(name, rng):
     cat = ALL[name]

@@ -163,7 +163,7 @@ def test_superscript_digit_in_an_argument_is_a_bad_character():
 
 # Scanner properties: texts drawn from the grammar's own pieces, with blanks,
 # CRLF line ends and comments between them and at most one non-ASCII digit.
-DERANDOMIZED = settings(derandomize=True, database=None, max_examples=400, deadline=None)
+EXAMPLES = settings(max_examples=400)
 _PIECES = st.one_of(
     st.sampled_from(["category", "objects", "arrows", "relations", "let", "object", "id",
                      "emb", "zero", "a", "b", "c", "alpha", "beta", "gamma", "_x1", "K"]),
@@ -191,7 +191,7 @@ def _assert_located(err: ParseError, text: str):
     assert str(err).startswith(f"{err.line}:{err.col}: ")
 
 
-@DERANDOMIZED
+@EXAMPLES
 @given(_cat_texts())
 def test_any_text_parses_or_raises_a_located_value_error(text):
     session = Session(parse_session(SNAKE + "object K = (alpha | beta*gamma);\n"))

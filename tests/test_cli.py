@@ -398,6 +398,25 @@ class TestCommands:
         assert run_command(argv + ["--category", snake_file]) == 1
         assert capsys.readouterr().out == f"{argv[0][3:]}: False\nverdict: FAIL\n"
 
+    def test_bare_zero_takes_the_command_objects(self, snake_file, capsys):
+        assert run_command(["kernel", "0", "--source", "b", "--target", "c",
+                            "--category", snake_file]) == 0
+        assert run_command(["is-exact", "0", "beta", "--objects", "a", "b", "c",
+                            "--category", snake_file]) == 1
+        capsys.readouterr()
+        assert run_command(["is-epi", "0", "--source", "b", "--target", "c",
+                            "--category", snake_file]) == 1
+        assert capsys.readouterr().out == "epi: False\nverdict: FAIL\n"
+
+    def test_bare_zero_without_objects_exits_two(self, snake_file, tmp_path, capsys):
+        path = tmp_path / "zero.cat"
+        path.write_text(SNAKE_SRC + "let z = 0;\n")
+        for argv in (["connecting", "0", "beta", "gamma", "--category", snake_file],
+                     ["kernel", "beta", "--source", "b", "--target", "c", "--category", str(path)]):
+            assert run_command(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: cannot infer the endpoints of a bare zero expression\n")
+
     def test_connecting(self, snake_file, capsys):
         code = run_command(["connecting", "alpha", "beta", "gamma",
                             "--category", snake_file, "--json", "--seed", "0"])

@@ -4,10 +4,12 @@ A block holds the coordinates of its entry: the canonical path vector
 without its zeros at the unit pivots of the relation HNF.  Composition
 through the cached product tables agrees with composing path by path and
 reducing every product; every other operation on the blocks agrees with
-the same operation done entry by entry with ``LinMorphism`` arithmetic on
-path vectors, read through ``entries``, and leaves every block canonical.
+the same operation done entry by entry on raw path vectors and read back
+through ``cat.lin``, compared through ``entries``, and leaves every block
+canonical.
 """
 
+import ast
 import pathlib
 import random
 
@@ -31,7 +33,7 @@ from adelcat.addclosure import (
 from adelcat.provers import category_by_name
 from adelcat.quivercat import Arrow, Path, Quiver, QuiverCategory, Relation
 
-from conftest import dual_lin, ladder_category, torsion_category
+from conftest import category_from_text, dual_lin, ladder_category, torsion_category
 
 
 def skew_category() -> QuiverCategory:
@@ -44,9 +46,18 @@ def skew_category() -> QuiverCategory:
     return QuiverCategory(q, (rel,), name="skew")
 
 
+def mixed_category() -> QuiverCategory:
+    """Two parallel steps a -> b -> c whose relations give Hom(a, c) the
+    pivots 3, 2 and 4; in the opposite category, where the paths are
+    ordered otherwise, Hom(c, a) has unit pivots and torsion rows both."""
+    return category_from_text(
+        "category mixed { objects a b c; arrows x: a -> b; y: a -> b; u: b -> c; v: b -> c;"
+        " relations 3*x*u - 2*y*v = 0; 2*x*v + y*u = 0; 4*y*u = 0; }")
+
+
 _BASE = {"snake": category_by_name("snake"), "five": category_by_name("five"),
          "d4": category_by_name("d4"), "ladder": ladder_category(),
-         "torsion": torsion_category(), "skew": skew_category()}
+         "torsion": torsion_category(), "skew": skew_category(), "mixed": mixed_category()}
 CATEGORIES = {**_BASE, **{f"{k}^op": c.opposite() for k, c in _BASE.items()}}
 
 
@@ -62,6 +73,15 @@ def naive_compose(cat, a, b, c, f, g):
                 unit[cat.path_index(a, c, p.arrows + q.arrows)] = x * y
                 acc = [s + t for s, t in zip(acc, group.canonical_rep(unit))]
     return group.canonical_rep(acc)
+
+
+def lin_comb(pairs):
+    """``cat.lin`` of the raw path vector ``sum(c * e.coeffs)`` over the
+    parallel entries ``e`` of the ``(c, e)`` in ``pairs``: a reference that
+    reduces once, at the end."""
+    e = pairs[0][1]
+    vec = [sum(c * x.coeffs[k] for c, x in pairs) for k in range(len(e.coeffs))]
+    return e.cat.lin(e.source, e.target, vec)
 
 
 def zero_lin(cat, a, b):
@@ -126,7 +146,7 @@ def check_flat(f, entries):
         c for row in blocks for block in row for c in block)
 
 
-SETTINGS = settings(max_examples=60, deadline=None)
+SETTINGS = settings(max_examples=60)
 cats = st.sampled_from(sorted(CATEGORIES))
 rngs = st.randoms(use_true_random=False)
 
@@ -207,6 +227,23 @@ def test_padding_and_dropping_are_inverse(name, rng):
     assert cat.dim(a, b) == len(cat.coordinate_paths(a, b)) <= len(cat.paths(a, b))
 
 
+@pytest.mark.parametrize("name", sorted(CATEGORIES))
+def test_path_vectors_enter_coordinates_by_one_rule(name):
+    """``coords`` sums the coordinate images of a path vector's paths and
+    reduces by the torsion rows alone; padded, that is the representative
+    that the path-level presentation's ``canonical_rep`` picks, and it is
+    what ``lin`` holds."""
+    cat = CATEGORIES[name]
+    rng = random.Random(name)
+    for a in cat.quiver.vertices:
+        for b in cat.quiver.vertices:
+            group = cat.hom_group_lin(a, b)
+            for _ in range(8):
+                vec = [rng.randint(-9, 9) for _ in range(group.ngens)]
+                expected = group.canonical_rep(vec)
+                assert cat.lin(a, b, vec).coeffs == cat.pad(a, b, cat.coords(a, b, vec)) == expected
+
+
 def test_concat_table_indexes_concatenations(ladder_cat):
     """The product table, which replaced the table of concatenation indices,
     holds for each pair of coordinate paths the coordinates of their
@@ -245,10 +282,11 @@ def test_sum_difference_negation_scale_match_entries(name, rng):
     f, g = MatMorphism(x, y, fg), MatMorphism(x, y, gg)
     c = rng.randint(-3, 3)
     check_flat(f, fg)
-    check_flat(f + g, [[a + b for a, b in zip(r, s)] for r, s in zip(fg, gg)])
-    check_flat(f - g, [[a - b for a, b in zip(r, s)] for r, s in zip(fg, gg)])
-    check_flat(-f, [[-a for a in r] for r in fg])
-    check_flat(f.scale(c), [[a.scale(c) for a in r] for r in fg])
+    pairs = [list(zip(r, s)) for r, s in zip(fg, gg)]
+    check_flat(f + g, [[lin_comb([(1, a), (1, b)]) for a, b in row] for row in pairs])
+    check_flat(f - g, [[lin_comb([(1, a), (-1, b)]) for a, b in row] for row in pairs])
+    check_flat(-f, [[lin_comb([(-1, a)]) for a in r] for r in fg])
+    check_flat(f.scale(c), [[lin_comb([(c, a)]) for a in r] for r in fg])
     assert (f - f).is_zero() and f + (-f) == zero_mat(x, y)
 
 
@@ -379,7 +417,7 @@ def test_sum_of_canonical_blocks_is_reduced():
     u = MatMorphism(a, b, ((skew.arrow_lin("u"),),))
     assert u.blocks == (((1, 0),),)
     assert (u + u).blocks == (((0, -1),),)
-    assert (u + u)[0, 0] == -skew.arrow_lin("v")
+    assert (u + u)[0, 0] == skew.lin("a", "b", (2, 0)) == skew.lin("a", "b", (0, -1))
     assert u.scale(2) == u + u
 
 
@@ -394,7 +432,15 @@ def test_construction_layers_never_read_path_bases():
 
 def test_only_quivercat_and_intlinalg_call_canonical_rep():
     """``QuiverCategory.canonical`` is the one rule for reducing a block, so
-    no module above ``quivercat`` chooses whether to reduce."""
-    callers = {p.name for p in pathlib.Path(adelcat.__file__).parent.glob("*.py")
+    no module above ``quivercat`` chooses whether to reduce, and inside
+    ``quivercat`` only it and its grid form reduce, by the torsion rows: a
+    path vector is never reduced on its paths."""
+    package = pathlib.Path(adelcat.__file__).parent
+    callers = {p.name for p in package.glob("*.py")
                if "canonical_rep(" in p.read_text(encoding="utf-8")}
     assert callers == {"intlinalg.py", "quivercat.py"}
+    text = (package / "quivercat.py").read_text(encoding="utf-8")
+    calls = {node.name: ast.get_source_segment(text, node).count("canonical_rep(")
+             for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
+    assert {name for name, n in calls.items() if n} == {"canonical", "canonical_blocks"}
+    assert sum(calls.values()) == text.count("canonical_rep(")

@@ -392,7 +392,7 @@ def test_evaluation_seeds_include_rank_zero_vertices():
         assert any(0 in random_representation(cat, seed).ranks.values() for seed in EVAL_SEEDS)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from(sorted(EVAL_CATEGORIES)), st.sampled_from(EVAL_SEEDS),
        st.sampled_from([MatrixEvaluation, Evaluation]), st.randoms(use_true_random=False))
 def test_mat_is_the_path_sum(name, seed, kind, rng):

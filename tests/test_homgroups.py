@@ -121,11 +121,10 @@ class TestPresentationContracts:
 
     def test_ill_defined_datum_rejected(self, five_cat):
         # identity datum of emb(c) into the kernel-style object over zeta*kappa
-        from adelcat.addclosure import single, zero_mat, TupleObject
-        from adelcat.quivercat import compose_lin
+        from adelcat.addclosure import compose_mat, single, zero_mat, TupleObject
         d = AdelObject(
             zero_mat(TupleObject(five_cat, ()), TupleObject(five_cat, ("c",))),
-            single(compose_lin(five_cat.arrow_lin("zeta"), five_cat.arrow_lin("kappa"))))
+            compose_mat(*(single(five_cat.arrow_lin(x)) for x in ("zeta", "kappa"))))
         src = emb_vertex(five_cat, "c")
         hg = hom_group(src, d)
         with pytest.raises(ValueError):

@@ -322,7 +322,7 @@ class TestFpAbGroup:
         assert g == h and hash(g) == hash(h)
         assert FpAbGroup(2, mat([[2, 4]])) != g
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))),
         st.randoms(use_true_random=False))
@@ -358,7 +358,7 @@ class TestAgainstSympyHnf:
         flat = [v for row in m.entries for v in row]
         return hermite_normal_form(sympy.Matrix(m.rows, m.cols, flat).T)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(matrices())
     def test_lattice_basis_spans_the_sympy_lattice(self, m):
         rows = self.sympy_basis(m).T.tolist()
@@ -368,7 +368,7 @@ class TestAgainstSympyHnf:
         assert solve_left(ours, theirs) is not None
         assert solve_left(theirs, ours) is not None
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(matrices(), st.data())
     def test_solvability_agrees_with_sympy(self, m, data):
         """``b`` is a combination of the rows of ``m`` moved by a small shift,
@@ -434,7 +434,7 @@ def rechecked(m):
     return IntMatrix(m.entries, m.cols)
 
 
-@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(matrices(max_dim=4), st.data())
 def test_unchecked_results_are_checked_matrices(m, data):
     """Every result that ``intlinalg`` builds unchecked passes the checks it

@@ -7,7 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from adelcat import intlinalg
-from adelcat.addclosure import TupleObject, single
+from adelcat.addclosure import (TupleObject, compose_mat, dual_mat, identity_mat, single,
+                                tuple_obj)
 from adelcat.adelman import emb_object, kernel, make_morphism
 from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, lattice_basis
 from adelcat.provers import CATEGORY_TEXTS
@@ -24,7 +25,6 @@ from adelcat.quivercat import (
     Relation,
     RelationError,
     UnknownVertexError,
-    compose_lin,
     enumerate_paths,
     format_lin,
     make_relation,
@@ -275,27 +275,28 @@ class TestRelationClosure:
 
 
 class TestComposition:
+    """Composition of 1x1 matrix morphisms, against ``cat.lin`` of raw path
+    vectors."""
+
     def test_identity_units(self, snake_cat):
-        be = snake_cat.arrow_lin("beta")
-        assert compose_lin(snake_cat.identity_lin("b"), be) == be
-        assert compose_lin(be, snake_cat.identity_lin("c")) == be
+        be = single(snake_cat.arrow_lin("beta"))
+        assert compose_mat(identity_mat(be.source), be) == be
+        assert compose_mat(be, identity_mat(be.target)) == be
 
     def test_basis_concatenation(self, snake_cat):
-        al = snake_cat.arrow_lin("alpha")
-        be = snake_cat.arrow_lin("beta")
-        ab = compose_lin(al, be)
+        al, be = (single(snake_cat.arrow_lin(x)) for x in ("alpha", "beta"))
+        ab = compose_mat(al, be)[0, 0]
         assert format_lin(ab) == "alpha*beta"
+        assert ab == snake_cat.lin("a", "c", (1,))
 
     def test_relation_kills_composite(self, snake_cat):
-        al = snake_cat.arrow_lin("alpha")
-        be = snake_cat.arrow_lin("beta")
-        ga = snake_cat.arrow_lin("gamma")
-        assert compose_lin(compose_lin(al, be), ga).is_zero()
+        al, be, ga = (single(snake_cat.arrow_lin(x)) for x in ("alpha", "beta", "gamma"))
+        assert compose_mat(compose_mat(al, be), ga).is_zero()
 
     def test_endpoint_mismatch(self, snake_cat):
-        al = snake_cat.arrow_lin("alpha")
+        al = single(snake_cat.arrow_lin("alpha"))
         with pytest.raises(EndpointError):
-            compose_lin(al, al)
+            compose_mat(al, al)
 
     def test_associativity_and_bilinearity(self, five_cat, kronecker_cat, torsion_cat):
         rng = random.Random(17)
@@ -309,13 +310,27 @@ class TestComposition:
                 f2 = _random_lin(cat, a, b, rng)
                 g = _random_lin(cat, b, c, rng)
                 h = _random_lin(cat, c, d, rng)
-                assert compose_lin(compose_lin(f, g), h) == compose_lin(f, compose_lin(g, h))
-                assert compose_lin(f + f2, g) == compose_lin(f, g) + compose_lin(f2, g)
+                fm, f2m, gm, hm = map(single, (f, f2, g, h))
+                assert compose_mat(fm, gm)[0, 0] == _path_product(cat, f, g)
+                assert (compose_mat(compose_mat(fm, gm), hm)
+                        == compose_mat(fm, compose_mat(gm, hm)))
+                assert compose_mat(fm + f2m, gm) == compose_mat(fm, gm) + compose_mat(f2m, gm)
 
 
 def _random_lin(cat, a, b, rng):
     n = len(cat.paths(a, b))
     return cat.lin(a, b, [rng.randint(-2, 2) for _ in range(n)])
+
+
+def _path_product(cat, f, g):
+    """``cat.lin`` of the raw path vector of ``f then g``: every pair of
+    paths concatenated, and nothing reduced before ``lin``."""
+    a, b, c = f.source, f.target, g.target
+    acc = [0] * len(cat.paths(a, c))
+    for p, x in zip(cat.paths(a, b), f.coeffs):
+        for q, y in zip(cat.paths(b, c), g.coeffs):
+            acc[cat.path_index(a, c, p.arrows + q.arrows)] += x * y
+    return cat.lin(a, c, acc)
 
 
 class TestEquality:
@@ -327,17 +342,18 @@ class TestEquality:
         assert al == snake_cat.arrow_lin("alpha")
 
     def test_torsion_identification(self, torsion_cat):
-        x = torsion_cat.arrow_lin("x")
+        x = single(torsion_cat.arrow_lin("x"))
         assert x == x.scale(3)
         assert x != x.scale(2)
         assert x.scale(2).is_zero()
+        assert x.scale(3)[0, 0] == torsion_cat.lin("a", "b", (3,))
 
     def test_free_hom_set_is_faithful(self, snake_cat):
         al = snake_cat.arrow_lin("alpha")
         assert al != snake_cat.lin("a", "b", (0,))
 
     def test_endpoint_mismatch(self, snake_cat):
-        al, be = snake_cat.arrow_lin("alpha"), snake_cat.arrow_lin("beta")
+        al, be = (single(snake_cat.arrow_lin(x)) for x in ("alpha", "beta"))
         assert al != be
         with pytest.raises(EndpointError):
             al - be
@@ -373,11 +389,10 @@ class TestDuality:
             assert dual_lin(dual_lin(f)) == f
 
     def test_dual_antimultiplicative(self, snake_cat):
-        al = snake_cat.arrow_lin("alpha")
-        be = snake_cat.arrow_lin("beta")
-        left = dual_lin(compose_lin(al, be))
-        right = compose_lin(dual_lin(be), dual_lin(al))
-        assert left == right
+        al, be = (single(snake_cat.arrow_lin(x)) for x in ("alpha", "beta"))
+        left = dual_mat(compose_mat(al, be))
+        assert left == compose_mat(dual_mat(be), dual_mat(al))
+        assert left[0, 0] == dual_lin(snake_cat.lin("a", "c", (1,)))
 
     def test_opposite_relations_respected(self, snake_cat):
         op = snake_cat.opposite()
@@ -389,7 +404,7 @@ def test_format_lin_round_names(snake_cat):
     idb = snake_cat.identity_lin("b")
     assert format_lin(al) == "alpha"
     assert format_lin(idb) == "id(b)"
-    assert format_lin(idb.scale(-2)) == "-2*id(b)"
+    assert format_lin(identity_mat(tuple_obj(snake_cat, "b")).scale(-2)[0, 0]) == "-2*id(b)"
     assert format_lin(snake_cat.lin("a", "b", (0,))) == "0"
 
 
