@@ -25,7 +25,6 @@ from .adelman import (
     cokernel,
     colift_along_epi,
     connecting_homomorphism,
-    emb_lin,
     emb_morphism,
     emb_object,
     homology,

@@ -14,10 +14,13 @@ category per vertex pair.  Every block formed here is reduced by the
 category's one rule: composites through ``compose_coeffs``, checked
 entries through ``coords``, and sums, multiples and cut solution vectors
 through ``canonical_blocks``.  ``from_blocks`` is the one block-matrix
-constructor.  ``f[i, j]`` and ``entries`` are ``LinMorphism`` views over
-paths for printing and serialisation; that record has no arithmetic, so
-all arithmetic on morphisms is here, in coordinates.  The flat row-major
-layout of homotopy systems belongs to ``HomBasis`` alone, as its ``cuts``.
+constructor, and ``arrow_mat`` gives an arrow its 1x1 morphism from the
+category's coordinates of the arrow (``QuiverCategory.arrow``).  All
+arithmetic on morphisms is here, in coordinates, and ``format_mat`` prints
+the blocks from their coordinate paths.  Path vectors (``LinMorphism``)
+cross only in the checking constructor, ``entries`` and ``single``, which
+the JSON reader and the benchmark harness use.  The flat row-major layout
+of homotopy systems belongs to ``HomBasis`` alone, as its ``cuts``.
 
 The module also hosts the homotopy-equation solver ``decide_homotopy``: the
 solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
@@ -36,15 +39,9 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from typing import Iterable, Optional, Sequence, Union
-from weakref import WeakKeyDictionary
 
 from .intlinalg import FpAbGroup, IntMatrix, left_kernel, solve_left
-from .quivercat import (
-    EndpointError,
-    LinMorphism,
-    QuiverCategory,
-    format_lin,
-)
+from .quivercat import EndpointError, LinMorphism, QuiverCategory, format_coords
 from .representation import MatrixEvaluation, check_representation, random_representation
 
 
@@ -167,11 +164,6 @@ class MatMorphism:
             tuple(LinMorphism(cat, a, b, cat.pad(a, b, block)) for b, block in zip(ys, row))
             for a, row in zip(self.source.summands, self.blocks))
 
-    def __getitem__(self, pos: tuple[int, int]) -> LinMorphism:
-        i, j = pos
-        a, b = self.source.summands[i], self.target.summands[j]
-        return LinMorphism(self.cat, a, b, self.cat.pad(a, b, self.blocks[i][j]))
-
     def is_zero(self) -> bool:
         return not any(map(any, chain.from_iterable(self.blocks)))
 
@@ -219,9 +211,15 @@ def _canonical(x: TupleObject, y: TupleObject,
 
 
 def single(lin: LinMorphism) -> MatMorphism:
-    """1x1 matrix morphism wrapping a quiver-category morphism."""
+    """1x1 matrix morphism wrapping a path vector, for the benchmark harness."""
     return MatMorphism(TupleObject(lin.cat, (lin.source,)), TupleObject(lin.cat, (lin.target,)),
                        ((lin,),))
+
+
+def arrow_mat(cat: QuiverCategory, label: str) -> MatMorphism:
+    """The 1x1 matrix morphism of the arrow ``label`` of ``cat``."""
+    a, b, block = cat.arrow(label)
+    return _mat(TupleObject(cat, (a,)), TupleObject(cat, (b,)), ((block,),))
 
 
 def zero_mat(x: TupleObject, y: TupleObject) -> MatMorphism:
@@ -314,12 +312,17 @@ def dual_mat(f: MatMorphism) -> MatMorphism:
         for j, b in enumerate(ys)))
 
 
+def format_entries(f: MatMorphism) -> list[list[str]]:
+    """The printed entries of ``f``, row by row (``format_coords``)."""
+    cat, ys = f.cat, f.target.summands
+    return [[format_coords(cat, a, b, block) for b, block in zip(ys, row)]
+            for a, row in zip(f.source.summands, f.blocks)]
+
+
 def format_mat(f: MatMorphism) -> str:
     if not f.source.summands or not f.target.summands:
         return "[]"
-    return "[" + "; ".join(
-        ", ".join(format_lin(e) for e in row) for row in f.entries
-    ) + "]"
+    return "[" + "; ".join(map(", ".join, format_entries(f))) + "]"
 
 
 def entry_dims(x: TupleObject, y: TupleObject) -> list[int]:
@@ -438,16 +441,16 @@ def homotopy_rows(h1: HomBasis, beta: MatMorphism, gamma: MatMorphism, h2: HomBa
 # take 0.009 to 0.015 s to save 0.007 to 0.013 s of solving the 16 refuted.
 PROBE_CELLS = 1000
 
-# The seeds of the probe representations, and the probes of each category.
+# The seeds of the probe representations.
 _PROBE_SEEDS = (0, 1)
-_probes: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def probes(cat: QuiverCategory) -> tuple[MatrixEvaluation, ...]:
     """The evaluations of ``cat``'s probe representations, built on first use
-    from ``_PROBE_SEEDS``.  A build that raises or fails ``check_representation``
-    is left out: a missing probe costs only the work it would have saved."""
-    found = _probes.get(cat)
+    from ``_PROBE_SEEDS`` and kept on ``cat``, so they are freed with it.  A
+    build that raises or fails ``check_representation`` is left out: a
+    missing probe costs only the work it would have saved."""
+    found = cat._probes
     if found is None:
         found = []
         for seed in _PROBE_SEEDS:
@@ -457,7 +460,7 @@ def probes(cat: QuiverCategory) -> tuple[MatrixEvaluation, ...]:
                     found.append(ev)
             except (RuntimeError, ValueError):  # a failed repair; the package's errors
                 continue
-        found = _probes[cat] = tuple(found)
+        found = cat._probes = tuple(found)
     return found
 
 

@@ -46,11 +46,10 @@ from .addclosure import (
     dual_mat,
     from_blocks,
     identity_mat,
-    single,
     zero_mat,
     zero_obj,
 )
-from .quivercat import EndpointError, LinMorphism, QuiverCategory
+from .quivercat import EndpointError, QuiverCategory
 
 
 class WitnessError(ValueError):
@@ -241,10 +240,6 @@ def emb_morphism(f: MatMorphism) -> AdelMorphism:
     tgt = emb_object(f.target)
     z = zero_obj(f.cat)
     return _morphism(src, tgt, f, zero_mat(z, z), zero_mat(z, z))
-
-
-def emb_lin(f: LinMorphism) -> AdelMorphism:
-    return emb_morphism(single(f))
 
 
 def zero_adel_object(cat: QuiverCategory) -> AdelObject:

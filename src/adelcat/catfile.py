@@ -33,8 +33,11 @@ vertices.  Syntax errors, taken names and unknown names carry ``line:col``.
 ``Session`` builds it, evaluates the ``let`` and ``object`` lines and the
 expressions and objects of command-line arguments, and makes the morphism
 an expression gives between two objects (``Session.morphism``).  An
-expression is a 1x1 matrix morphism in coordinates; a bare zero has
-endpoints only as an operand of ``Session.morphism``.
+expression is a 1x1 matrix morphism in coordinates, built from the
+session's arrows (``Session.arrow``, each made on first use), identities
+and ``let`` names by composites, multiples and sums; no path vector is
+formed on the way.  A bare zero has endpoints only as an operand of
+``Session.morphism``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .addclosure import MatMorphism, TupleObject, compose_mat, identity_mat, single, zero_mat
+from .addclosure import MatMorphism, TupleObject, arrow_mat, compose_mat, identity_mat, zero_mat
 from .adelman import AdelMorphism, AdelObject, WitnessError, emb_object, make_morphism
 from .quivercat import (Arrow, EndpointError, LinMorphism, Path, Quiver, QuiverCategory,
                         RelationError, _validate_path, format_signed_sum, make_relation)
@@ -397,10 +400,12 @@ def _path(quiver: Quiver, factors: tuple) -> Path:
 
 class Session:
     """A built category with its named morphisms (``lets``, 1x1 matrix
-    morphisms) and objects, read-only."""
+    morphisms) and objects, read-only, and the 1x1 morphisms of the arrows
+    it has read (``arrow``)."""
 
     def __init__(self, spec: SessionSpec):
         self.cat = build_category(spec.category)
+        self._arrows: dict[str, MatMorphism] = {}
         lets: dict[str, MatMorphism] = {}
         objects: dict[str, AdelObject] = {}
         self.lets, self.objects = MappingProxyType(lets), MappingProxyType(objects)
@@ -432,7 +437,16 @@ class Session:
             return identity_mat(TupleObject(self.cat, (f[1],)))
         if f in self.lets:
             return self.lets[f]
-        return single(self.cat.arrow_lin(f))
+        return self.arrow(f)
+
+    def arrow(self, label: str) -> MatMorphism:
+        """The 1x1 matrix morphism of the arrow ``label``, made on first use
+        (a command reads a few arrows of what may be a large quiver)."""
+        try:
+            return self._arrows[label]
+        except KeyError:
+            f = self._arrows[label] = arrow_mat(self.cat, label)
+            return f
 
     def eval_object(self, node: ObjectNode) -> AdelObject:
         """The object of a ``parse_object`` node; an unknown name is a
@@ -466,9 +480,14 @@ class Session:
         p.check_refs(p.refs, self._usable, self.cat.quiver.vertices)
         return out
 
+    def parse_mat_text(self, text: str) -> MatMorphism:
+        """The 1x1 matrix morphism of the expression ``text``."""
+        return self.eval_expr(self._parse(text, _Parser.parse_expr))
+
     def parse_expr_text(self, text: str) -> LinMorphism:
-        """The morphism of the expression ``text``, as its path vector."""
-        return self.eval_expr(self._parse(text, _Parser.parse_expr))[0, 0]
+        """The morphism of the expression ``text`` as its path vector, for the
+        benchmark harness."""
+        return self.parse_mat_text(text).entries[0][0]
 
     def parse_object_text(self, text: str) -> AdelObject:
         return self.eval_object(self._parse(text, _Parser.parse_object))

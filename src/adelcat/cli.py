@@ -21,16 +21,16 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import provers
-from .addclosure import format_mat, single
+from .addclosure import format_entries, format_mat
 from .adelman import AdelObject, cokernel, connecting_homomorphism, homology, kernel
 from .catfile import ParseError, Session, parse_session
 from .evalfunctor import Representation, check_representation, eval_object
 from .homgroups import hom_group
 from .intlinalg import IntMatrix
-from .quivercat import format_lin
 
 
 def parse_representation(session: Session, text: str) -> Representation:
@@ -205,11 +205,8 @@ def _cmd_hom_group(args) -> CommandResult:
     hg = hom_group(x, y)
     inv = hg.group.invariants().reduced()
     gens = [provers.to_json(g.datum) for g in hg.generators]
-    gen_lines = [
-        "  generator: " + " | ".join(
-            format_lin(e) for row in g.datum.entries for e in row)
-        for g in hg.generators
-    ]
+    gen_lines = ["  generator: " + " | ".join(chain.from_iterable(format_entries(g.datum)))
+                 for g in hg.generators]
     return CommandResult(
         "hom-group",
         {"source": args.source, "target": args.target, "category": session.cat.name},
@@ -224,8 +221,8 @@ def _cmd_hom_group(args) -> CommandResult:
 
 def _cmd_connecting(args) -> CommandResult:
     session = _need_session(args)
-    conn = connecting_homomorphism(*(single(session.parse_expr_text(e))
-                                     for e in (args.first, args.second, args.third)))
+    conn = connecting_homomorphism(*map(session.parse_mat_text,
+                                        (args.first, args.second, args.third)))
     return CommandResult(
         "connecting",
         {"first": args.first, "second": args.second, "third": args.third,
@@ -378,7 +375,7 @@ def run_command(argv: Sequence[str]) -> int:
     except (OSError, ValueError) as exc:  # every adelcat error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
         return 2
     return _emit(result, args, time.perf_counter() - start)

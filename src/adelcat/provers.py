@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union, get_type_hints
 
 from . import adelman as ad
 from . import homgroups
-from .addclosure import MatMorphism, TupleObject, compose_mat, from_blocks, identity_mat, single
+from .addclosure import MatMorphism, TupleObject, compose_mat, from_blocks, identity_mat
 from .adelman import (
     AdelMorphism,
     AdelObject,
@@ -33,7 +33,6 @@ from .adelman import (
     cokernel_colift,
     compose,
     connecting_homomorphism,
-    emb_lin,
     emb_morphism,
     emb_vertex,
     homology,
@@ -382,10 +381,10 @@ class SnakeFigure:
 def build_snake_figure() -> SnakeFigure:
     session = _session("snake")
     cat, arrow = session.cat, session.morphism
-    al, be, ga = map(cat.arrow_lin, ("alpha", "beta", "gamma"))
+    al, be, ga = map(session.arrow, ("alpha", "beta", "gamma"))
     emb = {v: emb_vertex(cat, v) for v in "abcd"}
 
-    alpha, beta, gamma = map(emb_lin, (al, be, ga))
+    alpha, beta, gamma = map(emb_morphism, (al, be, ga))
 
     coka = cokernel(alpha)
     eps = arrow("beta*gamma", coka.obj, emb["d"])
@@ -400,7 +399,7 @@ def build_snake_figure() -> SnakeFigure:
 
     blue1 = arrow("alpha", ker_delta.obj, ker_beta.obj)
     blue2 = arrow("id(b)", ker_beta.obj, ker_eps.obj)
-    connecting = connecting_homomorphism(single(al), single(be), single(ga))
+    connecting = connecting_homomorphism(al, be, ga)
     blue4 = arrow("id(c)", cok_delta.obj, cok_beta.obj)
     blue5 = arrow("gamma", cok_beta.obj, cok_eps.obj)
 
@@ -510,7 +509,7 @@ def explicit_sweep_witness(fig: SnakeFigure, s: int,
     exactness at the connecting source, valid exactly for s in {-1, +1}."""
     grid = functools.partial(_grid, fig.cat)
     via = compose(kernel(conn_s).emb, cokernel(fig.blue2).proj)
-    alpha = single(fig.cat.arrow_lin("alpha"))
+    alpha = _session("snake").arrow("alpha")
     return via, WitnessPair(grid("b a", "a b", [[0, 1], [-s, alpha.scale(s)]]),
                             grid("d c", "b c", [[0, 0], [0, -s]]))
 
@@ -632,7 +631,7 @@ class FiveData:
 def build_five_data() -> FiveData:
     session = _session("five")
     cat, arrow = session.cat, session.morphism
-    m = {a.label: single(cat.arrow_lin(a.label)) for a in cat.quiver.arrows}
+    m = {a.label: session.arrow(a.label) for a in cat.quiver.arrows}
     emb = {v: emb_vertex(cat, v) for v in "iabcfghj"}
 
     cok_lambda = cokernel(emb_morphism(m["lambda"]))
@@ -684,7 +683,7 @@ def explicit_five_witness(data: FiveData) -> WitnessPair:
     """The explicit big witness pair certifying that the kernel object of
     the step-4 chain map is zero."""
     grid = functools.partial(_grid, data.cat)
-    alpha = single(data.cat.arrow_lin("alpha"))
+    alpha = _session("five").arrow("alpha")
     return WitnessPair(
         grid("c f b a b", "b b a b", [[0, 0, 0, 0],
                                       [0, 0, 0, 0],
@@ -803,11 +802,11 @@ def explore_d4() -> ProofReport:
     embedded sink of the three-source star quiver.  Each image embedding is
     certified a mono; the comparison pattern is recorded without asserting
     any particular value."""
-    cat = category_by_name("d4")
+    session = _session("d4")
     checks = _Checks()
     images = {}
     for lbl in ("p", "q", "r"):
-        img = image(emb_lin(cat.arrow_lin(lbl)))
+        img = image(emb_morphism(session.arrow(lbl)))
         images[lbl] = img
         _check_claim(checks, f"embedding of im({lbl}) is a mono", "mono",
                      lambda img=img: (img.emb,), "kernel is zero")
@@ -833,7 +832,7 @@ def explore_d4() -> ProofReport:
         return True, "binary joins computed and dominate their parts", None
     checks.run("binary joins of the image subobjects computed", joins)
 
-    return ProofReport("three-subspace exploration", cat.name, tuple(checks.items))
+    return ProofReport("three-subspace exploration", session.cat.name, tuple(checks.items))
 
 
 # -- oracle item suites -----------------------------------------------------------

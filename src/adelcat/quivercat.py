@@ -5,8 +5,11 @@ combinations of the (finitely many, by acyclicity) paths from ``a`` to ``b``,
 taken modulo the two-sided ideal generated by the given relations.  Each
 Hom set is a finitely presented abelian group, held in coordinates (see
 ``QuiverCategory``), and every morphism as the canonical coordinates of its
-coset, which makes equality a plain tuple comparison; path vectors
-(``LinMorphism``) exist only at the text and JSON boundary.
+coset, which makes equality a plain tuple comparison.  An arrow enters
+coordinates through ``QuiverCategory.arrow`` and a block is printed from
+its coordinate paths (``format_coords``); path vectors (``LinMorphism``,
+built by ``QuiverCategory.lin``) exist only in the JSON reports and for
+the benchmark harness.
 
 Path bases are ordered length-first, then lexicographically by arrow index;
 the same order is used everywhere so certificates are reproducible.
@@ -182,16 +185,6 @@ def _path_words(quiver: Quiver, a: str, b: str,
     return words
 
 
-def enumerate_paths(quiver: Quiver, a: str, b: str) -> tuple[Path, ...]:
-    """All paths from ``a`` to ``b``, length-lexicographic by arrow index.
-
-    Includes the identity path exactly when ``a == b``; finite because the
-    quiver is acyclic.  Raises ``PathBasisTooLargeError`` past
-    ``MAX_PATH_BASIS`` paths.
-    """
-    return tuple(Path(a, b, w) for w in _path_words(quiver, a, b)[b])
-
-
 # A pair's path basis and the index of each basis path's arrow word.
 _PathData = tuple[tuple[Path, ...], dict[tuple[int, ...], int]]
 
@@ -289,7 +282,9 @@ class QuiverCategory:
 
     Each entry is a pure function of the quiver and the relations and is
     stored by a single dict assignment of one value, so a fill raced by two
-    threads stores equal values and instances stay safe to share.
+    threads stores equal values and instances stay safe to share.  So are
+    the probe evaluations that ``addclosure.probes`` keeps in ``_probes``:
+    stored on the category, they are freed with it.
     """
 
     def __init__(self, quiver: Quiver, relations: Sequence[Relation] = (),
@@ -304,6 +299,7 @@ class QuiverCategory:
         self._zeros: dict[tuple[str, str], tuple[int, ...]] = {}
         self._products: dict[tuple[str, str, str], tuple[tuple[_Sparse, ...], ...]] = {}
         self._units: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = {}
+        self._probes: Optional[tuple] = None  # filled by ``addclosure.probes``
         self._opposite = _opposite
         self._opposite_lock = threading.Lock()
 
@@ -552,23 +548,16 @@ class QuiverCategory:
 
     # -- morphisms --------------------------------------------------------
 
+    def arrow(self, label: str) -> tuple[str, str, tuple[int, ...]]:
+        """The source, target and canonical coordinates of the arrow ``label``."""
+        i = self.quiver.arrow_index(label)
+        a, b = self.quiver.arrows[i].source, self.quiver.arrows[i].target
+        coeffs = [0] * len(self.paths(a, b))
+        coeffs[self.path_index(a, b, (i,))] = 1
+        return a, b, self.coords(a, b, coeffs)
+
     def lin(self, a: str, b: str, coeffs: Sequence[int]) -> "LinMorphism":
         return LinMorphism(self, a, b, self.pad(a, b, self.coords(a, b, coeffs)))
-
-    def identity_lin(self, a: str) -> "LinMorphism":
-        return self.lin_from_path(Path(a, a, ()))
-
-    def lin_from_path(self, path: Path) -> "LinMorphism":
-        _validate_path(self.quiver, path)
-        n = len(self.paths(path.source, path.target))
-        coeffs = [0] * n
-        coeffs[self.path_index(path.source, path.target, path.arrows)] = 1
-        return self.lin(path.source, path.target, coeffs)
-
-    def arrow_lin(self, label: str) -> "LinMorphism":
-        i = self.quiver.arrow_index(label)
-        a = self.quiver.arrows[i]
-        return self.lin_from_path(Path(a.source, a.target, (i,)))
 
     # -- duality ----------------------------------------------------------
 
@@ -597,28 +586,23 @@ class QuiverCategory:
 @dataclass(frozen=True)
 class LinMorphism:
     """Morphism in the quiver category as the canonical coefficient vector
-    over the ordered path basis of Hom(source, target) that text, printing
-    and JSON read and write; it has no arithmetic."""
+    over the ordered path basis of Hom(source, target), the form of the
+    JSON reports; it has no arithmetic."""
 
     cat: QuiverCategory
     source: str
     target: str
     coeffs: tuple[int, ...]
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
-    def __repr__(self) -> str:
-        return f"LinMorphism({self.source}->{self.target}: {format_lin(self)})"
-
-
-def format_lin(f: LinMorphism) -> str:
-    """Human-readable form: ``2*alpha*beta - gamma``, ``id(a)``, ``0``."""
-    labels = [a.label for a in f.cat.quiver.arrows]
-    paths = f.cat.paths(f.source, f.target)
+def format_coords(cat: QuiverCategory, a: str, b: str, coords: Sequence[int]) -> str:
+    """Human-readable form of the coordinates ``coords`` of Hom(a, b):
+    ``2*alpha*beta - gamma``, ``id(a)``, ``0``.  A canonical path vector is
+    zero at the unit pivots, so this prints it term for term."""
+    labels = [x.label for x in cat.quiver.arrows]
     return format_signed_sum(
         (c, "*".join(labels[k] for k in p.arrows) if p.arrows else f"id({p.source})")
-        for c, p in zip(f.coeffs, paths) if c)
+        for c, p in zip(coords, cat.coordinate_paths(a, b)) if c)
 
 
 def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:

@@ -84,6 +84,27 @@ def ladder_category(n: int = 6) -> QuiverCategory:
     return category_from_text(ladder_spec(n).cat_text())
 
 
+def path_lin(cat: QuiverCategory, a: str, b: str, arrows: tuple[int, ...]) -> LinMorphism:
+    """The path vector of the single path ``arrows`` from ``a`` to ``b``, by
+    the path basis and ``cat.lin``: the reference the coordinate
+    constructors are checked against."""
+    vec = [0] * len(cat.paths(a, b))
+    vec[cat.path_index(a, b, arrows)] = 1
+    return cat.lin(a, b, vec)
+
+
+def arrow_lin(cat: QuiverCategory, label: str) -> LinMorphism:
+    """The path vector of the arrow ``label`` (``path_lin``)."""
+    i = cat.quiver.arrow_index(label)
+    arrow = cat.quiver.arrows[i]
+    return path_lin(cat, arrow.source, arrow.target, (i,))
+
+
+def identity_lin(cat: QuiverCategory, a: str) -> LinMorphism:
+    """The path vector of the identity of ``a`` (``path_lin``)."""
+    return path_lin(cat, a, a, ())
+
+
 def dual_lin(f: LinMorphism) -> LinMorphism:
     """The same morphism read in the opposite category: every path of its
     path vector reversed, then reduced there."""

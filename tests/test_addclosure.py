@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -8,6 +10,7 @@ from adelcat.addclosure import (
     HomBasis,
     MatMorphism,
     TupleObject,
+    arrow_mat,
     compose_mat,
     decide_homotopy,
     from_blocks,
@@ -24,7 +27,7 @@ from adelcat.adelman import emb_morphism, is_zero_morphism
 from adelcat.intlinalg import IntMatrix, solve_left
 from adelcat.quivercat import Arrow, EndpointError, LinMorphism, Quiver, QuiverCategory
 from adelcat.representation import MatrixEvaluation, Representation, check_representation
-from conftest import ladder_category
+from conftest import arrow_lin, identity_lin, ladder_category
 
 
 def rand_mat(cat, src, tgt, rng):
@@ -58,17 +61,17 @@ class TestMatArithmetic:
         assert (f + (-f)).is_zero()
 
     def test_one_by_one_composition(self, snake_cat):
-        al = single(snake_cat.arrow_lin("alpha"))
-        be = single(snake_cat.arrow_lin("beta"))
+        al = arrow_mat(snake_cat, "alpha")
+        be = arrow_mat(snake_cat, "beta")
         ab = compose_mat(al, be)
         assert ab.entries[0][0] == snake_cat.lin("a", "c", [1])
 
     def test_shape_mismatch(self, snake_cat):
-        al = single(snake_cat.arrow_lin("alpha"))
+        al = arrow_mat(snake_cat, "alpha")
         with pytest.raises(EndpointError):
             compose_mat(al, al)
         with pytest.raises(EndpointError):
-            al + single(snake_cat.arrow_lin("beta"))
+            al + arrow_mat(snake_cat, "beta")
 
     def test_bilinearity(self, five_cat):
         rng = random.Random(4)
@@ -97,17 +100,17 @@ def direct_sum(f, g):
 
 class TestDirectSum:
     def test_block_diagonal(self, snake_cat):
-        al = single(snake_cat.arrow_lin("alpha"))
-        be = single(snake_cat.arrow_lin("beta"))
+        al = arrow_mat(snake_cat, "alpha")
+        be = arrow_mat(snake_cat, "beta")
         s = direct_sum(al, be)
         assert s.source.summands == ("a", "b")
         assert s.target.summands == ("b", "c")
-        assert s.entries[0][1].is_zero() and s.entries[1][0].is_zero()
-        assert s.entries[0][0] == snake_cat.arrow_lin("alpha")
-        assert s.entries[1][1] == snake_cat.arrow_lin("beta")
+        assert not any(s.entries[0][1].coeffs) and not any(s.entries[1][0].coeffs)
+        assert s.entries[0][0] == arrow_lin(snake_cat, "alpha")
+        assert s.entries[1][1] == arrow_lin(snake_cat, "beta")
 
     def test_sum_with_zero_object(self, snake_cat):
-        al = single(snake_cat.arrow_lin("alpha"))
+        al = arrow_mat(snake_cat, "alpha")
         z = zero_obj(snake_cat)
         padded = direct_sum(al, zero_mat(z, z))
         assert padded == al
@@ -121,7 +124,7 @@ class TestDirectSum:
 
 class TestBlocks:
     def test_from_blocks_shapes(self, snake_cat):
-        al = single(snake_cat.arrow_lin("alpha"))
+        al = arrow_mat(snake_cat, "alpha")
         x = al.source
         y = al.target
         block = from_blocks([x, x], [y, y], [
@@ -158,8 +161,8 @@ class TestBlocks:
 
     def test_constructor_checks_endpoints(self, snake_cat):
         a, b = tuple_obj(snake_cat, "a"), tuple_obj(snake_cat, "b")
-        alpha = snake_cat.arrow_lin("alpha")
-        assert MatMorphism(a, b, ((alpha,),)) == single(alpha)
+        alpha = arrow_lin(snake_cat, "alpha")
+        assert MatMorphism(a, b, ((alpha,),)) == single(alpha) == arrow_mat(snake_cat, "alpha")
         with pytest.raises(EndpointError, match="wrong number of rows"):
             MatMorphism(a, b, ())
         with pytest.raises(EndpointError, match="wrong number of columns"):
@@ -168,7 +171,7 @@ class TestBlocks:
             MatMorphism(b, a, ((alpha,),))
         ab = tuple_obj(snake_cat, "a", "b")
         with pytest.raises(EndpointError, match=r"entry \(1,1\) has endpoints a->b"):
-            MatMorphism(ab, ab, ((snake_cat.identity_lin("a"), alpha),
+            MatMorphism(ab, ab, ((identity_lin(snake_cat, "a"), alpha),
                                  (snake_cat.lin("b", "a", ()), alpha)))
 
     def test_constructor_checks_category_and_coefficient_count(self):
@@ -178,19 +181,19 @@ class TestBlocks:
         c1, c2 = category("f"), category("f", "g")
         a, b = tuple_obj(c1, "a"), tuple_obj(c1, "b")
         with pytest.raises(EndpointError, match=r"entry \(0,0\) belongs to another category"):
-            MatMorphism(a, b, [[c2.arrow_lin("g")]])
+            MatMorphism(a, b, [[arrow_lin(c2, "g")]])
         with pytest.raises(EndpointError, match=r"entry \(0,0\) has 2 coefficients for 1 paths"):
             MatMorphism(a, b, [[LinMorphism(c1, "a", "b", (1, 0))]])
         with pytest.raises(EndpointError, match="different categories"):
-            MatMorphism(a, tuple_obj(c2, "b"), [[c1.arrow_lin("f")]])
-        assert MatMorphism(a, b, [[c1.arrow_lin("f")]]).blocks == (((1,),),)
+            MatMorphism(a, tuple_obj(c2, "b"), [[arrow_lin(c1, "f")]])
+        assert MatMorphism(a, b, [[arrow_lin(c1, "f")]]).blocks == (((1,),),)
 
     def test_constructor_brings_entries_to_canonical_form(self, snake_cat):
         # alpha*beta*gamma = 0, so the only path a -> d is zero in Hom(a, d):
         # it is a unit pivot, and Hom(a, d) has no coordinates
         a, d = tuple_obj(snake_cat, "a"), tuple_obj(snake_cat, "d")
         m = MatMorphism(a, d, [[LinMorphism(snake_cat, "a", "d", (1,))]])
-        assert m.blocks == (((),),) and m[0, 0].coeffs == (0,)
+        assert m.blocks == (((),),) and m.entries[0][0].coeffs == (0,)
         assert m == zero_mat(a, d) and m.is_zero()
         assert is_zero_morphism(emb_morphism(m)) is not None
 
@@ -260,7 +263,7 @@ class TestDecideHomotopy:
         a = tuple_obj(torsion_cat, "a")
         b = tuple_obj(torsion_cat, "b")
         z = zero_obj(torsion_cat)
-        x = single(torsion_cat.arrow_lin("x"))
+        x = arrow_mat(torsion_cat, "x")
         # no sigma can produce x: the only relation room is 2x
         assert decide_homotopy(x, zero_mat(z, b), zero_mat(a, z)) is None
         # but 2x is null-homotopic via the relation lattice
@@ -417,7 +420,7 @@ class TestProbes:
         bad = _broken_representation(cat)
         assert not check_representation(bad)
         # admitted, the broken representation would refute a solvable system
-        monkeypatch.setitem(addclosure._probes, cat, (MatrixEvaluation(bad),))
+        monkeypatch.setattr(cat, "_probes", (MatrixEvaluation(bad),))
         assert addclosure._probe_refutes(*solvable)
 
         cat = ladder_category()
@@ -426,6 +429,16 @@ class TestProbes:
         assert decide_homotopy(*solvable) is not None
         assert decide_homotopy(*unsolvable) is None
         assert addclosure.probes(cat) == () and built == [cat, cat]
+
+    def test_probed_category_is_freed(self):
+        # the probes' representations refer to their category; kept on it,
+        # they do not keep it alive
+        cat = ladder_category()
+        assert addclosure.probes(cat) and addclosure.probes(cat.opposite())
+        freed = weakref.ref(cat)
+        del cat
+        gc.collect()
+        assert freed() is None
 
     def test_raising_builder_means_no_probe(self, monkeypatch):
         def fail(cat):

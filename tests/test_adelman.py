@@ -4,9 +4,9 @@ import pytest
 
 from adelcat.addclosure import (
     TupleObject,
+    arrow_mat,
     compose_mat,
     identity_mat,
-    single,
     tuple_obj,
     zero_mat,
 )
@@ -64,8 +64,8 @@ class TestEmbedding:
         assert emb_morphism(identity_mat(x)) == identity_morphism(emb_object(x))
 
     def test_composition_functorial(self, snake_cat):
-        al = single(snake_cat.arrow_lin("alpha"))
-        be = single(snake_cat.arrow_lin("beta"))
+        al = arrow_mat(snake_cat, "alpha")
+        be = arrow_mat(snake_cat, "beta")
         assert compose(emb_morphism(al), emb_morphism(be)) == emb_morphism(compose_mat(al, be))
 
     def test_nonzero_vertex_not_zero(self, snake_cat):
@@ -87,7 +87,7 @@ class TestMakeMorphism:
         cat = snake_fig.cat
         src = snake_fig.ker_eps.obj
         tgt = snake_fig.cok_delta.obj
-        made = make_morphism(src, tgt, single(cat.arrow_lin("beta")))
+        made = make_morphism(src, tgt, arrow_mat(cat, "beta"))
         assert made is not None
         assert made.rel_witness == identity_mat(src.rel_source)
         assert made.corel_witness == identity_mat(tgt.corel_target)
@@ -96,7 +96,7 @@ class TestMakeMorphism:
         cat = snake_fig.cat
         made = make_morphism(
             emb_vertex(cat, "b"), snake_fig.coka.obj,
-            single(cat.identity_lin("b")))
+            identity_mat(tuple_obj(cat, "b")))
         assert made is not None
 
     def test_obstructed_datum(self, five_cat):
@@ -105,9 +105,9 @@ class TestMakeMorphism:
         # objects unless the corelation square closes.
         d = AdelObject(
             zero_mat(TupleObject(five_cat, ()), TupleObject(five_cat, ("c",))),
-            compose_mat(*(single(five_cat.arrow_lin(x)) for x in ("zeta", "kappa"))))
+            compose_mat(*(arrow_mat(five_cat, x) for x in ("zeta", "kappa"))))
         src = emb_vertex(five_cat, "c")
-        made = make_morphism(src, d, single(five_cat.identity_lin("c")))
+        made = make_morphism(src, d, identity_mat(tuple_obj(five_cat, "c")))
         assert made is None  # id*zeta*kappa is not zero in Hom(c, h)
 
 
@@ -295,7 +295,7 @@ class TestKernelsCokernels:
         cat = snake_fig.cat
         tau = make_morphism(
             snake_fig.emb["b"], snake_fig.emb["d"],
-            compose_mat(single(cat.arrow_lin("beta")), single(cat.arrow_lin("gamma"))))
+            compose_mat(arrow_mat(cat, "beta"), arrow_mat(cat, "gamma")))
         assert tau is not None
         wp = is_zero_morphism(compose(snake_fig.alpha, tau))
         assert wp is not None
@@ -357,7 +357,7 @@ class TestSubobjects:
         kb = kernel(snake_fig.beta)
         bg = make_morphism(
             snake_fig.emb["b"], snake_fig.emb["d"],
-            compose_mat(single(cat.arrow_lin("beta")), single(cat.arrow_lin("gamma"))))
+            compose_mat(arrow_mat(cat, "beta"), arrow_mat(cat, "gamma")))
         kbg = kernel(bg)
         assert subobject_leq(kb.emb, kbg.emb)
         assert not subobject_leq(kbg.emb, kb.emb)
@@ -399,7 +399,7 @@ class TestHomology:
     def test_emb_pair_presentation(self, snake_fig):
         cat = snake_fig.cat
         h = homology(snake_fig.alpha, snake_fig.beta)
-        w = AdelObject(single(cat.arrow_lin("alpha")), single(cat.arrow_lin("beta")))
+        w = AdelObject(arrow_mat(cat, "alpha"), arrow_mat(cat, "beta"))
         comp = homology_comparison(h, w, identity_mat(h.cok.obj.middle))
         assert comp is not None
         assert is_iso(comp)
@@ -444,9 +444,9 @@ class TestConnecting:
         free = QuiverCategory(Quiver(("a", "b", "c", "d"), (
             Arrow("x", "a", "b"), Arrow("y", "b", "c"), Arrow("z", "c", "d"))), ())
         with pytest.raises(CompositeNotZeroError):
-            connecting_homomorphism(single(free.arrow_lin("x")),
-                                    single(free.arrow_lin("y")),
-                                    single(free.arrow_lin("z")))
+            connecting_homomorphism(arrow_mat(free, "x"),
+                                    arrow_mat(free, "y"),
+                                    arrow_mat(free, "z"))
 
 
 def test_direct_sum_object_middle(snake_fig):

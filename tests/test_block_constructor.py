@@ -20,8 +20,9 @@ from adelcat.adelman import KernelResult, cokernel, kernel
 from adelcat.homgroups import hom_group
 from adelcat.quivercat import EndpointError, Path, Quiver, QuiverCategory, Relation
 
+from conftest import arrow_lin, identity_lin
 from test_composition_tables import (
-    CATEGORIES, check_flat, grid, rand_grid, rand_tuple, zero_lin)
+    CATEGORIES, check_flat, rand_grid, rand_tuple, zero_lin)
 from test_homgroups import _ladder_pairs
 
 
@@ -33,7 +34,7 @@ def old_zero(x, y):
 
 def old_identity(x):
     cat = x.cat
-    return MatMorphism(x, x, [[cat.identity_lin(a) if i == j else zero_lin(cat, a, b)
+    return MatMorphism(x, x, [[identity_lin(cat, a) if i == j else zero_lin(cat, a, b)
                                for j, b in enumerate(x.summands)]
                               for i, a in enumerate(x.summands)])
 
@@ -134,7 +135,7 @@ def test_from_blocks_matches_the_old_composition(name, rng):
     expected = old_blocks([[value for _, value in row] for row in drawn])
     assert f == expected
     assert f.blocks == expected.blocks
-    check_flat(f, grid(expected))
+    check_flat(f, expected.entries)
 
 
 @pytest.mark.parametrize("c", [-2, -1, 1, 2])
@@ -159,7 +160,7 @@ def test_empty_tuple_objects(snake_cat):
 
 def test_wrong_parts_raise_endpoint_errors(snake_cat, five_cat):
     a, b = TupleObject(snake_cat, ("a",)), TupleObject(snake_cat, ("b",))
-    alpha = MatMorphism(a, b, [[snake_cat.arrow_lin("alpha")]])
+    alpha = MatMorphism(a, b, [[arrow_lin(snake_cat, "alpha")]])
     cases = [
         ([b], [b], [[alpha]], "block \\(0,0\\) runs"),           # wrong source
         ([a], [a], [[alpha]], "block \\(0,0\\) runs"),           # wrong target

@@ -2,9 +2,11 @@
 ``Session``'s names and morphisms, and the layering that keeps the grammar
 and the provers free of the CLI."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adelcat
-from adelcat import cli
+from adelcat import catfile, cli
+from adelcat.addclosure import compose_mat
 from adelcat.adelman import WitnessError
 from adelcat.catfile import (ParseError, Session, build_category, parse_session, print_spec,
                              tokenize)
 from adelcat.provers import CATEGORY_TEXTS, category_by_name
 from adelcat.quivercat import EndpointError
+
+from conftest import arrow_lin
 
 SNAKE = ("category s { objects a b c d; arrows alpha: a -> b; beta: b -> c; gamma: c -> d;\n"
          "  relations alpha*beta*gamma = 0; }\n")
@@ -125,13 +130,37 @@ def test_object_line_may_use_a_later_let():
 def test_morphism_checks_its_endpoints_and_witnesses():
     session = Session(parse_session(SNAKE))
     b, c, ker_beta = map(session.parse_object_text, ("b", "c", "(| beta)"))
-    assert session.morphism("beta", b, c).datum.entries == ((session.cat.arrow_lin("beta"),),)
+    assert session.morphism("beta", b, c).datum.entries == ((arrow_lin(session.cat, "beta"),),)
     with pytest.raises(EndpointError, match=r"^expression 'alpha' runs a->b, which does not "
                                             r"match the given objects$"):
         session.morphism("alpha", b, c)
     with pytest.raises(WitnessError, match=r"^'id\(b\)' is not a well-defined morphism "
                                            r"between these objects$"):
         session.morphism("id(b)", b, ker_beta)
+
+
+def test_session_makes_each_arrow_once_on_first_use(monkeypatch):
+    made = []
+    real = catfile.arrow_mat
+    monkeypatch.setattr(catfile, "arrow_mat",
+                        lambda cat, label: made.append(label) or real(cat, label))
+    session = Session(parse_session(SNAKE))
+    assert made == []
+    ab = session.parse_mat_text("alpha*beta + 2*alpha*beta")
+    assert made == ["alpha", "beta"]
+    assert session.arrow("alpha") is session.arrow("alpha") and made == ["alpha", "beta"]
+    assert ab == compose_mat(session.arrow("alpha"), session.arrow("beta")).scale(3)
+    assert session.parse_expr_text("alpha") == arrow_lin(session.cat, "alpha")
+
+
+def test_session_that_read_arrows_is_freed():
+    # the arrow table holds morphisms of the session's category, not the session
+    session = Session(parse_session(SNAKE + "object K = (alpha | beta*gamma);\n"))
+    session.parse_mat_text("alpha*beta")
+    freed = weakref.ref(session), weakref.ref(session.cat)
+    del session
+    gc.collect()
+    assert [ref() for ref in freed] == [None, None]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -157,7 +186,7 @@ def test_unicode_decimal_coefficient():
 def test_superscript_digit_in_an_argument_is_a_bad_character():
     session = Session(parse_session(SNAKE))
     with pytest.raises(ParseError) as err:
-        session.parse_expr_text("2*²beta")
+        session.parse_mat_text("2*²beta")
     assert str(err.value) == "1:3: unexpected character '²'"
 
 
@@ -195,7 +224,7 @@ def _assert_located(err: ParseError, text: str):
 @given(_cat_texts())
 def test_any_text_parses_or_raises_a_located_value_error(text):
     session = Session(parse_session(SNAKE + "object K = (alpha | beta*gamma);\n"))
-    for read in (lambda t: Session(parse_session(t)), session.parse_expr_text,
+    for read in (lambda t: Session(parse_session(t)), session.parse_mat_text,
                  session.parse_object_text):
         try:
             read(text)

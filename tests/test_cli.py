@@ -93,8 +93,9 @@ class TestParser:
         assert lin == session.cat.lin("a", "c", [1])
 
     def test_zero_via_cancellation(self, session):
+        assert session.parse_mat_text("alpha*beta - alpha*beta").is_zero()
         lin = session.parse_expr_text("alpha*beta - alpha*beta")
-        assert lin.is_zero()
+        assert lin == session.cat.lin("a", "c", [0])
 
     def test_let_names_resolve(self, session):
         assert session.parse_expr_text("ab") == session.cat.lin("a", "c", [1])
@@ -605,6 +606,19 @@ class TestLargeInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: more than 10000 paths from 'v0' to 'v14'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--range", "0..100000000000000000000"],
+        ["eval", "--rep", "{rep}", "--category", "{snake}"],
+    ], ids=["sweep", "eval-rank"])
+    def test_oversized_number_exits_two(self, argv, snake_file, tmp_path, capsys):
+        # past the platform's index size: an OverflowError, before any allocation
+        rep = tmp_path / "big.rep"
+        rep.write_text("rank a = 99999999999999999999\nrank b = 1\nrank c = 1\nrank d = 1\n")
+        code = run_command([arg.format(rep=rep, snake=snake_file) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: input too large to compute (OverflowError)\n"
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_errors_exit_two(self, exc, snake_file, capsys, monkeypatch):

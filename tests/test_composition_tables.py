@@ -33,7 +33,8 @@ from adelcat.addclosure import (
 from adelcat.provers import category_by_name
 from adelcat.quivercat import Arrow, Path, Quiver, QuiverCategory, Relation
 
-from conftest import category_from_text, dual_lin, ladder_category, torsion_category
+from conftest import (arrow_lin, category_from_text, dual_lin, identity_lin, ladder_category,
+                      path_lin, torsion_category)
 
 
 def skew_category() -> QuiverCategory:
@@ -124,22 +125,15 @@ def units(hb):
             for k in range(cut.stop - cut.start)]
 
 
-def grid(f):
-    """The entries of ``f`` read one by one through ``f[i, j]``."""
-    return tuple(tuple(f[i, j] for j in range(len(f.target))) for i in range(len(f.source)))
-
-
 def check_flat(f, entries):
-    """``f`` has exactly the given entries, through every view, its grid of
-    blocks holds their coordinates, and ``HomBasis.flatten`` chains those
-    in row-major order."""
+    """``f`` has exactly the given entries, its grid of blocks holds their
+    coordinates, and ``HomBasis.flatten`` chains those in row-major order."""
     cat = f.cat
     entries = tuple(tuple(row) for row in entries)
     for row in entries:
         for e in row:
             assert e.coeffs == cat.hom_group_lin(e.source, e.target).canonical_rep(e.coeffs)
     assert f.entries == entries
-    assert grid(f) == entries
     blocks = tuple(tuple(drop(cat, e.source, e.target, e.coeffs) for e in row) for row in entries)
     assert f.blocks == blocks
     assert HomBasis(f.source, f.target).flatten(f) == tuple(
@@ -162,9 +156,10 @@ def test_compose_mat_matches_naive(name, rng):
         for k, c in enumerate(z.summands):
             acc = [0] * len(cat.paths(a, c))
             for j, b in enumerate(y.summands):
-                part = naive_compose(cat, a, b, c, f[i, j].coeffs, g[j, k].coeffs)
+                part = naive_compose(cat, a, b, c, f.entries[i][j].coeffs,
+                                     g.entries[j][k].coeffs)
                 acc = [s + t for s, t in zip(acc, part)]
-            assert fg[i, k].coeffs == cat.hom_group_lin(a, c).canonical_rep(acc)
+            assert fg.entries[i][k].coeffs == cat.hom_group_lin(a, c).canonical_rep(acc)
 
 
 @SETTINGS
@@ -181,7 +176,7 @@ def test_left_compose_rows_match_naive(name, rng):
         expected = [0] * out.dim
         for i, a in enumerate(x.summands):
             off = out.cuts[i][j].start
-            block = drop(cat, a, c, naive_compose(cat, a, b, c, f[i, l].coeffs,
+            block = drop(cat, a, c, naive_compose(cat, a, b, c, f.entries[i][l].coeffs,
                                                   unit_vector(cat, b, c, k)))
             expected[off : off + len(block)] = block
         assert row == {col: v for col, v in enumerate(expected) if v}
@@ -202,7 +197,7 @@ def test_right_compose_rows_match_naive(name, rng):
         for j, c in enumerate(z.summands):
             off = out.cuts[i][j].start
             block = drop(cat, a, c, naive_compose(cat, a, b, c, unit_vector(cat, a, b, k),
-                                                  g[l, j].coeffs))
+                                                  g.entries[l][j].coeffs))
             expected[off : off + len(block)] = block
         assert row == {col: v for col, v in enumerate(expected) if v}
 
@@ -256,7 +251,7 @@ def test_concat_table_indexes_concatenations(ladder_cat):
             expected = [0] * ladder_cat.dim(a, c)
             for k, v in table[i][j]:
                 expected[k] += v
-            path = ladder_cat.lin_from_path(Path(a, c, p.arrows + q.arrows)).coeffs
+            path = path_lin(ladder_cat, a, c, p.arrows + q.arrows).coeffs
             assert tuple(expected) == drop(ladder_cat, a, c, path)
 
 
@@ -317,7 +312,7 @@ def test_zero_and_identity_match_entries(name, rng):
     x, y = rand_tuple(cat, rng), rand_tuple(cat, rng)
     check_flat(zero_mat(x, y), [[zero_lin(cat, a, b) for b in y.summands] for a in x.summands])
     check_flat(identity_mat(x), [
-        [cat.identity_lin(a) if i == j else zero_lin(cat, a, b)
+        [identity_lin(cat, a) if i == j else zero_lin(cat, a, b)
          for j, b in enumerate(x.summands)]
         for i, a in enumerate(x.summands)])
 
@@ -378,7 +373,7 @@ def test_compose_results_are_canonical(name, rng):
     cat = CATEGORIES[name]
     x, y, z = (rand_tuple(cat, rng) for _ in range(3))
     fg = compose_mat(rand_mat(cat, x, y, rng), rand_mat(cat, y, z, rng))
-    check_flat(fg, grid(fg))
+    check_flat(fg, fg.entries)
 
 
 def check_canonical(f):
@@ -414,10 +409,10 @@ def test_sum_of_canonical_blocks_is_reduced():
     # canonical u is (1, 0); u + u = (2, 0) reduces to -v, i.e. (0, -1)
     skew = _BASE["skew"]
     a, b = TupleObject(skew, ("a",)), TupleObject(skew, ("b",))
-    u = MatMorphism(a, b, ((skew.arrow_lin("u"),),))
+    u = MatMorphism(a, b, ((arrow_lin(skew, "u"),),))
     assert u.blocks == (((1, 0),),)
     assert (u + u).blocks == (((0, -1),),)
-    assert (u + u)[0, 0] == skew.lin("a", "b", (2, 0)) == skew.lin("a", "b", (0, -1))
+    assert (u + u).entries[0][0] == skew.lin("a", "b", (2, 0)) == skew.lin("a", "b", (0, -1))
     assert u.scale(2) == u + u
 
 
@@ -444,3 +439,41 @@ def test_only_quivercat_and_intlinalg_call_canonical_rep():
              for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)}
     assert {name for name, n in calls.items() if n} == {"canonical", "canonical_blocks"}
     assert sum(calls.values()) == text.count("canonical_rep(")
+
+
+def _calls(tree):
+    """(qualified name of the enclosing class or function, called name) for
+    every call in ``tree``; a called attribute counts by its name."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found.append((scope, name, isinstance(func, ast.Attribute)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_path_vectors_cross_only_at_the_json_codec_and_the_harness_names():
+    """Quiver morphisms are coordinate blocks throughout the package: a path
+    vector is built only by ``QuiverCategory.lin``, ``MatMorphism.entries``
+    and the JSON reader, and nothing in the package calls the path-vector
+    adapters (``single``, ``parse_expr_text``, ``lin``), which are kept for
+    the benchmark harness."""
+    package = pathlib.Path(adelcat.__file__).parent
+    builders, adapters = set(), []
+    for path in sorted(package.glob("*.py")):
+        for scope, name, attr in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if name == "LinMorphism":
+                builders.add((path.name, scope))
+            if name in ("single", "parse_expr_text") or attr and name == "lin":
+                adapters.append((path.name, scope, name))
+    assert builders == {("quivercat.py", "QuiverCategory.lin"),
+                        ("addclosure.py", "MatMorphism.entries"), ("provers.py", "_matrix")}
+    assert adapters == []

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from adelcat import evalfunctor
 
-from adelcat.addclosure import MatMorphism, TupleObject, single
+from adelcat.addclosure import MatMorphism, TupleObject, arrow_mat
 from adelcat.adelman import (
     cokernel,
     compose,
     direct_sum_object,
-    emb_lin,
+    emb_morphism,
     emb_vertex,
     identity_morphism,
     is_equal,
@@ -125,7 +125,7 @@ class TestEvalObject:
 
     def test_cokernel_of_multiplication_by_two(self, snake_cat):
         rep = snake_rep(snake_cat, 2, 0, 0)
-        cok = cokernel(emb_lin(snake_cat.arrow_lin("alpha"))).obj
+        cok = cokernel(emb_morphism(arrow_mat(snake_cat, "alpha"))).obj
         gw = eval_object(rep, cok)
         assert gw.invariants() == SmithInvariants((2,), 0)
 
@@ -180,7 +180,7 @@ class TestConnectingChase:
         cat = snake_fig.cat
         for seed in range(6):
             rep = random_representation(cat, seed)
-            ma, mb, mg = (Evaluation(rep).mat(single(cat.arrow_lin(a)))
+            ma, mb, mg = (Evaluation(rep).mat(arrow_mat(cat, a))
                           for a in ("alpha", "beta", "gamma"))
             chased = chase_connecting(ma, mb, mg)
             evaluated = eval_morphism(rep, snake_fig.connecting)
@@ -204,15 +204,15 @@ class TestConnectingChase:
 class TestGroupSideOracle:
     def test_kernel_cokernel_of_multiplication(self, snake_cat):
         rep = snake_rep(snake_cat, 2, 0, 0)
-        m = eval_morphism(rep, emb_lin(snake_cat.arrow_lin("alpha")))
+        m = eval_morphism(rep, emb_morphism(arrow_mat(snake_cat, "alpha")))
         ker_group, _ = group_kernel(m)
         assert ker_group.invariants().reduced() == SmithInvariants((), 0)
         assert group_cokernel(m).invariants().reduced() == SmithInvariants((2,), 0)
 
     def test_homology_of_zero_maps(self, snake_cat):
         rep = snake_rep(snake_cat, 0, 0, 0)
-        m = eval_morphism(rep, emb_lin(snake_cat.arrow_lin("alpha")))
-        m2 = eval_morphism(rep, emb_lin(snake_cat.arrow_lin("beta")))
+        m = eval_morphism(rep, emb_morphism(arrow_mat(snake_cat, "alpha")))
+        m2 = eval_morphism(rep, emb_morphism(arrow_mat(snake_cat, "beta")))
         h = group_homology(m, m2)
         assert h.invariants().reduced() == SmithInvariants((), 1)
 

@@ -121,14 +121,15 @@ class TestPresentationContracts:
 
     def test_ill_defined_datum_rejected(self, five_cat):
         # identity datum of emb(c) into the kernel-style object over zeta*kappa
-        from adelcat.addclosure import compose_mat, single, zero_mat, TupleObject
+        from adelcat.addclosure import (TupleObject, arrow_mat, compose_mat, identity_mat,
+                                        tuple_obj, zero_mat)
         d = AdelObject(
             zero_mat(TupleObject(five_cat, ()), TupleObject(five_cat, ("c",))),
-            compose_mat(*(single(five_cat.arrow_lin(x)) for x in ("zeta", "kappa"))))
+            compose_mat(*(arrow_mat(five_cat, x) for x in ("zeta", "kappa"))))
         src = emb_vertex(five_cat, "c")
         hg = hom_group(src, d)
         with pytest.raises(ValueError):
-            hg.coordinates(single(five_cat.identity_lin("c")))
+            hg.coordinates(identity_mat(tuple_obj(five_cat, "c")))
 
     def test_auxiliary_torsion_freeness_facts(self, snake_cat):
         # the hom groups flanking the connecting pair vanish

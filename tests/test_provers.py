@@ -780,7 +780,7 @@ class TestConstructionMemoScopes:
         def broken(name):
             assert adelman._MEMO.get() == {}
             raise RuntimeError("category unavailable")
-        monkeypatch.setattr(provers, "category_by_name", broken)
+        monkeypatch.setattr(provers, "_session", broken)
         with pytest.raises(RuntimeError):
             explore_d4()
         assert adelman._MEMO.get() is None

@@ -7,8 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from adelcat import intlinalg
-from adelcat.addclosure import (TupleObject, compose_mat, dual_mat, identity_mat, single,
-                                tuple_obj)
+from adelcat.addclosure import (TupleObject, arrow_mat, compose_mat, dual_mat, format_mat,
+                                identity_mat, single, tuple_obj)
 from adelcat.adelman import emb_object, kernel, make_morphism
 from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, lattice_basis
 from adelcat.provers import CATEGORY_TEXTS
@@ -25,12 +25,13 @@ from adelcat.quivercat import (
     Relation,
     RelationError,
     UnknownVertexError,
-    enumerate_paths,
-    format_lin,
+    format_coords,
+    format_signed_sum,
     make_relation,
 )
 
 from conftest import (
+    arrow_lin,
     category_from_text,
     dual_lin,
     kronecker_category,
@@ -81,16 +82,18 @@ class TestQuiverValidation:
 
 
 class TestPathEnumeration:
+    """The path basis of a vertex pair, ``QuiverCategory.paths``."""
+
     def test_disconnected_pair_is_empty(self, snake_cat):
-        assert enumerate_paths(snake_cat.quiver, "b", "a") == ()
+        assert snake_cat.paths("b", "a") == ()
 
     def test_identity_path_at_each_vertex(self, snake_cat):
-        paths = enumerate_paths(snake_cat.quiver, "a", "a")
+        paths = snake_cat.paths("a", "a")
         assert len(paths) == 1
         assert paths[0].arrows == ()
 
     def test_snake_a_to_c(self, snake_cat):
-        paths = enumerate_paths(snake_cat.quiver, "a", "c")
+        paths = snake_cat.paths("a", "c")
         assert [p.arrows for p in paths] == [(0, 1)]
 
     def test_exhaustive_against_brute_force(self):
@@ -102,7 +105,7 @@ class TestPathEnumeration:
             Arrow("s", "c", "d"),
             Arrow("t", "b", "d"),
         ))
-        found = {p.arrows for p in enumerate_paths(q, "a", "d")}
+        found = {p.arrows for p in QuiverCategory(q).paths("a", "d")}
         brute = set()
         for length in range(0, 4):
             for word in itertools.product(range(5), repeat=length):
@@ -125,24 +128,24 @@ class TestPathEnumeration:
             Arrow("s", "c", "d"),
             Arrow("t", "a", "d"),
         ))
-        paths = [p.arrows for p in enumerate_paths(q, "a", "d")]
+        paths = [p.arrows for p in QuiverCategory(q).paths("a", "d")]
         assert paths == [(4,), (0, 2), (1, 3)]
 
     def test_unknown_vertex(self, snake_cat):
         with pytest.raises(UnknownVertexError):
-            enumerate_paths(snake_cat.quiver, "a", "nope")
+            snake_cat.paths("a", "nope")
 
     def test_long_chain_needs_no_recursion(self):
-        q = _chain(3000)
-        (path,) = enumerate_paths(q, "v0", "v2999")
+        cat = QuiverCategory(_chain(3000))
+        (path,) = cat.paths("v0", "v2999")
         assert path.arrows == tuple(range(2999))
-        assert enumerate_paths(q, "v2999", "v0") == ()
+        assert cat.paths("v2999", "v0") == ()
 
     def test_basis_size_is_capped(self):
-        q = _doubled_chain(40)
-        assert len(enumerate_paths(q, "v0", "v13")) == 2 ** 13 <= MAX_PATH_BASIS
+        cat = QuiverCategory(_doubled_chain(40))
+        assert len(cat.paths("v0", "v13")) == 2 ** 13 <= MAX_PATH_BASIS
         with pytest.raises(PathBasisTooLargeError):
-            enumerate_paths(q, "v0", "v39")
+            cat.paths("v0", "v39")
         assert issubclass(PathBasisTooLargeError, QuiverError)
 
 
@@ -233,7 +236,7 @@ class TestLazyHomData:
     def test_kernel_on_long_chain_fills_few_pairs(self):
         cat = QuiverCategory(_chain(1000))
         emb = [emb_object(TupleObject(cat, (v,))) for v in ("v0", "v1")]
-        f = make_morphism(emb[0], emb[1], single(cat.arrow_lin("a0")))
+        f = make_morphism(emb[0], emb[1], arrow_mat(cat, "a0"))
         assert kernel(f).obj is not None
         assert len(cat._paths) <= 4
         assert len(cat._hom) <= 4
@@ -279,22 +282,22 @@ class TestComposition:
     vectors."""
 
     def test_identity_units(self, snake_cat):
-        be = single(snake_cat.arrow_lin("beta"))
+        be = arrow_mat(snake_cat, "beta")
         assert compose_mat(identity_mat(be.source), be) == be
         assert compose_mat(be, identity_mat(be.target)) == be
 
     def test_basis_concatenation(self, snake_cat):
-        al, be = (single(snake_cat.arrow_lin(x)) for x in ("alpha", "beta"))
-        ab = compose_mat(al, be)[0, 0]
-        assert format_lin(ab) == "alpha*beta"
-        assert ab == snake_cat.lin("a", "c", (1,))
+        al, be = (arrow_mat(snake_cat, x) for x in ("alpha", "beta"))
+        ab = compose_mat(al, be)
+        assert format_mat(ab) == "[alpha*beta]"
+        assert ab.entries[0][0] == snake_cat.lin("a", "c", (1,))
 
     def test_relation_kills_composite(self, snake_cat):
-        al, be, ga = (single(snake_cat.arrow_lin(x)) for x in ("alpha", "beta", "gamma"))
+        al, be, ga = (arrow_mat(snake_cat, x) for x in ("alpha", "beta", "gamma"))
         assert compose_mat(compose_mat(al, be), ga).is_zero()
 
     def test_endpoint_mismatch(self, snake_cat):
-        al = single(snake_cat.arrow_lin("alpha"))
+        al = arrow_mat(snake_cat, "alpha")
         with pytest.raises(EndpointError):
             compose_mat(al, al)
 
@@ -311,7 +314,7 @@ class TestComposition:
                 g = _random_lin(cat, b, c, rng)
                 h = _random_lin(cat, c, d, rng)
                 fm, f2m, gm, hm = map(single, (f, f2, g, h))
-                assert compose_mat(fm, gm)[0, 0] == _path_product(cat, f, g)
+                assert compose_mat(fm, gm).entries[0][0] == _path_product(cat, f, g)
                 assert (compose_mat(compose_mat(fm, gm), hm)
                         == compose_mat(fm, compose_mat(gm, hm)))
                 assert compose_mat(fm + f2m, gm) == compose_mat(fm, gm) + compose_mat(f2m, gm)
@@ -338,22 +341,22 @@ class TestEquality:
     comparison of values."""
 
     def test_reflexive(self, snake_cat):
-        al = snake_cat.arrow_lin("alpha")
-        assert al == snake_cat.arrow_lin("alpha")
+        al = arrow_lin(snake_cat, "alpha")
+        assert al == arrow_lin(snake_cat, "alpha")
 
     def test_torsion_identification(self, torsion_cat):
-        x = single(torsion_cat.arrow_lin("x"))
+        x = arrow_mat(torsion_cat, "x")
         assert x == x.scale(3)
         assert x != x.scale(2)
         assert x.scale(2).is_zero()
-        assert x.scale(3)[0, 0] == torsion_cat.lin("a", "b", (3,))
+        assert x.scale(3).entries[0][0] == torsion_cat.lin("a", "b", (3,))
 
     def test_free_hom_set_is_faithful(self, snake_cat):
-        al = snake_cat.arrow_lin("alpha")
+        al = arrow_lin(snake_cat, "alpha")
         assert al != snake_cat.lin("a", "b", (0,))
 
     def test_endpoint_mismatch(self, snake_cat):
-        al, be = (single(snake_cat.arrow_lin(x)) for x in ("alpha", "beta"))
+        al, be = (arrow_mat(snake_cat, x) for x in ("alpha", "beta"))
         assert al != be
         with pytest.raises(EndpointError):
             al - be
@@ -389,23 +392,58 @@ class TestDuality:
             assert dual_lin(dual_lin(f)) == f
 
     def test_dual_antimultiplicative(self, snake_cat):
-        al, be = (single(snake_cat.arrow_lin(x)) for x in ("alpha", "beta"))
+        al, be = (arrow_mat(snake_cat, x) for x in ("alpha", "beta"))
         left = dual_mat(compose_mat(al, be))
         assert left == compose_mat(dual_mat(be), dual_mat(al))
-        assert left[0, 0] == dual_lin(snake_cat.lin("a", "c", (1,)))
+        assert left.entries[0][0] == dual_lin(snake_cat.lin("a", "c", (1,)))
 
     def test_opposite_relations_respected(self, snake_cat):
         op = snake_cat.opposite()
         assert op.hom_group_lin("d", "a").is_trivial()
 
 
-def test_format_lin_round_names(snake_cat):
-    al = snake_cat.arrow_lin("alpha")
-    idb = snake_cat.identity_lin("b")
-    assert format_lin(al) == "alpha"
-    assert format_lin(idb) == "id(b)"
-    assert format_lin(identity_mat(tuple_obj(snake_cat, "b")).scale(-2)[0, 0]) == "-2*id(b)"
-    assert format_lin(snake_cat.lin("a", "b", (0,))) == "0"
+def test_format_coords_round_names(snake_cat):
+    assert format_coords(snake_cat, "a", "b", arrow_mat(snake_cat, "alpha").blocks[0][0]) == "alpha"
+    assert format_mat(identity_mat(tuple_obj(snake_cat, "b"))) == "[id(b)]"
+    assert format_mat(identity_mat(tuple_obj(snake_cat, "b")).scale(-2)) == "[-2*id(b)]"
+    assert format_coords(snake_cat, "a", "b", (0,)) == "0"
+
+
+WITH_RELATIONS = pytest.mark.parametrize("build", [
+    functools.partial(category_from_text, CATEGORY_TEXTS["five"]),
+    ladder_category, torsion_category,
+], ids=["five", "ladder", "torsion"])
+
+
+@WITH_RELATIONS
+def test_arrow_mat_is_the_arrow_path_vector(build):
+    """An arrow's 1x1 morphism, made from its coordinates, is the one its
+    path vector gives through the checking constructor."""
+    cat = build()
+    for arrow in cat.quiver.arrows:
+        assert arrow_mat(cat, arrow.label) == single(arrow_lin(cat, arrow.label))
+    with pytest.raises(QuiverError, match="unknown arrow 'zz'"):
+        arrow_mat(cat, "zz")
+
+
+@WITH_RELATIONS
+def test_format_mat_prints_the_canonical_path_vector(build):
+    """``format_coords`` prints a block from its coordinate paths.  The
+    canonical path vector (``entries``, padded by ``pad``) is zero at every
+    other basis path, so printing it over the whole path basis gives the
+    same text: for every arrow, scaled identity and composite of two
+    arrows."""
+    cat = build()
+    labels = [a.label for a in cat.quiver.arrows]
+    arrows = [arrow_mat(cat, label) for label in labels]
+    fs = arrows + [identity_mat(tuple_obj(cat, v)).scale(3) for v in cat.quiver.vertices]
+    fs += [compose_mat(f, g).scale(-2) for f in arrows for g in arrows if f.target == g.source]
+    for f in fs:
+        lin = f.entries[0][0]
+        by_paths = format_signed_sum(
+            (c, "*".join(labels[k] for k in p.arrows) or f"id({p.source})")
+            for c, p in zip(lin.coeffs, cat.paths(lin.source, lin.target)) if c)
+        assert format_mat(f) == f"[{by_paths}]"
 
 
 class TestRelationChecks:
