@@ -189,8 +189,8 @@ def _morphism(source: AdelObject, target: AdelObject, datum: MatMorphism,
     embeddings), the verified pair (a colift or lift, built after its
     side-condition pair verifies), the verified pairs of ``make_morphism``
     (``decide_homotopy`` re-checks each witness square as the solution of
-    its zero claim), duality (duals) or, in ``homgroups``, one check of a
-    whole Hom group."""
+    its zero claim), duality (duals) or, in ``homgroups``, the square check
+    that ``hom_group`` runs on every generator and ``element`` on its value."""
     f = object.__new__(AdelMorphism)
     vars(f).update(source=source, target=target, datum=datum,
                    rel_witness=rel_witness, corel_witness=corel_witness)

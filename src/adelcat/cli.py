@@ -32,12 +32,18 @@ from .evalfunctor import Representation, check_representation, eval_object
 from .homgroups import hom_group
 from .intlinalg import IntMatrix
 
+# Inputs whose size is a number, not text, are capped before anything is
+# allocated for them: the values of ``sweep --range`` and a representation rank.
+MAX_SWEEP_VALUES = 10_000
+MAX_RANK = 1_000
+
 
 def parse_representation(session: Session, text: str) -> Representation:
     """Text format: ``rank v = n`` and ``matrix arrow = [[..],[..]]`` lines;
     blank lines and ``#`` comments are ignored.  A vertex or arrow outside
-    the quiver, a second line for the same one, a negative rank and a matrix
-    whose shape does not match the ranks are parse errors."""
+    the quiver, a second line for the same one, a negative rank or one above
+    ``MAX_RANK``, and a matrix whose shape does not match the ranks are parse
+    errors."""
     quiver = session.cat.quiver
     known = {"rank": ("vertex", set(quiver.vertices)),
              "matrix": ("arrow", {a.label for a in quiver.arrows})}
@@ -67,6 +73,8 @@ def parse_representation(session: Session, text: str) -> Representation:
                 raise ParseError(f"bad rank value {value!r}", lineno, 1) from None
             if ranks[name] < 0:
                 raise ParseError(f"negative rank for vertex {name!r}", lineno, 1)
+            if ranks[name] > MAX_RANK:
+                raise ParseError(f"rank for vertex {name!r} is above {MAX_RANK}", lineno, 1)
         else:
             try:
                 rows = pyast.literal_eval(value)
@@ -292,13 +300,18 @@ def _cmd_eval(args) -> CommandResult:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """``lo..hi`` with at most ``MAX_SWEEP_VALUES`` values; an empty range
+    passes here and is refused by the sweep."""
     if ".." not in text:
         raise argparse.ArgumentTypeError("range must look like -3..3")
     lo, hi = text.split("..", 1)
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("range must look like -3..3") from None
+    if hi - lo >= MAX_SWEEP_VALUES:
+        raise argparse.ArgumentTypeError(f"range has more than {MAX_SWEEP_VALUES} values")
+    return lo, hi
 
 
 @functools.cache

@@ -14,13 +14,16 @@ presentation is deterministic.
 Every generator keeps the relation and corelation witnesses that the joint
 solution found for it, so generators and their integer combinations are
 built directly as morphisms, without solving for witnesses again.  They are
-still validated, all at once: the witness squares are linear in the stored
-coefficients, so one sparse product gives the residuals of every value, and
-the category's one reduction rule decides whether each residual vanishes.
+still validated: the witness squares are linear in the stored coefficients,
+so one sparse product gives the residuals of every value, and the
+category's one reduction rule decides whether each residual vanishes.
+``hom_group`` checks the squares of every generator before it returns; the
+generator morphisms themselves are built on first read of ``generators``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence, Union
@@ -42,21 +45,27 @@ from .quivercat import EndpointError
 class HomGroupPresentation:
     """Hom(X, Y) with explicit generating morphisms.
 
-    ``group`` presents the quotient on the listed generators; ``basis`` holds
-    the generator data as rows over the flattened coordinates of the
+    ``group`` presents the quotient on the generators; ``basis`` holds the
+    generator data as rows over the flattened coordinates of the
     middle-level Hom space, and the same row of ``witnesses`` the generator's
-    relation and corelation witnesses, flattened and concatenated.
+    relation and corelation witnesses, flattened and concatenated.  Their
+    witness squares were checked by ``hom_group``; the morphisms
+    ``generators`` are built from these rows on first read.
     """
 
     source: AdelObject
     target: AdelObject
     group: FpAbGroup
-    generators: tuple[AdelMorphism, ...]
     basis: IntMatrix
     witnesses: IntMatrix
     # datum, relation and corelation witness spaces, fixed by source and target
     _spaces: tuple[HomBasis, HomBasis, HomBasis] = field(compare=False, repr=False)
     _squares: tuple = field(compare=False, repr=False)  # witness-square map, see ``hom_group``
+
+    @functools.cached_property
+    def generators(self) -> tuple[AdelMorphism, ...]:
+        return tuple(_built(self.source, self.target, self._spaces,
+                            [b + w for b, w in zip(self.basis.entries, self.witnesses.entries)]))
 
     def coordinates(self, f: Union[AdelMorphism, MatMorphism]) -> tuple[int, ...]:
         """Coordinate vector of a morphism datum on the generators.
@@ -80,7 +89,8 @@ class HomGroupPresentation:
         if coords.cols != self.group.ngens:
             raise ValueError(f"expected {self.group.ngens} coordinates")
         vec = (coords * self.basis).entries[0] + (coords * self.witnesses).entries[0]
-        return _morphisms(self.source, self.target, self._spaces, self._squares, [vec])[0]
+        _check_squares(self._squares, [vec])
+        return _built(self.source, self.target, self._spaces, [vec])[0]
 
 
 def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
@@ -135,10 +145,9 @@ def hom_group(x: AdelObject, y: AdelObject) -> HomGroupPresentation:
     kern = left_kernel(vstack(basis, denominator))
     group = FpAbGroup(k, IntMatrix.from_rows([r[:k] for r in kern.entries], cols=k))
 
-    spaces = (hom, h_omega, h_psi)
     squares = (units, eq1, eq2)  # relation square columns before eq1.dim
-    generators = tuple(_morphisms(x, y, spaces, squares, rows))
-    return HomGroupPresentation(x, y, group, generators, basis, witnesses, spaces, squares)
+    _check_squares(squares, rows)
+    return HomGroupPresentation(x, y, group, basis, witnesses, (hom, h_omega, h_psi), squares)
 
 
 def _placed(rows: Sequence[dict[int, int]], at: int, sign: int = 1) -> list[dict[int, int]]:
@@ -146,16 +155,16 @@ def _placed(rows: Sequence[dict[int, int]], at: int, sign: int = 1) -> list[dict
     return [{at + j: sign * v for j, v in row.items()} for row in rows]
 
 
-def _morphisms(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis], squares: tuple,
-               vecs: Sequence[Sequence[int]]) -> list[AdelMorphism]:
-    """The morphisms whose datum, relation witness and corelation witness are
-    the consecutive blocks of each of ``vecs`` over the three ``spaces``, once
-    the residuals of every vector in the two witness squares, whose equation
-    spaces are ``eq1`` and ``eq2``, have been checked.  A residual that is
-    all zero passes; any other must cut into blocks that are zero in their
-    Hom groups.  The residuals are formed from the raw vectors: a block and
-    its canonical form differ by relation-lattice elements, whose residuals
-    are zero in those groups, so the verdict is the same."""
+def _check_squares(squares: tuple, vecs: Sequence[Sequence[int]]) -> None:
+    """Raise ``WitnessError`` unless each of ``vecs``, a datum, relation
+    witness and corelation witness flattened and concatenated, makes both
+    witness squares commute.  ``squares`` holds the residual rows of the
+    coordinates and the squares' equation spaces ``eq1`` and ``eq2``.  A
+    residual that is all zero passes; any other must cut into blocks that
+    are zero in their Hom groups.  The residuals are formed from the raw
+    vectors: a block and its canonical form differ by relation-lattice
+    elements, whose residuals are zero in those groups, so the verdict is
+    the same."""
     rows, eq1, eq2 = squares
     split = eq1.dim
     for vec in vecs:
@@ -172,6 +181,13 @@ def _morphisms(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis], squares
                                       (eq2, flat[split:], "corelation")):
                 if not space.unflatten(part).is_zero():
                     raise WitnessError(f"{name} witness square does not commute")
+
+
+def _built(x: AdelObject, y: AdelObject, spaces: Sequence[HomBasis],
+           vecs: Sequence[Sequence[int]]) -> list[AdelMorphism]:
+    """The morphisms whose datum, relation witness and corelation witness are
+    the consecutive blocks of each of ``vecs`` over the three ``spaces``;
+    the caller has checked their witness squares with ``_check_squares``."""
     bounds = list(accumulate((space.dim for space in spaces), initial=0))
     return [_morphism(x, y, *(space.unflatten(vec[a:b])
                               for space, a, b in zip(spaces, bounds, bounds[1:])))

@@ -607,18 +607,42 @@ class TestLargeInputs:
         assert code == 2
         assert err == "error: more than 10000 paths from 'v0' to 'v14'\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--range", "0..100000000000000000000"],
-        ["eval", "--rep", "{rep}", "--category", "{snake}"],
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--range", "0..100000000000000000000"],
+         "adelcat sweep: error: argument --range: range has more than 10000 values"),
+        (["eval", "--rep", "{rep}", "--category", "{snake}"],
+         "error: 1:1: rank for vertex 'a' is above 1000"),
     ], ids=["sweep", "eval-rank"])
-    def test_oversized_number_exits_two(self, argv, snake_file, tmp_path, capsys):
-        # past the platform's index size: an OverflowError, before any allocation
+    def test_oversized_number_exits_two(self, argv, message, snake_file, tmp_path, capsys):
+        # past the platform's index size, and so past the cap: refused while parsing
         rep = tmp_path / "big.rep"
         rep.write_text("rank a = 99999999999999999999\nrank b = 1\nrank c = 1\nrank d = 1\n")
         code = run_command([arg.format(rep=rep, snake=snake_file) for arg in argv])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: input too large to compute (OverflowError)\n"
+        assert [line for line in err.splitlines() if "error:" in line] == [message]
+        assert "Traceback" not in err
+
+    def test_sweep_range_width_is_capped(self, capsys):
+        assert cli._parse_range("1..10000") == (1, cli.MAX_SWEEP_VALUES)
+        assert cli._parse_range("3..-3") == (3, -3)  # empty: refused by the sweep itself
+        for text in ("0..10000", "0..1000000000", "-1000000000..1000000000"):
+            with pytest.raises(cli.argparse.ArgumentTypeError, match="more than 10000 values"):
+                cli._parse_range(text)
+        assert run_command(["sweep", "--range", "-1000000000..1000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --range: range has more than 10000 values\n")
+
+    def test_representation_rank_is_capped(self, session, snake_file, tmp_path, capsys):
+        ranks = "rank b = 1\nrank c = 1\nrank d = 1\n"
+        rep = parse_representation(session, f"rank a = {cli.MAX_RANK}\n" + ranks)
+        assert rep.matrices["alpha"].shape == (cli.MAX_RANK, 1)
+        with pytest.raises(ParseError, match="above 1000"):
+            parse_representation(session, ranks + "rank a = 1001\n")
+        path = tmp_path / "big.rep"
+        path.write_text(ranks + "rank a = 1000000000\n")
+        assert run_command(["eval", "--rep", str(path), "--category", snake_file]) == 2
+        assert capsys.readouterr().err == "error: 4:1: rank for vertex 'a' is above 1000\n"
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_errors_exit_two(self, exc, snake_file, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from adelcat import addclosure, adelman
+from adelcat import addclosure, adelman, homgroups
 from adelcat.addclosure import HomBasis, left_compose_rows, right_compose_rows
 from adelcat.adelman import (
     AdelMorphism,
@@ -18,7 +18,7 @@ from adelcat.adelman import (
     zero_adel_object,
     zero_morphism,
 )
-from adelcat.homgroups import _morphisms, hom_group
+from adelcat.homgroups import _built, _check_squares, hom_group
 from adelcat.intlinalg import FpAbGroup, IntMatrix, SmithInvariants, lattice_basis, left_kernel
 from adelcat.quivercat import EndpointError
 
@@ -223,6 +223,13 @@ def _verdict(build):
     return None
 
 
+def _checked(hg, vecs):
+    """The morphisms of the flat vectors ``vecs``, once their witness squares
+    pass the check, as ``element`` builds them."""
+    _check_squares(hg._squares, vecs)
+    return _built(hg.source, hg.target, hg._spaces, vecs)
+
+
 def _parts(hg, vec):
     """Datum, relation witness and corelation witness of a flat vector."""
     parts, at = [], 0
@@ -256,12 +263,16 @@ class TestFamilyValidation:
         assert "_squares" not in repr(ladder_groups[0])
 
     def test_two_calls_give_equal_presentations(self, ladder_groups):
-        # the Hom bases are fixed by the endpoints and are not compared
+        # the Hom bases are fixed by the endpoints and are not compared, nor
+        # are the generator morphisms, which only one of the two has built
         for hg in ladder_groups:
+            assert len(hg.generators) == hg.group.ngens
             again = hom_group(hg.source, hg.target)
+            assert "generators" in vars(hg) and "generators" not in vars(again)
             assert again == hg and hash(again) == hash(hg)
             assert again._spaces is not hg._spaces
         assert "_spaces" not in repr(ladder_groups[0])
+        assert "generators" not in repr(ladder_groups[0])
 
     def test_corrupted_rows_are_rejected_exactly_when_the_constructor_rejects(
             self, ladder_groups):
@@ -296,7 +307,7 @@ class TestFamilyValidation:
         rows = [list(b + w) for b, w in zip(hg.basis.entries, hg.witnesses.entries)]
 
         def build(vecs):
-            return lambda: _morphisms(hg.source, hg.target, hg._spaces, hg._squares, vecs)
+            return lambda: _checked(hg, vecs)
         assert _verdict(build(rows)) is None
         for p in range(hg.basis.cols, len(rows[1])):
             bad = [r[:] for r in rows]
@@ -326,14 +337,57 @@ class TestFamilyValidation:
                 for col, v in rel.items():
                     row[at + col] += (k % 3 + 1) * v
             assert row != list(hg.basis.entries[0] + hg.witnesses.entries[0])
-            [built] = _morphisms(hg.source, hg.target, hg._spaces, hg._squares, [row])
+            [built] = _checked(hg, [row])
             assert built == hg.generators[0]
             forged = [row[:p] + [row[p] + 1] + row[p + 1:] for p in range(len(row))]
-            verdicts = [_verdict(lambda v=v: _morphisms(hg.source, hg.target, hg._spaces,
-                                                         hg._squares, [v])) for v in forged]
+            verdicts = [_verdict(lambda v=v: _checked(hg, [v])) for v in forged]
             assert any(verdicts)
             checked += 1
         assert checked >= 3
+
+
+class TestLazyGenerators:
+    """``hom_group`` checks the witness squares of every generator before it
+    returns, and builds the generator morphisms only when ``generators`` is
+    first read."""
+
+    def test_no_generator_is_built_before_the_first_read(self, monkeypatch):
+        built = []
+
+        def counted(x, y, spaces, vecs):
+            built.append(len(vecs))
+            return _built(x, y, spaces, vecs)
+        monkeypatch.setattr(homgroups, "_built", counted)
+        for x, y in _ladder_pairs(53, 4):
+            hg = hom_group(x, y)
+            hg.coordinates(hg.element([1] * hg.group.ngens))
+            assert built == [1] and "generators" not in vars(hg)
+            gens = hg.generators
+            assert built == [1, hg.group.ngens] and len(gens) == hg.group.ngens
+            assert hg.generators is gens and built == [1, hg.group.ngens]
+            built.clear()
+
+    def test_a_corrupted_generator_witness_fails_hom_group_itself(self, monkeypatch):
+        """One witness coefficient of a row of the joint solution's HNF plus
+        1, chosen so that a witness square no longer commutes: ``hom_group``
+        raises ``WitnessError`` itself, before ``generators`` is read."""
+        x, y = next((x, y) for x, y in _ladder_pairs(47, 10) if hom_group(x, y).group.ngens >= 2)
+        hg = hom_group(x, y)
+        row = hg.basis.entries[1] + hg.witnesses.entries[1]
+
+        def bumped(r, p):
+            return r[:p] + (r[p] + 1,) + r[p + 1:]
+        p = next(p for p in range(hg.basis.cols, len(row))
+                 if _verdict(lambda: _check_squares(hg._squares, [bumped(row, p)])))
+        lattice_basis = homgroups.lattice_basis
+
+        def corrupted(m):
+            out = lattice_basis(m)
+            return IntMatrix.from_rows([bumped(r, p) if r == row else r for r in out.entries],
+                                       cols=out.cols)
+        monkeypatch.setattr(homgroups, "lattice_basis", corrupted)
+        with pytest.raises(WitnessError):
+            hom_group(x, y)
 
 
 class TestCoordinatesEndpoints:
