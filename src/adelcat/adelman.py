@@ -24,9 +24,9 @@ are immutable; objects and morphisms keep their hash, and kernel and cokernel
 results their other parts, once built on first read.  Inside one
 ``construction_memo`` scope (one prover call, or one replay, which never
 shares the prover's memo) ``kernel`` and ``cokernel`` run once per argument,
-keyed by identity, ``zero_witness`` once per homotopy system, keyed by
-value, and the replay reader builds each distinct value once, all through
-``scoped_value``.
+keyed by identity (and so ``image``, the kernel of a cokernel projection),
+``zero_witness`` once per homotopy system, keyed by value, and the replay
+reader builds each distinct value once, all through ``scoped_value``.
 """
 
 from __future__ import annotations
@@ -466,7 +466,7 @@ def dualize_morphism(f: AdelMorphism) -> AdelMorphism:
 
 def zero_object_witness(x: AdelObject) -> Optional[WitnessPair]:
     """An object is zero exactly when its identity is null-homotopic."""
-    return zero_witness(x, x, identity_mat(x.middle))
+    return zero_witness(*_identity_zero(x))
 
 
 def is_zero_object(x: AdelObject) -> bool:
@@ -487,14 +487,16 @@ def _difference_zero(f: AdelMorphism, g: AdelMorphism):
     return f.source, f.target, f.datum - g.datum
 
 
+def _identity_zero(x: AdelObject):
+    return x, x, identity_mat(x.middle)
+
+
 def _kernel_zero(f: AdelMorphism):
-    k = kernel(f).obj
-    return k, k, identity_mat(k.middle)
+    return _identity_zero(kernel(f).obj)
 
 
 def _cokernel_zero(f: AdelMorphism):
-    c = cokernel(f).obj
-    return c, c, identity_mat(c.middle)
+    return _identity_zero(cokernel(f).obj)
 
 
 def _composite_zero(f: AdelMorphism, g: AdelMorphism):
@@ -669,32 +671,25 @@ def lift_along_mono(iota: AdelMorphism, tau: AdelMorphism) -> AdelMorphism:
 
 # -- images, homology, connecting morphisms -----------------------------------
 
-@dataclass(frozen=True)
-class ImageResult:
-    obj: AdelObject
-    emb: AdelMorphism            # image -> target, a mono
-    corestriction: AdelMorphism  # source -> image
-    cok_of: CokernelResult       # cokernel the image is the kernel of
-
-
-def image(f: AdelMorphism) -> ImageResult:
-    """Image factorization: the kernel of the cokernel projection, together
-    with the induced map from the source."""
-    ck = cokernel(f)
-    kr = kernel(ck.proj)
-    core = kernel_lift(ck.proj, f, ck.composite_zero_wp)
-    return ImageResult(kr.obj, kr.emb, core, ck)
+def image(f: AdelMorphism) -> KernelResult:
+    """Image of ``f``: the kernel of its cokernel projection, which is the
+    result's ``of``.  The corestriction ``f.source -> obj`` is
+    ``kernel_lift(ck.proj, f, ck.composite_zero_wp)`` for ``ck = cokernel(f)``."""
+    return kernel(cokernel(f).proj)
 
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Homology of a composable pair ``(cok.of, ker.of)``: the image of the
-    composite ``via`` of the kernel embedding and the cokernel projection."""
+    """Homology of a composable pair: the image of the composite ``via`` of
+    the second morphism's kernel embedding and the first one's cokernel
+    projection."""
 
-    obj: AdelObject
-    ker: KernelResult           # of the second morphism
     cok: CokernelResult         # of the first morphism
-    img: ImageResult            # of ``via``: ker(second) -> coker(first); img.obj == obj
+    img: KernelResult           # image of ``via``: ker(second) -> cok.obj
+
+    @property
+    def obj(self) -> AdelObject:
+        return self.img.obj
 
 
 def homology(f: AdelMorphism, g: AdelMorphism) -> HomologyResult:
@@ -702,10 +697,14 @@ def homology(f: AdelMorphism, g: AdelMorphism) -> HomologyResult:
     composite ``f * g`` is not required to vanish."""
     if f.target != g.source:
         raise EndpointError("not a composable pair")
-    kr = kernel(g)
     cr = cokernel(f)
-    img = image(compose(kr.emb, cr.proj))
-    return HomologyResult(img.obj, kr, cr, img)
+    return HomologyResult(cr, image(compose(kernel(g).emb, cr.proj)))
+
+
+def _lift_into(kr: KernelResult, tau: AdelMorphism) -> Optional[AdelMorphism]:
+    """The lift of ``tau`` into the kernel ``kr`` when ``kr.of`` kills it, else None."""
+    wp = is_zero_morphism(compose(tau, kr.of))
+    return None if wp is None else kernel_lift(kr.of, tau, wp)
 
 
 def homology_comparison(h: HomologyResult, w: AdelObject,
@@ -717,12 +716,7 @@ def homology_comparison(h: HomologyResult, w: AdelObject,
     the lift ``w -> h.obj`` is returned, otherwise None.
     """
     theta = make_morphism(w, h.cok.obj, datum_to_cok)
-    if theta is None:
-        return None
-    wp = is_zero_morphism(compose(theta, h.img.cok_of.proj))
-    if wp is None:
-        return None
-    return kernel_lift(h.img.cok_of.proj, theta, wp)
+    return None if theta is None else _lift_into(h.img, theta)
 
 
 def connecting_homomorphism(alpha: MatMorphism, beta: MatMorphism,
@@ -757,9 +751,7 @@ def homology_map(h1: HomologyResult, h2: HomologyResult,
                  vy: AdelMorphism) -> AdelMorphism:
     """Induced map on homology objects for compatible squares over the
     middle morphism ``vy``."""
-    cmap = cokernel_map(h1.cok.of, h2.cok, vy)
-    m = compose(h1.img.emb, cmap)
-    wp = is_zero_morphism(compose(m, h2.img.cok_of.proj))
-    if wp is None:
+    lift = _lift_into(h2.img, compose(h1.img.emb, cokernel_map(h1.cok.of, h2.cok, vy)))
+    if lift is None:
         raise SideConditionError("squares do not induce a homology map")
-    return kernel_lift(h2.img.cok_of.proj, m, wp)
+    return lift

@@ -730,13 +730,14 @@ def prove_refined_five() -> ProofReport:
                           data.bot1, data.bot2)
     _check_composite_zero(checks, "bottom composite iota * kappa is zero", data.bot2, data.bot3)
 
-    def comparison(first, second, w):
+    @functools.cache
+    def comparison(first, second, w):  # the homology of (first, second) and its comparison from w
         h = homology(first, second)
-        return homology_comparison(h, w, identity_mat(h.cok.obj.middle))
+        return h, homology_comparison(h, w, identity_mat(h.cok.obj.middle))
 
     # step 1
     _check_claim(checks, "step 1: homology of the top right pair has the composable-pair form",
-                 "iso", lambda: (comparison(data.top2, data.top3, data.objects["w1"]),),
+                 "iso", lambda: (comparison(data.top2, data.top3, data.objects["w1"])[1],),
                  "H(beta, zeta*kappa) = (b -> c -> h)")
 
     # step 2
@@ -750,17 +751,15 @@ def prove_refined_five() -> ProofReport:
                       data.cok_m3.obj, data.w3)
 
     _check_claim(checks, "step 3: top homology identification", "iso",
-                 lambda: (comparison(data.top1, data.top2, data.objects["wa"]),),
+                 lambda: (comparison(data.top1, data.top2, data.objects["wa"])[1],),
                  "H at emb(b) = (a -> b -> c)")
     _check_claim(checks, "step 3: bottom homology identification", "iso",
-                 lambda: (comparison(data.bot1, data.bot2, data.objects["wb"]),),
+                 lambda: (comparison(data.bot1, data.bot2, data.objects["wb"])[1],),
                  "H at emb(f) = (a -> f -> g)")
 
     def step3_square():
-        h_top = homology(data.top1, data.top2)
-        h_bot = homology(data.bot1, data.bot2)
-        comp_a = homology_comparison(h_top, data.objects["wa"], identity_mat(h_top.cok.obj.middle))
-        comp_b = homology_comparison(h_bot, data.objects["wb"], identity_mat(h_bot.cok.obj.middle))
+        h_top, comp_a = comparison(data.top1, data.top2, data.objects["wa"])
+        h_bot, comp_b = comparison(data.bot1, data.bot2, data.objects["wb"])
         if comp_a is None or comp_b is None:
             return (None,)
         hmap = homology_map(h_top, h_bot, data.eps)

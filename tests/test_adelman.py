@@ -457,8 +457,33 @@ def test_direct_sum_object_middle(snake_fig):
 def test_image_factorization(snake_fig):
     f = snake_fig.eps
     img = image(f)
+    ck = cokernel(f)
+    assert img.of == ck.proj
     assert is_mono(img.emb)
-    assert is_equal(compose(img.corestriction, img.emb), f) is not None
+    corestriction = kernel_lift(ck.proj, f, ck.composite_zero_wp)
+    assert is_equal(compose(corestriction, img.emb), f) is not None
+
+
+def test_image_and_homology_build_no_lift(snake_fig, monkeypatch):
+    lifts = []
+    lift = adelman.kernel_lift
+    monkeypatch.setattr(adelman, "kernel_lift", lambda *args: lifts.append(args) or lift(*args))
+    f, g = snake_fig.alpha, snake_fig.beta
+    image(f)
+    h = homology(f, g)
+    assert lifts == []
+    # the counter sees the lift that a comparison does make
+    assert homology_comparison(h, h.obj, h.img.emb.datum) is not None
+    assert len(lifts) == 1
+
+
+def test_image_is_the_kernel_of_the_cokernel_projection(snake_fig):
+    f, g = snake_fig.alpha, snake_fig.beta
+    with construction_memo():
+        assert image(f) is kernel(cokernel(f).proj)
+        h = homology(f, g)
+        assert h.img.of.source == cokernel(f).obj
+        assert h.obj is h.img.obj
 
 
 def test_objects_and_morphisms_keep_their_field_hash(snake_fig):
