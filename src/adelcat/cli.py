@@ -6,6 +6,13 @@ builds a file's category and evaluates its lines and the arguments.  The
 commands on morphisms are declared once, in ``_ON_MORPHISMS``, and every
 subcommand's handler is set where its parser is declared.
 
+A command reads its ``--category`` file every time, and looks its session
+up by the file's contents: in-process callers of ``run_command`` reuse one
+session, with the Hom data it has filled, for each of the last
+``SESSION_CACHE_SIZE`` category texts.  A text that fails to parse or build
+is not kept.  A one-shot ``adelcat`` process parses and builds its category
+once.
+
 Exit codes: 0 when every verdict is positive, 1 for a negative verdict, 2
 for usage, parse, or precondition errors.  ``--json`` output is byte-stable
 for fixed inputs and seed; wall-clock timings are only attached when
@@ -36,6 +43,8 @@ from .intlinalg import IntMatrix
 # allocated for them: the values of ``sweep --range`` and a representation rank.
 MAX_SWEEP_VALUES = 10_000
 MAX_RANK = 1_000
+# The category texts whose sessions a process keeps (see ``_session_of``).
+SESSION_CACHE_SIZE = 16
 
 
 def parse_representation(session: Session, text: str) -> Representation:
@@ -145,11 +154,19 @@ def _emit(result: CommandResult, args, elapsed: float) -> int:
     return 0 if result.verdict else 1
 
 
+@functools.lru_cache(maxsize=SESSION_CACHE_SIZE)
+def _session_of(text: str) -> Session:
+    """The session of the category text ``text``.  A command's results do
+    not outlive it, and a session fills its Hom data and arrows as pure
+    functions of the text, so a kept session answers as a new one would."""
+    return Session(parse_session(text))
+
+
 def _need_session(args) -> Session:
     if not args.category:
         raise ValueError("this command needs --category FILE")
     with open(args.category, "r", encoding="utf-8") as fh:
-        return Session(parse_session(fh.read()))
+        return _session_of(fh.read())
 
 
 # -- subcommand implementations ----------------------------------------------------
