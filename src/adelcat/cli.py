@@ -6,12 +6,13 @@ builds a file's category and evaluates its lines and the arguments.  The
 commands on morphisms are declared once, in ``_ON_MORPHISMS``, and every
 subcommand's handler is set where its parser is declared.
 
-A command reads its ``--category`` file every time, and looks its session
-up by the file's contents: in-process callers of ``run_command`` reuse one
-session, with the Hom data it has filled, for each of the last
-``SESSION_CACHE_SIZE`` category texts.  A text that fails to parse or build
-is not kept.  A one-shot ``adelcat`` process parses and builds its category
-once.
+``prove`` and ``sweep`` run on the built-in categories and take no
+``--category``.  Any other command reads its ``--category`` file every
+time, and looks its session up by the file's contents: in-process callers
+of ``run_command`` reuse one session, with the Hom data it has filled, for
+each of the last ``SESSION_CACHE_SIZE`` category texts.  A text that fails
+to parse or build is not kept.  A one-shot ``adelcat`` process parses and
+builds its category once.
 
 Exit codes: 0 when every verdict is positive, 1 for a negative verdict, 2
 for usage, parse, or precondition errors.  ``--json`` output is byte-stable
@@ -261,26 +262,29 @@ def _cmd_connecting(args) -> CommandResult:
         ])
 
 
+# lemma -> its prover, called with the connecting scale (only snake reads it)
 _LEMMAS = {
-    "snake": lambda args: provers.prove_snake(args.connecting_scale),
-    "five": lambda args: provers.prove_refined_five(),
-    "uniqueness": lambda args: provers.prove_connecting_uniqueness(),
-    "d4": lambda args: provers.explore_d4(),
+    "snake": lambda scale: provers.prove_snake(scale),
+    "five": lambda _: provers.prove_refined_five(),
+    "uniqueness": lambda _: provers.prove_connecting_uniqueness(),
+    "d4": lambda _: provers.explore_d4(),
 }
 
 
 def _cmd_prove(args) -> CommandResult:
-    name = args.lemma
-    report = _LEMMAS[name](args)
+    name, scale = args.lemma, args.connecting_scale
+    if scale is not None and name != "snake":
+        raise ValueError(f"--connecting-scale applies to prove snake, not to prove {name}")
+    scale = 1 if scale is None else scale
+    report = _LEMMAS[name](scale)
     d = report.to_dict()
     lines = [f"{report.lemma} in category {report.category!r}:"]
     for check in report.checks:
         mark = "ok" if check.verdict else "FAIL"
         lines.append(f"  [{mark}] {check.description}" +
                      (f" ({check.summary})" if check.summary else ""))
-    return CommandResult(
-        "prove", {"lemma": name}, report.overall,
-        d["checks"], lines=lines)
+    inputs = {"lemma": name, **({} if scale == 1 else {"connecting_scale": scale})}
+    return CommandResult("prove", inputs, report.overall, d["checks"], lines=lines)
 
 
 def _cmd_sweep(args) -> CommandResult:
@@ -336,12 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; ``parse_args``
     keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--category", help="category/session file")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=None,
                         help="seed recorded in reports (required with --json)")
     common.add_argument("--timings", action="store_true",
                         help="attach wall-clock timings to the report")
+    on_file = argparse.ArgumentParser(add_help=False, parents=[common])
+    on_file.add_argument("--category", help="category/session file")
 
     parser = argparse.ArgumentParser(
         prog="adelcat",
@@ -350,19 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (shape, _, _) in _ON_MORPHISMS.items():
         operands, object_args, _ = _SHAPES[shape]
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[on_file])
         p.set_defaults(run=_cmd_on_morphisms)
         for operand in operands:
             p.add_argument(operand)
         for arg in object_args:
             p.add_argument(f"--{arg}", nargs=3 if arg == "objects" else None, required=True)
 
-    p = sub.add_parser("hom-group", parents=[common])
+    p = sub.add_parser("hom-group", parents=[on_file])
     p.set_defaults(run=_cmd_hom_group)
     p.add_argument("source")
     p.add_argument("target")
 
-    p = sub.add_parser("connecting", parents=[common])
+    p = sub.add_parser("connecting", parents=[on_file])
     p.set_defaults(run=_cmd_connecting)
     p.add_argument("first")
     p.add_argument("second")
@@ -371,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", parents=[common])
     p.set_defaults(run=_cmd_prove)
     p.add_argument("lemma", choices=list(_LEMMAS))
-    p.add_argument("--connecting-scale", type=int, default=1,
-                   help="mutation hook for the snake connecting arrow")
+    p.add_argument("--connecting-scale", type=int, default=None,
+                   help="mutation hook for the snake connecting arrow (prove snake only)")
 
     p = sub.add_parser("sweep", parents=[common])
     p.set_defaults(run=_cmd_sweep)
     p.add_argument("--range", type=_parse_range, default=(-3, 3))
 
-    p = sub.add_parser("eval", parents=[common])
+    p = sub.add_parser("eval", parents=[on_file])
     p.set_defaults(run=_cmd_eval)
     p.add_argument("--rep", required=True)
     p.add_argument("--object", default=None)

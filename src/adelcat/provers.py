@@ -1,9 +1,12 @@
 """Scripted machine-verification of homological lemmata.
 
-Each prover builds a fixed diagram in the free abelian category over one
+Each prover reads a fixed diagram in the free abelian category over one
 of the built-in ``.cat`` texts, whose ``object`` lines are the presentations
 the diagram's constructions must reproduce, runs the categorical decision
-procedures, and emits a structured report.  Failures never raise; they become report
+procedures, and emits a structured report.  The snake figure and the five
+data are built once per process, beside the session of their text, and are
+read-only; a prover call only decides and certifies its claims, in a
+construction memo of its own.  Failures never raise; they become report
 entries.  Every passing check embeds a certificate (witness pairs, explicit
 objects, invariant data) that ``replay_report`` re-verifies by plain matrix
 arithmetic without redoing any search.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence, Union, get_type_hints
 
 from . import adelman as ad
@@ -357,7 +361,7 @@ class SnakeFigure:
 
     cat: QuiverCategory
     objects: Mapping               # the snake text's object lines, over cat
-    emb: dict
+    emb: Mapping                   # emb(v) for each vertex v, read-only
     alpha: AdelMorphism
     beta: AdelMorphism
     gamma: AdelMorphism
@@ -378,11 +382,13 @@ class SnakeFigure:
     blue5: AdelMorphism            # coker(beta) -> coker(eps), datum gamma
 
 
+@functools.cache
 def build_snake_figure() -> SnakeFigure:
+    """The snake figure, built once per process beside its session."""
     session = _session("snake")
     cat, arrow = session.cat, session.morphism
     al, be, ga = map(session.arrow, ("alpha", "beta", "gamma"))
-    emb = {v: emb_vertex(cat, v) for v in "abcd"}
+    emb = MappingProxyType({v: emb_vertex(cat, v) for v in "abcd"})
 
     alpha, beta, gamma = map(emb_morphism, (al, be, ga))
 
@@ -628,7 +634,9 @@ class FiveData:
     m4: AdelMorphism                  # w2 -> w3, the explicit chain map
 
 
+@functools.cache
 def build_five_data() -> FiveData:
+    """The five data, built once per process beside its session."""
     session = _session("five")
     cat, arrow = session.cat, session.morphism
     m = {a.label: session.arrow(a.label) for a in cat.quiver.arrows}

@@ -59,7 +59,10 @@ def count_constructions(patch=setattr) -> Counter:
 
 @pytest.fixture
 def underlying(monkeypatch):
-    """``count_constructions`` for one test."""
+    """``count_constructions`` for one test, started after the built-in
+    figures are built (once per process), so that it counts the test's own
+    work whichever test ran first."""
+    build_snake_figure(), build_five_data()
     return count_constructions(monkeypatch.setattr)
 
 

@@ -313,6 +313,29 @@ class TestCommands:
         code = run_command(["prove", "snake", "--connecting-scale", "2"])
         assert code == 1
 
+    def test_mutated_snake_json_records_its_scale(self, capsys):
+        # an unscaled run records no scale, so its report stays as before
+        for scale, code, extra in (("2", 1, {"connecting_scale": 2}), ("1", 0, {})):
+            argv = ["prove", "snake", "--connecting-scale", scale, "--json", "--seed", "0"]
+            assert run_command(argv) == code
+            inputs = json.loads(capsys.readouterr().out)["inputs"]
+            assert inputs == {"lemma": "snake", "seed": 0, **extra}
+
+    @pytest.mark.parametrize("lemma", ["five", "uniqueness", "d4"])
+    def test_connecting_scale_of_another_lemma_exits_two(self, lemma, capsys):
+        assert run_command(["prove", lemma, "--connecting-scale", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --connecting-scale applies to prove snake, "
+                                f"not to prove {lemma}\n")
+
+    @pytest.mark.parametrize("argv", [["prove", "snake"], ["sweep"]], ids=["prove", "sweep"])
+    def test_builtin_category_commands_refuse_a_category_file(self, argv, tmp_path, capsys):
+        assert run_command(argv + ["--category", str(tmp_path / "missing.cat")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --category" in captured.err
+
     def test_hom_group_dowker(self, snake_file, capsys):
         code = run_command(["hom-group", "K", "C", "--category", snake_file,
                             "--json", "--seed", "0"])

@@ -92,9 +92,9 @@ class TestSweep:
 
     def test_sweep_builds_each_scaled_morphism_once(self, underlying):
         # the closed-form checks at s = -1, +1 reuse the kernels of the
-        # claims (13 runs when each built its own scaled morphism)
+        # claims (9 runs when each built its own scaled morphism)
         sweep(range(-3, 4))
-        assert underlying["KernelResult"] == 11
+        assert underlying["KernelResult"] == 7
 
     def test_explicit_witness_fails_elsewhere(self, snake_fig):
         for s in (-2, 0, 2, 3):
@@ -235,10 +235,11 @@ class TestReplay:
         assert provers._session.cache_info().currsize == cached
 
     def test_figure_objects_are_read_only(self, snake_fig, five_data):
-        for objects in (snake_fig.objects, five_data.objects, provers._session("snake").lets):
+        for objects in (snake_fig.objects, snake_fig.emb, five_data.objects,
+                        provers._session("snake").lets):
             with pytest.raises(TypeError):
                 objects["K"] = snake_fig.ker_eps.obj
-        assert "K" not in five_data.objects
+        assert "K" not in five_data.objects and "K" not in snake_fig.emb
 
     def test_replay_after_the_prover_runs_what_it_runs_alone(self, underlying):
         # the built-in category is shared, the proof state is not: replay
@@ -248,13 +249,16 @@ class TestReplay:
         assert replay_report(report)
         after_prover = dict(underlying)
         assert min(after_prover.values()) > 0
-        paths = (Path(provers.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            str(p) for p in (*paths, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-c", _COUNTED_REPLAY], input=json.dumps(report),
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == after_prover
+        assert _in_a_new_process(_COUNTED_REPLAY, json.dumps(report)) == after_prover
+
+    def test_shared_figure_keeps_no_proof_state(self):
+        # the snake figure is built once per process; a mutated run and a
+        # sweep over it leave the next report as a new process makes it
+        assert provers.build_snake_figure() is provers.build_snake_figure()
+        prove_snake(connecting_scale=2)
+        sweep(range(-3, 4))
+        report = prove_snake().to_dict()
+        assert _in_a_new_process(_FRESH_SNAKE) == json.loads(json.dumps(report))
 
     @pytest.mark.parametrize("report, message", [
         ({}, "no category name"),
@@ -326,6 +330,25 @@ counts = count_constructions()
 assert provers.replay_report(json.load(sys.stdin))
 print(json.dumps(counts))
 """
+
+# The snake report of a new process.
+_FRESH_SNAKE = """
+import json
+from adelcat import provers
+print(json.dumps(provers.prove_snake().to_dict()))
+"""
+
+
+def _in_a_new_process(script: str, stdin: str = ""):
+    """The JSON that ``script`` prints, run in a new interpreter that
+    imports this checkout and these tests."""
+    paths = (Path(provers.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        str(p) for p in (*paths, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], input=stdin,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 @pytest.fixture(scope="module")
@@ -767,12 +790,13 @@ class TestConstructionMemoScopes:
         assert underlying == {"KernelResult": 12, "CokernelResult": 12, "decide_homotopy": 18}
 
     @pytest.mark.parametrize("run, systems", [
-        (prove_snake, 47), (prove_refined_five, 37), (prove_connecting_uniqueness, 26),
+        (prove_snake, 38), (prove_refined_five, 27), (prove_connecting_uniqueness, 15),
         (explore_d4, 18),
     ], ids=["snake", "five", "uniqueness", "d4"])
     def test_witness_squares_share_the_zero_memo(self, run, systems, underlying):
         # make_morphism states its witness squares as zero claims, so the
-        # memo solves each homotopy system of a prover run once
+        # memo solves each homotopy system of a prover run once; the figures
+        # are built before counting, so this counts the run's own claims
         run()
         assert underlying["decide_homotopy"] == systems
 
@@ -809,10 +833,19 @@ _TRUSTED_RUNS = {
 }
 
 
+def _rebuild_figures():
+    """Drop the figures that ``build_snake_figure`` and ``build_five_data``
+    keep, so that the next prover runs build them."""
+    provers.build_snake_figure.cache_clear()
+    provers.build_five_data.cache_clear()
+
+
 def _trusted_results(pairs):
     """Every prover report, the Hom groups of the ladder ``pairs`` with one
     element of each, and the zero tests of that element's kernel and
-    cokernel objects."""
+    cokernel objects.  The built-in figures are built again, under whatever
+    the caller has patched."""
+    _rebuild_figures()
     reports = {name: run().to_dict() for name, run in _TRUSTED_RUNS.items()}
     groups = [hom_group(x, y) for x, y in pairs]
     elements = [(hg, hg.element(range(1, hg.group.ngens + 1))) for hg in groups]
@@ -876,6 +909,7 @@ class TestProbeRefutation:
         # every homotopy system of the provers is below the size gate
         gated = []
         monkeypatch.setattr(addclosure, "_probe_refutes", lambda *a: gated.append(a) or False)
+        _rebuild_figures()
         for run in _TRUSTED_RUNS.values():
             run()
         assert not gated
