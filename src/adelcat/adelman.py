@@ -20,13 +20,12 @@ constructor, ``make_morphism``, the replay reader, a Hom group's family
 check); ``_morphism`` builds what is derived from checked morphisms.
 
 Sign conventions follow the matrices with the fewest minus signs.  Values
-are immutable; objects and morphisms keep their hash, and kernel and cokernel
-results their other parts, once built on first read.  Inside one
-``construction_memo`` scope (one prover call, or one replay, which never
-shares the prover's memo) ``kernel`` and ``cokernel`` run once per argument,
-keyed by identity (and so ``image``, the kernel of a cokernel projection),
-``zero_witness`` once per homotopy system, keyed by value, and the replay
-reader builds each distinct value once, all through ``scoped_value``.
+are immutable; objects and morphisms keep their hash, a morphism its kernel
+and cokernel (and so its image, the kernel of its cokernel projection), and
+kernel and cokernel results their other parts, once built on first read.
+The one step that searches, the homotopy decision ``zero_witness``, runs
+once per homotopy system, keyed by value, inside one ``construction_memo``
+scope (one prover call); no decision is kept beyond its scope.
 """
 
 from __future__ import annotations
@@ -275,7 +274,8 @@ _MEMO: ContextVar[Optional[dict]] = ContextVar("adelman_memo", default=None)
 
 @contextmanager
 def construction_memo():
-    """Scope (a decorator, once called) with an empty memo; restores the enclosing one."""
+    """Scope (a decorator, once called) in which ``zero_witness`` decides each
+    homotopy system once; restores the enclosing scope."""
     token = _MEMO.set({})
     try:
         yield
@@ -283,42 +283,22 @@ def construction_memo():
         _MEMO.reset(token)
 
 
-def scoped_value(key, build):
-    """Inside a scope, the value stored under ``key``, built by ``build()``
-    on the first lookup; outside one, ``build()``.  A build that raises
-    stores nothing."""
-    memo = _MEMO.get()
-    if memo is None:
-        return build()
-    try:
-        return memo[key]
-    except KeyError:
-        value = memo[key] = build()
-        return value
-
-
-def _memoised(key):
-    """Inside a scope, look a call up by ``key(*args)`` first.  An entry keeps
-    its arguments alive, so no identity key is reused while the scope lasts."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def memoised(*args):
-            return scoped_value((fn, key(*args)), lambda: (args, fn(*args)))[1]
-        return memoised
-    return decorate
-
-
 # -- equality and the zero test ---------------------------------------------
 
-@_memoised(lambda source, target, datum: (datum, target.rel, source.corel))
 def zero_witness(source: AdelObject, target: AdelObject,
                  datum: MatMorphism) -> Optional[WitnessPair]:
     """Witness pair for a datum being null-homotopic between two objects, or
-    None when it is not."""
-    found = decide_homotopy(datum, target.rel, source.corel)
-    if found is None:
-        return None
-    return WitnessPair(*found)
+    None when it is not.  Inside a ``construction_memo`` scope each homotopy
+    system is decided once; a decision that raises stores nothing."""
+    key = (datum, target.rel, source.corel)
+    memo = _MEMO.get()
+    if memo is not None and key in memo:
+        return memo[key]
+    found = decide_homotopy(*key)
+    wp = None if found is None else WitnessPair(*found)
+    if memo is not None:
+        memo[key] = wp
+    return wp
 
 
 def make_morphism(source: AdelObject, target: AdelObject,
@@ -395,14 +375,17 @@ class KernelResult:
                            from_blocks([a.corel_target, b.middle], [b.middle], [[0], [1]]))
 
 
-@_memoised(id)
 def cokernel(f: AdelMorphism) -> CokernelResult:
-    """Cokernel of ``f``, built on explicit block matrices."""
-    a, b = f.source, f.target
-    mid = [b.middle, a.corel_target]
-    return CokernelResult(f, AdelObject(
-        from_blocks([b.rel_source, a.middle], mid, [[b.rel, 0], [f.datum, a.corel]]),
-        from_blocks(mid, [b.corel_target, a.corel_target], [[b.corel, 0], [0, 1]])))
+    """Cokernel of ``f``, built on explicit block matrices once per morphism
+    object and kept in its instance dict, as its hash."""
+    kept = vars(f).get("_cokernel")
+    if kept is None:  # setdefault: threads that build at once return one result
+        a, b = f.source, f.target
+        mid = [b.middle, a.corel_target]
+        kept = vars(f).setdefault("_cokernel", CokernelResult(f, AdelObject(
+            from_blocks([b.rel_source, a.middle], mid, [[b.rel, 0], [f.datum, a.corel]]),
+            from_blocks(mid, [b.corel_target, a.corel_target], [[b.corel, 0], [0, 1]]))))
+    return kept
 
 
 def cokernel_colift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> AdelMorphism:
@@ -420,14 +403,17 @@ def cokernel_colift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> Adel
     return _morphism(cokernel(f).obj, t, datum, omega, psi)
 
 
-@_memoised(id)
 def kernel(f: AdelMorphism) -> KernelResult:
-    """Kernel of ``f``; the exact dual of the cokernel construction."""
-    a, b = f.source, f.target
-    mid = [a.middle, b.rel_source]
-    return KernelResult(f, AdelObject(
-        from_blocks([a.rel_source, b.rel_source], mid, [[a.rel, 0], [0, 1]]),
-        from_blocks(mid, [a.corel_target, b.middle], [[a.corel, f.datum], [0, b.rel]])))
+    """Kernel of ``f``; the exact dual of the cokernel construction, and kept
+    on ``f`` as it is."""
+    kept = vars(f).get("_kernel")
+    if kept is None:
+        a, b = f.source, f.target
+        mid = [a.middle, b.rel_source]
+        kept = vars(f).setdefault("_kernel", KernelResult(f, AdelObject(
+            from_blocks([a.rel_source, b.rel_source], mid, [[a.rel, 0], [0, 1]]),
+            from_blocks(mid, [a.corel_target, b.middle], [[a.corel, f.datum], [0, b.rel]]))))
+    return kept
 
 
 def kernel_lift(f: AdelMorphism, tau: AdelMorphism, wp: WitnessPair) -> AdelMorphism:

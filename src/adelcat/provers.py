@@ -5,18 +5,21 @@ of the built-in ``.cat`` texts, whose ``object`` lines are the presentations
 the diagram's constructions must reproduce, runs the categorical decision
 procedures, and emits a structured report.  The snake figure and the five
 data are built once per process, beside the session of their text, and are
-read-only; a prover call only decides and certifies its claims, in a
-construction memo of its own.  Failures never raise; they become report
-entries.  Every passing check embeds a certificate (witness pairs, explicit
-objects, invariant data) that ``replay_report`` re-verifies by plain matrix
+read-only arrows; their kernels and cokernels are kept on the arrows.  A
+prover call only decides and certifies its claims, and decides each
+homotopy system once, in a ``construction_memo`` of its own that no other
+call sees.  Failures never raise; they become report entries.  Every
+passing check embeds a certificate (witness pairs, explicit objects,
+invariant data) that ``replay_report`` re-verifies by plain matrix
 arithmetic without redoing any search.
 
 Zero morphisms, equality, mono, epi, iso and exactness are decided by
 ``adelman.CLAIMS``; this module only formats them.  A claim's certificate
 carries its morphisms and one witness pair per part, found by search or
 written down in closed form, and replay rebuilds from the morphisms what
-each part declares null-homotopic.  One replay reads each distinct value
-once: equal copies in its certificates become one instance, validated once.
+each part declares null-homotopic, and decides nothing.  One replay reads
+each distinct value once, through a table that lives for the replay: equal
+copies in its certificates become one instance, validated once.
 """
 
 from __future__ import annotations
@@ -205,19 +208,29 @@ def from_json(cat: QuiverCategory, kind: type, data):
     ``data``, built by its validating constructor.  A missing field raises
     ``KeyError``, a field of another JSON type (a coefficient must be exactly
     an int) ``TypeError``, and a grid of the wrong shape ``ValueError``.
+    Each call reads with a table of its own (see ``_read``)."""
+    return _read(cat, kind, data, {})
 
-    Inside a ``construction_memo`` scope (one ``replay_report`` call) each
-    distinct value is built once, so equal copies are one instance: a matrix
-    morphism is keyed by its category and its type-checked fields, any other
-    value by its already-read fields.  A read that raises stores nothing."""
+
+def _read(cat: QuiverCategory, kind: type, data, table: dict):
+    """``from_json`` that builds each distinct value once per ``table``, so
+    equal copies are one instance: a matrix morphism is keyed by its
+    type-checked fields, any other value by its already-read fields.  A
+    table holds the values of one category, and a read that raises stores
+    nothing."""
     if kind is not MatMorphism:
-        parts = tuple([from_json(cat, t, data[name]) for name, t in _FIELDS[kind].items()])
-        return ad.scoped_value((kind, parts), lambda: kind(*parts))
-    src, tgt = _list_of(data["source"], str), _list_of(data["target"], str)
-    grid = tuple([tuple([_list_of(block, int) for block in _typed(row, list)])
-                  for row in _typed(data["entries"], list)])
-    return ad.scoped_value((MatMorphism, cat, src, tgt, grid),
-                           lambda: _matrix(cat, src, tgt, grid))
+        parts = tuple([_read(cat, t, data[name], table) for name, t in _FIELDS[kind].items()])
+        key, build = (kind, parts), lambda: kind(*parts)
+    else:
+        src, tgt = _list_of(data["source"], str), _list_of(data["target"], str)
+        grid = tuple([tuple([_list_of(block, int) for block in _typed(row, list)])
+                      for row in _typed(data["entries"], list)])
+        key, build = (MatMorphism, src, tgt, grid), lambda: _matrix(cat, src, tgt, grid)
+    try:
+        return table[key]
+    except KeyError:
+        value = table[key] = build()
+        return value
 
 
 def _matrix(cat: QuiverCategory, src: tuple, tgt: tuple, grid: tuple) -> MatMorphism:
@@ -258,15 +271,21 @@ def invariants_certificate(group, factors, free_rank) -> dict:
 def verify_certificate(cat: QuiverCategory, cert: dict) -> bool:
     """Re-check one certificate by direct matrix arithmetic (no search).  A
     missing or mistyped field fails the certificate; an unknown kind raises."""
+    return _verify(cat, cert, {})
+
+
+def _verify(cat: QuiverCategory, cert: dict, table: dict) -> bool:
+    """``verify_certificate``, reading through ``table`` (see ``_read``)."""
     try:
         kind = cert["kind"]
         if kind == "structural":
-            return from_json(cat, AdelObject, cert["left"]) == from_json(cat, AdelObject, cert["right"])
+            return (_read(cat, AdelObject, cert["left"], table)
+                    == _read(cat, AdelObject, cert["right"], table))
         if kind in ad.CLAIMS:
             names, parts = ad.CLAIMS[kind]
-            fs = [from_json(cat, AdelMorphism, cert[name]) for name in names]
+            fs = [_read(cat, AdelMorphism, cert[name], table) for name in names]
             return ad.claim_verifies(
-                kind, fs, {key: from_json(cat, WitnessPair, cert[key]) for key, _ in parts})
+                kind, fs, {key: _read(cat, WitnessPair, cert[key], table) for key, _ in parts})
         if kind == "invariants":
             ngens = _typed(cert["ngens"], int)
             relations = [_list_of(row, int) for row in _typed(cert["relations"], list)]
@@ -278,14 +297,14 @@ def verify_certificate(cat: QuiverCategory, cert: dict) -> bool:
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
-@ad.construction_memo()
 def replay_report(report: dict) -> bool:
     """Re-verify every embedded certificate of a serialized report.
 
     Passing checks must carry a valid certificate; failing checks carry none
     and are left alone.  Returns True when all certificates verify.  A
     report without a category name, a nonempty list of checks, or a boolean
-    verdict in each check is malformed and raises ``ValueError``.
+    verdict in each check is malformed and raises ``ValueError``.  The
+    certificates are read through one table that lives for this call.
     """
     if not isinstance(report, dict) or not isinstance(report.get("category"), str):
         raise ValueError("malformed report: no category name")
@@ -297,10 +316,11 @@ def replay_report(report: dict) -> bool:
         if not isinstance(check, dict) or not isinstance(check.get("verdict"), bool):
             raise ValueError(f"malformed report: check {i} has no boolean verdict")
     cat = category_by_name(report["category"])
+    table: dict = {}
     for check in report["checks"]:
         cert = check.get("certificate")
         if check["verdict"] and cert is not None:
-            if not verify_certificate(cat, cert):
+            if not _verify(cat, cert, table):
                 return False
     return True
 
@@ -357,7 +377,9 @@ def _check_composite_zero(checks: _Checks, description: str, f: AdelMorphism,
 
 @dataclass(frozen=True)
 class SnakeFigure:
-    """All objects and arrows of the universal snake diagram."""
+    """All arrows of the universal snake diagram; the kernels and cokernels
+    of the diagram are those of its arrows (K is ``kernel(eps)``, C is
+    ``cokernel(delta)``), kept on each arrow."""
 
     cat: QuiverCategory
     objects: Mapping               # the snake text's object lines, over cat
@@ -365,16 +387,8 @@ class SnakeFigure:
     alpha: AdelMorphism
     beta: AdelMorphism
     gamma: AdelMorphism
-    coka: "ad.CokernelResult"      # cokernel of alpha
     eps: AdelMorphism              # coker(alpha) -> emb(d)
-    ker_eps: "ad.KernelResult"     # K, the connecting source
-    ker_gamma: "ad.KernelResult"   # kernel of gamma
     delta: AdelMorphism            # emb(a) -> ker(gamma)
-    cok_delta: "ad.CokernelResult" # C, the connecting target
-    ker_beta: "ad.KernelResult"
-    ker_delta: "ad.KernelResult"
-    cok_beta: "ad.CokernelResult"
-    cok_eps: "ad.CokernelResult"
     blue1: AdelMorphism            # ker(delta) -> ker(beta), datum alpha
     blue2: AdelMorphism            # ker(beta) -> K, datum id_b
     connecting: AdelMorphism       # K -> C, datum beta
@@ -391,28 +405,17 @@ def build_snake_figure() -> SnakeFigure:
     emb = MappingProxyType({v: emb_vertex(cat, v) for v in "abcd"})
 
     alpha, beta, gamma = map(emb_morphism, (al, be, ga))
+    eps = arrow("beta*gamma", cokernel(alpha).obj, emb["d"])
+    delta = arrow("alpha*beta", emb["a"], kernel(gamma).obj)
 
-    coka = cokernel(alpha)
-    eps = arrow("beta*gamma", coka.obj, emb["d"])
-    ker_eps = kernel(eps)
-    ker_gamma = kernel(gamma)
-    delta = arrow("alpha*beta", emb["a"], ker_gamma.obj)
-    cok_delta = cokernel(delta)
-    ker_beta = kernel(beta)
-    ker_delta = kernel(delta)
-    cok_beta = cokernel(beta)
-    cok_eps = cokernel(eps)
-
-    blue1 = arrow("alpha", ker_delta.obj, ker_beta.obj)
-    blue2 = arrow("id(b)", ker_beta.obj, ker_eps.obj)
+    blue1 = arrow("alpha", kernel(delta).obj, kernel(beta).obj)
+    blue2 = arrow("id(b)", kernel(beta).obj, kernel(eps).obj)
     connecting = connecting_homomorphism(al, be, ga)
-    blue4 = arrow("id(c)", cok_delta.obj, cok_beta.obj)
-    blue5 = arrow("gamma", cok_beta.obj, cok_eps.obj)
+    blue4 = arrow("id(c)", cokernel(delta).obj, cokernel(beta).obj)
+    blue5 = arrow("gamma", cokernel(beta).obj, cokernel(eps).obj)
 
-    return SnakeFigure(cat, session.objects, emb, alpha, beta, gamma, coka, eps, ker_eps,
-                       ker_gamma, delta, cok_delta, ker_beta, ker_delta,
-                       cok_beta, cok_eps, blue1, blue2, connecting, blue4,
-                       blue5)
+    return SnakeFigure(cat, session.objects, emb, alpha, beta, gamma, eps, delta,
+                       blue1, blue2, connecting, blue4, blue5)
 
 
 @ad.construction_memo()
@@ -431,14 +434,14 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
     checks = _Checks()
 
     constructed = {
-        "coker(alpha)": fig.coka.obj,
-        "K": fig.ker_eps.obj,
-        "ker(gamma)": fig.ker_gamma.obj,
-        "C": fig.cok_delta.obj,
-        "ker(beta)": fig.ker_beta.obj,
-        "ker(delta)": fig.ker_delta.obj,
-        "coker(beta)": fig.cok_beta.obj,
-        "coker(eps)": fig.cok_eps.obj,
+        "coker(alpha)": cokernel(fig.alpha).obj,
+        "K": kernel(fig.eps).obj,
+        "ker(gamma)": kernel(fig.gamma).obj,
+        "C": cokernel(fig.delta).obj,
+        "ker(beta)": kernel(fig.beta).obj,
+        "ker(delta)": kernel(fig.delta).obj,
+        "coker(beta)": cokernel(fig.beta).obj,
+        "coker(eps)": cokernel(fig.eps).obj,
     }
     for name, obj in constructed.items():
         # .cat names are identifiers: coker(alpha) is the text's coker_alpha
@@ -446,17 +449,19 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
                           obj, fig.objects[name.replace("(", "_").rstrip(")")])
 
     _check_square(checks, "square ker(delta) -> ker(beta) -> emb(b) commutes",
-                  fig.blue1, fig.ker_beta.emb, fig.ker_delta.emb, fig.alpha)
+                  fig.blue1, kernel(fig.beta).emb, kernel(fig.delta).emb, fig.alpha)
     _check_square(checks, "square ker(beta) -> K -> coker(alpha) commutes",
-                  fig.blue2, fig.ker_eps.emb, fig.ker_beta.emb, fig.coka.proj)
+                  fig.blue2, kernel(fig.eps).emb,
+                  kernel(fig.beta).emb, cokernel(fig.alpha).proj)
     _check_square(checks, "square emb(a) -> emb(b) -> emb(c) commutes",
-                  fig.alpha, fig.beta, fig.delta, fig.ker_gamma.emb)
+                  fig.alpha, fig.beta, fig.delta, kernel(fig.gamma).emb)
     _check_square(checks, "square emb(b) -> coker(alpha) -> emb(d) commutes",
-                  fig.coka.proj, fig.eps, fig.beta, fig.gamma)
+                  cokernel(fig.alpha).proj, fig.eps, fig.beta, fig.gamma)
     _check_square(checks, "square ker(gamma) -> C -> coker(beta) commutes",
-                  fig.cok_delta.proj, fig.blue4, fig.ker_gamma.emb, fig.cok_beta.proj)
+                  cokernel(fig.delta).proj, fig.blue4,
+                  kernel(fig.gamma).emb, cokernel(fig.beta).proj)
     _check_square(checks, "square emb(c) -> emb(d) -> coker(eps) commutes",
-                  fig.gamma, fig.cok_eps.proj, fig.cok_beta.proj, fig.blue5)
+                  fig.gamma, cokernel(fig.eps).proj, cokernel(fig.beta).proj, fig.blue5)
 
     def exact(description, f, g):
         _check_claim(checks, description, "exact", lambda: (f, g))
@@ -470,23 +475,23 @@ def prove_snake(connecting_scale: int = 1) -> ProofReport:
     def exact_at_start(description, g):
         _check_claim(checks, description, "mono", lambda: (g,))
 
-    exact("top row exact at emb(b)", fig.alpha, fig.coka.proj)
-    exact_at_end("top row exact at coker(alpha)", fig.coka.proj)
-    exact_at_start("bottom row exact at ker(gamma)", fig.ker_gamma.emb)
-    exact("bottom row exact at emb(c)", fig.ker_gamma.emb, fig.gamma)
+    exact("top row exact at emb(b)", fig.alpha, cokernel(fig.alpha).proj)
+    exact_at_end("top row exact at coker(alpha)", cokernel(fig.alpha).proj)
+    exact_at_start("bottom row exact at ker(gamma)", kernel(fig.gamma).emb)
+    exact("bottom row exact at emb(c)", kernel(fig.gamma).emb, fig.gamma)
 
-    exact_at_start("first column exact at ker(delta)", fig.ker_delta.emb)
-    exact("first column exact at emb(a)", fig.ker_delta.emb, fig.delta)
-    exact("first column exact at ker(gamma)", fig.delta, fig.cok_delta.proj)
-    exact_at_end("first column exact at C", fig.cok_delta.proj)
-    exact_at_start("middle column exact at ker(beta)", fig.ker_beta.emb)
-    exact("middle column exact at emb(b)", fig.ker_beta.emb, fig.beta)
-    exact("middle column exact at emb(c)", fig.beta, fig.cok_beta.proj)
-    exact_at_end("middle column exact at coker(beta)", fig.cok_beta.proj)
-    exact_at_start("last column exact at K", fig.ker_eps.emb)
-    exact("last column exact at coker(alpha)", fig.ker_eps.emb, fig.eps)
-    exact("last column exact at emb(d)", fig.eps, fig.cok_eps.proj)
-    exact_at_end("last column exact at coker(eps)", fig.cok_eps.proj)
+    exact_at_start("first column exact at ker(delta)", kernel(fig.delta).emb)
+    exact("first column exact at emb(a)", kernel(fig.delta).emb, fig.delta)
+    exact("first column exact at ker(gamma)", fig.delta, cokernel(fig.delta).proj)
+    exact_at_end("first column exact at C", cokernel(fig.delta).proj)
+    exact_at_start("middle column exact at ker(beta)", kernel(fig.beta).emb)
+    exact("middle column exact at emb(b)", kernel(fig.beta).emb, fig.beta)
+    exact("middle column exact at emb(c)", fig.beta, cokernel(fig.beta).proj)
+    exact_at_end("middle column exact at coker(beta)", cokernel(fig.beta).proj)
+    exact_at_start("last column exact at K", kernel(fig.eps).emb)
+    exact("last column exact at coker(alpha)", kernel(fig.eps).emb, fig.eps)
+    exact("last column exact at emb(d)", fig.eps, cokernel(fig.eps).proj)
+    exact_at_end("last column exact at coker(eps)", cokernel(fig.eps).proj)
 
     _check_composite_zero(checks, "blue composite ker(delta) -> ker(beta) -> K is zero",
                           fig.blue1, fig.blue2)
@@ -540,7 +545,7 @@ def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool
     for s in s_values:
         expect = s in (-1, 1)
         results[s] = None
-        # one scaled morphism per s, so the kernel memo serves both checks
+        # one scaled morphism per s, so both checks read the kernel kept on it
         conn_s = fig.connecting.scale(s)
 
         def exact_thunk(s=s, expect=expect, conn_s=conn_s):
@@ -569,7 +574,7 @@ def prove_connecting_uniqueness() -> ProofReport:
     cat = fig.cat
     checks = _Checks()
 
-    hg = homgroups.hom_group(fig.ker_eps.obj, fig.cok_delta.obj)
+    hg = homgroups.hom_group(kernel(fig.eps).obj, cokernel(fig.delta).obj)
     inv = hg.group.invariants().reduced()
 
     def inv_thunk():
@@ -613,8 +618,8 @@ class FiveData:
 
     cat: QuiverCategory
     objects: Mapping                  # the five text's object lines (E, D, w1, wa, wb), over cat
-    cok_lambda: "ad.CokernelResult"   # E and delta = its projection
-    ker_mu: "ad.KernelResult"         # D and eta = its embedding
+    lam: AdelMorphism                 # emb(i) -> emb(a); cokernel E, projection delta
+    mu: AdelMorphism                  # emb(h) -> emb(j); kernel D, embedding eta
     top1: AdelMorphism                # emb(a) -> emb(b), alpha
     top2: AdelMorphism                # emb(b) -> emb(c), beta
     top3: AdelMorphism                # emb(c) -> D, zeta*kappa
@@ -627,10 +632,8 @@ class FiveData:
     w3: AdelObject                    # step 3 explicit object
     m21: AdelMorphism                 # ker(eps) -> ker(zeta)
     m22: AdelMorphism                 # ker(zeta) -> w1
-    nu: AdelMorphism                  # coker(m21) -> w1 colift
-    step2_kernel: "ad.KernelResult"   # kernel of nu; its object must be w2
-    m3: AdelMorphism                  # wa -> wb, datum epsilon
-    cok_m3: "ad.CokernelResult"       # its cokernel; object must be w3
+    nu: AdelMorphism                  # coker(m21) -> w1 colift; its kernel object must be w2
+    m3: AdelMorphism                  # wa -> wb, datum epsilon; its cokernel object must be w3
     m4: AdelMorphism                  # w2 -> w3, the explicit chain map
 
 
@@ -642,27 +645,24 @@ def build_five_data() -> FiveData:
     m = {a.label: session.arrow(a.label) for a in cat.quiver.arrows}
     emb = {v: emb_vertex(cat, v) for v in "iabcfghj"}
 
-    cok_lambda = cokernel(emb_morphism(m["lambda"]))
-    ker_mu = kernel(emb_morphism(m["mu"]))
+    lam = emb_morphism(m["lambda"])
+    mu = emb_morphism(m["mu"])
 
     top1 = emb_morphism(m["alpha"])
     top2 = emb_morphism(m["beta"])
-    top3 = arrow("zeta*kappa", emb["c"], ker_mu.obj)
-    bot1 = arrow("alpha*epsilon", cok_lambda.obj, emb["f"])
+    top3 = arrow("zeta*kappa", emb["c"], kernel(mu).obj)
+    bot1 = arrow("alpha*epsilon", cokernel(lam).obj, emb["f"])
     bot2 = emb_morphism(m["iota"])
     bot3 = emb_morphism(m["kappa"])
     eps = emb_morphism(m["epsilon"])
     zeta = emb_morphism(m["zeta"])
 
-    ker_eps = kernel(eps)
-    ker_zeta = kernel(zeta)
-    m21 = arrow("beta", ker_eps.obj, ker_zeta.obj)
-    m22 = arrow("id(c)", ker_zeta.obj, session.objects["w1"])
+    m21 = arrow("beta", kernel(eps).obj, kernel(zeta).obj)
+    m22 = arrow("id(c)", kernel(zeta).obj, session.objects["w1"])
     zwp = is_zero_morphism(compose(m21, m22))
     if zwp is None:
         raise RuntimeError("step 2 composite is not zero")
     nu = cokernel_colift(m21, m22, zwp)
-    step2_kernel = kernel(nu)
 
     grid = functools.partial(_grid, cat)
     w2 = AdelObject(grid("b b", "c f b", [[m["beta"], m["epsilon"], 0],
@@ -672,7 +672,6 @@ def build_five_data() -> FiveData:
                                             [0, 0, m["beta"]]]))
 
     m3 = arrow("epsilon", session.objects["wa"], session.objects["wb"])
-    cok_m3 = cokernel(m3)
     w3 = AdelObject(grid("a b", "f c", [[compose_mat(m["alpha"], m["epsilon"]), 0],
                                         [m["epsilon"], m["beta"]]]),
                     grid("f c", "g c", [[m["iota"], 0],
@@ -683,8 +682,8 @@ def build_five_data() -> FiveData:
                       grid("b b", "a b", [[0, 1], [0, 1]]),
                       grid("g f c", "g c", [[-1, 0], [m["iota"], 0], [m["zeta"], 1]]))
 
-    return FiveData(cat, session.objects, cok_lambda, ker_mu, top1, top2, top3, bot1,
-                    bot2, bot3, eps, zeta, w2, w3, m21, m22, nu, step2_kernel, m3, cok_m3, m4)
+    return FiveData(cat, session.objects, lam, mu, top1, top2, top3, bot1,
+                    bot2, bot3, eps, zeta, w2, w3, m21, m22, nu, m3, m4)
 
 
 def explicit_five_witness(data: FiveData) -> WitnessPair:
@@ -716,20 +715,20 @@ def prove_refined_five() -> ProofReport:
     checks = _Checks()
 
     _check_structural(checks, "E is presented as (i -> a -> 0)",
-                      data.cok_lambda.obj, data.objects["E"])
+                      cokernel(data.lam).obj, data.objects["E"])
     _check_structural(checks, "D is presented as (0 -> h -> j)",
-                      data.ker_mu.obj, data.objects["D"])
+                      kernel(data.mu).obj, data.objects["D"])
 
     _check_claim(checks, "delta (cokernel projection of lambda) is an epi", "epi",
-                 lambda: (data.cok_lambda.proj,), "cokernel is zero")
+                 lambda: (cokernel(data.lam).proj,), "cokernel is zero")
     _check_claim(checks, "eta (kernel embedding of mu) is a mono", "mono",
-                 lambda: (data.ker_mu.emb,), "kernel is zero")
+                 lambda: (kernel(data.mu).emb,), "kernel is zero")
 
     _check_square(checks, "left square commutes",
-                  data.top1, data.eps, data.cok_lambda.proj, data.bot1)
+                  data.top1, data.eps, cokernel(data.lam).proj, data.bot1)
     _check_square(checks, "middle square commutes", data.top2, data.zeta, data.eps, data.bot2)
     _check_square(checks, "right square commutes",
-                  data.top3, data.ker_mu.emb, data.zeta, data.bot3)
+                  data.top3, kernel(data.mu).emb, data.zeta, data.bot3)
 
     _check_composite_zero(checks, "top composite alpha * beta is zero", data.top1, data.top2)
     _check_composite_zero(checks, "top composite beta * (zeta*kappa) is zero",
@@ -751,12 +750,12 @@ def prove_refined_five() -> ProofReport:
     # step 2
     _check_structural(checks,
                       "step 2: kernel of the colift equals the explicit 2-3-3 object",
-                      data.step2_kernel.obj, data.w2)
+                      kernel(data.nu).obj, data.w2)
 
     # step 3
     _check_structural(checks,
                       "step 3: cokernel of the middle homology map equals the explicit object",
-                      data.cok_m3.obj, data.w3)
+                      cokernel(data.m3).obj, data.w3)
 
     _check_claim(checks, "step 3: top homology identification", "iso",
                  lambda: (comparison(data.top1, data.top2, data.objects["wa"])[1],),
@@ -862,13 +861,14 @@ def snake_oracle_items(fig: SnakeFigure) -> list[tuple]:
     blue = [fig.blue1, fig.blue2, fig.connecting, fig.blue4, fig.blue5]
     for f, g in zip(blue, blue[1:]):
         items.append(("exact", f, g, is_exact(f, g)))
-    items.append(("exact", fig.alpha, fig.coka.proj, is_exact(fig.alpha, fig.coka.proj)))
-    items.append(("exact", fig.ker_gamma.emb, fig.gamma,
-                  is_exact(fig.ker_gamma.emb, fig.gamma)))
+    items.append(("exact", fig.alpha, cokernel(fig.alpha).proj,
+                  is_exact(fig.alpha, cokernel(fig.alpha).proj)))
+    items.append(("exact", kernel(fig.gamma).emb, fig.gamma,
+                  is_exact(kernel(fig.gamma).emb, fig.gamma)))
     zero = zero_adel_object(fig.cat)  # mono and epi: a zero kernel or cokernel
-    items.append(("kernel", fig.ker_eps.emb, zero))
-    items.append(("cokernel", fig.coka.proj, zero))
-    items.append(("cokernel", fig.cok_delta.proj, zero))
+    items.append(("kernel", kernel(fig.eps).emb, zero))
+    items.append(("cokernel", cokernel(fig.alpha).proj, zero))
+    items.append(("cokernel", cokernel(fig.delta).proj, zero))
     return items
 
 
@@ -881,12 +881,12 @@ def five_oracle_items(data: FiveData) -> list[tuple]:
         items.append(("cokernel", f, cokernel(f).obj))
     items.append(("homology", data.top2, data.top3,
                   homology(data.top2, data.top3).obj))
-    items.append(("homology", data.m21, data.m22, data.step2_kernel.obj))
+    items.append(("homology", data.m21, data.m22, kernel(data.nu).obj))
     items.append(("homology", data.top1, data.top2, data.objects["wa"]))
     items.append(("homology", data.bot1, data.bot2, data.objects["wb"]))
     items.append(("cokernel", data.m3, data.w3))
     zero = zero_adel_object(data.cat)  # mono and epi: a zero kernel or cokernel
     items.append(("kernel", data.m4, zero))
-    items.append(("kernel", data.ker_mu.emb, zero))
-    items.append(("cokernel", data.cok_lambda.proj, zero))
+    items.append(("kernel", kernel(data.mu).emb, zero))
+    items.append(("cokernel", cokernel(data.lam).proj, zero))
     return items

@@ -77,7 +77,7 @@ def test_criterion_3_connecting_uniqueness():
     report = prove_connecting_uniqueness()
     assert report.overall, [c.description for c in report.checks if not c.verdict]
     fig = build_snake_figure()
-    hg = hom_group(fig.ker_eps.obj, fig.cok_delta.obj)
+    hg = hom_group(kernel(fig.eps).obj, cokernel(fig.delta).obj)
     inv = hg.group.invariants().reduced()
     assert inv.free_rank == 1 and inv.factors == ()
     gen = hg.generators[0]

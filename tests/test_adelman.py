@@ -1,4 +1,8 @@
+import ast
+import pathlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -85,8 +89,8 @@ class TestMakeMorphism:
 
     def test_dowker_connecting_datum(self, snake_fig):
         cat = snake_fig.cat
-        src = snake_fig.ker_eps.obj
-        tgt = snake_fig.cok_delta.obj
+        src = kernel(snake_fig.eps).obj
+        tgt = cokernel(snake_fig.delta).obj
         made = make_morphism(src, tgt, arrow_mat(cat, "beta"))
         assert made is not None
         assert made.rel_witness == identity_mat(src.rel_source)
@@ -95,7 +99,7 @@ class TestMakeMorphism:
     def test_cokernel_inclusion_datum(self, snake_fig):
         cat = snake_fig.cat
         made = make_morphism(
-            emb_vertex(cat, "b"), snake_fig.coka.obj,
+            emb_vertex(cat, "b"), cokernel(snake_fig.alpha).obj,
             identity_mat(tuple_obj(cat, "b")))
         assert made is not None
 
@@ -133,7 +137,7 @@ class TestEqualityDecisions:
         assert wp.verifies(f.source, f.target, f.datum - g.datum)
 
     def test_zero_morphism_detection(self, snake_fig):
-        z = zero_morphism(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+        z = zero_morphism(kernel(snake_fig.eps).obj, cokernel(snake_fig.delta).obj)
         wp = is_zero_morphism(z)
         assert wp is not None
 
@@ -142,49 +146,52 @@ class TestEqualityDecisions:
 
 
 class TestConstructionMemo:
-    """Inside a scope ``kernel``, ``cokernel`` and ``zero_witness`` run once
-    per argument; outside one every call runs."""
+    """Inside a scope ``zero_witness`` decides each homotopy system once, keyed
+    by value; outside one every call decides.  ``kernel`` and ``cokernel``
+    are kept on their morphism, inside a scope or outside one."""
 
     def test_hit_is_what_an_unscoped_call_computes(self, snake_fig, underlying):
-        f = snake_fig.ker_gamma.emb  # a mono: its kernel is a zero object
+        f = kernel(snake_fig.gamma).emb  # a mono: its kernel is a zero object
         k = kernel(f).obj
         g = snake_fig.gamma          # not a mono: no witness
         underlying.clear()
         with construction_memo():
-            first = (kernel(f), cokernel(f), zero_witness(k, k, identity_mat(k.middle)),
+            first = (zero_witness(k, k, identity_mat(k.middle)),
                      zero_witness(*_kernel_identity(g)))
             # the homotopy decision is keyed by value: a new, equal datum hits
-            again = (kernel(f), cokernel(f), zero_witness(k, k, identity_mat(k.middle)),
+            again = (zero_witness(k, k, identity_mat(k.middle)),
                      zero_witness(*_kernel_identity(g)))
-        assert underlying == {"KernelResult": 2, "CokernelResult": 1, "decide_homotopy": 2}
+        assert underlying == {"decide_homotopy": 2}  # the kernels were kept
         assert all(a is b for a, b in zip(first, again))
-        assert first[2] is not None and first[3] is None
-        unscoped = (kernel(f), cokernel(f), zero_witness(k, k, identity_mat(k.middle)),
+        assert first[0] is not None and first[1] is None
+        unscoped = (zero_witness(k, k, identity_mat(k.middle)),
                     zero_witness(*_kernel_identity(g)))
         assert unscoped == first
-        assert underlying == {"KernelResult": 4, "CokernelResult": 2, "decide_homotopy": 4}
+        assert underlying == {"decide_homotopy": 4}
 
     def test_nothing_outlives_a_scope(self, snake_fig, underlying):
+        system = _kernel_identity(snake_fig.beta)
         with construction_memo():
-            kernel(snake_fig.beta)
+            zero_witness(*system)
         assert adelman._MEMO.get() is None
         with pytest.raises(KeyError):
             with construction_memo():
-                kernel(snake_fig.beta)
+                zero_witness(*system)
                 raise KeyError("inside the scope")
         assert adelman._MEMO.get() is None
-        kernel(snake_fig.beta)
-        assert underlying["KernelResult"] == 3
+        zero_witness(*system)
+        assert underlying["decide_homotopy"] == 3
 
     def test_nested_scope_starts_empty_and_restores_the_outer(self, snake_fig, underlying):
-        f = snake_fig.beta
+        system = _kernel_identity(kernel(snake_fig.gamma).emb)  # a zero object: a witness
         with construction_memo():
-            outer = kernel(f)
+            outer = zero_witness(*system)
             with construction_memo():
-                inner = kernel(f)
+                assert adelman._MEMO.get() == {}
+                inner = zero_witness(*system)
                 assert inner is not outer and inner == outer
-            assert kernel(f) is outer
-        assert underlying["KernelResult"] == 2
+            assert zero_witness(*system) is outer
+        assert underlying["decide_homotopy"] == 2
 
     def test_exceptions_are_not_memoised(self, snake_fig, underlying):
         a, b = snake_fig.alpha, snake_fig.beta  # datum a -> b is not from b
@@ -212,7 +219,7 @@ class TestKernelsCokernels:
     def test_cokernel_of_zero_is_target(self, snake_fig):
         cat = snake_fig.cat
         x = emb_vertex(cat, "a")
-        y = snake_fig.ker_eps.obj
+        y = kernel(snake_fig.eps).obj
         ck = cokernel(zero_morphism(x, y))
         comparison = make_morphism(y, ck.obj, ck.proj.datum)
         assert comparison is not None
@@ -220,7 +227,7 @@ class TestKernelsCokernels:
 
     def test_kernel_of_zero_is_source(self, snake_fig):
         cat = snake_fig.cat
-        x = snake_fig.ker_eps.obj
+        x = kernel(snake_fig.eps).obj
         y = emb_vertex(cat, "d")
         kr = kernel(zero_morphism(x, y))
         comparison = make_morphism(kr.obj, x, kr.emb.datum)
@@ -246,13 +253,36 @@ class TestKernelsCokernels:
         built = []
         real = adelman.from_blocks
         monkeypatch.setattr(adelman, "from_blocks", lambda *a: built.append(a) or real(*a))
-        result = construction(snake_fig.beta)
+        f, twin = (emb_morphism(snake_fig.beta.datum) for _ in range(2))  # new objects
+        result = construction(f)
         assert len(built) == 2
         first = getattr(result, part)
         assert len(built) == 5 and getattr(result, part) is first
         wp = result.composite_zero_wp
         assert len(built) == 7 and result.composite_zero_wp is wp
-        assert construction(snake_fig.beta) == result and len(built) == 9
+        # kept on the morphism object: an equal new morphism builds its own
+        assert construction(f) is result and len(built) == 7
+        assert construction(twin) == result and len(built) == 9
+
+    def test_kept_outside_any_scope(self, snake_fig):
+        assert adelman._MEMO.get() is None
+        f = emb_morphism(snake_fig.beta.datum)
+        assert kernel(f) is kernel(f) and cokernel(f) is cokernel(f)
+        assert image(f) is image(f)
+
+    def test_threads_share_one_kept_result(self, snake_fig):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(25):
+                    f = emb_morphism(snake_fig.connecting.datum)  # a new morphism each round
+                    for construction in (kernel, cokernel):
+                        results = list(pool.map(construction, [f] * 4, timeout=60))
+                        assert all(r is results[0] for r in results)
+                        assert construction(f) is results[0]
+        finally:
+            sys.setswitchinterval(old)
 
     def test_projection_epi_embedding_mono(self, snake_fig):
         f = snake_fig.connecting
@@ -305,7 +335,8 @@ class TestKernelsCokernels:
 
 class TestDuality:
     def test_double_dual_objects(self, snake_fig):
-        for obj in (snake_fig.ker_eps.obj, snake_fig.cok_delta.obj, snake_fig.coka.obj):
+        for obj in (kernel(snake_fig.eps).obj, cokernel(snake_fig.delta).obj,
+                    cokernel(snake_fig.alpha).obj):
             assert dualize_object(dualize_object(obj)) == obj
 
     def test_double_dual_morphisms(self, snake_fig):
@@ -331,13 +362,13 @@ class TestPredicates:
         assert is_iso(identity_morphism(emb_vertex(snake_cat, "c")))
 
     def test_delta_is_epi_in_five(self, five_data):
-        assert is_epi(five_data.cok_lambda.proj)
+        assert is_epi(cokernel(five_data.lam).proj)
 
     def test_zeta_not_mono_in_five(self, five_data):
         assert not is_mono(five_data.zeta)
 
     def test_eta_is_mono_in_five(self, five_data):
-        assert is_mono(five_data.ker_mu.emb)
+        assert is_mono(kernel(five_data.mu).emb)
 
 
 class TestSubobjects:
@@ -369,15 +400,15 @@ class TestSubobjects:
 
 class TestLiftsAlongMonosEpis:
     def test_lift_along_identity(self, snake_fig):
-        x = snake_fig.ker_eps.obj
+        x = kernel(snake_fig.eps).obj
         tau = snake_fig.connecting
         lift = lift_along_mono(identity_morphism(tau.target), tau)
         assert is_equal(lift, tau) is not None
 
     def test_colift_of_projection_is_identity(self, snake_fig):
-        proj = snake_fig.coka.proj
+        proj = cokernel(snake_fig.alpha).proj
         c = colift_along_epi(proj, proj)
-        assert is_equal(c, identity_morphism(snake_fig.coka.obj)) is not None
+        assert is_equal(c, identity_morphism(cokernel(snake_fig.alpha).obj)) is not None
 
     def test_lift_recovers_through_mono(self, snake_fig):
         kb = kernel(snake_fig.beta)
@@ -387,7 +418,7 @@ class TestLiftsAlongMonosEpis:
         assert is_equal(compose(lift, kb.emb), tau) is not None
 
     def test_epi_as_cokernel_triangle(self, snake_fig):
-        for eps in (snake_fig.coka.proj, snake_fig.cok_delta.proj):
+        for eps in (cokernel(snake_fig.alpha).proj, cokernel(snake_fig.delta).proj):
             data = epi_as_cokernel(eps)
             assert data.triangle_wp.verifies(
                 eps.source, data.cok_of_kernel.obj,
@@ -405,7 +436,7 @@ class TestHomology:
         assert is_iso(comp)
 
     def test_homology_of_zero_pair_is_middle(self, snake_fig):
-        y = snake_fig.ker_eps.obj
+        y = kernel(snake_fig.eps).obj
         cat = snake_fig.cat
         z = zero_adel_object(cat)
         h = homology(zero_morphism(z, y), zero_morphism(y, z))
@@ -428,8 +459,8 @@ class TestHomology:
 class TestConnecting:
     def test_snake_generators(self, snake_fig):
         conn = snake_fig.connecting
-        assert conn.source == snake_fig.ker_eps.obj
-        assert conn.target == snake_fig.cok_delta.obj
+        assert conn.source == kernel(snake_fig.eps).obj
+        assert conn.target == cokernel(snake_fig.delta).obj
 
     def test_zero_triple(self, snake_cat):
         a = tuple_obj(snake_cat, "a")
@@ -450,7 +481,7 @@ class TestConnecting:
 
 
 def test_direct_sum_object_middle(snake_fig):
-    s = direct_sum_object(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+    s = direct_sum_object(kernel(snake_fig.eps).obj, cokernel(snake_fig.delta).obj)
     assert s.middle.summands == ("b", "c")
 
 
@@ -479,11 +510,10 @@ def test_image_and_homology_build_no_lift(snake_fig, monkeypatch):
 
 def test_image_is_the_kernel_of_the_cokernel_projection(snake_fig):
     f, g = snake_fig.alpha, snake_fig.beta
-    with construction_memo():
-        assert image(f) is kernel(cokernel(f).proj)
-        h = homology(f, g)
-        assert h.img.of.source == cokernel(f).obj
-        assert h.obj is h.img.obj
+    assert image(f) is kernel(cokernel(f).proj)
+    h = homology(f, g)
+    assert h.img.of.source == cokernel(f).obj
+    assert h.obj is h.img.obj
 
 
 def test_objects_and_morphisms_keep_their_field_hash(snake_fig):
@@ -496,3 +526,26 @@ def test_objects_and_morphisms_keep_their_field_hash(snake_fig):
         assert hash(value) == hash(parts) and vars(value)["_hash"] == hash(parts)
         twin = type(value)(*parts)
         assert twin == value and "_hash" not in vars(twin) and hash(twin) == hash(value)
+
+
+def test_only_the_homotopy_decision_reads_the_memo():
+    """The scoped memo holds homotopy decisions only: in ``src/`` only
+    ``construction_memo`` and ``zero_witness`` read ``adelman._MEMO``, and
+    nothing names the generic memo helpers it once had."""
+    src = pathlib.Path(adelman.__file__).parents[1]
+    readers = set()
+
+    def visit(node, scope, path):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "_MEMO" and isinstance(node.ctx, ast.Load):
+            readers.add((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "scoped_value" not in text and "_memoised" not in text, path
+        visit(ast.parse(text), "", path)
+    assert readers == {("adelman.py", "construction_memo"), ("adelman.py", "zero_witness")}

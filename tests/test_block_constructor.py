@@ -188,13 +188,13 @@ def test_snake_kernels_and_cokernels_match_the_old_assembly(snake_fig):
     fig = snake_fig
     check_constructions([fig.alpha, fig.beta, fig.gamma, fig.delta, fig.eps, fig.connecting,
                          fig.connecting.scale(-2), fig.blue1, fig.blue2, fig.blue4, fig.blue5,
-                         fig.ker_eps.emb, fig.coka.proj, fig.cok_delta.proj])
+                         kernel(fig.eps).emb, cokernel(fig.alpha).proj, cokernel(fig.delta).proj])
 
 
 def test_five_kernels_and_cokernels_match_the_old_assembly(five_data):
     d = five_data
     check_constructions([d.top1, d.top2, d.top3, d.bot1, d.bot2, d.bot3, d.eps, d.zeta,
-                         d.m21, d.m22, d.nu, d.m3, d.m4, d.ker_mu.emb, d.cok_lambda.proj])
+                         d.m21, d.m22, d.nu, d.m3, d.m4, kernel(d.mu).emb, cokernel(d.lam).proj])
 
 
 def test_ladder_kernels_and_cokernels_match_the_old_assembly():

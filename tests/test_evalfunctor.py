@@ -19,6 +19,7 @@ from adelcat.adelman import (
     identity_morphism,
     is_equal,
     is_zero_morphism,
+    kernel,
     make_morphism,
     zero_adel_object,
 )
@@ -140,7 +141,7 @@ class TestEvalObject:
 class TestEvalMorphism:
     def test_identity_evaluates_to_identity(self, snake_fig):
         rep = random_representation(snake_fig.cat, 3)
-        x = snake_fig.ker_eps.obj
+        x = kernel(snake_fig.eps).obj
         m = eval_morphism(rep, identity_morphism(x))
         assert map_equal(m, InducedMap(m.source, m.source,
                                        IntMatrix.identity(m.source.group.ngens)))
@@ -339,7 +340,7 @@ class TestSuiteEvaluation:
                 assert objects and max(objects.values()) == 1
                 assert morphisms and max(morphisms.values()) == 1
         # used alone, the public functions evaluate afresh on every call
-        rep, x = random_representation(snake_fig.cat, 0), snake_fig.ker_eps.obj
+        rep, x = random_representation(snake_fig.cat, 0), kernel(snake_fig.eps).obj
         objects.clear()
         eval_object(rep, x)
         eval_object(rep, x)

@@ -11,9 +11,11 @@ from adelcat.addclosure import HomBasis, left_compose_rows, right_compose_rows
 from adelcat.adelman import (
     AdelMorphism,
     WitnessError,
+    cokernel,
     emb_vertex,
     is_equal,
     is_zero_morphism,
+    kernel,
     make_morphism,
     zero_adel_object,
     zero_morphism,
@@ -47,18 +49,18 @@ class TestEmbFullness:
 
 class TestDowkerGroup:
     def test_free_rank_one(self, snake_fig):
-        hg = hom_group(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+        hg = hom_group(kernel(snake_fig.eps).obj, cokernel(snake_fig.delta).obj)
         assert hg.group.invariants().reduced() == SmithInvariants((), 1)
         assert len(hg.generators) == 1
 
     def test_generator_is_connecting_up_to_sign(self, snake_fig):
-        hg = hom_group(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+        hg = hom_group(kernel(snake_fig.eps).obj, cokernel(snake_fig.delta).obj)
         gen = hg.generators[0]
         assert (is_equal(gen, snake_fig.connecting) is not None
                 or is_equal(gen, -snake_fig.connecting) is not None)
 
     def test_coordinates_are_multiples(self, snake_fig):
-        hg = hom_group(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+        hg = hom_group(kernel(snake_fig.eps).obj, cokernel(snake_fig.delta).obj)
         for s in (-2, -1, 0, 1, 5):
             coords = hg.coordinates(snake_fig.connecting.scale(s))
             assert coords in ((s,), (-s,))
@@ -67,13 +69,13 @@ class TestDowkerGroup:
 class TestDegenerateGroups:
     def test_hom_into_zero_object(self, snake_fig):
         z = zero_adel_object(snake_fig.cat)
-        hg = hom_group(snake_fig.ker_eps.obj, z)
+        hg = hom_group(kernel(snake_fig.eps).obj, z)
         assert hg.group.ngens == 0
         assert hg.group.invariants().is_trivial()
 
     def test_hom_out_of_zero_object(self, snake_fig):
         z = zero_adel_object(snake_fig.cat)
-        hg = hom_group(z, snake_fig.cok_delta.obj)
+        hg = hom_group(z, cokernel(snake_fig.delta).obj)
         assert hg.group.invariants().is_trivial()
 
 
@@ -188,7 +190,7 @@ class TestJointSolutionWitnesses:
                 hom.unflatten(r) for r in hg.basis.entries]
 
     def test_element_of_an_empty_presentation_is_zero(self, snake_fig, snake_cat):
-        k = snake_fig.ker_eps.obj
+        k = kernel(snake_fig.eps).obj
         for x, y in ((k, zero_adel_object(snake_cat)),
                      (emb_vertex(snake_cat, "b"), emb_vertex(snake_cat, "a"))):
             hg = hom_group(x, y)
@@ -392,11 +394,11 @@ class TestLazyGenerators:
 
 class TestCoordinatesEndpoints:
     def test_morphism_between_other_objects_is_rejected(self, snake_fig):
-        hg = hom_group(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+        hg = hom_group(kernel(snake_fig.eps).obj, cokernel(snake_fig.delta).obj)
         with pytest.raises(EndpointError):
             hg.coordinates(snake_fig.beta)
 
     def test_bare_datum_is_accepted(self, snake_fig):
-        hg = hom_group(snake_fig.ker_eps.obj, snake_fig.cok_delta.obj)
+        hg = hom_group(kernel(snake_fig.eps).obj, cokernel(snake_fig.delta).obj)
         assert hg.coordinates(snake_fig.connecting.datum) in ((1,), (-1,))
         assert hg.coordinates(snake_fig.connecting) in ((1,), (-1,))

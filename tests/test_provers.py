@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -13,10 +14,9 @@ from adelcat import addclosure, adelman, homgroups, provers
 from adelcat.adelman import (
     CLAIMS,
     AdelMorphism,
-    CokernelResult,
     CompositeNotZeroError,
-    KernelResult,
     WitnessError,
+    cokernel,
     compose,
     is_epi,
     is_equal,
@@ -24,6 +24,7 @@ from adelcat.adelman import (
     is_iso,
     is_mono,
     is_zero_morphism,
+    kernel,
     zero_adel_object,
     zero_morphism,
 )
@@ -133,14 +134,13 @@ class TestRefinedFive:
 
     def test_explicit_witness_matrices(self, five_data):
         from adelcat.addclosure import identity_mat
-        from adelcat.adelman import kernel
         k4 = kernel(five_data.m4)
         wp = explicit_five_witness(five_data)
         assert wp.verifies(k4.obj, k4.obj, identity_mat(k4.obj.middle))
 
     def test_step_objects_match_explicit_forms(self, five_data):
-        assert five_data.step2_kernel.obj == five_data.w2
-        assert five_data.cok_m3.obj == five_data.w3
+        assert kernel(five_data.nu).obj == five_data.w2
+        assert cokernel(five_data.m3).obj == five_data.w3
 
     def test_squares_really_commute(self, five_data):
         from adelcat.adelman import compose
@@ -238,7 +238,7 @@ class TestReplay:
         for objects in (snake_fig.objects, snake_fig.emb, five_data.objects,
                         provers._session("snake").lets):
             with pytest.raises(TypeError):
-                objects["K"] = snake_fig.ker_eps.obj
+                objects["K"] = kernel(snake_fig.eps).obj
         assert "K" not in five_data.objects and "K" not in snake_fig.emb
 
     def test_replay_after_the_prover_runs_what_it_runs_alone(self, underlying):
@@ -381,7 +381,7 @@ class TestZeroTestReplay:
 
     def test_certificate_only_for_zero_objects(self, five_data):
         assert claim_certificate("mono", five_data.zeta) is None
-        cert = claim_certificate("epi", five_data.cok_lambda.proj)
+        cert = claim_certificate("epi", cokernel(five_data.lam).proj)
         assert set(cert) == {"kind", "morphism", "cokernel_zero_wp"}
         assert verify_certificate(five_data.cat, cert)
 
@@ -533,7 +533,7 @@ class TestZeroTestReplay:
 
     def test_exact_and_mono_relabelled_rejected(self, snake_fig):
         cat = snake_fig.cat
-        f, g = snake_fig.ker_gamma.emb, snake_fig.gamma
+        f, g = kernel(snake_fig.gamma).emb, snake_fig.gamma
         out = zero_morphism(f.target, zero_adel_object(cat))
         assert is_mono(f) and is_exact(f, g) and not is_mono(g) and not is_exact(f, out)
         exact, mono = claim_certificate("exact", f, g), claim_certificate("mono", f)
@@ -548,18 +548,18 @@ class TestZeroTestReplay:
             assert not verify_certificate(cat, forged)
 
 
+# per figure, the arrows whose kernels and cokernels its prover reads
+_READ_KERNELS = {"snake": (("eps", "gamma", "beta", "delta"), ("alpha", "delta", "beta", "eps")),
+                 "five": (("mu", "nu"), ("lam", "m3"))}
+
+
 def _figure_morphisms(figure) -> list[AdelMorphism]:
     """The morphisms of a figure: its morphism fields and the embeddings and
-    projections of its kernels and cokernels."""
-    out = []
-    for value in vars(figure).values():
-        if isinstance(value, KernelResult):
-            value = value.emb
-        elif isinstance(value, CokernelResult):
-            value = value.proj
-        if isinstance(value, AdelMorphism):
-            out.append(value)
-    return out
+    projections of the kernels and cokernels its prover reads."""
+    kernels, cokernels = _READ_KERNELS[figure.cat.name]
+    return ([v for v in vars(figure).values() if isinstance(v, AdelMorphism)]
+            + [kernel(getattr(figure, name)).emb for name in kernels]
+            + [cokernel(getattr(figure, name)).proj for name in cokernels])
 
 
 def test_predicates_agree_with_certificates(snake_fig, five_data):
@@ -686,9 +686,9 @@ def _mistyped_copy(cert, coefficient):
 
 
 class TestReplayMemo:
-    """Inside one replay, ``from_json`` builds each distinct value once.  The
+    """Inside one replay, the reader builds each distinct value once.  The
     type checks run before the lookup, a read that raises stores nothing,
-    and the memo lives only as long as the replay."""
+    and the table lives only as long as the replay."""
 
     @pytest.mark.parametrize("coefficient", [True, 1.0], ids=["true", "float"])
     def test_a_mistyped_copy_of_a_read_value_fails(self, snake_report, coefficient):
@@ -706,57 +706,58 @@ class TestReplayMemo:
     def test_a_read_that_raises_stores_nothing(self, snake_report, snake_cat):
         cert, name, bad = _broken_copy(snake_cat, snake_report)
         mistyped_name, mistyped = _mistyped_copy(cert, True)
-        read = functools.partial(provers.from_json, snake_cat, AdelMorphism)
-        with adelman.construction_memo():
-            memo = adelman._MEMO.get()
+        table = {}
+
+        def read(data):
+            return provers._read(snake_cat, AdelMorphism, data, table)
+        with pytest.raises(WitnessError):
+            read(bad[name])
+        size = len(table)
+        assert not any(isinstance(v, AdelMorphism) for v in table.values())
+        with pytest.raises(WitnessError):
+            read(bad[name])
+        assert len(table) == size
+        good = read(cert[name])
+        assert read(copy.deepcopy(cert[name])) is good
+        for _ in range(2):
             with pytest.raises(WitnessError):
                 read(bad[name])
-            size = len(memo)
-            assert not any(isinstance(v, AdelMorphism) for v in memo.values())
-            with pytest.raises(WitnessError):
-                read(bad[name])
-            assert len(memo) == size
-            good = read(cert[name])
-            assert read(copy.deepcopy(cert[name])) is good
-            for _ in range(2):
-                with pytest.raises(WitnessError):
-                    read(bad[name])
-            read(cert[mistyped_name])
-            for _ in range(2):
-                with pytest.raises(TypeError):
-                    read(mistyped[mistyped_name])
+        read(cert[mistyped_name])
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                read(mistyped[mistyped_name])
 
     def test_outside_a_scope_every_read_builds(self, snake_report, snake_cat):
-        assert adelman._MEMO.get() is None
+        # outside a replay, each from_json call reads with a table of its own
         data = _morphism_reads(snake_report)[0]
         first, second = (provers.from_json(snake_cat, AdelMorphism, data) for _ in range(2))
         assert first == second and first is not second and first.datum is not second.datum
         assert all(verify_certificate(snake_cat, c["certificate"])
                    for c in snake_report["checks"] if c["verdict"] and c["certificate"])
-        with adelman.construction_memo():
+        with adelman.construction_memo():  # the homotopy memo holds no reads
             assert (provers.from_json(snake_cat, AdelMorphism, data)
-                    is provers.from_json(snake_cat, AdelMorphism, data))
-        assert adelman._MEMO.get() is None
+                    is not provers.from_json(snake_cat, AdelMorphism, data))
+            assert adelman._MEMO.get() == {}
+        table = {}
+        assert (provers._read(snake_cat, AdelMorphism, data, table)
+                is provers._read(snake_cat, AdelMorphism, data, table))
 
     def test_each_replay_reads_into_a_memo_of_its_own(self, snake_report, monkeypatch):
         seen = []
-        real = provers.verify_certificate
+        real = provers._verify
 
-        def recording(cat, cert):
-            memo = adelman._MEMO.get()
-            seen.append((memo, len(memo)))
-            return real(cat, cert)
-        monkeypatch.setattr(provers, "verify_certificate", recording)
-        with adelman.construction_memo():
-            outer = adelman._MEMO.get()
-            assert replay_report(snake_report)
-            half = len(seen)
-            assert replay_report(snake_report)
-            assert adelman._MEMO.get() is outer and outer == {}
-        assert adelman._MEMO.get() is None
+        def recording(cat, cert, table):
+            assert adelman._MEMO.get() is None  # replay decides nothing: it opens no memo
+            seen.append((table, len(table)))
+            return real(cat, cert, table)
+        monkeypatch.setattr(provers, "_verify", recording)
+        assert replay_report(snake_report)
+        half = len(seen)
+        assert replay_report(snake_report)
         (first, empty1), (second, empty2) = seen[0], seen[half]
-        assert first is not second and first is not outer and empty1 == empty2 == 0
-        assert all(memo is first for memo, _ in seen[:half])
+        assert first is not second and empty1 == empty2 == 0
+        assert all(table is first for table, _ in seen[:half])
+        assert all(table is second for table, _ in seen[half:])
         assert first and second  # each held its reads while its replay lasted
 
     def test_one_validation_per_distinct_morphism(self, snake_report, monkeypatch):
@@ -784,6 +785,22 @@ class TestConstructionMemoScopes:
     def test_no_memo_after_a_prover_returns(self, run, underlying):
         assert run() and adelman._MEMO.get() is None
         assert underlying["KernelResult"] > 0
+
+    def test_a_second_snake_builds_only_its_scaled_connecting_kernels(self, underlying):
+        # the figure's arrows keep their kernels and cokernels between calls;
+        # the one pair built is that of the connecting morphism scaled anew
+        prove_snake()
+        underlying.clear()
+        prove_snake()
+        assert underlying["KernelResult"] == underlying["CokernelResult"] == 1
+
+    def test_prove_snake_bytes_after_a_mutated_run_and_a_replay(self, capsys):
+        from adelcat.cli import run_command
+        from test_output_hashes import EXPECTED
+        assert replay_report(prove_snake(connecting_scale=2).to_dict())
+        assert run_command(["prove", "snake", "--json", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED["prove snake"]
 
     def test_prover_scope_memoises(self, underlying):
         explore_d4()
