@@ -110,9 +110,9 @@ class MatMorphism:
     Values are immutable: nothing assigns to their attributes after
     construction (a slotted class without an assignment guard, because
     construction is the hottest path of the library).  The hash is
-    computed on first use and kept in a slot, so the value-keyed memos
-    (``Evaluation``'s, the ``zero_witness`` key of ``construction_memo``)
-    do not walk the coefficients again on every lookup.
+    computed on first use and kept in a slot, so the value-keyed tables
+    (``Evaluation``'s memo, the replay reader's table) do not walk the
+    coefficients again on every lookup.
     """
 
     __slots__ = ("source", "target", "blocks", "_hash")

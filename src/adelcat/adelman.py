@@ -23,16 +23,13 @@ Sign conventions follow the matrices with the fewest minus signs.  Values
 are immutable; objects and morphisms keep their hash, a morphism its kernel
 and cokernel (and so its image, the kernel of its cokernel projection), and
 kernel and cokernel results their other parts, once built on first read.
-The one step that searches, the homotopy decision ``zero_witness``, runs
-once per homotopy system, keyed by value, inside one ``construction_memo``
-scope (one prover call); no decision is kept beyond its scope.
+The one step that searches, the homotopy decision ``zero_witness``, decides
+its system each time it is asked and keeps nothing.
 """
 
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -269,36 +266,15 @@ def morphism_from_sum(f: AdelMorphism, g: AdelMorphism) -> AdelMorphism:
     )
 
 
-_MEMO: ContextVar[Optional[dict]] = ContextVar("adelman_memo", default=None)
-
-
-@contextmanager
-def construction_memo():
-    """Scope (a decorator, once called) in which ``zero_witness`` decides each
-    homotopy system once; restores the enclosing scope."""
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
 # -- equality and the zero test ---------------------------------------------
 
 def zero_witness(source: AdelObject, target: AdelObject,
                  datum: MatMorphism) -> Optional[WitnessPair]:
     """Witness pair for a datum being null-homotopic between two objects, or
-    None when it is not.  Inside a ``construction_memo`` scope each homotopy
-    system is decided once; a decision that raises stores nothing."""
-    key = (datum, target.rel, source.corel)
-    memo = _MEMO.get()
-    if memo is not None and key in memo:
-        return memo[key]
-    found = decide_homotopy(*key)
-    wp = None if found is None else WitnessPair(*found)
-    if memo is not None:
-        memo[key] = wp
-    return wp
+    None when it is not: the homotopy system ``datum = sigma1 * target.rel +
+    source.corel * sigma2``, decided by ``decide_homotopy``."""
+    found = decide_homotopy(datum, target.rel, source.corel)
+    return None if found is None else WitnessPair(*found)
 
 
 def make_morphism(source: AdelObject, target: AdelObject,
@@ -554,13 +530,11 @@ def is_exact(f: AdelMorphism, g: AdelMorphism) -> bool:
 
 
 def subobject_leq(i1: AdelMorphism, i2: AdelMorphism) -> bool:
-    """Subobject comparison: ``i1 <= i2`` iff ``i1`` composed with the
-    cokernel projection of ``i2`` vanishes.  Both inputs must be monos into
-    the same object."""
+    """Whether im(``i1``) <= im(``i2``) for two morphisms into the same
+    object: whether ``i1`` composed with the cokernel projection of ``i2``
+    vanishes.  For monos this is the subobject order."""
     if i1.target != i2.target:
         raise EndpointError("subobjects of different objects")
-    if not is_mono(i1) or not is_mono(i2):
-        raise NotMonoError("subobject comparison needs monomorphisms")
     return is_zero_morphism(compose(i1, cokernel(i2).proj)) is not None
 
 

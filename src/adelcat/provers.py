@@ -6,12 +6,12 @@ the diagram's constructions must reproduce, runs the categorical decision
 procedures, and emits a structured report.  The snake figure and the five
 data are built once per process, beside the session of their text, and are
 read-only arrows; their kernels and cokernels are kept on the arrows.  A
-prover call only decides and certifies its claims, and decides each
-homotopy system once, in a ``construction_memo`` of its own that no other
-call sees.  Failures never raise; they become report entries.  Every
-passing check embeds a certificate (witness pairs, explicit objects,
-invariant data) that ``replay_report`` re-verifies by plain matrix
-arithmetic without redoing any search.
+prover call only decides and certifies its claims; each homotopy system is
+decided where it is asked, and nothing a call decides is kept.  Failures
+never raise; they become report entries.  Every passing check embeds a
+certificate (witness pairs, explicit objects, invariant data) that
+``replay_report`` re-verifies by plain matrix arithmetic without redoing
+any search.
 
 Zero morphisms, equality, mono, epi, iso and exactness are decided by
 ``adelman.CLAIMS``; this module only formats them.  A claim's certificate
@@ -418,7 +418,6 @@ def build_snake_figure() -> SnakeFigure:
                        blue1, blue2, connecting, blue4, blue5)
 
 
-@ad.construction_memo()
 def prove_snake(connecting_scale: int = 1) -> ProofReport:
     """Verify the universal snake diagram: constructed objects match their
     explicit presentations, all squares commute, rows and columns are
@@ -531,7 +530,6 @@ def sweep_report(s_values: Sequence[int]) -> ProofReport:
     return sweep(s_values)[0]
 
 
-@ad.construction_memo()
 def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool]]]:
     """The sweep report together with the exactness found for each s (None
     where the check raised).  An empty ``s_values`` is a ``ValueError``: a
@@ -565,7 +563,6 @@ def sweep(s_values: Sequence[int]) -> tuple[ProofReport, dict[int, Optional[bool
     return report, results
 
 
-@ad.construction_memo()
 def prove_connecting_uniqueness() -> ProofReport:
     """The morphisms K -> C form a free group of rank one generated by the
     connecting morphism; only the generator and its inverse make the blue
@@ -704,7 +701,6 @@ def explicit_five_witness(data: FiveData) -> WitnessPair:
                                         [1, 0, 0, 0, 0]]))
 
 
-@ad.construction_memo()
 def prove_refined_five() -> ProofReport:
     """Verify the universal diagram of the refined five-term lemma: the
     premise (outer epi/mono, commuting squares, zero composites) and the
@@ -802,7 +798,6 @@ def prove_refined_five() -> ProofReport:
 
 # -- the D4 exploration (stretch) ------------------------------------------------
 
-@ad.construction_memo()
 def explore_d4() -> ProofReport:
     """Subobject comparisons of the three canonical images inside the
     embedded sink of the three-source star quiver.  Each image embedding is
@@ -833,8 +828,9 @@ def explore_d4() -> ProofReport:
         for la, lb in (("p", "q"), ("p", "r"), ("q", "r")):
             combined = ad.morphism_from_sum(images[la].emb, images[lb].emb)
             join = image(combined)
-            if not ad.subobject_leq(images[la].emb, join.emb):
-                return False, f"im({la}) not below join({la},{lb})", None
+            for part in (la, lb):
+                if not ad.subobject_leq(images[part].emb, join.emb):
+                    return False, f"im({part}) not below join({la},{lb})", None
         return True, "binary joins computed and dominate their parts", None
     checks.run("binary joins of the image subobjects computed", joins)
 

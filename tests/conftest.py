@@ -44,10 +44,11 @@ def five_data():
 
 
 def count_constructions(patch=setattr) -> Counter:
-    """Counts of the memoised constructions' own runs: a ``kernel`` or
-    ``cokernel`` run builds one result, a ``zero_witness`` run solves one
-    homotopy system (as does each half of ``make_morphism``).  ``patch``
-    replaces the three names in ``adelman`` with their counting wrappers."""
+    """Counts of the constructions' own runs: a ``kernel`` or ``cokernel``
+    run builds one result (which its morphism keeps), a ``zero_witness``
+    call solves one homotopy system (as does each half of
+    ``make_morphism``).  ``patch`` replaces the three names in ``adelman``
+    with their counting wrappers."""
     counts = Counter()
     for name in ("KernelResult", "CokernelResult", "decide_homotopy"):
         def counting(*args, real=getattr(adelman, name), name=name):

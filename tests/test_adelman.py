@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 import random
 import sys
@@ -17,7 +18,7 @@ from adelcat.addclosure import (
 from adelcat.adelman import (
     AdelObject,
     CompositeNotZeroError,
-    NotMonoError,
+    SideConditionError,
     WitnessError,
     WitnessPair,
     cokernel,
@@ -25,7 +26,6 @@ from adelcat.adelman import (
     colift_along_epi,
     compose,
     connecting_homomorphism,
-    construction_memo,
     direct_sum_object,
     dualize_morphism,
     dualize_object,
@@ -146,59 +146,38 @@ class TestEqualityDecisions:
 
 
 class TestConstructionMemo:
-    """Inside a scope ``zero_witness`` decides each homotopy system once, keyed
-    by value; outside one every call decides.  ``kernel`` and ``cokernel``
-    are kept on their morphism, inside a scope or outside one."""
+    """``zero_witness`` decides the homotopy system it is asked, each time it
+    is asked, and keeps nothing; ``kernel`` and ``cokernel`` are kept on
+    their morphism."""
 
     def test_hit_is_what_an_unscoped_call_computes(self, snake_fig, underlying):
         f = kernel(snake_fig.gamma).emb  # a mono: its kernel is a zero object
         k = kernel(f).obj
         g = snake_fig.gamma          # not a mono: no witness
         underlying.clear()
-        with construction_memo():
-            first = (zero_witness(k, k, identity_mat(k.middle)),
-                     zero_witness(*_kernel_identity(g)))
-            # the homotopy decision is keyed by value: a new, equal datum hits
-            again = (zero_witness(k, k, identity_mat(k.middle)),
-                     zero_witness(*_kernel_identity(g)))
-        assert underlying == {"decide_homotopy": 2}  # the kernels were kept
-        assert all(a is b for a, b in zip(first, again))
+        first = (zero_witness(k, k, identity_mat(k.middle)),
+                 zero_witness(*_kernel_identity(g)))
         assert first[0] is not None and first[1] is None
-        unscoped = (zero_witness(k, k, identity_mat(k.middle)),
-                    zero_witness(*_kernel_identity(g)))
-        assert unscoped == first
-        assert underlying == {"decide_homotopy": 4}
+        assert first[0].verifies(k, k, identity_mat(k.middle))
+        # an equal system asked again is decided again, to an equal answer
+        again = (zero_witness(k, k, identity_mat(k.middle)),
+                 zero_witness(*_kernel_identity(g)))
+        assert again == first and again[0] is not first[0]
+        assert underlying == {"decide_homotopy": 4}  # the kernels were kept
 
     def test_nothing_outlives_a_scope(self, snake_fig, underlying):
         system = _kernel_identity(snake_fig.beta)
-        with construction_memo():
-            zero_witness(*system)
-        assert adelman._MEMO.get() is None
-        with pytest.raises(KeyError):
-            with construction_memo():
-                zero_witness(*system)
-                raise KeyError("inside the scope")
-        assert adelman._MEMO.get() is None
-        zero_witness(*system)
+        answer = zero_witness(*system)
+        with pytest.raises(EndpointError):
+            zero_witness(snake_fig.beta.source, snake_fig.beta.target, snake_fig.alpha.datum)
+        assert zero_witness(*system) == answer
         assert underlying["decide_homotopy"] == 3
-
-    def test_nested_scope_starts_empty_and_restores_the_outer(self, snake_fig, underlying):
-        system = _kernel_identity(kernel(snake_fig.gamma).emb)  # a zero object: a witness
-        with construction_memo():
-            outer = zero_witness(*system)
-            with construction_memo():
-                assert adelman._MEMO.get() == {}
-                inner = zero_witness(*system)
-                assert inner is not outer and inner == outer
-            assert zero_witness(*system) is outer
-        assert underlying["decide_homotopy"] == 2
 
     def test_exceptions_are_not_memoised(self, snake_fig, underlying):
         a, b = snake_fig.alpha, snake_fig.beta  # datum a -> b is not from b
-        with construction_memo():
-            for _ in range(2):
-                with pytest.raises(EndpointError):
-                    zero_witness(b.source, b.target, a.datum)
+        for _ in range(2):
+            with pytest.raises(EndpointError):
+                zero_witness(b.source, b.target, a.datum)
         assert underlying["decide_homotopy"] == 2
 
 
@@ -265,7 +244,6 @@ class TestKernelsCokernels:
         assert construction(twin) == result and len(built) == 9
 
     def test_kept_outside_any_scope(self, snake_fig):
-        assert adelman._MEMO.get() is None
         f = emb_morphism(snake_fig.beta.datum)
         assert kernel(f) is kernel(f) and cokernel(f) is cokernel(f)
         assert image(f) is image(f)
@@ -393,9 +371,32 @@ class TestSubobjects:
         assert subobject_leq(kb.emb, kbg.emb)
         assert not subobject_leq(kbg.emb, kb.emb)
 
-    def test_non_mono_rejected(self, snake_fig):
-        with pytest.raises(NotMonoError):
-            subobject_leq(snake_fig.beta, snake_fig.beta)
+    def test_non_monos_compare_by_image(self, snake_fig):
+        beta = snake_fig.beta  # not a mono
+        assert not is_mono(beta) and subobject_leq(beta, beta)
+        assert subobject_leq(beta, image(beta).emb) and subobject_leq(image(beta).emb, beta)
+        with pytest.raises(EndpointError):
+            subobject_leq(beta, snake_fig.alpha)
+
+    def test_agrees_with_lifting_image_along_image(self, snake_fig):
+        # im(f) <= im(g) iff the embedding of im(f) lifts along that of im(g);
+        # every pair here has a non-mono, with targets in common
+        fig = snake_fig
+        arrows = [fig.alpha, fig.beta, fig.gamma, fig.eps, fig.delta, fig.blue1, fig.blue2,
+                  fig.connecting, fig.blue4, fig.blue5, kernel(fig.beta).emb,
+                  kernel(fig.gamma).emb, compose(fig.alpha, fig.beta)]
+        verdicts = []
+        for f, g in itertools.product(arrows, repeat=2):
+            if f.target != g.target or (is_mono(f) and is_mono(g)):
+                continue
+            try:
+                lift_along_mono(image(g).emb, image(f).emb)
+                lifts = True
+            except SideConditionError:
+                lifts = False
+            assert subobject_leq(f, g) == lifts, (f, g)
+            verdicts.append(lifts)
+        assert len(verdicts) == 21 and set(verdicts) == {True, False}
 
 
 class TestLiftsAlongMonosEpis:
@@ -528,24 +529,20 @@ def test_objects_and_morphisms_keep_their_field_hash(snake_fig):
         assert twin == value and "_hash" not in vars(twin) and hash(twin) == hash(value)
 
 
-def test_only_the_homotopy_decision_reads_the_memo():
-    """The scoped memo holds homotopy decisions only: in ``src/`` only
-    ``construction_memo`` and ``zero_witness`` read ``adelman._MEMO``, and
-    nothing names the generic memo helpers it once had."""
+def test_no_scoped_memo_in_src():
+    """Each homotopy system is decided where it is asked: nothing in ``src/``
+    names a scoped memo or imports ``contextvars``, and no prover is
+    decorated."""
     src = pathlib.Path(adelman.__file__).parents[1]
-    readers = set()
-
-    def visit(node, scope, path):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if name == "_MEMO" and isinstance(node.ctx, ast.Load):
-            readers.add((path.name, scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope, path)
-
     for path in sorted(src.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
-        assert "scoped_value" not in text and "_memoised" not in text, path
-        visit(ast.parse(text), "", path)
-    assert readers == {("adelman.py", "construction_memo"), ("adelman.py", "zero_witness")}
+        for name in ("construction_memo", "_MEMO", "scoped_value", "_memoised"):
+            assert name not in text, (path, name)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                assert "contextvars" not in {alias.name for alias in node.names}, path
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "contextvars", path
+            elif path.name == "provers.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name.startswith(("prove_", "explore_", "sweep")):
+                assert not node.decorator_list, node.name

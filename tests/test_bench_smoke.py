@@ -52,7 +52,7 @@ def test_traced_methods_exist():
 
 
 def test_traced_prover_operation_counts_constructions(tmp_path):
-    # the memoised constructions stay plain functions that the tracer wraps
+    # the constructions are plain module functions that the tracer wraps
     op = workloads.setup_provers(0, str(tmp_path)).ops[0]
     spans = tracer.Tracer()
     with spans:

@@ -18,6 +18,8 @@ from adelcat.adelman import (
     WitnessError,
     cokernel,
     compose,
+    emb_morphism,
+    image,
     is_epi,
     is_equal,
     is_exact,
@@ -166,6 +168,20 @@ class TestD4:
             assert check["verdict"] and check["certificate"]["kind"] == "mono"
             assert verify_certificate(category_by_name("d4"), check["certificate"])
 
+    def test_each_join_is_compared_with_both_parts(self, monkeypatch):
+        compared = []
+        real = adelman.subobject_leq
+        monkeypatch.setattr(adelman, "subobject_leq",
+                            lambda i1, i2: compared.append((i1, i2)) or real(i1, i2))
+        assert explore_d4().overall
+        session = provers._session("d4")
+        images = {lbl: image(emb_morphism(session.arrow(lbl))).emb for lbl in "pqr"}
+        wanted = []
+        for la, lb in (("p", "q"), ("p", "r"), ("q", "r")):
+            join = image(adelman.morphism_from_sum(images[la], images[lb])).emb
+            wanted += [(images[la], join), (images[lb], join)]
+        assert sum(pair in compared for pair in wanted) == 6
+
     @pytest.mark.parametrize("key", ["source", "target"])
     def test_endpoint_written_as_a_string_fails_replay(self, key):
         """``"wx"`` names the vertices ``w`` and ``x`` only as a list."""
@@ -278,7 +294,6 @@ class TestReplay:
     def test_malformed_report_is_a_value_error(self, report, message):
         with pytest.raises(ValueError, match=f"^malformed report: {message}$"):
             replay_report(report)
-        assert adelman._MEMO.get() is None
 
     @pytest.mark.parametrize("kind, edit", [
         ("mono", lambda cert: cert.update(kind="epi")),  # no cokernel_zero_wp
@@ -297,7 +312,6 @@ class TestReplay:
                     if c["certificate"] and c["certificate"]["kind"] == kind)
         edit(cert)
         assert replay_report(tampered) is False
-        assert adelman._MEMO.get() is None
 
     def test_verify_certificate_unknown_kind(self, snake_cat):
         with pytest.raises(ValueError):
@@ -734,31 +748,29 @@ class TestReplayMemo:
         assert first == second and first is not second and first.datum is not second.datum
         assert all(verify_certificate(snake_cat, c["certificate"])
                    for c in snake_report["checks"] if c["verdict"] and c["certificate"])
-        with adelman.construction_memo():  # the homotopy memo holds no reads
-            assert (provers.from_json(snake_cat, AdelMorphism, data)
-                    is not provers.from_json(snake_cat, AdelMorphism, data))
-            assert adelman._MEMO.get() == {}
         table = {}
         assert (provers._read(snake_cat, AdelMorphism, data, table)
                 is provers._read(snake_cat, AdelMorphism, data, table))
 
-    def test_each_replay_reads_into_a_memo_of_its_own(self, snake_report, monkeypatch):
+    def test_each_replay_reads_into_a_memo_of_its_own(self, snake_report, monkeypatch, underlying):
         seen = []
         real = provers._verify
 
         def recording(cat, cert, table):
-            assert adelman._MEMO.get() is None  # replay decides nothing: it opens no memo
             seen.append((table, len(table)))
             return real(cat, cert, table)
         monkeypatch.setattr(provers, "_verify", recording)
         assert replay_report(snake_report)
-        half = len(seen)
+        half, built = len(seen), underlying["KernelResult"]
         assert replay_report(snake_report)
         (first, empty1), (second, empty2) = seen[0], seen[half]
         assert first is not second and empty1 == empty2 == 0
         assert all(table is first for table, _ in seen[:half])
         assert all(table is second for table, _ in seen[half:])
         assert first and second  # each held its reads while its replay lasted
+        # the second replay reads new morphisms, so it builds their kernels again
+        assert built > 0 and underlying["KernelResult"] == 2 * built
+        assert "decide_homotopy" not in underlying  # replay decides nothing
 
     def test_one_validation_per_distinct_morphism(self, snake_report, monkeypatch):
         reads = [json.dumps(d, sort_keys=True) for d in _morphism_reads(snake_report)]
@@ -776,14 +788,19 @@ class TestReplayMemo:
 
 
 class TestConstructionMemoScopes:
-    """Each prover call and each replay has a memo of its own."""
+    """Each prover call decides the homotopy systems it asks and keeps no
+    decision; the figures' arrows keep their kernels and cokernels."""
 
     @pytest.mark.parametrize("run", [
         prove_snake, prove_connecting_uniqueness, prove_refined_five, explore_d4,
         lambda: sweep(range(0, 2)), lambda: sweep_report(range(0, 2)),
     ], ids=["snake", "uniqueness", "five", "d4", "sweep", "sweep_report"])
     def test_no_memo_after_a_prover_returns(self, run, underlying):
-        assert run() and adelman._MEMO.get() is None
+        # a second call decides every system of the first again
+        assert run()
+        decided = underlying["decide_homotopy"]
+        assert run()
+        assert decided > 0 and underlying["decide_homotopy"] == 2 * decided
         assert underlying["KernelResult"] > 0
 
     def test_a_second_snake_builds_only_its_scaled_connecting_kernels(self, underlying):
@@ -803,41 +820,31 @@ class TestConstructionMemoScopes:
         assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED["prove snake"]
 
     def test_prover_scope_memoises(self, underlying):
+        # each image and join keeps its kernel and cokernel on its morphism
         explore_d4()
-        assert underlying == {"KernelResult": 12, "CokernelResult": 12, "decide_homotopy": 18}
+        assert underlying == {"KernelResult": 9, "CokernelResult": 12, "decide_homotopy": 18}
 
     @pytest.mark.parametrize("run, systems", [
-        (prove_snake, 38), (prove_refined_five, 27), (prove_connecting_uniqueness, 15),
+        (prove_snake, 42), (prove_refined_five, 28), (prove_connecting_uniqueness, 15),
         (explore_d4, 18),
     ], ids=["snake", "five", "uniqueness", "d4"])
     def test_witness_squares_share_the_zero_memo(self, run, systems, underlying):
-        # make_morphism states its witness squares as zero claims, so the
-        # memo solves each homotopy system of a prover run once; the figures
-        # are built before counting, so this counts the run's own claims
+        # make_morphism states its witness squares as zero claims, each
+        # decided where it is asked; the figures are built before counting,
+        # so this counts the run's own claims
         run()
         assert underlying["decide_homotopy"] == systems
 
-    def test_no_memo_after_a_prover_raises(self, monkeypatch):
+    def test_no_memo_after_a_prover_raises(self, monkeypatch, underlying):
         def broken(name):
-            assert adelman._MEMO.get() == {}
             raise RuntimeError("category unavailable")
-        monkeypatch.setattr(provers, "_session", broken)
-        with pytest.raises(RuntimeError):
-            explore_d4()
-        assert adelman._MEMO.get() is None
-
-    def test_replay_inside_an_open_scope_runs_its_constructions(self, underlying):
-        report = explore_d4().to_dict()
-        with adelman.construction_memo():
-            outer = adelman._MEMO.get()
-            adelman.kernel(adelman.identity_morphism(adelman.emb_vertex(category_by_name("d4"), "w")))
-            entries = dict(outer)
-            underlying.clear()
-            assert replay_report(report)
-            first = underlying["KernelResult"]
-            assert replay_report(report)
-            assert first > 0 and underlying["KernelResult"] == 2 * first
-            assert adelman._MEMO.get() is outer and outer == entries
+        with monkeypatch.context() as patch:
+            patch.setattr(provers, "_session", broken)
+            with pytest.raises(RuntimeError):
+                explore_d4()
+        assert not underlying  # it raised before deciding anything
+        assert all(check.verdict for check in explore_d4().checks)
+        assert underlying["decide_homotopy"] == 18
 
 
 _TRUSTED_RUNS = {
