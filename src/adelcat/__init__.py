@@ -3,11 +3,11 @@ acyclic quivers with relations.
 
 The layers, bottom up: ``intlinalg`` (integer matrices, Hermite/Smith forms,
 f.p. abelian groups), ``quivercat`` (the Z-linear path category),
-``representation`` (quiver representations and their matrix evaluation),
+``evalfunctor`` (quiver representations and the exact functor they induce,
+evaluated to integer matrices and f.p. abelian groups: the oracle),
 ``addclosure`` (tuple objects, matrix morphisms, the homotopy-equation
 solver), ``adelman`` (the free abelian category: certified equality,
 kernels, cokernels, homology), ``homgroups`` (Hom-group presentations),
-``evalfunctor`` (evaluation into f.p. abelian groups, the oracle),
 ``catfile`` (the ``.cat`` grammar, and ``Session``, which evaluates a text's
 category, named morphisms and objects), ``provers`` (machine-checked
 lemmata whose categories and 1x1 presentations are ``.cat`` text), and

@@ -27,10 +27,11 @@ solvability of ``alpha = sigma1 * beta + gamma * sigma2`` is flattened over
 the coordinates of all Hom entries, one auxiliary unknown per torsion row of
 each target Hom set, and decided by an exact integer solve, ``solve_left``.
 A system above ``PROBE_CELLS`` cells, sized from its entries' dimensions,
-is first evaluated on the category's two seeded probe representations,
-before its layouts are built: a probe that shows it unsolvable returns
-None.  A zero datum gets the zero pair, every other positive answer comes
-from the solve, and each is re-verified by matrix arithmetic.
+is first evaluated on the category's two seeded probe representations, by
+the matrix half of ``evalfunctor.Evaluation``, before its layouts are
+built: a probe that shows it unsolvable returns None.  A zero datum gets
+the zero pair, every other positive answer comes from the solve, and each
+is re-verified by matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .intlinalg import FpAbGroup, IntMatrix, left_kernel, solve_left
 from .quivercat import EndpointError, LinMorphism, QuiverCategory, format_coords
-from .representation import MatrixEvaluation, check_representation, random_representation
+from .evalfunctor import Evaluation, check_representation, random_representation
 
 
 @dataclass(frozen=True)
@@ -445,8 +446,8 @@ PROBE_CELLS = 1000
 _PROBE_SEEDS = (0, 1)
 
 
-def probes(cat: QuiverCategory) -> tuple[MatrixEvaluation, ...]:
-    """The evaluations of ``cat``'s probe representations, built on first use
+def probes(cat: QuiverCategory) -> tuple[Evaluation, ...]:
+    """The ``Evaluation``s of ``cat``'s probe representations, built on first use
     from ``_PROBE_SEEDS`` and kept on ``cat``, so they are freed with it.  A
     build that raises or fails ``check_representation`` is left out: a
     missing probe costs only the work it would have saved."""
@@ -455,7 +456,7 @@ def probes(cat: QuiverCategory) -> tuple[MatrixEvaluation, ...]:
         found = []
         for seed in _PROBE_SEEDS:
             try:
-                ev = MatrixEvaluation(random_representation(cat, seed, max_rank=3))
+                ev = Evaluation(random_representation(cat, seed, max_rank=3))
                 if check_representation(ev):
                     found.append(ev)
             except (RuntimeError, ValueError):  # a failed repair; the package's errors

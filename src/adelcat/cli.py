@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
 
-from . import provers
+from . import adelman, provers
 from .addclosure import format_entries, format_mat
-from .adelman import AdelObject, cokernel, connecting_homomorphism, homology, kernel
+from .adelman import AdelObject, connecting_homomorphism
 from .catfile import ParseError, Session, parse_session
 from .evalfunctor import Representation, check_representation, eval_object
 from .homgroups import hom_group
@@ -181,14 +181,15 @@ _SHAPES = {
 }
 
 # the commands on morphisms: name -> (argument shape, and either a claim of
-# ``adelman.CLAIMS`` with the line that states its verdict, or a construction
-# whose ``obj`` the command prints); ``zero`` is stated by ``check-equal``
+# ``adelman.CLAIMS`` with the line that states its verdict, or the name of an
+# ``adelman`` construction, whose ``obj`` the command prints, and None);
+# ``zero`` is stated by ``check-equal``
 _ON_MORPHISMS = {
     "check-equal": ("parallel", "equal", lambda ok: (
         f"morphisms are {'equal' if ok else 'NOT equal'} in the free abelian category")),
-    "kernel": ("morphism", kernel, None),
-    "cokernel": ("morphism", cokernel, None),
-    "homology": ("composable", homology, None),
+    "kernel": ("morphism", "kernel", None),
+    "cokernel": ("morphism", "cokernel", None),
+    "homology": ("composable", "homology", None),
     "is-exact": ("composable", "exact", lambda ok: (
         f"sequence is {'exact' if ok else 'NOT exact'} at the middle object")),
     **{f"is-{kind}": ("morphism", kind, lambda ok, kind=kind: f"{kind}: {ok}")
@@ -214,8 +215,8 @@ def _cmd_on_morphisms(args) -> CommandResult:
     verdict, whose positive answer carries the claim's certificate."""
     shape, action, says = _ON_MORPHISMS[args.command]
     fs, inputs = _read_operands(args, shape)
-    if callable(action):
-        obj = action(*fs).obj
+    if says is None:  # a construction, looked up on ``adelman`` as the command runs
+        obj = getattr(adelman, action)(*fs).obj
         return CommandResult(args.command, inputs, True, extra={"object": provers.to_json(obj)},
                              lines=[f"{args.command} object: {_format_object(obj)}"])
     cert = provers.claim_certificate(action, *fs)

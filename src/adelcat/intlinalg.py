@@ -173,7 +173,7 @@ def _matrix(entries: tuple[tuple[int, ...], ...], cols: int) -> IntMatrix:
     * ``evalfunctor._first_cols`` keeps the first ``k`` columns of a left
       kernel of a stack of at least ``k`` rows, so of at least ``k``
       columns;
-    * ``representation.MatrixEvaluation.mat`` allocates its rows at the
+    * ``evalfunctor.Evaluation.mat`` allocates its rows at the
       summed ranks of the target's summands and writes each evaluated block,
       of the ranks of its two vertices, over a slice of that width.
     """

@@ -268,14 +268,13 @@ def invariants_certificate(group, factors, free_rank) -> dict:
     }
 
 
-def verify_certificate(cat: QuiverCategory, cert: dict) -> bool:
+def verify_certificate(cat: QuiverCategory, cert: dict, table: Optional[dict] = None) -> bool:
     """Re-check one certificate by direct matrix arithmetic (no search).  A
-    missing or mistyped field fails the certificate; an unknown kind raises."""
-    return _verify(cat, cert, {})
-
-
-def _verify(cat: QuiverCategory, cert: dict, table: dict) -> bool:
-    """``verify_certificate``, reading through ``table`` (see ``_read``)."""
+    missing or mistyped field fails the certificate; an unknown kind raises.
+    The certificate's values are read through ``table`` (see ``_read``), a
+    fresh one when none is given."""
+    if table is None:
+        table = {}
     try:
         kind = cert["kind"]
         if kind == "structural":
@@ -320,7 +319,7 @@ def replay_report(report: dict) -> bool:
     for check in report["checks"]:
         cert = check.get("certificate")
         if check["verdict"] and cert is not None:
-            if not _verify(cat, cert, table):
+            if not verify_certificate(cat, cert, table):
                 return False
     return True
 

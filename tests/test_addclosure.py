@@ -26,7 +26,7 @@ from adelcat.addclosure import (
 from adelcat.adelman import emb_morphism, is_zero_morphism
 from adelcat.intlinalg import IntMatrix, solve_left
 from adelcat.quivercat import Arrow, EndpointError, LinMorphism, Quiver, QuiverCategory
-from adelcat.representation import MatrixEvaluation, Representation, check_representation
+from adelcat.evalfunctor import Evaluation, Representation, check_representation
 from conftest import arrow_lin, identity_lin, ladder_category
 
 
@@ -420,7 +420,7 @@ class TestProbes:
         bad = _broken_representation(cat)
         assert not check_representation(bad)
         # admitted, the broken representation would refute a solvable system
-        monkeypatch.setattr(cat, "_probes", (MatrixEvaluation(bad),))
+        monkeypatch.setattr(cat, "_probes", (Evaluation(bad),))
         assert addclosure._probe_refutes(*solvable)
 
         cat = ladder_category()
@@ -516,7 +516,7 @@ class TestStoredHash:
 
     def test_equal_objects_share_one_evaluation(self, snake_cat):
         from adelcat.adelman import AdelObject
-        from adelcat.evalfunctor import Evaluation, random_representation
+        from adelcat.evalfunctor import random_representation
         from adelcat.provers import from_json, to_json
 
         x = tuple_obj(snake_cat, "a", "b")

@@ -145,12 +145,12 @@ class TestEqualityDecisions:
         assert is_zero_morphism(identity_morphism(emb_vertex(snake_cat, "a"))) is None
 
 
-class TestConstructionMemo:
+class TestZeroWitnessDecidesEachTime:
     """``zero_witness`` decides the homotopy system it is asked, each time it
     is asked, and keeps nothing; ``kernel`` and ``cokernel`` are kept on
     their morphism."""
 
-    def test_hit_is_what_an_unscoped_call_computes(self, snake_fig, underlying):
+    def test_an_equal_system_is_decided_again(self, snake_fig, underlying):
         f = kernel(snake_fig.gamma).emb  # a mono: its kernel is a zero object
         k = kernel(f).obj
         g = snake_fig.gamma          # not a mono: no witness
@@ -165,7 +165,7 @@ class TestConstructionMemo:
         assert again == first and again[0] is not first[0]
         assert underlying == {"decide_homotopy": 4}  # the kernels were kept
 
-    def test_nothing_outlives_a_scope(self, snake_fig, underlying):
+    def test_a_raising_call_leaves_nothing_behind(self, snake_fig, underlying):
         system = _kernel_identity(snake_fig.beta)
         answer = zero_witness(*system)
         with pytest.raises(EndpointError):
@@ -173,7 +173,7 @@ class TestConstructionMemo:
         assert zero_witness(*system) == answer
         assert underlying["decide_homotopy"] == 3
 
-    def test_exceptions_are_not_memoised(self, snake_fig, underlying):
+    def test_a_raising_system_raises_each_time(self, snake_fig, underlying):
         a, b = snake_fig.alpha, snake_fig.beta  # datum a -> b is not from b
         for _ in range(2):
             with pytest.raises(EndpointError):
@@ -243,7 +243,7 @@ class TestKernelsCokernels:
         assert construction(f) is result and len(built) == 7
         assert construction(twin) == result and len(built) == 9
 
-    def test_kept_outside_any_scope(self, snake_fig):
+    def test_kept_on_their_morphism(self, snake_fig):
         f = emb_morphism(snake_fig.beta.datum)
         assert kernel(f) is kernel(f) and cokernel(f) is cokernel(f)
         assert image(f) is image(f)

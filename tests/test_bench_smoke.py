@@ -5,11 +5,13 @@ to the library that breaks what it calls would otherwise show only when the
 benchmark runs.  For every workload this runs the first operation of the
 ``--seed 0`` input, and the last operation of each kind, and applies the
 harness's own result check to each; it also checks that every method the
-tracer wraps still exists where the tracer looks.
+tracer wraps still exists where the tracer looks, and that every module but
+``catfile`` is one of the tracer's layers.
 """
 
 import inspect
 import os
+import pathlib
 import sys
 
 import pytest
@@ -44,6 +46,13 @@ def test_tracer_wraps_every_kernel_function():
               if inspect.isfunction(f) and f.__module__ == _hnf_py.__name__
               and not name.startswith("_")}
     assert public == set(tracer.KERNEL_FUNCTIONS)
+
+
+def test_every_module_is_a_traced_layer():
+    # a module outside ``LAYERS`` is not traced, so its time counts to its
+    # callers; ``_hnf_py`` is traced as ``intlinalg._kernel``
+    modules = {p.stem for p in pathlib.Path(_hnf_py.__file__).parent.glob("*.py")}
+    assert modules - set(tracer.LAYERS) <= {"__init__", "_hnf_py", "catfile"}
 
 
 def test_traced_methods_exist():

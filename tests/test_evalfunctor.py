@@ -1,7 +1,10 @@
+import ast
 import collections
 import hashlib
 import json
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,6 @@ from adelcat.evalfunctor import (
     Evaluation,
     GroupWithMap,
     InducedMap,
-    MatrixEvaluation,
     Representation,
     RepresentationError,
     check_representation,
@@ -395,15 +397,39 @@ def test_evaluation_seeds_include_rank_zero_vertices():
 
 @settings(max_examples=200)
 @given(st.sampled_from(sorted(EVAL_CATEGORIES)), st.sampled_from(EVAL_SEEDS),
-       st.sampled_from([MatrixEvaluation, Evaluation]), st.randoms(use_true_random=False))
-def test_mat_is_the_path_sum(name, seed, kind, rng):
+       st.randoms(use_true_random=False))
+def test_mat_is_the_path_sum(name, seed, rng):
     """``mat``, one product with the stacked rows per block, equals the sum
     of scaled path matrices, on a fresh evaluation and again once its
     stacked rows are filled."""
     cat = EVAL_CATEGORIES[name]
-    ev = kind(random_representation(cat, seed))
+    ev = Evaluation(random_representation(cat, seed))
     for _ in range(3):
         x, y = _rand_tuple(cat, rng), _rand_tuple(cat, rng)
         f = _rand_mat(cat, x, y, rng)
-        assert ev.mat(f) == path_sum_mat(kind(ev.rep), f)
+        assert ev.mat(f) == path_sum_mat(Evaluation(ev.rep), f)
         assert ev.mat(f) == path_sum_mat(ev, f)
+
+
+def test_imports_nothing_of_the_engine_at_run_time():
+    """Outside ``if TYPE_CHECKING``, ``evalfunctor`` imports only
+    ``intlinalg``, ``quivercat`` and the standard library, so the oracle is
+    independent of the constructions it checks."""
+    tree = ast.parse(pathlib.Path(evalfunctor.__file__).read_text(encoding="utf-8"))
+
+    def imports(nodes):
+        for node in nodes:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield node
+            else:
+                yield from imports(ast.iter_child_nodes(node))
+    package = set()
+    for node in imports(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add(f".{node.module}")
+        else:
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert all(n.split(".")[0] in sys.stdlib_module_names for n in names), names
+    assert package == {".intlinalg", ".quivercat"}

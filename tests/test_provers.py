@@ -741,7 +741,7 @@ class TestReplayMemo:
             with pytest.raises(TypeError):
                 read(mistyped[mistyped_name])
 
-    def test_outside_a_scope_every_read_builds(self, snake_report, snake_cat):
+    def test_outside_a_replay_every_read_builds(self, snake_report, snake_cat):
         # outside a replay, each from_json call reads with a table of its own
         data = _morphism_reads(snake_report)[0]
         first, second = (provers.from_json(snake_cat, AdelMorphism, data) for _ in range(2))
@@ -754,12 +754,12 @@ class TestReplayMemo:
 
     def test_each_replay_reads_into_a_memo_of_its_own(self, snake_report, monkeypatch, underlying):
         seen = []
-        real = provers._verify
+        real = provers.verify_certificate
 
         def recording(cat, cert, table):
             seen.append((table, len(table)))
             return real(cat, cert, table)
-        monkeypatch.setattr(provers, "_verify", recording)
+        monkeypatch.setattr(provers, "verify_certificate", recording)
         assert replay_report(snake_report)
         half, built = len(seen), underlying["KernelResult"]
         assert replay_report(snake_report)
